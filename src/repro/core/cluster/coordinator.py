@@ -44,19 +44,20 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from ...clock import Clock
 from ...errors import FleetQuotaExceeded, S2SError
 from ...obs import NULL_SPAN, MetricsRegistry
-from ...sources.flaky import WorkerCrashed
 from ..extractor.extractors import ExtractorRegistry
 from ..extractor.manager import ExtractorManager
 from ..extractor.schema import ExtractionSchema
 from ..mapping.rules import TransformRegistry
 from ..resilience import Deadline
 from ..resilience.config import UNSET, FleetConfig, ResilienceConfig
-from .pool import SubprocessWorkerPool, ThreadWorkerPool, WorkerPool
+from .pool import (SubprocessWorkerPool, ThreadWorkerPool, WorkerPool,
+                   worker_loop)
 from .sharding import partition_sources
 from .supervision import WorkerSupervisor
 
@@ -198,23 +199,9 @@ def run_query_item(shard: int, item: QueryWorkItem, ctx, emit, *,
           "item_shard": item.shard, "payload": outcome})
 
 
-def query_worker_loop(shard: int, inbox, results, ctx, *,
-                      cancel: Any = None,
-                      in_subprocess: bool = False) -> None:
-    """The query worker main loop: drain the inbox until the None
-    sentinel.  Shared verbatim by thread and subprocess workers."""
-    while True:
-        item = inbox.get()
-        if item is None:
-            return
-        try:
-            run_query_item(shard, item, ctx, results.put, cancel=cancel,
-                           in_subprocess=in_subprocess)
-        except WorkerCrashed:
-            # Simulated sudden death: exit the loop without reporting
-            # anything — no failure event, no further heartbeats.  The
-            # supervisor must notice on its own.
-            return
+#: The query worker main loop: the shared fleet loop running
+#: :func:`run_query_item` on every sub-plan.
+query_worker_loop = partial(worker_loop, run_query_item)
 
 
 @dataclass

@@ -161,46 +161,29 @@ class ShardedExtractorManager(ExtractorManager):
 
     def extract(self, required, *, deadline=None, span: AnySpan = NULL_SPAN,
                 schema: ExtractionSchema | None = None) -> ExtractionOutcome:
-        started = time.perf_counter()
-        if schema is None:
-            schema = self.obtain_extraction_schema(required)
-        if deadline is None:
-            deadline = Deadline(self.config.deadline_seconds,
-                                self.config.clock)
-        elif not isinstance(deadline, Deadline):
-            deadline = Deadline(float(deadline), self.config.clock)
-        outcome = ExtractionOutcome(
-            missing_attributes=list(schema.missing),
-            deadline_seconds=deadline.seconds)
-        source_ids = schema.source_ids()
-        span.annotate(sources=len(source_ids),
-                      entries=schema.entry_count(), parallel=True,
-                      engine="sharded", workers=self.fleet.n_workers,
-                      pool=self.fleet.pool_kind)
-        if source_ids:
-            run = self.fleet.execute(schema, deadline=deadline, span=span,
-                                     tenant=self._tenant)
+        ctx, outcome = self._begin_run(
+            required, deadline, schema, span, engine="sharded",
+            workers=self.fleet.n_workers, pool=self.fleet.pool_kind)
+        if ctx.schema.by_source:
+            run = self.fleet.execute(ctx.schema, deadline=ctx.deadline,
+                                     span=span, tenant=self._tenant)
             if self.strict and run.failures:
                 raise S2SError(next(iter(run.failures.values())))
             merge_started = time.perf_counter()
             with span.child("shard.merge", shards=len(run.partials),
                             failed=len(run.failures),
                             timed_out=len(run.timed_out)):
-                merge_partials(outcome, run, deadline)
+                merge_partials(outcome, run, ctx.deadline)
             if self.metrics is not None:
                 self.metrics.histogram(
                     "shard_merge_seconds",
                     "time merging per-shard partial outcomes").observe(
                         time.perf_counter() - merge_started)
-        for ledger in outcome.health.values():
-            self.health.for_source(ledger.source_id).merge(ledger)
-            # Worker-side retries surface on the coordinator counter so
-            # `manager.retry_count` reads the same as in-process.
-            self.retry_count += ledger.retries
-        outcome.elapsed_seconds = time.perf_counter() - started
-        if self.metrics is not None:
-            self._record_outcome_metrics(outcome)
-        return outcome
+        # Worker-side retries surface on the coordinator counter so
+        # `manager.retry_count` reads the same as in-process.
+        self.retry_count += sum(ledger.retries
+                                for ledger in outcome.health.values())
+        return self._finish_run(ctx, outcome)
 
     def close(self) -> None:
         """Stop the fleet; the manager stays usable (lazy restart).

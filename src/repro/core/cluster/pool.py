@@ -16,6 +16,10 @@ The loop contract::
         # drain inbox until the None sentinel; emit dicts carrying at
         # least {"kind": ..., "shard": shard} on results.put
 
+Both domains use the one :func:`worker_loop` below, bound to their item
+runner with ``functools.partial`` (which pickles by reference, so it
+crosses the spawn boundary like a plain function).
+
 Thread pools share the live context object (and therefore the
 coordinator's clock, breakers and fault-injection state); subprocess
 pools use the ``spawn`` start method deliberately — children re-import
@@ -32,11 +36,37 @@ import queue as queue_module
 import threading
 from typing import Any, Callable, Protocol
 
+from ...sources.flaky import WorkerCrashed
+
 #: Exit code a subprocess worker dies with on a scripted kill.
 KILL_EXIT_CODE = 17
 
 #: The worker main-loop callable a pool runs on each shard.
 WorkerLoop = Callable[..., None]
+
+
+def worker_loop(run_item: Callable[..., None], shard: int, inbox, results,
+                ctx: Any, *, cancel: Any = None,
+                in_subprocess: bool = False) -> None:
+    """The worker main loop: drain the inbox until the None sentinel,
+    handing each item to ``run_item(shard, item, ctx, emit, *, cancel,
+    in_subprocess)``.
+
+    Shared verbatim by ingest and query workers, thread and subprocess
+    alike; only the item runner, the queue implementations and the kill
+    mechanism differ."""
+    while True:
+        item = inbox.get()
+        if item is None:
+            return
+        try:
+            run_item(shard, item, ctx, results.put, cancel=cancel,
+                     in_subprocess=in_subprocess)
+        except WorkerCrashed:
+            # Simulated sudden death: exit the loop without reporting
+            # anything — no failure event, no further heartbeats.  The
+            # supervisor must notice on its own.
+            return
 
 
 class WorkerPool(Protocol):
@@ -50,6 +80,21 @@ class WorkerPool(Protocol):
     def alive(self, shard: int) -> bool: ...
     def restart(self, shard: int) -> None: ...
     def shutdown(self) -> None: ...
+
+
+def _drain(results, timeout: float) -> list[dict]:
+    """Every queued worker event, waiting up to ``timeout`` for the
+    first."""
+    collected: list[dict] = []
+    try:
+        collected.append(results.get(timeout=timeout))
+    except queue_module.Empty:
+        return collected
+    while True:
+        try:
+            collected.append(results.get_nowait())
+        except queue_module.Empty:
+            return collected
 
 
 class _ThreadWorker:
@@ -99,16 +144,7 @@ class ThreadWorkerPool:
         self._workers[shard].inbox.put(item)
 
     def events(self, timeout: float) -> list[dict]:
-        collected: list[dict] = []
-        try:
-            collected.append(self.results.get(timeout=timeout))
-        except queue_module.Empty:
-            return collected
-        while True:
-            try:
-                collected.append(self.results.get_nowait())
-            except queue_module.Empty:
-                return collected
+        return _drain(self.results, timeout)
 
     def alive(self, shard: int) -> bool:
         worker = self._workers.get(shard)
@@ -184,16 +220,7 @@ class SubprocessWorkerPool:
         self._inboxes[shard].put(item)
 
     def events(self, timeout: float) -> list[dict]:
-        collected: list[dict] = []
-        try:
-            collected.append(self.results.get(timeout=timeout))
-        except queue_module.Empty:
-            return collected
-        while True:
-            try:
-                collected.append(self.results.get_nowait())
-            except queue_module.Empty:
-                return collected
+        return _drain(self.results, timeout)
 
     def alive(self, shard: int) -> bool:
         process = self._workers.get(shard)

@@ -5,58 +5,44 @@ OS thread per in-flight source and caps the pool at 16 by default; a
 many-slow-sources workload (the paper's WebL web wrappers especially)
 spends most of that pool *waiting*.  :class:`AsyncExtractorManager`
 replaces the pool with one event loop: every source becomes a task,
-``asyncio.gather``-style fan-out holds hundreds of slow sources in
-flight at once, and no cap exists at all.
+hundreds of slow sources stay in flight at once, and no cap exists.
 
-The resilience semantics are the thread engine's, verbatim:
-
-* retries with backoff + jitter, awaited on the injectable clock
-  (``Clock.sleep_async`` — a :class:`~repro.clock.FakeClock` advances
-  instantly, so degraded-world tests stay sleep-free);
-* per-source circuit breakers and the shared retry budget (their locks
-  are brief and never awaited across);
-* deadlines: tasks police ``ctx.deadline`` between entries exactly like
-  pool workers do, and the outer ``asyncio.wait`` timeout only matters
-  when a connector blocks in foreign code — then the source is reported
-  as timed out and its task cancelled rather than joined;
-* replica failover, identical engagement rules;
-* the fragment cache's single-flight dedup, via
-  :meth:`~repro.core.extractor.cache.FragmentCache.acquire_async` so a
-  waiting task never blocks the loop its leader runs on.
-
-Sources implementing :class:`~repro.sources.base.AsyncDataSource` are
-awaited natively; every legacy sync connector is auto-adapted (its
-extraction runs in a worker thread via ``asyncio.to_thread``), so all
-five built-in connectors work unchanged.
+The per-source policy is not re-implemented here.  It lives once, as
+the effect-yielding generators on :class:`ExtractorManager`
+(``_extract_source`` and the two it delegates to); this module *drives*
+them, awaiting each effect where the base class blocks on it:
+``RunRule`` -> :meth:`Extractor.aextract` (native for
+:class:`~repro.sources.base.AsyncDataSource` connectors, a worker thread
+for legacy sync ones), ``Sleep`` -> ``Clock.sleep_async`` (a
+:class:`~repro.clock.FakeClock` advances instantly), ``AcquireFlight``
+-> :meth:`~repro.core.extractor.cache.FragmentCache.acquire_async` (a
+waiting task never blocks the loop its leader runs on).  Retries,
+breakers, budget, deadlines, failover, single-flight and every span
+name, annotation and problem string are therefore the thread engine's by
+construction; what is specific to this engine is the task fan-out and
+the private loop.
 
 The synchronous :meth:`AsyncExtractorManager.extract` remains available:
 it submits the coroutine to a private, lazily started event loop on a
 daemon thread, which is how ``S2SMiddleware.query()`` keeps its blocking
 signature under ``concurrency="asyncio"`` — sync and async callers share
 one engine, one breaker state, one cache.
-
-This module deliberately mirrors the control flow of ``manager.py``
-step for step (same span names, same annotations, same problem
-wording): the async/sync equivalence suite asserts the two engines
-produce identical answers, and the thread engine's span trees must stay
-byte-identical — so behaviour changes belong in *both* files.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
-import time
+from typing import Any
 
-from ...errors import (CircuitOpenError, DeadlineExceededError, S2SError,
-                       TransientSourceError)
+from ...errors import S2SError
 from ...ids import AttributePath
 from ...obs import NULL_SPAN
-from ..mapping.attributes import MappingEntry
-from ..resilience import Deadline, RetryBudget, SourceHealthRegistry
-from .manager import (AnySpan, ExtractionOutcome, ExtractionProblem,
-                      ExtractorManager, _RunContext, _SourceResult)
-from .records import RawFragment, SourceRecordSet
+from ..resilience import Deadline
+from .manager import (AcquireFlight, AnySpan, ExtractionOutcome,
+                      ExtractorManager, Policy, RunRule, Sleep,
+                      _SourceResult)
 from .schema import ExtractionSchema
 
 
@@ -79,30 +65,32 @@ class AsyncExtractorManager(ExtractorManager):
 
     # -- the private event loop -------------------------------------------
 
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        """The private loop, lazily started on a daemon thread."""
-        with self._loop_lock:
-            if self._loop is None:
-                self._loop = asyncio.new_event_loop()
-                self._loop_thread = threading.Thread(
-                    target=self._loop.run_forever,
-                    name="repro-async-extractor", daemon=True)
-                self._loop_thread.start()
-            return self._loop
+    def _ensure_loop_locked(self) -> asyncio.AbstractEventLoop:
+        """The private loop, lazily started on a daemon thread; the
+        caller holds ``_loop_lock``."""
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+            self._loop_thread = threading.Thread(
+                target=self._loop.run_forever,
+                name="repro-async-extractor", daemon=True)
+            self._loop_thread.start()
+        return self._loop
 
     def close(self) -> None:
         """Stop and dispose the private event loop (idempotent).
 
         Called by the middleware when a mapping reload replaces the
-        manager; safe to call on a manager whose loop never started."""
+        manager; safe to call on a manager whose loop never started.
+        Extractions still in flight on the loop are cancelled first, so
+        a synchronous caller parked in :meth:`extract` gets a typed
+        error instead of waiting on a loop that will never run again."""
         with self._loop_lock:
             loop, thread = self._loop, self._loop_thread
             self._loop = self._loop_thread = None
         if loop is None:
             return
-        loop.call_soon_threadsafe(loop.stop)
-        if thread is not None:
-            thread.join(timeout=5.0)
+        asyncio.run_coroutine_threadsafe(_cancel_pending_and_stop(), loop)
+        thread.join(timeout=5.0)
         if not loop.is_running():
             loop.close()
 
@@ -117,11 +105,19 @@ class AsyncExtractorManager(ExtractorManager):
         the asyncio engine without touching an event loop themselves.
         Concurrent calls interleave as tasks on that one loop — which is
         exactly what single-flight cache dedup expects."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.extract_async(required, deadline=deadline, span=span,
-                               schema=schema),
-            self._ensure_loop())
-        return future.result()
+        coroutine = self.extract_async(required, deadline=deadline,
+                                       span=span, schema=schema)
+        # Submitted under the lock close() swaps the loop out under, so
+        # a submission either lands before close()'s cancellation sweep
+        # or on a fresh loop — never on a stopped one.
+        with self._loop_lock:
+            future = asyncio.run_coroutine_threadsafe(
+                coroutine, self._ensure_loop_locked())
+        try:
+            return future.result()
+        except concurrent.futures.CancelledError:
+            raise S2SError("extraction cancelled: the asyncio engine was "
+                           "closed while the query was in flight") from None
 
     # -- the engine --------------------------------------------------------
 
@@ -130,283 +126,72 @@ class AsyncExtractorManager(ExtractorManager):
                             span: AnySpan = NULL_SPAN,
                             schema: ExtractionSchema | None = None
                             ) -> ExtractionOutcome:
-        """Steps 2-4 with every source a task on the calling loop."""
-        started = time.perf_counter()
-        if schema is None:
-            schema = self.obtain_extraction_schema(required)
-        if deadline is None:
-            deadline = Deadline(self.config.deadline_seconds,
-                                self.config.clock)
-        elif not isinstance(deadline, Deadline):
-            deadline = Deadline(float(deadline), self.config.clock)
-        ctx = _RunContext(schema, deadline,
-                          RetryBudget(self.config.retry.budget),
-                          SourceHealthRegistry(),
-                          cache_generation=(self.cache.generation
-                                            if self.cache is not None else 0))
-        outcome = ExtractionOutcome(missing_attributes=list(schema.missing),
-                                    deadline_seconds=deadline.seconds)
-
-        source_ids = schema.source_ids()
-        span.annotate(sources=len(source_ids),
-                      entries=schema.entry_count(),
-                      parallel=self.config.parallel)
-        results = await self._fanout_async(source_ids, ctx, outcome, span)
-
-        for result in sorted(results, key=lambda r: r.source_id):
-            outcome.problems.extend(result.problems)
-            if result.record_set is not None and result.record_set.fragments:
-                outcome.record_sets[result.source_id] = result.record_set
-            outcome.per_source_seconds[result.source_id] = result.elapsed
-        self._stamp_breaker_states(ctx.health)
-        outcome.health = ctx.health.snapshot()
-        self.health.merge_from(ctx.health)
-        outcome.elapsed_seconds = time.perf_counter() - started
-        if self.metrics is not None:
-            self._record_outcome_metrics(outcome)
-        return outcome
-
-    async def _fanout_async(self, source_ids: list[str], ctx: _RunContext,
-                            outcome: ExtractionOutcome,
-                            span: AnySpan) -> list[_SourceResult]:
-        """One task per source, bounded by the deadline — no worker cap.
+        """Steps 2-4 with every source a task on the calling loop — no
+        worker cap.
 
         Tasks police the deadline themselves between entries, so the
         outer timeout (real loop time) only matters when a connector
         blocks in foreign code; those sources are reported as timed out
         and their tasks cancelled."""
-        if not source_ids:
-            return []
+        ctx, outcome = self._begin_run(required, deadline, schema, span)
         tasks = {
-            asyncio.ensure_future(self._extract_source_async(
-                sid, ctx.schema.by_source[sid], ctx, span)): sid
-            for sid in source_ids}
-        timeout = (None if ctx.deadline.unbounded
-                   else max(ctx.deadline.remaining(), 0.05))
-        done, not_done = await asyncio.wait(
-            set(tasks), timeout=timeout,
-            return_when=asyncio.FIRST_EXCEPTION)
-        results = []
-        try:
-            for task in done:
-                results.append(task.result())  # re-raises in strict mode
-        except BaseException:
+            asyncio.ensure_future(self._drive_async(self._extract_source(
+                sid, ctx.schema.by_source[sid], ctx, span))): sid
+            for sid in ctx.schema.source_ids()}
+        results: list[_SourceResult] = []
+        if tasks:
+            timeout = (None if ctx.deadline.unbounded
+                       else max(ctx.deadline.remaining(), 0.05))
+            done, not_done = await asyncio.wait(
+                set(tasks), timeout=timeout,
+                return_when=asyncio.FIRST_EXCEPTION)
+            try:
+                for task in done:
+                    results.append(task.result())  # re-raises when strict
+            except BaseException:
+                for task in not_done:
+                    task.cancel()
+                raise
             for task in not_done:
                 task.cancel()
-            raise
-        for task in not_done:
-            task.cancel()
-            source_id = tasks[task]
-            ctx.health.for_source(source_id).deadline_hits += 1
-            outcome.problems.append(ExtractionProblem(
-                source_id, None,
-                f"source did not complete within the "
-                f"{ctx.deadline.seconds:.3f}s extraction deadline"))
-            outcome.per_source_seconds.setdefault(
-                source_id, ctx.deadline.seconds or 0.0)
-        return results
+                self._report_timed_out(tasks[task], ctx, outcome)
+        self._fold_results(ctx, outcome, results)
+        return self._finish_run(ctx, outcome)
 
-    async def _extract_source_async(self, source_id: str,
-                                    entries: list[MappingEntry],
-                                    ctx: _RunContext,
-                                    parent_span: AnySpan = NULL_SPAN
-                                    ) -> _SourceResult:
-        """Steps 3 and 4 for one source (mirror of ``_extract_source``)."""
-        started = time.perf_counter()
-        problems: list[ExtractionProblem] = []
-        span = parent_span.child("source", source=source_id,
-                                 entries=len(entries))
+    async def _drive_async(self, policy: Policy) -> Any:
+        """The awaiting driver: :meth:`ExtractorManager._drive` with
+        every effect awaited instead of blocked on.  Cancellation
+        arrives at one of these awaits and is thrown into the policy
+        like any error, so its ``finally`` blocks (leader release, span
+        finish) run before the task unwinds."""
         try:
-            try:
-                source = self.sources.get(source_id)  # step 3
-                extractor = self.extractors.for_source(source)
-            except S2SError as exc:
-                span.fail(str(exc))
-                if self.strict:
-                    raise
-                problems.append(ExtractionProblem(source_id, None, str(exc)))
-                return _SourceResult(source_id, None, problems,
-                                     time.perf_counter() - started)
-            record_set = SourceRecordSet(source_id)
-            for index, entry in enumerate(entries):
-                if ctx.deadline.expired:
-                    ctx.health.for_source(source_id).deadline_hits += 1
-                    span.annotate(deadline_expired=True)
-                    problems.append(ExtractionProblem(
-                        source_id, entry.attribute_id,
-                        f"extraction deadline of {ctx.deadline.seconds:.3f}s "
-                        f"exceeded; skipped {len(entries) - index} remaining "
-                        f"entries"))
-                    break
-                entry_span = span.child("entry",
-                                        attribute=entry.attribute_id)
-                leading = False
+            effect = next(policy)
+            while True:
                 try:
-                    if self.cache is not None:
-                        # Single-flight: a concurrent identical scan either
-                        # serves us its result or elects us leader.
-                        cached, leading = await self.cache.acquire_async(
-                            entry)
-                        if cached is not None:
-                            entry_span.annotate(cache="hit")
-                            record_set.add(cached)
-                            continue
-                        entry_span.annotate(cache="miss")
-                    try:
-                        fragment = await self._extract_entry_async(
-                            source_id, source, extractor, entry, ctx,
-                            entry_span)  # step 4
-                    except DeadlineExceededError as exc:
-                        entry_span.fail(str(exc))
-                        if self.strict:
-                            raise
-                        ctx.health.for_source(source_id).deadline_hits += 1
-                        problems.append(ExtractionProblem(
-                            source_id, entry.attribute_id, str(exc)))
-                        break
-                    except S2SError as exc:
-                        entry_span.fail(str(exc))
-                        if self.strict:
-                            raise
-                        problems.append(ExtractionProblem(
-                            source_id, entry.attribute_id, str(exc)))
-                        continue
-                    if self.cache is not None:
-                        self.cache.put(entry, fragment,
-                                       generation=ctx.cache_generation)
-                    entry_span.annotate(values=len(fragment.values))
-                    record_set.add(fragment)
-                finally:
-                    if leading:
-                        # Wakes waiters whether we stored a fragment or
-                        # failed — a failed flight must not poison them.
-                        self.cache.release(entry)
-                    entry_span.finish()
-            return _SourceResult(source_id, record_set, problems,
-                                 time.perf_counter() - started)
-        finally:
-            if problems:
-                span.annotate(problems=len(problems))
-            span.finish()
+                    if type(effect) is RunRule:
+                        result = await effect.extractor.aextract(
+                            effect.source, effect.entry)
+                    elif type(effect) is Sleep:
+                        result = await self.config.clock.sleep_async(
+                            effect.seconds)
+                    elif type(effect) is AcquireFlight:
+                        result = await self.cache.acquire_async(effect.entry)
+                    else:
+                        raise TypeError(f"unhandled effect {effect!r}")
+                except BaseException as exc:
+                    effect = policy.throw(exc)
+                else:
+                    effect = policy.send(result)
+        except StopIteration as stop:
+            return stop.value
 
-    async def _extract_entry_async(self, source_id: str, source, extractor,
-                                   entry: MappingEntry, ctx: _RunContext,
-                                   span: AnySpan = NULL_SPAN) -> RawFragment:
-        """One mapping entry: primary chain, then replicas (mirror of
-        ``_extract_entry``, same failover engagement rules)."""
-        try:
-            return await self._call_with_policy_async(
-                source_id, source, extractor, entry, ctx, span)
-        except DeadlineExceededError:
-            raise
-        except (TransientSourceError, CircuitOpenError) as primary_error:
-            replicas = (ctx.schema.replicas_for(entry.attribute_id, source_id)
-                        if self.config.failover else [])
-            for replica in replicas:
-                if ctx.deadline.expired:
-                    break
-                failover_span = span.child("failover",
-                                           replica=replica.source_id)
-                try:
-                    replica_source = self.sources.get(replica.source_id)
-                    replica_extractor = self.extractors.for_source(
-                        replica_source)
-                    fragment = await self._call_with_policy_async(
-                        replica.source_id, replica_source, replica_extractor,
-                        replica, ctx, failover_span)
-                except S2SError as exc:
-                    failover_span.fail(str(exc))
-                    failover_span.finish()
-                    continue
-                failover_span.finish()
-                ctx.health.for_source(source_id).failovers += 1
-                ctx.health.for_source(replica.source_id).served_for += 1
-                # Relabel so positional correlation joins the primary's
-                # record set (replicas serve the same records in order).
-                return RawFragment(fragment.attribute, source_id,
-                                   fragment.values)
-            raise primary_error
 
-    async def _call_with_policy_async(self, source_id: str, source,
-                                      extractor, entry: MappingEntry,
-                                      ctx: _RunContext,
-                                      span: AnySpan = NULL_SPAN
-                                      ) -> RawFragment:
-        """One rule execution under retry policy, breaker and deadline
-        (mirror of ``_call_with_policy``; backoff is awaited, never
-        slept, and the rule itself goes through
-        :meth:`Extractor.aextract`)."""
-        policy = self.config.retry
-        breaker = (self.breakers.get(source_id)
-                   if self.breakers is not None else None)
-        health = ctx.health.for_source(source_id)
-        attempt = 0
-        while True:
-            ctx.deadline.check(f"extraction of {entry.attribute_id} "
-                               f"from {source_id!r}")
-            if breaker is not None and not breaker.allow():
-                error = CircuitOpenError(source_id,
-                                         retry_after=breaker.retry_after())
-                health.last_error = str(error)
-                span.child("breaker-open", source=source_id).finish()
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "breaker_rejections_total",
-                        "calls refused by an open circuit breaker").inc(
-                            source=source_id)
-                raise error
-            health.attempts += 1
-            attempt_span = span.child("attempt", number=attempt + 1,
-                                      source=source_id)
-            try:
-                fragment = await extractor.aextract(source, entry)
-            except TransientSourceError as exc:
-                attempt_span.fail(str(exc))
-                attempt_span.annotate(outcome="transient-error")
-                attempt_span.finish()
-                health.failures += 1
-                health.last_error = str(exc)
-                if breaker is not None:
-                    breaker.record_failure()
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    raise
-                if not ctx.budget.try_consume():
-                    raise TransientSourceError(
-                        f"{exc}; per-extraction retry budget exhausted"
-                    ) from exc
-                with self._lock:
-                    self.retry_count += 1
-                    delay = policy.delay_for(attempt, self._rng)
-                health.retries += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "retries_total",
-                        "re-attempts after transient failures").inc(
-                            source=source_id)
-                if delay > 0:
-                    with span.child("backoff", seconds=round(delay, 6)):
-                        await self.config.clock.sleep_async(
-                            ctx.deadline.clamp(delay))
-                continue
-            except S2SError as exc:
-                attempt_span.fail(str(exc))
-                attempt_span.annotate(outcome="permanent-error")
-                attempt_span.finish()
-                health.failures += 1
-                health.last_error = str(exc)
-                raise
-            if breaker is not None:
-                breaker.record_success()
-            health.successes += 1
-            # Sources may expose a one-shot digest of the execution they
-            # just served (e.g. the relational source's SQL plan digest);
-            # attach it to the attempt span for explain()/trace output.
-            detail_hook = getattr(source, "consume_execution_detail", None)
-            if detail_hook is not None:
-                detail = detail_hook()
-                if detail:
-                    attempt_span.annotate(**detail)
-            attempt_span.annotate(outcome="ok")
-            attempt_span.finish()
-            return fragment
+async def _cancel_pending_and_stop() -> None:
+    """Cancel every other task on the running loop, wait them out (their
+    blocked callers are woken as each one unwinds), then stop the loop."""
+    tasks = [task for task in asyncio.all_tasks()
+             if task is not asyncio.current_task()]
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
+    asyncio.get_running_loop().stop()

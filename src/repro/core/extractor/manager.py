@@ -48,7 +48,7 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Generator, NamedTuple
 
 from ...errors import (CircuitOpenError, DeadlineExceededError, S2SError,
                        TransientSourceError)
@@ -63,7 +63,7 @@ from ..resilience import (UNSET, CircuitBreakerRegistry, Deadline,
                           legacy_kwargs_to_config)
 from ..resilience.config import ResilienceConfig
 from .cache import FragmentCache
-from .extractors import ExtractorRegistry
+from .extractors import Extractor, ExtractorRegistry
 from .records import RawFragment, SourceRecordSet
 from .schema import ExtractionSchema
 
@@ -145,6 +145,37 @@ class _RunContext:
     #: Cache generation observed when this run started; write-backs carry
     #: it so a mapping reload mid-run discards them (coherence).
     cache_generation: int = 0
+    started: float = 0.0  # perf_counter() at the top of the run
+
+
+class RunRule(NamedTuple):
+    """Effect: run one entry's rule; resumed with its :class:`RawFragment`."""
+
+    extractor: Extractor
+    source: Any
+    entry: MappingEntry
+
+
+class Sleep(NamedTuple):
+    """Effect: wait out a backoff delay on the injectable clock."""
+
+    seconds: float
+
+
+class AcquireFlight(NamedTuple):
+    """Effect: single-flight cache lookup; resumed with ``(fragment |
+    None, leading)``."""
+
+    entry: MappingEntry
+
+
+#: Every effect the per-source policy can yield — the only points where
+#: extraction blocks.  Each driver must perform every one of them.
+EFFECTS = (RunRule, Sleep, AcquireFlight)
+
+#: A policy generator: yields effects, is resumed with each effect's
+#: result (or has its error thrown in) and returns its own result.
+Policy = Generator[Any, Any, Any]
 
 
 class ExtractorManager:
@@ -226,6 +257,24 @@ class ExtractorManager:
         ``schema`` lets a caller that already built the extraction schema
         (the batch executor shares one between planning and result
         projection) pass it in instead of rebuilding it."""
+        ctx, outcome = self._begin_run(required, deadline, schema, span)
+        source_ids = ctx.schema.source_ids()
+        if self.config.parallel and len(source_ids) > 1:
+            results = self._extract_parallel(source_ids, ctx, outcome, span)
+        else:
+            results = [self._drive(self._extract_source(
+                sid, ctx.schema.by_source[sid], ctx, span))
+                for sid in source_ids]
+        self._fold_results(ctx, outcome, results)
+        return self._finish_run(ctx, outcome)
+
+    def _begin_run(self, required: list[AttributePath],
+                   deadline: Deadline | float | None,
+                   schema: ExtractionSchema | None, span: AnySpan,
+                   **engine: Any) -> tuple[_RunContext, ExtractionOutcome]:
+        """The preamble every engine shares: resolve the schema and the
+        deadline, open the run context and the outcome, annotate the
+        caller's span (``engine`` adds engine-specific annotations)."""
         started = time.perf_counter()
         if schema is None:
             schema = self.obtain_extraction_schema(required)
@@ -238,21 +287,19 @@ class ExtractorManager:
                           RetryBudget(self.config.retry.budget),
                           SourceHealthRegistry(),
                           cache_generation=(self.cache.generation
-                                            if self.cache is not None else 0))
+                                            if self.cache is not None else 0),
+                          started=started)
         outcome = ExtractionOutcome(missing_attributes=list(schema.missing),
                                     deadline_seconds=deadline.seconds)
-
-        source_ids = schema.source_ids()
-        span.annotate(sources=len(source_ids),
+        span.annotate(sources=len(schema.by_source),
                       entries=schema.entry_count(),
-                      parallel=self.config.parallel)
-        if self.config.parallel and len(source_ids) > 1:
-            results = self._extract_parallel(source_ids, ctx, outcome, span)
-        else:
-            results = [self._extract_source(sid, schema.by_source[sid], ctx,
-                                            span)
-                       for sid in source_ids]
+                      parallel=self.config.parallel, **engine)
+        return ctx, outcome
 
+    def _fold_results(self, ctx: _RunContext, outcome: ExtractionOutcome,
+                      results: list[_SourceResult]) -> None:
+        """Fold per-source results into the outcome in sorted source
+        order and snapshot the run's health ledger onto it."""
         for result in sorted(results, key=lambda r: r.source_id):
             outcome.problems.extend(result.problems)
             if result.record_set is not None and result.record_set.fragments:
@@ -260,11 +307,48 @@ class ExtractorManager:
             outcome.per_source_seconds[result.source_id] = result.elapsed
         self._stamp_breaker_states(ctx.health)
         outcome.health = ctx.health.snapshot()
-        self.health.merge_from(ctx.health)
-        outcome.elapsed_seconds = time.perf_counter() - started
+
+    def _finish_run(self, ctx: _RunContext,
+                    outcome: ExtractionOutcome) -> ExtractionOutcome:
+        """The epilogue every engine shares: accumulate the run's health
+        into the manager's cumulative ledger, stamp the wall time, record
+        metrics."""
+        for ledger in outcome.health.values():
+            self.health.for_source(ledger.source_id).merge(ledger)
+        outcome.elapsed_seconds = time.perf_counter() - ctx.started
         if self.metrics is not None:
             self._record_outcome_metrics(outcome)
         return outcome
+
+    def _drive(self, policy: Policy) -> Any:
+        """The blocking driver: run a policy generator to completion on
+        the calling thread, performing each effect it yields.
+
+        Serial extraction, thread-pool workers and fleet workers all run
+        the policy through here; the asyncio engine awaits the same
+        effects in ``AsyncExtractorManager._drive_async``."""
+        try:
+            effect = next(policy)
+            while True:
+                try:
+                    if type(effect) is RunRule:
+                        result = effect.extractor.extract(effect.source,
+                                                          effect.entry)
+                    elif type(effect) is Sleep:
+                        result = self.config.clock.sleep(effect.seconds)
+                    elif type(effect) is AcquireFlight:
+                        result = self.cache.acquire(effect.entry)
+                    else:
+                        raise TypeError(f"unhandled effect {effect!r}")
+                except BaseException as exc:
+                    # The policy decides: retry, fail over, record a
+                    # problem, or let it propagate (through its finally
+                    # blocks) back out of throw().
+                    effect = policy.throw(exc)
+                else:
+                    effect = policy.send(result)
+        except StopIteration as stop:
+            return stop.value
 
     async def extract_async(self, required: list[AttributePath],
                             *, deadline: Deadline | float | None = None,
@@ -349,8 +433,8 @@ class ExtractorManager:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             futures = {
-                pool.submit(self._extract_source, sid,
-                            ctx.schema.by_source[sid], ctx, span): sid
+                pool.submit(self._drive, self._extract_source(
+                    sid, ctx.schema.by_source[sid], ctx, span)): sid
                 for sid in source_ids}
             timeout = (None if ctx.deadline.unbounded
                        else max(ctx.deadline.remaining(), 0.05))
@@ -361,19 +445,24 @@ class ExtractorManager:
                 results.append(future.result())  # re-raises in strict mode
             for future in not_done:
                 future.cancel()
-                source_id = futures[future]
-                ctx.health.for_source(source_id).deadline_hits += 1
-                outcome.problems.append(ExtractionProblem(
-                    source_id, None,
-                    f"source did not complete within the "
-                    f"{ctx.deadline.seconds:.3f}s extraction deadline"))
-                outcome.per_source_seconds.setdefault(
-                    source_id, ctx.deadline.seconds or 0.0)
+                self._report_timed_out(futures[future], ctx, outcome)
         finally:
             # Never join abandoned workers: they police the deadline
             # themselves and exit on their next check.
             pool.shutdown(wait=False, cancel_futures=True)
         return results
+
+    @staticmethod
+    def _report_timed_out(source_id: str, ctx: _RunContext,
+                          outcome: ExtractionOutcome) -> None:
+        """Record a source whose worker was abandoned at the deadline."""
+        ctx.health.for_source(source_id).deadline_hits += 1
+        outcome.problems.append(ExtractionProblem(
+            source_id, None,
+            f"source did not complete within the "
+            f"{ctx.deadline.seconds:.3f}s extraction deadline"))
+        outcome.per_source_seconds.setdefault(
+            source_id, ctx.deadline.seconds or 0.0)
 
     def _stamp_breaker_states(self, health: SourceHealthRegistry) -> None:
         if self.breakers is None:
@@ -386,8 +475,18 @@ class ExtractorManager:
 
     def _extract_source(self, source_id: str, entries: list[MappingEntry],
                         ctx: _RunContext,
-                        parent_span: AnySpan = NULL_SPAN) -> _SourceResult:
-        """Steps 3 and 4 for one source."""
+                        parent_span: AnySpan = NULL_SPAN) -> Policy:
+        """Steps 3 and 4 for one source, as a policy generator.
+
+        This and the two generators it delegates to are the *only*
+        implementation of the per-source policy (deadline check, breaker
+        gate, attempt, retry budget, backoff, replica failover, cache
+        single-flight, span and health bookkeeping).  They never block:
+        wherever the work would wait they ``yield`` an effect from
+        :data:`EFFECTS` and a driver performs it — blocking in
+        :meth:`_drive`, awaiting in the asyncio engine — resuming the
+        generator with the result or throwing the error in.  Returns the
+        source's :class:`_SourceResult`."""
         started = time.perf_counter()
         problems: list[ExtractionProblem] = []
         span = parent_span.child("source", source=source_id,
@@ -421,14 +520,14 @@ class ExtractorManager:
                     if self.cache is not None:
                         # Single-flight: a concurrent identical scan either
                         # serves us its result or elects us leader.
-                        cached, leading = self.cache.acquire(entry)
+                        cached, leading = yield AcquireFlight(entry)
                         if cached is not None:
                             entry_span.annotate(cache="hit")
                             record_set.add(cached)
                             continue
                         entry_span.annotate(cache="miss")
                     try:
-                        fragment = self._extract_entry(
+                        fragment = yield from self._extract_entry(
                             source_id, source, extractor, entry, ctx,
                             entry_span)  # step 4
                     except DeadlineExceededError as exc:
@@ -466,16 +565,17 @@ class ExtractorManager:
 
     def _extract_entry(self, source_id: str, source, extractor,
                        entry: MappingEntry, ctx: _RunContext,
-                       span: AnySpan = NULL_SPAN) -> RawFragment:
-        """One mapping entry: primary attempt chain, then replicas.
+                       span: AnySpan = NULL_SPAN) -> Policy:
+        """One mapping entry: primary attempt chain, then replicas;
+        returns the entry's :class:`RawFragment`.
 
         Failover engages when the primary's retries are exhausted or its
         breaker is open — not on permanent rule errors (a broken rule is
         a mapping bug the replica's own rule would not fix) and not once
         the deadline has expired."""
         try:
-            return self._call_with_policy(source_id, source, extractor,
-                                          entry, ctx, span)
+            return (yield from self._call_with_policy(
+                source_id, source, extractor, entry, ctx, span))
         except DeadlineExceededError:
             raise
         except (TransientSourceError, CircuitOpenError) as primary_error:
@@ -490,7 +590,7 @@ class ExtractorManager:
                     replica_source = self.sources.get(replica.source_id)
                     replica_extractor = self.extractors.for_source(
                         replica_source)
-                    fragment = self._call_with_policy(
+                    fragment = yield from self._call_with_policy(
                         replica.source_id, replica_source, replica_extractor,
                         replica, ctx, failover_span)
                 except S2SError as exc:
@@ -508,8 +608,9 @@ class ExtractorManager:
 
     def _call_with_policy(self, source_id: str, source, extractor,
                           entry: MappingEntry, ctx: _RunContext,
-                          span: AnySpan = NULL_SPAN) -> RawFragment:
-        """One rule execution under retry policy, breaker and deadline.
+                          span: AnySpan = NULL_SPAN) -> Policy:
+        """One rule execution under retry policy, breaker and deadline;
+        returns the rule's :class:`RawFragment`.
 
         Only :class:`~repro.errors.TransientSourceError` is retried —
         permanent failures (rule errors, missing columns, authentication)
@@ -538,7 +639,7 @@ class ExtractorManager:
             attempt_span = span.child("attempt", number=attempt + 1,
                                       source=source_id)
             try:
-                fragment = extractor.extract(source, entry)
+                fragment = yield RunRule(extractor, source, entry)
             except TransientSourceError as exc:
                 attempt_span.fail(str(exc))
                 attempt_span.annotate(outcome="transient-error")
@@ -565,7 +666,7 @@ class ExtractorManager:
                             source=source_id)
                 if delay > 0:
                     with span.child("backoff", seconds=round(delay, 6)):
-                        self.config.clock.sleep(ctx.deadline.clamp(delay))
+                        yield Sleep(ctx.deadline.clamp(delay))
                 continue
             except S2SError as exc:
                 attempt_span.fail(str(exc))

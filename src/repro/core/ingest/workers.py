@@ -34,12 +34,14 @@ needing bespoke transforms should use thread workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ...errors import (CircuitOpenError, PoisonPayloadError, S2SError,
                        TransientSourceError)
-from ...sources.flaky import KillableWorker, WorkerCrashed
+from ...sources.flaky import KillableWorker
 from ..cluster.pool import (KILL_EXIT_CODE, WorkerPool)  # noqa: F401
+from ..cluster.pool import worker_loop as _generic_worker_loop
 from ..cluster.pool import SubprocessWorkerPool as _GenericSubprocessPool
 from ..cluster.pool import ThreadWorkerPool as _GenericThreadPool
 from ..extractor.extractors import ExtractorRegistry
@@ -206,24 +208,9 @@ def run_item(shard: int, item: WorkItem, ctx: WorkerContext, emit, *,
               "stage": job.stage, "error": str(exc), "retryable": False})
 
 
-def worker_loop(shard: int, inbox, results, ctx: WorkerContext, *,
-                cancel: Any = None, in_subprocess: bool = False) -> None:
-    """The worker main loop: drain the inbox until the None sentinel.
-
-    Shared verbatim by thread and subprocess workers; only the queue
-    implementations and the kill mechanism differ."""
-    while True:
-        item = inbox.get()
-        if item is None:
-            return
-        try:
-            run_item(shard, item, ctx, results.put, cancel=cancel,
-                     in_subprocess=in_subprocess)
-        except WorkerCrashed:
-            # Simulated sudden death: exit the loop without reporting
-            # anything — no failure event, no further heartbeats.  The
-            # supervisor must notice on its own.
-            return
+#: The ingest worker main loop: the shared fleet loop running
+#: :func:`run_item` on every work item.
+worker_loop = partial(_generic_worker_loop, run_item)
 
 
 class ThreadWorkerPool(_GenericThreadPool):

@@ -43,6 +43,7 @@ _EXPORTS = {
     "RemoteServerError": ".protocol",
     "ServerBusyError": ".protocol",
     "TornFrameError": ".protocol",
+    "TransportError": ".protocol",
     "S2SServer": ".server",
     "ServerThread": ".server",
     "Tenant": ".tenants",
@@ -83,4 +84,5 @@ __all__ = [
     "Tenant",
     "TenantRegistry",
     "TornFrameError",
+    "TransportError",
 ]

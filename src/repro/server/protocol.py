@@ -116,6 +116,17 @@ class GarbledFrameError(ProtocolError):
     """A frame body that is not a JSON object with a ``kind``."""
 
 
+class TransportError(ProtocolError):
+    """The connection failed or timed out mid-request and was closed.
+
+    Whether the server executed the request is unknown; the next request
+    reconnects."""
+
+    def __init__(self, cause: Exception) -> None:
+        super().__init__(f"connection lost mid-request and closed: "
+                         f"{type(cause).__name__}: {cause}")
+
+
 class RemoteServerError(S2SError):
     """The server answered a request with an ERROR frame.
 

@@ -33,21 +33,20 @@ class TestLegacyResilienceKwargs:
 
     @pytest.mark.parametrize("kwargs,explicit", [
         ({"retries": 3, "retry_delay": 0.5},
-         ResilienceConfig(retry=RetryPolicy.from_legacy(3, 0.5),
-                          breaker=None, failover=False)),
-        ({"parallel": True, "max_workers": 2},
-         ResilienceConfig(retry=RetryPolicy.from_legacy(0, 0.0),
-                          breaker=None, failover=False,
-                          parallel=True, max_workers=2)),
+         {"retry": RetryPolicy.from_legacy(3, 0.5)}),
+        ({"parallel": True, "max_workers": 2},  # explicit form warns too
+         {"retry": RetryPolicy.from_legacy(0, 0.0),
+          "parallel": True, "max_workers": 2}),
         ({"retries": 1},
-         ResilienceConfig(retry=RetryPolicy.from_legacy(1, 0.0),
-                          breaker=None, failover=False)),
+         {"retry": RetryPolicy.from_legacy(1, 0.0)}),
     ])
     def test_legacy_kwargs_equal_explicit_config(self, kwargs, explicit):
         with pytest.warns(DeprecationWarning):
             shimmed = S2SMiddleware(watch_domain_ontology(), **kwargs)
+            expected = ResilienceConfig(breaker=None, failover=False,
+                                        **explicit)
         assert config_fields_except_clock(shimmed.resilience) \
-            == config_fields_except_clock(explicit)
+            == config_fields_except_clock(expected)
 
     def test_no_kwargs_is_the_conservative_default_without_warning(self):
         import warnings

@@ -449,7 +449,7 @@ class TestResilienceConfigShim:
         assert s2s.manager.retry_delay == 0.0
 
     def test_legacy_validation_still_raises(self, ontology):
-        with pytest.raises(ValueError):
+        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
             S2SMiddleware(ontology, retries=-1)
 
     def test_clock_is_shared_with_breakers(self, ontology):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import ResilienceConfig
+from repro.core.resilience import RetryPolicy
 from repro.errors import TransientSourceError
 from repro.sources.flaky import FlakySource
 from repro.sources.relational import RelationalDataSource
@@ -63,6 +65,14 @@ class TestFlakySource:
         assert 0 < flaky_db_source.failures < 10
 
 
+def _retrying(retries: int) -> ResilienceConfig:
+    """Immediate re-attempts only: no breaker, no failover, no delay."""
+    return ResilienceConfig(
+        retry=RetryPolicy(max_attempts=retries + 1, base_delay=0.0,
+                          jitter="none"),
+        breaker=None, failover=False)
+
+
 class TestRetryPolicy:
     def _flaky_scenario_middleware(self, scenario, **kwargs):
         s2s = scenario.build_middleware(**kwargs)
@@ -79,14 +89,15 @@ class TestRetryPolicy:
         assert not result.errors.ok
 
     def test_with_retries_queries_recover(self, scenario):
-        s2s = self._flaky_scenario_middleware(scenario, retries=8)
+        s2s = self._flaky_scenario_middleware(scenario,
+                                              resilience=_retrying(8))
         result = s2s.query("SELECT product")
         assert result.errors.ok
         assert len(result) == 20
         assert s2s.manager.retry_count > 0
 
     def test_permanent_errors_not_retried(self, scenario):
-        s2s = scenario.build_middleware(retries=5)
+        s2s = scenario.build_middleware(resilience=_retrying(5))
         db_org = next(o for o in scenario.organizations
                       if o.source_type == "database")
         brand_field = db_org.native_fields.get("brand", "brand")
@@ -112,11 +123,12 @@ class TestRetryPolicy:
 
     def test_negative_retries_rejected(self, ontology):
         from repro import S2SMiddleware
-        with pytest.raises(ValueError):
+        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
             S2SMiddleware(ontology, retries=-1)
 
     def test_retry_works_in_parallel_mode(self, scenario):
-        s2s = self._flaky_scenario_middleware(scenario, retries=8,
+        s2s = self._flaky_scenario_middleware(scenario,
+                                              resilience=_retrying(8),
                                               concurrency="thread")
         result = s2s.query("SELECT product")
         assert result.errors.ok
