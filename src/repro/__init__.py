@@ -18,13 +18,12 @@ Public entry points:
 """
 
 from .core.mapping.rules import ExtractionRule
-from .core.middleware import (S2SMiddleware, regex_rule, sql_rule, webl_rule,
-                              xpath_rule)
+from .core.middleware import S2SMiddleware
 from .config import (ConcurrencyConfig, RefreshPolicy, ResilienceConfig,
                      ServerConfig)
 from .obs import MetricsRegistry, Trace, Tracer
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "S2SMiddleware",
@@ -36,9 +35,5 @@ __all__ = [
     "MetricsRegistry",
     "Trace",
     "Tracer",
-    "sql_rule",
-    "xpath_rule",
-    "webl_rule",
-    "regex_rule",
     "__version__",
 ]

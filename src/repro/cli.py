@@ -50,8 +50,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
                         help="extraction engine: serial (default), a "
                              "thread pool, the asyncio engine, or the "
                              "sharded worker fleet")
-    parser.add_argument("--parallel", action="store_true",
-                        help="deprecated alias of --concurrency thread")
     parser.add_argument("--sql-engine", choices=("row", "columnar"),
                         default="columnar",
                         help="SELECT executor for database sources: "
@@ -67,35 +65,23 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build(args: argparse.Namespace, *, store: bool = False):
-    from dataclasses import replace as _replace
-
-    from .config import ConcurrencyConfig, ResilienceConfig
+    from .config import ConcurrencyConfig
     from .obs import MetricsRegistry, Tracer
 
     scenario = B2BScenario(n_sources=args.sources, n_products=args.products,
                            conflicts=_CONFLICT_LEVELS[args.conflicts],
                            seed=args.seed,
                            sql_engine=getattr(args, "sql_engine", "columnar"))
-    mode = args.concurrency
-    if mode is None:
-        # --parallel predates --concurrency; honor it quietly here (the
-        # library-level kwargs are where the DeprecationWarning lives).
-        mode = "thread" if args.parallel else "serial"
     query_workers = getattr(args, "query_workers", None)
     query_pool = getattr(args, "query_pool", None)
     if query_workers is not None or query_pool is not None:
         # --workers / --pool imply the sharded fleet engine.
-        mode = "sharded"
-    if mode == "sharded":
-        concurrency = ConcurrencyConfig.sharded(
-            query_workers if query_workers is not None else 2,
-            pool=query_pool or "thread")
+        concurrency = ConcurrencyConfig.sharded(query_workers,
+                                                pool=query_pool)
     else:
-        concurrency = ConcurrencyConfig(mode=mode)
-    resilience = _replace(ResilienceConfig.conservative(),
-                          concurrency=concurrency)
+        concurrency = ConcurrencyConfig(mode=args.concurrency or "serial")
     tracer = Tracer() if getattr(args, "trace", False) else None
-    middleware = scenario.build_middleware(resilience=resilience,
+    middleware = scenario.build_middleware(concurrency=concurrency,
                                            tracer=tracer,
                                            metrics=MetricsRegistry(),
                                            store=store)
@@ -382,20 +368,9 @@ def _parse_fleet_spec(spec: str):
 
 def _resolve_serve_fleet(args: argparse.Namespace):
     """The serve command's fleet shape: (FleetConfig, shared) or None."""
-    legacy = (args.query_workers is not None
-              or args.query_pool is not None)
-    if args.fleet is None and not legacy:
+    if args.fleet is None:
         return None
-    if args.fleet is not None:
-        if legacy:
-            raise S2SError("pass either --fleet or the deprecated "
-                           "--query-workers/--query-pool, not both")
-        workers, pool, shared = _parse_fleet_spec(args.fleet)
-    else:
-        print("warning: --query-workers/--query-pool are deprecated; "
-              "use --fleet workers[:pool][:shared]", file=sys.stderr)
-        workers = args.query_workers if args.query_workers is not None else 2
-        pool, shared = args.query_pool or "thread", False
+    workers, pool, shared = _parse_fleet_spec(args.fleet)
     from .config import FleetConfig
     return FleetConfig(n_workers=workers, pool=pool,
                        tenant_quota=args.fleet_quota), shared
@@ -706,12 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant cap on in-flight shard items on a "
                             "shared fleet; over-quota queries get "
                             "RETRY_AFTER pushback (default: no quota)")
-    serve.add_argument("--query-workers", type=int, default=None,
-                       metavar="N",
-                       help="deprecated alias: --fleet N")
-    serve.add_argument("--query-pool", choices=("thread", "spawn"),
-                       default=None,
-                       help="deprecated alias: the POOL part of --fleet")
     _add_scenario_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
 

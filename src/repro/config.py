@@ -24,10 +24,7 @@ place::
 
 These classes still *live* next to the subsystems they configure (that
 is where their behaviour is documented and tested); this module is the
-stable import path.  The historical spellings —
-``repro.core.resilience.ResilienceConfig``,
-``repro.core.store.RefreshPolicy`` and friends — keep working but emit
-:class:`DeprecationWarning`.
+one import path.
 """
 
 from __future__ import annotations

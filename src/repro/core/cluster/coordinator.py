@@ -41,7 +41,6 @@ at the next idle moment — when any of them change.  See
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -55,7 +54,7 @@ from ..extractor.manager import ExtractorManager
 from ..extractor.schema import ExtractionSchema
 from ..mapping.rules import TransformRegistry
 from ..resilience import Deadline
-from ..resilience.config import UNSET, FleetConfig, ResilienceConfig
+from ..resilience.config import FleetConfig, ResilienceConfig
 from .pool import (SubprocessWorkerPool, ThreadWorkerPool, WorkerPool,
                    worker_loop)
 from .sharding import partition_sources
@@ -246,12 +245,6 @@ class _InflightRequest:
         return len(self.running) + len(self.ready)
 
 
-#: Legacy QueryShardCoordinator kwargs and their FleetConfig fields.
-_LEGACY_FLEET_KWARGS = ("n_workers", "pool", "heartbeat_timeout",
-                        "poll_seconds", "real_poll_seconds",
-                        "max_worker_restarts")
-
-
 class QueryShardCoordinator:
     """Owns one query fleet: lifecycle, interleaved dispatch, supervision.
 
@@ -275,27 +268,7 @@ class QueryShardCoordinator:
                  fleet: FleetConfig | None = None,
                  restart_policy=None,
                  metrics: MetricsRegistry | None = None,
-                 source_version: Callable[[], int] | None = None,
-                 n_workers: Any = UNSET, pool: Any = UNSET,
-                 heartbeat_timeout: Any = UNSET,
-                 poll_seconds: Any = UNSET,
-                 real_poll_seconds: Any = UNSET,
-                 max_worker_restarts: Any = UNSET) -> None:
-        legacy = {name: value for name, value in
-                  zip(_LEGACY_FLEET_KWARGS,
-                      (n_workers, pool, heartbeat_timeout, poll_seconds,
-                       real_poll_seconds, max_worker_restarts))
-                  if value is not UNSET}
-        if legacy:
-            if fleet is not None:
-                raise ValueError(
-                    "pass either fleet=FleetConfig(...) or the legacy "
-                    "kwargs, not both")
-            warnings.warn(
-                f"QueryShardCoordinator({', '.join(sorted(legacy))}=) is "
-                f"deprecated; pass fleet=FleetConfig(...) instead",
-                DeprecationWarning, stacklevel=2)
-            fleet = FleetConfig(**legacy)
+                 source_version: Callable[[], int] | None = None) -> None:
         self.fleet_config = fleet or FleetConfig()
         self.clock = clock
         self.metrics = metrics

@@ -58,9 +58,8 @@ from ...obs.trace import NullSpan, Span
 from ..mapping.attributes import MappingEntry
 from ..mapping.datasources import DataSourceRepository
 from ..mapping.repository import AttributeRepository
-from ..resilience import (UNSET, CircuitBreakerRegistry, Deadline,
-                          RetryBudget, SourceHealth, SourceHealthRegistry,
-                          legacy_kwargs_to_config)
+from ..resilience import (CircuitBreakerRegistry, Deadline, RetryBudget,
+                          SourceHealth, SourceHealthRegistry)
 from ..resilience.config import ResilienceConfig
 from .cache import FragmentCache
 from .extractors import Extractor, ExtractorRegistry
@@ -187,13 +186,8 @@ class ExtractorManager:
                  *, strict: bool = False,
                  cache: FragmentCache | None = None,
                  resilience: ResilienceConfig | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 parallel: Any = UNSET, max_workers: Any = UNSET,
-                 retries: Any = UNSET, retry_delay: Any = UNSET) -> None:
-        self.config = legacy_kwargs_to_config(
-            resilience, parallel=parallel, max_workers=max_workers,
-            retries=retries, retry_delay=retry_delay,
-            owner="ExtractorManager")
+                 metrics: MetricsRegistry | None = None) -> None:
+        self.config = resilience or ResilienceConfig.conservative()
         self.attributes = attributes
         self.sources = sources
         self.extractors = extractors or ExtractorRegistry()
@@ -218,26 +212,6 @@ class ExtractorManager:
             "circuit breaker state transitions").inc(
                 source=source_id, from_state=old, to_state=new)
 
-    # -- legacy accessors (pre-ResilienceConfig API) -----------------------
-
-    @property
-    def parallel(self) -> bool:
-        return self.config.parallel
-
-    @property
-    def max_workers(self) -> int | None:
-        return self.config.max_workers
-
-    @property
-    def retries(self) -> int:
-        return self.config.retry.retries
-
-    @property
-    def retry_delay(self) -> float:
-        return self.config.retry.base_delay
-
-    # ----------------------------------------------------------------------
-
     def obtain_extraction_schema(self,
                                  required: list[AttributePath]
                                  ) -> ExtractionSchema:
@@ -259,7 +233,7 @@ class ExtractorManager:
         projection) pass it in instead of rebuilding it."""
         ctx, outcome = self._begin_run(required, deadline, schema, span)
         source_ids = ctx.schema.source_ids()
-        if self.config.parallel and len(source_ids) > 1:
+        if self.config.concurrency.parallel and len(source_ids) > 1:
             results = self._extract_parallel(source_ids, ctx, outcome, span)
         else:
             results = [self._drive(self._extract_source(
@@ -293,7 +267,7 @@ class ExtractorManager:
                                     deadline_seconds=deadline.seconds)
         span.annotate(sources=len(schema.by_source),
                       entries=schema.entry_count(),
-                      parallel=self.config.parallel, **engine)
+                      parallel=self.config.concurrency.parallel, **engine)
         return ctx, outcome
 
     def _fold_results(self, ctx: _RunContext, outcome: ExtractionOutcome,

@@ -18,8 +18,7 @@ from .queue import DurableJobQueue
 from .staging import StagingArea
 from .workers import (ExtractBatch, StagedBatch, SubprocessWorkerPool,
                       ThreadWorkerPool, UpsertPayload, WorkerContext,
-                      WorkerPool, WorkItem, execute_stage, run_item,
-                      worker_loop)
+                      WorkItem, execute_stage, run_item, worker_loop)
 
 __all__ = [
     "CLEAN", "DEAD", "DONE", "EXTRACT", "MATERIALIZE", "PENDING",
@@ -29,7 +28,7 @@ __all__ = [
     "IngestJournal", "IngestReport", "IngestTarget", "JournalState",
     "ShardCoordinator", "StagedBatch", "StagingArea",
     "SubprocessWorkerPool", "ThreadWorkerPool", "UpsertPayload",
-    "WorkItem", "WorkerContext", "WorkerPool",
+    "WorkItem", "WorkerContext",
     "execute_stage", "job_id_for", "next_stage", "read_jsonl", "run_item",
     "shard_of", "worker_loop",
 ]

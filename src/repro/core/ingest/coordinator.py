@@ -2,7 +2,7 @@
 
 The :class:`ShardCoordinator` turns materialization targets into
 per-source :class:`~repro.core.ingest.jobs.IngestJob`\\ s, partitions
-them across a :class:`~repro.core.ingest.workers.WorkerPool` by stable
+them across a :class:`~repro.core.cluster.pool.WorkerPool` by stable
 shard key, and supervises the run:
 
 * every job transition is journaled (fsync'd) *before* taking effect,
@@ -39,6 +39,7 @@ from typing import Any
 
 from ...clock import Clock, SystemClock
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
+from ..cluster.pool import WorkerPool
 from ..cluster.supervision import WorkerSupervisor, default_restart_policy
 from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
@@ -50,7 +51,7 @@ from .journal import DeadLetterLedger, IngestJournal
 from .queue import DurableJobQueue
 from .staging import StagingArea
 from .workers import (SubprocessWorkerPool, ThreadWorkerPool, UpsertPayload,
-                      WorkerContext, WorkItem, WorkerPool)
+                      WorkerContext, WorkItem)
 
 
 @dataclass

@@ -40,7 +40,6 @@ from typing import Any
 from ...errors import (CircuitOpenError, PoisonPayloadError, S2SError,
                        TransientSourceError)
 from ...sources.flaky import KillableWorker
-from ..cluster.pool import (KILL_EXIT_CODE, WorkerPool)  # noqa: F401
 from ..cluster.pool import worker_loop as _generic_worker_loop
 from ..cluster.pool import SubprocessWorkerPool as _GenericSubprocessPool
 from ..cluster.pool import ThreadWorkerPool as _GenericThreadPool
@@ -51,11 +50,6 @@ from ..instances.generator import InstanceGenerator
 from ..mapping.rules import TransformRegistry
 from ..store.snapshot import fingerprint_source
 from .jobs import CLEAN, EXTRACT, MATERIALIZE, STAGE, STAGES, IngestJob
-
-# KILL_EXIT_CODE and the WorkerPool protocol moved to
-# repro.core.cluster.pool when the query fleet landed; both remain
-# importable from here (deprecation shim — new code should import from
-# repro.core.cluster).
 
 
 @dataclass

@@ -44,8 +44,8 @@ from .extractor.cache import FragmentCache
 from .extractor.extractors import Extractor, ExtractorRegistry
 from .extractor.manager import ExtractionOutcome, ExtractorManager
 from .ingest import IngestJob, IngestReport, IngestTarget, ShardCoordinator
-from .resilience.config import (UNSET, ConcurrencyConfig, ResilienceConfig,
-                                coerce_concurrency, legacy_kwargs_to_config)
+from .resilience.config import (ConcurrencyConfig, ResilienceConfig,
+                                coerce_concurrency)
 from .resilience.health import SourceHealth
 from .instances.outputs import OUTPUT_FORMATS
 from .mapping.attributes import MappingEntry
@@ -62,39 +62,6 @@ from .store import (DeltaRefresher, RefreshResult, SemanticStore,
 from .store.refresh import RefreshPolicy
 
 
-def _deprecated_rule(language: str, code: str, *, name: str = "",
-                     transform: str | None = None) -> ExtractionRule:
-    warnings.warn(
-        f"{language}_rule() is deprecated; use "
-        f"ExtractionRule.{language}(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return ExtractionRule(language, code, name=name, transform=transform)
-
-
-def sql_rule(code: str, *, name: str = "", transform: str | None = None
-             ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.sql`."""
-    return _deprecated_rule("sql", code, name=name, transform=transform)
-
-
-def xpath_rule(code: str, *, name: str = "", transform: str | None = None
-               ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.xpath`."""
-    return _deprecated_rule("xpath", code, name=name, transform=transform)
-
-
-def webl_rule(code: str, *, name: str = "", transform: str | None = None
-              ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.webl`."""
-    return _deprecated_rule("webl", code, name=name, transform=transform)
-
-
-def regex_rule(code: str, *, name: str = "", transform: str | None = None
-               ) -> ExtractionRule:
-    """Deprecated alias of :meth:`ExtractionRule.regex`."""
-    return _deprecated_rule("regex", code, name=name, transform=transform)
-
-
 class S2SMiddleware:
     """The Syntactic-to-Semantic middleware."""
 
@@ -105,9 +72,8 @@ class S2SMiddleware:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  store: "SemanticStore | RefreshPolicy | bool | None" = None,
-                 concurrency: "ConcurrencyConfig | str | None" = None,
-                 parallel: Any = UNSET, max_workers: Any = UNSET,
-                 retries: Any = UNSET, retry_delay: Any = UNSET) -> None:
+                 concurrency: "ConcurrencyConfig | str | None" = None
+                 ) -> None:
         self.ontology = ontology
         self.schema = OntologySchema(ontology)
         self.attribute_repository = AttributeRepository()
@@ -120,13 +86,11 @@ class S2SMiddleware:
         self._metrics = metrics if metrics is not None else DEFAULT_REGISTRY
         self.cache = (FragmentCache(metrics=self._metrics)
                       if cache_extractions else None)
-        self.resilience = legacy_kwargs_to_config(
-            resilience, parallel=parallel, max_workers=max_workers,
-            retries=retries, retry_delay=retry_delay, owner="S2SMiddleware")
+        self.resilience = resilience or ResilienceConfig.conservative()
         concurrency_config = coerce_concurrency(concurrency)
         if concurrency_config is not None:
             # `concurrency=` is the one engine knob; it wins over whatever
-            # the resilience config (or a legacy kwarg) said.
+            # the resilience config said.
             self.resilience = replace(self.resilience,
                                       concurrency=concurrency_config)
         self.store = self._build_store(store)

@@ -10,7 +10,6 @@ prove.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -59,14 +58,6 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.entities)
-
-    @property
-    def _schema(self) -> OntologySchema:
-        """Deprecated spelling of :attr:`schema` (pre-1.1 private field)."""
-        warnings.warn("QueryResult._schema is deprecated; the schema is "
-                      "now the public QueryResult.schema attribute",
-                      DeprecationWarning, stacklevel=2)
-        return self.schema
 
     @property
     def health(self) -> dict[str, SourceHealth]:

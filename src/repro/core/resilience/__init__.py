@@ -13,49 +13,28 @@ degrade gracefully instead of amplifying downstream flakiness:
   parallel extraction;
 * :class:`SourceHealth` / :class:`SourceHealthRegistry` — the per-source
   ledger surfaced on ``ExtractionOutcome`` and ``QueryResult``;
-* :class:`ResilienceConfig` — the single knob object replacing the old
-  ``retries``/``retry_delay``/``parallel``/``max_workers`` kwargs;
-* :class:`ConcurrencyConfig` — the fan-out engine selector
-  (``serial`` | ``thread`` | ``asyncio``) plus the thread-pool bound,
-  carried on :class:`ResilienceConfig`.
+* ``ResilienceConfig`` / ``ConcurrencyConfig`` — the single knob object
+  and its fan-out engine selector, exported by :mod:`repro.config`.
 
 See ``docs/resilience.md`` for the lifecycle diagrams and failover
 semantics, and ``docs/async.md`` for the asyncio engine.
 """
 
-import warnings
-
 from ...clock import Clock, FakeClock, SystemClock
 from .breaker import (CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker,
                       CircuitBreakerRegistry, TransitionListener)
-from .config import (DEFAULT_WORKER_CAP, UNSET, coerce_concurrency,
-                     legacy_kwargs_to_config)
+from .config import DEFAULT_WORKER_CAP, coerce_concurrency
 from .deadline import Deadline
 from .health import SourceHealth, SourceHealthRegistry
 from .retry import RetryBudget, RetryPolicy
-
-#: Config classes now canonically exported by :mod:`repro.config`; the
-#: historical spelling keeps working through the warning shim below.
-_MOVED_TO_CONFIG = ("ConcurrencyConfig", "ResilienceConfig")
-
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_CONFIG:
-        warnings.warn(
-            f"importing {name} from repro.core.resilience is deprecated; "
-            f"use repro.config (or the top-level repro namespace) instead",
-            DeprecationWarning, stacklevel=2)
-        from . import config
-        return getattr(config, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BreakerPolicy", "CircuitBreaker", "CircuitBreakerRegistry",
     "CLOSED", "OPEN", "HALF_OPEN",
     "Clock", "FakeClock", "SystemClock",
-    "ConcurrencyConfig", "DEFAULT_WORKER_CAP",
-    "Deadline", "ResilienceConfig", "RetryBudget", "RetryPolicy",
+    "DEFAULT_WORKER_CAP",
+    "Deadline", "RetryBudget", "RetryPolicy",
     "SourceHealth", "SourceHealthRegistry",
     "TransitionListener",
-    "UNSET", "coerce_concurrency", "legacy_kwargs_to_config",
+    "coerce_concurrency",
 ]

@@ -2,30 +2,22 @@
 
 The seed's ``ExtractorManager``/``S2SMiddleware`` grew a kwarg per
 behaviour (``retries``, ``retry_delay``, ``parallel``, ``max_workers``);
-:class:`ResilienceConfig` replaces them with a single dataclass the
-caller can build once and share.  The old kwargs survive as a deprecated
-shim (see :func:`legacy_kwargs_to_config`) with their exact seed-era
-semantics.
+:class:`ResilienceConfig` replaces them with a single frozen dataclass
+the caller can build once and share.
 
 Fan-out shape is its own sub-config since the asyncio engine landed:
 :class:`ConcurrencyConfig` names the engine (``serial`` | ``thread`` |
-``asyncio``) and the thread pool bound in one frozen value, replacing
-the scattered ``parallel=``/``max_workers=`` pair (which remain as
-DeprecationWarning shims on :class:`ResilienceConfig` itself).
+``asyncio`` | ``sharded``) and the thread pool bound in one frozen
+value.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
 
 from ...clock import Clock, SystemClock
 from .breaker import BreakerPolicy
 from .retry import RetryPolicy
-
-#: Sentinel distinguishing "not passed" from any real value.
-UNSET: Any = object()
 
 #: Fan-out engines ConcurrencyConfig.mode accepts.
 CONCURRENCY_MODES = ("serial", "thread", "asyncio", "sharded")
@@ -42,11 +34,8 @@ DEFAULT_WORKER_CAP = 16
 class FleetConfig:
     """Every knob of one sharded query fleet, in one frozen value.
 
-    PR 9 scattered the fleet's shape across ``ConcurrencyConfig``
-    fields (``workers``, ``pool``) and ``QueryShardCoordinator``
-    kwargs (``heartbeat_timeout``, ``poll_seconds``,
-    ``max_worker_restarts``); this dataclass gathers them, plus the
-    interleaving scheduler's admission quotas:
+    The fleet's shape, its supervision timings and the interleaving
+    scheduler's admission quotas:
 
     * ``n_workers`` / ``pool`` — fleet width and worker flavour
       (``"thread"`` shares process state and the injectable clock,
@@ -119,9 +108,8 @@ class ConcurrencyConfig:
       event loop, with no worker cap at all (sync connectors are run in
       worker threads via the auto-adapter);
     * ``"sharded"`` — the fleet engine: sources are partitioned by
-      stable shard key across ``workers`` supervised workers (``pool``
-      selects daemon threads or spawned subprocesses) and the partial
-      outcomes are merged back into one (see docs/cluster.md).
+      stable shard key across the fleet's supervised workers and the
+      partial outcomes are merged back into one (see docs/cluster.md).
 
     ``max_workers`` bounds the thread pool in ``"thread"`` mode:
     ``None`` means the adaptive default ``min(n_sources, 16)`` (which
@@ -129,22 +117,13 @@ class ConcurrencyConfig:
     explicitly unbounded (one worker per source, however many), and any
     positive value is an exact cap.  The asyncio engine ignores it.
 
-    ``workers`` and ``pool`` belong to the sharded engine only: the
-    fleet width and the worker flavour (``"thread"`` shares process
-    state and the injectable clock; ``"spawn"`` pickles everything
-    across a real process boundary).  The other engines ignore them.
-
-    ``fleet`` carries the full :class:`FleetConfig` for the sharded
-    engine — supervision timings and admission quotas included.  When
-    set, ``workers`` and ``pool`` become read-only mirrors of it (the
-    same discipline as :class:`ResilienceConfig`'s legacy mirrors, so
-    ``dataclasses.replace`` round-trips stay consistent).
+    ``fleet`` carries the :class:`FleetConfig` for the sharded engine
+    — width, pool kind, supervision timings and admission quotas.  The
+    other engines ignore it; ``None`` means the default fleet.
     """
 
     mode: str = "serial"
     max_workers: int | None = None
-    workers: int = 2
-    pool: str = "thread"
     fleet: FleetConfig | None = None
 
     def __post_init__(self) -> None:
@@ -156,18 +135,6 @@ class ConcurrencyConfig:
             raise ValueError(
                 "max_workers must be None (adaptive), 0 (unbounded) or "
                 "positive")
-        if self.fleet is not None:
-            # The fleet config is the source of truth; the flat fields
-            # become mirrors of it (replace() re-passes stale mirrors,
-            # and they must never override the fleet).
-            object.__setattr__(self, "workers", self.fleet.n_workers)
-            object.__setattr__(self, "pool", self.fleet.pool)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.pool not in SHARDED_POOL_KINDS:
-            raise ValueError(
-                f"pool must be one of {SHARDED_POOL_KINDS}, "
-                f"not {self.pool!r}")
 
     @classmethod
     def threads(cls, max_workers: int | None = None) -> "ConcurrencyConfig":
@@ -198,18 +165,13 @@ class ConcurrencyConfig:
         return cls(mode="sharded", fleet=fleet)
 
     def fleet_config(self) -> FleetConfig:
-        """The sharded engine's fleet knobs, derived when unset.
-
-        A config built without ``fleet=`` (legacy flat ``workers`` /
-        ``pool`` fields) still yields a complete :class:`FleetConfig`
-        with default supervision timings and no quotas."""
-        if self.fleet is not None:
-            return self.fleet
-        return FleetConfig(n_workers=self.workers, pool=self.pool)
+        """The sharded engine's fleet knobs (the default fleet when
+        ``fleet`` is unset)."""
+        return self.fleet or FleetConfig()
 
     @property
     def parallel(self) -> bool:
-        """Whether sources are extracted concurrently (legacy reading)."""
+        """Whether sources are extracted concurrently."""
         return self.mode != "serial"
 
     def workers_for(self, n_sources: int) -> int:
@@ -241,7 +203,7 @@ def coerce_concurrency(value: "ConcurrencyConfig | str | None",
     return ConcurrencyConfig(mode=value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResilienceConfig:
     """Everything the Extractor Manager needs to degrade gracefully.
 
@@ -252,111 +214,24 @@ class ResilienceConfig:
     and (when shared with the fault-injection sources) latency/outage
     simulation.
 
-    ``parallel=``/``max_workers=`` are deprecated spellings folded into
-    ``concurrency`` with a warning; after construction they remain
-    readable as plain attributes mirroring the concurrency config, so
-    pre-asyncio callers keep working.  An explicit ``concurrency``
-    always wins over the legacy pair — which is also what makes
-    ``dataclasses.replace(config, concurrency=...)`` the supported way
-    to change engines on an existing config (``replace`` re-passes the
-    stale mirror attributes, and they must not override the new value).
+    Frozen like every other config: ``dataclasses.replace(config,
+    concurrency=...)`` is the way to change engines on an existing
+    config.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy | None = field(default_factory=BreakerPolicy)
     deadline_seconds: float | None = None
-    concurrency: ConcurrencyConfig | None = None
+    concurrency: ConcurrencyConfig = field(default_factory=ConcurrencyConfig)
     failover: bool = True
     clock: Clock = field(default_factory=SystemClock)
-    parallel: Any = UNSET
-    max_workers: Any = UNSET
 
     def __post_init__(self) -> None:
         if self.deadline_seconds is not None and self.deadline_seconds < 0:
             raise ValueError("deadline_seconds must be >= 0 or None")
-        legacy = {name: value for name, value in
-                  (("parallel", self.parallel),
-                   ("max_workers", self.max_workers))
-                  if value is not UNSET}
-        base = self.concurrency
-        if base is None:
-            base = ConcurrencyConfig()
-            if legacy:
-                if ("max_workers" in legacy
-                        and legacy["max_workers"] is not None
-                        and legacy["max_workers"] < 1):
-                    # The legacy kwarg never accepted 0/negative; keep its
-                    # exact old contract (unbounded is
-                    # ConcurrencyConfig-only).
-                    raise ValueError("max_workers must be >= 1 or None")
-                warnings.warn(
-                    "ResilienceConfig(parallel=, max_workers=) is "
-                    "deprecated; pass concurrency=ConcurrencyConfig(...) "
-                    "instead", DeprecationWarning, stacklevel=3)
-                mode = base.mode
-                if "parallel" in legacy:
-                    mode = "thread" if legacy["parallel"] else "serial"
-                base = ConcurrencyConfig(
-                    mode=mode,
-                    max_workers=legacy.get("max_workers", base.max_workers))
-        # else: an explicit concurrency config wins over the legacy pair
-        # unconditionally — dataclasses.replace() re-passes the mirror
-        # attributes below, and they must never override it.
-        self.concurrency = base
-        # Normalized mirrors so pre-asyncio readers (`config.parallel`)
-        # keep working and replace() round-trips stay consistent.
-        self.parallel = base.parallel
-        self.max_workers = base.max_workers
 
     @classmethod
     def conservative(cls) -> "ResilienceConfig":
         """The seed's behaviour: serial, no retries, no breakers."""
         return cls(retry=RetryPolicy.from_legacy(0, 0.0), breaker=None,
                    failover=False)
-
-
-def legacy_kwargs_to_config(base: ResilienceConfig | None, *,
-                            parallel: Any = UNSET, max_workers: Any = UNSET,
-                            retries: Any = UNSET, retry_delay: Any = UNSET,
-                            owner: str, stacklevel: int = 3
-                            ) -> ResilienceConfig:
-    """Fold the deprecated kwargs into a :class:`ResilienceConfig`.
-
-    Emits one :class:`DeprecationWarning` naming the owner class when any
-    legacy kwarg was actually passed.  When no config and no legacy
-    kwargs are given, the seed-compatible conservative default is used —
-    existing callers observe identical behaviour.
-    """
-    used = {name: value for name, value in
-            (("parallel", parallel), ("max_workers", max_workers),
-             ("retries", retries), ("retry_delay", retry_delay))
-            if value is not UNSET}
-    if base is None:
-        config = ResilienceConfig.conservative()
-    else:
-        config = replace(base)
-    if not used:
-        return config
-    warnings.warn(
-        f"{owner}({', '.join(sorted(used))}) is deprecated; pass "
-        f"resilience=ResilienceConfig(...) instead",
-        DeprecationWarning, stacklevel=stacklevel)
-    if "parallel" in used or "max_workers" in used:
-        if ("max_workers" in used and used["max_workers"] is not None
-                and used["max_workers"] < 1):
-            raise ValueError("max_workers must be >= 1 or None")
-        mode = config.concurrency.mode
-        if "parallel" in used:
-            mode = "thread" if used["parallel"] else "serial"
-        concurrency = ConcurrencyConfig(
-            mode=mode,
-            max_workers=used.get("max_workers",
-                                 config.concurrency.max_workers))
-        config.concurrency = concurrency
-        config.parallel = concurrency.parallel
-        config.max_workers = concurrency.max_workers
-    if "retries" in used or "retry_delay" in used:
-        config.retry = RetryPolicy.from_legacy(
-            used.get("retries", config.retry.retries),
-            used.get("retry_delay", config.retry.base_delay))
-    return config

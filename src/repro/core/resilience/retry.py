@@ -55,7 +55,7 @@ class RetryPolicy:
         """The seed's ``retries``/``retry_delay`` pair, verbatim.
 
         Constant delay, no jitter, no budget — byte-for-byte the old
-        behaviour, so the deprecated kwargs keep their exact semantics.
+        behaviour, which ``ResilienceConfig.conservative()`` builds on.
         """
         if retries < 0:
             raise ValueError("retries must be >= 0")

@@ -585,8 +585,9 @@ class S2SServer:
         concurrency = middleware.resilience.concurrency
         engine = {"mode": concurrency.mode}
         if concurrency.mode == "sharded":
-            engine["workers"] = concurrency.workers
-            engine["pool"] = concurrency.pool
+            fleet_config = concurrency.fleet_config()
+            engine["workers"] = fleet_config.n_workers
+            engine["pool"] = fleet_config.pool
             fleet = getattr(middleware.manager, "fleet", None)
             if fleet is not None and hasattr(fleet, "snapshot"):
                 engine["fleet"] = fleet.snapshot()

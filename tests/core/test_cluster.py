@@ -304,21 +304,26 @@ class TestMergePartials:
 class TestShardedConcurrencyConfig:
     def test_sharded_classmethod(self):
         config = ConcurrencyConfig.sharded(4, pool="spawn")
-        assert (config.mode, config.workers, config.pool) == \
+        fleet = config.fleet_config()
+        assert (config.mode, fleet.n_workers, fleet.pool) == \
             ("sharded", 4, "spawn")
         assert config.parallel
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
-            ConcurrencyConfig(mode="sharded", workers=0)
+            ConcurrencyConfig.sharded(0)
 
     def test_pool_kind_is_validated(self):
         with pytest.raises(ValueError, match="pool"):
-            ConcurrencyConfig(mode="sharded", pool="fork")
+            ConcurrencyConfig.sharded(2, pool="fork")
 
     def test_other_modes_ignore_but_accept_fleet_knobs(self):
-        config = ConcurrencyConfig(mode="thread", workers=3)
+        config = ConcurrencyConfig(mode="thread",
+                                   fleet=FleetConfig(n_workers=3))
         assert config.mode == "thread"
+        # Without an explicit fleet the sharded engine gets the default.
+        assert ConcurrencyConfig(mode="sharded").fleet_config() == \
+            FleetConfig()
 
 
 class TestFleetLifecycle:
@@ -375,20 +380,14 @@ class TestRepositoryVersion:
 
 
 class TestIngestShims:
-    def test_moved_names_remain_importable(self):
+    def test_ingest_pools_fix_their_loop(self):
         from repro.core.cluster import pool as cluster_pool
-        from repro.core.ingest.workers import (KILL_EXIT_CODE,
-                                               SubprocessWorkerPool,
-                                               ThreadWorkerPool, WorkerPool)
-        assert KILL_EXIT_CODE == cluster_pool.KILL_EXIT_CODE
-        assert WorkerPool is cluster_pool.WorkerPool
+        from repro.core.ingest.workers import (SubprocessWorkerPool,
+                                               ThreadWorkerPool,
+                                               WorkerContext, worker_loop)
         assert issubclass(ThreadWorkerPool, cluster_pool.ThreadWorkerPool)
         assert issubclass(SubprocessWorkerPool,
                           cluster_pool.SubprocessWorkerPool)
-
-    def test_ingest_pools_fix_their_loop(self):
-        from repro.core.ingest.workers import (ThreadWorkerPool,
-                                               WorkerContext, worker_loop)
         pool = ThreadWorkerPool(WorkerContext(sources=None, generator=None),
                                 n_workers=1)
         assert pool._loop is worker_loop

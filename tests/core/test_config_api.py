@@ -1,16 +1,16 @@
-"""The consolidated config surface and its deprecation shims."""
+"""The consolidated config surface, and the spellings 2.0 removed."""
 
 from __future__ import annotations
 
+import pathlib
+import pkgutil
+import re
 import warnings
 
 import pytest
 
 import repro
 import repro.config
-import repro.core
-import repro.core.resilience
-import repro.core.store
 
 
 class TestCanonicalSurface:
@@ -41,6 +41,13 @@ class TestCanonicalSurface:
         assert repro.config.RefreshPolicy is RefreshPolicy
         assert repro.config.ServerConfig is ServerConfig
 
+    def test_version_matches_pyproject(self):
+        # A regex, not tomllib: requires-python is >=3.10.
+        pyproject = pathlib.Path(__file__).parents[2] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                             re.MULTILINE).group(1)
+        assert repro.__version__ == declared
+
     def test_importing_repro_emits_no_deprecation_warnings(self):
         import importlib
         with warnings.catch_warnings():
@@ -48,41 +55,76 @@ class TestCanonicalSurface:
             importlib.reload(repro.config)
 
 
-class TestDeprecatedSpellings:
-    @pytest.mark.parametrize("module, name", [
-        (repro.core.resilience, "ResilienceConfig"),
-        (repro.core.resilience, "ConcurrencyConfig"),
-        (repro.core.store, "RefreshPolicy"),
-        (repro.core, "ResilienceConfig"),
-        (repro.core, "ConcurrencyConfig"),
-        (repro.core, "RefreshPolicy"),
-    ])
-    def test_old_path_warns_and_returns_the_canonical_class(self, module,
-                                                            name):
-        with pytest.warns(DeprecationWarning, match="repro.config"):
-            value = getattr(module, name)
-        assert value is getattr(repro.config, name)
+def _removed_spellings():
+    """(id, trigger, expected exception) for every spelling 2.0 deleted."""
+    from repro.cli import main
+    from repro.clock import SystemClock
+    from repro.config import ConcurrencyConfig, ResilienceConfig
+    from repro.core.cluster import QueryShardCoordinator
+    from repro.core.extractor.manager import ExtractorManager
+    from repro.core.mapping.datasources import DataSourceRepository
+    from repro.core.mapping.repository import AttributeRepository
+    from repro.ontology.builders import watch_domain_ontology
 
-    def test_from_import_spelling_warns_too(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.resilience import ResilienceConfig  # noqa: F401
+    cases = []
+    for kwarg in ("retries", "retry_delay", "parallel", "max_workers"):
+        cases.append((f"S2SMiddleware({kwarg}=)", lambda k=kwarg:
+                      repro.S2SMiddleware(watch_domain_ontology(), **{k: 1}),
+                      TypeError))
+        cases.append((f"ExtractorManager({kwarg}=)", lambda k=kwarg:
+                      ExtractorManager(AttributeRepository(),
+                                       DataSourceRepository(), **{k: 1}),
+                      TypeError))
+    for kwarg in ("parallel", "max_workers"):
+        cases.append((f"ResilienceConfig({kwarg}=)", lambda k=kwarg:
+                      ResilienceConfig(**{k: 1}), TypeError))
+    for kwarg in ("workers", "pool"):
+        cases.append((f"ConcurrencyConfig({kwarg}=)", lambda k=kwarg:
+                      ConcurrencyConfig(mode="sharded", **{k: 2}),
+                      TypeError))
+    for kwarg in ("n_workers", "pool", "heartbeat_timeout", "poll_seconds",
+                  "real_poll_seconds", "max_worker_restarts"):
+        cases.append((f"QueryShardCoordinator({kwarg}=)", lambda k=kwarg:
+                      QueryShardCoordinator(clock=SystemClock(), **{k: 2}),
+                      TypeError))
+    for module, names in [
+            ("repro", ("sql_rule", "xpath_rule", "webl_rule", "regex_rule")),
+            ("repro.core.middleware",
+             ("sql_rule", "xpath_rule", "webl_rule", "regex_rule")),
+            ("repro.core", ("ResilienceConfig", "ConcurrencyConfig",
+                            "RefreshPolicy")),
+            ("repro.core.resilience",
+             ("ResilienceConfig", "ConcurrencyConfig", "UNSET",
+              "legacy_kwargs_to_config")),
+            ("repro.core.store", ("RefreshPolicy",)),
+            ("repro.core.ingest", ("WorkerPool",)),
+            ("repro.core.ingest.workers", ("KILL_EXIT_CODE", "WorkerPool")),
+            ("repro.core.query.executor.QueryResult", ("_schema",)),
+            ("repro.core.extractor.manager.ExtractorManager",
+             ("parallel", "max_workers", "retries", "retry_delay"))]:
+        for name in names:
+            cases.append((f"{module}.{name}", lambda m=module, n=name:
+                          getattr(pkgutil.resolve_name(m), n),
+                          AttributeError))
+    for argv in (["demo", "--parallel"],
+                 ["serve", "--duration", "0", "--query-workers", "2"],
+                 ["serve", "--duration", "0", "--query-pool", "thread"]):
+        cases.append((" ".join(["repro"] + argv), lambda a=argv: main(a),
+                      SystemExit))
+    return [pytest.param(trigger, error, id=label)
+            for label, trigger, error in cases]
 
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.core.resilience.NoSuchThing
-        with pytest.raises(AttributeError):
-            repro.core.store.NoSuchThing
-        with pytest.raises(AttributeError):
-            repro.core.NoSuchThing
 
-    def test_non_config_names_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.core.resilience import (RetryPolicy,  # noqa: F401
-                                              SourceHealth)
-            from repro.core.store import (SemanticStore,  # noqa: F401
-                                          StoreRefresher)
-            from repro.core import S2SMiddleware  # noqa: F401
+class TestRemovedIn20:
+    @pytest.mark.parametrize("trigger, error", _removed_spellings())
+    def test_removed_spelling_is_rejected(self, trigger, error, capsys):
+        with pytest.raises(error) as raised:
+            trigger()
+        if error is TypeError:
+            assert "unexpected keyword argument" in str(raised.value)
+        elif error is SystemExit:  # argparse: unrecognized arguments
+            assert raised.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServerConfigValidation:

@@ -371,14 +371,6 @@ class TestQueryResultConstruction:
         assert not result.degraded
         assert result.serialize("json") == "[]"
 
-    def test_private_schema_spelling_is_deprecated(self, schema):
-        query = parse_s2sql("SELECT product")
-        plan = QueryPlanner(schema).plan(query)
-        result = QueryResult(query, plan, schema)
-        with pytest.warns(DeprecationWarning, match="_schema is deprecated"):
-            assert result._schema is schema
-        assert result.schema is schema
-
 
 class TestNullSpan:
     def test_null_span_is_inert_singleton(self):

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.core.instances.outputs import render_entities
-from repro.errors import InstanceGenerationError
+from repro.errors import InstanceGenerationError, S2SError
 from repro.rdf.rdfxml import parse_rdfxml
 from repro.rdf.turtle import parse_turtle
+from repro.workloads import B2BScenario
 from repro.xmlkit import parse_xml
 
 
@@ -102,3 +103,23 @@ class TestQueryResultSerialize:
         for format in middleware.output_formats():
             rendered = result.serialize(format)
             assert isinstance(rendered, str)
+
+
+class TestOutputFormats:
+    def test_output_formats_match_serialize(self):
+        scenario = B2BScenario(n_sources=2, n_products=3, seed=7)
+        s2s = scenario.build_middleware()
+        result = s2s.query("SELECT product")
+        formats = s2s.output_formats()
+        assert formats  # non-empty, stable tuple
+        for format_name in formats:
+            rendered = result.serialize(format_name)
+            assert isinstance(rendered, str) and rendered
+
+    def test_unknown_format_rejected(self):
+        scenario = B2BScenario(n_sources=2, n_products=3, seed=7)
+        s2s = scenario.build_middleware()
+        result = s2s.query("SELECT product")
+        assert "yaml" not in s2s.output_formats()
+        with pytest.raises(S2SError):
+            result.serialize("yaml")

@@ -1,8 +1,9 @@
 """Resilience layer unit + integration tests — all fake-clock, no real
 sleeps: backoff schedules, retry budgets, breaker state transitions,
-deadline expiry in serial and parallel extraction, and the
-ResilienceConfig deprecation shim."""
+deadline expiry in serial and parallel extraction, and the frozen
+ResilienceConfig."""
 
+import dataclasses
 import random
 import threading
 
@@ -374,39 +375,28 @@ class TestManagerRetryIntegration:
 
 
 class TestResilienceConfigShim:
-    def test_legacy_kwargs_warn_and_translate(self, ontology):
-        with pytest.warns(DeprecationWarning):
-            s2s = S2SMiddleware(ontology, retries=2, retry_delay=0.5,
-                                parallel=True, max_workers=3)
-        config = s2s.manager.config
-        assert config.retry.max_attempts == 3
-        assert config.retry.base_delay == 0.5
-        assert config.retry.jitter == "none"
-        assert config.parallel is True
-        assert config.max_workers == 3
-
     def test_config_object_does_not_warn(self, ontology, recwarn):
         S2SMiddleware(ontology, resilience=ResilienceConfig(
             concurrency=ConcurrencyConfig.threads()))
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_legacy_fields_warn_and_translate(self, ontology):
-        with pytest.warns(DeprecationWarning, match="ConcurrencyConfig"):
-            config = ResilienceConfig(parallel=True, max_workers=3)
-        assert config.concurrency == ConcurrencyConfig.threads(max_workers=3)
-        assert config.parallel is True
-        assert config.max_workers == 3
-
-    def test_explicit_concurrency_wins_over_legacy_mirrors(self):
-        from dataclasses import replace
+    def test_frozen_and_replace_round_trips(self, ontology):
         config = ResilienceConfig(concurrency=ConcurrencyConfig.threads())
-        # replace() re-passes the normalized parallel/max_workers mirrors;
-        # the new concurrency value must win over them, silently.
-        switched = replace(config,
-                           concurrency=ConcurrencyConfig.asyncio())
-        assert switched.concurrency.mode == "asyncio"
-        assert switched.parallel is True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.deadline_seconds = 1.0
+        # The middleware holds the caller's object, not a private copy,
+        # so there is no second config an assignment could silently miss.
+        s2s = S2SMiddleware(ontology, resilience=config)
+        assert s2s.resilience is config
+        assert s2s.manager.config is config
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s2s.resilience.deadline_seconds = 1.0
+        switched = dataclasses.replace(
+            config, concurrency=ConcurrencyConfig.asyncio())
+        assert switched.concurrency == ConcurrencyConfig.asyncio()
+        assert dataclasses.replace(switched,
+                                   concurrency=config.concurrency) == config
 
     def test_replace_round_trip_is_silent(self, recwarn):
         from dataclasses import replace
@@ -422,8 +412,6 @@ class TestResilienceConfigShim:
             ConcurrencyConfig(mode="fibers")
         with pytest.raises(ValueError):
             ConcurrencyConfig(max_workers=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(max_workers=0)  # legacy kwarg: >= 1 only
 
     def test_workers_for_and_cap_reporting(self):
         adaptive = ConcurrencyConfig.threads()
@@ -444,13 +432,20 @@ class TestResilienceConfigShim:
         assert config.retry.max_attempts == 1
         assert config.breaker is None
         assert config.deadline_seconds is None
-        assert config.parallel is False
-        assert s2s.manager.retries == 0
-        assert s2s.manager.retry_delay == 0.0
+        assert config.concurrency.parallel is False
+        assert config.retry.retries == 0
+        assert config.retry.base_delay == 0.0
 
-    def test_legacy_validation_still_raises(self, ontology):
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            S2SMiddleware(ontology, retries=-1)
+    def test_no_kwargs_is_the_conservative_default_without_warning(self):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            s2s = S2SMiddleware(watch_domain_ontology())
+        # Equal field for field once the (identity-compared) clocks match.
+        clock = SystemClock()
+        assert dataclasses.replace(s2s.resilience, clock=clock) \
+            == dataclasses.replace(ResilienceConfig.conservative(),
+                                   clock=clock)
 
     def test_clock_is_shared_with_breakers(self, ontology):
         clock = FakeClock()

@@ -121,11 +121,6 @@ class TestRetryPolicy:
         result = s2s.query("SELECT product")
         assert any("transient" in str(e) for e in result.errors.entries)
 
-    def test_negative_retries_rejected(self, ontology):
-        from repro import S2SMiddleware
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            S2SMiddleware(ontology, retries=-1)
-
     def test_retry_works_in_parallel_mode(self, scenario):
         s2s = self._flaky_scenario_middleware(scenario,
                                               resilience=_retrying(8),

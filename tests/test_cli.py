@@ -21,12 +21,8 @@ class TestDemo:
         assert "products integrated" in out
         assert "no errors" in out
 
-    def test_demo_parallel(self, capsys):
-        code, out, _err = run_cli(capsys, "demo", "--sources", "2",
-                                  "--products", "8", "--parallel")
-        assert code == 0
-
-    @pytest.mark.parametrize("mode", ["serial", "thread", "asyncio"])
+    @pytest.mark.parametrize("mode", ["serial", "thread", "asyncio",
+                                      "sharded"])
     def test_demo_concurrency_modes(self, capsys, mode):
         code, out, _err = run_cli(capsys, "demo", "--sources", "2",
                                   "--products", "8", "--concurrency", mode)
@@ -252,25 +248,18 @@ class TestServe:
         assert code == 0
         assert "shared fleet: 2 thread worker(s)" in out
 
+    def test_serve_fleet_per_tenant(self, capsys):
+        code, out, _err = run_cli(capsys, "serve", "--duration", "0",
+                                  "--fleet", "2",
+                                  "--sources", "2", "--products", "4")
+        assert code == 0
+        assert "fleet per tenant: 2 thread worker(s)" in out
+
     def test_serve_fleet_spec_validated(self, capsys):
         code, _out, err = run_cli(capsys, "serve", "--duration", "0",
                                   "--fleet", "2:fork")
         assert code == 1
         assert "unknown --fleet token" in err
-
-    def test_serve_legacy_fleet_flags_warn(self, capsys):
-        code, out, err = run_cli(capsys, "serve", "--duration", "0",
-                                 "--query-workers", "2",
-                                 "--sources", "2", "--products", "4")
-        assert code == 0
-        assert "fleet per tenant: 2 thread worker(s)" in out
-        assert "deprecated" in err
-
-    def test_serve_rejects_mixed_fleet_spellings(self, capsys):
-        code, _out, err = run_cli(capsys, "serve", "--duration", "0",
-                                  "--fleet", "2", "--query-workers", "2")
-        assert code == 1
-        assert "not both" in err
 
 
 class TestClient:

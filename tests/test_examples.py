@@ -8,13 +8,16 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
+# Subprocesses never see pytest's warning filter; a deprecated spelling
+# creeping back into an example must fail here instead.
+PYTHON = [sys.executable, "-W", "error::DeprecationWarning"]
 
 
 @pytest.mark.parametrize("script", EXAMPLE_SCRIPTS,
                          ids=[s.stem for s in EXAMPLE_SCRIPTS])
 def test_example_runs(script):
     completed = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True,
+        [*PYTHON, str(script)], capture_output=True, text=True,
         timeout=120)
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip(), "example produced no output"
@@ -26,7 +29,7 @@ def test_examples_exist():
 
 def test_quickstart_shows_owl():
     completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "quickstart.py")],
+        [*PYTHON, str(EXAMPLES_DIR / "quickstart.py")],
         capture_output=True, text=True, timeout=120)
     assert "rdf:RDF" in completed.stdout
     assert "thing.product.brand = " in completed.stdout
@@ -34,7 +37,7 @@ def test_quickstart_shows_owl():
 
 def test_paper_example_reports_three_sources():
     completed = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / "watch_catalog_integration.py")],
+        [*PYTHON, str(EXAMPLES_DIR / "watch_catalog_integration.py")],
         capture_output=True, text=True, timeout=120)
     assert "'DB_ID_45', 'wpage_81'" in completed.stdout.replace(
         '"', "'") or "DB_ID_45" in completed.stdout
