@@ -26,6 +26,14 @@ from ..mapping.rules import TransformRegistry
 from .records import RawFragment
 
 
+def _execution_detail(source: DataSource) -> dict | None:
+    """The source's one-shot digest of the rule it just ran (e.g. the
+    relational source's SQL plan).  Read here, on the thread that ran
+    the rule: under the asyncio engine the manager resumes on another."""
+    hook = getattr(source, "consume_execution_detail", None)
+    return hook() if hook is not None else None
+
+
 class Extractor(abc.ABC):
     """Executes extraction rules of one language against one source type."""
 
@@ -53,7 +61,8 @@ class Extractor(abc.ABC):
                 str(exc), attribute_id=entry.attribute_id,
                 source_id=source.source_id) from exc
         values = self.transforms.apply(entry.rule.transform, values)
-        return RawFragment(entry.attribute, source.source_id, values)
+        return RawFragment(entry.attribute, source.source_id, values,
+                           _execution_detail(source))
 
     async def aextract(self, source: DataSource,
                        entry: MappingEntry) -> RawFragment:
@@ -83,7 +92,8 @@ class Extractor(abc.ABC):
                 str(exc), attribute_id=entry.attribute_id,
                 source_id=source.source_id) from exc
         values = self.transforms.apply(entry.rule.transform, values)
-        return RawFragment(entry.attribute, source.source_id, values)
+        return RawFragment(entry.attribute, source.source_id, values,
+                           _execution_detail(source))
 
 
 class WebExtractor(Extractor):

@@ -652,14 +652,10 @@ class ExtractorManager:
             if breaker is not None:
                 breaker.record_success()
             health.successes += 1
-            # Sources may expose a one-shot digest of the execution they
-            # just served (e.g. the relational source's SQL plan digest);
-            # attach it to the attempt span for explain()/trace output.
-            detail_hook = getattr(source, "consume_execution_detail", None)
-            if detail_hook is not None:
-                detail = detail_hook()
-                if detail:
-                    attempt_span.annotate(**detail)
+            # The source's digest of the execution it just served (e.g.
+            # the relational source's SQL plan), for explain()/traces.
+            if fragment.detail:
+                attempt_span.annotate(**fragment.detail)
             attempt_span.annotate(outcome="ok")
             attempt_span.finish()
             return fragment

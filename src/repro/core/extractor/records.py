@@ -31,6 +31,9 @@ class RawFragment:
     attribute: AttributePath
     source_id: str
     values: list[str]
+    #: the source's digest of the execution that produced ``values``
+    #: (e.g. the SQL plan), for the attempt span; not part of the data
+    detail: dict | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.values)

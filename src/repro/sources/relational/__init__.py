@@ -9,10 +9,10 @@ DELETE) and queries (SELECT with projections, WHERE, INNER/LEFT JOIN,
 GROUP BY with aggregates, ORDER BY, DISTINCT, LIMIT).
 
 Storage is columnar (typed per-column buffers plus validity bitmaps)
-and SELECTs default to the vectorized batch executor in
-``sql/columnar.py``; the row-at-a-time executor remains available as
-``engine="row"`` and serves as the differential-testing oracle.  See
-``docs/relational.md``.
+and every SELECT — joins included — runs on the vectorized batch
+executor in ``sql/columnar.py``; the row-at-a-time executor remains
+selectable as ``engine="row"`` and serves as the differential-testing
+oracle.  See ``docs/relational.md``.
 """
 
 from .database import ENGINES, Database

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from ...errors import SqlError, SqlExecutionError
-from .sql.ast import Aggregate, Select
-from .sql.columnar import PlanReport, execute_columnar, render_condition
-from .sql.executor import ResultSet, execute
+from .sql.ast import Delete, Select, Update
+from .sql.columnar import (PlanReport, execute_columnar, execute_dml,
+                           render_condition)
+from .sql.executor import ResultSet, _has_aggregates, execute
 from .sql.parser import parse_sql
 from .table import Column, Table
 
@@ -28,10 +29,11 @@ class Database:
     mapping-entry SQL against it through
     :class:`~repro.sources.relational.source.RelationalDataSource`.
 
-    ``engine`` selects how SELECTs execute: ``"columnar"`` (default)
-    runs the vectorized executor over column-major storage, ``"row"``
-    the row-at-a-time oracle.  DML/DDL always take the row path — they
-    mutate the table, there is nothing to vectorize.
+    ``engine`` selects how statements execute: ``"columnar"`` (default)
+    runs every SELECT — joins included — on the vectorized executor
+    over column-major storage, and picks the rows of an UPDATE / DELETE
+    with the same vector filter; ``"row"`` is the row-at-a-time oracle.
+    INSERT and DDL have nothing to vectorize and share one path.
     """
 
     def __init__(self, name: str = "default", *,
@@ -87,12 +89,23 @@ class Database:
     def execute_statement(self, statement, *,
                           engine: str | None = None) -> ResultSet:
         """Run an already parsed statement (see :meth:`execute`)."""
+        return self.execute_with_plan(statement, engine=engine)[0]
+
+    def execute_with_plan(self, statement, *, engine: str | None = None
+                          ) -> tuple[ResultSet, PlanReport | None]:
+        """Run a parsed statement and return its plan (None unless a
+        columnar SELECT) with its result.  :attr:`last_plan` is set too,
+        for interactive use; callers sharing the database across threads
+        must read the returned plan, which is their own statement's."""
         chosen = self.engine if engine is None else _check_engine(engine)
         if chosen == "columnar" and isinstance(statement, Select):
-            result, self.last_plan = execute_columnar(self, statement)
-            return result
-        self.last_plan = None
-        return execute(self, statement)
+            result, plan = execute_columnar(self, statement)
+        elif chosen == "columnar" and isinstance(statement, (Update, Delete)):
+            result, plan = execute_dml(self, statement), None
+        else:
+            result, plan = execute(self, statement), None
+        self.last_plan = plan
+        return result, plan
 
     def explain(self, sql: str, *, engine: str | None = None) -> str:
         """Render the operator plan for one statement without keeping
@@ -130,8 +143,7 @@ def _render_row_plan(database: Database, select: Select) -> str:
         lines.append(f"join {join.table.name} ({join.kind})")
     if select.where is not None:
         lines.append(f"filter {render_condition(select.where)}")
-    if select.group_by or any(
-            isinstance(item.expression, Aggregate) for item in select.items):
+    if select.group_by or _has_aggregates(select):
         lines.append("aggregate")
     if select.order_by:
         lines.append("order_by")

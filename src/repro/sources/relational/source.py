@@ -9,6 +9,8 @@ unreachable remote system (used by failure-injection tests).
 
 from __future__ import annotations
 
+import threading
+
 from ...errors import ExtractionError, S2SError
 from ...obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
 from ..base import ConnectionInfo, DataSource, stable_digest
@@ -23,7 +25,9 @@ class RelationalDataSource(DataSource):
     columnar execution feeds the ``sql_batches_total`` /
     ``sql_rows_scanned_total`` counters and leaves a plan digest that
     the extraction manager attaches to the rule's span (see
-    :meth:`consume_execution_detail`).
+    :meth:`consume_execution_detail`).  The digest is held per thread:
+    clients sharing a source run their rules on different threads, and
+    each must read back its own statement's plan.
     """
 
     source_type = "database"
@@ -47,7 +51,7 @@ class RelationalDataSource(DataSource):
         self._expected_password = (expected_password if expected_password
                                    is not None else password)
         self._compiled: dict[str, object] = {}
-        self._last_detail: dict[str, object] | None = None
+        self._details: dict[int, dict[str, object]] = {}  # by thread id
 
     def connect(self) -> None:
         """Authenticate against the expected credentials."""
@@ -70,9 +74,9 @@ class RelationalDataSource(DataSource):
             from .sql.parser import parse_sql
             statement = parse_sql(rule)
             self._compiled[rule] = statement
-        result = self.database.execute_statement(statement,
-                                                 engine=self.engine)
-        self._record_plan(self.database.last_plan)
+        result, plan = self.database.execute_with_plan(statement,
+                                                       engine=self.engine)
+        self._record_plan(plan)
         if len(result.columns) != 1:
             raise ExtractionError(
                 f"SQL extraction rule must select exactly one column, got "
@@ -87,7 +91,7 @@ class RelationalDataSource(DataSource):
 
     def _record_plan(self, plan) -> None:
         if plan is None:
-            self._last_detail = None
+            self._details.pop(threading.get_ident(), None)
             return
         metrics = DEFAULT_REGISTRY if self.metrics is None else self.metrics
         metrics.counter(
@@ -98,18 +102,17 @@ class RelationalDataSource(DataSource):
             "sql_rows_scanned_total",
             "rows scanned by the columnar SQL engine").inc(
                 plan.rows_scanned, source=self.source_id)
-        self._last_detail = {
+        self._details[threading.get_ident()] = {
             "sql_plan": plan.summary(),
             "sql_rows_scanned": plan.rows_scanned,
             "sql_batches": plan.batches,
         }
 
     def consume_execution_detail(self) -> dict[str, object] | None:
-        """One-shot plan digest of the most recent rule execution (the
-        extraction manager annotates the attempt span with it)."""
-        detail = self._last_detail
-        self._last_detail = None
-        return detail
+        """One-shot plan digest of the calling thread's most recent rule
+        execution (the extraction manager annotates the attempt span
+        with it)."""
+        return self._details.pop(threading.get_ident(), None)
 
     def content_fingerprint(self) -> str | None:
         """Hash of the whole catalog: table schemas plus row data."""

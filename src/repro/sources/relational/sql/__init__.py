@@ -1,8 +1,9 @@
 """SQL dialect: lexer, AST, parser and two executors.
 
-``execute`` is the row-at-a-time oracle; ``execute_columnar`` is the
-vectorized engine over column-major storage (returns the result plus a
-:class:`PlanReport` of the executed operator chain).
+``execute`` is the row-at-a-time oracle (and the one path for INSERT and
+DDL); ``execute_columnar`` runs every SELECT on the vectorized engine
+over column-major storage (returns the result plus a :class:`PlanReport`
+of the executed operator chain).
 """
 
 from .parser import parse_sql

@@ -1,48 +1,65 @@
-"""Vectorized columnar SELECT execution.
+"""Vectorized columnar execution: every SELECT, and the row selection of
+UPDATE / DELETE.
 
-Operators work on batches of row positions instead of one row at a
-time: the scan yields contiguous position batches (``BATCH_SIZE`` rows),
-the filter evaluates the WHERE tree into a boolean mask per batch and
-collapses it to a selection vector, and projection materializes output
-tuples late — gathering only the selected positions of the referenced
-columns.  Aggregation buckets positions by group key and folds each
-group's gathered values with the same accumulators as the row engine.
+Operators work on a *frame* — one vector of row positions per table
+binding — instead of one row at a time.  The scan yields the base
+table's positions (all of them, or a hash-index seed), the filter
+evaluates a condition into a boolean mask per ``BATCH_SIZE`` rows and
+compresses the frame by it, a join probes a hash of the join table's
+key column with the surviving positions and appends one more position
+vector (``None`` marks a LEFT join's unmatched side), and projection
+materializes output tuples late — gathering only the surviving
+positions of the referenced columns.  Aggregation buckets frame rows by
+group key and folds each group's values with the row engine's fold.
+A single-table SELECT is simply the one-binding frame.
+
+Predicate pushdown: when every join is an equi-join whose keys resolve
+unambiguously, the leading top-level AND conjuncts of WHERE that read
+the base table only run *before* the joins (valid for INNER and LEFT,
+which both preserve the base side), so the probe sees the filtered
+selection vector instead of the whole table.
 
 The row executor in :mod:`.executor` is the semantics oracle: for every
-query the columnar result must be row-for-row identical (the
-differential suite in ``tests/sources/test_sql_differential.py`` checks
-this property).  Three deliberate consequences:
+query the columnar result must be row-for-row identical, errors
+included (the differential suite in
+``tests/sources/test_sql_differential.py`` checks this property).  Two
+deliberate consequences:
 
-* joins are not vectorized — a SELECT with joins falls back to the row
-  engine (recorded in the plan report);
-* a batch whose eager predicate evaluation raises ``TypeError`` re-runs
-  row-at-a-time, reproducing the row engine's short-circuit behaviour
-  and its exact ``cannot compare`` error;
-* column-resolution errors surface only when rows actually flow, just
-  as the row engine's lazy per-row lookups do.
+* a batch whose eager mask evaluation raises re-runs row-at-a-time
+  through the oracle's own ``_eval_condition``, reproducing its
+  short-circuit behaviour and its exact ``cannot compare`` error; a
+  ``TypeError`` under pushdown abandons the pushdown, so the rows the
+  join would have dropped are never compared;
+* column-resolution errors surface only when rows actually flow into
+  the stage that reads the column, as the row engine's lazy per-row
+  lookups do.
 
-Each execution returns the :class:`ResultSet` plus a
-:class:`PlanReport` carrying the operator chain with batch counts and
-selectivity — rendered by ``explain_sql`` and surfaced as span
-annotations / metrics by the relational source.
+Each SELECT returns the :class:`ResultSet` plus a :class:`PlanReport`
+carrying the operator chain with batch counts and selectivity —
+rendered by ``explain_sql`` and surfaced as span annotations / metrics
+by the relational source.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import compress
 
 from ....errors import SqlExecutionError
 from .ast import (Aggregate, BooleanOp, ColumnRef, Comparison, InList,
-                  IsNull, LiteralValue, Not, Select, Star)
-from .executor import (ResultSet, _Env, _eval_condition, _like_to_regex,
-                       _sort_key, execute)
+                  IsNull, LiteralValue, Not, Select, Star, Update)
+from .executor import (ResultSet, _Env, _eval_condition, _has_aggregates,
+                       _join_equality, _like_to_regex, _sort_key,
+                       find_equality, fold_aggregate)
 
 #: Rows per scan batch; one mask evaluation covers one batch.
 BATCH_SIZE = 4096
 
 _COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
             ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
 @dataclass
@@ -73,7 +90,11 @@ class OperatorStats:
 
 @dataclass
 class PlanReport:
-    """The executed operator chain plus scan-level counters."""
+    """The executed operator chain plus scan-level counters.
+
+    ``rows_scanned`` counts the base table's scan candidates plus every
+    join build side hashed or looped over (a reused hash index scans
+    nothing)."""
 
     engine: str
     table: str
@@ -82,12 +103,9 @@ class PlanReport:
     batches: int
     batch_size: int = BATCH_SIZE
     operators: list[OperatorStats] = field(default_factory=list)
-    fallback: str | None = None
 
     def summary(self) -> str:
         """Compact operator chain, e.g. ``scan>filter>project``."""
-        if self.fallback:
-            return f"fallback({self.fallback})"
         return ">".join(op.name for op in self.operators)
 
     def render(self) -> str:
@@ -95,8 +113,6 @@ class PlanReport:
         header = (f"engine={self.engine} table={self.table} "
                   f"rows={self.rows_total} batch_size={self.batch_size} "
                   f"batches={self.batches}")
-        if self.fallback:
-            return f"{header}\nfallback: {self.fallback}"
         return "\n".join([header] + [op.render() for op in self.operators])
 
 
@@ -136,280 +152,449 @@ def _render_scalar(scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Column resolution (matching the row engine's lazy lookup errors)
+# The frame: joined tuples in flight, one position vector per binding
 # ---------------------------------------------------------------------------
 
-def _resolve_column(table, binding: str, ref: ColumnRef) -> int:
-    if ref.table is not None:
-        if ref.table.lower() != binding:
-            raise SqlExecutionError(f"unknown table alias {ref.table!r}")
-        return table.column_index(ref.name)
-    if not table.has_column(ref.name):
-        raise SqlExecutionError(f"unknown column {ref.name!r}")
-    return table.column_index(ref.name)
+class _Frame:
+    """``count`` joined tuples, late-materialized: ``positions[binding]``
+    holds each tuple's row position in ``tables[binding]`` (``None`` for
+    the NULL-extended side of a LEFT join; ``nullable`` names the
+    bindings that may hold one).  Binding order is the row engine's
+    ``_Env`` order, which ``*`` expands in."""
+
+    __slots__ = ("tables", "positions", "nullable", "count")
+
+    def __init__(self, tables: dict, positions: dict, nullable: frozenset,
+                 count: int) -> None:
+        self.tables = tables
+        self.positions = positions
+        self.nullable = nullable
+        self.count = count
+
+    def _derive(self, pick) -> "_Frame":
+        positions = {binding: pick(vector)
+                     for binding, vector in self.positions.items()}
+        return _Frame(self.tables, positions, self.nullable,
+                      len(next(iter(positions.values()))))
+
+    def batches(self):
+        """The frame in ``BATCH_SIZE``-tuple slices."""
+        if self.count <= BATCH_SIZE:
+            return (self,) if self.count else ()
+        return (self._derive(lambda vector: vector[start:start + BATCH_SIZE])
+                for start in range(0, self.count, BATCH_SIZE))
+
+    def filter(self, mask: list[bool]) -> "_Frame":
+        return self._derive(lambda vector: list(compress(vector, mask)))
+
+    def take(self, indices: list[int]) -> "_Frame":
+        return self._derive(lambda vector: [vector[i] for i in indices])
+
+    def bind(self, binding: str, table, positions: list,
+             nullable: bool) -> "_Frame":
+        """This frame with one more position vector (a join's output);
+        re-binding a name replaces it in place, like the row engine's
+        per-row dict."""
+        names = self.nullable - {binding}
+        return _Frame({**self.tables, binding: table},
+                      {**self.positions, binding: positions},
+                      names | {binding} if nullable else names, self.count)
+
+    def resolve(self, ref: ColumnRef) -> tuple[str, int | None]:
+        """``(binding, column position)`` for ``ref``, raising what the
+        row engine's per-row ``_Env.lookup`` raises.  Call only when
+        tuples flow (``count > 0``): the oracle resolves lazily."""
+        if ref.table is not None:
+            binding = ref.table.lower()
+            table = self.tables.get(binding)
+            if table is None:
+                raise SqlExecutionError(f"unknown table alias {ref.table!r}")
+            if (binding in self.nullable and not table.has_column(ref.name)
+                    and all(p is None for p in self.positions[binding])):
+                return binding, None  # never read off a NULL-extended row
+            return binding, table.column_index(ref.name)
+        owners = [binding for binding, table in self.tables.items()
+                  if table.has_column(ref.name)]
+        if not owners:
+            raise SqlExecutionError(f"unknown column {ref.name!r}")
+        if len(owners) > 1:
+            raise SqlExecutionError(f"ambiguous column {ref.name!r}")
+        return owners[0], self.tables[owners[0]].column_index(ref.name)
+
+    def values(self, binding: str, index: int | None) -> list:
+        """One column of one binding, gathered for every tuple."""
+        if index is None:
+            return [None] * self.count
+        data = self.tables[binding].column_data(index)
+        positions = self.positions[binding]
+        if binding not in self.nullable:
+            return data.gather(positions)
+        present = iter(data.gather([p for p in positions if p is not None]))
+        return [None if p is None else next(present) for p in positions]
+
+    def column(self, ref: ColumnRef) -> list:
+        return self.values(*self.resolve(ref))
+
+    def env(self, i: int) -> _Env:
+        """Tuple ``i`` as the row engine sees it (fallback paths only)."""
+        return _Env({
+            binding: (table, None if self.positions[binding][i] is None
+                      else table.row_at(self.positions[binding][i]))
+            for binding, table in self.tables.items()})
 
 
 # ---------------------------------------------------------------------------
 # Vectorized predicate evaluation
 # ---------------------------------------------------------------------------
 
-def _scalar_batch(scalar, table, binding: str, positions, count: int) -> list:
+def _scalar_batch(scalar, frame: _Frame) -> list:
     if isinstance(scalar, LiteralValue):
-        return [scalar.value] * count
+        return [scalar.value] * frame.count
     if isinstance(scalar, ColumnRef):
-        position = _resolve_column(table, binding, scalar)
-        return table.column_data(position).gather(positions)
+        return frame.column(scalar)
     raise SqlExecutionError(f"unsupported scalar {scalar!r}")
 
 
-def _compare_batch(condition: Comparison, table, binding: str, positions,
-                   count: int) -> list[bool]:
+def _compare_batch(condition: Comparison, frame: _Frame) -> list[bool]:
     left, right = condition.left, condition.right
     if condition.operator == "LIKE":
+        values = _scalar_batch(left, frame)
         if isinstance(right, LiteralValue):
             if right.value is None:
-                return [False] * count
+                return [False] * frame.count
             regex = _like_to_regex(str(right.value))
-            values = _scalar_batch(left, table, binding, positions, count)
             return [v is not None and regex.match(str(v)) is not None
                     for v in values]
-        left_values = _scalar_batch(left, table, binding, positions, count)
-        right_values = _scalar_batch(right, table, binding, positions, count)
         return [lv is not None and rv is not None
                 and _like_to_regex(str(rv)).match(str(lv)) is not None
-                for lv, rv in zip(left_values, right_values)]
-    compare = _COMPARE[condition.operator]
+                for lv, rv in zip(values, _scalar_batch(right, frame))]
+    symbol = condition.operator
+    if isinstance(left, LiteralValue):  # 3 < c  ->  c > 3
+        left, right, symbol = right, left, _MIRRORED[symbol]
+    compare = _COMPARE[symbol]
+    values = _scalar_batch(left, frame)
     if isinstance(right, LiteralValue):
-        if right.value is None:
-            return [False] * count
         constant = right.value
-        values = _scalar_batch(left, table, binding, positions, count)
+        if constant is None:
+            return [False] * frame.count
         return [v is not None and compare(v, constant) for v in values]
-    if isinstance(left, LiteralValue):
-        if left.value is None:
-            return [False] * count
-        constant = left.value
-        values = _scalar_batch(right, table, binding, positions, count)
-        return [v is not None and compare(constant, v) for v in values]
-    left_values = _scalar_batch(left, table, binding, positions, count)
-    right_values = _scalar_batch(right, table, binding, positions, count)
     return [lv is not None and rv is not None and compare(lv, rv)
-            for lv, rv in zip(left_values, right_values)]
+            for lv, rv in zip(values, _scalar_batch(right, frame))]
 
 
-def _eval_batch(condition, table, binding: str, positions,
-                count: int) -> list[bool]:
-    """Boolean mask for ``condition`` over one batch of positions."""
+def _eval_batch(condition, frame: _Frame) -> list[bool]:
+    """Boolean mask for ``condition`` over one batch of tuples (eager:
+    both sides of AND / OR are evaluated for every tuple)."""
     if isinstance(condition, BooleanOp):
-        left = _eval_batch(condition.left, table, binding, positions, count)
-        right = _eval_batch(condition.right, table, binding, positions, count)
+        left = _eval_batch(condition.left, frame)
+        right = _eval_batch(condition.right, frame)
         if condition.operator == "AND":
             return [a and b for a, b in zip(left, right)]
         return [a or b for a, b in zip(left, right)]
     if isinstance(condition, Not):
-        return [not m for m in _eval_batch(condition.operand, table, binding,
-                                           positions, count)]
+        return [not m for m in _eval_batch(condition.operand, frame)]
     if isinstance(condition, IsNull):
-        values = _scalar_batch(condition.operand, table, binding, positions,
-                               count)
+        values = _scalar_batch(condition.operand, frame)
         if condition.negated:
             return [v is not None for v in values]
         return [v is None for v in values]
     if isinstance(condition, InList):
-        values = _scalar_batch(condition.operand, table, binding, positions,
-                               count)
+        values = _scalar_batch(condition.operand, frame)
         if all(isinstance(option, LiteralValue)
                for option in condition.options):
             options = [option.value for option in condition.options]
             if condition.negated:
                 return [v not in options for v in values]
             return [v in options for v in values]
-        option_columns = [_scalar_batch(option, table, binding, positions,
-                                        count)
+        option_columns = [_scalar_batch(option, frame)
                           for option in condition.options]
         return [(value in [column[i] for column in option_columns])
                 != condition.negated
                 for i, value in enumerate(values)]
     if isinstance(condition, Comparison):
-        return _compare_batch(condition, table, binding, positions, count)
+        return _compare_batch(condition, frame)
     raise SqlExecutionError(f"unsupported condition {condition!r}")
 
 
-def _vector_filter(table, binding: str, condition, candidates) -> list[int]:
-    selection: list[int] = []
-    total = len(candidates)
-    for start in range(0, total, BATCH_SIZE):
-        batch = candidates[start:start + BATCH_SIZE]
-        mask = _eval_batch(condition, table, binding, batch, len(batch))
-        selection.extend(position for position, keep in zip(batch, mask)
-                         if keep)
-    return selection
+def _mask(condition, frame: _Frame, *, rowwise: bool = True) -> list[bool]:
+    """``condition`` over every tuple of ``frame``, a batch at a time.
 
-
-def _row_filter(table, binding: str, condition, candidates) -> list[int]:
-    """Row-at-a-time fallback reproducing the row engine's short-circuit
-    evaluation (and its exact ``cannot compare`` error, if any)."""
-    rows = table.rows
-    return [position for position in candidates
-            if _eval_condition(condition,
-                               _Env({binding: (table, rows[position])}))]
+    Eager evaluation compares a superset of what the row engine's
+    short-circuit evaluation compares, so a batch that raises nothing
+    is exact; one that raises re-runs row-at-a-time in the oracle's
+    order, which either reproduces the oracle's error or shows that the
+    offending comparison was never reached.  ``rowwise=False`` lets the
+    error escape instead (pushdown, whose oracle order is elsewhere)."""
+    mask: list[bool] = []
+    for batch in frame.batches():
+        try:
+            mask += _eval_batch(condition, batch)
+        except (TypeError, SqlExecutionError):
+            if not rowwise:
+                raise
+            mask += [_eval_condition(condition, batch.env(i))
+                     for i in range(batch.count)]
+    return mask
 
 
 # ---------------------------------------------------------------------------
-# Entry point
+# Scan, pushdown, join
 # ---------------------------------------------------------------------------
 
-def execute_columnar(database, select: Select) -> tuple[ResultSet, PlanReport]:
-    """Run one SELECT through the vectorized engine.
-
-    Returns the result plus the executed plan.  SELECTs with joins fall
-    back to the row engine (joins are not vectorized) with the fallback
-    recorded in the report.
-    """
-    table = database.require_table(select.table.name)
-    if select.joins:
-        result = execute(database, select)
-        report = PlanReport(engine="columnar", table=table.name,
-                            rows_total=len(table),
-                            rows_scanned=len(table), batches=0,
-                            fallback="join query -> row engine")
-        return result, report
-    binding = select.table.binding.lower()
-
-    seed = _indexed_seed_positions(table, binding, select.where)
-    candidates = range(len(table)) if seed is None else seed
+def _scan(table, binding: str, where) -> tuple[_Frame, PlanReport]:
+    """The base table's frame: every position, or the hash-index seed of
+    a top-level ``col = literal`` conjunct."""
+    hit = find_equality(table, binding, where)
+    candidates = (range(len(table)) if hit is None
+                  else table.indexed_positions(*hit))
     scanned = len(candidates)
     batches = (scanned + BATCH_SIZE - 1) // BATCH_SIZE
     report = PlanReport(engine="columnar", table=table.name,
                         rows_total=len(table), rows_scanned=scanned,
                         batches=batches)
-    scan_detail = table.name if seed is None else f"{table.name} (index seed)"
+    detail = table.name if hit is None else f"{table.name} (index seed)"
     report.operators.append(OperatorStats(
-        "scan", f"{scan_detail} batches={batches}", rows_out=scanned))
+        "scan", f"{detail} batches={batches}", rows_out=scanned))
+    return _Frame({binding: table}, {binding: candidates}, frozenset(),
+                  scanned), report
 
-    if select.where is None:
-        selection = list(candidates)
+
+def _filtered(frame: _Frame, condition, report: PlanReport, *,
+              rowwise: bool = True) -> _Frame:
+    kept = frame.filter(_mask(condition, frame, rowwise=rowwise))
+    report.operators.append(OperatorStats(
+        "filter", render_condition(condition),
+        rows_in=frame.count, rows_out=kept.count))
+    return kept
+
+
+def _conjuncts(condition) -> list:
+    """Top-level AND operands in the order the row engine evaluates them."""
+    if isinstance(condition, BooleanOp) and condition.operator == "AND":
+        return _conjuncts(condition.left) + _conjuncts(condition.right)
+    return [condition]
+
+
+def _conjoin(conjuncts: list):
+    """The inverse of :func:`_conjuncts`; None for no conjuncts."""
+    return (reduce(partial(BooleanOp, "AND"), conjuncts)
+            if conjuncts else None)
+
+
+def _refs(node):
+    """Every ColumnRef under a condition or scalar."""
+    if isinstance(node, ColumnRef):
+        yield node
+    elif isinstance(node, (BooleanOp, Comparison)):
+        yield from _refs(node.left)
+        yield from _refs(node.right)
+    elif isinstance(node, (Not, IsNull)):
+        yield from _refs(node.operand)
+    elif isinstance(node, InList):
+        for child in (node.operand, *node.options):
+            yield from _refs(child)
+
+
+def _owner(scope: _Frame, ref: ColumnRef) -> str | None:
+    """The one binding ``ref`` reads, or None where the row engine's
+    lookup would raise (unknown, ambiguous, missing column)."""
+    try:
+        return scope.resolve(ref)[0]
+    except SqlExecutionError:
+        return None
+
+
+def _split_pushdown(database, select: Select, scope: _Frame):
+    """``(pushed, rest)``: the leading WHERE conjuncts that read the base
+    table (``scope``'s one binding) only, and the remainder; ``pushed``
+    is None unless every join is an equi-join over distinct bindings
+    whose keys resolve — then no join can raise, and skipping base rows
+    early is unobservable."""
+    (base,) = scope.tables
+    for join in select.joins:
+        binding = join.table.binding.lower()
+        if binding in scope.tables or not database.has_table(join.table.name):
+            return None, select.where
+        join_table = database.require_table(join.table.name)
+        equality = _join_equality(join.condition, binding, join_table)
+        if (equality is None or _owner(scope, equality[0]) is None
+                or not join_table.has_column(equality[1])):
+            return None, select.where
+        scope = scope.bind(binding, join_table, (), False)
+    conjuncts = _conjuncts(select.where)
+    split = 0
+    while split < len(conjuncts) and all(
+            _owner(scope, ref) == base for ref in _refs(conjuncts[split])):
+        split += 1
+    return _conjoin(conjuncts[:split]), _conjoin(conjuncts[split:])
+
+
+def _join(frame: _Frame, join, join_table, report: PlanReport) -> _Frame:
+    """Append ``join_table``'s position vector: hash build + probe for
+    ``outer.col = inner.col``, else a batched mask over the position
+    cross product.  Output order is the row engine's: outer-major, inner
+    positions ascending."""
+    binding = join.table.binding.lower()
+    equality = _join_equality(join.condition, binding, join_table)
+    if equality is not None:
+        outer_ref, inner_column = equality
+        indexed = join_table.has_index(inner_column)
+        buckets = join_table.key_positions(inner_column)
+        keys = frame.column(outer_ref) if frame.count else ()
+        # SQL: NULL = NULL is not a match
+        matches = (None if key is None else buckets.get(key) for key in keys)
     else:
-        try:
-            selection = _vector_filter(table, binding, select.where,
-                                       candidates)
-        except TypeError:
-            selection = _row_filter(table, binding, select.where, candidates)
-        report.operators.append(OperatorStats(
-            "filter", render_condition(select.where),
-            rows_in=scanned, rows_out=len(selection)))
+        indexed = False
+        matches = _loop_matches(frame, join, join_table, binding)
+    take: list[int] = []
+    inner: list[int | None] = []
+    left = join.kind == "LEFT"
+    unmatched = False
+    for i, found in enumerate(matches):
+        if found:
+            take.extend([i] * len(found))
+            inner.extend(found)
+        elif left:
+            take.append(i)
+            inner.append(None)
+            unmatched = True
+    joined = frame.take(take).bind(binding, join_table, inner, unmatched)
+    if not indexed:
+        report.rows_scanned += len(join_table)
+    report.operators.append(OperatorStats(
+        "hash_join" if equality is not None else "loop_join",
+        f"{join_table.name} ({join.kind}{', index' if indexed else ''}) "
+        f"on {render_condition(join.condition)}",
+        rows_in=frame.count, rows_out=joined.count))
+    return joined
+
+
+def _loop_matches(frame: _Frame, join, join_table, binding: str):
+    """Per outer tuple, the inner positions passing a non-equi ON: the
+    condition runs as a mask over ~``BATCH_SIZE`` (outer, inner) pairs."""
+    inner = range(len(join_table))
+    if not inner:
+        yield from [None] * frame.count
+        return
+    step = max(1, BATCH_SIZE // len(inner))
+    for start in range(0, frame.count, step):
+        outer = range(start, min(start + step, frame.count))
+        pairs = frame.take([i for i in outer for _ in inner]).bind(
+            binding, join_table, list(inner) * len(outer), False)
+        mask = _mask(join.condition, pairs)
+        for offset in range(0, len(mask), len(inner)):
+            yield list(compress(inner, mask[offset:offset + len(inner)]))
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+def execute_columnar(database, select: Select) -> tuple[ResultSet, PlanReport]:
+    """Run one SELECT through the vectorized engine.
+
+    Returns the result plus the executed plan."""
+    table = database.require_table(select.table.name)
+    binding = select.table.binding.lower()
+    frame, report = _scan(table, binding, select.where)
+    where = select.where
+    if select.joins and where is not None:
+        pushed, rest = _split_pushdown(database, select, frame)
+        if pushed is not None:
+            try:
+                frame = _filtered(frame, pushed, report, rowwise=False)
+                where = rest
+            except TypeError:
+                pass  # oracle order: join first, then the whole WHERE
+    for join in select.joins:
+        frame = _join(frame, join,
+                      database.require_table(join.table.name), report)
+    if where is not None:
+        frame = _filtered(frame, where, report)
 
     if select.group_by or _has_aggregates(select):
-        result = _grouped(select, table, binding, selection, report)
-    else:
-        result = _projected(select, table, binding, selection, report)
-    return result, report
+        return _grouped(select, frame, report), report
+    return _projected(select, frame, report), report
 
 
-def _has_aggregates(select: Select) -> bool:
-    return any(isinstance(item.expression, Aggregate)
-               for item in select.items)
+def execute_dml(database, statement) -> ResultSet:
+    """UPDATE / DELETE: the target positions come from the same scan and
+    vector filter as a SELECT's; the table is touched only afterwards."""
+    table = database.require_table(statement.table)
+    binding = statement.table.lower()
+    if isinstance(statement, Update):
+        assignments = {table.column_index(name): value
+                       for name, value in statement.assignments}
+    frame, _report = _scan(table, binding, statement.where)
+    if statement.where is not None:
+        frame = frame.filter(_mask(statement.where, frame))
+    positions = list(frame.positions[binding])
+    if isinstance(statement, Update):
+        return ResultSet(["updated"],
+                         [(table.update_positions(positions, assignments),)])
+    return ResultSet(["deleted"], [(table.delete_positions(positions),)])
 
 
-def _indexed_seed_positions(table, binding: str, where) -> list[int] | None:
-    """Positions from a hash index for a top-level `col = literal`
-    conjunct (the positional twin of the row engine's ``_indexed_seed``)."""
-    def find_equality(condition):
-        if isinstance(condition, Comparison) and condition.operator == "=":
-            left, right = condition.left, condition.right
-            if isinstance(left, ColumnRef) and isinstance(right, LiteralValue):
-                ref, literal = left, right
-            elif isinstance(right, ColumnRef) and isinstance(left,
-                                                             LiteralValue):
-                ref, literal = right, left
-            else:
-                return None
-            if ref.table is not None and ref.table.lower() != binding:
-                return None
-            if table.has_column(ref.name) and table.has_index(ref.name):
-                return ref.name, literal.value
-            return None
-        if isinstance(condition, BooleanOp) and condition.operator == "AND":
-            return (find_equality(condition.left)
-                    or find_equality(condition.right))
-        return None
-
-    if where is None:
-        return None
-    hit = find_equality(where)
-    if hit is None:
-        return None
-    column, value = hit
-    return table.indexed_positions(column, value)
+def _order_label(select: Select) -> str:
+    return ", ".join(f"{_render_scalar(item.column)} "
+                     f"{'DESC' if item.descending else 'ASC'}"
+                     for item in select.order_by)
 
 
 # ---------------------------------------------------------------------------
 # Plain projection path
 # ---------------------------------------------------------------------------
 
-def _projected(select: Select, table, binding: str, selection: list[int],
+def _projected(select: Select, frame: _Frame,
                report: PlanReport) -> ResultSet:
     columns: list[str] = []
-    specs: list[int] = []  # output column -> table column position
+    specs: list[tuple] = []  # output column -> (binding, column position)
     for item in select.items:
         expr = item.expression
         if isinstance(expr, Star):
-            if selection:
-                for position, name in enumerate(table.column_names()):
-                    columns.append(name)
-                    specs.append(position)
+            if frame.count:
+                for binding, table in frame.tables.items():
+                    for position, name in enumerate(table.column_names()):
+                        columns.append(name)
+                        specs.append((binding, position))
             else:
                 # Row-engine quirk preserved: star over an empty result
                 # has no rows to introspect and labels itself "*".
                 columns.append("*")
         elif isinstance(expr, ColumnRef):
             columns.append(item.alias or expr.name)
-            if selection:
-                specs.append(_resolve_column(table, binding, expr))
+            if frame.count:
+                specs.append(frame.resolve(expr))
         else:
             raise SqlExecutionError("aggregate in non-grouped projection path")
 
-    if selection:
-        gathered: dict[int, list] = {}
-        for position in specs:
-            if position not in gathered:
-                gathered[position] = table.column_data(position).gather(
-                    selection)
-        projected = [tuple(values) for values
-                     in zip(*(gathered[position] for position in specs))]
+    if frame.count:
+        gathered = {spec: frame.values(*spec) for spec in set(specs)}
+        projected = list(zip(*(gathered[spec] for spec in specs)))
     else:
         projected = []
 
     if select.distinct:
         seen: set = set()
-        kept_selection: list[int] = []
-        kept_projected: list[tuple] = []
-        for position, values in zip(selection, projected):
-            if values in seen:
-                continue
-            seen.add(values)
-            kept_selection.append(position)
-            kept_projected.append(values)
+        kept: list[int] = []
+        for i, values in enumerate(projected):
+            if values not in seen:
+                seen.add(values)
+                kept.append(i)
         report.operators.append(OperatorStats(
-            "distinct", rows_in=len(projected),
-            rows_out=len(kept_projected)))
-        selection, projected = kept_selection, kept_projected
+            "distinct", rows_in=len(projected), rows_out=len(kept)))
+        frame = frame.take(kept)
+        projected = [projected[i] for i in kept]
 
-    if select.order_by and selection:
-        pairs = list(zip(selection, projected))
+    if select.order_by and frame.count:
+        order = list(range(frame.count))
         for item in reversed(select.order_by):
-            data = table.column_data(
-                _resolve_column(table, binding, item.column))
-            pairs.sort(key=lambda pair: _sort_key(data.get(pair[0])),
-                       reverse=item.descending)
-        projected = [values for _position, values in pairs]
+            keys = [_sort_key(value) for value in frame.column(item.column)]
+            order.sort(key=keys.__getitem__, reverse=item.descending)
+        projected = [projected[i] for i in order]
     if select.order_by:
         report.operators.append(OperatorStats(
-            "order_by", ", ".join(
-                f"{_render_scalar(item.column)} "
-                f"{'DESC' if item.descending else 'ASC'}"
-                for item in select.order_by),
-            rows_out=len(projected)))
+            "order_by", _order_label(select), rows_out=len(projected)))
 
     if select.limit is not None:
         projected = projected[: select.limit]
@@ -424,19 +609,16 @@ def _projected(select: Select, table, binding: str, selection: list[int],
 # Hash-group aggregation path
 # ---------------------------------------------------------------------------
 
-def _grouped(select: Select, table, binding: str, selection: list[int],
-             report: PlanReport) -> ResultSet:
+def _grouped(select: Select, frame: _Frame, report: PlanReport) -> ResultSet:
     group_refs = list(select.group_by)
     groups: dict[tuple, list[int]] = {}
-    if selection:
-        key_columns = [table.column_data(
-            _resolve_column(table, binding, ref)).gather(selection)
-            for ref in group_refs]
-        for offset, position in enumerate(selection):
-            key = tuple(column[offset] for column in key_columns)
-            groups.setdefault(key, []).append(position)
-    if not group_refs and not groups:
-        groups[()] = []  # aggregates over an empty input still yield one row
+    if frame.count and group_refs:
+        for i, key in enumerate(zip(*[frame.column(ref)
+                                      for ref in group_refs])):
+            groups.setdefault(key, []).append(i)
+    elif not group_refs:
+        # aggregates over an empty input still yield one row
+        groups[()] = list(range(frame.count))
 
     columns: list[str] = []
     for item in select.items:
@@ -453,6 +635,7 @@ def _grouped(select: Select, table, binding: str, selection: list[int],
         else:
             raise SqlExecutionError("SELECT * is invalid with GROUP BY")
 
+    arguments: dict[ColumnRef, list] = {}  # aggregate argument -> column
     result_rows: list[tuple] = []
     for key, members in groups.items():
         out: list = []
@@ -462,24 +645,29 @@ def _grouped(select: Select, table, binding: str, selection: list[int],
                 position = next(i for i, ref in enumerate(group_refs)
                                 if ref.name == expr.name)
                 out.append(key[position])
+            elif expr.argument is None:
+                out.append(fold_aggregate(expr.function, [1] * len(members)))
+            elif members:
+                if expr.argument not in arguments:
+                    arguments[expr.argument] = frame.column(expr.argument)
+                column = arguments[expr.argument]
+                out.append(fold_aggregate(expr.function, [
+                    column[i] for i in members if column[i] is not None]))
             else:
-                out.append(_aggregate_fold(expr, table, binding, members))
-        row = tuple(out)
+                out.append(fold_aggregate(expr.function, []))
         if select.having is not None:
             # HAVING on grouped columns only, evaluated like the row
             # engine: against the group's first member.
-            if not members:
+            if not members or not _eval_condition(select.having,
+                                                  frame.env(members[0])):
                 continue
-            env = _Env({binding: (table, table.row_at(members[0]))})
-            if not _eval_condition(select.having, env):
-                continue
-        result_rows.append(row)
+        result_rows.append(tuple(out))
     report.operators.append(OperatorStats(
         "aggregate",
         f"[{', '.join(columns)}]"
         + (f" group_by=[{', '.join(_render_scalar(ref) for ref in group_refs)}]"
            if group_refs else ""),
-        rows_in=len(selection), rows_out=len(result_rows)))
+        rows_in=frame.count, rows_out=len(result_rows)))
 
     if select.order_by:
         for item in reversed(select.order_by):
@@ -492,39 +680,9 @@ def _grouped(select: Select, table, binding: str, selection: list[int],
             result_rows.sort(key=lambda r: _sort_key(r[position]),
                              reverse=item.descending)
         report.operators.append(OperatorStats(
-            "order_by", ", ".join(
-                f"{_render_scalar(item.column)} "
-                f"{'DESC' if item.descending else 'ASC'}"
-                for item in select.order_by),
-            rows_out=len(result_rows)))
+            "order_by", _order_label(select), rows_out=len(result_rows)))
     if select.limit is not None:
         result_rows = result_rows[: select.limit]
         report.operators.append(OperatorStats(
             "limit", str(select.limit), rows_out=len(result_rows)))
     return ResultSet(columns, result_rows)
-
-
-def _aggregate_fold(aggregate: Aggregate, table, binding: str,
-                    members: list[int]):
-    if aggregate.argument is None:
-        values = [1] * len(members)
-    elif members:
-        gathered = table.column_data(
-            _resolve_column(table, binding, aggregate.argument)).gather(
-                members)
-        values = [value for value in gathered if value is not None]
-    else:
-        values = []
-    if aggregate.function == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if aggregate.function == "SUM":
-        return sum(values)
-    if aggregate.function == "AVG":
-        return sum(values) / len(values)
-    if aggregate.function == "MIN":
-        return min(values)
-    if aggregate.function == "MAX":
-        return max(values)
-    raise SqlExecutionError(f"unsupported aggregate {aggregate.function!r}")

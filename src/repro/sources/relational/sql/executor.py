@@ -156,7 +156,6 @@ def execute(database, statement: Statement) -> ResultSet:
         return ResultSet(["inserted"], [(len(statement.rows),)])
     if isinstance(statement, Update):
         table = database.require_table(statement.table)
-        env_template = {statement.table.lower(): (table, None)}
 
         def predicate(row: list) -> bool:
             if statement.where is None:
@@ -166,7 +165,6 @@ def execute(database, statement: Statement) -> ResultSet:
 
         assignments = {table.column_index(name): value
                        for name, value in statement.assignments}
-        del env_template
         updated = table.update_where(predicate, assignments)
         return ResultSet(["updated"], [(updated,)])
     if isinstance(statement, Delete):
@@ -260,34 +258,33 @@ def _execute_select(database, select: Select) -> ResultSet:
     return ResultSet(columns, projected)
 
 
+def find_equality(table: Table, binding: str,
+                  condition) -> tuple[str, object] | None:
+    """``(column, value)`` of a top-level ``col = literal`` conjunct over
+    a hash-indexed column of ``table`` — the seed both engines scan from."""
+    if isinstance(condition, Comparison) and condition.operator == "=":
+        left, right = condition.left, condition.right
+        if isinstance(left, ColumnRef) and isinstance(right, LiteralValue):
+            ref, literal = left, right
+        elif isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
+            ref, literal = right, left
+        else:
+            return None
+        if ref.table is not None and ref.table.lower() != binding:
+            return None
+        if table.has_column(ref.name) and table.has_index(ref.name):
+            return ref.name, literal.value
+        return None
+    if isinstance(condition, BooleanOp) and condition.operator == "AND":
+        return (find_equality(table, binding, condition.left)
+                or find_equality(table, binding, condition.right))
+    return None
+
+
 def _indexed_seed(table: Table, binding: str, where) -> list[list] | None:
     """Use a hash index for a top-level `col = literal` conjunct."""
-    def find_equality(condition) -> tuple[str, object] | None:
-        if isinstance(condition, Comparison) and condition.operator == "=":
-            left, right = condition.left, condition.right
-            if isinstance(left, ColumnRef) and isinstance(right, LiteralValue):
-                ref, literal = left, right
-            elif isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
-                ref, literal = right, left
-            else:
-                return None
-            if ref.table is not None and ref.table.lower() != binding:
-                return None
-            if table.has_column(ref.name) and table.has_index(ref.name):
-                return ref.name, literal.value
-            return None
-        if isinstance(condition, BooleanOp) and condition.operator == "AND":
-            return (find_equality(condition.left)
-                    or find_equality(condition.right))
-        return None
-
-    if where is None:
-        return None
-    hit = find_equality(where)
-    if hit is None:
-        return None
-    column, value = hit
-    return table.indexed_lookup(column, value)
+    hit = find_equality(table, binding, where)
+    return None if hit is None else table.indexed_lookup(*hit)
 
 
 def _execute_join(rows, join, join_table: Table, join_binding: str):
@@ -361,9 +358,6 @@ def _projection(select: Select, rows):
     for item in select.items:
         expr = item.expression
         if isinstance(expr, Star):
-            if not rows:
-                # No rows to introspect; star yields whatever tables hold.
-                pass
             bindings = rows[0] if rows else {}
             for binding, (table, _row) in bindings.items():
                 for column in table.column_names():
@@ -456,16 +450,21 @@ def _aggregate_value(aggregate: Aggregate, members):
             value = _Env(bindings).lookup(aggregate.argument)
             if value is not None:
                 values.append(value)
-    if aggregate.function == "COUNT":
+    return fold_aggregate(aggregate.function, values)
+
+
+def fold_aggregate(function: str, values: list):
+    """Fold one group's non-NULL argument values (both engines)."""
+    if function == "COUNT":
         return len(values)
     if not values:
         return None
-    if aggregate.function == "SUM":
+    if function == "SUM":
         return sum(values)
-    if aggregate.function == "AVG":
+    if function == "AVG":
         return sum(values) / len(values)
-    if aggregate.function == "MIN":
+    if function == "MIN":
         return min(values)
-    if aggregate.function == "MAX":
+    if function == "MAX":
         return max(values)
-    raise SqlExecutionError(f"unsupported aggregate {aggregate.function!r}")
+    raise SqlExecutionError(f"unsupported aggregate {function!r}")

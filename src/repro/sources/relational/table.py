@@ -4,9 +4,10 @@ Storage is column-major: each column holds a dense typed buffer
 (``array('q')`` for INTEGER, ``array('d')`` for REAL, a ``bytearray``
 for BOOLEAN, a plain list for TEXT) plus a validity bitmap marking
 NULLs.  The vectorized executor in ``sql/columnar.py`` reads columns
-directly; the row-at-a-time executor (and content fingerprinting) read
-the :attr:`Table.rows` property, a lazily materialized row-major view
-cached until the next mutation.
+directly and mutates by position (:meth:`Table.update_positions` /
+:meth:`Table.delete_positions`); the row-at-a-time executor (and content
+fingerprinting) read the :attr:`Table.rows` property, a lazily
+materialized row-major view cached until the next mutation.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ class Table:
     def rows(self) -> list[list]:
         """Row-major view (list of lists), cached until the next mutation.
 
-        Read-only: mutate through :meth:`insert` / :meth:`update_where` /
-        :meth:`delete_where`, never through this list.
+        Read-only: mutate through :meth:`insert` and the ``update_*`` /
+        ``delete_*`` methods, never through this list.
         """
         if self._rows_cache is None or self._rows_version != self._version:
             if self._length:
@@ -259,46 +260,64 @@ class Table:
             index_map[row[self._index_of[column_key]]].append(position)
 
     def delete_where(self, predicate) -> int:
-        """Delete rows matching ``predicate(row) -> bool``; rebuilds indexes."""
-        keep = [position for position, row in enumerate(self.rows)
-                if not predicate(row)]
-        removed = self._length - len(keep)
+        """Delete rows matching ``predicate(row) -> bool``."""
+        return self.delete_positions(
+            [position for position, row in enumerate(self.rows)
+             if predicate(row)])
+
+    def delete_positions(self, positions: list[int]) -> int:
+        """Delete the rows at ``positions``; rebuilds indexes."""
+        if not positions:
+            return 0
+        doomed = set(positions)
+        keep = [position for position in range(self._length)
+                if position not in doomed]
         self._data = [ColumnData(column.type, data.gather(keep))
                       for column, data in zip(self.columns, self._data)]
         self._length = len(keep)
         self._version += 1
         self._rebuild_indexes()
-        return removed
+        return len(doomed)
 
     def update_where(self, predicate, assignments: dict[int, object]) -> int:
-        """Set column-index -> value on matching rows."""
-        updated = 0
-        for position, row in enumerate(self.rows):
-            if predicate(row):
-                for index, value in assignments.items():
-                    self._data[index].set(
-                        position, coerce_value(value,
-                                               self.columns[index].type))
-                updated += 1
-        if updated:
-            self._version += 1
-            self._rebuild_indexes()
-        return updated
+        """Set column-index -> value on rows matching ``predicate(row)``."""
+        return self.update_positions(
+            [position for position, row in enumerate(self.rows)
+             if predicate(row)], assignments)
+
+    def update_positions(self, positions: list[int],
+                         assignments: dict[int, object]) -> int:
+        """Set column-index -> value on the rows at ``positions``;
+        rebuilds only the indexes over assigned columns."""
+        if not positions:
+            return 0
+        coerced = {index: coerce_value(value, self.columns[index].type)
+                   for index, value in assignments.items()}
+        for index, value in coerced.items():
+            data = self._data[index]
+            for position in positions:
+                data.set(position, value)
+        self._version += 1
+        self._rebuild_indexes(assignments)
+        return len(positions)
 
     # -- indexes -----------------------------------------------------------
 
     def create_index(self, column: str) -> None:
         """Build a hash index over one column (idempotent)."""
         key = column.lower()
-        self.column_index(column)
-        if key in self._indexes:
-            return
-        index_map: dict[object, list[int]] = defaultdict(list)
-        position = self._index_of[key]
-        for row_number, value in enumerate(
-                self._data[position].gather(range(self._length))):
-            index_map[value].append(row_number)
-        self._indexes[key] = index_map
+        position = self.column_index(column)
+        if key not in self._indexes:
+            self._indexes[key] = self._hash_column(position)
+
+    def key_positions(self, column: str) -> dict[object, list[int]]:
+        """value -> ascending row positions of one column (a join's build
+        side): the hash index when there is one, else hashed straight
+        from the column buffer."""
+        index_map = self._indexes.get(column.lower())
+        if index_map is None:
+            index_map = self._hash_column(self.column_index(column))
+        return index_map
 
     def indexed_positions(self, column: str, value) -> list[int] | None:
         """Ascending row positions where column == value, or None if
@@ -320,14 +339,20 @@ class Table:
         """Whether ``column`` is hash-indexed."""
         return column.lower() in self._indexes
 
-    def _rebuild_indexes(self) -> None:
-        for column_key in list(self._indexes):
-            index_map: dict[object, list[int]] = defaultdict(list)
+    def _hash_column(self, position: int) -> dict[object, list[int]]:
+        index_map: dict[object, list[int]] = defaultdict(list)
+        for row_number, value in enumerate(
+                self._data[position].gather(range(self._length))):
+            index_map[value].append(row_number)
+        return index_map
+
+    def _rebuild_indexes(self, assigned=None) -> None:
+        """Rebuild every index, or only those over the column positions
+        in ``assigned``."""
+        for column_key in self._indexes:
             position = self._index_of[column_key]
-            for row_number, value in enumerate(
-                    self._data[position].gather(range(self._length))):
-                index_map[value].append(row_number)
-            self._indexes[column_key] = index_map
+            if assigned is None or position in assigned:
+                self._indexes[column_key] = self._hash_column(position)
 
     def __len__(self) -> int:
         return self._length

@@ -3,9 +3,10 @@
 Two worlds are built identically except for the SQL engine knob
 (``B2BScenario(sql_engine=...)``), and ``query_many`` must produce
 answer-identical results — byte-identical serialization, same degraded
-flags, same health visibility — in a healthy world, a degraded world
-(primary hard-down, no replica) and a failover world (hard-down primary
-behind a healthy replica).  The SQL engine sits at the very bottom of
+flags, same health visibility — in a healthy world, a world whose
+database rules JOIN a side table, a degraded world (primary hard-down,
+no replica) and a failover world (hard-down primary behind a healthy
+replica).  The SQL engine sits at the very bottom of
 the stack; nothing above it may observe which executor answered.
 """
 
@@ -15,6 +16,7 @@ import random
 
 import pytest
 
+from repro import ExtractionRule
 from repro.clock import FakeClock
 from repro.config import ResilienceConfig
 from repro.core.resilience import BreakerPolicy, RetryPolicy
@@ -32,6 +34,37 @@ def healthy_world(sql_engine: str):
     scenario = B2BScenario(n_sources=4, n_products=16, seed=7,
                            sql_engine=sql_engine)
     return scenario.build_middleware(metrics=MetricsRegistry())
+
+
+def join_world(sql_engine: str):
+    """The healthy world with every database organization normalized:
+    provider countries move to a ``providers`` side table and the
+    ``provider.country`` rule becomes a JOIN over it (the paper's rule
+    that reaches a second table)."""
+    scenario = B2BScenario(n_sources=4, n_products=16, seed=7,
+                           sql_engine=sql_engine)
+    s2s = scenario.build_middleware(metrics=MetricsRegistry())
+    rules = {}
+    for org in scenario.organizations:
+        if org.source_type != "database":
+            continue
+        provider = org.native_fields["provider"]
+        countries = dict(org.database.execute(
+            f"SELECT {provider}, provider_country FROM products").rows)
+        org.database.execute("CREATE TABLE providers (name TEXT, "
+                             "country TEXT)")
+        for name, country in countries.items():
+            org.database.execute(
+                f"INSERT INTO providers (name, country) "
+                f"VALUES ('{name}', '{country}')")
+        rules[org.source_id] = (
+            f"SELECT providers.country FROM products LEFT JOIN providers "
+            f"ON products.{provider} = providers.name "
+            f"WHERE products.{provider} IS NOT NULL")
+        s2s.register_attribute(("provider", "country"),
+                               ExtractionRule.sql(rules[org.source_id]),
+                               org.source_id, replace=True)
+    return s2s, rules
 
 
 def degraded_world(sql_engine: str, seed: int):
@@ -81,6 +114,24 @@ class TestEngineEquivalence:
         row_results = healthy_world("row").query_many(queries)
         columnar_results = healthy_world("columnar").query_many(queries)
         assert_equivalent(row_results, columnar_results)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_query_many_identical_with_join_rules(self, seed):
+        rng = random.Random(seed)
+        queries = random_queries(rng, harvest_values(healthy_world("row")),
+                                 rng.randint(3, 6)) + ["SELECT provider"]
+        row_world, _rules = join_world("row")
+        columnar_world, rules = join_world("columnar")
+        assert_equivalent(row_world.query_many(queries),
+                          columnar_world.query_many(queries))
+        # normalizing changed the schema, not the answers
+        assert_equivalent(healthy_world("columnar").query_many(queries),
+                          columnar_world.query_many(queries))
+        assert rules, "the world must hold a database organization"
+        for source_id, rule in rules.items():
+            plan = columnar_world.source_repository.get(
+                source_id).explain_sql(rule)
+            assert "hash_join providers (LEFT)" in plan
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_query_many_identical_in_degraded_world(self, seed):

@@ -6,7 +6,11 @@ queries over them (WHERE trees, DISTINCT, GROUP BY + aggregates +
 HAVING, ORDER BY, LIMIT).  Every query runs through both engines and
 the results must agree row for row — including value *types*, so a
 BOOLEAN ``True`` materialized as ``1`` would fail even though the
-tuples compare equal.
+tuples compare equal.  A second generator does the same over two- and
+three-table joins (INNER / LEFT; equi, non-equi and compound ON;
+qualified and unqualified references; the occasional unknown,
+ambiguous or incomparable reference, whose error must match by type
+and message).
 
 The row executor is the oracle: whatever it answers (or raises) defines
 correct behaviour for the vectorized engine.
@@ -18,11 +22,12 @@ import random
 
 import pytest
 
-from repro.errors import SqlExecutionError
 from repro.sources.relational import Database
 
 CASES_PER_SEED = 12
 SEEDS = range(20)  # 20 seeds x 12 queries = 240 generated cases
+JOIN_CASES_PER_SEED = 15
+JOIN_SEEDS = range(100, 120)  # 20 seeds x 15 queries = 300 join cases
 
 TYPE_POOLS = {
     "INTEGER": [0, 1, 2, 3, 5, 7, 10, 42, 2 ** 70],
@@ -101,9 +106,13 @@ def random_condition(rng: random.Random, schema: list, depth: int = 0) -> str:
     return f"{name} {rng.choice(COMPARE_OPS)} {literal}"
 
 
-def random_select(rng: random.Random, schema: list) -> str:
-    where = (f" WHERE {random_condition(rng, schema)}"
-             if rng.random() < 0.7 else "")
+def random_select(rng: random.Random, schema: list, source: str = "t",
+                  where: str | None = None) -> str:
+    """A random SELECT over ``source`` (a table, or a whole FROM ... JOIN
+    clause) whose referencable columns are ``schema``."""
+    if where is None:
+        where = (f" WHERE {random_condition(rng, schema)}"
+                 if rng.random() < 0.7 else "")
     limit = f" LIMIT {rng.randint(0, 10)}" if rng.random() < 0.2 else ""
 
     if rng.random() < 0.3:  # grouped/aggregate query
@@ -120,7 +129,7 @@ def random_select(rng: random.Random, schema: list) -> str:
             alias = f"a{len(aggregates)}"
             aggregates.append(f"{rng.choice(choices)} AS {alias}")
         items += aggregates
-        sql = f"SELECT {', '.join(items)} FROM t{where}"
+        sql = f"SELECT {', '.join(items)} FROM {source}{where}"
         if group_columns:
             sql += f" GROUP BY {', '.join(group_columns)}"
             if rng.random() < 0.3:
@@ -141,7 +150,7 @@ def random_select(rng: random.Random, schema: list) -> str:
                             k=rng.randint(1, len(schema)))
         items = ", ".join(picked)
     distinct = "DISTINCT " if rng.random() < 0.25 else ""
-    sql = f"SELECT {distinct}{items} FROM t{where}"
+    sql = f"SELECT {distinct}{items} FROM {source}{where}"
     if rng.random() < 0.5:
         orders = rng.sample([n for n, _t in schema],
                             k=rng.randint(1, min(2, len(schema))))
@@ -152,30 +161,264 @@ def random_select(rng: random.Random, schema: list) -> str:
     return sql + limit
 
 
+# -- join generator -----------------------------------------------------------
+
+#: join-key pools are small so keys collide (and miss) often
+KEY_POOLS = {"INTEGER": [0, 1, 2, 3], "TEXT": ["alpha", "beta", "Gamma"]}
+
+
+def random_join_world(rng: random.Random, database: Database) -> dict:
+    """Three random tables ``t`` / ``u`` / ``v``; returns
+    ``{table: [(column, type), ...]}``.  Every table has a join-key
+    column ``k`` (one type for all three — the shared name is what makes
+    an unqualified ``k`` ambiguous), a second key ``<table>k`` and a few
+    uniquely named payload columns."""
+    key_type = rng.choice(list(KEY_POOLS))
+    world = {}
+    for table in ("t", "u", "v"):
+        schema = [("k", key_type), (f"{table}k", rng.choice(list(KEY_POOLS)))]
+        schema += [(f"{table}{i}", rng.choice(list(TYPE_POOLS)))
+                   for i in range(rng.randint(1, 3))]
+        ddl = ", ".join(f"{name} {t}" for name, t in schema)
+        database.execute(f"CREATE TABLE {table} ({ddl})")
+        columns = ", ".join(name for name, _t in schema)
+        n_rows = rng.choice([0, 1, rng.randint(2, 8), rng.randint(2, 8)]
+                            + [rng.randint(9, 30)] * 4)
+        for _ in range(n_rows):
+            values = []
+            for name, type_name in schema:
+                pool = (KEY_POOLS if name.endswith("k")
+                        else TYPE_POOLS)[type_name]
+                values.append("NULL" if rng.random() < 0.15
+                              else render_literal(rng.choice(pool)))
+            database.execute(f"INSERT INTO {table} ({columns}) "
+                             f"VALUES ({', '.join(values)})")
+        if rng.random() < 0.35:  # an indexed join key / scan seed
+            database.execute(
+                f"CREATE INDEX ON {table} ({rng.choice(schema[:2])[0]})")
+        world[table] = schema
+    return world
+
+
+def random_join_select(rng: random.Random, world: dict) -> str:
+    tables = ["t"] + rng.sample(["u", "v"], k=rng.choice([1, 1, 2]))
+    alias = {table: (rng.choice("abc") + table if rng.random() < 0.3
+                     else table) for table in tables}
+
+    faulty = rng.random() < 0.25  # one query in four may mis-reference
+
+    def ref(table: str, column: str) -> str:
+        roll = rng.random()
+        if faulty and roll < 0.03:
+            return f"nope.{column}"      # unknown table alias
+        if faulty and roll < 0.06:
+            return "zz"                  # unknown column
+        if faulty and roll < 0.09:
+            return f"{alias[table]}.zz"  # known alias, missing column
+        if roll < 0.40 and (column != "k" or (faulty and roll < 0.15)):
+            return column                # unqualified (``k``: ambiguous)
+        return f"{alias[table]}.{column}"
+
+    def scope(visible: list) -> list:
+        """(rendered reference, type) for every column of ``visible``."""
+        return [(ref(table, name), type_name)
+                for table in visible for name, type_name in world[table]]
+
+    from_clause = "t" if alias["t"] == "t" else f"t {alias['t']}"
+    for position, table in enumerate(tables[1:], start=1):
+        outer = rng.choice(tables[:position])
+        keys = [(o, i) for o, ot in world[outer][:2]
+                for i, it in world[table][:2] if ot == it]
+        outer_key, inner_key = rng.choice(keys)
+        sides = [ref(outer, outer_key), ref(table, inner_key)]
+        rng.shuffle(sides)
+        equi = f"{sides[0]} = {sides[1]}"
+        shape = rng.random()
+        if shape < 0.6:
+            on = equi
+        elif shape < 0.8:  # non-equi (sometimes across types)
+            left = rng.choice(scope([outer]))[0]
+            right = rng.choice(scope([table]))[0]
+            on = f"{left} {rng.choice(COMPARE_OPS)} {right}"
+        else:              # compound
+            extra = random_condition(rng, scope(tables[:position + 1]), 1)
+            on = f"{equi} {rng.choice(['AND', 'OR'])} {extra}"
+        kind = rng.choice(["JOIN", "INNER JOIN", "LEFT JOIN", "LEFT JOIN"])
+        target = table if alias[table] == table else f"{table} {alias[table]}"
+        from_clause += f" {kind} {target} ON {on}"
+
+    where = ""
+    if rng.random() < 0.65:
+        # 1-3 conjuncts, base-table and joined-table ones in either order
+        parts = [random_condition(
+            rng, scope(["t"] if rng.random() < 0.5 else tables[1:]), 1)
+            for _ in range(rng.choice([1, 1, 1, 2, 2, 3]))]
+        texts = [r for r, t in scope(tables) if t == "TEXT"]
+        if texts and rng.random() < 0.12:  # incomparable: TEXT vs number
+            parts.insert(rng.randrange(len(parts) + 1),
+                         f"{rng.choice(texts)} < 3")
+        where = f" WHERE {' AND '.join(parts)}"
+    return random_select(rng, scope(tables), from_clause, where)
+
+
 def run_engine(database: Database, sql: str, engine: str):
-    """Result (columns, rows, row reprs) or the raised execution error."""
+    """Result (columns, rows, row reprs) or the raised error's type and
+    message."""
     try:
         result = database.execute(sql, engine=engine)
-    except SqlExecutionError as exc:
-        return ("error", str(exc))
+    except Exception as exc:  # whatever escapes must escape both engines
+        return ("error", type(exc).__name__, str(exc))
     # repr captures value types too: True != 1, 1 != 1.0 under repr even
     # though the tuples compare equal.
     return (result.columns, result.rows, [repr(row) for row in result.rows])
 
 
+def single_table_case(rng: random.Random, database: Database) -> str:
+    _name, schema = random_table(rng, database)
+    return random_select(rng, schema)
+
+
+def join_case(rng: random.Random, database: Database) -> str:
+    return random_join_select(rng, random_join_world(rng, database))
+
+
+def generated_cases(seeds, cases_per_seed: int, build):
+    """``(label, database, sql)`` for every case one generator draws."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        for case in range(cases_per_seed):
+            database = Database(f"diff_{seed}_{case}")
+            yield f"seed={seed} case={case}", database, build(rng, database)
+
+
+def assert_engines_agree(cases) -> None:
+    for label, database, sql in cases:
+        expected = run_engine(database, sql, "row")
+        actual = run_engine(database, sql, "columnar")
+        assert actual == expected, (
+            f"{label}\nsql: {sql}\n"
+            f"row:      {expected}\ncolumnar: {actual}")
+
+
 class TestDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_engines_agree_on_generated_cases(self, seed):
-        rng = random.Random(seed)
-        for case in range(CASES_PER_SEED):
-            database = Database(f"diff_{seed}_{case}")
-            _name, schema = random_table(rng, database)
-            sql = random_select(rng, schema)
-            expected = run_engine(database, sql, "row")
-            actual = run_engine(database, sql, "columnar")
-            assert actual == expected, (
-                f"seed={seed} case={case}\nsql: {sql}\n"
-                f"row:      {expected}\ncolumnar: {actual}")
+        assert_engines_agree(
+            generated_cases([seed], CASES_PER_SEED, single_table_case))
+
+
+class TestJoinDifferential:
+    @pytest.mark.parametrize("seed", JOIN_SEEDS)
+    def test_engines_agree_on_generated_joins(self, seed):
+        assert_engines_agree(
+            generated_cases([seed], JOIN_CASES_PER_SEED, join_case))
+
+    def test_generator_covers_the_join_shapes(self):
+        """The generator must keep producing every shape the issue
+        names, answers and errors both, or the suite above proves less
+        than it says."""
+        answers, errors, two_joins = 0, set(), 0
+        shapes = dict.fromkeys(
+            ["LEFT JOIN", "INNER JOIN", " OR ", "GROUP BY", "HAVING",
+             "DISTINCT", "SELECT *", "LIMIT", "ORDER BY"], 0)
+        for _label, database, sql in generated_cases(
+                JOIN_SEEDS, JOIN_CASES_PER_SEED, join_case):
+            for shape in shapes:
+                shapes[shape] += shape in sql
+            two_joins += sql.count(" ON ") == 2
+            outcome = run_engine(database, sql, "row")
+            if outcome[0] == "error":
+                errors.add(outcome[2].split(" ")[0])
+            else:
+                answers += bool(outcome[1])
+        assert all(shapes.values()), shapes
+        assert two_joins >= 30
+        assert answers >= 100
+        assert {"unknown", "ambiguous", "cannot"} <= errors
+
+
+class TestRowExecutorOffTheQueryPath:
+    def test_no_columnar_select_reaches_the_row_execute(self, monkeypatch):
+        """The whole generated SELECT corpus, joins included, with the
+        row executor's entry point booby-trapped."""
+        corpus = [(label, database, sql, run_engine(database, sql, "row"))
+                  for seeds, count, build in (
+                      (SEEDS, CASES_PER_SEED, single_table_case),
+                      (JOIN_SEEDS, JOIN_CASES_PER_SEED, join_case))
+                  for label, database, sql in generated_cases(
+                      seeds, count, build)]
+
+        def trapped(*_args, **_kwargs):
+            raise AssertionError("a columnar SELECT reached the row executor")
+
+        from repro.sources.relational import database as database_module
+        from repro.sources.relational import sql as sql_package
+        from repro.sources.relational.sql import executor
+        for module in (database_module, sql_package, executor):
+            monkeypatch.setattr(module, "execute", trapped)
+        # ... and the row SELECT itself, however it might be reached
+        monkeypatch.setattr(executor, "_execute_select", trapped)
+        assert len(corpus) >= 480
+        for label, database, sql, expected in corpus:
+            assert run_engine(database, sql, "columnar") == expected, (
+                f"{label}\nsql: {sql}")
+
+    def test_join_select_and_dml_never_build_the_row_view(self):
+        database = Database("late")
+        database.executescript("""
+        CREATE TABLE t (id INTEGER, uid INTEGER, x REAL);
+        CREATE TABLE u (id INTEGER, name TEXT);
+        CREATE INDEX ON t (id);
+        INSERT INTO t (id, uid, x) VALUES (1, 1, 1.5), (2, 2, 2.5),
+                                          (3, NULL, 3.5), (4, 9, 4.5);
+        INSERT INTO u (id, name) VALUES (1, 'one'), (2, 'two');
+        """)
+        assert database.execute(
+            "SELECT u.name FROM t JOIN u ON t.uid = u.id "
+            "WHERE t.x > 2.0 ORDER BY t.id").rows == [("two",)]
+        assert database.execute(
+            "SELECT u.name, COUNT(*) AS n FROM t LEFT JOIN u "
+            "ON t.uid = u.id AND u.id < 2 GROUP BY u.name").rows == [
+                ("one", 1), (None, 3)]
+        assert database.execute(
+            "UPDATE t SET x = 9.0 WHERE uid = 2").rows == [(1,)]
+        assert database.execute("DELETE FROM t WHERE x > 4.0").rows == [(2,)]
+        for name in ("t", "u"):
+            assert database.require_table(name)._rows_cache is None
+        # the index over the untouched column survived both statements
+        assert database.execute(
+            "SELECT id, x FROM t WHERE id = 3").rows == [(3, 3.5)]
+        assert "index seed" in database.explain("SELECT x FROM t WHERE id = 3")
+
+
+class TestDmlDifferential:
+    """UPDATE / DELETE pick their rows through the vector filter on the
+    columnar engine and through the row view on the oracle; the tables
+    they leave behind must be the same."""
+
+    @pytest.mark.parametrize("seed", range(200, 210))
+    def test_engines_leave_identical_tables(self, seed):
+        for case in range(6):
+            outcomes = []
+            for engine in ("row", "columnar"):
+                rng = random.Random(seed * 100 + case)  # same draw twice
+                database = Database(f"dml_{engine}", engine=engine)
+                _name, schema = random_table(rng, database)
+                name, type_name = rng.choice(schema)
+                value = render_literal(rng.choice(TYPE_POOLS[type_name]))
+                where = (f" WHERE {random_condition(rng, schema)}"
+                         if rng.random() < 0.85 else "")
+                statements = [f"UPDATE t SET {name} = {value}{where}",
+                              f"DELETE FROM t{where}"]
+                rng.shuffle(statements)
+                probes = ["SELECT * FROM t"] + [
+                    f"SELECT * FROM t WHERE {column} = "
+                    f"{render_literal(rng.choice(TYPE_POOLS[t]))}"
+                    for column, t in schema]  # one of them reads the index
+                outcomes.append([run_engine(database, sql, engine)
+                                 for sql in statements[:1] + probes
+                                 + statements[1:] + probes])
+            assert outcomes[0] == outcomes[1], (seed, case, statements)
 
 
 class TestDifferentialCornerShapes:

@@ -147,6 +147,54 @@ class TestJoinEdge:
         assert result.rows[1] == (2, None, None)
 
 
+    def test_mixed_type_less_than_across_tables(self, db):
+        db.execute("CREATE TABLE u (ref INTEGER)")
+        db.execute("INSERT INTO u (ref) VALUES (4)")
+        with pytest.raises(SqlExecutionError,
+                           match="cannot compare 'a_b' with 4"):
+            db.execute("SELECT t.id FROM t JOIN u ON t.name < u.ref")
+        with pytest.raises(SqlExecutionError,
+                           match="cannot compare 10.0 with 'a_b'"):
+            db.execute("SELECT t.id FROM t LEFT JOIN u ON t.id = u.ref "
+                       "WHERE t.price < t.name")
+        # ... but never for a row the join dropped first: only id 4
+        # (NULL name) has a partner, so nothing incomparable is compared
+        # — the columnar engine must not let pushdown get ahead of that.
+        result = db.execute("SELECT t.id FROM t JOIN u ON t.id = u.ref "
+                            "WHERE t.price < t.name")
+        assert result.rows == []
+
+    def test_ambiguous_unqualified_column(self, db):
+        db.execute("CREATE TABLE u (id INTEGER, v TEXT)")
+        db.execute("INSERT INTO u (id, v) VALUES (1, 'x')")
+        for sql in ("SELECT id FROM t JOIN u ON t.id = u.id",
+                    "SELECT v FROM t JOIN u ON t.id = u.id WHERE id = 1",
+                    "SELECT v FROM t JOIN u ON t.id = u.id ORDER BY id"):
+            with pytest.raises(SqlExecutionError,
+                               match="ambiguous column 'id'"):
+                db.execute(sql)
+        # resolution is lazy: no joined row, no lookup, no error
+        assert db.execute("SELECT id FROM t JOIN u ON t.id = u.id "
+                          "WHERE t.price > 1000.0").rows == []
+        # ... including the ON key looked up on the outer side
+        with pytest.raises(SqlExecutionError,
+                           match="unknown table alias 'zz'"):
+            db.execute("SELECT v FROM t JOIN u ON zz.id = u.id "
+                       "WHERE t.price > 1000.0")
+
+    def test_left_join_is_null_finds_unmatched_rows(self, db):
+        db.execute("CREATE TABLE u (tid INTEGER, v TEXT)")
+        db.execute("INSERT INTO u (tid, v) VALUES (1, 'x'), (3, NULL)")
+        unmatched = db.execute(
+            "SELECT t.id, u.v FROM t LEFT JOIN u ON t.id = u.tid "
+            "WHERE u.tid IS NULL ORDER BY t.id")
+        assert unmatched.rows == [(2, None), (4, None)]
+        null_valued = db.execute(
+            "SELECT t.id FROM t LEFT JOIN u ON t.id = u.tid "
+            "WHERE u.v IS NULL AND t.id < 4 ORDER BY t.id DESC")
+        assert null_valued.rows == [(3,), (2,)]
+
+
 class TestDdlEdge:
     def test_rename_column_then_old_name_gone(self, db):
         db.execute("ALTER TABLE t RENAME COLUMN name TO label")

@@ -1,13 +1,15 @@
 """Golden EXPLAIN snapshots for the columnar engine.
 
 Byte-for-byte plan renderings for the representative operator chains
-(scan-only, filter+project, aggregate, order-by), mirroring the
+(scan-only, filter+project, aggregate, order-by, join), mirroring the
 span-shape snapshots in ``tests/core/test_observability.py``: a failure
 here means the plan *shape* changed, which is an intentional event that
 should be reviewed, not an accident.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -22,6 +24,8 @@ def seeded_database(engine: str = "columnar") -> Database:
     INSERT INTO products (id, brand, price, active) VALUES (2, 'Omega', 5200.0, TRUE);
     INSERT INTO products (id, brand, price, active) VALUES (3, 'Tissot', 350.0, FALSE);
     INSERT INTO products (id, brand, price, active) VALUES (4, 'Omega', 980.0, TRUE);
+    CREATE TABLE brands (name TEXT, country TEXT);
+    INSERT INTO brands (name, country) VALUES ('Omega', 'CH');
     """)
     return database
 
@@ -51,6 +55,17 @@ order_by price DESC, brand ASC [out=3]
 limit 2 [out=2]
 project [brand, price] [out=2]"""
 
+GOLDEN_JOIN = """\
+engine=columnar table=products rows=4 batch_size=4096 batches=1
+scan products batches=1 [out=4]
+filter (products.price > 300.0) [in=4, out=3, selectivity=0.750]
+hash_join brands (INNER) on (products.brand = brands.name) [in=3, out=2, selectivity=0.667]
+project [id, country] [out=2]"""
+
+JOIN_SQL = ("SELECT products.id, brands.country FROM products "
+            "JOIN brands ON products.brand = brands.name "
+            "WHERE products.price > 300.0")
+
 GOLDEN_ROW_ENGINE = """\
 engine=row table=products rows=4
 scan products (row-at-a-time)
@@ -78,6 +93,11 @@ class TestGoldenExplain:
                "ORDER BY price DESC, brand ASC LIMIT 2")
         assert seeded_database().explain(sql) == GOLDEN_ORDER_BY
 
+    def test_join(self):
+        """Pushed-down base filter, then the hash join over its
+        survivors — not a fallback to the row engine."""
+        assert seeded_database().explain(JOIN_SQL) == GOLDEN_JOIN
+
     def test_row_engine_static_plan(self):
         assert (seeded_database().explain(
             "SELECT id FROM products WHERE price > 300.0", engine="row")
@@ -85,21 +105,24 @@ class TestGoldenExplain:
 
 
 class TestExplainMechanics:
-    def test_join_falls_back_to_row_engine(self):
+    def test_join_plan_counts_both_sides(self):
         database = seeded_database()
-        database.executescript("""
-        CREATE TABLE brands (name TEXT, country TEXT);
-        INSERT INTO brands (name, country) VALUES ('Omega', 'CH');
-        """)
-        sql = ("SELECT products.id FROM products "
-               "JOIN brands ON products.brand = brands.name")
-        rendered = database.explain(sql)
-        assert "fallback: join query -> row engine" in rendered
-        result = database.execute(sql)
-        assert result.rows == [(2,), (4,)]
-        assert database.last_plan is not None
-        assert database.last_plan.summary() == (
-            "fallback(join query -> row engine)")
+        assert database.execute(JOIN_SQL).rows == [(2, "CH"), (4, "CH")]
+        plan = database.last_plan
+        assert plan.summary() == "scan>filter>hash_join>project"
+        assert plan.rows_scanned == 4 + 1  # base candidates + build side
+        # a hash index on the build key is reused: nothing left to scan
+        database.execute("CREATE INDEX ON brands (name)")
+        database.execute(JOIN_SQL)
+        assert database.last_plan.rows_scanned == 4
+        assert "brands (INNER, index)" in database.last_plan.render()
+
+    def test_non_equi_join_is_a_loop_join(self):
+        rendered = seeded_database().explain(
+            "SELECT products.id FROM products "
+            "LEFT JOIN brands ON products.brand < brands.name")
+        assert ("loop_join brands (LEFT) on (products.brand < brands.name) "
+                "[in=4, out=4, selectivity=1.000]") in rendered
 
     def test_non_select_has_no_plan(self):
         rendered = seeded_database().explain(
@@ -161,6 +184,51 @@ class TestExplainSurfacesInSpans:
                           "sql_rows_scanned": 4, "sql_batches": 1}
         # one-shot: a second consume yields nothing
         assert source.consume_execution_detail() is None
+
+    def test_plan_read_back_is_per_thread(self):
+        """Two clients sharing one source run on two threads; with both
+        statements executed before either reads back, each must still
+        get its own plan, and each plan is counted once."""
+        from repro.obs import MetricsRegistry
+        registry = MetricsRegistry()
+        source = RelationalDataSource("db_t", seeded_database(),
+                                      metrics=registry)
+        source.connect()
+        rules = {"scan": "SELECT brand FROM products",
+                 "filter": "SELECT brand FROM products WHERE price > 300.0"}
+        executed = threading.Barrier(2, timeout=5.0)
+        details: dict[str, object] = {}
+
+        def client(name: str) -> None:
+            source.execute_rule(rules[name])
+            executed.wait()
+            details[name] = source.consume_execution_detail()
+
+        threads = [threading.Thread(target=client, args=(name,))
+                   for name in rules]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert details["scan"]["sql_plan"] == "scan>project"
+        assert details["filter"]["sql_plan"] == "scan>filter>project"
+        assert registry.value("sql_rows_scanned_total", source="db_t") == 8.0
+        assert registry.value("sql_batches_total", source="db_t") == 2.0
+
+    def test_asyncio_engine_keeps_the_plan_on_its_attempt_spans(self):
+        """Under the asyncio engine the rule runs on a worker thread and
+        the policy resumes on the loop's: the digest travels with the
+        fragment, not through the thread that ran it."""
+        from repro.workloads import B2BScenario
+        s2s = B2BScenario(n_sources=2, n_products=4, seed=7,
+                          source_mix=("database",)).build_middleware(
+                              concurrency="asyncio")
+        try:
+            rendered = s2s.explain("SELECT product")
+        finally:
+            s2s.close()
+        assert rendered.count("sql_plan='scan>project'") == 16
 
     def test_row_engine_rule_leaves_no_detail(self):
         database = seeded_database()
