@@ -20,6 +20,7 @@ channel can report it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from ...ids import AttributePath
 
@@ -71,19 +72,12 @@ class SourceRecordSet:
         """Correlate columns into records: attribute ID → value maps.
 
         Detects ragged columns and pads them with ``None``."""
-        count = self.record_count
         lengths = {len(fragment) for fragment in self.fragments}
         if len(lengths) > 1:
             self.ragged = True
-        records: list[dict[str, str | None]] = []
-        for index in range(count):
-            record: dict[str, str | None] = {}
-            for fragment in self.fragments:
-                value = (fragment.values[index]
-                         if index < len(fragment.values) else None)
-                record[str(fragment.attribute)] = value
-            records.append(record)
-        return records
+        keys = [str(fragment.attribute) for fragment in self.fragments]
+        return [dict(zip(keys, row)) for row in zip_longest(
+            *[fragment.values for fragment in self.fragments])]
 
     def is_single_record(self) -> bool:
         """The paper's scenario 1: a source describing one entity."""

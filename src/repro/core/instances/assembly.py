@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ...errors import InstanceGenerationError, ValidationError
 from ...ids import AttributePath
 from ...ontology.model import Individual
-from ...ontology.reasoner import Reasoner
+from ...ontology.reasoner import Coercer, Reasoner
 from ...ontology.schema import OntologySchema
 
 
@@ -77,61 +77,133 @@ class AssembledEntity:
             list(self.coercion_errors))
 
 
-def _identifier(class_name: str, source_id: str, index: int) -> str:
-    safe_source = re.sub(r"[^A-Za-z0-9_]", "_", source_id)
-    return f"{class_name}_{safe_source}_{index}"
+@dataclass(frozen=True, slots=True)
+class _ShapePlan:
+    """Everything the schema decides about records of one shape."""
+
+    #: today's cluster order: (most specific class, attribute ids,
+    #: attribute names, coercers), the three in step, general -> specific.
+    #: Sequences, not a dict by name: two ids landing on one attribute
+    #: name both coerce and both report.  Parallel tuples, not a tuple per
+    #: field: a sparse source compiles thousands of plans and the garbage
+    #: collector walks every container they keep alive.
+    clusters: list[tuple[str, tuple[str, ...], tuple[str, ...],
+                         tuple[Coercer, ...]]]
+    primary: int  # index into ``clusters``
+    #: (from cluster, object property name, to cluster)
+    links: list[tuple[int, str, int]]
+    link_error: str | None  # the InstanceGenerationError to raise instead
 
 
 class RecordAssembler:
-    """Builds :class:`AssembledEntity` objects for one query class."""
+    """Builds :class:`AssembledEntity` objects for one query class.
+
+    What a record becomes is fixed by the schema and by *which* attributes
+    the record carries, not by their values, so the schema is consulted
+    once per **record shape** — the ordered tuple of attribute ids whose
+    value is not ``None`` — and compiled into a :class:`_ShapePlan`;
+    ``assemble`` is then a plan lookup plus one coercion loop.  Plans are
+    compiled lazily, on the first record of a shape, so an error only
+    such a record can raise is raised exactly when one exists.  Plans,
+    resolved attribute ids and the reasoner's tables live as long as the
+    assembler (one ``generate`` call): nothing to invalidate when the
+    schema changes."""
 
     def __init__(self, schema: OntologySchema, query_class: str) -> None:
         self.schema = schema
         self.query_class = query_class
         self.reasoner = Reasoner(schema.ontology)
+        #: shape -> plan, or None when the shape has no primary cluster
+        self.plans: dict[tuple[str, ...], _ShapePlan | None] = {}
+        self._safe_sources: dict[str, str] = {}
+        #: attribute id -> (owning class, (attribute id, attribute name))
+        self._resolved: dict[str, tuple[str, tuple[str, str]]] = {}
 
     def assemble(self, record: dict[str, str | None], *, source_id: str,
                  record_index: int) -> AssembledEntity | None:
         """Assemble one aligned record; returns None when the record holds
         no attribute belonging to the query class's subtree."""
-        by_class: dict[str, dict[str, str]] = {}
-        for attribute_id, raw in record.items():
-            if raw is None:
-                continue
-            path = AttributePath.parse(attribute_id)
-            owner, _prop = self.schema.resolve(path)
-            by_class.setdefault(owner, {})[path.attribute] = raw
+        shape = tuple([attribute_id for attribute_id, raw in record.items()
+                       if raw is not None])
+        try:
+            plan = self.plans[shape]
+        except KeyError:
+            plan = self.plans[shape] = self._compile(shape)
+        if plan is None:
+            return None
+        safe_source = self._safe_sources.get(source_id)
+        if safe_source is None:
+            safe_source = self._safe_sources[source_id] = re.sub(
+                r"[^A-Za-z0-9_]", "_", source_id)
+        suffix = f"_{safe_source}_{record_index}"
 
-        clusters = self._cluster_classes(list(by_class))
-        primary_cluster = self._primary_cluster(clusters)
-        if primary_cluster is None:
+        individuals: list[Individual] = []
+        errors: list[str] = []
+        for specific, ids, names, coercers in plan.clusters:
+            values: dict[str, object] = {}
+            for attribute_id, attribute, coerce in zip(ids, names, coercers):
+                try:
+                    values[attribute] = coerce(record[attribute_id], attribute)
+                except ValidationError as exc:
+                    errors.append(str(exc))
+            individuals.append(Individual(specific + suffix, specific, values))
+        if plan.link_error is not None:
+            raise InstanceGenerationError(plan.link_error)
+        for origin, name, target in plan.links:
+            individuals[origin].link(name, individuals[target])
+        primary = individuals.pop(plan.primary)
+        return AssembledEntity(primary, individuals, source_id, record_index,
+                               errors)
+
+    # ------------------------------------------------------------------
+
+    def _compile(self, shape: tuple[str, ...]) -> _ShapePlan | None:
+        """Resolve one record shape against the schema."""
+        by_class: dict[str, list[tuple[str, str]]] = {}
+        for attribute_id in shape:
+            resolved = self._resolved.get(attribute_id)
+            if resolved is None:
+                path = AttributePath.parse(attribute_id)
+                owner, _prop = self.schema.resolve(path)
+                resolved = self._resolved[attribute_id] = (
+                    owner, (attribute_id, path.attribute))
+            by_class.setdefault(resolved[0], []).append(resolved[1])
+
+        chains = self._cluster_classes(list(by_class))
+        primary = next(
+            (index for index, chain in enumerate(chains)
+             if any(self.reasoner.is_subclass(class_name, self.query_class)
+                    for class_name in chain)), None)
+        if primary is None:
             return None
 
-        entity: AssembledEntity | None = None
-        individuals: dict[str, Individual] = {}
-        errors: list[str] = []
-        for cluster in clusters:
-            specific = cluster[-1]  # most specific class in the chain
-            values: dict[str, object] = {}
-            for class_name in cluster:
-                for attribute, raw in by_class.get(class_name, {}).items():
-                    try:
-                        values[attribute] = self.reasoner.coerce(
-                            specific, attribute, raw)
-                    except ValidationError as exc:
-                        errors.append(str(exc))
-            individual = Individual(
-                _identifier(specific, source_id, record_index), specific,
-                values)
-            individuals[specific] = individual
-
-        primary = individuals[primary_cluster[-1]]
-        satellites = [ind for cls, ind in individuals.items()
-                      if ind is not primary]
-        self._link(primary, satellites)
-        entity = AssembledEntity(primary, satellites, source_id,
-                                 record_index, errors)
-        return entity
+        clusters = []
+        for chain in chains:
+            ids, names = zip(*[field for class_name in chain
+                               for field in by_class[class_name]])
+            clusters.append((chain[-1], ids, names, tuple(
+                self.reasoner.coercer(chain[-1], name) for name in names)))
+        between = self.schema.object_properties_between
+        primary_class = chains[primary][-1]
+        links: list[tuple[int, str, int]] = []
+        link_error = None
+        for index, (satellite_class, *_) in enumerate(clusters):
+            if index == primary:
+                continue
+            forward = between(primary_class, satellite_class)
+            if forward:
+                links.append((primary, forward[0].name, index))
+                continue
+            # Also allow satellite → primary direction.
+            reverse = between(satellite_class, primary_class)
+            if reverse:
+                links.append((index, reverse[0].name, primary))
+                continue
+            link_error = (
+                f"no object property connects {primary_class!r} "
+                f"and {satellite_class!r}; cannot assemble record")
+            break
+        return _ShapePlan(clusters, primary, links, link_error)
 
     # ------------------------------------------------------------------
 
@@ -153,27 +225,3 @@ class RecordAssembler:
                     remaining.discard(ancestor)
             clusters.append(chain)
         return clusters
-
-    def _primary_cluster(self, clusters: list[list[str]]) -> list[str] | None:
-        for cluster in clusters:
-            for class_name in cluster:
-                if self.reasoner.is_subclass(class_name, self.query_class):
-                    return cluster
-        return None
-
-    def _link(self, primary: Individual, satellites: list[Individual]) -> None:
-        """Attach satellites through declared object properties."""
-        for satellite in satellites:
-            properties = self.schema.object_properties_between(
-                primary.class_name, satellite.class_name)
-            if not properties:
-                # Also allow satellite → primary direction.
-                reverse = self.schema.object_properties_between(
-                    satellite.class_name, primary.class_name)
-                if reverse:
-                    satellite.link(reverse[0].name, primary)
-                    continue
-                raise InstanceGenerationError(
-                    f"no object property connects {primary.class_name!r} "
-                    f"and {satellite.class_name!r}; cannot assemble record")
-            primary.link(properties[0].name, satellite)

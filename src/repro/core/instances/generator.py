@@ -35,6 +35,9 @@ class GenerationResult:
 
     entities: list[AssembledEntity] = field(default_factory=list)
     errors: ErrorReport = field(default_factory=ErrorReport)
+    #: distinct record shapes compiled; one per clean homogeneous source
+    #: set, more exactly when a source is sparse or dirty
+    shapes: int = 0
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -91,13 +94,15 @@ class InstanceGenerator:
                                       source_id=source_id)
                 if self.validate:
                     for individual in entity.all_individuals():
-                        report = validate_individual(self.schema.ontology,
-                                                     individual)
+                        report = validate_individual(
+                            self.schema.ontology, individual,
+                            reasoner=assembler.reasoner)
                         for problem_text in report.problems:
                             result.errors.add("generation", problem_text,
                                               source_id=source_id)
                 result.entities.append(entity)
 
+        result.shapes = len(assembler.plans)
         if merge_key:
             result.entities = self._merge(result.entities, merge_key,
                                           result.errors)

@@ -234,7 +234,8 @@ class QueryHandler:
                 outcome, plan.class_name,
                 merge_key=None if self.store is not None else merge_key)
             span.annotate(entities=len(generation.entities),
-                          errors=len(generation.errors.entries))
+                          errors=len(generation.errors.entries),
+                          shapes=generation.shapes)
         if self.store is not None:
             with root.child("store") as span:
                 self.store.fold(plan, outcome, generation,
@@ -389,7 +390,8 @@ class QueryHandler:
                             merge_key=(None if self.store is not None
                                        else merge_key))
                         span.annotate(entities=len(generation.entities),
-                                      errors=len(generation.errors.entries))
+                                      errors=len(generation.errors.entries),
+                                      shapes=generation.shapes)
                     if self.store is not None:
                         with query_span.child("store") as span:
                             self.store.fold(plan, outcome, generation,
@@ -537,12 +539,7 @@ class QueryHandler:
         if operator == "CONTAINS":
             return str(expected).lower() in str(value).lower()
         if operator == "LIKE":
-            import re as _re
-            pattern = "".join(
-                ".*" if ch == "%" else "." if ch == "_" else _re.escape(ch)
-                for ch in str(expected))
-            return _re.match(pattern + r"\Z", str(value),
-                             _re.IGNORECASE) is not None
+            return condition.like.match(str(value)) is not None
         try:
             if operator == "=":
                 return value == expected

@@ -10,11 +10,15 @@ constraint value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from ...errors import QueryError
+from ...errors import QueryError, ValidationError
 from ...ids import AttributePath
+from ...like import like_to_regex
 from ...ontology.model import DatatypeProperty
+from ...ontology.reasoner import range_coercer
 from ...ontology.schema import OntologySchema
 from .ast import Condition, S2sqlQuery
 
@@ -27,6 +31,11 @@ class ResolvedCondition:
     property: DatatypeProperty
     operator: str
     value: object
+
+    @cached_property
+    def like(self) -> re.Pattern:
+        """The compiled ``LIKE`` pattern, built once per condition."""
+        return like_to_regex(str(self.value))
 
 
 @dataclass
@@ -108,27 +117,14 @@ class QueryPlanner:
     @staticmethod
     def _typed_value(prop: DatatypeProperty, condition: Condition) -> object:
         """Coerce the constraint to the attribute's range eagerly so typing
-        errors surface at plan time, not per record."""
+        errors surface at plan time, not per record — with the coercer the
+        instance generator types the records with, so both sides of the
+        comparison agree on what ``"yes"`` means."""
         if condition.operator in ("LIKE", "CONTAINS"):
             return str(condition.value)
-        value = condition.value
         try:
-            if prop.range in ("integer",):
-                return int(value)  # type: ignore[arg-type]
-            if prop.range in ("double", "float", "decimal"):
-                return float(value)  # type: ignore[arg-type]
-            if prop.range == "boolean":
-                if isinstance(value, bool):
-                    return value
-                return str(value).strip().lower() in ("true", "1")
-            if prop.range == "date":
-                import datetime as _dt
-                return _dt.date.fromisoformat(str(value).strip())
-            if prop.range == "dateTime":
-                import datetime as _dt
-                return _dt.datetime.fromisoformat(str(value).strip())
-        except (TypeError, ValueError) as exc:
+            return range_coercer(prop.range)(condition.value, prop.name)
+        except ValidationError as exc:
             raise QueryError(
-                f"constraint {value!r} is not a valid {prop.range} for "
-                f"attribute {prop.name!r}") from exc
-        return str(value)
+                f"constraint {condition.value!r} is not a valid "
+                f"{prop.range} for attribute {prop.name!r}") from exc

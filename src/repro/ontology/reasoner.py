@@ -13,17 +13,101 @@ the paper's data flow relies on:
 from __future__ import annotations
 
 from datetime import date, datetime
+from typing import Callable
 
 from ..errors import OntologyError, ValidationError
-from .model import Individual, Ontology
+from .model import DatatypeProperty, Individual, ObjectProperty, Ontology
+
+#: ``coercer(raw, attribute name) -> typed value``; raises
+#: :class:`ValidationError` naming the attribute when ``raw`` does not fit.
+Coercer = Callable[[object, str], object]
+
+
+def _to_boolean(raw: object, attribute: str) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    text = str(raw).strip().lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValidationError(f"value {raw!r} is not a boolean for {attribute!r}")
+
+
+def _to_date(raw: object, attribute: str) -> date:
+    if isinstance(raw, date) and not isinstance(raw, datetime):
+        return raw
+    try:
+        return date.fromisoformat(str(raw).strip())
+    except ValueError as exc:
+        raise ValidationError(
+            f"value {raw!r} is not an ISO date for {attribute!r}") from exc
+
+
+def _to_datetime(raw: object, attribute: str) -> datetime:
+    if isinstance(raw, datetime):
+        return raw
+    try:
+        return datetime.fromisoformat(str(raw).strip())
+    except ValueError as exc:
+        raise ValidationError(
+            f"value {raw!r} is not an ISO dateTime for {attribute!r}") from exc
+
+
+def _plain(convert: type, range_name: str) -> Coercer:
+    """Coercer for the ranges a Python constructor interprets."""
+    def coerce(raw: object, attribute: str):
+        try:
+            if convert is not str and isinstance(raw, str):
+                return convert(raw.strip())
+            return convert(raw)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"value {raw!r} is not a valid {range_name} for "
+                f"{attribute!r}") from exc
+    return coerce
+
+
+_RANGE_COERCERS: dict[str, Coercer] = {
+    "string": _plain(str, "string"),
+    "anyURI": _plain(str, "anyURI"),
+    "integer": _plain(int, "integer"),
+    "decimal": _plain(float, "decimal"),
+    "double": _plain(float, "double"),
+    "float": _plain(float, "float"),
+    "boolean": _to_boolean,
+    "date": _to_date,
+    "dateTime": _to_datetime,
+}
+
+
+def range_coercer(range_name: str) -> Coercer:
+    """The one coercion implementation of an XSD range, shared by the
+    instance generator, the validator and the query planner.  An
+    unsupported range fails when a value is coerced, not at lookup."""
+    coercer = _RANGE_COERCERS.get(range_name)
+    if coercer is None:
+        def coercer(raw: object, attribute: str):
+            raise OntologyError(f"unsupported range {range_name!r}")
+    return coercer
 
 
 class Reasoner:
-    """Structural inference over a fixed ontology."""
+    """Structural inference over a fixed ontology.
+
+    "Fixed" is what makes it cheap: the ancestor sets and the per-class
+    attribute / object-property tables are derived from the schema on
+    first use and kept for the reasoner's lifetime, so a reasoner must
+    not outlive a schema change — callers build one per call (one per
+    ``InstanceGenerator.generate``, one per ``validate_ontology``)."""
 
     def __init__(self, ontology: Ontology) -> None:
         self.ontology = ontology
         self._ancestor_cache: dict[str, frozenset[str]] = {}
+        self._attribute_tables: dict[
+            str, dict[str, tuple[DatatypeProperty, Coercer]]] = {}
+        self._object_property_tables: dict[
+            str, dict[str, ObjectProperty]] = {}
 
     def ancestors(self, class_name: str) -> frozenset[str]:
         """Cached superclass set of a class."""
@@ -54,17 +138,37 @@ class Reasoner:
         return self.is_subclass(individual.class_name, class_name)
 
     # ------------------------------------------------------------------
-    # Datatype handling
+    # Per-class tables and datatype handling
     # ------------------------------------------------------------------
 
-    _COERCERS = {
-        "string": str,
-        "integer": int,
-        "decimal": float,
-        "double": float,
-        "float": float,
-        "anyURI": str,
-    }
+    def attributes(self, class_name: str) -> dict[
+            str, tuple[DatatypeProperty, Coercer]]:
+        """Cached ``attribute name -> (property, range coercer)`` for every
+        attribute the class declares or inherits (most specific wins)."""
+        table = self._attribute_tables.get(class_name)
+        if table is None:
+            table = {prop.name: (prop, range_coercer(prop.range))
+                     for prop in self.ontology.all_attributes(class_name)}
+            self._attribute_tables[class_name] = table
+        return table
+
+    def object_properties(self, class_name: str) -> dict[str, ObjectProperty]:
+        """Cached ``object property name -> property`` for the class and
+        its lineage."""
+        table = self._object_property_tables.get(class_name)
+        if table is None:
+            table = {prop.name: prop for prop in
+                     self.ontology.all_object_properties(class_name)}
+            self._object_property_tables[class_name] = table
+        return table
+
+    def coercer(self, class_name: str, attribute: str) -> Coercer:
+        """The range coercer of ``attribute`` as seen from ``class_name``."""
+        entry = self.attributes(class_name).get(attribute)
+        if entry is None:
+            raise OntologyError(
+                f"class {class_name!r} has no attribute {attribute!r}")
+        return entry[1]
 
     def coerce(self, class_name: str, attribute: str, raw: object):
         """Coerce a raw extracted value to the attribute's declared range.
@@ -73,48 +177,4 @@ class Reasoner:
         instance generator uses this to produce typed values.  Raises
         :class:`ValidationError` when the value cannot be interpreted.
         """
-        prop = self.ontology.find_attribute(class_name, attribute)
-        if prop is None:
-            raise OntologyError(
-                f"class {class_name!r} has no attribute {attribute!r}")
-        range_name = prop.range
-        if range_name == "boolean":
-            if isinstance(raw, bool):
-                return raw
-            text = str(raw).strip().lower()
-            if text in ("true", "1", "yes"):
-                return True
-            if text in ("false", "0", "no"):
-                return False
-            raise ValidationError(
-                f"value {raw!r} is not a boolean for {attribute!r}")
-        if range_name == "date":
-            if isinstance(raw, date) and not isinstance(raw, datetime):
-                return raw
-            try:
-                return date.fromisoformat(str(raw).strip())
-            except ValueError as exc:
-                raise ValidationError(
-                    f"value {raw!r} is not an ISO date for {attribute!r}") from exc
-        if range_name == "dateTime":
-            if isinstance(raw, datetime):
-                return raw
-            try:
-                return datetime.fromisoformat(str(raw).strip())
-            except ValueError as exc:
-                raise ValidationError(
-                    f"value {raw!r} is not an ISO dateTime for "
-                    f"{attribute!r}") from exc
-        coercer = self._COERCERS.get(range_name)
-        if coercer is None:
-            raise OntologyError(f"unsupported range {range_name!r}")
-        try:
-            if coercer is int and isinstance(raw, str):
-                return int(raw.strip())
-            if coercer is float and isinstance(raw, str):
-                return float(raw.strip())
-            return coercer(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"value {raw!r} is not a valid {range_name} for "
-                f"{attribute!r}") from exc
+        return self.coercer(class_name, attribute)(raw, attribute)

@@ -43,7 +43,9 @@ def validate_individual(ontology: Ontology, individual: Individual,
     Verifies: the class exists; every value belongs to a declared (possibly
     inherited) attribute; values match the declared XSD range; functional
     attributes are single-valued; links target declared object properties
-    and range-compatible individuals.
+    and range-compatible individuals.  Every check runs for every
+    individual; only the class's attribute / object-property tables come
+    from ``reasoner``, so pass one reasoner when validating many.
     """
     report = ValidationReport()
     reasoner = reasoner or Reasoner(ontology)
@@ -52,25 +54,25 @@ def validate_individual(ontology: Ontology, individual: Individual,
                    f"{individual.class_name!r}")
         return report
 
-    declared = {a.name: a for a in ontology.all_attributes(individual.class_name)}
+    declared = reasoner.attributes(individual.class_name)
     for name, value in individual.values.items():
-        prop = declared.get(name)
-        if prop is None:
+        entry = declared.get(name)
+        if entry is None:
             report.add(f"{individual.identifier}: undeclared attribute {name!r} "
                        f"for class {individual.class_name!r}")
             continue
+        prop, coerce = entry
         candidates = value if isinstance(value, list) else [value]
         if prop.functional and isinstance(value, list) and len(value) > 1:
             report.add(f"{individual.identifier}: functional attribute {name!r} "
                        f"has {len(value)} values")
         for item in candidates:
             try:
-                reasoner.coerce(individual.class_name, name, item)
+                coerce(item, name)
             except ValidationError as exc:
                 report.add(f"{individual.identifier}: {exc}")
 
-    object_props = {p.name: p for p in
-                    ontology.all_object_properties(individual.class_name)}
+    object_props = reasoner.object_properties(individual.class_name)
     for name, targets in individual.links.items():
         prop = object_props.get(name)
         if prop is None:

@@ -48,11 +48,12 @@ from functools import partial, reduce
 from itertools import compress
 
 from ....errors import SqlExecutionError
+from ....like import like_to_regex
 from .ast import (Aggregate, BooleanOp, ColumnRef, Comparison, InList,
                   IsNull, LiteralValue, Not, Select, Star, Update)
 from .executor import (ResultSet, _Env, _eval_condition, _has_aggregates,
-                       _join_equality, _like_to_regex, _sort_key,
-                       find_equality, fold_aggregate)
+                       _join_equality, _sort_key, find_equality,
+                       fold_aggregate)
 
 #: Rows per scan batch; one mask evaluation covers one batch.
 BATCH_SIZE = 4096
@@ -262,11 +263,11 @@ def _compare_batch(condition: Comparison, frame: _Frame) -> list[bool]:
         if isinstance(right, LiteralValue):
             if right.value is None:
                 return [False] * frame.count
-            regex = _like_to_regex(str(right.value))
+            regex = like_to_regex(str(right.value))
             return [v is not None and regex.match(str(v)) is not None
                     for v in values]
         return [lv is not None and rv is not None
-                and _like_to_regex(str(rv)).match(str(lv)) is not None
+                and like_to_regex(str(rv)).match(str(lv)) is not None
                 for lv, rv in zip(values, _scalar_batch(right, frame))]
     symbol = condition.operator
     if isinstance(left, LiteralValue):  # 3 < c  ->  c > 3

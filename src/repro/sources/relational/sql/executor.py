@@ -9,10 +9,10 @@ equality against an indexed column uses the index.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ....errors import SqlExecutionError
+from ....like import like_to_regex
 from .ast import (AddColumn, Aggregate, BooleanOp, ColumnRef, Comparison,
                   Condition, CreateIndex, CreateTable, Delete, DropTable,
                   InList, Insert, IsNull, LiteralValue, Not, RenameColumn,
@@ -82,18 +82,6 @@ class _Env:
         return row[table.column_index(ref.name)]
 
 
-def _like_to_regex(pattern: str) -> re.Pattern:
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.compile("".join(parts) + r"\Z", re.IGNORECASE | re.DOTALL)
-
-
 def _eval_scalar(scalar, env: _Env):
     if isinstance(scalar, LiteralValue):
         return scalar.value
@@ -124,7 +112,7 @@ def _eval_condition(condition: Condition, env: _Env) -> bool:
         if condition.operator == "LIKE":
             if left is None or right is None:
                 return False
-            return _like_to_regex(str(right)).match(str(left)) is not None
+            return like_to_regex(str(right)).match(str(left)) is not None
         if left is None or right is None:
             return False  # SQL three-valued logic collapses to False here
         try:

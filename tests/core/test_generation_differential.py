@@ -1,0 +1,408 @@
+"""Differential tests: shape-compiled generation vs the frozen oracle.
+
+``InstanceGenerator.generate`` resolves the ontology once per record
+shape; ``generation_oracle`` is the interpretive generator it replaced,
+frozen.  Seeded random extraction outcomes are run through both and the
+results compared field by field — entity order, identifiers, classes,
+value key order and Python types, links, satellites, provenance,
+coercion errors and the whole error channel.
+
+Class clustering breaks depth ties in ``set`` order, so *which* cluster
+is primary under the root query class can differ between processes
+(string hashing); both sides run in one process and must agree there.
+The coverage test only counts branches that are independent of it.
+"""
+
+from __future__ import annotations
+
+import random
+from datetime import date, datetime
+
+import pytest
+
+from repro.core.extractor.manager import ExtractionOutcome, ExtractionProblem
+from repro.core.extractor.records import RawFragment, SourceRecordSet
+from repro.core.instances import InstanceGenerator
+from repro.errors import MappingError, OntologyError
+from repro.ids import AttributePath
+from repro.ontology import Ontology, OntologySchema, Reasoner
+from repro.ontology.model import Individual
+from repro.ontology.validation import validate_individual
+
+from .generation_oracle import (oracle_generate, oracle_validate_individual,
+                                snapshot)
+
+QUERY_CLASSES = {"root": "thing", "middle": "item", "leaf": "gadget"}
+SEEDS_PER_CELL = 60  # x 3 query classes x validate on/off = 360 cases
+SOURCE_IDS = ["S1", "db-2/a", "web.3", "txt 4"]
+MERGE_KEYS = [["label"], ["code"], ["name"], ["code", "label"]]
+
+
+def build_ontology() -> Ontology:
+    """A 3-level chain, three satellites and every XSD range.
+
+    ``maker`` is linked primary -> satellite, ``review`` only satellite
+    -> primary, ``island`` not at all; ``gadget.rank`` shadows
+    ``item.rank`` (two attribute ids, one attribute name); ``tags`` is
+    non-functional."""
+    onto = Ontology("diff")
+    onto.add_class("thing")
+    onto.add_attribute("thing", "label", "string")
+    onto.add_attribute("thing", "seen", "dateTime")
+    onto.add_class("item", parent="thing")
+    onto.add_attribute("item", "code", "integer")
+    onto.add_attribute("item", "price", "decimal")
+    onto.add_attribute("item", "active", "boolean")
+    onto.add_attribute("item", "tags", "string", functional=False)
+    onto.add_attribute("item", "rank", "integer")
+    onto.add_class("gadget", parent="item")
+    onto.add_attribute("gadget", "released", "date")
+    onto.add_attribute("gadget", "homepage", "anyURI")
+    onto.add_attribute("gadget", "weight", "double")
+    onto.add_attribute("gadget", "ratio", "float")
+    onto.add_attribute("gadget", "rank", "integer")
+    onto.add_class("maker", parent="thing")
+    onto.add_attribute("maker", "name", "string")
+    onto.add_attribute("maker", "founded", "date")
+    onto.add_class("review", parent="thing")
+    onto.add_attribute("review", "stars", "integer")
+    onto.add_attribute("review", "text", "string")
+    onto.add_class("island")
+    onto.add_attribute("island", "population", "integer")
+    onto.add_object_property("item", "madeBy", "maker")
+    onto.add_object_property("review", "about", "item")
+    onto.add_object_property("review", "aboutGadget", "gadget",
+                             functional=True)
+    return onto
+
+
+GOOD = {
+    "string": ["Seiko", " padded ", "", 7, 2.5],
+    "anyURI": ["http://example.org/x", "urn:a:b"],
+    "integer": ["12", " 7 ", "-3", 5, 3.7, True],
+    "decimal": ["1.5", " 2 ", "1e3", 3, 0.25],
+    "double": ["199.5", "7", 4, 1.25],
+    "float": ["0.5", " 8.25 ", 9],
+    "boolean": ["yes", "No", "1", "false", " TRUE ", True, False, 0],
+    "date": ["2006-07-04", " 2024-02-29 ", date(2006, 7, 4)],
+    "dateTime": ["2006-07-04T10:30:00", "2006-07-04",
+                 datetime(2006, 7, 4, 10, 30), date(2006, 7, 4)],
+}
+BAD = {
+    "integer": ["deep", "1.5", "", "12 watches"],
+    "decimal": ["$12", "cheap"],
+    "double": ["NaN$", "1,5"],
+    "float": ["--1", "one"],
+    "boolean": ["maybe", "2", 2, ""],
+    "date": ["July 4", "2006-13-01", datetime(2006, 7, 4, 10, 30), 20060704],
+    "dateTime": ["noon", "2006-07-04T25:00:00", 12],
+}
+
+
+def draw_case(seed: int, query_kind: str, validate: bool) -> dict:
+    """One extraction outcome, drawn from ``seed``; ``case["drawn"]``
+    names every generator branch taken."""
+    rng = random.Random(f"generation-differential:{seed}:{query_kind}")
+    schema = OntologySchema(build_ontology())
+    paths = [str(path) for path in schema.attribute_paths()]
+    drawn = {f"query:{query_kind}", f"validate:{validate}"}
+
+    n_sources = rng.randint(1, 4)
+    source_ids = rng.sample(SOURCE_IDS, n_sources)
+    shared_columns = None
+    if n_sources > 1 and rng.random() < 0.5:
+        shared_columns = rng.sample(paths, rng.randint(2, 8))
+        drawn.add("sources:shared-columns")
+    sources = {}
+    for source_id in source_ids:
+        style = rng.choice(["clean", "clean", "holes", "dirty", "ragged",
+                            "satellite-only", "unlinkable"])
+        drawn.add(f"style:{style}")
+        if style == "satellite-only":
+            columns = [p for p in paths
+                       if p.startswith(("thing.maker.", "island."))]
+        elif shared_columns is not None and style == "clean":
+            columns = list(shared_columns)
+        else:
+            columns = rng.sample(paths, rng.randint(1, len(paths) - 1))
+            if shared_columns is not None:
+                drawn.add("sources:own-columns")
+        if style == "unlinkable":
+            columns = sorted({*columns, "island.population",
+                              "thing.item.code"}, key=paths.index)
+            rng.shuffle(columns)
+        if {"thing.item.rank", "thing.item.gadget.rank"} <= set(columns):
+            drawn.add("shadowed-attribute-pair")
+        n_records = rng.randint(1, 6)
+        fragments = {}
+        for attribute_id in columns:
+            _owner, prop = schema.resolve(attribute_id)
+            drawn.add(f"range:{prop.range}")
+            if not prop.functional:
+                drawn.add("non-functional-attribute")
+            values = []
+            for _ in range(n_records):
+                roll = rng.random()
+                if style in ("holes", "dirty") and roll < 0.25:
+                    values.append(None)
+                    drawn.add("hole")
+                elif (style == "dirty" and roll < 0.55
+                      and prop.range in BAD):
+                    values.append(rng.choice(BAD[prop.range]))
+                    drawn.add("uncoercible")
+                else:
+                    value = rng.choice(GOOD[prop.range])
+                    if not isinstance(value, str):
+                        drawn.add("non-string-raw")
+                    values.append(value)
+            if style == "ragged" and len(values) > 1 and rng.random() < 0.5:
+                del values[rng.randrange(1, len(values)):]
+                drawn.add("ragged")
+            fragments[attribute_id] = values
+        sources[source_id] = fragments
+
+    case = {"query_class": QUERY_CLASSES[query_kind], "validate": validate,
+            "sources": sources, "merge_key": None, "problems": [],
+            "missing": [], "drawn": drawn}
+    if rng.random() < 0.5:
+        case["merge_key"] = rng.choice(MERGE_KEYS)
+        drawn.add("merge:on")
+    else:
+        drawn.add("merge:off")
+    if rng.random() < 0.3:
+        case["problems"] = [("S9", "thing.label", "source exploded")]
+        case["missing"] = ["thing.item.price"]
+        drawn.add("upstream-errors")
+    return case
+
+
+def build_outcome(case: dict) -> ExtractionOutcome:
+    record_sets = {}
+    for source_id, fragments in case["sources"].items():
+        record_set = SourceRecordSet(source_id)
+        for attribute_id, values in fragments.items():
+            record_set.add(RawFragment(AttributePath.parse(attribute_id),
+                                       source_id, list(values)))
+        record_sets[source_id] = record_set
+    return ExtractionOutcome(
+        record_sets=record_sets,
+        problems=[ExtractionProblem(*problem)
+                  for problem in case["problems"]],
+        missing_attributes=[AttributePath.parse(path)
+                            for path in case["missing"]])
+
+
+def both_sides(case: dict):
+    schema = OntologySchema(build_ontology())
+    actual = InstanceGenerator(schema, validate=case["validate"]).generate(
+        build_outcome(case), case["query_class"],
+        merge_key=case["merge_key"])
+    expected = oracle_generate(
+        schema, build_outcome(case), case["query_class"],
+        validate=case["validate"], merge_key=case["merge_key"])
+    return actual, expected
+
+
+def distinct_shapes(case: dict) -> int:
+    shapes = set()
+    for record_set in build_outcome(case).record_sets.values():
+        for record in record_set.align():
+            shapes.add(tuple(key for key, value in record.items()
+                             if value is not None))
+    return len(shapes)
+
+
+@pytest.mark.parametrize("validate", [True, False], ids=["validate", "raw"])
+@pytest.mark.parametrize("query_kind", list(QUERY_CLASSES))
+def test_generate_matches_the_frozen_oracle(query_kind, validate):
+    for seed in range(SEEDS_PER_CELL):
+        case = draw_case(seed, query_kind, validate)
+        actual, expected = both_sides(case)
+        assert snapshot(actual) == snapshot(expected), (
+            f"seed {seed} query {query_kind} validate {validate}")
+        assert actual.shapes == distinct_shapes(case), f"seed {seed}"
+
+
+REQUIRED_BRANCHES = {
+    *(f"query:{kind}" for kind in QUERY_CLASSES),
+    "validate:True", "validate:False", "merge:on", "merge:off",
+    *(f"range:{name}" for name in GOOD),
+    *(f"style:{style}" for style in (
+        "clean", "holes", "dirty", "ragged", "satellite-only", "unlinkable")),
+    "hole", "uncoercible", "ragged", "non-string-raw", "upstream-errors",
+    "non-functional-attribute", "shadowed-attribute-pair",
+    "sources:shared-columns", "sources:own-columns",
+    # read off the oracle's answers (middle / leaf query classes only, so
+    # independent of how this process hashes class names)
+    "outcome:forward-link", "outcome:reverse-link", "outcome:unlinkable",
+    "outcome:no-primary", "outcome:coercion-error", "outcome:ragged",
+    "outcome:merged", "outcome:merge-conflict",
+    "outcome:several-shapes-in-one-source",
+    "outcome:sources-share-a-shape", "outcome:sources-differ-in-shape",
+    "outcome:both-shadowed-values-reported",
+}
+
+
+def outcome_branches(case: dict) -> set[str]:
+    """Which behaviours the oracle's answer to ``case`` exhibits."""
+    schema = OntologySchema(build_ontology())
+    result = oracle_generate(schema, build_outcome(case),
+                             case["query_class"], validate=case["validate"],
+                             merge_key=case["merge_key"])
+    seen = set()
+    messages = [entry.message for entry in result.errors.entries]
+    for entity in result.entities:
+        if "madeBy" in entity.primary.links:
+            seen.add("outcome:forward-link")
+        if any(satellite.links for satellite in entity.satellites):
+            seen.add("outcome:reverse-link")
+        if entity.coercion_errors:
+            seen.add("outcome:coercion-error")
+        if sum("for 'rank'" in message
+               for message in entity.coercion_errors) == 2:
+            seen.add("outcome:both-shadowed-values-reported")
+    for flag, needle in (("unlinkable", "no object property connects"),
+                         ("no-primary", "holds no attribute of class"),
+                         ("ragged", "ragged record set"),
+                         ("merge-conflict", "merge conflict on")):
+        if any(needle in message for message in messages):
+            seen.add(f"outcome:{flag}")
+    per_source = [{tuple(k for k, v in record.items() if v is not None)
+                   for record in record_set.align()}
+                  for record_set in build_outcome(case).record_sets.values()]
+    if case["merge_key"] and len(result.entities) < len(oracle_generate(
+            schema, build_outcome(case), case["query_class"]).entities):
+        seen.add("outcome:merged")
+    if any(len(shapes) > 1 for shapes in per_source):
+        seen.add("outcome:several-shapes-in-one-source")
+    for index, shapes in enumerate(per_source):
+        for other in per_source[index + 1:]:
+            seen.add("outcome:sources-share-a-shape" if shapes & other
+                     else "outcome:sources-differ-in-shape")
+    return seen
+
+
+def test_the_generator_drew_every_branch():
+    seen: set[str] = set()
+    cases = 0
+    for query_kind in QUERY_CLASSES:
+        for validate in (True, False):
+            for seed in range(SEEDS_PER_CELL):
+                case = draw_case(seed, query_kind, validate)
+                cases += 1
+                seen |= case["drawn"]
+                if query_kind != "root":
+                    seen |= outcome_branches(case)
+    assert cases >= 300
+    assert REQUIRED_BRANCHES - seen == set()
+
+
+# ----------------------------------------------------------------------
+# Exceptions that escape generate() — same type, same message
+# ----------------------------------------------------------------------
+
+def _one_record_case(columns: dict) -> dict:
+    return {"query_class": "item", "validate": True, "merge_key": None,
+            "problems": [], "missing": [],
+            "sources": {"S": {key: [value] for key, value in columns.items()}}}
+
+
+def _assert_same_escape(schema, outcome_factory, expected_type):
+    generator = InstanceGenerator(schema)
+    with pytest.raises(expected_type) as actual:
+        generator.generate(outcome_factory(), "item")
+    with pytest.raises(expected_type) as expected:
+        oracle_generate(schema, outcome_factory(), "item")
+    assert type(actual.value) is type(expected.value)
+    assert str(actual.value) == str(expected.value)
+
+
+def test_attribute_outside_the_schema_escapes_identically():
+    schema = OntologySchema(build_ontology())
+    case = _one_record_case({"thing.item.code": "1", "thing.item.ghost": "x"})
+    _assert_same_escape(schema, lambda: build_outcome(case), OntologyError)
+
+
+def test_unparseable_attribute_id_escapes_identically():
+    schema = OntologySchema(build_ontology())
+
+    def outcome():
+        record_set = SourceRecordSet("S")
+        record_set.add(RawFragment(AttributePath(("bad seg", "x")), "S",
+                                   ["1"]))
+        return ExtractionOutcome(record_sets={"S": record_set})
+    _assert_same_escape(schema, outcome, MappingError)
+
+
+def test_unsupported_range_escapes_identically_and_only_when_reached():
+    ontology = build_ontology()
+    schema = OntologySchema(ontology)
+    ontology.find_attribute("item", "price").range = "duration"
+    case = _one_record_case({"thing.item.code": "1", "thing.item.price": "2"})
+    _assert_same_escape(schema, lambda: build_outcome(case), OntologyError)
+    # a record set that never carries the broken attribute is unaffected,
+    # and so is one whose records have no primary (nothing is coerced)
+    for columns in ({"thing.item.code": "1"},
+                    {"thing.maker.name": "Acme"}):
+        untouched = _one_record_case(columns)
+        actual = InstanceGenerator(schema).generate(
+            build_outcome(untouched), "item")
+        expected = oracle_generate(schema, build_outcome(untouched), "item")
+        assert snapshot(actual) == snapshot(expected)
+
+
+def test_attribute_the_specific_class_lost_escapes_identically():
+    ontology = build_ontology()
+    schema = OntologySchema(ontology)  # stale on purpose: no refresh()
+    del ontology.require_class("item").attributes["price"]
+    case = _one_record_case({"thing.item.code": "1", "thing.item.price": "2"})
+    _assert_same_escape(schema, lambda: build_outcome(case), OntologyError)
+
+
+# ----------------------------------------------------------------------
+# The validator: table reuse, not check elision
+# ----------------------------------------------------------------------
+
+def corrupted_individuals(rng: random.Random) -> list[Individual]:
+    """Individuals that trip every check ``validate_individual`` makes."""
+    gadget = Individual("g", "gadget", {
+        "label": "ok", "code": rng.choice(["12", "twelve", 12]),
+        "price": rng.choice([1.5, "cheap"]),
+        "active": rng.choice(["yes", "maybe", True]),
+        "tags": rng.choice([["a", "b"], "a", []]),
+        "rank": rng.choice([["1", "2"], ["x"], 3]),
+        "released": rng.choice(["2006-07-04", "July 4"]),
+        "seen": rng.choice(["2006-07-04T10:30:00", "noon"]),
+        "colour": "undeclared"})
+    maker = Individual("m", "maker", {"name": "Acme", "founded": "1881"})
+    review = Individual("r", "review", {"stars": rng.choice(["5", "many"])})
+    ghost = Individual("x", "ghost", {"label": "?"})
+    gadget.link("madeBy", maker)
+    gadget.link("madeBy", rng.choice([review, ghost, maker]))
+    gadget.link("ownedBy", maker)
+    review.link("aboutGadget", gadget)
+    review.link("aboutGadget", rng.choice([gadget, maker]))
+    review.link("about", rng.choice([gadget, maker, ghost]))
+    return [gadget, maker, review, ghost]
+
+
+def test_validator_reports_what_the_oracle_reports():
+    ontology = build_ontology()
+    shared = Reasoner(ontology)
+    tripped = set()
+    for seed in range(40):
+        for individual in corrupted_individuals(random.Random(seed)):
+            expected = oracle_validate_individual(ontology, individual)
+            assert validate_individual(
+                ontology, individual, reasoner=shared).problems == expected
+            assert validate_individual(
+                ontology, individual).problems == expected
+            tripped.update(
+                needle for needle in (
+                    "unknown class", "undeclared attribute",
+                    "functional attribute", "is not a", "is not an ISO",
+                    "undeclared object property",
+                    "functional object property", "targets unknown class",
+                    "expected 'maker'") for problem in expected
+                if needle in problem)
+    assert len(tripped) == 9

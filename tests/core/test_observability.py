@@ -108,6 +108,24 @@ class TestSpanTree:
         assert span.attributes["matched"] == 0
         assert span.attributes["candidates"] >= len(result)
 
+    def test_generate_span_counts_record_shapes(self, traced_world):
+        scenario, s2s, _tracer, _registry = traced_world
+        span = s2s.query("SELECT product").trace.find("generate")
+        assert span.attributes["shapes"] == 1  # clean, homogeneous
+        # a source that lost one <model> pads that column with None: its
+        # last record is a second shape
+        org = next(org for org in scenario.organizations
+                   if org.xml_store is not None)
+        tag = org.native_fields["model"]
+        document = org.xml_store.export("catalog.xml")
+        start, end = document.index(f"<{tag}>"), document.index(f"</{tag}>")
+        org.xml_store.put("catalog.xml", document[:start]
+                          + document[end + len(f"</{tag}>"):])
+        result = s2s.query("SELECT product")
+        span = result.trace.find("generate")
+        assert span.attributes["shapes"] == 2
+        assert span.attributes["entities"] == len(result.entities) == 6
+
     def test_tracer_remembers_bounded_traces(self, traced_world):
         _scenario, s2s, tracer, _registry = traced_world
         for _ in range(3):

@@ -88,3 +88,65 @@ class TestConstraintTyping:
     def test_string_attribute_numeric_value_stringified(self, planner):
         plan = planner.plan(parse_s2sql("SELECT product WHERE brand = 7"))
         assert plan.conditions[0].value == "7"
+
+
+class TestConstraintTypingSharesTheGeneratorsCoercion:
+    """The constraint is typed by the coercer that types the records, so
+    both sides of ``=`` agree (the planner once had a private copy that
+    read ``"yes"`` as ``False`` and let ``"maybe"`` plan)."""
+
+    @pytest.fixture
+    def event_planner(self):
+        from repro.ontology import Ontology, OntologySchema
+        onto = Ontology("events")
+        onto.add_class("event")
+        onto.add_attribute("event", "active", "boolean")
+        onto.add_attribute("event", "seats", "integer")
+        onto.add_attribute("event", "fee", "decimal")
+        onto.add_attribute("event", "day", "date")
+        onto.add_attribute("event", "at", "dateTime")
+        onto.add_attribute("event", "site", "anyURI")
+        return QueryPlanner(OntologySchema(onto))
+
+    def typed(self, planner, condition):
+        plan = planner.plan(parse_s2sql(f"SELECT event WHERE {condition}"))
+        return plan.conditions[0].value
+
+    @pytest.mark.parametrize("text, expected", [
+        ('"yes"', True), ('"YES "', True), ('"true"', True), ("1", True),
+        ("TRUE", True), ('"no"', False), ('"false"', False), ("0", False),
+        ("FALSE", False)])
+    def test_boolean_constraint(self, event_planner, text, expected):
+        assert self.typed(event_planner, f"active = {text}") is expected
+
+    @pytest.mark.parametrize("text", ['"maybe"', "2", '""'])
+    def test_junk_boolean_constraint_fails_at_plan_time(self, event_planner,
+                                                        text):
+        with pytest.raises(QueryError) as error:
+            self.typed(event_planner, f"active = {text}")
+        assert "is not a valid boolean for attribute 'active'" in str(
+            error.value)
+
+    def test_other_ranges_type_exactly_as_before(self, event_planner):
+        import datetime
+        cases = [("seats >= 200", 200, int), ('seats = " 7 "', 7, int),
+                 ("seats < 3.7", 3, int), ("fee < 100", 100.0, float),
+                 ('fee = "1e3"', 1000.0, float),
+                 ('day = "2006-07-04"', datetime.date(2006, 7, 4),
+                  datetime.date),
+                 ('at > " 2006-07-04T10:30:00 "',
+                  datetime.datetime(2006, 7, 4, 10, 30), datetime.datetime),
+                 ("site = 7", "7", str), ('site LIKE "http%"', "http%", str),
+                 ('active CONTAINS "ye"', "ye", str)]
+        for condition, expected, kind in cases:
+            value = self.typed(event_planner, condition)
+            assert value == expected and type(value) is kind, condition
+
+    @pytest.mark.parametrize("condition", [
+        'seats = "many"', 'seats = "1.5"', 'fee < "cheap"',
+        'day = "July 4"', "day = 7", 'at = "noon"'])
+    def test_untypable_constraint_keeps_its_error_text(self, event_planner,
+                                                       condition):
+        with pytest.raises(QueryError, match="constraint .* is not a valid "
+                                             ".* for attribute"):
+            self.typed(event_planner, condition)

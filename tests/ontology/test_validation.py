@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.ontology import validate_individual, validate_ontology
+from repro.ontology import Reasoner, validate_individual, validate_ontology
 from repro.ontology.model import Individual
 
 
@@ -67,6 +67,28 @@ class TestValidateIndividual:
     def test_valid_report_raise_is_noop(self, ontology):
         individual = Individual("w1", "watch", {"brand": "Seiko"})
         validate_individual(ontology, individual).raise_if_invalid()
+
+
+    def test_passed_reasoner_reports_identically(self, ontology):
+        """A shared reasoner only saves rebuilding the class tables:
+        every check still runs, for every individual, in the same order."""
+        provider = Individual("p1", "provider", {"name": ["Acme", "Apex"]})
+        broken = Individual("w1", "watch", {
+            "brand": ["Seiko", "Casio"], "price": "cheap", "color": "blue",
+            "water_resistance": ["200", "deep"]})
+        broken.link("hasProvider", provider)
+        broken.link("hasProvider", Individual("w2", "watch"))
+        broken.link("ghostLink", Individual("g", "ghost"))
+        shared = Reasoner(ontology)
+        for individual in (broken, provider, broken,
+                           Individual("x", "ghost"),
+                           Individual("ok", "watch", {"brand": "Seiko"})):
+            alone = validate_individual(ontology, individual)
+            reused = validate_individual(ontology, individual,
+                                         reasoner=shared)
+            assert reused.problems == alone.problems
+        assert len(validate_individual(ontology, broken,
+                                       reasoner=shared).problems) == 7
 
 
 class TestValidateOntology:
