@@ -1,8 +1,9 @@
 """Injectable time for the resilience layer and fault injection.
 
 Everything in the middleware that *waits* (retry backoff, circuit-breaker
-cooldowns, extraction deadlines, injected source latency) reads time
-through a :class:`Clock` instead of calling :mod:`time` directly.  Tests
+cooldowns, extraction deadlines, injected source latency, the fleet
+schedulers' block on their result queue) reads time through a
+:class:`Clock` instead of calling :mod:`time` directly.  Tests
 substitute a :class:`FakeClock`, so breaker cooldowns, backoff schedules
 and deadline expiry are exercised deterministically with zero real
 sleeping — a requirement for keeping the availability experiments (E13)
@@ -14,10 +15,16 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from typing import Callable
+
+#: Real seconds a :class:`FakeClock` wait lets worker threads run before
+#: it concludes nothing is coming and advances fake time instead.
+FAKE_WAIT_GRACE_SECONDS = 0.02
 
 
 class Clock:
-    """Monotonic time plus sleeping; the seam for fake time in tests."""
+    """Monotonic time, sleeping and waiting on a queue; the seam for
+    fake time in tests."""
 
     def monotonic(self) -> float:
         """Seconds on a monotonic clock (never goes backwards)."""
@@ -36,6 +43,19 @@ class Clock:
         subclass; :class:`SystemClock` and :class:`FakeClock` override it
         with cheaper native behaviour."""
         await asyncio.to_thread(self.sleep, seconds)
+
+    def wait(self, poll: Callable[[float | None], list],
+             timeout: float | None) -> list:
+        """Block in ``poll`` until it yields something or ``timeout``
+        seconds pass *on this clock*; ``None`` waits for ``poll`` alone.
+
+        ``poll(seconds)`` is a queue read: it blocks up to ``seconds``
+        of real time (``None``: indefinitely) and returns an empty list
+        when nothing arrived.  This is the one method that knows whether
+        time is real, so the fleet schedulers built on it never sleep
+        and never branch on the clock's type.  The default is a real
+        clock's: the whole timeout is spent inside the queue read."""
+        return poll(timeout)
 
 
 class SystemClock(Clock):
@@ -92,6 +112,19 @@ class FakeClock(Clock):
         sleep-free."""
         self.advance(seconds)
         await asyncio.sleep(0)
+
+    def wait(self, poll: Callable[[float | None], list],
+             timeout: float | None) -> list:
+        """A fake clock cannot wait for its own time: give real threads
+        :data:`FAKE_WAIT_GRACE_SECONDS`, and if nothing arrives the
+        timer is what happens next, so jump to it — silence always costs
+        exactly ``timeout`` fake seconds."""
+        if timeout is None:
+            return poll(None)
+        result = poll(FAKE_WAIT_GRACE_SECONDS)
+        if not result:
+            self.advance(timeout)
+        return result
 
     def advance(self, seconds: float) -> None:
         """Move time forward (negative deltas are ignored)."""

@@ -8,9 +8,11 @@ concurrent callers serialized even while workers idled — the scheduler
 admits **multiple in-flight requests at once** and interleaves their
 shard items over the same workers:
 
-* a background dispatcher thread drains the pool's event queue and
-  keeps a per-request completion map keyed by the existing request
-  ids;
+* a background dispatcher thread blocks on the pool's event queue
+  until a worker reports or the next timer (a request deadline, a
+  restart backoff, the liveness probe) comes due on the injectable
+  clock (:func:`~repro.core.cluster.pool.wait_for_events`), and keeps a
+  per-request completion map keyed by the existing request ids;
 * freed workers are fed from a fair-share ready queue — round-robin
   across in-flight requests, with per-tenant quotas
   (:class:`~repro.core.resilience.config.FleetConfig.tenant_quota`)
@@ -56,7 +58,7 @@ from ..mapping.rules import TransformRegistry
 from ..resilience import Deadline
 from ..resilience.config import FleetConfig, ResilienceConfig
 from .pool import (SubprocessWorkerPool, ThreadWorkerPool, WorkerPool,
-                   worker_loop)
+                   wait_for_events, worker_loop)
 from .sharding import partition_sources
 from .supervision import WorkerSupervisor
 
@@ -227,10 +229,11 @@ class _InflightRequest:
         self.tenant = tenant
         self.deadline = deadline
         self.result = ShardRunResult()
-        #: Shard ids waiting for a worker, in dispatch order.  A dead
-        #: worker's item goes back to the *front* so recovery does not
-        #: queue behind the request's own backlog.
-        self.ready: deque[int] = deque()
+        #: (shard id, clock time it became ready) waiting for a worker,
+        #: in dispatch order.  A dead worker's item goes back to the
+        #: *front* so recovery does not queue behind the request's own
+        #: backlog.
+        self.ready: deque[tuple[int, float]] = deque()
         #: shard id -> worker index, for items currently executing.
         self.running: dict[int, int] = {}
         #: Shard ids not yet resolved (done, failed or timed out).
@@ -291,8 +294,6 @@ class QueryShardCoordinator:
         #: worker index -> (request_id, shard id) currently assigned.
         self._assignments: dict[int, tuple[str, int]] = {}
         self._dispatcher: threading.Thread | None = None
-        self._stop_dispatcher = threading.Event()
-        self._wake = threading.Event()
         self._draining = False
         if context_factory is not None:
             self.register_tenant("default", context_factory,
@@ -307,10 +308,6 @@ class QueryShardCoordinator:
     @property
     def pool_kind(self) -> str:
         return self.fleet_config.pool
-
-    @property
-    def poll_seconds(self) -> float:
-        return self.fleet_config.poll_seconds
 
     @property
     def max_worker_restarts(self) -> int:
@@ -387,32 +384,27 @@ class QueryShardCoordinator:
                 self._pool = pool
                 self._versions = versions
                 self.supervisor.reset(range(self.n_workers))
-                self._start_dispatcher(pool)
+                self._dispatcher = threading.Thread(
+                    target=self._dispatch_loop, args=(pool,),
+                    name="query-fleet-dispatcher", daemon=True)
+                self._dispatcher.start()
 
-    def _start_dispatcher(self, pool: WorkerPool) -> None:
-        stop = threading.Event()
-        self._stop_dispatcher = stop
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, args=(pool, stop),
-            name="query-fleet-dispatcher", daemon=True)
-        self._dispatcher.start()
-
-    def _teardown_locked(self) -> None:
-        """Stop the pool and release the dispatcher.
+    def _teardown_locked(self) -> threading.Thread | None:
+        """Stop the pool and wake the dispatcher; returns its thread.
 
         Only legal with no requests in flight (callers drain or cancel
-        first).  The dispatcher is signalled, not joined — it exits on
-        its next loop iteration once it observes the pool swap, and a
-        generation check keeps a lame-duck dispatcher from ever
-        touching the successor fleet's state."""
-        pool = self._pool
+        first).  The dispatcher cannot be joined under the lock it
+        needs: it exits once it observes the pool swap — the identity
+        check that keeps a lame-duck dispatcher from ever touching the
+        successor fleet's state — and ``shutdown`` joins it unlocked."""
+        pool, dispatcher = self._pool, self._dispatcher
         self._pool = None
         self._dispatcher = None
-        self._stop_dispatcher.set()
-        self._wake.set()
         self._assignments.clear()
         if pool is not None:
+            pool.wake()
             pool.shutdown()
+        return dispatcher
 
     def shutdown(self, *, cancel: bool = False,
                  timeout: float = 30.0) -> None:
@@ -431,10 +423,11 @@ class QueryShardCoordinator:
                     "query fleet shut down while the shard was in flight")
             waiting = list(self._requests.values())
         try:
-            deadline = None if not waiting else timeout
+            # One real-time budget for the whole drain, not one per
+            # waiter.
+            budget = Deadline(timeout)
             for request in waiting:
-                if not request.finished.wait(timeout=deadline):
-                    break
+                request.finished.wait(timeout=budget.remaining())
             with self._lock:
                 # Drain timed out (or raced a late admission): degrade
                 # whatever is left rather than wedging the waiters.
@@ -442,7 +435,9 @@ class QueryShardCoordinator:
                     self._cancel_requests_locked(
                         "query fleet shut down while the shard was "
                         "in flight")
-                self._teardown_locked()
+                dispatcher = self._teardown_locked()
+            if dispatcher is not None:
+                dispatcher.join(timeout=5.0)
         finally:
             self._draining = False
 
@@ -493,7 +488,6 @@ class QueryShardCoordinator:
         :class:`~repro.errors.FleetQuotaExceeded` when an admission
         quota refuses the query."""
         request = self._admit(schema, deadline, span, tenant)
-        self._wake.set()
         request.finished.wait()
         return request.result
 
@@ -544,7 +538,7 @@ class QueryShardCoordinator:
                                      tenant=tenant)
                 request.result.items[shard] = item
                 request.pending.add(shard)
-                request.ready.append(shard)
+                request.ready.append((shard, self.clock.monotonic()))
                 request.spans[shard] = request.run_span.child(
                     "shard.enqueue", shard=shard, sources=len(source_ids))
             self._requests[request_id] = request
@@ -556,6 +550,9 @@ class QueryShardCoordinator:
                 self._finalize_locked(request)
             else:
                 self._feed_workers_locked()
+                # The dispatcher may be blocked with no timer (idle) or
+                # a later one than this request's deadline.
+                self._pool.wake()
             self._update_gauges()
             return request
 
@@ -569,79 +566,55 @@ class QueryShardCoordinator:
 
     # -- the dispatcher ------------------------------------------------------
 
-    def _dispatch_loop(self, pool: WorkerPool,
-                       stop: threading.Event) -> None:
-        """Drain events, supervise, feed free workers — for one pool's
-        lifetime.  A lame-duck dispatcher (its pool replaced under it)
-        exits without touching the successor's state."""
-        config = self.fleet_config
-        while not stop.is_set():
+    def _dispatch_loop(self, pool: WorkerPool) -> None:
+        """Apply events, expire, supervise, feed, then wait for the next
+        event or timer — for one pool's lifetime.  A lame-duck
+        dispatcher (its pool replaced under it) exits without touching
+        the successor's state."""
+        events: list[dict] = []
+        while True:
             with self._lock:
                 if self._pool is not pool:
                     return
-                busy = bool(self._requests)
-            if not busy:
-                self._wake.wait(timeout=0.05)
-                self._wake.clear()
-                continue
-            events = pool.events(config.real_poll_seconds)
-            with self._lock:
-                if self._pool is not pool:
-                    return
-                progressed = self._tick(pool, events)
-            if not events and not progressed:
-                # Idle beat: advance the (possibly fake) clock so
-                # heartbeat ages, restart backoffs and deadlines make
-                # progress.
-                self.clock.sleep(config.poll_seconds)
+                for event in events:
+                    self._apply_event_locked(event)
+                self._expire_deadlines_locked()
+                for request in [r for r in self._requests.values()
+                                if not r.pending]:
+                    self._finalize_locked(request)
+                self._supervise_locked(pool)
+                self._feed_workers_locked()
+                self._update_gauges()
+                now = self.clock.monotonic()
+                # Idle: no timer at all; admission and teardown wake us.
+                timers = None if not self._requests else [
+                    *(at - now for at in self.supervisor.restart_at.values()),
+                    *(request.deadline.remaining()
+                      for request in self._requests.values())]
+            events = wait_for_events(pool, self.clock, timers)
 
-    def _tick(self, pool: WorkerPool, events: list[dict]) -> bool:
-        """One scheduler pass under the lock; True when state moved."""
-        progressed = False
-        for event in events:
-            if self._apply_event_locked(event):
-                progressed = True
-        if self._expire_deadlines_locked():
-            progressed = True
-        for request in [r for r in self._requests.values()
-                        if not r.pending]:
-            self._finalize_locked(request)
-            progressed = True
-        if self._supervise_locked(pool):
-            progressed = True
-        if self._feed_workers_locked():
-            progressed = True
-        self._update_gauges()
-        return progressed
-
-    def _apply_event_locked(self, event: dict) -> bool:
+    def _apply_event_locked(self, event: dict) -> None:
         worker = event.get("shard")
         if worker is not None:
             self.supervisor.beat(worker)
         kind = event.get("kind")
         if kind not in ("done", "failed"):
-            return False
+            return
         request_id = event.get("request_id")
         item_shard = event.get("item_shard", worker)
-        progressed = False
         if self._assignments.get(worker) == (request_id, item_shard):
             # The worker finished its assigned item (or a late event
             # from a cancelled incarnation landed *after* the same item
             # was re-assigned to it — either way this worker is free).
             del self._assignments[worker]
-            progressed = True
         request = self._requests.get(request_id)
         if request is None or item_shard not in request.pending:
-            return progressed  # stale event from an abandoned attempt
-        if request.running.get(item_shard) != worker:
-            # A previous incarnation of the item reporting after its
-            # worker was declared dead and the item re-dispatched: take
-            # the answer anyway (it is just as correct) only when the
-            # item has not already resolved — covered by the pending
-            # check above.
-            request.running.pop(item_shard, None)
-        else:
-            request.running.pop(item_shard, None)
+            return  # stale event from an abandoned attempt
+        # Whichever worker ``running`` names: an earlier incarnation
+        # reporting after its worker was declared dead and the item
+        # re-dispatched is just as correct an answer, and the pending
+        # check above already dropped items that had resolved.
+        request.running.pop(item_shard, None)
         request.pending.discard(item_shard)
         span = request.spans[item_shard]
         if kind == "done":
@@ -652,10 +625,8 @@ class QueryShardCoordinator:
                 "error", "unknown worker failure")
             span.fail(request.result.failures[item_shard])
         span.finish()
-        return True
 
-    def _expire_deadlines_locked(self) -> bool:
-        progressed = False
+    def _expire_deadlines_locked(self) -> None:
         for request in list(self._requests.values()):
             if not request.pending or not request.deadline.expired:
                 continue
@@ -671,10 +642,8 @@ class QueryShardCoordinator:
             # (now stale) events arrive.
             request.running.clear()
             self._finalize_locked(request)
-            progressed = True
-        return progressed
 
-    def _supervise_locked(self, pool: WorkerPool) -> bool:
+    def _supervise_locked(self, pool: WorkerPool) -> None:
         busy = set(self._assignments)
         has_ready = any(request.ready
                         for request in self._requests.values())
@@ -684,17 +653,13 @@ class QueryShardCoordinator:
         relevant = set(range(pool.n_workers)) if has_ready else set(busy)
         verdict = self.supervisor.supervise(pool, busy=busy,
                                             relevant=relevant)
-        progressed = bool(verdict.restarted)
         for worker in verdict.deaths:
-            if self._release_worker_locked(worker, aborted=False):
-                progressed = True
+            self._release_worker_locked(worker, aborted=False)
         if verdict.aborted is not None:
-            if self._release_worker_locked(verdict.aborted, aborted=True):
-                progressed = True
-        return progressed
+            self._release_worker_locked(verdict.aborted, aborted=True)
 
     def _release_worker_locked(self, worker: int, *,
-                               aborted: bool) -> bool:
+                               aborted: bool) -> None:
         """A worker died (or aborted past its budget): release its item.
 
         Only the dead worker's item moves — to the front of its own
@@ -702,11 +667,11 @@ class QueryShardCoordinator:
         while every other request keeps streaming."""
         assignment = self._assignments.pop(worker, None)
         if assignment is None:
-            return False
+            return
         request_id, shard = assignment
         request = self._requests.get(request_id)
         if request is None or shard not in request.pending:
-            return False
+            return
         request.running.pop(shard, None)
         if aborted:
             message = (f"worker shard {worker} exceeded its restart "
@@ -716,23 +681,22 @@ class QueryShardCoordinator:
             request.spans[shard].fail(message)
             request.spans[shard].finish()
         else:
-            request.ready.appendleft(shard)
+            request.ready.appendleft((shard, self.clock.monotonic()))
             request.result.redispatches += 1
             request.spans[shard].annotate(redispatched=True)
-        return True
 
-    def _feed_workers_locked(self) -> int:
+    def _feed_workers_locked(self) -> None:
         """Fair-share dispatch: free workers take the next ready item,
         round-robin across requests, skipping tenants at quota."""
         pool = self._pool
         if pool is None or not self._rr:
-            return 0
+            return
         free = [worker for worker in range(self.n_workers)
                 if worker not in self._assignments
                 and worker not in self.supervisor.restart_at
                 and pool.alive(worker)]
         if not free:
-            return 0
+            return
         quota = self.fleet_config.tenant_quota
         occupancy: dict[str, int] = {}
         for request_id, _shard in self._assignments.values():
@@ -740,7 +704,6 @@ class QueryShardCoordinator:
             if request is not None:
                 occupancy[request.tenant] = \
                     occupancy.get(request.tenant, 0) + 1
-        fed = 0
         skipped = 0
         while free and self._rr and skipped < len(self._rr):
             request_id = self._rr[0]
@@ -753,7 +716,7 @@ class QueryShardCoordinator:
                     and occupancy.get(request.tenant, 0) >= quota):
                 skipped += 1
                 continue
-            shard = request.ready.popleft()
+            shard, ready_at = request.ready.popleft()
             worker = free.pop(0)
             item = request.result.items[shard]
             item.deadline_seconds = (None if request.deadline.unbounded
@@ -762,16 +725,20 @@ class QueryShardCoordinator:
             request.running[shard] = worker
             occupancy[request.tenant] = \
                 occupancy.get(request.tenant, 0) + 1
-            request.spans[shard].annotate(worker=worker)
+            queued = self.clock.monotonic() - ready_at
+            request.spans[shard].annotate(
+                worker=worker, queued_ms=round(queued * 1000.0, 3))
             pool.submit(worker, item)
             if self.metrics is not None:
                 self.metrics.counter(
                     "shard_dispatches_total",
                     "query sub-plans dispatched to shard workers").inc(
                         shard=shard)
-            fed += 1
+                self.metrics.histogram(
+                    "fleet_dispatch_wait_seconds",
+                    "time a ready shard item waited for a free worker"
+                ).observe(queued, tenant=request.tenant)
             skipped = 0
-        return fed
 
     def _finalize_locked(self, request: _InflightRequest) -> None:
         self._requests.pop(request.request_id, None)

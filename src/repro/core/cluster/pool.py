@@ -5,9 +5,10 @@ query engine and the ingest coordinator share one fleet substrate.  A
 pool owns ``n_workers`` shard workers; each worker runs a caller-
 supplied *loop function* over a private inbox and reports plain-dict
 events (``beat`` / ``done`` / ``stage`` / ``failed``) on a shared
-results queue.  The loop function — not the pool — defines what a work
-item means, which is how the same two pool flavours run both the
-ingest stage waterfall and per-shard query extraction.
+results queue, which the coordinator blocks on through
+:func:`wait_for_events`.  The loop function — not the pool — defines
+what a work item means, which is how the same two pool flavours run
+both the ingest stage waterfall and per-shard query extraction.
 
 The loop contract::
 
@@ -34,12 +35,18 @@ from __future__ import annotations
 import pickle
 import queue as queue_module
 import threading
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
+from ...clock import Clock
 from ...sources.flaky import WorkerCrashed
 
 #: Exit code a subprocess worker dies with on a scripted kill.
 KILL_EXIT_CODE = 17
+
+#: Longest a coordinator with work in flight stays blocked on the result
+#: queue: a dead or hung worker neither posts an event nor is a timer,
+#: so ``pool.alive`` and heartbeat age are probed on this beat.
+LIVENESS_PROBE_SECONDS = 0.05
 
 #: The worker main-loop callable a pool runs on each shard.
 WorkerLoop = Callable[..., None]
@@ -76,25 +83,52 @@ class WorkerPool(Protocol):
 
     def start(self) -> None: ...
     def submit(self, shard: int, item: Any) -> None: ...
-    def events(self, timeout: float) -> list[dict]: ...
+    def events(self, timeout: float | None) -> list[dict]: ...
+    def wake(self) -> None: ...
     def alive(self, shard: int) -> bool: ...
     def restart(self, shard: int) -> None: ...
     def shutdown(self) -> None: ...
 
 
-def _drain(results, timeout: float) -> list[dict]:
-    """Every queued worker event, waiting up to ``timeout`` for the
-    first."""
-    collected: list[dict] = []
-    try:
-        collected.append(results.get(timeout=timeout))
-    except queue_module.Empty:
-        return collected
-    while True:
+def wait_for_events(pool: WorkerPool, clock: Clock,
+                    timers: Iterable[float] | None) -> list[dict]:
+    """Block on the pool's result queue until an event arrives or
+    ``clock`` reaches the next timer — the one wait both coordinators
+    schedule with.
+
+    ``timers`` — seconds from now to whatever the caller must act on
+    unprompted (request deadlines, restart backoffs, retry not-befores;
+    ``inf`` for "none"); the liveness probe is always among them.
+    ``None`` — nothing is in flight: no timer, no probe, block until
+    something is posted (:meth:`WorkerPool.wake`)."""
+    timeout = (None if timers is None
+               else max(min([LIVENESS_PROBE_SECONDS, *timers]), 0.0))
+    return clock.wait(pool.events, timeout)
+
+
+class _ResultQueue:
+    """What a coordinator reads: both pool flavours' ``results`` queue."""
+
+    results: Any
+
+    def events(self, timeout: float | None) -> list[dict]:
+        """Every queued event, waiting up to ``timeout`` (``None``:
+        indefinitely) for the first."""
+        collected: list[dict] = []
         try:
-            collected.append(results.get_nowait())
+            collected.append(self.results.get(timeout=timeout))
         except queue_module.Empty:
             return collected
+        while True:
+            try:
+                collected.append(self.results.get_nowait())
+            except queue_module.Empty:
+                return collected
+
+    def wake(self) -> None:
+        """Post a no-op event so a coordinator blocked in
+        :func:`wait_for_events` re-reads its state."""
+        self.results.put({"kind": "wake"})
 
 
 class _ThreadWorker:
@@ -108,7 +142,7 @@ class _ThreadWorker:
         self.cancel = cancel
 
 
-class ThreadWorkerPool:
+class ThreadWorkerPool(_ResultQueue):
     """Shard workers as daemon threads sharing the process state.
 
     The cheap default: no pickling, shared fault-injection state (a
@@ -143,9 +177,6 @@ class ThreadWorkerPool:
     def submit(self, shard: int, item: Any) -> None:
         self._workers[shard].inbox.put(item)
 
-    def events(self, timeout: float) -> list[dict]:
-        return _drain(self.results, timeout)
-
     def alive(self, shard: int) -> bool:
         worker = self._workers.get(shard)
         return worker is not None and worker.thread.is_alive()
@@ -175,7 +206,7 @@ def _subprocess_main(loop: WorkerLoop, shard: int, inbox, results, cancel,
     loop(shard, inbox, results, ctx, cancel=cancel, in_subprocess=True)
 
 
-class SubprocessWorkerPool:
+class SubprocessWorkerPool(_ResultQueue):
     """Shard workers as spawned subprocesses (real process isolation).
 
     Everything crossing the boundary is pickled: the worker context at
@@ -218,9 +249,6 @@ class SubprocessWorkerPool:
 
     def submit(self, shard: int, item: Any) -> None:
         self._inboxes[shard].put(item)
-
-    def events(self, timeout: float) -> list[dict]:
-        return _drain(self.results, timeout)
 
     def alive(self, shard: int) -> bool:
         process = self._workers.get(shard)

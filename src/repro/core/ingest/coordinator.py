@@ -39,7 +39,7 @@ from typing import Any
 
 from ...clock import Clock, SystemClock
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
-from ..cluster.pool import WorkerPool
+from ..cluster.pool import WorkerPool, wait_for_events
 from ..cluster.supervision import WorkerSupervisor, default_restart_policy
 from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
@@ -97,7 +97,12 @@ class IngestReport:
 
 
 class ShardCoordinator:
-    """Drives durable staged ingest over a pool of shard workers."""
+    """Drives durable staged ingest over a pool of shard workers.
+
+    The drain loop blocks in
+    :func:`~repro.core.cluster.pool.wait_for_events` until a worker
+    reports or the next restart backoff / retry not-before comes due on
+    ``clock`` — there is no poll interval to pass."""
 
     def __init__(self, store: SemanticStore, manager: ExtractorManager,
                  generator: InstanceGenerator, journal_dir: str, *,
@@ -106,8 +111,6 @@ class ShardCoordinator:
                  retry_policy: RetryPolicy | None = None,
                  restart_policy: RetryPolicy | None = None,
                  heartbeat_timeout: float = 30.0,
-                 poll_seconds: float = 0.05,
-                 real_poll_seconds: float = 0.02,
                  max_worker_restarts: int = 3,
                  killable: Any = None,
                  tracer: Tracer | None = None,
@@ -125,8 +128,6 @@ class ShardCoordinator:
         self.n_workers = n_workers
         self.pool_kind = pool
         self.heartbeat_timeout = heartbeat_timeout
-        self.poll_seconds = poll_seconds
-        self.real_poll_seconds = real_poll_seconds
         self.max_worker_restarts = max_worker_restarts
         self.killable = killable
         self.stop_after = stop_after
@@ -294,6 +295,10 @@ class ShardCoordinator:
             restart_policy=self.restart_policy,
             max_restarts=self.max_worker_restarts, metrics=self.metrics)
         supervisor.reset(range(self.n_workers))
+        events: list[dict] = []
+        # Act on what is known, then wait: the first pass dispatches
+        # before anything can block, the last returns without waiting
+        # (the loop condition itself only guards an empty plan).
         while not self.queue.drained:
             if (self.stop_after is not None
                     and report.completed >= self.stop_after):
@@ -302,11 +307,6 @@ class ShardCoordinator:
                 # entirely from the journal.
                 report.aborted = True
                 return
-            events = pool.events(self.real_poll_seconds)
-            if not events:
-                # Idle beat: advance the (possibly fake) clock so
-                # heartbeat ages and retry backoffs make progress.
-                self.clock.sleep(self.poll_seconds)
             for event in events:
                 supervisor.beat(event["shard"])
                 self._handle_event(event, assigned, report, root)
@@ -322,6 +322,13 @@ class ShardCoordinator:
                 return
             self._dispatch(pool, assigned, supervisor.restart_at, report,
                            root)
+            if self.queue.drained:
+                return
+            now = self.clock.monotonic()
+            events = wait_for_events(pool, self.clock, [
+                *(at - now for at in supervisor.restart_at.values()),
+                *(job.next_eligible_at - now for job in self.queue.pending
+                  if job.next_eligible_at > now)])
 
     # -- event handling ----------------------------------------------------
 

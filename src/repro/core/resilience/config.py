@@ -45,9 +45,6 @@ class FleetConfig:
     * ``max_worker_restarts`` — per-query restart budget per worker;
       a worker that exceeds it is abandoned and its in-flight item
       degrades into reported problems;
-    * ``poll_seconds`` / ``real_poll_seconds`` — the dispatcher's idle
-      beat on the injectable clock (drives FakeClock determinism) and
-      the real-time block on the pool's event queue;
     * ``max_inflight_requests`` — fleet-wide admission cap on
       concurrently interleaved queries; ``None`` is unbounded.  An
       admission past the cap raises
@@ -60,6 +57,10 @@ class FleetConfig:
       greedy tenant can never starve the rest of a shared fleet.
       ``None`` disables the quota.
 
+    There is no scheduling interval: the dispatcher blocks on the
+    result queue until a worker reports or the next timer comes due
+    (:func:`~repro.core.cluster.pool.wait_for_events`).
+
     Accepted by ``ConcurrencyConfig.sharded(fleet=...)`` and
     ``QueryShardCoordinator(fleet=...)``; importable from
     ``repro.config``.
@@ -69,8 +70,6 @@ class FleetConfig:
     pool: str = "thread"
     heartbeat_timeout: float = 30.0
     max_worker_restarts: int = 3
-    poll_seconds: float = 0.05
-    real_poll_seconds: float = 0.02
     max_inflight_requests: int | None = None
     tenant_quota: int | None = None
 
@@ -85,8 +84,6 @@ class FleetConfig:
             raise ValueError("heartbeat_timeout must be positive")
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
-        if self.poll_seconds <= 0 or self.real_poll_seconds <= 0:
-            raise ValueError("poll intervals must be positive")
         if (self.max_inflight_requests is not None
                 and self.max_inflight_requests < 1):
             raise ValueError(

@@ -1,4 +1,5 @@
-"""The consolidated config surface, and the spellings 2.0 removed."""
+"""The consolidated config surface, and the spellings 2.0 and 2.1
+removed."""
 
 from __future__ import annotations
 
@@ -56,11 +57,14 @@ class TestCanonicalSurface:
 
 
 def _removed_spellings():
-    """(id, trigger, expected exception) for every spelling 2.0 deleted."""
+    """(id, trigger, expected exception) for every spelling 2.0 deleted,
+    plus the four poll knobs 2.1 made event-driven."""
     from repro.cli import main
     from repro.clock import SystemClock
-    from repro.config import ConcurrencyConfig, ResilienceConfig
+    from repro.config import (ConcurrencyConfig, FleetConfig,
+                              ResilienceConfig)
     from repro.core.cluster import QueryShardCoordinator
+    from repro.core.ingest import ShardCoordinator
     from repro.core.extractor.manager import ExtractorManager
     from repro.core.mapping.datasources import DataSourceRepository
     from repro.core.mapping.repository import AttributeRepository
@@ -86,6 +90,13 @@ def _removed_spellings():
                   "real_poll_seconds", "max_worker_restarts"):
         cases.append((f"QueryShardCoordinator({kwarg}=)", lambda k=kwarg:
                       QueryShardCoordinator(clock=SystemClock(), **{k: 2}),
+                      TypeError))
+    for kwarg in ("poll_seconds", "real_poll_seconds"):
+        cases.append((f"FleetConfig({kwarg}=)", lambda k=kwarg:
+                      FleetConfig(**{k: 0.05}), TypeError))
+        cases.append((f"ShardCoordinator({kwarg}=)", lambda k=kwarg:
+                      ShardCoordinator(None, None, None, "journal",
+                                       **{k: 0.05}),
                       TypeError))
     for module, names in [
             ("repro", ("sql_rule", "xpath_rule", "webl_rule", "regex_rule")),

@@ -131,14 +131,13 @@ class TestFleetConfig:
     def test_collects_every_knob(self):
         config = FleetConfig(n_workers=4, pool="spawn",
                              heartbeat_timeout=5.0, max_worker_restarts=1,
-                             poll_seconds=0.1, max_inflight_requests=8,
-                             tenant_quota=2)
+                             max_inflight_requests=8, tenant_quota=2)
         assert (config.n_workers, config.pool) == (4, "spawn")
         assert config.tenant_quota == 2
 
     @pytest.mark.parametrize("bad", [
         {"n_workers": 0}, {"pool": "fork"}, {"heartbeat_timeout": 0.0},
-        {"max_worker_restarts": -1}, {"poll_seconds": 0.0},
+        {"max_worker_restarts": -1},
         {"max_inflight_requests": 0}, {"tenant_quota": 0},
     ])
     def test_validation(self, bad):
