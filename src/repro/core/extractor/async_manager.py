@@ -19,24 +19,20 @@ for legacy sync ones), ``Sleep`` -> ``Clock.sleep_async`` (a
 waiting task never blocks the loop its leader runs on).  Retries,
 breakers, budget, deadlines, failover, single-flight and every span
 name, annotation and problem string are therefore the thread engine's by
-construction; what is specific to this engine is the task fan-out and
-the private loop.
+construction; what is specific to this engine is the task fan-out.
 
-The synchronous :meth:`AsyncExtractorManager.extract` remains available:
-it submits the coroutine to a private, lazily started event loop on a
-daemon thread, which is how ``S2SMiddleware.query()`` keeps its blocking
-signature under ``concurrency="asyncio"`` — sync and async callers share
-one engine, one breaker state, one cache.
+The synchronous :meth:`AsyncExtractorManager.extract` remains available
+as ``asyncio.run(self.extract_async(...))``, which is how
+``S2SMiddleware.query()`` keeps its blocking signature under
+``concurrency="asyncio"`` — sync and async callers share one engine, one
+breaker state, one cache, and the engine owns no thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import threading
 from typing import Any
 
-from ...errors import S2SError
 from ...ids import AttributePath
 from ...obs import NULL_SPAN
 from ..resilience import Deadline
@@ -52,47 +48,10 @@ class AsyncExtractorManager(ExtractorManager):
     Construction is identical to :class:`ExtractorManager`; the
     middleware selects this class when
     ``ResilienceConfig.concurrency.mode == "asyncio"``.  ``extract()``
-    stays synchronous (it drives the private loop), ``extract_async()``
-    is the native engine for callers that already live on a loop
+    stays synchronous (a one-call bridge), ``extract_async()`` is the
+    native engine for callers that already live on a loop
     (``aquery()``/``aquery_many()``).
     """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._loop_lock = threading.Lock()
-
-    # -- the private event loop -------------------------------------------
-
-    def _ensure_loop_locked(self) -> asyncio.AbstractEventLoop:
-        """The private loop, lazily started on a daemon thread; the
-        caller holds ``_loop_lock``."""
-        if self._loop is None:
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread = threading.Thread(
-                target=self._loop.run_forever,
-                name="repro-async-extractor", daemon=True)
-            self._loop_thread.start()
-        return self._loop
-
-    def close(self) -> None:
-        """Stop and dispose the private event loop (idempotent).
-
-        Called by the middleware when a mapping reload replaces the
-        manager; safe to call on a manager whose loop never started.
-        Extractions still in flight on the loop are cancelled first, so
-        a synchronous caller parked in :meth:`extract` gets a typed
-        error instead of waiting on a loop that will never run again."""
-        with self._loop_lock:
-            loop, thread = self._loop, self._loop_thread
-            self._loop = self._loop_thread = None
-        if loop is None:
-            return
-        asyncio.run_coroutine_threadsafe(_cancel_pending_and_stop(), loop)
-        thread.join(timeout=5.0)
-        if not loop.is_running():
-            loop.close()
 
     def extract(self, required: list[AttributePath],
                 *, deadline: Deadline | float | None = None,
@@ -100,24 +59,17 @@ class AsyncExtractorManager(ExtractorManager):
                 schema: ExtractionSchema | None = None) -> ExtractionOutcome:
         """Blocking facade over :meth:`extract_async`.
 
-        Runs the coroutine on the private loop, so synchronous callers
-        (``S2SMiddleware.query()``, the scheduler's worker threads) get
-        the asyncio engine without touching an event loop themselves.
-        Concurrent calls interleave as tasks on that one loop — which is
-        exactly what single-flight cache dedup expects."""
-        coroutine = self.extract_async(required, deadline=deadline,
-                                       span=span, schema=schema)
-        # Submitted under the lock close() swaps the loop out under, so
-        # a submission either lands before close()'s cancellation sweep
-        # or on a fresh loop — never on a stopped one.
-        with self._loop_lock:
-            future = asyncio.run_coroutine_threadsafe(
-                coroutine, self._ensure_loop_locked())
-        try:
-            return future.result()
-        except concurrent.futures.CancelledError:
-            raise S2SError("extraction cancelled: the asyncio engine was "
-                           "closed while the query was in flight") from None
+        ``asyncio.run`` — the mirror image of the ``asyncio.to_thread``
+        that bridges async callers into the blocking engines — so
+        synchronous callers (``S2SMiddleware.query()``, the scheduler's
+        worker threads) get the asyncio engine on a loop that lives for
+        exactly this call: there is no engine thread to start, stop or
+        strand a caller on.  Must not be called from inside a running
+        loop (use :meth:`extract_async` there).  Concurrent sync callers
+        each run their own loop and still share single-flight cache
+        dedup, because flights wait on a ``threading.Event``."""
+        return asyncio.run(self.extract_async(
+            required, deadline=deadline, span=span, schema=schema))
 
     # -- the engine --------------------------------------------------------
 
@@ -184,14 +136,3 @@ class AsyncExtractorManager(ExtractorManager):
                     effect = policy.send(result)
         except StopIteration as stop:
             return stop.value
-
-
-async def _cancel_pending_and_stop() -> None:
-    """Cancel every other task on the running loop, wait them out (their
-    blocked callers are woken as each one unwinds), then stop the loop."""
-    tasks = [task for task in asyncio.all_tasks()
-             if task is not asyncio.current_task()]
-    for task in tasks:
-        task.cancel()
-    await asyncio.gather(*tasks, return_exceptions=True)
-    asyncio.get_running_loop().stop()

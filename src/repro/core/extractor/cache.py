@@ -221,9 +221,8 @@ class FragmentCache:
 
         Identical protocol and bookkeeping, but waiting on a flight
         parks in a worker thread instead of blocking the loop — when the
-        leader is another *task* on the same loop (concurrent queries on
-        the asyncio engine's private loop), a blocking wait would
-        deadlock it."""
+        leader is another *task* on the same loop (concurrent
+        ``aquery()`` calls), a blocking wait would deadlock it."""
         key = _key(entry)
         waited = False
         while True:

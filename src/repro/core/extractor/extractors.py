@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 import asyncio
+import contextlib
 
 from ...errors import ExtractionError, S2SError, TransientSourceError
 from ...sources.base import DataSource
@@ -34,6 +35,21 @@ def _execution_detail(source: DataSource) -> dict | None:
     return hook() if hook is not None else None
 
 
+@contextlib.contextmanager
+def _classified(source: DataSource, entry: MappingEntry):
+    """Error classification around one rule execution."""
+    try:
+        yield
+    except (ExtractionError, TransientSourceError):
+        # Transient errors keep their type so the manager's retry
+        # policy can distinguish them from permanent failures.
+        raise
+    except S2SError as exc:
+        raise ExtractionError(
+            str(exc), attribute_id=entry.attribute_id,
+            source_id=source.source_id) from exc
+
+
 class Extractor(abc.ABC):
     """Executes extraction rules of one language against one source type."""
 
@@ -45,52 +61,39 @@ class Extractor(abc.ABC):
 
     def extract(self, source: DataSource, entry: MappingEntry) -> RawFragment:
         """Run one mapping entry against its source."""
-        if source.source_type != self.source_type:
-            raise ExtractionError(
-                f"{type(self).__name__} cannot extract from "
-                f"{source.source_type!r} source",
-                attribute_id=entry.attribute_id, source_id=source.source_id)
-        try:
+        self._check_type(source, entry)
+        with _classified(source, entry):
             values = source.execute_rule(entry.rule.code)
-        except (ExtractionError, TransientSourceError):
-            # Transient errors keep their type so the manager's retry
-            # policy can distinguish them from permanent failures.
-            raise
-        except S2SError as exc:
-            raise ExtractionError(
-                str(exc), attribute_id=entry.attribute_id,
-                source_id=source.source_id) from exc
-        values = self.transforms.apply(entry.rule.transform, values)
-        return RawFragment(entry.attribute, source.source_id, values,
-                           _execution_detail(source))
+        return self._fragment(source, entry, values)
 
     async def aextract(self, source: DataSource,
                        entry: MappingEntry) -> RawFragment:
-        """Async twin of :meth:`extract` for the asyncio engine.
+        """:meth:`extract` for the asyncio engine.
 
         Sources exposing an ``aexecute_rule`` coroutine (the
         :class:`~repro.sources.base.AsyncDataSource` protocol) are
         awaited natively, keeping the event loop free while they wait on
-        their transport; legacy sync connectors are the auto-adapted
-        path — the whole synchronous :meth:`extract` runs in a worker
-        thread.  Error classification and transform application are
-        identical on both paths."""
+        their transport — the awaited call is the only line that differs
+        from :meth:`extract`.  Legacy sync connectors run the *whole*
+        synchronous :meth:`extract` in a worker thread, so the execution
+        detail is read back on the thread that ran the rule."""
         run_rule = getattr(source, "aexecute_rule", None)
         if run_rule is None:
             return await asyncio.to_thread(self.extract, source, entry)
+        self._check_type(source, entry)
+        with _classified(source, entry):
+            values = await run_rule(entry.rule.code)
+        return self._fragment(source, entry, values)
+
+    def _check_type(self, source: DataSource, entry: MappingEntry) -> None:
         if source.source_type != self.source_type:
             raise ExtractionError(
                 f"{type(self).__name__} cannot extract from "
                 f"{source.source_type!r} source",
                 attribute_id=entry.attribute_id, source_id=source.source_id)
-        try:
-            values = await run_rule(entry.rule.code)
-        except (ExtractionError, TransientSourceError):
-            raise
-        except S2SError as exc:
-            raise ExtractionError(
-                str(exc), attribute_id=entry.attribute_id,
-                source_id=source.source_id) from exc
+
+    def _fragment(self, source: DataSource, entry: MappingEntry,
+                  values: list[str]) -> RawFragment:
         values = self.transforms.apply(entry.rule.transform, values)
         return RawFragment(entry.attribute, source.source_id, values,
                            _execution_detail(source))

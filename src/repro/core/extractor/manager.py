@@ -345,8 +345,7 @@ class ExtractorManager:
         """Release engine resources; a no-op for the thread engine.
 
         The middleware calls this when a mapping reload replaces the
-        manager; the asyncio subclass uses it to stop its private event
-        loop."""
+        manager; the sharded subclass uses it to stop its fleet."""
 
     def _record_outcome_metrics(self, outcome: ExtractionOutcome) -> None:
         metrics = self.metrics

@@ -175,8 +175,8 @@ class ShardCoordinator:
     def _plan_target(self, target: IngestTarget, refresher: DeltaRefresher,
                      force: bool, report: IngestReport, span) -> None:
         mat = self.store.ensure(target.class_name, list(target.required))
-        schema = self.manager.obtain_extraction_schema(list(target.required))
         delta = refresher.plan_changes(mat, force=force)
+        schema = delta.schema
         for source_id in delta.removed:
             self.store.tombstone(mat.key, source_id)
             span.child("source", source=source_id,

@@ -155,7 +155,7 @@ class S2SMiddleware:
         if previous is not None:
             self.manager.health.merge_from(previous.health)
             self.manager.retry_count = previous.retry_count
-            previous.close()  # stop a replaced asyncio engine's loop
+            previous.close()  # stop a replaced sharded engine's fleet
         self.query_handler = QueryHandler(
             self.schema, self.manager,
             validate_instances=self.validate_instances,
@@ -315,16 +315,15 @@ class S2SMiddleware:
         """One freshness/content summary dict per materialization."""
         return self._require_store().status()
 
-    def store_refresher(self, *, interval_seconds: float = 60.0,
-                        poll_seconds: float | None = None) -> StoreRefresher:
+    def store_refresher(self, *, interval_seconds: float = 60.0
+                        ) -> StoreRefresher:
         """A background refresher driving :meth:`refresh_store` every
         ``interval_seconds`` on the resilience clock.  Use as a context
         manager so the worker thread is shut down on exit."""
         self._require_store()
         refresher = StoreRefresher(self.refresh_store,
                                    interval_seconds=interval_seconds,
-                                   clock=self.resilience.clock,
-                                   poll_seconds=poll_seconds)
+                                   clock=self.resilience.clock)
         self._owned_closables.add(refresher)
         return refresher
 

@@ -10,8 +10,7 @@ prove.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
 
 from ...errors import QueryError
 from ...obs import NULL_SPAN, MetricsRegistry, Trace, Tracer
@@ -101,38 +100,6 @@ class QueryResult:
         return check_consistency(self.entities, key, tolerance=tolerance)
 
 
-@dataclass
-class _PreparedQuery:
-    """Everything :meth:`QueryHandler.execute` does before extraction.
-
-    When the store already answered, ``result`` is the finished
-    :class:`QueryResult` and no extraction runs.  Shared by the sync and
-    async execution paths so they differ *only* in how the extraction
-    outcome is obtained."""
-
-    query: S2sqlQuery | None = None
-    plan: QueryPlan | None = None
-    root: Any = NULL_SPAN
-    tracer: Tracer | None = None
-    started: float = 0.0
-    result: QueryResult | None = None
-
-
-@dataclass
-class _PreparedBatch:
-    """Everything :meth:`QueryHandler.execute_many` does before the
-    shared scan; ``results`` short-circuits (empty batch or full store
-    serving)."""
-
-    parsed: list[S2sqlQuery] = field(default_factory=list)
-    batch: Any = None
-    schema: Any = None
-    root: Any = NULL_SPAN
-    tracer: Tracer | None = None
-    started: float = 0.0
-    results: list[QueryResult] | None = None
-
-
 class QueryHandler:
     """Executes S2SQL queries through the extraction pipeline.
 
@@ -166,125 +133,17 @@ class QueryHandler:
 
         ``tracer`` overrides the handler's installed tracer for this one
         call (``S2SMiddleware.explain`` uses this)."""
-        prep = self._prepare(query, merge_key, tracer)
-        if prep.result is not None:
-            return prep.result
-        with prep.root.child("extract") as span:
-            outcome = self.manager.extract(prep.plan.required_attributes,
-                                           span=span)
-        return self._finish_live(prep, outcome, merge_key)
+        return self._drive(self._answer_one(query, merge_key, tracer))
 
     async def aexecute(self, query: str | S2sqlQuery,
                        *, merge_key: list[str] | None = None,
                        tracer: Tracer | None = None) -> QueryResult:
         """Awaitable :meth:`execute` for callers on an event loop.
 
-        Parsing, planning, store serving/folding, generation, filtering,
-        tracing and metrics are byte-for-byte the sync path's (shared
-        helpers); only the extraction outcome is awaited — natively
-        under the asyncio engine, in a worker thread otherwise."""
-        prep = self._prepare(query, merge_key, tracer)
-        if prep.result is not None:
-            return prep.result
-        with prep.root.child("extract") as span:
-            outcome = await self.manager.extract_async(
-                prep.plan.required_attributes, span=span)
-        return self._finish_live(prep, outcome, merge_key)
-
-    def _prepare(self, query: str | S2sqlQuery,
-                 merge_key: list[str] | None,
-                 tracer: Tracer | None) -> _PreparedQuery:
-        """Parse, plan and (when a store is installed) try to serve —
-        everything :meth:`execute` does before touching the extractor."""
-        started = time.perf_counter()
-        tracer = tracer or self.tracer
-        text = query if isinstance(query, str) else str(query)
-        root = (tracer.start("query", text=text)
-                if tracer is not None else NULL_SPAN)
-
-        with root.child("parse"):
-            if isinstance(query, str):
-                query = parse_s2sql(query)
-        with root.child("plan") as span:
-            plan = self.planner.plan(query)
-            span.annotate(query_class=plan.class_name,
-                          attributes=len(plan.required_attributes),
-                          conditions=len(plan.conditions))
-        prep = _PreparedQuery(query=query, plan=plan, root=root,
-                              tracer=tracer, started=started)
-
-        if self.store is not None:
-            with root.child("store") as span:
-                serving = self.store.serve(plan, span=span)
-            if serving is not None:
-                prep.result = self._finish_store_hit(
-                    query, plan, serving, merge_key, root, tracer, started)
-        return prep
-
-    def _finish_live(self, prep: _PreparedQuery,
-                     outcome: ExtractionOutcome,
-                     merge_key: list[str] | None) -> QueryResult:
-        """Generate, fold, filter and record — everything after the
-        extraction outcome exists, shared by sync and async paths."""
-        query, plan, root = prep.query, prep.plan, prep.root
-        with root.child("generate") as span:
-            # With a store, generate unmerged so the fold keeps pristine
-            # per-source entities; the query's merge applies afterwards.
-            generation = self.generator.generate(
-                outcome, plan.class_name,
-                merge_key=None if self.store is not None else merge_key)
-            span.annotate(entities=len(generation.entities),
-                          errors=len(generation.errors.entries),
-                          shapes=generation.shapes)
-        if self.store is not None:
-            with root.child("store") as span:
-                self.store.fold(plan, outcome, generation,
-                                self.manager.sources, span=span)
-            if merge_key:
-                generation.entities = self.generator._merge(
-                    generation.entities, merge_key, generation.errors)
-        with root.child("filter") as span:
-            entities = [entity for entity in generation.entities
-                        if self._matches(entity, plan.conditions)]
-            span.annotate(candidates=len(generation.entities),
-                          matched=len(entities))
-        root.finish()
-
-        result = QueryResult(query, plan, self.schema, entities,
-                             generation.errors,
-                             extraction_seconds=outcome.elapsed_seconds,
-                             extraction=outcome)
-        if prep.tracer is not None:
-            result.trace = prep.tracer.trace_of(root)
-        result.elapsed_seconds = time.perf_counter() - prep.started
-        if self.metrics is not None:
-            self._record_query_metrics(result)
-        return result
-
-    def _finish_store_hit(self, query: S2sqlQuery, plan: QueryPlan,
-                          serving, merge_key: list[str] | None, root,
-                          tracer: Tracer | None,
-                          started: float) -> QueryResult:
-        """Build a :class:`QueryResult` from a store serving: apply the
-        query's merge key and conditions to the served clones, exactly
-        as the live path applies them to generated entities."""
-        entities = serving.entities
-        errors = serving.errors
-        if merge_key:
-            entities = self.generator._merge(entities, merge_key, errors)
-        with root.child("filter") as span:
-            matched = [entity for entity in entities
-                       if self._matches(entity, plan.conditions)]
-            span.annotate(candidates=len(entities), matched=len(matched))
-        root.finish()
-        result = QueryResult(query, plan, self.schema, matched, errors,
-                             store_hit=True, store_stale=serving.stale)
-        if tracer is not None:
-            result.trace = tracer.trace_of(root)
-        result.elapsed_seconds = time.perf_counter() - started
-        if self.metrics is not None:
-            self._record_query_metrics(result)
-        return result
+        The same pipeline (:meth:`_answer_one`) under the awaiting
+        driver: only the extraction outcome is awaited — natively under
+        the asyncio engine, in a worker thread otherwise."""
+        return await self._adrive(self._answer_one(query, merge_key, tracer))
 
     def execute_many(self, queries: list[str | S2sqlQuery],
                      *, merge_key: list[str] | None = None,
@@ -302,203 +161,269 @@ class QueryHandler:
         alone; ``elapsed_seconds`` on each result is the *batch*
         wall-clock (the queries ran together), and all results share the
         batch's trace when a tracer is installed."""
-        prep = self._prepare_batch(queries, merge_key, tracer)
-        if prep.results is not None:
-            return prep.results
-        with prep.root.child("scan") as span:
-            span.annotate(attributes=len(prep.batch.shared_attributes),
-                          sources=len(prep.schema.source_ids()))
-            shared = self.manager.extract(prep.batch.shared_attributes,
-                                          span=span, schema=prep.schema)
-        return self._finish_batch(prep, shared, merge_key)
+        return self._drive(self._answer_many(queries, merge_key, tracer))
 
     async def aexecute_many(self, queries: list[str | S2sqlQuery],
                             *, merge_key: list[str] | None = None,
                             tracer: Tracer | None = None
                             ) -> list[QueryResult]:
-        """Awaitable :meth:`execute_many`: same single shared scan, same
-        planning/store/projection helpers, extraction awaited."""
-        prep = self._prepare_batch(queries, merge_key, tracer)
-        if prep.results is not None:
-            return prep.results
-        with prep.root.child("scan") as span:
-            span.annotate(attributes=len(prep.batch.shared_attributes),
-                          sources=len(prep.schema.source_ids()))
-            shared = await self.manager.extract_async(
-                prep.batch.shared_attributes, span=span, schema=prep.schema)
-        return self._finish_batch(prep, shared, merge_key)
+        """Awaitable :meth:`execute_many`: the same pipeline
+        (:meth:`_answer_many`), the one shared scan awaited."""
+        return await self._adrive(
+            self._answer_many(queries, merge_key, tracer))
 
-    def _prepare_batch(self, queries: list[str | S2sqlQuery],
-                       merge_key: list[str] | None,
-                       tracer: Tracer | None) -> _PreparedBatch:
-        """Parse + plan the batch and try the store — everything
-        :meth:`execute_many` does before the shared scan."""
-        prep = _PreparedBatch()
-        if not queries:
-            prep.results = []
-            return prep
-        prep.started = started = time.perf_counter()
-        prep.tracer = tracer = tracer or self.tracer
-        prep.root = root = (tracer.start("batch", queries=len(queries))
-                            if tracer is not None else NULL_SPAN)
+    # -- the two drivers ---------------------------------------------------
+    #
+    # A pipeline is a generator that yields ``(attributes, span, schema)``
+    # at the one point it needs an extraction outcome (never, when the
+    # store answers) and returns the finished result(s).  The drivers are
+    # the only code that knows whether the caller blocks or awaits; an
+    # extraction error (or cancellation) is thrown back into the pipeline
+    # so its span records it.
+
+    def _drive(self, pipeline):
+        try:
+            required, span, schema = next(pipeline)
+            try:
+                outcome = self.manager.extract(required, span=span,
+                                               schema=schema)
+            except BaseException as exc:
+                pipeline.throw(exc)
+            else:
+                pipeline.send(outcome)
+        except StopIteration as stop:
+            return stop.value
+
+    async def _adrive(self, pipeline):
+        try:
+            required, span, schema = next(pipeline)
+            try:
+                outcome = await self.manager.extract_async(
+                    required, span=span, schema=schema)
+            except BaseException as exc:
+                pipeline.throw(exc)
+            else:
+                pipeline.send(outcome)
+        except StopIteration as stop:
+            return stop.value
+
+    # -- the two pipelines -------------------------------------------------
+
+    def _answer_one(self, query: str | S2sqlQuery,
+                    merge_key: list[str] | None, tracer: Tracer | None):
+        """Parse, plan, try the store, else extract and answer live."""
+        started = time.perf_counter()
+        tracer = tracer or self.tracer
+        text = query if isinstance(query, str) else str(query)
+        root = (tracer.start("query", text=text)
+                if tracer is not None else NULL_SPAN)
 
         with root.child("parse"):
-            prep.parsed = parsed = [query if isinstance(query, S2sqlQuery)
-                                    else parse_s2sql(query)
-                                    for query in queries]
+            if isinstance(query, str):
+                query = parse_s2sql(query)
+        with root.child("plan") as span:
+            plan = self.planner.plan(query)
+            span.annotate(query_class=plan.class_name,
+                          attributes=len(plan.required_attributes),
+                          conditions=len(plan.conditions))
+
+        serving = None
+        if self.store is not None:
+            with root.child("store") as span:
+                serving = self.store.serve(plan, span=span)
+        if serving is not None:
+            result = self._answer_served(query, plan, serving, merge_key,
+                                         root)
+        else:
+            with root.child("extract") as span:
+                outcome = yield plan.required_attributes, span, None
+            result = self._answer_live(query, plan, outcome, merge_key, root)
+        return self._seal([result], root, tracer, started, batch=False)[0]
+
+    def _answer_many(self, queries: list[str | S2sqlQuery],
+                     merge_key: list[str] | None, tracer: Tracer | None):
+        """Parse + plan the batch, try the store, else run the one
+        shared scan and answer every distinct query from its projection."""
+        if not queries:
+            return []
+        started = time.perf_counter()
+        tracer = tracer or self.tracer
+        root = (tracer.start("batch", queries=len(queries))
+                if tracer is not None else NULL_SPAN)
+
+        with root.child("parse"):
+            parsed = [query if isinstance(query, S2sqlQuery)
+                      else parse_s2sql(query) for query in queries]
         distinct = len({str(query) for query in parsed})
         with root.child("plan") as span:
-            prep.batch = batch = QueryBatch(self.planner).plan(parsed)
+            batch = QueryBatch(self.planner).plan(parsed)
             span.annotate(queries=len(batch), distinct=distinct,
                           shared_attributes=len(batch.shared_attributes),
                           amortization=round(batch.amortization, 3))
 
+        results = None
         if self.store is not None:
-            results = self._serve_batch_from_store(batch, parsed, merge_key,
-                                                   root, tracer, started)
-            if results is not None:
-                prep.results = results
-                return prep
+            results = self._serve_batch_from_store(parsed, batch.plans,
+                                                   merge_key, root)
+        if results is None:
+            schema = self.manager.obtain_extraction_schema(
+                batch.shared_attributes)
+            with root.child("scan") as span:
+                span.annotate(attributes=len(batch.shared_attributes),
+                              sources=len(schema.source_ids()))
+                shared = yield batch.shared_attributes, span, schema
+            results = self._each_distinct(
+                parsed, batch.plans, root,
+                lambda query, plan, span: self._answer_live(
+                    query, plan, project_outcome(shared, schema, plan),
+                    merge_key, span))
+        return self._seal(results, root, tracer, started, batch=True)
 
-        prep.schema = self.manager.obtain_extraction_schema(
-            batch.shared_attributes)
-        return prep
-
-    def _finish_batch(self, prep: _PreparedBatch,
-                      shared: ExtractionOutcome,
-                      merge_key: list[str] | None) -> list[QueryResult]:
-        """Project the shared outcome onto every query — everything
-        after the scan, shared by sync and async paths."""
-        parsed, batch, schema = prep.parsed, prep.batch, prep.schema
-        root, tracer = prep.root, prep.tracer
-        # Duplicate queries inside one batch (common under concurrent
-        # traffic) are generated and filtered once; their results share
-        # the first occurrence's entities.
-        answered: dict[str, tuple] = {}
-        results: list[QueryResult] = []
-        for index, plan in enumerate(batch.plans):
-            text = str(parsed[index])
-            if text in answered:
-                entities, errors, outcome = answered[text]
-            else:
-                with root.child("query", index=index,
-                                text=text) as query_span:
-                    outcome = project_outcome(shared, schema, plan)
-                    with query_span.child("generate") as span:
-                        generation = self.generator.generate(
-                            outcome, plan.class_name,
-                            merge_key=(None if self.store is not None
-                                       else merge_key))
-                        span.annotate(entities=len(generation.entities),
-                                      errors=len(generation.errors.entries),
-                                      shapes=generation.shapes)
-                    if self.store is not None:
-                        with query_span.child("store") as span:
-                            self.store.fold(plan, outcome, generation,
-                                            self.manager.sources, span=span)
-                        if merge_key:
-                            generation.entities = self.generator._merge(
-                                generation.entities, merge_key,
-                                generation.errors)
-                    with query_span.child("filter") as span:
-                        entities = [entity
-                                    for entity in generation.entities
-                                    if self._matches(entity,
-                                                     plan.conditions)]
-                        span.annotate(candidates=len(generation.entities),
-                                      matched=len(entities))
-                errors = generation.errors
-                answered[text] = (entities, errors, outcome)
-            results.append(QueryResult(
-                parsed[index], plan, self.schema, list(entities), errors,
-                extraction_seconds=shared.elapsed_seconds,
-                extraction=outcome))
-        root.finish()
-
-        trace = tracer.trace_of(root) if tracer is not None else None
-        elapsed = time.perf_counter() - prep.started
-        for result in results:
-            result.trace = trace
-            result.elapsed_seconds = elapsed
-        if self.metrics is not None:
-            self._record_batch_metrics(results, elapsed)
-        return results
-
-    def _serve_batch_from_store(self, batch, parsed: list[S2sqlQuery],
-                                merge_key: list[str] | None, root,
-                                tracer: Tracer | None,
-                                started: float) -> list[QueryResult] | None:
+    def _serve_batch_from_store(self, parsed: list[S2sqlQuery],
+                                plans: list[QueryPlan],
+                                merge_key: list[str] | None,
+                                root) -> list[QueryResult] | None:
         """Answer a whole batch from the store, or None to go live.
 
         All-or-nothing: a batch with even one unservable query runs the
         shared scan anyway (the scan visits the union of sources, so a
         partial store answer would not save the extraction)."""
-        if not all(self.store.servable(plan) for plan in batch.plans):
+        if not all(self.store.servable(plan) for plan in plans):
             return None
-        servings: dict[str, object] = {}
-        with root.child("store", queries=len(batch.plans)) as store_span:
-            for index, plan in enumerate(batch.plans):
-                text = str(parsed[index])
-                if text in servings:
-                    continue
-                with store_span.child("query", index=index,
-                                      text=text) as span:
-                    serving = self.store.serve(plan, span=span)
-                if serving is None:
-                    # Raced a TTL expiry between servable() and serve():
-                    # fall back to the live shared scan.
-                    store_span.annotate(fallback="stale-race")
-                    return None
-                servings[text] = serving
 
-        answered: dict[str, tuple] = {}
+        def answer(query, plan, span):
+            serving = self.store.serve(plan, span=span)
+            if serving is None:
+                return None
+            return self._answer_served(query, plan, serving, merge_key, span)
+
+        with root.child("store", queries=len(plans)) as store_span:
+            results = self._each_distinct(parsed, plans, store_span, answer)
+            if results is None:
+                # Raced a TTL expiry between servable() and serve():
+                # fall back to the live shared scan.
+                store_span.annotate(fallback="stale-race")
+        return results
+
+    def _each_distinct(self, parsed: list[S2sqlQuery],
+                       plans: list[QueryPlan], parent,
+                       answer) -> list[QueryResult] | None:
+        """One result per query of a batch, ``answer(query, plan, span)``
+        called once per *distinct* query text under its ``query`` span.
+
+        Duplicate queries inside one batch (common under concurrent
+        traffic) are answered once; their results share the first
+        occurrence's entities (in a list of their own).  An ``answer``
+        of None abandons the batch."""
+        answered: dict[str, QueryResult] = {}
         results: list[QueryResult] = []
-        for index, plan in enumerate(batch.plans):
-            text = str(parsed[index])
-            if text not in answered:
-                serving = servings[text]
-                entities = serving.entities
-                errors = serving.errors
-                if merge_key:
-                    entities = self.generator._merge(entities, merge_key,
-                                                     errors)
-                entities = [entity for entity in entities
-                            if self._matches(entity, plan.conditions)]
-                answered[text] = (entities, errors, serving.stale)
-            entities, errors, stale = answered[text]
-            results.append(QueryResult(
-                parsed[index], plan, self.schema, list(entities), errors,
-                store_hit=True, store_stale=stale))
-        root.finish()
+        for index, (query, plan) in enumerate(zip(parsed, plans)):
+            text = str(query)
+            first = answered.get(text)
+            if first is not None:
+                results.append(replace(first, query=query, plan=plan,
+                                       entities=list(first.entities)))
+                continue
+            with parent.child("query", index=index, text=text) as span:
+                first = answer(query, plan, span)
+            if first is None:
+                return None
+            answered[text] = first
+            results.append(first)
+        return results
 
+    # -- the answer step ---------------------------------------------------
+    #
+    # Written once: a change to the pipeline after extraction (what is
+    # generated, folded, merged or filtered, and in which order) is made
+    # here and reaches single, batch, sync, async, live and store-served
+    # queries alike.
+
+    def _answer_live(self, query: S2sqlQuery, plan: QueryPlan,
+                     outcome: ExtractionOutcome,
+                     merge_key: list[str] | None, parent) -> QueryResult:
+        """Generate → fold → merge → filter one live extraction outcome."""
+        folding = self.store is not None
+        with parent.child("generate") as span:
+            # With a store, generate unmerged so the fold keeps pristine
+            # per-source entities; the query's merge applies afterwards.
+            generation = self.generator.generate(
+                outcome, plan.class_name,
+                merge_key=None if folding else merge_key)
+            span.annotate(entities=len(generation.entities),
+                          errors=len(generation.errors.entries),
+                          shapes=generation.shapes)
+        if folding:
+            with parent.child("store") as span:
+                self.store.fold(plan, outcome, generation,
+                                self.manager.sources, span=span)
+        return self._filter(
+            query, plan, generation.entities, generation.errors,
+            merge_key if folding else None, parent,
+            extraction_seconds=outcome.elapsed_seconds, extraction=outcome)
+
+    def _answer_served(self, query: S2sqlQuery, plan: QueryPlan, serving,
+                       merge_key: list[str] | None, parent) -> QueryResult:
+        """Merge → filter a store serving's clones, exactly as the live
+        path treats generated entities."""
+        return self._filter(query, plan, serving.entities, serving.errors,
+                            merge_key, parent,
+                            store_hit=True, store_stale=serving.stale)
+
+    def _filter(self, query: S2sqlQuery, plan: QueryPlan,
+                entities: list[AssembledEntity], errors: ErrorReport,
+                merge_key: list[str] | None, parent,
+                **fields) -> QueryResult:
+        """Apply the (not yet applied) merge key and the WHERE
+        conditions; owns the ``filter`` span."""
+        if merge_key:
+            entities = self.generator._merge(entities, merge_key, errors)
+        with parent.child("filter") as span:
+            matched = [entity for entity in entities
+                       if self._matches(entity, plan.conditions)]
+            span.annotate(candidates=len(entities), matched=len(matched))
+        return QueryResult(query, plan, self.schema, matched, errors,
+                           **fields)
+
+    def _seal(self, results: list[QueryResult], root,
+              tracer: Tracer | None, started: float,
+              *, batch: bool) -> list[QueryResult]:
+        """Finish the root span, stamp the trace and the wall clock on
+        every result, record metrics."""
+        root.finish()
         trace = tracer.trace_of(root) if tracer is not None else None
         elapsed = time.perf_counter() - started
         for result in results:
             result.trace = trace
             result.elapsed_seconds = elapsed
         if self.metrics is not None:
-            self._record_batch_metrics(results, elapsed)
+            self._record_metrics(results, elapsed, batch=batch)
         return results
 
-    def _record_batch_metrics(self, results: list[QueryResult],
-                              elapsed: float) -> None:
+    def _record_metrics(self, results: list[QueryResult], elapsed: float,
+                        *, batch: bool) -> None:
         metrics = self.metrics
-        metrics.counter("batches_total", "query batches executed").inc()
+        if batch:
+            metrics.counter("batches_total", "query batches executed").inc()
         metrics.counter("queries_total", "S2SQL queries executed").inc(
             len(results))
-        metrics.histogram("queries_per_scan",
-                          "queries amortized over one shared scan",
-                          buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-                          ).observe(len(results))
-        metrics.histogram("batch_seconds",
-                          "end-to-end batch latency").observe(elapsed)
-        duplicates = len(results) - len(
-            {str(result.query) for result in results})
-        if duplicates:
-            metrics.counter(
-                "batch_query_dedup_total",
-                "duplicate in-batch queries answered from a sibling"
-                ).inc(duplicates)
+        if batch:
+            metrics.histogram("queries_per_scan",
+                              "queries amortized over one shared scan",
+                              buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+                              ).observe(len(results))
+            metrics.histogram("batch_seconds",
+                              "end-to-end batch latency").observe(elapsed)
+            duplicates = len(results) - len(
+                {str(result.query) for result in results})
+            if duplicates:
+                metrics.counter(
+                    "batch_query_dedup_total",
+                    "duplicate in-batch queries answered from a sibling"
+                    ).inc(duplicates)
+        else:
+            metrics.histogram("query_seconds",
+                              "end-to-end query latency").observe(elapsed)
         metrics.counter("entities_returned_total",
                         "assembled entities returned to callers").inc(
                             sum(len(result.entities) for result in results))
@@ -506,19 +431,6 @@ class QueryHandler:
         if degraded:
             metrics.counter("degraded_queries_total",
                             "queries answered best-effort").inc(degraded)
-
-    def _record_query_metrics(self, result: QueryResult) -> None:
-        metrics = self.metrics
-        metrics.counter("queries_total", "S2SQL queries executed").inc()
-        metrics.histogram("query_seconds",
-                          "end-to-end query latency").observe(
-                              result.elapsed_seconds)
-        metrics.counter("entities_returned_total",
-                        "assembled entities returned to callers").inc(
-                            len(result.entities))
-        if result.degraded:
-            metrics.counter("degraded_queries_total",
-                            "queries answered best-effort").inc()
 
     # ------------------------------------------------------------------
 

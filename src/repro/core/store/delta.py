@@ -90,6 +90,8 @@ class DeltaPlan:
     kept_stale: list[str] = field(default_factory=list)
     removed: list[str] = field(default_factory=list)
     fingerprints: dict[str, str | None] = field(default_factory=dict)
+    #: the extraction schema the diff was taken against
+    schema: ExtractionSchema | None = None
 
 
 class DeltaRefresher:
@@ -157,12 +159,13 @@ class DeltaRefresher:
                      force: bool = False) -> DeltaPlan:
         """Cheap-probe diff of one materialization, with no side effects.
 
-        The same verdict logic :meth:`refresh_one` applies inline, but
-        read-only: nothing is tombstoned, marked stale or extracted.
-        The ingest pipeline plans its EXTRACT jobs from this, so an
-        unchanged web source never even enqueues work."""
-        plan = DeltaPlan()
+        The one place the per-source verdict is decided — read-only:
+        nothing is tombstoned, marked stale or extracted.
+        :meth:`refresh_one` applies it, and the ingest pipeline plans its
+        EXTRACT jobs from it, so an unchanged web source never even
+        enqueues work."""
         schema = self.manager.obtain_extraction_schema(mat.required)
+        plan = DeltaPlan(schema=schema)
         current_sources = set(schema.by_source)
         plan.removed = sorted(set(mat.slices) - current_sources)
         open_sources = (set(self.manager.breakers.open_sources())
@@ -170,6 +173,8 @@ class DeltaRefresher:
         for source_id in sorted(current_sources):
             slice_ = mat.slices.get(source_id)
             if source_id in open_sources and slice_ is not None:
+                # Breaker open: don't even knock — keep serving the
+                # last-known-good slice, marked stale.
                 plan.kept_stale.append(source_id)
                 continue
             fingerprint = self._fingerprint(source_id)
@@ -208,48 +213,32 @@ class DeltaRefresher:
 
     def _refresh_under(self, mat: Materialization, key, force: bool,
                        result: RefreshResult, root) -> None:
-        schema = self.manager.obtain_extraction_schema(mat.required)
-        current_sources = set(schema.by_source)
+        """Apply :meth:`plan_changes`' verdict: tombstone, mark stale,
+        trace every source's verdict, extract the changed ones."""
+        with root.child("diff") as diff_span:
+            plan = self.plan_changes(mat, force=force)
+            verdicts = {**dict.fromkeys(plan.kept_stale, "breaker-open"),
+                        **dict.fromkeys(plan.unchanged, "unchanged"),
+                        **dict.fromkeys(plan.changed, "changed")}
+            diff_span.annotate(sources=len(verdicts))
+            for source_id in sorted(verdicts):
+                diff_span.child("source", source=source_id,
+                                verdict=verdicts[source_id]).finish()
+            diff_span.annotate(changed=len(plan.changed),
+                               unchanged=len(plan.unchanged),
+                               kept_stale=len(plan.kept_stale))
 
         # Sources that left the mapping: their data is gone for good.
-        for source_id in sorted(set(mat.slices) - current_sources):
+        for source_id in plan.removed:
             self.store.tombstone(key, source_id)
-            result.removed.append(source_id)
-
-        open_sources = (set(self.manager.breakers.open_sources())
-                        if self.manager.breakers is not None else set())
-        fingerprints: dict[str, str | None] = {}
-        changed: list[str] = []
-        with root.child("diff", sources=len(current_sources)) as diff_span:
-            for source_id in sorted(current_sources):
-                slice_ = mat.slices.get(source_id)
-                if source_id in open_sources and slice_ is not None:
-                    # Breaker open: don't even knock — keep serving the
-                    # last-known-good slice, marked stale.
-                    self.store.mark_slice_stale(key, source_id)
-                    result.kept_stale.append(source_id)
-                    diff_span.child("source", source=source_id,
-                                    verdict="breaker-open").finish()
-                    continue
-                fingerprint = self._fingerprint(source_id)
-                fingerprints[source_id] = fingerprint
-                if (not force and slice_ is not None and not slice_.stale
-                        and fingerprint is not None
-                        and fingerprint == slice_.fingerprint):
-                    result.unchanged.append(source_id)
-                    diff_span.child("source", source=source_id,
-                                    verdict="unchanged").finish()
-                    continue
-                changed.append(source_id)
-                diff_span.child("source", source=source_id,
-                                verdict="changed").finish()
-            diff_span.annotate(changed=len(changed),
-                               unchanged=len(result.unchanged),
-                               kept_stale=len(result.kept_stale))
-
-        if changed:
-            self._extract_delta(mat, key, schema, changed, fingerprints,
-                                result, root)
+        for source_id in plan.kept_stale:
+            self.store.mark_slice_stale(key, source_id)
+        result.removed.extend(plan.removed)
+        result.unchanged.extend(plan.unchanged)
+        result.kept_stale.extend(plan.kept_stale)
+        if plan.changed:
+            self._extract_delta(mat, key, plan.schema, plan.changed,
+                                plan.fingerprints, result, root)
         self.store.touch(key)
 
     def _extract_delta(self, mat: Materialization, key,

@@ -73,14 +73,12 @@ class StoreRefresher:
 
     def __init__(self, refresh: Callable[[], list],
                  *, interval_seconds: float = 60.0,
-                 clock: Clock | None = None,
-                 poll_seconds: float | None = None) -> None:
+                 clock: Clock | None = None) -> None:
         if interval_seconds <= 0:
             raise ValueError("interval_seconds must be positive")
         self.refresh = refresh
         self.interval_seconds = interval_seconds
         self.clock = clock or SystemClock()
-        self._poll = poll_seconds if poll_seconds is not None else interval_seconds
         self._cond = threading.Condition()
         self._closed = False
         self.cycles = 0
@@ -111,7 +109,7 @@ class StoreRefresher:
             with self._cond:
                 if self._closed:
                     return
-                self._cond.wait(self._poll)
+                self._cond.wait(self.interval_seconds)
                 if self._closed:
                     return
             now = self.clock.monotonic()

@@ -8,8 +8,8 @@ location, login, password, and driver type".
 
 :class:`AsyncDataSource` extends the protocol with a non-blocking
 ``aexecute_rule`` for the asyncio extraction engine; legacy synchronous
-connectors keep working unchanged because the engine (and the explicit
-:class:`SyncSourceAdapter`) runs them in a worker thread.
+connectors keep working unchanged because the engine runs their whole
+extraction in a worker thread (``Extractor.aextract``).
 """
 
 from __future__ import annotations
@@ -138,7 +138,10 @@ class AsyncDataSource(DataSource):
     Connectors whose transport is naturally asynchronous (an HTTP client,
     an async database driver) implement :meth:`aexecute_rule`; the
     asyncio extraction engine awaits it directly, so one event loop can
-    hold hundreds of slow sources in flight at once.
+    hold hundreds of slow sources in flight at once.  The protocol is
+    structural — the engine looks for an ``aexecute_rule`` attribute — so
+    a wrapper need not subclass, and a connector without one needs no
+    adapter.
 
     The synchronous :meth:`execute_rule` is bridged automatically (the
     coroutine runs on a private, short-lived loop), so an async-native
@@ -156,59 +159,3 @@ class AsyncDataSource(DataSource):
         Only valid from code that is not already inside a running event
         loop (the thread-pool engine's workers, direct scripting use)."""
         return asyncio.run(self.aexecute_rule(rule))
-
-
-class SyncSourceAdapter(AsyncDataSource):
-    """Auto-adapter presenting a legacy sync connector as async.
-
-    Wraps any :class:`DataSource` and satisfies the
-    :class:`AsyncDataSource` protocol by running the wrapped connector's
-    ``execute_rule`` in a worker thread, so the event loop stays free
-    while the connector blocks.  All five built-in connectors work under
-    the asyncio engine through this adapter without modification; the
-    engine applies it implicitly, and :func:`as_async_source` applies it
-    explicitly."""
-
-    def __init__(self, inner: DataSource) -> None:
-        super().__init__(inner.source_id)
-        self.inner = inner
-
-    @property
-    def source_type(self) -> str:  # type: ignore[override]
-        """Forwarded from the wrapped source."""
-        return self.inner.source_type
-
-    def connect(self) -> None:
-        self.inner.connect()
-        super().connect()
-
-    def close(self) -> None:
-        self.inner.close()
-        super().close()
-
-    async def aexecute_rule(self, rule: str) -> list[str]:
-        """Run the wrapped sync connector in a worker thread."""
-        return await asyncio.to_thread(self.inner.execute_rule, rule)
-
-    def execute_rule(self, rule: str) -> list[str]:
-        """Forward directly — no thread hop on the sync path."""
-        return self.inner.execute_rule(rule)
-
-    def content_fingerprint(self) -> str | None:
-        return self.inner.content_fingerprint()
-
-    def connection_info(self) -> ConnectionInfo:
-        return self.inner.connection_info()
-
-
-def as_async_source(source: DataSource) -> AsyncDataSource:
-    """``source`` if already async-capable, else a thread-backed adapter.
-
-    A source is async-capable when it exposes an ``aexecute_rule``
-    coroutine method — subclassing :class:`AsyncDataSource` is the
-    canonical spelling, but duck-typed wrappers (e.g.
-    :class:`~repro.sources.flaky.FlakySource`) qualify too."""
-    if isinstance(source, AsyncDataSource) or hasattr(source,
-                                                      "aexecute_rule"):
-        return source  # type: ignore[return-value]
-    return SyncSourceAdapter(source)

@@ -263,22 +263,22 @@ class FlakySource(DataSource):
 
     # -- the wrapped call ---------------------------------------------------
 
-    def _decide(self) -> str | None:
-        """Count the attempt and decide failure, under the lock."""
+    def _inject(self) -> None:
+        """Count the attempt and decide failure, under the lock; raise
+        the configured fault when it fails."""
         with self._lock:
             self.attempts += 1
             reason = self._should_fail(self.elapsed())
             if reason is not None:
                 self.failures += 1
-        return reason
+        if reason is not None:
+            raise self.error_factory(reason)
 
     def execute_rule(self, rule: str) -> list[str]:
         """Forward to the wrapped source, injecting configured faults."""
         if self.latency > 0:
             self.clock.sleep(self.latency)
-        reason = self._decide()
-        if reason is not None:
-            raise self.error_factory(reason)
+        self._inject()
         return self.inner.execute_rule(rule)
 
     async def aexecute_rule(self, rule: str) -> list[str]:
@@ -290,9 +290,7 @@ class FlakySource(DataSource):
         in a worker thread otherwise."""
         if self.latency > 0:
             await self.clock.sleep_async(self.latency)
-        reason = self._decide()
-        if reason is not None:
-            raise self.error_factory(reason)
+        self._inject()
         inner_async = getattr(self.inner, "aexecute_rule", None)
         if inner_async is not None:
             return await inner_async(rule)

@@ -54,17 +54,20 @@ class WebDataSource(DataSource):
             self._compiled[rule] = program
         return program
 
-    def execute_rule(self, rule: str) -> list[str]:
+    def _run(self, rule: str, interpreter: WeblInterpreter) -> list[str]:
         """Run a WebL program; a list result is n records, a scalar is 1."""
         if not self.connected:
             self.connect()
         try:
-            program = self._compile(rule)
-            result = self._interpreter.run(program)
+            result = interpreter.run(self._compile(rule))
         except WeblError as exc:
             raise ExtractionError(
                 f"WebL rule failed: {exc}", source_id=self.source_id) from exc
         return self._records(result)
+
+    def execute_rule(self, rule: str) -> list[str]:
+        """Run a WebL rule against the live (sleeping) simulated web."""
+        return self._run(rule, self._interpreter)
 
     async def aexecute_rule(self, rule: str) -> list[str]:
         """Awaitable twin of :meth:`execute_rule` for the asyncio engine.
@@ -76,8 +79,6 @@ class WebDataSource(DataSource):
         the fetches is awaited *once* afterwards: same fetch accounting,
         same total elapsed time, but the event loop interleaves other
         sources during the wait instead of blocking a borrowed thread."""
-        if not self.connected:
-            self.connect()
         fetches = 0
 
         def fetch(url: str) -> str:
@@ -85,18 +86,12 @@ class WebDataSource(DataSource):
             fetches += 1
             return self.web.fetch_nowait(url)
 
-        interpreter = WeblInterpreter(
-            fetch, extra_builtins={"SourceURL": lambda: self.url})
-        try:
-            program = self._compile(rule)
-            result = interpreter.run(program)
-        except WeblError as exc:
-            raise ExtractionError(
-                f"WebL rule failed: {exc}", source_id=self.source_id) from exc
+        records = self._run(rule, WeblInterpreter(
+            fetch, extra_builtins={"SourceURL": lambda: self.url}))
         owed = fetches * self.web.latency_seconds
         if owed > 0:
             await asyncio.sleep(owed)
-        return self._records(result)
+        return records
 
     def _records(self, result) -> list[str]:
         if result is None:

@@ -2,7 +2,7 @@
 
 Covers the pieces below the :class:`AsyncExtractorManager` — the
 :class:`~repro.sources.base.AsyncDataSource` protocol and its sync
-bridge, the auto-adapter for legacy connectors, async fault injection,
+bridge, async fault injection,
 :meth:`Extractor.aextract` dispatch, the fragment cache's async
 single-flight path, and the adaptive fan-out cap reporting.  Full
 engine-level sync/async equivalence lives in
@@ -25,8 +25,7 @@ from repro.config import ConcurrencyConfig
 from repro.errors import ExtractionError, TransientSourceError
 from repro.ids import AttributePath
 from repro.obs import MetricsRegistry
-from repro.sources.base import (AsyncDataSource, ConnectionInfo,
-                                SyncSourceAdapter, as_async_source)
+from repro.sources.base import AsyncDataSource, ConnectionInfo
 from repro.sources.flaky import FlakySource
 from repro.sources.relational import RelationalDataSource
 from repro.workloads import B2BScenario
@@ -62,49 +61,6 @@ class TestAsyncDataSourceBridge:
         source = EchoAsyncSource()
         assert source.execute_rule("SELECT x") == ["async:SELECT x"]
         assert source.async_calls == 1
-
-    def test_as_async_source_passes_native_through(self):
-        source = EchoAsyncSource()
-        assert as_async_source(source) is source
-
-    def test_as_async_source_passes_duck_typed_through(self, watch_db):
-        # FlakySource is a plain DataSource exposing aexecute_rule: the
-        # protocol is structural, so no adapter is interposed.
-        flaky = FlakySource(RelationalDataSource("DB_1", watch_db),
-                            failure_rate=0.0)
-        assert as_async_source(flaky) is flaky
-
-
-class TestSyncSourceAdapter:
-    def test_legacy_connector_is_wrapped(self, watch_db):
-        inner = RelationalDataSource("DB_1", watch_db)
-        adapted = as_async_source(inner)
-        assert isinstance(adapted, SyncSourceAdapter)
-        assert adapted.inner is inner
-        assert adapted.source_id == "DB_1"
-        assert adapted.source_type == "database"
-
-    def test_connect_close_forward(self, watch_db):
-        inner = RelationalDataSource("DB_1", watch_db)
-        adapted = SyncSourceAdapter(inner)
-        adapted.connect()
-        assert inner.connected and adapted.connected
-        adapted.close()
-        assert not inner.connected and not adapted.connected
-
-    def test_aexecute_rule_matches_sync_values(self, watch_db):
-        inner = RelationalDataSource("DB_1", watch_db)
-        adapted = SyncSourceAdapter(inner)
-        expected = inner.execute_rule(RULE)
-        assert asyncio.run(adapted.aexecute_rule(RULE)) == expected
-        # The sync spelling forwards directly, no event loop involved.
-        assert adapted.execute_rule(RULE) == expected
-
-    def test_metadata_forwarded(self, watch_db):
-        inner = RelationalDataSource("DB_1", watch_db)
-        adapted = SyncSourceAdapter(inner)
-        assert adapted.content_fingerprint() == inner.content_fingerprint()
-        assert adapted.connection_info() == inner.connection_info()
 
 
 class TestFlakyAsync:

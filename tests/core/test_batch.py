@@ -9,6 +9,8 @@ query.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro import ExtractionRule, S2SMiddleware
@@ -324,3 +326,119 @@ class TestScheduler:
             s2s.scheduler(max_batch_size=0)
         with pytest.raises(ValueError):
             s2s.scheduler(max_workers=0)
+
+
+# -- one answer step, every way in ------------------------------------------
+
+MATRIX_BATCH = ['SELECT product WHERE brand = "Seiko"',
+                "SELECT product WHERE price > 100",
+                'SELECT product WHERE brand = "Seiko"']
+
+
+def matrix_world(mode: str, registry: MetricsRegistry) -> S2SMiddleware:
+    """A fresh world per execution shape (a write-through fold would
+    otherwise turn the next shape's live query into a store hit).  One
+    database publishes uncoercible prices, so every mode reports error
+    entries; the ``live`` world also has one source hard-down, so its
+    answers are degraded."""
+    scenario = B2BScenario(n_sources=4, n_products=24, seed=7)
+    database = next(org for org in scenario.organizations
+                    if org.source_type == "database")
+    database.database.execute("UPDATE products SET price = 'n/a'")
+    clock = FakeClock()
+    s2s = scenario.build_middleware(
+        store=mode != "live", tracer=Tracer(), metrics=registry,
+        resilience=ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1), breaker=None,
+            failover=False, clock=clock))
+    if mode == "live":
+        down = scenario.organizations[-1].source_id
+        s2s.source_repository.register(
+            FlakySource(s2s.source_repository.get(down), failure_rate=1.0,
+                        clock=clock), replace=True)
+    if mode == "store-served":
+        s2s.materialize("SELECT product")
+    return s2s
+
+
+def answer_facts(result):
+    return (result_key(result),
+            sorted(str(entry) for entry in result.errors.entries),
+            result.degraded, result.store_hit, result.store_stale)
+
+
+@pytest.mark.parametrize("merge_key", [None, ["brand", "model"]],
+                         ids=["unmerged", "merged"])
+@pytest.mark.parametrize("mode", ["live", "write-through", "store-served"])
+class TestAnswerStepMatrix:
+    """{single, batch} x {sync, async} are bridges around one answer
+    step: they agree on everything a caller can observe."""
+
+    def test_every_entry_point_agrees(self, mode, merge_key):
+        def world():
+            return matrix_world(mode, MetricsRegistry())
+
+        singles = [world().query(query, merge_key=merge_key)
+                   for query in MATRIX_BATCH]
+        async_singles = [asyncio.run(world().aquery(query,
+                                                    merge_key=merge_key))
+                         for query in MATRIX_BATCH]
+        batch = world().query_many(MATRIX_BATCH, merge_key=merge_key)
+        async_batch = asyncio.run(
+            world().aquery_many(MATRIX_BATCH, merge_key=merge_key))
+
+        expected = [answer_facts(result) for result in singles]
+        assert expected[0][0] and expected[0][1]  # entities and errors
+        assert expected[0][2] == (mode != "write-through")
+        assert expected[0][3] == (mode == "store-served")
+        for shape in (async_singles, batch, async_batch):
+            assert [answer_facts(result) for result in shape] == expected
+        for results in (batch, async_batch):
+            first, _, duplicate = results
+            assert duplicate.entities is not first.entities
+            assert all(left is right for left, right
+                       in zip(first.entities, duplicate.entities))
+
+    def test_singles_and_a_batch_move_the_shared_families_alike(
+            self, mode, merge_key):
+        one_by_one, batched = MetricsRegistry(), MetricsRegistry()
+        for query in MATRIX_BATCH:
+            matrix_world(mode, one_by_one).query(query, merge_key=merge_key)
+        matrix_world(mode, batched).query_many(MATRIX_BATCH,
+                                               merge_key=merge_key)
+
+        def count(registry, name):
+            family = registry.get(name)
+            return 0 if family is None else family.count()
+
+        assert one_by_one.value("queries_total") \
+            == batched.value("queries_total") == len(MATRIX_BATCH)
+        for shared in ("entities_returned_total", "degraded_queries_total"):
+            assert one_by_one.value(shared) == batched.value(shared)
+        assert batched.value("degraded_queries_total") \
+            == (0 if mode == "write-through" else len(MATRIX_BATCH))
+        assert (one_by_one.value("batches_total"),
+                batched.value("batches_total")) == (0, 1)
+        assert (one_by_one.value("batch_query_dedup_total"),
+                batched.value("batch_query_dedup_total")) == (0, 1)
+        for batch_only in ("queries_per_scan", "batch_seconds"):
+            assert (count(one_by_one, batch_only),
+                    count(batched, batch_only)) == (0, 1)
+        assert (count(one_by_one, "query_seconds"),
+                count(batched, "query_seconds")) == (len(MATRIX_BATCH), 0)
+
+
+def test_store_served_batch_emits_filter_spans():
+    """Every answer path owns a ``filter`` span; the store-served batch
+    used to filter inline and show none."""
+    s2s = matrix_world("store-served", MetricsRegistry())
+    results = s2s.query_many(MATRIX_BATCH)
+    assert all(result.store_hit for result in results)
+    trace = results[0].trace
+    assert not trace.find_all("scan")
+    served = trace.find("store").find_all("query")
+    assert len(served) == 2  # one per distinct query text
+    for span, result in zip(served, results):
+        (filtered,) = span.find_all("filter")
+        assert filtered.attributes == {"candidates": 24,
+                                       "matched": len(result.entities)}

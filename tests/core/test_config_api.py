@@ -1,4 +1,4 @@
-"""The consolidated config surface, and the spellings 2.0 and 2.1
+"""The consolidated config surface, and the spellings 2.0, 2.1 and 2.2
 removed."""
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class TestCanonicalSurface:
 
 def _removed_spellings():
     """(id, trigger, expected exception) for every spelling 2.0 deleted,
-    plus the four poll knobs 2.1 made event-driven."""
+    plus the four poll knobs 2.1 made event-driven and the refresher
+    poll knob 2.2 found no caller for."""
     from repro.cli import main
     from repro.clock import SystemClock
     from repro.config import (ConcurrencyConfig, FleetConfig,
@@ -68,6 +69,7 @@ def _removed_spellings():
     from repro.core.extractor.manager import ExtractorManager
     from repro.core.mapping.datasources import DataSourceRepository
     from repro.core.mapping.repository import AttributeRepository
+    from repro.core.store.refresh import StoreRefresher
     from repro.ontology.builders import watch_domain_ontology
 
     cases = []
@@ -98,6 +100,11 @@ def _removed_spellings():
                       ShardCoordinator(None, None, None, "journal",
                                        **{k: 0.05}),
                       TypeError))
+    cases.append(("StoreRefresher(poll_seconds=)", lambda:
+                  StoreRefresher(list, poll_seconds=0.05), TypeError))
+    cases.append(("S2SMiddleware.store_refresher(poll_seconds=)", lambda:
+                  repro.S2SMiddleware(watch_domain_ontology())
+                  .store_refresher(poll_seconds=0.05), TypeError))
     for module, names in [
             ("repro", ("sql_rule", "xpath_rule", "webl_rule", "regex_rule")),
             ("repro.core.middleware",

@@ -231,10 +231,9 @@ class TestAsyncEngineMechanics:
             s2s.dump_mapping(),
             lambda source_id, info: scenario.connector(
                 organizations[source_id]))
-        # The replaced engine's private loop is stopped; the new engine
-        # answers identically.
+        # The replaced engine is closed; the new engine answers
+        # identically.
         assert s2s.manager is not previous
-        assert previous._loop is None
         assert result_key(s2s.query("SELECT product")) == expected
 
     def test_thread_engine_aquery_does_not_need_asyncio_engine(self):
