@@ -28,7 +28,7 @@ from ..resilience.config import FleetConfig
 from .coordinator import (QUERY_POOL_KINDS, FleetWorkerContext,
                           QueryShardCoordinator, QueryWorkerContext,
                           QueryWorkItem, ShardRunResult, query_worker_loop,
-                          run_query_item, subschema_for)
+                          run_query_item)
 from .manager import ShardedExtractorManager, merge_partials
 from .pool import (KILL_EXIT_CODE, SubprocessWorkerPool, ThreadWorkerPool,
                    WorkerPool)
@@ -44,5 +44,5 @@ __all__ = [
     "SupervisionVerdict", "ThreadWorkerPool", "WorkerPool",
     "WorkerSupervisor", "default_restart_policy", "merge_partials",
     "partition_sources", "query_worker_loop", "run_query_item",
-    "shard_of", "subschema_for",
+    "shard_of",
 ]

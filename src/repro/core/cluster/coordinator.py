@@ -147,24 +147,6 @@ class QueryWorkItem:
     tenant: str = "default"
 
 
-def subschema_for(schema: ExtractionSchema,
-                  source_ids: list[str]) -> ExtractionSchema:
-    """The shard-local slice of one extraction schema.
-
-    Replica mappings whose *primary* lives on this shard ride along, so
-    per-entry failover works even when the replica's own source is
-    sharded elsewhere (every worker holds the full source repository).
-    ``missing`` stays empty — unmapped attributes are a whole-plan fact
-    the coordinator stamps on the merged outcome."""
-    wanted = set(source_ids)
-    return ExtractionSchema(
-        requested=list(schema.requested),
-        by_source={sid: list(schema.by_source[sid]) for sid in source_ids},
-        replicas={key: list(entries)
-                  for key, entries in schema.replicas.items()
-                  if key[1] in wanted})
-
-
 def run_query_item(shard: int, item: QueryWorkItem, ctx, emit, *,
                    cancel: Any = None, in_subprocess: bool = False) -> None:
     """Run one sub-plan, emitting progress events.
@@ -534,7 +516,7 @@ class QueryShardCoordinator:
                                           self.n_workers)
             for shard, source_ids in sorted(shard_map.items()):
                 item = QueryWorkItem(request_id, shard, source_ids,
-                                     subschema_for(schema, source_ids),
+                                     schema.restricted_to(source_ids),
                                      tenant=tenant)
                 request.result.items[shard] = item
                 request.pending.add(shard)

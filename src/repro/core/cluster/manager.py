@@ -28,7 +28,8 @@ from dataclasses import replace
 from ...errors import S2SError
 from ...obs import NULL_SPAN
 from ..extractor.manager import (AnySpan, ExtractionOutcome,
-                                 ExtractionProblem, ExtractorManager)
+                                 ExtractionProblem, ExtractorManager,
+                                 timed_out_problem)
 from ..extractor.schema import ExtractionSchema
 from ..resilience import Deadline, SourceHealth
 from ..resilience.config import ConcurrencyConfig
@@ -71,10 +72,7 @@ def merge_partials(outcome: ExtractionOutcome, run: ShardRunResult,
             entry = health.setdefault(source_id, SourceHealth(source_id))
             entry.deadline_hits += 1
             problems_by_source.setdefault(source_id, []).append(
-                ExtractionProblem(
-                    source_id, None,
-                    f"source did not complete within the "
-                    f"{deadline.seconds:.3f}s extraction deadline"))
+                timed_out_problem(source_id, deadline))
             outcome.per_source_seconds.setdefault(source_id,
                                                   deadline.seconds or 0.0)
             sources.add(source_id)

@@ -86,6 +86,16 @@ class ExtractionProblem:
         return f"[{scope}] {self.message}"
 
 
+def timed_out_problem(source_id: str,
+                      deadline: Deadline) -> ExtractionProblem:
+    """The problem recorded for a source abandoned at the deadline (the
+    in-process engines and the fleet merge word it alike)."""
+    return ExtractionProblem(
+        source_id, None,
+        f"source did not complete within the {deadline.seconds:.3f}s "
+        f"extraction deadline")
+
+
 @dataclass
 class ExtractionOutcome:
     """Everything step 4 produced: record sets + problems + timings +
@@ -430,10 +440,7 @@ class ExtractorManager:
                           outcome: ExtractionOutcome) -> None:
         """Record a source whose worker was abandoned at the deadline."""
         ctx.health.for_source(source_id).deadline_hits += 1
-        outcome.problems.append(ExtractionProblem(
-            source_id, None,
-            f"source did not complete within the "
-            f"{ctx.deadline.seconds:.3f}s extraction deadline"))
+        outcome.problems.append(timed_out_problem(source_id, ctx.deadline))
         outcome.per_source_seconds.setdefault(
             source_id, ctx.deadline.seconds or 0.0)
 

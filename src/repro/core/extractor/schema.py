@@ -60,6 +60,25 @@ class ExtractionSchema:
                     schema.replicas.setdefault(key, []).append(entry)
         return schema
 
+    def restricted_to(self, source_ids) -> "ExtractionSchema":
+        """This schema cut down to ``source_ids`` (a fleet shard, or the
+        changed sources of a delta refresh).
+
+        Replica mappings follow their *primary*: they ride along when it
+        is kept, wherever the replica's own source lives, so per-entry
+        failover still works on the slice.  ``requested`` and ``missing``
+        are whole-plan facts and stay as they are."""
+        wanted = set(source_ids)
+        return ExtractionSchema(
+            requested=list(self.requested),
+            by_source={source_id: list(entries)
+                       for source_id, entries in self.by_source.items()
+                       if source_id in wanted},
+            missing=list(self.missing),
+            replicas={key: list(entries)
+                      for key, entries in self.replicas.items()
+                      if key[1] in wanted})
+
     def replicas_for(self, attribute_id: str,
                      source_id: str) -> list[MappingEntry]:
         """Failover entries for one (attribute, primary source) pair, in

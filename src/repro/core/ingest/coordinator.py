@@ -45,7 +45,7 @@ from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
 from ..resilience import RetryPolicy
 from ..store.delta import DeltaRefresher
-from ..store.store import SemanticStore, StoreKey
+from ..store.store import SemanticStore, SliceWrite, StoreKey
 from .jobs import DEAD, DONE, MATERIALIZE, IngestJob, job_id_for, shard_of
 from .journal import DeadLetterLedger, IngestJournal
 from .queue import DurableJobQueue
@@ -142,7 +142,8 @@ class ShardCoordinator:
             self.journal, clock=self.clock,
             retry_policy=retry_policy or manager.config.retry,
             dead_letter=self.dead_letter, metrics=metrics).recover()
-        self._entries: dict[str, list] = {}  # job_id -> mapping entries
+        #: job_id -> (mapping entries, the plan's unmapped attributes)
+        self._entries: dict[str, tuple[list, list]] = {}
         self._keys: dict[str, StoreKey] = {}  # job_id -> store key
         self._job_spans: dict[str, Any] = {}
 
@@ -192,7 +193,8 @@ class ShardCoordinator:
             job_id = job_id_for(target.class_name, mat.attribute_ids,
                                 source_id)
             self._keys[job_id] = mat.key
-            self._entries[job_id] = list(schema.by_source[source_id])
+            self._entries[job_id] = (list(schema.by_source[source_id]),
+                                     list(schema.missing))
             existing = self.queue.get(job_id)
             if existing is not None and not existing.finished:
                 # Resurrected by journal replay: resume, don't re-plan.
@@ -380,17 +382,15 @@ class ShardCoordinator:
                 del assigned[shard]
 
     def _commit(self, job: IngestJob, payload: UpsertPayload) -> None:
-        """The only store write path: idempotent per-source upsert.
+        """The only store write path: one idempotent per-source commit.
 
         Re-delivery of the same payload (at-least-once redelivery after
         a worker or coordinator death) replaces the slice with identical
         content — effectively exactly-once."""
         key = self._keys.get(job.job_id, (job.class_name, job.attribute_ids))
-        self.store.upsert(key, job.source_id, payload.entities,
-                          fingerprint=payload.fingerprint)
-        if payload.error_entries:
-            self.store.replace_errors(key, payload.error_entries,
-                                      for_sources=[job.source_id])
+        self.store.commit(key, [SliceWrite(job.source_id, payload.entities,
+                                           payload.fingerprint)],
+                          payload.error_entries)
         breaker = (self.manager.breakers.get(job.source_id)
                    if self.manager.breakers is not None else None)
         if breaker is not None:
@@ -455,8 +455,8 @@ class ShardCoordinator:
                 continue  # will be picked up by supervision
             if not self._breaker_admits(job, report):
                 continue
-            entries = self._entries.get(job.job_id)
-            if entries is None:
+            planned = self._entries.get(job.job_id)
+            if planned is None:
                 # A replayed job whose mapping vanished since the crash.
                 self.queue.claim(job, shard)
                 self.queue.fail(job, "no mapping entries for source "
@@ -472,9 +472,11 @@ class ShardCoordinator:
                     shard=shard, attempt=job.attempts + 1)
             resume_stage, resume_payload = self.staging.latest(
                 job.job_id, job.stage)
+            entries, missing = planned
             pool.submit(shard, WorkItem(job.to_dict(), entries,
                                         resume_stage=resume_stage,
-                                        resume_payload=resume_payload))
+                                        resume_payload=resume_payload,
+                                        missing=missing))
 
     def _breaker_admits(self, job: IngestJob, report: IngestReport) -> bool:
         """Dispatch-time breaker gate.

@@ -84,17 +84,21 @@ class WorkItem:
     """One dispatched job: the job plus everything stage-running needs.
 
     ``resume_stage`` / ``resume_payload`` carry the newest intact
-    staging checkpoint so a resumed job continues mid-waterfall."""
+    staging checkpoint so a resumed job continues mid-waterfall;
+    ``missing`` is the plan's unmapped attributes, so the job's error
+    entries name them exactly as every other store filler's do."""
 
     job: dict
     entries: list  # list[MappingEntry]
     resume_stage: str | None = None
     resume_payload: Any = None
+    missing: list = field(default_factory=list)  # list[AttributePath]
 
 
 @dataclass
 class ExtractBatch:
-    """EXTRACT output: raw record set + content fingerprint at read time."""
+    """EXTRACT output: raw record set + the source's content
+    fingerprint taken just before it was read."""
 
     record_set: SourceRecordSet
     fingerprint: str | None = None
@@ -130,16 +134,19 @@ def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
     if stage == EXTRACT:
         source = ctx.sources.get(job.source_id)
         extractor = ctx.registry().for_source(source)
+        # Before the read: see snapshot.fingerprint_sources.
+        fingerprint = fingerprint_source(source)
         record_set = SourceRecordSet(job.source_id)
         for entry in item.entries:
             record_set.add(extractor.extract(source, entry))
-        return ExtractBatch(record_set, fingerprint_source(source))
+        return ExtractBatch(record_set, fingerprint)
     if stage == STAGE:
         batch: ExtractBatch = payload
         record_sets = ({job.source_id: batch.record_set}
                        if batch.record_set.fragments else {})
         outcome = ExtractionOutcome(
             record_sets=record_sets,
+            missing_attributes=list(item.missing),
             per_source_seconds={job.source_id: 0.0})
         generation = ctx.generator.generate(outcome, job.class_name)
         return StagedBatch(generation.entities,

@@ -20,7 +20,7 @@ import json as _json
 
 from ...errors import InstanceGenerationError
 from ...ontology.model import Individual
-from ...ontology.owlxml import add_individual_triples
+from ...ontology.owlxml import individual_triples
 from ...rdf.graph import Graph
 from ...rdf.namespace import Namespace, NamespaceManager
 from ...rdf.rdfxml import serialize_rdfxml
@@ -51,7 +51,7 @@ def entities_to_graph(schema: OntologySchema,
             if individual.identifier in seen:
                 continue
             seen.add(individual.identifier)
-            add_individual_triples(graph, namespace, individual)
+            graph.update(individual_triples(namespace, individual))
     return graph
 
 

@@ -21,6 +21,7 @@ from ..instances.assembly import AssembledEntity
 from ..instances.errors import ErrorReport
 from ..instances.generator import InstanceGenerator
 from ..instances.outputs import render_entities
+from ..store.snapshot import fingerprint_sources
 from .ast import S2sqlQuery
 from .batch import QueryBatch, project_outcome
 from .parser import parse_s2sql
@@ -235,9 +236,13 @@ class QueryHandler:
             result = self._answer_served(query, plan, serving, merge_key,
                                          root)
         else:
+            schema = self.manager.obtain_extraction_schema(
+                plan.required_attributes)
+            fingerprints = self._probe(schema)
             with root.child("extract") as span:
-                outcome = yield plan.required_attributes, span, None
-            result = self._answer_live(query, plan, outcome, merge_key, root)
+                outcome = yield plan.required_attributes, span, schema
+            result = self._answer_live(query, plan, outcome, fingerprints,
+                                       merge_key, root)
         return self._seal([result], root, tracer, started, batch=False)[0]
 
     def _answer_many(self, queries: list[str | S2sqlQuery],
@@ -268,6 +273,7 @@ class QueryHandler:
         if results is None:
             schema = self.manager.obtain_extraction_schema(
                 batch.shared_attributes)
+            fingerprints = self._probe(schema)
             with root.child("scan") as span:
                 span.annotate(attributes=len(batch.shared_attributes),
                               sources=len(schema.source_ids()))
@@ -276,8 +282,17 @@ class QueryHandler:
                 parsed, batch.plans, root,
                 lambda query, plan, span: self._answer_live(
                     query, plan, project_outcome(shared, schema, plan),
-                    merge_key, span))
+                    fingerprints, merge_key, span))
         return self._seal(results, root, tracer, started, batch=True)
+
+    def _probe(self, schema) -> dict[str, str | None]:
+        """Content fingerprints of the sources a scan is about to read,
+        for the fold that follows it (empty without a store).  Taken
+        once per query or batch, *before* the read — see
+        :func:`~repro.core.store.snapshot.fingerprint_sources`."""
+        if self.store is None:
+            return {}
+        return fingerprint_sources(self.manager.sources, schema.source_ids())
 
     def _serve_batch_from_store(self, parsed: list[S2sqlQuery],
                                 plans: list[QueryPlan],
@@ -285,36 +300,32 @@ class QueryHandler:
                                 root) -> list[QueryResult] | None:
         """Answer a whole batch from the store, or None to go live.
 
-        All-or-nothing: a batch with even one unservable query runs the
-        shared scan anyway (the scan visits the union of sources, so a
-        partial store answer would not save the extraction)."""
-        if not all(self.store.servable(plan) for plan in plans):
-            return None
-
-        def answer(query, plan, span):
-            serving = self.store.serve(plan, span=span)
-            if serving is None:
-                return None
-            return self._answer_served(query, plan, serving, merge_key, span)
-
+        All-or-nothing, decided by the store in one step
+        (:meth:`SemanticStore.serve_many`): a batch with even one
+        unservable query runs the shared scan anyway (the scan visits
+        the union of sources, so a partial store answer would not save
+        the extraction)."""
+        distinct = {str(query): plan for query, plan in zip(parsed, plans)}
         with root.child("store", queries=len(plans)) as store_span:
-            results = self._each_distinct(parsed, plans, store_span, answer)
-            if results is None:
-                # Raced a TTL expiry between servable() and serve():
-                # fall back to the live shared scan.
-                store_span.annotate(fallback="stale-race")
-        return results
+            servings = self.store.serve_many(list(distinct.values()),
+                                             span=store_span)
+            if servings is None:
+                return None
+            served = dict(zip(distinct, servings))
+            return self._each_distinct(
+                parsed, plans, store_span,
+                lambda query, plan, span: self._answer_served(
+                    query, plan, served[str(query)], merge_key, span))
 
     def _each_distinct(self, parsed: list[S2sqlQuery],
                        plans: list[QueryPlan], parent,
-                       answer) -> list[QueryResult] | None:
+                       answer) -> list[QueryResult]:
         """One result per query of a batch, ``answer(query, plan, span)``
         called once per *distinct* query text under its ``query`` span.
 
         Duplicate queries inside one batch (common under concurrent
         traffic) are answered once; their results share the first
-        occurrence's entities (in a list of their own).  An ``answer``
-        of None abandons the batch."""
+        occurrence's entities (in a list of their own)."""
         answered: dict[str, QueryResult] = {}
         results: list[QueryResult] = []
         for index, (query, plan) in enumerate(zip(parsed, plans)):
@@ -326,8 +337,6 @@ class QueryHandler:
                 continue
             with parent.child("query", index=index, text=text) as span:
                 first = answer(query, plan, span)
-            if first is None:
-                return None
             answered[text] = first
             results.append(first)
         return results
@@ -341,6 +350,7 @@ class QueryHandler:
 
     def _answer_live(self, query: S2sqlQuery, plan: QueryPlan,
                      outcome: ExtractionOutcome,
+                     fingerprints: dict[str, str | None],
                      merge_key: list[str] | None, parent) -> QueryResult:
         """Generate → fold → merge → filter one live extraction outcome."""
         folding = self.store is not None
@@ -355,8 +365,8 @@ class QueryHandler:
                           shapes=generation.shapes)
         if folding:
             with parent.child("store") as span:
-                self.store.fold(plan, outcome, generation,
-                                self.manager.sources, span=span)
+                self.store.fold(plan, outcome, generation, fingerprints,
+                                span=span)
         return self._filter(
             query, plan, generation.entities, generation.errors,
             merge_key if folding else None, parent,

@@ -8,9 +8,10 @@ fingerprints changed.  See docs/store.md.
 
 from .delta import DeltaPlan, DeltaRefresher, RefreshResult
 from .refresh import StoreRefresher
-from .snapshot import fingerprint_source, load_store, save_store
-from .store import (STORE, Materialization, SemanticStore, SourceSlice,
-                    StoreServing)
+from .snapshot import (fingerprint_source, fingerprint_sources, load_store,
+                       save_store)
+from .store import (STORE, Materialization, SemanticStore, SliceWrite,
+                    SourceSlice, StoreServing)
 
 __all__ = [
     "STORE",
@@ -19,10 +20,12 @@ __all__ = [
     "Materialization",
     "RefreshResult",
     "SemanticStore",
+    "SliceWrite",
     "SourceSlice",
     "StoreRefresher",
     "StoreServing",
     "fingerprint_source",
+    "fingerprint_sources",
     "load_store",
     "save_store",
 ]

@@ -15,17 +15,16 @@ every source — exactly the cost the store exists to avoid.  The
    (:func:`~repro.core.store.snapshot.fingerprint_source`) against the
    one stored at materialization time — matching fingerprints mean the
    source is *unchanged* and is not touched at all;
-4. extracts only the changed sources, through a filtered
+4. extracts only the changed sources, through a restricted
    :class:`~repro.core.extractor.schema.ExtractionSchema` handed to the
    Extractor Manager (so retries, breakers, deadlines and failover all
-   still apply), regenerates their instances, and folds the delta into
-   the store with per-source upserts — untouched sources' slices are
-   left exactly as they were.
+   still apply), regenerates their instances, and hands the delta to
+   :meth:`SemanticStore.commit` — untouched sources' slices are left
+   exactly as they were.
 
 Per-source failures during the delta extraction degrade instead of
-destroy: with ``keep_last_known_good`` (the default policy) the failing
-source's previous slice stays servable, marked stale; with it disabled
-the slice is tombstoned.
+destroy; the verdict (keep the last-known-good slice marked stale, or
+tombstone it) is the store's, decided in ``commit``.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from ...errors import S2SError
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
 from ..extractor.manager import ExtractorManager
 from ..extractor.schema import ExtractionSchema
-from ..instances.assembly import AssembledEntity
 from ..instances.generator import InstanceGenerator
-from .snapshot import fingerprint_source
-from .store import Materialization, SemanticStore
+from .snapshot import fingerprint_sources
+from .store import Materialization, SemanticStore, slice_writes
 
 
 @dataclass
@@ -60,6 +58,8 @@ class RefreshResult:
     #: sources the delta extraction actually visited (the E15 assertion
     #: target: a 1-changed-source refresh must list exactly that source)
     extracted_sources: list[str] = field(default_factory=list)
+    #: what the delta extraction reported going wrong, one line each
+    problems: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     trace: object | None = None
 
@@ -120,39 +120,18 @@ class DeltaRefresher:
     def materialize(self, plan) -> RefreshResult:
         """Materialize one query plan (or force-refresh it if present).
 
-        The first materialization must be complete: a degraded
-        extraction outcome is not folded, and raises instead."""
-        mat = self.store.lookup(plan)
-        if mat is not None:
-            return self.refresh_one(mat, force=True)
-        started = time.perf_counter()
-        root = (self.tracer.start("materialize", query_class=plan.class_name)
-                if self.tracer is not None else NULL_SPAN)
-        try:
-            with root.child("extract") as span:
-                outcome = self.manager.extract(
-                    list(plan.required_attributes), span=span)
-            with root.child("generate"):
-                generation = self.generator.generate(outcome,
-                                                     plan.class_name)
-            with root.child("store") as span:
-                stored = self.store.fold(plan, outcome, generation,
-                                         self.manager.sources, span=span)
-            if stored == 0:
-                problems = "; ".join(str(p) for p in outcome.problems[:3])
-                raise S2SError(
-                    f"cannot materialize {plan.class_name!r}: extraction "
-                    f"was degraded ({problems})")
-        finally:
-            root.finish()
-        result = RefreshResult(
-            plan.class_name, self.store.key_for(plan)[1],
-            refreshed=sorted(outcome.per_source_seconds),
-            extracted_sources=sorted(outcome.per_source_seconds),
-            elapsed_seconds=time.perf_counter() - started,
-            trace=(self.tracer.trace_of(root)
-                   if self.tracer is not None else None))
-        self._observe(result)
+        The first materialization must be complete: if any source's
+        extraction was degraded, nothing is left behind and this
+        raises."""
+        first = self.store.lookup(plan) is None
+        mat = self.store.ensure(plan.class_name,
+                                list(plan.required_attributes))
+        result = self.refresh_one(mat, force=True)
+        if first and (result.kept_stale or result.removed):
+            self.store.drop(mat.key)
+            raise S2SError(
+                f"cannot materialize {plan.class_name!r}: extraction "
+                f"was degraded ({'; '.join(result.problems[:3])})")
         return result
 
     def plan_changes(self, mat: Materialization, *,
@@ -170,15 +149,15 @@ class DeltaRefresher:
         plan.removed = sorted(set(mat.slices) - current_sources)
         open_sources = (set(self.manager.breakers.open_sources())
                         if self.manager.breakers is not None else set())
-        for source_id in sorted(current_sources):
+        # Breaker open over a stored slice: don't even knock — keep
+        # serving the last-known-good slice, marked stale.
+        plan.kept_stale = sorted(current_sources & open_sources
+                                 & set(mat.slices))
+        plan.fingerprints = fingerprint_sources(
+            self.manager.sources,
+            sorted(current_sources.difference(plan.kept_stale)))
+        for source_id, fingerprint in plan.fingerprints.items():
             slice_ = mat.slices.get(source_id)
-            if source_id in open_sources and slice_ is not None:
-                # Breaker open: don't even knock — keep serving the
-                # last-known-good slice, marked stale.
-                plan.kept_stale.append(source_id)
-                continue
-            fingerprint = self._fingerprint(source_id)
-            plan.fingerprints[source_id] = fingerprint
             if (not force and slice_ is not None and not slice_.stale
                     and fingerprint is not None
                     and fingerprint == slice_.fingerprint):
@@ -236,75 +215,33 @@ class DeltaRefresher:
         result.removed.extend(plan.removed)
         result.unchanged.extend(plan.unchanged)
         result.kept_stale.extend(plan.kept_stale)
-        if plan.changed:
-            self._extract_delta(mat, key, plan.schema, plan.changed,
-                                plan.fingerprints, result, root)
+        if plan.changed or force:
+            # (forced with nothing reachable still commits: the
+            # source-less error entries are part of the answer)
+            self._extract_delta(mat, plan, result, root)
         self.store.touch(key)
 
-    def _extract_delta(self, mat: Materialization, key,
-                       schema: ExtractionSchema, changed: list[str],
-                       fingerprints: dict[str, str | None],
+    def _extract_delta(self, mat: Materialization, plan: DeltaPlan,
                        result: RefreshResult, root) -> None:
-        """Extract only ``changed`` sources and upsert their slices."""
-        changed_set = set(changed)
-        delta_schema = ExtractionSchema(
-            requested=list(schema.requested),
-            by_source={source_id: entries
-                       for source_id, entries in schema.by_source.items()
-                       if source_id in changed_set},
-            missing=list(schema.missing),
-            replicas={replica_key: entries
-                      for replica_key, entries in schema.replicas.items()
-                      if replica_key[1] in changed_set})
-        with root.child("extract", sources=len(changed)) as span:
-            outcome = self.manager.extract(list(mat.required), span=span,
-                                           schema=delta_schema)
+        """Extract only the changed sources and commit what came back."""
+        with root.child("extract", sources=len(plan.changed)) as span:
+            outcome = self.manager.extract(
+                list(mat.required), span=span,
+                schema=plan.schema.restricted_to(plan.changed))
         result.extracted_sources = sorted(outcome.per_source_seconds)
+        result.problems = [str(problem) for problem in outcome.problems]
         with root.child("generate"):
             generation = self.generator.generate(outcome, mat.class_name)
-
-        by_source: dict[str, list[AssembledEntity]] = {}
-        for entity in generation.entities:
-            by_source.setdefault(entity.source_id, []).append(entity)
-        failed = {problem.source_id for problem in outcome.problems}
-
         with root.child("store") as span:
-            for source_id in changed:
-                if source_id in failed and source_id not in by_source:
-                    # Total failure of this source's delta extraction.
-                    if (self.store.policy.keep_last_known_good
-                            and source_id in mat.slices):
-                        self.store.mark_slice_stale(key, source_id)
-                        result.kept_stale.append(source_id)
-                    else:
-                        self.store.tombstone(key, source_id)
-                        result.removed.append(source_id)
-                    continue
-                if source_id in failed:
-                    # Partial answer: store it but flag the slice.
-                    self.store.upsert(key, source_id,
-                                      by_source.get(source_id, []),
-                                      fingerprint=None, stale=True)
-                    result.kept_stale.append(source_id)
-                    continue
-                self.store.upsert(key, source_id,
-                                  by_source.get(source_id, []),
-                                  fingerprint=fingerprints.get(source_id))
-                result.refreshed.append(source_id)
+            verdicts = self.store.commit(
+                mat.key, slice_writes(plan.changed, generation, outcome,
+                                      plan.fingerprints),
+                generation.errors.entries)
+            for source_id, verdict in verdicts.items():
+                getattr(result, verdict).append(source_id)
             span.annotate(store="upsert", refreshed=len(result.refreshed))
-        upserted = [source_id for source_id in changed
-                    if source_id not in failed or source_id in by_source]
-        self.store.replace_errors(key, list(generation.errors.entries),
-                                  for_sources=upserted)
 
     # -- helpers -------------------------------------------------------
-
-    def _fingerprint(self, source_id: str) -> str | None:
-        try:
-            source = self.manager.sources.get(source_id)
-        except S2SError:
-            return None
-        return fingerprint_source(source)
 
     def _observe(self, result: RefreshResult) -> None:
         if self.metrics is None:

@@ -34,9 +34,10 @@ class RefreshPolicy:
     refresher); ``serve_stale_while_refreshing`` lets queries keep being
     answered from the old snapshot while a refresh is running instead of
     falling back to live extraction; ``keep_last_known_good`` makes the
-    delta refresher keep (and mark stale) a source's previous instances
-    when the source fails or its circuit breaker is open, rather than
-    dropping them from the answer."""
+    store's commit step keep (and mark stale) a source's previous
+    instances when its re-extraction fails completely, rather than
+    dropping them from the answer (a breaker-open source is not even
+    tried, and always keeps them)."""
 
     ttl_seconds: float | None = None
     serve_stale_while_refreshing: bool = True

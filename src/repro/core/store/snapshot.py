@@ -60,6 +60,26 @@ def fingerprint_source(source: DataSource) -> str | None:
         return None
 
 
+def fingerprint_sources(sources, source_ids) -> dict[str, str | None]:
+    """Current fingerprint of each named source of a repository (None
+    for one that is gone or unobservable).
+
+    Every store filler calls this *before* it reads the sources and
+    stores the result with what it read: a write racing the extraction
+    then leaves a fingerprint older than the stored rows, which the next
+    refresh sees as changed.  Taken after the read, the old rows would
+    sit under the new fingerprint and be served as fresh forever."""
+    fingerprints: dict[str, str | None] = {}
+    for source_id in source_ids:
+        try:
+            source = sources.get(source_id)
+        except S2SError:
+            fingerprints[source_id] = None
+        else:
+            fingerprints[source_id] = fingerprint_source(source)
+    return fingerprints
+
+
 # ----------------------------------------------------------------------
 # Save
 # ----------------------------------------------------------------------
@@ -190,25 +210,27 @@ def load_store(store, directory: str) -> int:
     store.reset(generation=int(manifest.get("generation", 0)))
     loaded = 0
     for mat_dict in manifest.get("materializations", []):
+        slices = [
+            SourceSlice(
+                slice_dict["source"],
+                [_entity_from_dict(store, snapshot, entity_dict,
+                                   slice_dict["source"])
+                 for entity_dict in slice_dict.get("entities", [])],
+                slice_dict.get("fingerprint"),
+                bool(slice_dict.get("stale", False)))
+            for slice_dict in mat_dict.get("slices", [])]
         mat = Materialization(
             class_name=mat_dict["class"],
             attribute_ids=frozenset(mat_dict["attributes"]),
             required=[AttributePath.parse(attribute)
                       for attribute in mat_dict["attributes"]],
+            slices={slice_.source_id: slice_ for slice_ in slices},
             materialized_at=store.clock.monotonic(),
             generation=store.generation)
         mat.errors = [ErrorEntry(entry["phase"], entry["message"],
                                  entry.get("source_id"),
                                  entry.get("attribute_id"))
                       for entry in mat_dict.get("errors", [])]
-        for slice_dict in mat_dict.get("slices", []):
-            source_id = slice_dict["source"]
-            entities = [
-                _entity_from_dict(store, snapshot, entity_dict, source_id)
-                for entity_dict in slice_dict.get("entities", [])]
-            mat.slices[source_id] = SourceSlice(
-                source_id, entities, slice_dict.get("fingerprint"),
-                bool(slice_dict.get("stale", False)))
         store.adopt(mat)
         loaded += 1
     return loaded

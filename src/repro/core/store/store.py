@@ -16,9 +16,16 @@ Design points:
   merge at serve time reproduces a live query's answer exactly — for
   any merge key, not just the one used when the store was filled.
 
-* **Pristine copies.**  Entities are cloned on the way in (``fold`` /
-  ``upsert``) and on the way out (``serve``), because downstream merge
-  and condition filtering mutate entities in place.
+* **Pristine copies.**  Entities are cloned on the way in (``upsert``)
+  and on the way out (``serve``), because downstream merge and
+  condition filtering mutate entities in place.
+
+* **One writer.**  Live write-through (``fold``), the delta refresher
+  and the ingest coordinator all fill the store through
+  :meth:`SemanticStore.commit`, which owns the per-source verdict and
+  the error channel; every slice swap, whoever asks for it, happens in
+  ``_put_slice`` — the only code that touches ``mat.slices``, the
+  triple reference counts and the graph.
 
 * **A queryable RDF graph.**  Every stored entity's triples live in
   ``self.graph`` (plus per-entity provenance: source, record index,
@@ -44,7 +51,8 @@ from ...errors import S2SError
 from ...ids import AttributePath
 from ...obs import NULL_SPAN, MetricsRegistry
 from ...rdf.graph import Graph
-from ...rdf.namespace import RDF, Namespace
+from ...ontology.owlxml import individual_triples
+from ...rdf.namespace import Namespace
 from ...rdf.ntriples import serialize_ntriples
 from ...rdf.terms import Literal, Triple, python_to_literal
 from ...rdf.turtle import serialize_turtle
@@ -111,6 +119,41 @@ class StoreServing:
     errors: ErrorReport
     stale: bool = False
     stale_sources: list[str] = field(default_factory=list)
+
+
+#: The per-source verdicts of :meth:`SemanticStore.commit` (also the
+#: names of the :class:`~repro.core.store.delta.RefreshResult` lists).
+REFRESHED, KEPT_STALE, REMOVED = "refreshed", "kept_stale", "removed"
+
+
+@dataclass
+class SliceWrite:
+    """What one extraction produced for one source, ready to commit.
+
+    ``fingerprint`` is the source's content hash taken *before* the
+    read: a write racing the extraction then leaves a fingerprint older
+    than the data, and the next refresh re-extracts — taken after, the
+    old rows would be stored under the new hash and served as fresh
+    forever.  ``failed`` says the extraction reported a problem for the
+    source; whatever entities came back anyway are a partial answer."""
+
+    source_id: str
+    entities: list[AssembledEntity] = field(default_factory=list)
+    fingerprint: str | None = None
+    failed: bool = False
+
+
+def slice_writes(source_ids, generation, outcome,
+                 fingerprints: dict[str, str | None]) -> list[SliceWrite]:
+    """One :class:`SliceWrite` per attempted source of one extraction
+    outcome and the (unmerged) generation built from it."""
+    by_source: dict[str, list[AssembledEntity]] = {}
+    for entity in generation.entities:
+        by_source.setdefault(entity.source_id, []).append(entity)
+    failed = {problem.source_id for problem in outcome.problems}
+    return [SliceWrite(source_id, by_source.get(source_id, []),
+                       fingerprints.get(source_id), source_id in failed)
+            for source_id in source_ids]
 
 
 class SemanticStore:
@@ -213,18 +256,6 @@ class SemanticStore:
         age = self.clock.monotonic() - mat.materialized_at
         return mat.expired or self.policy.is_stale(age)
 
-    def servable(self, plan) -> bool:
-        """Whether :meth:`serve` would answer ``plan`` right now
-        (without the cloning cost and without touching metrics)."""
-        with self._lock:
-            mat = self._materializations.get(self.key_for(plan))
-            if mat is None:
-                return False
-            if not self._stale(mat):
-                return True
-            return (self.refreshing(mat.key)
-                    and self.policy.serve_stale_while_refreshing)
-
     def serve(self, plan, *, span=NULL_SPAN) -> StoreServing | None:
         """Answer ``plan`` from the store, or None to fall through live.
 
@@ -232,91 +263,138 @@ class SemanticStore:
         only while a refresh is in flight (and the policy allows it) —
         otherwise the caller runs live extraction, whose fold replaces
         the stale snapshot."""
+        servings = self.serve_many([plan], span=span)
+        return servings[0] if servings else None
+
+    def serve_many(self, plans, *,
+                   span=NULL_SPAN) -> list[StoreServing] | None:
+        """Answer every plan from the store, or none of them.
+
+        Every plan's freshness is decided under one lock acquisition
+        before anything is cloned, so a batch is never half served: one
+        unservable plan sends the whole batch to the live shared scan
+        (which visits the union of sources anyway)."""
         with self._lock:
-            mat = self._materializations.get(self.key_for(plan))
-            if mat is None:
-                span.annotate(store="miss")
+            mats = [self._materializations.get(self.key_for(plan))
+                    for plan in plans]
+            refusal = next(filter(None, map(self._refusal, mats)), None)
+            if refusal is not None:
+                span.annotate(store="miss" if refusal == "unmaterialized"
+                              else refusal)
                 self._count("store_misses_total",
                             "queries the store could not answer",
-                            reason="unmaterialized")
+                            reason=refusal)
                 return None
-            ttl_stale = self._stale(mat)
-            if ttl_stale and not (self.refreshing(mat.key)
-                                  and self.policy.serve_stale_while_refreshing):
-                span.annotate(store="stale")
-                self._count("store_misses_total",
-                            "queries the store could not answer",
-                            reason="stale")
-                return None
-            entities: list[AssembledEntity] = []
-            for source_id in sorted(mat.slices):
-                entities.extend(entity.clone()
-                                for entity in mat.slices[source_id].entities)
-            stale_sources = mat.stale_sources()
-            stale = ttl_stale or bool(stale_sources)
-            span.annotate(store="hit", entities=len(entities), stale=stale)
-            self._count("store_hits_total",
-                        "queries answered from the semantic store")
-            if stale:
-                self._count("stale_served_total",
-                            "queries answered with stale store data")
-            return StoreServing(entities, ErrorReport(list(mat.errors)),
-                                stale, stale_sources)
+            servings = [self._serving(mat) for mat in mats]
+            span.annotate(
+                store="hit",
+                entities=sum(len(serving.entities) for serving in servings),
+                stale=any(serving.stale for serving in servings))
+            return servings
+
+    def _refusal(self, mat: Materialization | None) -> str | None:
+        """Why ``mat`` cannot answer right now (None = it can).  A stale
+        materialization answers only while a refresh is in flight and
+        there is last-known-good data to answer with."""
+        if mat is None:
+            return "unmaterialized"
+        if self._stale(mat) and not (
+                mat.slices and mat.key in self._refreshing
+                and self.policy.serve_stale_while_refreshing):
+            return "stale"
+        return None
+
+    def _serving(self, mat: Materialization) -> StoreServing:
+        entities: list[AssembledEntity] = []
+        for source_id in sorted(mat.slices):
+            entities.extend(entity.clone()
+                            for entity in mat.slices[source_id].entities)
+        stale_sources = mat.stale_sources()
+        stale = self._stale(mat) or bool(stale_sources)
+        self._count("store_hits_total",
+                    "queries answered from the semantic store")
+        if stale:
+            self._count("stale_served_total",
+                        "queries answered with stale store data")
+        return StoreServing(entities, ErrorReport(list(mat.errors)),
+                            stale, stale_sources)
 
     # -- filling -------------------------------------------------------
 
-    def fold(self, plan, outcome, generation, sources,
-             *, span=NULL_SPAN) -> int:
+    def commit(self, key: StoreKey, writes: list[SliceWrite],
+               error_entries: list[ErrorEntry]) -> dict[str, str]:
+        """The one write step every filler ends in; returns each written
+        source's verdict (``REFRESHED`` / ``KEPT_STALE`` / ``REMOVED``).
+
+        * clean extraction → the slice is replaced and stamped with the
+          pre-read fingerprint;
+        * partial answer (a problem, but entities came back) → stored,
+          flagged stale and unfingerprinted so the next refresh retries;
+        * total failure → the last-known-good slice stays, flagged stale
+          (``policy.keep_last_known_good``), else the slice is dropped.
+
+        The error entries of every source whose slice was written — and
+        the source-less ones — are swapped for ``error_entries``; the
+        channel is kept source-less first, then by source, so it reads
+        the same whichever filler wrote it and in whatever order."""
+        with self._lock:
+            mat = self._require(key)
+            verdicts: dict[str, str] = {}
+            written: list[str] = []
+            for write in writes:
+                source_id = write.source_id
+                if not write.failed or write.entities:
+                    self.upsert(key, source_id, write.entities,
+                                fingerprint=(None if write.failed
+                                             else write.fingerprint),
+                                stale=write.failed)
+                    written.append(source_id)
+                    verdicts[source_id] = (KEPT_STALE if write.failed
+                                           else REFRESHED)
+                elif (self.policy.keep_last_known_good
+                        and source_id in mat.slices):
+                    self.mark_slice_stale(key, source_id)
+                    verdicts[source_id] = KEPT_STALE
+                else:
+                    self.tombstone(key, source_id)
+                    verdicts[source_id] = REMOVED
+            self.replace_errors(key, error_entries, for_sources=written)
+            mat.errors.sort(key=lambda entry: (entry.source_id is not None,
+                                               entry.source_id or ""))
+            return verdicts
+
+    def fold(self, plan, outcome, generation,
+             fingerprints: dict[str, str | None], *, span=NULL_SPAN) -> int:
         """Write-through from a live query: materialize its (unmerged)
         generation result.  Returns the number of source slices stored.
 
         Degraded outcomes (extraction problems) are *not* folded — the
         store only materializes complete answers; per-source failure
         handling with last-known-good data is the delta refresher's
-        job.  ``sources`` is the data-source repository, used to stamp
-        each slice with its content fingerprint."""
+        job.  ``fingerprints`` holds the attempted sources' content
+        fingerprints, taken before the extraction read them."""
         if outcome.problems:
             span.annotate(store="fold-skipped",
                           problems=len(outcome.problems))
             return 0
-        by_source: dict[str, list[AssembledEntity]] = {}
-        for entity in generation.entities:
-            by_source.setdefault(entity.source_id, []).append(entity)
+        # Every attempted source gets a slice — an extracted-empty
+        # source is knowledge too ("no records" served from the store
+        # instead of re-asking).
+        attempted = sorted(outcome.per_source_seconds)
         with self._lock:
-            key = self.key_for(plan)
-            old = self._materializations.pop(key, None)
-            if old is not None:
-                self._release_materialization(old)
-            mat = Materialization(
-                plan.class_name, key[1], list(plan.required_attributes),
-                errors=list(generation.errors.entries),
-                materialized_at=self.clock.monotonic(),
-                generation=self.generation)
-            # Every attempted source gets a slice — an extracted-empty
-            # source is knowledge too ("no records" served from the
-            # store instead of re-asking).
-            for source_id in sorted(outcome.per_source_seconds):
-                clones = [entity.clone()
-                          for entity in by_source.get(source_id, [])]
-                slice_ = SourceSlice(source_id, clones,
-                                     self._fingerprint(sources, source_id))
-                mat.slices[source_id] = slice_
-                for entity in clones:
-                    self._add_entity(mat.class_name, entity)
-            self._materializations[key] = mat
+            mat = self.ensure(plan.class_name,
+                              list(plan.required_attributes))
+            for source_id in set(mat.slices).difference(attempted):
+                self.tombstone(mat.key, source_id)
+            self.commit(mat.key, slice_writes(attempted, generation, outcome,
+                                              fingerprints),
+                        generation.errors.entries)
+            self.touch(mat.key)
             span.annotate(store="fold", sources=len(mat.slices),
                           entities=mat.entity_count())
             self._count("store_folds_total",
                         "live query results folded into the store")
             return len(mat.slices)
-
-    def _fingerprint(self, sources, source_id: str) -> str | None:
-        from .snapshot import fingerprint_source
-        try:
-            source = sources.get(source_id)
-        except S2SError:
-            return None
-        return fingerprint_source(source)
 
     # -- incremental maintenance ---------------------------------------
 
@@ -330,48 +408,15 @@ class SemanticStore:
     def upsert(self, key: StoreKey, source_id: str,
                entities: list[AssembledEntity], *,
                fingerprint: str | None = None,
-               merge_key: list[str] | None = None,
                stale: bool = False) -> int:
-        """Replace-or-merge one source's slice; returns entities stored.
-
-        With ``merge_key=None`` (the delta refresher's mode) the whole
-        slice is replaced — records that disappeared from the source are
-        tombstoned implicitly.  With a merge key, incoming entities
-        whose key values match a stored entity replace it in place and
-        the rest append, leaving unmatched stored records alone."""
+        """Replace one source's slice with clones of ``entities``
+        (records that disappeared from the source go with the old
+        slice); returns the number of entities stored."""
         with self._lock:
-            mat = self._require(key)
-            slice_ = mat.slices.get(source_id)
             clones = [entity.clone() for entity in entities]
-            if slice_ is None or merge_key is None:
-                if slice_ is not None:
-                    self._release_slice(mat.class_name, slice_)
-                mat.slices[source_id] = SourceSlice(source_id, clones,
-                                                    fingerprint, stale)
-                for entity in clones:
-                    self._add_entity(mat.class_name, entity)
-                return len(clones)
-
-            def key_of(entity: AssembledEntity) -> tuple:
-                return tuple(entity.value(attribute)
-                             for attribute in merge_key)
-
-            positions = {key_of(entity): index
-                         for index, entity in enumerate(slice_.entities)}
-            for clone in clones:
-                values = key_of(clone)
-                position = (positions.get(values)
-                            if None not in values else None)
-                if position is not None:
-                    self._release_entity(mat.class_name,
-                                         slice_.entities[position])
-                    slice_.entities[position] = clone
-                else:
-                    positions[values] = len(slice_.entities)
-                    slice_.entities.append(clone)
-                self._add_entity(mat.class_name, clone)
-            slice_.fingerprint = fingerprint
-            slice_.stale = stale
+            self._put_slice(self._require(key), source_id,
+                            SourceSlice(source_id, clones, fingerprint,
+                                        stale))
             return len(clones)
 
     def tombstone(self, key: StoreKey, source_id: str) -> int:
@@ -379,13 +424,20 @@ class SemanticStore:
         returns the number of entities removed."""
         with self._lock:
             mat = self._require(key)
-            slice_ = mat.slices.pop(source_id, None)
+            slice_ = self._put_slice(mat, source_id, None)
             if slice_ is None:
                 return 0
-            self._release_slice(mat.class_name, slice_)
             mat.errors = [entry for entry in mat.errors
                           if entry.source_id != source_id]
             return len(slice_.entities)
+
+    def drop(self, key: StoreKey) -> None:
+        """Forget one materialization, releasing its triples."""
+        with self._lock:
+            mat = self._materializations.pop(key, None)
+            if mat is not None:
+                for source_id in list(mat.slices):
+                    self._put_slice(mat, source_id, None)
 
     def mark_slice_stale(self, key: StoreKey, source_id: str,
                          stale: bool = True) -> None:
@@ -440,8 +492,6 @@ class SemanticStore:
         materialization and start a new generation, so instances built
         against the old mapping are never served after a reload."""
         with self._lock:
-            for mat in self._materializations.values():
-                self._release_materialization(mat)
             self._materializations.clear()
             self._refreshing.clear()
             self.graph.clear()
@@ -459,14 +509,12 @@ class SemanticStore:
         """Install a fully-built materialization (the warm-load path),
         indexing its entities into the graph."""
         with self._lock:
-            old = self._materializations.pop(mat.key, None)
-            if old is not None:
-                self._release_materialization(old)
+            self.drop(mat.key)
             mat.generation = self.generation
             self._materializations[mat.key] = mat
-            for slice_ in mat.slices.values():
-                for entity in slice_.entities:
-                    self._add_entity(mat.class_name, entity)
+            slices, mat.slices = mat.slices, {}
+            for source_id, slice_ in slices.items():
+                self._put_slice(mat, source_id, slice_)
 
     # -- provenance / introspection ------------------------------------
 
@@ -525,34 +573,21 @@ class SemanticStore:
 
     # -- graph maintenance ---------------------------------------------
 
-    def _entity_triples(self, class_name: str, entity: AssembledEntity):
-        for individual in entity.all_individuals():
-            subject = self.namespace[individual.identifier]
-            yield Triple(subject, RDF.type,
-                         self.namespace[individual.class_name])
-            for name, value in individual.values.items():
-                items = value if isinstance(value, list) else [value]
-                for item in items:
-                    yield Triple(subject, self.namespace[name],
-                                 python_to_literal(item))
-            for name, targets in individual.links.items():
-                for target in targets:
-                    yield Triple(subject, self.namespace[name],
-                                 self.namespace[target.identifier])
-        primary = self.namespace[entity.primary.identifier]
-        yield Triple(primary, STORE.source, Literal(entity.source_id))
-        yield Triple(primary, STORE.recordIndex,
-                     python_to_literal(entity.record_index))
-        yield Triple(primary, STORE.entityClass, Literal(class_name))
+    def _put_slice(self, mat: Materialization, source_id: str,
+                   slice_: SourceSlice | None) -> SourceSlice | None:
+        """Swap one source's slice for ``slice_`` (None deletes it) and
+        return the slice it replaced.
 
-    def _add_entity(self, class_name: str, entity: AssembledEntity) -> None:
-        for triple in self._entity_triples(class_name, entity):
-            self._triple_refs[triple] = self._triple_refs.get(triple, 0) + 1
-            self.graph.add_triple(triple)
-
-    def _release_entity(self, class_name: str,
-                        entity: AssembledEntity) -> None:
-        for triple in self._entity_triples(class_name, entity):
+        The only code that writes ``mat.slices``, the triple reference
+        counts and the graph: identifiers are shared between
+        materializations, so a triple leaves the graph only when its
+        last owning slice releases it."""
+        old = mat.slices.get(source_id)
+        if slice_ is None:
+            mat.slices.pop(source_id, None)
+        else:
+            mat.slices[source_id] = slice_
+        for triple in self._slice_triples(mat.class_name, old):
             count = self._triple_refs.get(triple, 0) - 1
             if count <= 0:
                 self._triple_refs.pop(triple, None)
@@ -560,14 +595,21 @@ class SemanticStore:
                                   triple.object)
             else:
                 self._triple_refs[triple] = count
+        for triple in self._slice_triples(mat.class_name, slice_):
+            self._triple_refs[triple] = self._triple_refs.get(triple, 0) + 1
+            self.graph.add_triple(triple)
+        return old
 
-    def _release_slice(self, class_name: str, slice_: SourceSlice) -> None:
-        for entity in slice_.entities:
-            self._release_entity(class_name, entity)
-
-    def _release_materialization(self, mat: Materialization) -> None:
-        for slice_ in mat.slices.values():
-            self._release_slice(mat.class_name, slice_)
+    def _slice_triples(self, class_name: str, slice_: SourceSlice | None):
+        """Every stored entity's triples plus its provenance."""
+        for entity in slice_.entities if slice_ is not None else ():
+            for individual in entity.all_individuals():
+                yield from individual_triples(self.namespace, individual)
+            primary = self.namespace[entity.primary.identifier]
+            yield Triple(primary, STORE.source, Literal(entity.source_id))
+            yield Triple(primary, STORE.recordIndex,
+                         python_to_literal(entity.record_index))
+            yield Triple(primary, STORE.entityClass, Literal(class_name))
 
     # -- metrics -------------------------------------------------------
 

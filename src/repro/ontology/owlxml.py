@@ -17,11 +17,13 @@ Schema terms map as:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from ..errors import OntologyError
 from ..rdf.graph import Graph
 from ..rdf.namespace import OWL, RDF, RDFS, XSD, Namespace, NamespaceManager
 from ..rdf.rdfxml import parse_rdfxml, serialize_rdfxml
-from ..rdf.terms import IRI, Literal, python_to_literal
+from ..rdf.terms import IRI, Literal, Triple, python_to_literal
 from ..rdf.turtle import parse_turtle, serialize_turtle
 from .model import Individual, Ontology
 
@@ -68,23 +70,24 @@ def ontology_to_graph(ontology: Ontology, *, include_individuals: bool = True,
 
     if include_individuals:
         for individual in ontology.individuals():
-            add_individual_triples(graph, namespace, individual)
+            graph.update(individual_triples(namespace, individual))
     return graph
 
 
-def add_individual_triples(graph: Graph, namespace: Namespace,
-                           individual: Individual) -> IRI:
-    """Emit the triples describing one individual into ``graph``."""
+def individual_triples(namespace: Namespace,
+                       individual: Individual) -> Iterator[Triple]:
+    """The triples describing one individual: its type, one per
+    attribute value, one per object-property link."""
     subject = namespace[individual.identifier]
-    graph.add(subject, RDF.type, namespace[individual.class_name])
+    yield Triple(subject, RDF.type, namespace[individual.class_name])
     for name, value in individual.values.items():
         items = value if isinstance(value, list) else [value]
         for item in items:
-            graph.add(subject, namespace[name], python_to_literal(item))
+            yield Triple(subject, namespace[name], python_to_literal(item))
     for name, targets in individual.links.items():
         for target in targets:
-            graph.add(subject, namespace[name], namespace[target.identifier])
-    return subject
+            yield Triple(subject, namespace[name],
+                         namespace[target.identifier])
 
 
 def serialize_ontology(ontology: Ontology, format: str = "rdfxml",

@@ -36,18 +36,18 @@ class Graph:
 
     def add(self, subject: Subject, predicate: Predicate, obj: Object) -> bool:
         """Add one triple; returns True if it was not already present."""
-        triple = Triple(subject, predicate, obj)
+        return self.add_triple(Triple(subject, predicate, obj))
+
+    def add_triple(self, triple: Triple) -> bool:
+        """Add a :class:`Triple`; returns True if newly inserted."""
         if triple in self._triples:
             return False
         self._triples.add(triple)
+        subject, predicate, obj = triple.subject, triple.predicate, triple.object
         self._spo[subject][predicate].add(obj)
         self._pos[predicate][obj].add(subject)
         self._osp[obj][subject].add(predicate)
         return True
-
-    def add_triple(self, triple: Triple) -> bool:
-        """Add a :class:`Triple`; returns True if newly inserted."""
-        return self.add(triple.subject, triple.predicate, triple.object)
 
     def update(self, triples: Iterable[Triple]) -> int:
         """Add many triples; returns the number actually inserted."""

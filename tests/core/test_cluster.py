@@ -19,7 +19,7 @@ from repro.core.cluster import (FleetConfig, QueryShardCoordinator,
                                 ThreadWorkerPool, WorkerSupervisor,
                                 default_restart_policy, merge_partials,
                                 partition_sources, query_worker_loop,
-                                shard_of, subschema_for)
+                                shard_of)
 from repro.core.cluster.coordinator import QueryWorkItem
 from repro.core.extractor.manager import ExtractionOutcome, ExtractionProblem
 from repro.core.extractor.records import SourceRecordSet
@@ -85,25 +85,35 @@ class TestSubschema:
                       ("Product.brand", "c"): ["replica_c"]})
 
     def test_slices_by_source_and_keeps_requested(self):
-        sub = subschema_for(self._schema(), ["a", "b"])
+        sub = self._schema().restricted_to(["a", "b"])
         assert sorted(sub.by_source) == ["a", "b"]
         assert sub.by_source["b"] == ["entry_b1", "entry_b2"]
         assert sub.requested == ["Product.brand", "Product.price"]
 
     def test_replicas_follow_their_primary(self):
-        sub = subschema_for(self._schema(), ["a", "b"])
+        sub = self._schema().restricted_to(["a", "b"])
         assert list(sub.replicas) == [("Product.brand", "a")]
-        other = subschema_for(self._schema(), ["c"])
+        other = self._schema().restricted_to(["c"])
         assert list(other.replicas) == [("Product.brand", "c")]
 
     def test_missing_left_to_the_coordinator(self):
-        # Unmapped attributes are a whole-plan fact; the merged outcome
-        # carries them once, not once per shard.
-        assert subschema_for(self._schema(), ["a"]).missing == []
+        # Unmapped attributes are a whole-plan fact: every slice names
+        # them, and the merged outcome carries them once (the
+        # coordinator's own), not once per shard.
+        assert self._schema().restricted_to(["a"]).missing == [
+            "Product.ghost"]
+        partial = _partial("a")
+        partial.missing_attributes = ["Product.ghost"]
+        merged = merge_partials(
+            ExtractionOutcome(missing_attributes=["Product.ghost"]),
+            ShardRunResult(partials={0: partial, 1: _partial("b")},
+                           failures={}, timed_out=set(), items={}),
+            Deadline(None, FakeClock()))
+        assert merged.missing_attributes == ["Product.ghost"]
 
     def test_slices_are_copies(self):
         schema = self._schema()
-        sub = subschema_for(schema, ["b"])
+        sub = schema.restricted_to(["b"])
         sub.by_source["b"].append("mutated")
         assert schema.by_source["b"] == ["entry_b1", "entry_b2"]
 

@@ -18,6 +18,7 @@ from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.core.instances.assembly import AssembledEntity
 from repro.core.instances.errors import ErrorEntry
 from repro.core.store import SemanticStore, StoreRefresher
+from repro.core.store.snapshot import fingerprint_sources
 from repro.core.store.store import Materialization, SourceSlice
 from repro.errors import S2SError
 from repro.ids import AttributePath
@@ -464,21 +465,6 @@ class TestStoreUnit:
         assert clone.primary.links["hasProvider"][0] is not \
             entity.satellites[0]
 
-    def test_upsert_with_merge_key_replaces_in_place(self):
-        store, key = self._store_with([make_entity("w1", "Seiko"),
-                                       make_entity("w2", "Casio",
-                                                   record_index=1)])
-        replacement = make_entity("w1", "Seiko")
-        replacement.primary.values["model"] = "SKX007"
-        newcomer = make_entity("w3", "Omega", record_index=2)
-        stored = store.upsert(key, "db", [replacement, newcomer],
-                              merge_key=["brand"])
-        assert stored == 2
-        slice_ = store.materializations()[0].slices["db"]
-        assert [e.primary.values.get("brand") for e in slice_.entities] == [
-            "Seiko", "Casio", "Omega"]
-        assert slice_.entities[0].primary.values["model"] == "SKX007"
-
     def test_upsert_without_merge_key_replaces_the_slice(self):
         store, key = self._store_with([make_entity("w1", "Seiko"),
                                        make_entity("w2", "Casio",
@@ -555,12 +541,13 @@ class TestStoreUnit:
         scenario = B2BScenario(n_sources=2, n_products=4, seed=7)
         s2s = scenario.build_middleware(store=True)
         plan = s2s.query_handler.planner.plan(parse_s2sql("SELECT product"))
+        fingerprints = fingerprint_sources(s2s.manager.sources,
+                                           ["database_0", "xml_1"])
         outcome = s2s.manager.extract(list(plan.required_attributes))
         generation = s2s.query_handler.generator.generate(outcome, "product")
         outcome.problems.append(
             ExtractionProblem("database_0", "product.brand", "boom"))
-        stored = s2s.store.fold(plan, outcome, generation,
-                                s2s.manager.sources)
+        stored = s2s.store.fold(plan, outcome, generation, fingerprints)
         assert stored == 0
         assert len(s2s.store) == 0
 

@@ -16,8 +16,7 @@ import pickle
 import pytest
 
 from repro.clock import FakeClock
-from repro.core.cluster import QueryWorkItem, QueryWorkerContext, \
-    subschema_for
+from repro.core.cluster import QueryWorkItem, QueryWorkerContext
 from repro.core.extractor.extractors import ExtractorRegistry
 from repro.core.extractor.schema import ExtractionSchema
 from repro.core.mapping.rules import TransformRegistry
@@ -131,7 +130,7 @@ class TestFleetPayloadRoundTrips:
         _s2s, schema = self._schema()
         source_ids = schema.source_ids()
         item = QueryWorkItem("q1", 0, source_ids,
-                             subschema_for(schema, source_ids),
+                             schema.restricted_to(source_ids),
                              deadline_seconds=1.5)
         clone = roundtrip(item)
         assert clone.request_id == "q1"
