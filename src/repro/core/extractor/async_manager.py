@@ -11,7 +11,8 @@ The per-source policy is not re-implemented here.  It lives once, as
 the effect-yielding generators on :class:`ExtractorManager`
 (``_extract_source`` and the two it delegates to); this module *drives*
 them, awaiting each effect where the base class blocks on it:
-``RunRule`` -> :meth:`Extractor.aextract` (native for
+``RunRule`` / ``RunRules`` -> :meth:`Extractor.aextract` /
+:meth:`Extractor.aextract_many` (native for
 :class:`~repro.sources.base.AsyncDataSource` connectors, a worker thread
 for legacy sync ones), ``Sleep`` -> ``Clock.sleep_async`` (a
 :class:`~repro.clock.FakeClock` advances instantly), ``AcquireFlight``
@@ -37,7 +38,7 @@ from ...ids import AttributePath
 from ...obs import NULL_SPAN
 from ..resilience import Deadline
 from .manager import (AcquireFlight, AnySpan, ExtractionOutcome,
-                      ExtractorManager, Policy, RunRule, Sleep,
+                      ExtractorManager, Policy, RunRule, RunRules, Sleep,
                       _SourceResult)
 from .schema import ExtractionSchema
 
@@ -123,6 +124,9 @@ class AsyncExtractorManager(ExtractorManager):
                     if type(effect) is RunRule:
                         result = await effect.extractor.aextract(
                             effect.source, effect.entry)
+                    elif type(effect) is RunRules:
+                        result = await effect.extractor.aextract_many(
+                            effect.source, effect.entries)
                     elif type(effect) is Sleep:
                         result = await self.config.clock.sleep_async(
                             effect.seconds)

@@ -28,16 +28,36 @@ from .records import RawFragment
 
 
 def _execution_detail(source: DataSource) -> dict | None:
-    """The source's one-shot digest of the rule it just ran (e.g. the
-    relational source's SQL plan).  Read here, on the thread that ran
-    the rule: under the asyncio engine the manager resumes on another."""
+    """The source's next one-shot digest of the rule(s) it just ran
+    (e.g. the relational source's SQL plan), one per rule in rule order.
+    Read here, on the thread that ran them: under the asyncio engine the
+    manager resumes on another."""
     hook = getattr(source, "consume_execution_detail", None)
     return hook() if hook is not None else None
 
 
+def runs_batches(source: DataSource) -> bool:
+    """Whether ``source`` advertises the optional ``execute_rules``
+    capability.
+
+    Structural, like ``aexecute_rule``: a wrapper that does not define
+    it is run one rule at a time.  So is a subclass (or an instance)
+    that overrides ``execute_rule`` beneath the class that defines
+    ``execute_rules`` — whatever the override adds would otherwise be
+    bypassed by the inherited batch."""
+    def definer(name: str) -> int | None:
+        if name in vars(source):
+            return -1
+        return next((depth for depth, cls in enumerate(type(source).__mro__)
+                     if name in vars(cls)), None)
+    batch, single = definer("execute_rules"), definer("execute_rule")
+    return batch is not None and (single is None or batch <= single)
+
+
 @contextlib.contextmanager
-def _classified(source: DataSource, entry: MappingEntry):
-    """Error classification around one rule execution."""
+def _classified(source: DataSource, attribute_id: str | None):
+    """Error classification around a rule execution (``attribute_id``
+    is None for a batch: only a single rule's error can name one)."""
     try:
         yield
     except (ExtractionError, TransientSourceError):
@@ -46,7 +66,7 @@ def _classified(source: DataSource, entry: MappingEntry):
         raise
     except S2SError as exc:
         raise ExtractionError(
-            str(exc), attribute_id=entry.attribute_id,
+            str(exc), attribute_id=attribute_id,
             source_id=source.source_id) from exc
 
 
@@ -61,8 +81,8 @@ class Extractor(abc.ABC):
 
     def extract(self, source: DataSource, entry: MappingEntry) -> RawFragment:
         """Run one mapping entry against its source."""
-        self._check_type(source, entry)
-        with _classified(source, entry):
+        self._check_type(source, entry.attribute_id)
+        with _classified(source, entry.attribute_id):
             values = source.execute_rule(entry.rule.code)
         return self._fragment(source, entry, values)
 
@@ -80,23 +100,71 @@ class Extractor(abc.ABC):
         run_rule = getattr(source, "aexecute_rule", None)
         if run_rule is None:
             return await asyncio.to_thread(self.extract, source, entry)
-        self._check_type(source, entry)
-        with _classified(source, entry):
+        self._check_type(source, entry.attribute_id)
+        with _classified(source, entry.attribute_id):
             values = await run_rule(entry.rule.code)
         return self._fragment(source, entry, values)
 
-    def _check_type(self, source: DataSource, entry: MappingEntry) -> None:
+    def extract_many(self, source: DataSource,
+                     entries: list[MappingEntry]) -> list[RawFragment]:
+        """Run all of one source's ``entries``; the fragments a loop
+        over :meth:`extract` returns, in order.
+
+        A source advertising ``execute_rules`` (see :func:`runs_batches`)
+        gets the whole rule set in one call and may share work between
+        the rules; every other source is run per rule.  A batch may
+        raise anything, and its error names no attribute — callers that
+        need to know *which* rule failed re-run per rule (the Extractor
+        Manager does)."""
+        if not runs_batches(source):
+            return [self.extract(source, entry) for entry in entries]
+        self._check_type(source, None)
+        with _classified(source, None):
+            columns = source.execute_rules(
+                [entry.rule.code for entry in entries])
+        return self._fragments(source, entries, columns)
+
+    async def aextract_many(self, source: DataSource,
+                            entries: list[MappingEntry]
+                            ) -> list[RawFragment]:
+        """:meth:`extract_many` for the asyncio engine: an
+        ``aexecute_rules`` coroutine is awaited natively, an async-native
+        source without one is awaited per rule, and a sync connector
+        runs the whole :meth:`extract_many` in a worker thread."""
+        run_rules = getattr(source, "aexecute_rules", None)
+        if run_rules is None:
+            if getattr(source, "aexecute_rule", None) is None:
+                return await asyncio.to_thread(self.extract_many, source,
+                                               entries)
+            return [await self.aextract(source, entry) for entry in entries]
+        self._check_type(source, None)
+        with _classified(source, None):
+            columns = await run_rules([entry.rule.code for entry in entries])
+        return self._fragments(source, entries, columns)
+
+    def _check_type(self, source: DataSource,
+                    attribute_id: str | None) -> None:
         if source.source_type != self.source_type:
             raise ExtractionError(
                 f"{type(self).__name__} cannot extract from "
                 f"{source.source_type!r} source",
-                attribute_id=entry.attribute_id, source_id=source.source_id)
+                attribute_id=attribute_id, source_id=source.source_id)
 
     def _fragment(self, source: DataSource, entry: MappingEntry,
                   values: list[str]) -> RawFragment:
         values = self.transforms.apply(entry.rule.transform, values)
         return RawFragment(entry.attribute, source.source_id, values,
                            _execution_detail(source))
+
+    def _fragments(self, source: DataSource, entries: list[MappingEntry],
+                   columns: list[list[str]]) -> list[RawFragment]:
+        if len(columns) != len(entries):
+            raise ExtractionError(
+                f"execute_rules returned {len(columns)} columns for "
+                f"{len(entries)} rules", source_id=source.source_id)
+        # Each fragment takes its own digest off the source, in rule order.
+        return [self._fragment(source, entry, values)
+                for entry, values in zip(entries, columns)]
 
 
 class WebExtractor(Extractor):

@@ -62,7 +62,7 @@ from ..resilience import (CircuitBreakerRegistry, Deadline, RetryBudget,
                           SourceHealth, SourceHealthRegistry)
 from ..resilience.config import ResilienceConfig
 from .cache import FragmentCache
-from .extractors import Extractor, ExtractorRegistry
+from .extractors import Extractor, ExtractorRegistry, runs_batches
 from .records import RawFragment, SourceRecordSet
 from .schema import ExtractionSchema
 
@@ -144,6 +144,18 @@ class _SourceResult:
 
 
 @dataclass
+class _Batch:
+    """One source's batch of primary rules, taken lazily (see
+    :meth:`ExtractorManager._prefetched`)."""
+
+    span: AnySpan  # the ``source`` span
+    later: list[MappingEntry]  # the entry being extracted and those after
+    #: entry id -> prefetched fragment; None until the batch is taken
+    #: (then empty once consumed, or at once when the batch raised)
+    fragments: dict[int, RawFragment] | None = None
+
+
+@dataclass
 class _RunContext:
     """Per-``extract()`` state shared by all source workers."""
 
@@ -165,6 +177,15 @@ class RunRule(NamedTuple):
     entry: MappingEntry
 
 
+class RunRules(NamedTuple):
+    """Effect: run several entries' rules on their source as one batch;
+    resumed with their :class:`RawFragment` s, in order."""
+
+    extractor: Extractor
+    source: Any
+    entries: list[MappingEntry]
+
+
 class Sleep(NamedTuple):
     """Effect: wait out a backoff delay on the injectable clock."""
 
@@ -180,7 +201,7 @@ class AcquireFlight(NamedTuple):
 
 #: Every effect the per-source policy can yield — the only points where
 #: extraction blocks.  Each driver must perform every one of them.
-EFFECTS = (RunRule, Sleep, AcquireFlight)
+EFFECTS = (RunRule, RunRules, Sleep, AcquireFlight)
 
 #: A policy generator: yields effects, is resumed with each effect's
 #: result (or has its error thrown in) and returns its own result.
@@ -318,6 +339,9 @@ class ExtractorManager:
                     if type(effect) is RunRule:
                         result = effect.extractor.extract(effect.source,
                                                           effect.entry)
+                    elif type(effect) is RunRules:
+                        result = effect.extractor.extract_many(
+                            effect.source, effect.entries)
                     elif type(effect) is Sleep:
                         result = self.config.clock.sleep(effect.seconds)
                     elif type(effect) is AcquireFlight:
@@ -483,7 +507,11 @@ class ExtractorManager:
                 return _SourceResult(source_id, None, problems,
                                      time.perf_counter() - started)
             record_set = SourceRecordSet(source_id)
+            batch = (_Batch(span, entries)
+                     if len(entries) > 1 and runs_batches(source) else None)
             for index, entry in enumerate(entries):
+                if batch is not None:
+                    batch.later = entries[index:]
                 if ctx.deadline.expired:
                     ctx.health.for_source(source_id).deadline_hits += 1
                     span.annotate(deadline_expired=True)
@@ -509,7 +537,7 @@ class ExtractorManager:
                     try:
                         fragment = yield from self._extract_entry(
                             source_id, source, extractor, entry, ctx,
-                            entry_span)  # step 4
+                            entry_span, batch)  # step 4
                     except DeadlineExceededError as exc:
                         entry_span.fail(str(exc))
                         if self.strict:
@@ -545,7 +573,8 @@ class ExtractorManager:
 
     def _extract_entry(self, source_id: str, source, extractor,
                        entry: MappingEntry, ctx: _RunContext,
-                       span: AnySpan = NULL_SPAN) -> Policy:
+                       span: AnySpan = NULL_SPAN,
+                       batch: _Batch | None = None) -> Policy:
         """One mapping entry: primary attempt chain, then replicas;
         returns the entry's :class:`RawFragment`.
 
@@ -555,7 +584,7 @@ class ExtractorManager:
         the deadline has expired."""
         try:
             return (yield from self._call_with_policy(
-                source_id, source, extractor, entry, ctx, span))
+                source_id, source, extractor, entry, ctx, span, batch))
         except DeadlineExceededError:
             raise
         except (TransientSourceError, CircuitOpenError) as primary_error:
@@ -588,9 +617,16 @@ class ExtractorManager:
 
     def _call_with_policy(self, source_id: str, source, extractor,
                           entry: MappingEntry, ctx: _RunContext,
-                          span: AnySpan = NULL_SPAN) -> Policy:
+                          span: AnySpan = NULL_SPAN,
+                          batch: _Batch | None = None) -> Policy:
         """One rule execution under retry policy, breaker and deadline;
         returns the rule's :class:`RawFragment`.
+
+        ``batch`` is the source's when the entry is a primary of a
+        source that runs batches: its *first* attempt is served out of
+        the batch (:meth:`_prefetched`), inside the same deadline check,
+        breaker gate, attempt span and health bookkeeping as any other;
+        retries and replicas always run their one rule.
 
         Only :class:`~repro.errors.TransientSourceError` is retried —
         permanent failures (rule errors, missing columns, authentication)
@@ -619,7 +655,11 @@ class ExtractorManager:
             attempt_span = span.child("attempt", number=attempt + 1,
                                       source=source_id)
             try:
-                fragment = yield RunRule(extractor, source, entry)
+                if batch is not None and attempt == 0:
+                    fragment = yield from self._prefetched(
+                        batch, extractor, source, entry, attempt_span)
+                else:
+                    fragment = yield RunRule(extractor, source, entry)
             except TransientSourceError as exc:
                 attempt_span.fail(str(exc))
                 attempt_span.annotate(outcome="transient-error")
@@ -665,6 +705,42 @@ class ExtractorManager:
             attempt_span.annotate(outcome="ok")
             attempt_span.finish()
             return fragment
+
+    def _prefetched(self, batch: _Batch, extractor, source,
+                    entry: MappingEntry, attempt_span: AnySpan) -> Policy:
+        """The entry's fragment out of its source's batch.
+
+        The batch is taken once, here, at the first attempt any of the
+        source's entries makes — over that entry and the later ones —
+        so a source whose entries are all cache hits, or whose breaker
+        is open, never runs one.  **Any** exception from it is dropped,
+        uncounted, and the source runs per rule from then on (an entry
+        the batch holds nothing for yields its own ``RunRule``): which
+        attribute fails, what is retried, what the breaker and the
+        health ledger see are the per-rule path's, because they *are*
+        that path."""
+        if batch.fragments is None:
+            batch.fragments = {}
+            if len(batch.later) > 1:
+                try:
+                    fragments = yield RunRules(extractor, source, batch.later)
+                except Exception:
+                    logger.debug("batch of %d rules on %r dropped; running "
+                                 "per rule", len(batch.later),
+                                 source.source_id, exc_info=True)
+                else:
+                    batch.fragments = {id(later): fragment for later, fragment
+                                       in zip(batch.later, fragments)}
+                    scans = {(fragment.detail or {}).get("scan")
+                             for fragment in fragments}
+                    if None not in scans:
+                        batch.span.annotate(
+                            shared_scan=f"{len(fragments)}/{len(scans)}")
+        fragment = batch.fragments.pop(id(entry), None)
+        if fragment is None:
+            return (yield RunRule(extractor, source, entry))
+        attempt_span.annotate(batched=True)
+        return fragment
 
     def extract_all_registered(self) -> ExtractionOutcome:
         """Eager full materialization: extract every mapped attribute.

@@ -137,8 +137,8 @@ def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
         # Before the read: see snapshot.fingerprint_sources.
         fingerprint = fingerprint_source(source)
         record_set = SourceRecordSet(job.source_id)
-        for entry in item.entries:
-            record_set.add(extractor.extract(source, entry))
+        for fragment in extractor.extract_many(source, item.entries):
+            record_set.add(fragment)
         return ExtractBatch(record_set, fingerprint)
     if stage == STAGE:
         batch: ExtractBatch = payload

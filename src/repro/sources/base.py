@@ -17,7 +17,9 @@ from __future__ import annotations
 import abc
 import asyncio
 import hashlib
+import threading
 from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable
 
 from ..errors import S2SError
 
@@ -34,6 +36,68 @@ def stable_digest(*parts: str) -> str:
         digest.update(b":")
         digest.update(encoded)
     return digest.hexdigest()
+
+
+class RuleCache:
+    """Compile once per distinct rule text: an unbounded memo.
+
+    Every connector parses its rules (SQL, XPath, WebL, regex) the first
+    time it meets their text and keeps the result for the life of the
+    source; the key may also be a *tuple* of rule texts, for what a
+    connector compiles out of a whole rule set.  What is kept must be a
+    pure function of the key — never of the source's content — and a
+    ``compile`` that raises keeps nothing.  Pickles empty: compiled
+    forms are cheap to rebuild and need not be picklable."""
+
+    def __init__(self) -> None:
+        self._compiled: dict[Hashable, Any] = {}
+
+    def get(self, key: Hashable, compile: Callable[[Any], Any]) -> Any:
+        """``compile(key)``, computed at most once per distinct key."""
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            compiled = self._compiled[key] = compile(key)
+        return compiled
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._compiled
+
+    def __reduce__(self):
+        return RuleCache, ()
+
+
+class ExecutionDetails:
+    """Per-thread, one-shot digests of a source's most recent call.
+
+    ``execute_rule`` / ``execute_rules`` return values only; what a
+    source wants to say *about* an execution (the SQL plan, which scan a
+    batched rule shared) waits here, one digest per rule in rule order,
+    for ``consume_execution_detail()`` to hand out one at a time.  Held
+    per thread: clients sharing a source run their rules on different
+    threads, and each must read back its own.  Pickles empty."""
+
+    def __init__(self) -> None:
+        self._pending: dict[int, list[dict | None]] = {}  # by thread id
+
+    def record(self, digests: list[dict | None]) -> None:
+        """Replace the calling thread's pending digests."""
+        if any(digests):
+            self._pending[threading.get_ident()] = list(digests)
+        else:
+            self._pending.pop(threading.get_ident(), None)
+
+    def consume(self) -> dict | None:
+        """The next pending digest of the calling thread, or None."""
+        pending = self._pending.get(threading.get_ident())
+        if not pending:
+            return None
+        digest = pending.pop(0)
+        if not pending:
+            del self._pending[threading.get_ident()]
+        return digest
+
+    def __reduce__(self):
+        return ExecutionDetails, ()
 
 
 @dataclass(frozen=True)
@@ -68,6 +132,18 @@ class DataSource(abc.ABC):
     *extraction rule* (a SQL statement, XPath expression, WebL program or
     regex — whatever the source technology understands) and returns the
     matching raw values as a list of strings, one entry per data record.
+
+    A source whose rules overlap (one document walked by every XPath
+    rule, one filtered table behind every SELECT) may *also* define
+    ``execute_rules(rules: list[str]) -> list[list[str]]`` — and its
+    awaitable twin ``aexecute_rules`` — returning exactly
+    ``[execute_rule(r) for r in rules]`` while sharing work between the
+    rules.  The capability is optional and detected structurally, like
+    ``aexecute_rule``: there is deliberately no default here, so a
+    wrapper that does not define it is run one rule at a time.  It may
+    raise anything (the Extractor Manager then runs the source per
+    rule) and must keep nothing that depends on the source's content
+    once it returns.  See ``docs/api.md``.
     """
 
     #: Symbolic type used by the repository and the extractor dispatcher.

@@ -91,15 +91,20 @@ class Database:
         """Run an already parsed statement (see :meth:`execute`)."""
         return self.execute_with_plan(statement, engine=engine)[0]
 
-    def execute_with_plan(self, statement, *, engine: str | None = None
+    def execute_with_plan(self, statement, *, engine: str | None = None,
+                          scans: dict | None = None, scan_key=None
                           ) -> tuple[ResultSet, PlanReport | None]:
         """Run a parsed statement and return its plan (None unless a
         columnar SELECT) with its result.  :attr:`last_plan` is set too,
         for interactive use; callers sharing the database across threads
-        must read the returned plan, which is their own statement's."""
+        must read the returned plan, which is their own statement's.
+
+        ``scans`` / ``scan_key`` let a caller running a batch of SELECTs
+        share their scans (see :func:`~.sql.columnar.execute_columnar`);
+        the caller must run nothing that writes while it holds ``scans``."""
         chosen = self.engine if engine is None else _check_engine(engine)
         if chosen == "columnar" and isinstance(statement, Select):
-            result, plan = execute_columnar(self, statement)
+            result, plan = execute_columnar(self, statement, scans, scan_key)
         elif chosen == "columnar" and isinstance(statement, (Update, Delete)):
             result, plan = execute_dml(self, statement), None
         else:

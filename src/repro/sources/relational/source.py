@@ -9,12 +9,14 @@ unreachable remote system (used by failure-injection tests).
 
 from __future__ import annotations
 
-import threading
-
 from ...errors import ExtractionError, S2SError
 from ...obs.metrics import DEFAULT_REGISTRY, MetricsRegistry
-from ..base import ConnectionInfo, DataSource, stable_digest
+from ..base import (ConnectionInfo, DataSource, ExecutionDetails, RuleCache,
+                    stable_digest)
 from .database import Database
+from .sql.ast import Select
+from .sql.columnar import PlanReport, scan_key
+from .sql.parser import parse_sql
 
 
 class RelationalDataSource(DataSource):
@@ -25,9 +27,7 @@ class RelationalDataSource(DataSource):
     columnar execution feeds the ``sql_batches_total`` /
     ``sql_rows_scanned_total`` counters and leaves a plan digest that
     the extraction manager attaches to the rule's span (see
-    :meth:`consume_execution_detail`).  The digest is held per thread:
-    clients sharing a source run their rules on different threads, and
-    each must read back its own statement's plan.
+    :meth:`consume_execution_detail`).
     """
 
     source_type = "database"
@@ -50,8 +50,8 @@ class RelationalDataSource(DataSource):
         self.metrics = metrics
         self._expected_password = (expected_password if expected_password
                                    is not None else password)
-        self._compiled: dict[str, object] = {}
-        self._details: dict[int, dict[str, object]] = {}  # by thread id
+        self._compiled = RuleCache()
+        self._details = ExecutionDetails()
 
     def connect(self) -> None:
         """Authenticate against the expected credentials."""
@@ -61,38 +61,77 @@ class RelationalDataSource(DataSource):
                 f"{self.source_id!r} (login {self.login!r})")
         super().connect()
 
+    @staticmethod
+    def _plan(rules: tuple[str, ...]) -> list[tuple[object, int]]:
+        """``(statement, scan number)`` per rule: SELECTs with equal
+        numbers read the tables alike and share one scan."""
+        statements = [parse_sql(rule) for rule in rules]
+        if len(rules) > 1 and not all(isinstance(statement, Select)
+                                      for statement in statements):
+            # Refused before anything runs: a caller that falls back to
+            # one rule at a time must not find the write already made.
+            raise ExtractionError(
+                "only SELECT rules run as a batch; run a statement that "
+                "writes on its own")
+        numbers: dict[str | None, int] = {}
+        return [(statement, numbers.setdefault(
+            scan_key(statement) if isinstance(statement, Select) else None,
+            len(numbers))) for statement in statements]
+
+    def execute_rules(self, rules: list[str]) -> list[list[str]]:
+        """Run a rule set; ``result[i]`` is exactly
+        ``execute_rule(rules[i])``.
+
+        SELECTs with equal ``(table, joins, where)`` scan, join and
+        filter once and project the shared frame each on its own (eight
+        single-column rules over one filtered table evaluate the
+        predicate once, not eight times).  Each rule still leaves its own
+        plan digest; a sharing rule's says ``scan(shared)`` and counts no
+        scanned rows.  Frames live in this call only."""
+        if not self.connected:
+            self.connect()
+        self._details.record([])  # a call that raises leaves no digest
+        plan = self._compiled.get(tuple(rules), self._plan)
+        scans: dict = {}
+        columns: list[list[str]] = []
+        reports: list[PlanReport | None] = []
+        for statement, scan in plan:
+            result, report = self.database.execute_with_plan(
+                statement, engine=self.engine, scans=scans, scan_key=scan)
+            if len(result.columns) != 1:
+                raise ExtractionError(
+                    f"SQL extraction rule must select exactly one column, "
+                    f"got {result.columns}", source_id=self.source_id)
+            columns.append(["" if value is None else str(value)
+                            for value in result.scalars()])
+            reports.append(report)
+        # Counted and digested only once the whole set has run: a batch
+        # that raises leaves nothing behind for its per-rule re-run.
+        digests = [self._record_plan(report) for report in reports]
+        if len(rules) > 1:
+            for digest, (_statement, scan) in zip(digests, plan):
+                if digest is not None:
+                    digest["scan"] = scan
+        self._details.record(digests)
+        return columns
+
     def execute_rule(self, rule: str) -> list[str]:
         """Run a SQL extraction rule; each row's single column is a record.
 
         Multi-column results are an authoring error in the mapping (one
         extraction rule feeds exactly one attribute).
         """
-        if not self.connected:
-            self.connect()
-        statement = self._compiled.get(rule)
-        if statement is None:
-            from .sql.parser import parse_sql
-            statement = parse_sql(rule)
-            self._compiled[rule] = statement
-        result, plan = self.database.execute_with_plan(statement,
-                                                       engine=self.engine)
-        self._record_plan(plan)
-        if len(result.columns) != 1:
-            raise ExtractionError(
-                f"SQL extraction rule must select exactly one column, got "
-                f"{result.columns}", source_id=self.source_id)
-        return ["" if value is None else str(value)
-                for value in result.scalars()]
+        return self.execute_rules([rule])[0]
 
     def explain_sql(self, sql: str) -> str:
         """Operator-plan rendering for one statement under this
         source's engine (see :meth:`Database.explain`)."""
         return self.database.explain(sql, engine=self.engine)
 
-    def _record_plan(self, plan) -> None:
+    def _record_plan(self, plan: PlanReport | None) -> dict | None:
+        """Count one executed plan and digest it for its attempt span."""
         if plan is None:
-            self._details.pop(threading.get_ident(), None)
-            return
+            return None
         metrics = DEFAULT_REGISTRY if self.metrics is None else self.metrics
         metrics.counter(
             "sql_batches_total",
@@ -102,17 +141,16 @@ class RelationalDataSource(DataSource):
             "sql_rows_scanned_total",
             "rows scanned by the columnar SQL engine").inc(
                 plan.rows_scanned, source=self.source_id)
-        self._details[threading.get_ident()] = {
-            "sql_plan": plan.summary(),
-            "sql_rows_scanned": plan.rows_scanned,
-            "sql_batches": plan.batches,
-        }
+        return {"sql_plan": plan.summary(),
+                "sql_rows_scanned": plan.rows_scanned,
+                "sql_batches": plan.batches}
 
     def consume_execution_detail(self) -> dict[str, object] | None:
-        """One-shot plan digest of the calling thread's most recent rule
-        execution (the extraction manager annotates the attempt span
-        with it)."""
-        return self._details.pop(threading.get_ident(), None)
+        """Next one-shot plan digest of the calling thread's most recent
+        execution, in rule order (the extraction manager annotates each
+        rule's attempt span with its own; in a batch ``scan`` numbers
+        the scan the rule shared)."""
+        return self._details.consume()
 
     def content_fingerprint(self) -> str | None:
         """Hash of the whole catalog: table schemas plus row data."""

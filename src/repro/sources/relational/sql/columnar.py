@@ -43,7 +43,7 @@ by the relational source.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import compress
 
@@ -71,9 +71,15 @@ class OperatorStats:
     detail: str = ""
     rows_in: int | None = None
     rows_out: int | None = None
+    #: ran once for an earlier SELECT of the same batch, reused here
+    shared: bool = False
+
+    @property
+    def label(self) -> str:
+        return f"{self.name}(shared)" if self.shared else self.name
 
     def render(self) -> str:
-        parts = [self.name]
+        parts = [self.label]
         if self.detail:
             parts.append(self.detail)
         stats = []
@@ -107,7 +113,14 @@ class PlanReport:
 
     def summary(self) -> str:
         """Compact operator chain, e.g. ``scan>filter>project``."""
-        return ">".join(op.name for op in self.operators)
+        return ">".join(op.label for op in self.operators)
+
+    def as_shared(self) -> "PlanReport":
+        """This scan as a later SELECT of the same batch sees it when it
+        reuses the frame: the same operators, marked shared, and nothing
+        scanned — the rows were counted where they were read."""
+        return replace(self, rows_scanned=0, batches=0, operators=[
+            replace(op, shared=True) for op in self.operators])
 
     def render(self) -> str:
         """Multi-line plan: one header line, one line per operator."""
@@ -491,10 +504,40 @@ def _loop_matches(frame: _Frame, join, join_table, binding: str):
 # Entry points
 # ---------------------------------------------------------------------------
 
-def execute_columnar(database, select: Select) -> tuple[ResultSet, PlanReport]:
+def scan_key(select: Select) -> str:
+    """What :func:`scan_frame` depends on — two SELECTs with equal keys
+    scan the same frame.  Text, not the AST nodes themselves: ``1``,
+    ``1.0`` and ``TRUE`` are equal as Python values but not as SQL."""
+    return repr((select.table, select.joins, select.where))
+
+
+def execute_columnar(database, select: Select, scans: dict | None = None,
+                     key=None) -> tuple[ResultSet, PlanReport]:
     """Run one SELECT through the vectorized engine.
 
-    Returns the result plus the executed plan."""
+    Returns the result plus the executed plan.  ``scans`` is a dict the
+    caller owns for the span of one batch of statements, ``key`` what it
+    files this SELECT's scan under — the same for two SELECTs only when
+    their :func:`scan_key` is: they scan once and share the frame, each
+    with its own plan."""
+    if scans is None:
+        frame, report = scan_frame(database, select)
+    elif key in scans:
+        frame, scanned = scans[key]
+        report = scanned.as_shared()
+    else:
+        frame, report = scan_frame(database, select)
+        scans[key] = frame, report.as_shared()
+    if select.group_by or _has_aggregates(select):
+        return _grouped(select, frame, report), report
+    return _projected(select, frame, report), report
+
+
+def scan_frame(database, select: Select) -> tuple[_Frame, PlanReport]:
+    """Scan + pushdown + joins + WHERE: the part of a SELECT that reads
+    the tables, a function of its ``(table, joins, where)`` only.  What
+    is left — project / distinct / order / limit, or group + aggregate —
+    reads the frame and never changes it."""
     table = database.require_table(select.table.name)
     binding = select.table.binding.lower()
     frame, report = _scan(table, binding, select.where)
@@ -512,10 +555,7 @@ def execute_columnar(database, select: Select) -> tuple[ResultSet, PlanReport]:
                       database.require_table(join.table.name), report)
     if where is not None:
         frame = _filtered(frame, where, report)
-
-    if select.group_by or _has_aggregates(select):
-        return _grouped(select, frame, report), report
-    return _projected(select, frame, report), report
+    return frame, report
 
 
 def execute_dml(database, statement) -> ResultSet:

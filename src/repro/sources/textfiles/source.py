@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from ...errors import ExtractionError
-from ..base import ConnectionInfo, DataSource, stable_digest
+from ..base import ConnectionInfo, DataSource, RuleCache, stable_digest
 from .store import TextFileStore
 
 _FILE_PREFIX = "file:"
@@ -28,6 +28,15 @@ class TextDataSource(DataSource):
         self.store = store
         self.default_file = default_file
         self.path = path
+        self._compiled = RuleCache()
+
+    def _compile(self, pattern: str) -> re.Pattern:
+        try:
+            return re.compile(pattern, re.MULTILINE)
+        except re.error as exc:
+            raise ExtractionError(
+                f"invalid regex extraction rule {pattern!r}: {exc}",
+                source_id=self.source_id) from exc
 
     def execute_rule(self, rule: str) -> list[str]:
         """Run a regex rule; group 1 (or whole match) per record."""
@@ -50,12 +59,7 @@ class TextDataSource(DataSource):
                     "prefix with 'file:<path> '", source_id=self.source_id)
             file_path = paths[0]
         content = self.store.read(file_path)
-        try:
-            compiled = re.compile(rule, re.MULTILINE)
-        except re.error as exc:
-            raise ExtractionError(
-                f"invalid regex extraction rule {rule!r}: {exc}",
-                source_id=self.source_id) from exc
+        compiled = self._compiled.get(rule, self._compile)
         records: list[str] = []
         for match in compiled.finditer(content):
             if compiled.groups >= 1:

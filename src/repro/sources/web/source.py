@@ -15,7 +15,8 @@ import asyncio
 
 from ...errors import ExtractionError, WeblError
 from ...webl.interpreter import WeblInterpreter
-from ..base import ConnectionInfo, DataSource, stable_digest
+from ...webl.parser import parse_webl
+from ..base import ConnectionInfo, DataSource, RuleCache, stable_digest
 from .site import SimulatedWeb
 
 
@@ -30,7 +31,7 @@ class WebDataSource(DataSource):
         self.url = url
         self._interpreter = WeblInterpreter(
             web.fetch, extra_builtins={"SourceURL": lambda: self.url})
-        self._compiled: dict[str, object] = {}
+        self._compiled = RuleCache()  # programs are immutable ASTs
 
     def __reduce__(self):
         """Rebuild from constructor args when pickled (subprocess
@@ -45,21 +46,12 @@ class WebDataSource(DataSource):
                 f"page not reachable at {self.url}", source_id=self.source_id)
         super().connect()
 
-    def _compile(self, rule: str):
-        """Parse once per distinct rule text; programs are immutable ASTs."""
-        program = self._compiled.get(rule)
-        if program is None:
-            from ...webl.parser import parse_webl
-            program = parse_webl(rule)
-            self._compiled[rule] = program
-        return program
-
     def _run(self, rule: str, interpreter: WeblInterpreter) -> list[str]:
         """Run a WebL program; a list result is n records, a scalar is 1."""
         if not self.connected:
             self.connect()
         try:
-            result = interpreter.run(self._compile(rule))
+            result = interpreter.run(self._compiled.get(rule, parse_webl))
         except WeblError as exc:
             raise ExtractionError(
                 f"WebL rule failed: {exc}", source_id=self.source_id) from exc

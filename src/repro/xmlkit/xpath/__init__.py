@@ -11,6 +11,6 @@ Supported grammar (the slice used by B2B extraction rules):
 * union expressions with ``|``.
 """
 
-from .engine import XPath, xpath_select
+from .engine import StepEvaluator, XPath, string_value, xpath_select
 
-__all__ = ["XPath", "xpath_select"]
+__all__ = ["XPath", "xpath_select", "string_value", "StepEvaluator"]

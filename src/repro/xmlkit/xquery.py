@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..errors import XPathError
 from .dom import Document, Element
-from .xpath.engine import XPath, _to_bool, _string_value  # noqa: F401
+from .xpath.engine import XPath, _to_bool, _to_string, string_value
 
 _FLWOR_RE = re.compile(
     r"""\A\s*
@@ -80,9 +80,9 @@ class XQuery:
                     continue
             value = self.returning.evaluate(node)
             if isinstance(value, list):
-                results.extend(_string_value(item) for item in value)
+                results.extend(string_value(item) for item in value)
             else:
-                results.append(_scalar_text(value))
+                results.append(_to_string(value))
         return results
 
 
@@ -98,14 +98,6 @@ def _bind(expression: str, variable: str) -> str:
             f"only the for-variable ${variable} may be referenced, "
             f"got {expression!r}")
     return rewritten
-
-
-def _scalar_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return str(int(value)) if value == int(value) else str(value)
-    return str(value)
 
 
 def is_flwor(text: str) -> bool:

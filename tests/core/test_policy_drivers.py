@@ -18,7 +18,7 @@ from repro.clock import FakeClock
 from repro.config import ResilienceConfig
 from repro.core.extractor import AsyncExtractorManager, RawFragment
 from repro.core.extractor.manager import (EFFECTS, AcquireFlight, RunRule,
-                                          Sleep)
+                                          RunRules, Sleep)
 from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.errors import ExtractionError, TransientSourceError
 from repro.ids import AttributePath
@@ -79,6 +79,20 @@ def _fragment(effect: RunRule) -> RawFragment:
                        ["v1", "v2"])
 
 
+def _fragments(effect: RunRules) -> list[RawFragment]:
+    return [RawFragment(entry.attribute, effect.source.source_id,
+                        ["v1", "v2"], {"scan": 0})
+            for entry in effect.entries]
+
+
+# DB_1 is a RelationalDataSource, which runs batches: the policy asks for
+# one (``RunRules``) before its first ``RunRule``.  A script that fails
+# every run fails the batch too — and every count below is what it was
+# before batches existed, which is the point: a failed batch is dropped
+# uncounted and the per-rule policy runs as if it had never been tried.
+RUNS = (RunRule, RunRules)
+
+
 class TestPolicyByHand:
     def test_budget_exhaustion(self, watch_db):
         s2s = _world(watch_db, failover=False, breaker=None,
@@ -87,15 +101,17 @@ class TestPolicyByHand:
         policy, ctx, _ = _source_policy(s2s.manager)
 
         def script(effect):
-            if type(effect) is RunRule:
+            if type(effect) in RUNS:
                 raise TransientSourceError("flap")
             return None  # Sleep
 
         result, seen = run_by_hand(policy, script)
-        # Per entry: attempt, (budgeted) backoff, attempt — then the
-        # second entry finds the run's budget already spent.
-        assert [type(e) for e in seen] == [RunRule, Sleep, RunRule, RunRule]
-        assert seen[1].seconds == pytest.approx(0.5)
+        # The dropped batch, then per entry: attempt, (budgeted) backoff,
+        # attempt — then the second entry finds the run's budget already
+        # spent.
+        assert [type(e) for e in seen] == [RunRules, RunRule, Sleep, RunRule,
+                                           RunRule]
+        assert seen[2].seconds == pytest.approx(0.5)
         assert len(result.problems) == 2
         assert all("retry budget exhausted" in p.message
                    for p in result.problems)
@@ -117,8 +133,9 @@ class TestPolicyByHand:
         result, seen = run_by_hand(policy, script)
         # Entry 1 trips the breaker and fails over; entry 2 is refused
         # by the open breaker without a rule ever being run on DB_1.
-        assert [e.source.source_id for e in seen] == ["DB_1", "DB_R1",
-                                                      "DB_R1"]
+        assert [(type(e), e.source.source_id) for e in seen] == [
+            (RunRules, "DB_1"), (RunRule, "DB_1"), (RunRule, "DB_R1"),
+            (RunRule, "DB_R1")]  # replicas never batch
         assert not result.problems
         assert [f.source_id for f in result.record_set.fragments] == [
             "DB_1", "DB_1"]  # relabelled onto the primary
@@ -134,14 +151,14 @@ class TestPolicyByHand:
         policy, ctx, _ = _source_policy(s2s.manager, deadline=1.0)
 
         def script(effect):
-            if type(effect) is RunRule:
+            if type(effect) in RUNS:
                 raise TransientSourceError("slow")
             clock.advance(effect.seconds)  # the backoff "elapses"
             return None
 
         result, seen = run_by_hand(policy, script)
-        assert [type(e) for e in seen] == [RunRule, Sleep]
-        assert seen[1].seconds == pytest.approx(1.0)  # clamped to the budget
+        assert [type(e) for e in seen] == [RunRules, RunRule, Sleep]
+        assert seen[2].seconds == pytest.approx(1.0)  # clamped to the budget
         assert len(result.problems) == 1
         assert "deadline" in result.problems[0].message
         assert ctx.health.for_source("DB_1").deadline_hits == 1
@@ -157,21 +174,22 @@ class TestPolicyByHand:
             raise ExtractionError("no such column")
 
         result, seen = run_by_hand(policy, script)
-        assert [type(e) for e in seen] == [AcquireFlight, RunRule,
+        assert [type(e) for e in seen] == [AcquireFlight, RunRules, RunRule,
                                            AcquireFlight, RunRule]
         assert len(result.problems) == 2
         # Both flights ended: the next caller is elected leader at once
         # instead of waiting on a flight nobody will finish.
-        for effect in seen[::2]:
-            assert cache.acquire(effect.entry) == (None, True)
-            cache.release(effect.entry)
+        for effect in seen:
+            if type(effect) is AcquireFlight:
+                assert cache.acquire(effect.entry) == (None, True)
+                cache.release(effect.entry)
 
     def test_error_thrown_in_unwinds_through_finally(self, watch_db):
         s2s = _world(watch_db, cache=True)
         cache = s2s.manager.cache
         policy, _, _ = _source_policy(s2s.manager)
         entry = next(policy).entry
-        assert type(policy.send(cache.acquire(entry))) is RunRule
+        assert type(policy.send(cache.acquire(entry))) is RunRules
         with pytest.raises(KeyboardInterrupt):
             policy.throw(KeyboardInterrupt())  # not the policy's to handle
         assert cache.acquire(entry) == (None, True)  # leader was released
@@ -190,6 +208,8 @@ class TestPolicyByHand:
                 return cache.acquire(effect.entry)
             if type(effect) is Sleep:
                 return None
+            if type(effect) is RunRules:
+                raise TransientSourceError("batch")
             if effect.entry.attribute_id not in failed_once:
                 failed_once.add(effect.entry.attribute_id)
                 raise TransientSourceError("first try")
@@ -198,6 +218,62 @@ class TestPolicyByHand:
         result, seen = run_by_hand(policy, script)
         assert not result.problems
         assert {type(effect) for effect in seen} == set(EFFECTS)
+
+
+    def test_batch_serves_every_entry_under_its_own_bookkeeping(self,
+                                                                watch_db):
+        s2s = _world(watch_db, cache=True)
+        cache = s2s.manager.cache
+        policy, ctx, _ = _source_policy(s2s.manager)
+
+        def script(effect):
+            if type(effect) is AcquireFlight:
+                return cache.acquire(effect.entry)
+            return _fragments(effect)  # a RunRule would fail here
+
+        result, seen = run_by_hand(policy, script)
+        # Taken once, at the first entry's attempt, over both entries;
+        # the second entry still asks the cache first.
+        assert [type(e) for e in seen] == [AcquireFlight, RunRules,
+                                           AcquireFlight]
+        assert [e.attribute_id for e in seen[1].entries] == [
+            "thing.product.brand", "thing.product.price"]
+        assert not result.problems
+        assert [f.values for f in result.record_set.fragments] == [
+            ["v1", "v2"]] * 2
+        health = ctx.health.for_source("DB_1")
+        assert (health.attempts, health.successes, health.failures) == (
+            2, 2, 0)
+        for effect in (seen[0], seen[2]):  # both written through
+            assert cache.acquire(effect.entry)[0].values == ["v1", "v2"]
+
+    def test_batch_covers_only_the_entries_still_to_run(self, watch_db):
+        s2s = _world(watch_db, cache=True)
+        cache = s2s.manager.cache
+        policy, _, _ = _source_policy(s2s.manager)
+        first = next(policy).entry  # AcquireFlight for the first entry
+        cached = RawFragment(first.attribute, "DB_1", ["hit"])
+        effect = policy.send((cached, False))
+        # One entry left: nothing to share, so no batch is asked for.
+        assert type(effect) is AcquireFlight
+        assert type(policy.send(cache.acquire(effect.entry))) is RunRule
+
+    def test_a_batch_error_of_any_type_is_dropped(self, watch_db):
+        s2s = _world(watch_db)
+        policy, ctx, _ = _source_policy(s2s.manager)
+
+        def script(effect):
+            if type(effect) is RunRules:
+                raise ValueError("not even an S2SError")
+            return _fragment(effect)
+
+        result, seen = run_by_hand(policy, script)
+        assert [type(e) for e in seen] == [RunRules, RunRule, RunRule]
+        assert not result.problems
+        health = ctx.health.for_source("DB_1")
+        assert (health.attempts, health.successes, health.failures) == (
+            2, 2, 0)
+        assert s2s.manager.breakers.get("DB_1").state == "closed"
 
 
 class _Fakes:
@@ -214,6 +290,14 @@ class _Fakes:
     async def aextract(self, source, entry):
         self.calls.append("aextract")
         return ("fragment", source, entry)
+
+    def extract_many(self, source, entries):
+        self.calls.append("extract_many")
+        return ("fragments", source, entries)
+
+    async def aextract_many(self, source, entries):
+        self.calls.append("aextract_many")
+        return ("fragments", source, entries)
 
     # the clock
     def sleep(self, seconds):
@@ -249,15 +333,16 @@ def _drivers(watch_db, fakes):
 
 def _one_of_each(fakes) -> dict:
     return {RunRule: RunRule(fakes, "source", "entry"),
+            RunRules: RunRules(fakes, "source", ["entry"]),
             Sleep: Sleep(0.25),
             AcquireFlight: AcquireFlight("entry")}
 
 
 EXPECTED_CALLS = {
-    "blocking": {RunRule: "extract", Sleep: "sleep",
-                 AcquireFlight: "acquire"},
-    "awaiting": {RunRule: "aextract", Sleep: "sleep_async",
-                 AcquireFlight: "acquire_async"},
+    "blocking": {RunRule: "extract", RunRules: "extract_many",
+                 Sleep: "sleep", AcquireFlight: "acquire"},
+    "awaiting": {RunRule: "aextract", RunRules: "aextract_many",
+                 Sleep: "sleep_async", AcquireFlight: "acquire_async"},
 }
 
 
@@ -278,6 +363,8 @@ class TestDriverParity:
             assert fakes.calls == [EXPECTED_CALLS[name][kind]], name
             if kind is RunRule:
                 assert answer == ("fragment", "source", "entry")
+            elif kind is RunRules:
+                assert answer == ("fragments", "source", ["entry"])
             elif kind is AcquireFlight:
                 assert answer == (None, True)
 

@@ -228,7 +228,11 @@ class TestExplainSurfacesInSpans:
             rendered = s2s.explain("SELECT product")
         finally:
             s2s.close()
-        assert rendered.count("sql_plan='scan>project'") == 16
+        # per source: one rule scans, the seven that share its frame say so
+        assert rendered.count("sql_plan='scan>project'") == 2
+        assert rendered.count("sql_plan='scan(shared)>project'") == 14
+        assert rendered.count("batched=True") == 16
+        assert rendered.count("shared_scan='8/1'") == 2
 
     def test_row_engine_rule_leaves_no_detail(self):
         database = seeded_database()

@@ -123,3 +123,65 @@ class TestRelativeEvaluation:
     def test_dot_descendant(self, doc):
         group = xpath_select(doc, "//group")[0]
         assert len(XPath(".//v").select(group)) == 2
+
+
+REPEATED = ('<c><i k="1"><n>x</n></i><i k="1"><n>y</n></i>'
+            '<i k="2"><n>z</n></i></c>')
+
+
+class TestAttributeValuesHaveNoIdentity:
+    """Attribute steps yield plain strings; equal (interned) values of
+    *different* elements used to collapse under ``id()`` de-duplication,
+    silently misaligning an attribute column against its siblings."""
+
+    def test_equal_values_of_different_elements_are_all_kept(self):
+        doc = parse_xml(REPEATED)
+        assert xpath_select(doc, "//i/@k") == ["1", "1", "2"]
+        assert len(xpath_select(doc, "//i/n")) == 3
+
+    def test_self_step_and_predicate_over_attribute_values(self):
+        doc = parse_xml(REPEATED)
+        assert xpath_select(doc, "//i/@k/.") == ["1", "1", "2"]
+        assert xpath_select(doc, "//i/@k[. = '1']") == ["1", "1"]
+        assert xpath_select(doc, "//@k") == ["1", "1", "2"]
+
+    def test_an_attribute_reached_twice_is_still_one(self):
+        # both (nested) context nodes reach the inner element's @k
+        doc = parse_xml('<a k="1"><a k="2"><b/></a></a>')
+        assert xpath_select(doc, "//a//@k") == ["1", "2"]
+        same = parse_xml('<a k="1"><a k="1"><b/></a></a>')
+        assert xpath_select(same, "//a//@k") == ["1", "1"]
+
+    def test_union_keeps_every_attribute_value(self):
+        doc = parse_xml(REPEATED)
+        assert xpath_select(doc, "//i[1]/@k | //i[2]/@k") == ["1", "1"]
+
+
+class TestNumericPredicateIsPositionEquals:
+    """XPath 1.0: ``[n]`` is ``position() = n``.  NaN and fractions
+    select nothing — and nothing untyped (``int(NaN)``) escapes."""
+
+    def test_nan_predicate_selects_nothing(self, doc):
+        assert xpath_select(doc, '//item[number("x")]') == []
+
+    def test_fractional_predicate_selects_nothing(self, doc):
+        assert xpath_select(doc, "//item[1.5]") == []
+        assert xpath_select(doc, "//item[1.0]/@id") == ["1", "3"]
+
+    def test_substring_with_nan_or_infinite_bounds(self, doc):
+        assert XPath('substring("abc", "x")').evaluate(doc) == ""
+        assert XPath('substring("abc", 1, "x")').evaluate(doc) == ""
+        assert XPath('substring("abc", "inf")').evaluate(doc) == ""
+        assert XPath('substring("abc", "-inf")').evaluate(doc) == "abc"
+        assert XPath('substring("abc", "-inf", "inf")').evaluate(doc) == ""
+
+    def test_substring_rounds_like_xpath(self, doc):
+        # the spec's own examples (section 4.2)
+        assert XPath('substring("12345", 1.5, 2.6)').evaluate(doc) == "234"
+        assert XPath('substring("12345", 0, 3)').evaluate(doc) == "12"
+        assert XPath('substring("12345", 2, "-1")').evaluate(doc) == ""
+
+    def test_string_of_non_finite_numbers(self, doc):
+        assert XPath('string(number("x"))').evaluate(doc) == "NaN"
+        assert XPath('string(number("inf"))').evaluate(doc) == "Infinity"
+        assert XPath('string(number("-inf"))').evaluate(doc) == "-Infinity"
