@@ -65,12 +65,6 @@ class CacheStats:
     stale_discards: int = 0   # puts dropped by a generation bump
 
     @property
-    def hit_rate(self) -> float:
-        """hits / (hits + misses), or 0.0 before any lookup."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
     def dedup_ratio(self) -> float:
         """Fraction of would-be extractions collapsed into a leader's
         flight: dedup_hits / (flights + dedup_hits), or 0.0."""

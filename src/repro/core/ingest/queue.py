@@ -16,13 +16,11 @@ planner can skip re-enqueueing work that already completed.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from ...clock import Clock, SystemClock
 from ...obs import MetricsRegistry
 from ..resilience import RetryPolicy
-from .jobs import (DEAD, DONE, PENDING, RUNNING, IngestJob, next_stage,
-                   shard_of)
+from .jobs import DEAD, DONE, PENDING, RUNNING, IngestJob, next_stage
 from .journal import DeadLetterLedger, IngestJournal
 
 
@@ -113,13 +111,6 @@ class DurableJobQueue:
         self._pending[job.job_id] = job
         self._count("enqueued")
         return job
-
-    def enqueue_all(self, jobs: Iterable[IngestJob]) -> int:
-        count = 0
-        for job in jobs:
-            self.enqueue(job)
-            count += 1
-        return count
 
     def record_skip(self, job: IngestJob, reason: str) -> None:
         """Journal a planner decision not to enqueue (unchanged source)."""
@@ -232,6 +223,3 @@ class DurableJobQueue:
             self._pending[job.job_id] = job
             self._count("requeued")
         return revived
-
-    def shard_for(self, job: IngestJob, n_shards: int) -> int:
-        return shard_of(job.source_id, n_shards)

@@ -100,7 +100,7 @@ def render_entities(schema: OntologySchema, entities: list[AssembledEntity],
         return serialize_xml(Document(root))
     if format == "json":
         return _json.dumps([_entity_dict(entity) for entity in entities],
-                           indent=2, sort_keys=True)
+                           indent=2, sort_keys=True, default=_scalar_text)
     if format == "text":
         lines: list[str] = []
         for entity in entities:

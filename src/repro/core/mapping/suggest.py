@@ -89,14 +89,6 @@ class MappingSuggestion:
     descriptor: FieldDescriptor
     score: float
 
-    def to_entry(self, *, transform: str | None = None) -> MappingEntry:
-        """Materialize the suggestion as a registrable mapping entry."""
-        rule = ExtractionRule(self.descriptor.rule_language,
-                              self.descriptor.rule_code,
-                              transform=transform)
-        return MappingEntry(self.attribute, rule,
-                            self.descriptor.source_id)
-
     def __str__(self) -> str:
         return (f"{self.attribute} <- {self.descriptor.source_id}."
                 f"{self.descriptor.name} (score {self.score:.2f})")

@@ -220,9 +220,10 @@ class S2SMiddleware:
         """Execute an S2SQL query; the single point of entry.
 
         Blocking under every engine: with ``concurrency="asyncio"`` the
-        extraction fan-out runs as tasks on the engine's private event
-        loop while this call waits — traces, metrics, store behaviour
-        and results are identical to the thread engine's."""
+        extraction fan-out runs as tasks on a loop this call opens and
+        closes with ``asyncio.run`` (inside a running loop, use
+        :meth:`aquery`) — traces, metrics, store behaviour and results
+        are identical to the thread engine's."""
         return self.query_handler.execute(query, merge_key=merge_key)
 
     async def aquery(self, query: str, *,
@@ -485,12 +486,11 @@ class S2SMiddleware:
     def close(self) -> None:
         """Release every background resource this middleware owns.
 
-        One idempotent call stops the asyncio engine's daemon event
-        loop (when running with ``concurrency="asyncio"``), any
-        :meth:`store_refresher` worker threads still alive, and any
-        :meth:`ingest_coordinator` journals still open.  The middleware
-        stays usable for mapping inspection afterwards, but querying
-        through a closed asyncio engine will fail — ``close()`` is for
+        One idempotent call stops any :meth:`store_refresher` worker
+        threads still alive, closes any :meth:`ingest_coordinator`
+        journals still open and shuts down the sharded engine's worker
+        fleet (a shared fleet is its owner's to stop); the serial, thread
+        and asyncio engines own no thread or loop.  ``close()`` is for
         teardown, not a pause.  Also usable as a context manager::
 
             with B2BScenario().build_middleware() as s2s:

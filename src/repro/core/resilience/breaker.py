@@ -177,12 +177,6 @@ class CircuitBreakerRegistry:
                 self._breakers[source_id] = breaker
             return breaker
 
-    def state_of(self, source_id: str) -> str:
-        """State for a source; unknown sources are closed (never called)."""
-        with self._lock:
-            breaker = self._breakers.get(source_id)
-        return breaker.state if breaker is not None else CLOSED
-
     def open_sources(self) -> list[str]:
         """Sources currently refusing calls, sorted."""
         with self._lock:

@@ -10,13 +10,13 @@ store state:
   the current ones to decide *which* sources need re-extraction.
 
 * :func:`save_store` / :func:`load_store` — warm-restart persistence.
-  A saved store is two files in one directory: ``snapshot.ttl`` (or
-  ``.nt``), the full RDF graph including provenance triples, and
-  ``manifest.json``, the structural index (materializations → source
-  slices → entity identifiers, links, fingerprints, error entries) that
-  the triples alone cannot carry.  Literal values round-trip through
-  the graph (``python_to_literal`` / ``Literal.to_python``), so typed
-  values (ints, floats, dates) survive the restart.
+  A saved store is one file, ``manifest.json``: materializations →
+  source slices → fingerprints, the slice's entities and the
+  materialization's error entries, each in the JSON form of
+  :mod:`repro.core.instances.codec` (the form the wire carries), so
+  value types, multi-valued attributes, value order and coercion errors
+  survive the restart.  The RDF graph is not saved: ``adopt()`` rebuilds
+  it from the entities, and ``store.export()`` is the RDF export path.
 """
 
 from __future__ import annotations
@@ -27,25 +27,14 @@ import os
 
 from ...errors import S2SError
 from ...ids import AttributePath
-from ...ontology.model import Individual
-from ...rdf.namespace import RDF
-from ...rdf.ntriples import parse_ntriples, serialize_ntriples
-from ...rdf.terms import Literal
-from ...rdf.turtle import parse_turtle, serialize_turtle
 from ...sources.base import DataSource
-from ..instances.assembly import AssembledEntity
-from ..instances.errors import ErrorEntry
+from ..instances.codec import (entity_from_json, entity_to_json,
+                               error_from_json, error_to_json, json_default)
 
 logger = logging.getLogger("repro.core.store")
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
-
-#: snapshot format → (file name, serializer, parser)
-SNAPSHOT_FORMATS = {
-    "turtle": ("snapshot.ttl", serialize_turtle, parse_turtle),
-    "ntriples": ("snapshot.nt", serialize_ntriples, parse_ntriples),
-}
+MANIFEST_VERSION = 2
 
 
 def fingerprint_source(source: DataSource) -> str | None:
@@ -85,23 +74,15 @@ def fingerprint_sources(sources, source_ids) -> dict[str, str | None]:
 # ----------------------------------------------------------------------
 
 
-def save_store(store, directory: str, *, format: str = "turtle") -> str:
+def save_store(store, directory: str) -> str:
     """Persist ``store`` under ``directory``; returns the manifest path.
 
     The directory is created if missing.  Freshness is deliberately not
     persisted: a reloaded store is stamped fresh at load time, and the
     first refresh re-checks every fingerprint anyway."""
-    if format not in SNAPSHOT_FORMATS:
-        raise S2SError(f"unknown snapshot format {format!r}; expected one "
-                       f"of {sorted(SNAPSHOT_FORMATS)}")
-    snapshot_name, serializer, _parser = SNAPSHOT_FORMATS[format]
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, snapshot_name), "w",
-              encoding="utf-8") as handle:
-        handle.write(serializer(store.graph))
     manifest = {
         "version": MANIFEST_VERSION,
-        "format": format,
         "generation": store.generation,
         "namespace": store.namespace.base,
         "materializations": [
@@ -110,7 +91,8 @@ def save_store(store, directory: str, *, format: str = "turtle") -> str:
     }
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=1, sort_keys=True)
+        # no sort_keys: the order of an individual's values is data
+        json.dump(manifest, handle, indent=1, default=json_default)
     return manifest_path
 
 
@@ -118,34 +100,14 @@ def _materialization_to_dict(mat) -> dict:
     return {
         "class": mat.class_name,
         "attributes": sorted(mat.attribute_ids),
-        "errors": [{"phase": entry.phase, "message": entry.message,
-                    "source_id": entry.source_id,
-                    "attribute_id": entry.attribute_id}
-                   for entry in mat.errors],
+        "errors": [error_to_json(entry) for entry in mat.errors],
         "slices": [
             {"source": slice_.source_id,
              "fingerprint": slice_.fingerprint,
              "stale": slice_.stale,
-             "entities": [_entity_to_dict(entity)
+             "entities": [entity_to_json(entity)
                           for entity in slice_.entities]}
             for _sid, slice_ in sorted(mat.slices.items())],
-    }
-
-
-def _entity_to_dict(entity: AssembledEntity) -> dict:
-    individuals = entity.all_individuals()
-    return {
-        "primary": {"id": entity.primary.identifier,
-                    "class": entity.primary.class_name},
-        "satellites": [{"id": satellite.identifier,
-                        "class": satellite.class_name}
-                       for satellite in entity.satellites],
-        "links": [{"from": individual.identifier, "property": name,
-                   "to": target.identifier}
-                  for individual in individuals
-                  for name, targets in sorted(individual.links.items())
-                  for target in targets],
-        "record_index": entity.record_index,
     }
 
 
@@ -158,9 +120,10 @@ def load_store(store, directory: str) -> int:
     """Warm-restart ``store`` from ``directory``.
 
     Replaces the store's current contents; returns the number of
-    materializations loaded.  Entity values are rebuilt from the
-    snapshot graph's literals, entity structure (satellites, links,
-    record indexes) from the manifest.
+    materializations loaded.  Reads the manifest only; ``adopt()``
+    rebuilds the graph from the decoded entities.  A manifest of another
+    version, or one that is JSON but not a manifest, raises
+    :class:`S2SError` and leaves the store as it was.
 
     A manifest that exists but does not parse (torn write from a crashed
     saver) is quarantined under ``manifest.json.corrupt`` and the load
@@ -176,9 +139,7 @@ def load_store(store, directory: str) -> int:
                        f"{exc}") from exc
     except json.JSONDecodeError as exc:
         corrupt_path = manifest_path + ".corrupt"
-        if os.path.exists(corrupt_path):
-            os.unlink(corrupt_path)
-        os.rename(manifest_path, corrupt_path)
+        os.replace(manifest_path, corrupt_path)
         logger.warning(
             "corrupt store manifest %s (%s): quarantined to %s, "
             "starting cold", manifest_path, exc,
@@ -190,87 +151,35 @@ def load_store(store, directory: str) -> int:
             ).inc(kind="manifest")
         store.reset()
         return 0
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise S2SError(f"unsupported store manifest version "
-                       f"{manifest.get('version')!r}")
-    format = manifest.get("format", "turtle")
-    if format not in SNAPSHOT_FORMATS:
-        raise S2SError(f"unknown snapshot format {format!r} in manifest")
-    snapshot_name, _serializer, parser = SNAPSHOT_FORMATS[format]
-    snapshot_path = os.path.join(directory, snapshot_name)
-    try:
-        with open(snapshot_path, encoding="utf-8") as handle:
-            snapshot = parser(handle.read())
-    except OSError as exc:
-        raise S2SError(f"cannot load store snapshot {snapshot_path}: "
-                       f"{exc}") from exc
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise S2SError(f"unsupported store manifest version {version!r}")
 
     from .store import Materialization, SourceSlice
 
-    store.reset(generation=int(manifest.get("generation", 0)))
-    loaded = 0
-    for mat_dict in manifest.get("materializations", []):
-        slices = [
-            SourceSlice(
-                slice_dict["source"],
-                [_entity_from_dict(store, snapshot, entity_dict,
-                                   slice_dict["source"])
-                 for entity_dict in slice_dict.get("entities", [])],
-                slice_dict.get("fingerprint"),
-                bool(slice_dict.get("stale", False)))
-            for slice_dict in mat_dict.get("slices", [])]
-        mat = Materialization(
-            class_name=mat_dict["class"],
-            attribute_ids=frozenset(mat_dict["attributes"]),
-            required=[AttributePath.parse(attribute)
-                      for attribute in mat_dict["attributes"]],
-            slices={slice_.source_id: slice_ for slice_ in slices},
-            materialized_at=store.clock.monotonic(),
-            generation=store.generation)
-        mat.errors = [ErrorEntry(entry["phase"], entry["message"],
-                                 entry.get("source_id"),
-                                 entry.get("attribute_id"))
-                      for entry in mat_dict.get("errors", [])]
+    try:
+        generation = int(manifest.get("generation", 0))
+        materializations = [
+            Materialization(
+                class_name=mat_dict["class"],
+                attribute_ids=frozenset(mat_dict["attributes"]),
+                required=[AttributePath.parse(attribute)
+                          for attribute in mat_dict["attributes"]],
+                slices={
+                    slice_dict["source"]: SourceSlice(
+                        slice_dict["source"],
+                        [entity_from_json(entity)
+                         for entity in slice_dict["entities"]],
+                        slice_dict["fingerprint"], bool(slice_dict["stale"]))
+                    for slice_dict in mat_dict["slices"]},
+                errors=[error_from_json(entry)
+                        for entry in mat_dict["errors"]],
+                materialized_at=store.clock.monotonic())
+            for mat_dict in manifest["materializations"]]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise S2SError(f"malformed store manifest {manifest_path}: "
+                       f"{exc!r}") from exc
+    store.reset(generation=generation)
+    for mat in materializations:
         store.adopt(mat)
-        loaded += 1
-    return loaded
-
-
-def _entity_from_dict(store, snapshot, entity_dict: dict,
-                      source_id: str) -> AssembledEntity:
-    individuals: dict[str, Individual] = {}
-
-    def rebuild(spec: dict) -> Individual:
-        individual = Individual(spec["id"], spec["class"],
-                                _values_from_graph(store, snapshot,
-                                                   spec["id"]))
-        individuals[spec["id"]] = individual
-        return individual
-
-    primary = rebuild(entity_dict["primary"])
-    satellites = [rebuild(spec)
-                  for spec in entity_dict.get("satellites", [])]
-    for link in entity_dict.get("links", []):
-        origin = individuals.get(link["from"])
-        target = individuals.get(link["to"])
-        if origin is None or target is None:
-            raise S2SError(
-                f"store manifest link references unknown individual: "
-                f"{link['from']} -[{link['property']}]-> {link['to']}")
-        origin.link(link["property"], target)
-    return AssembledEntity(primary, satellites, source_id,
-                           int(entity_dict.get("record_index", 0)))
-
-
-def _values_from_graph(store, snapshot, identifier: str) -> dict:
-    """Rebuild one individual's value map from the snapshot graph."""
-    subject = store.namespace[identifier]
-    values: dict[str, object] = {}
-    for triple in snapshot.triples(subject, None, None):
-        if triple.predicate == RDF.type:
-            continue
-        if not triple.predicate.value.startswith(store.namespace.base):
-            continue  # provenance vocabulary
-        if isinstance(triple.object, Literal):
-            values[triple.predicate.local_name] = triple.object.to_python()
-    return values
+    return len(materializations)

@@ -559,11 +559,11 @@ class SemanticStore:
             raise S2SError(f"unknown store export format {format!r}; "
                            f"expected 'turtle' or 'ntriples'")
 
-    def save(self, directory: str, *, format: str = "turtle") -> str:
+    def save(self, directory: str) -> str:
         """Persist to ``directory``; see :func:`snapshot.save_store`."""
         from .snapshot import save_store
         with self._lock:
-            return save_store(self, directory, format=format)
+            return save_store(self, directory)
 
     def load(self, directory: str) -> int:
         """Warm-restart from ``directory``; see :func:`snapshot.load_store`."""

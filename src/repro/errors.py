@@ -221,3 +221,7 @@ class S2sqlSyntaxError(QueryError):
 
 class InstanceGenerationError(S2SError):
     """The instance generator could not assemble ontology instances."""
+
+
+class CodecError(S2SError):
+    """An entity or error entry has no JSON form, or JSON data is not one."""

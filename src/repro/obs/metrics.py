@@ -152,20 +152,6 @@ class Histogram(Metric):
             series = self._series.get(_label_key(labels))
             return series.total if series is not None else 0.0
 
-    def cumulative_buckets(self, **labels: Any) -> list[tuple[float, int]]:
-        """(upper bound, cumulative count) pairs, +Inf last."""
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            counts = (list(series.bucket_counts) if series is not None
-                      else [0] * (len(self.buckets) + 1))
-        pairs: list[tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.buckets, counts):
-            running += count
-            pairs.append((bound, running))
-        pairs.append((float("inf"), running + counts[-1]))
-        return pairs
-
     def series(self) -> Iterator[tuple[LabelKey, HistogramSeries]]:
         with self._lock:
             items = sorted(self._series.items())

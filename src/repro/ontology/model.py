@@ -210,10 +210,6 @@ class Ontology:
         self.require_class(name)
         return IRI(self.base_iri + name)
 
-    def iri_for_property(self, name: str) -> IRI:
-        """A property's IRI under the ontology base."""
-        return IRI(self.base_iri + name)
-
     # ------------------------------------------------------------------
     # Attributes (inherited view)
     # ------------------------------------------------------------------

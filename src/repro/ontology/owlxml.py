@@ -28,10 +28,6 @@ from ..rdf.turtle import parse_turtle, serialize_turtle
 from .model import Individual, Ontology
 
 
-def _bool_literal(value: bool) -> Literal:
-    return Literal("true" if value else "false", XSD.boolean)
-
-
 def ontology_to_graph(ontology: Ontology, *, include_individuals: bool = True,
                       prefix: str = "onto") -> Graph:
     """Render the ontology (schema and, optionally, individuals) as RDF."""

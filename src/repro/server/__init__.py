@@ -31,8 +31,6 @@ _EXPORTS = {
     "AsyncS2SClient": ".client",
     "PreparedStatement": ".client",
     "S2SClient": ".client",
-    "RemoteEntity": ".codec",
-    "RemoteIndividual": ".codec",
     "RemoteQueryResult": ".codec",
     "ServerConfig": ".config",
     "MAX_FRAME_BYTES": ".protocol",
@@ -72,8 +70,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "PreparedStatement",
     "ProtocolError",
-    "RemoteEntity",
-    "RemoteIndividual",
     "RemoteQueryResult",
     "RemoteServerError",
     "S2SClient",

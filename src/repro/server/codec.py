@@ -1,62 +1,40 @@
 """Wire encoding of query answers.
 
 A :class:`~repro.core.query.executor.QueryResult` holds live objects
-(ontology individuals, the extraction outcome, the span tree); over the
-wire only the *answer* travels: the assembled entities with their
-values and links, the error report, and the degradation/provenance
-flags callers act on (``degraded``, ``degraded_sources``, ``store_hit``,
-``store_stale``).  The client rebuilds that as a
-:class:`RemoteQueryResult`, whose reading surface mirrors the
-in-process result (``len()``, ``entities``, ``value()`` lookups,
-``degraded`` ...) so code consuming answers does not care which side of
-the socket produced them.
+(the extraction outcome, the span tree); over the wire only the *answer*
+travels: the assembled entities with their values and links, the error
+report, and the degradation/provenance flags callers act on
+(``degraded``, ``degraded_sources``, ``store_hit``, ``store_stale``).
+The client rebuilds that as a :class:`RemoteQueryResult` over the same
+``AssembledEntity`` / ``ErrorEntry`` classes the in-process result holds.
 
-The encoding is plain JSON-safe dicts; attribute values are already
-coerced Python scalars (str/int/float/bool) by the instance generator,
-so they round-trip losslessly.
+Entities and error entries are written and read by
+:mod:`repro.core.instances.codec`: plain values travel as plain JSON, the
+two date ranges as tagged objects that ``encode_frame`` writes through
+that module's ``json_default``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..core.instances.codec import (entity_from_json, entity_to_json,
+                                    error_from_json, error_to_json)
+from ..errors import CodecError
+
 
 def result_to_wire(result) -> dict:
-    """A JSON-safe dict from one in-process ``QueryResult``."""
+    """The RESULT payload of one in-process ``QueryResult``."""
     return {
         "query": str(result.query),
         "query_class": result.plan.class_name,
-        "entities": [_entity_to_wire(entity) for entity in result.entities],
-        "errors": [
-            {"phase": entry.phase, "message": entry.message,
-             "source_id": entry.source_id,
-             "attribute_id": entry.attribute_id}
-            for entry in result.errors.entries],
+        "entities": [entity_to_json(entity) for entity in result.entities],
+        "errors": [error_to_json(entry) for entry in result.errors.entries],
         "degraded": result.degraded,
         "degraded_sources": list(result.degraded_sources),
         "store_hit": result.store_hit,
         "store_stale": result.store_stale,
         "elapsed_seconds": result.elapsed_seconds,
-    }
-
-
-def _entity_to_wire(entity) -> dict:
-    """One assembled entity: individuals by index, links as indices."""
-    individuals = entity.all_individuals()
-    index_of = {id(ind): n for n, ind in enumerate(individuals)}
-    return {
-        "source_id": entity.source_id,
-        "record_index": entity.record_index,
-        "coercion_errors": list(entity.coercion_errors),
-        "individuals": [
-            {"identifier": ind.identifier,
-             "class": ind.class_name,
-             "values": dict(ind.values),
-             "links": {name: [index_of[id(target)]
-                              for target in targets
-                              if id(target) in index_of]
-                       for name, targets in ind.links.items()}}
-            for ind in individuals],
     }
 
 
@@ -82,69 +60,7 @@ def _term_to_wire(term) -> dict:
     return wire
 
 
-# -- client-side views ----------------------------------------------------
-
-@dataclass
-class RemoteIndividual:
-    """One ontology individual as decoded from the wire."""
-
-    identifier: str
-    class_name: str
-    values: dict = field(default_factory=dict)
-    #: object property → linked :class:`RemoteIndividual` instances
-    links: dict = field(default_factory=dict)
-
-    def get(self, attribute: str, default=None):
-        """One attribute value, or ``default``."""
-        return self.values.get(attribute, default)
-
-
-@dataclass
-class RemoteEntity:
-    """A primary individual plus linked satellites, client-side.
-
-    Mirrors :class:`~repro.core.instances.assembly.AssembledEntity`'s
-    reading surface (``value()``, ``all_individuals()``, ``source_id``,
-    ``record_index``) over decoded wire data."""
-
-    primary: RemoteIndividual
-    satellites: list = field(default_factory=list)
-    source_id: str = ""
-    record_index: int = 0
-    coercion_errors: list = field(default_factory=list)
-
-    def all_individuals(self) -> list:
-        """Primary + satellites in one list."""
-        return [self.primary, *self.satellites]
-
-    def value(self, attribute: str, default=None):
-        """Attribute lookup across primary and satellites."""
-        if attribute in self.primary.values:
-            return self.primary.values[attribute]
-        for satellite in self.satellites:
-            if attribute in satellite.values:
-                return satellite.values[attribute]
-        return default
-
-
-@dataclass
-class RemoteErrorEntry:
-    """One error-report entry as decoded from the wire."""
-
-    phase: str
-    message: str
-    source_id: str | None = None
-    attribute_id: str | None = None
-
-    def __str__(self) -> str:
-        scope = []
-        if self.source_id:
-            scope.append(f"source={self.source_id}")
-        if self.attribute_id:
-            scope.append(f"attribute={self.attribute_id}")
-        suffix = f" ({', '.join(scope)})" if scope else ""
-        return f"{self.phase}: {self.message}{suffix}"
-
+# -- client-side view -----------------------------------------------------
 
 @dataclass
 class RemoteQueryResult:
@@ -186,35 +102,19 @@ class RemoteQueryResult:
 
 def result_from_wire(wire: dict) -> RemoteQueryResult:
     """A :class:`RemoteQueryResult` from one RESULT frame payload."""
-    return RemoteQueryResult(
-        query=wire.get("query", ""),
-        query_class=wire.get("query_class", ""),
-        entities=[_entity_from_wire(entity)
-                  for entity in wire.get("entities", [])],
-        errors=[RemoteErrorEntry(entry.get("phase", ""),
-                                 entry.get("message", ""),
-                                 entry.get("source_id"),
-                                 entry.get("attribute_id"))
-                for entry in wire.get("errors", [])],
-        degraded=bool(wire.get("degraded", False)),
-        degraded_sources=list(wire.get("degraded_sources", [])),
-        store_hit=bool(wire.get("store_hit", False)),
-        store_stale=bool(wire.get("store_stale", False)),
-        server_seconds=float(wire.get("elapsed_seconds", 0.0)),
-    )
-
-
-def _entity_from_wire(wire: dict) -> RemoteEntity:
-    individuals = [RemoteIndividual(ind.get("identifier", ""),
-                                    ind.get("class", ""),
-                                    dict(ind.get("values", {})))
-                   for ind in wire.get("individuals", [])]
-    for decoded, ind in zip(individuals, wire.get("individuals", [])):
-        for name, targets in ind.get("links", {}).items():
-            decoded.links[name] = [individuals[index] for index in targets
-                                   if 0 <= index < len(individuals)]
-    primary = individuals[0] if individuals else RemoteIndividual("", "")
-    return RemoteEntity(primary, individuals[1:],
-                        wire.get("source_id", ""),
-                        wire.get("record_index", 0),
-                        list(wire.get("coercion_errors", [])))
+    try:
+        return RemoteQueryResult(
+            query=wire.get("query", ""),
+            query_class=wire.get("query_class", ""),
+            entities=[entity_from_json(entity)
+                      for entity in wire.get("entities", [])],
+            errors=[error_from_json(entry)
+                    for entry in wire.get("errors", [])],
+            degraded=bool(wire.get("degraded", False)),
+            degraded_sources=list(wire.get("degraded_sources", [])),
+            store_hit=bool(wire.get("store_hit", False)),
+            store_stale=bool(wire.get("store_stale", False)),
+            server_seconds=float(wire.get("elapsed_seconds", 0.0)),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CodecError(f"malformed result payload: {exc!r}") from exc

@@ -1,0 +1,509 @@
+"""The entity codec: one JSON form for the wire and the store manifest.
+
+A Hypothesis property holds the encoder and decoder together (entities
+and error entries come back field for field, value *types* and value
+order included); a table of malformed inputs checks that both consumers
+— ``result_from_wire`` and ``store.load`` — let only typed ``S2SError``s
+escape; three regression tests pin the value-losing bugs the three old
+encoders had (dates over the wire, multi-valued attributes and coercion
+errors across a store restart).
+
+CI runs this file once more with ``--hypothesis-seed=4711``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import copy
+import datetime
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import ExtractionRule, S2SMiddleware
+from repro.core.instances.assembly import AssembledEntity
+from repro.core.instances.codec import (entity_from_json, entity_to_json,
+                                        error_from_json, error_to_json,
+                                        json_default)
+from repro.core.instances.errors import ErrorEntry
+from repro.core.store.store import SliceWrite
+from repro.errors import CodecError, S2SError
+from repro.ids import AttributePath
+from repro.ontology.builders import (logistics_ontology,
+                                     watch_domain_ontology)
+from repro.ontology.model import Individual
+from repro.server import AsyncS2SClient, S2SClient, S2SServer, ServerThread
+from repro.server.codec import result_from_wire
+from repro.server.protocol import decode_body, encode_frame
+from repro.sources.relational import Database, RelationalDataSource
+
+
+def through_json(data):
+    """What a reader on the other side of a socket or a disk sees."""
+    return json.loads(json.dumps(data, default=json_default))
+
+
+def assert_same_entity(decoded: AssembledEntity, entity: AssembledEntity):
+    assert decoded.source_id == entity.source_id
+    assert decoded.record_index == entity.record_index
+    assert decoded.coercion_errors == entity.coercion_errors
+    ours, theirs = decoded.all_individuals(), entity.all_individuals()
+    assert len(ours) == len(theirs)
+    for mine, other in zip(ours, theirs):
+        assert type(mine) is Individual
+        assert (mine.identifier, mine.class_name) == \
+            (other.identifier, other.class_name)
+        assert list(mine.values.items()) == list(other.values.items())
+        for name, value in mine.values.items():
+            assert _types(value) == _types(other.values[name]), name
+        assert list(mine.links) == list(other.links)
+        for name, targets in mine.links.items():
+            # identity, not equality: a link points *into* the entity
+            assert [_index(ours, target) for target in targets] == \
+                [_index(theirs, target) for target in other.links[name]]
+
+
+def _types(value):
+    if isinstance(value, list):
+        return [type(item) for item in value]
+    return type(value)
+
+
+def _index(individuals, target) -> int:
+    return next(n for n, individual in enumerate(individuals)
+                if individual is target)
+
+
+# -- strategies -----------------------------------------------------------
+
+TAG_LOOKALIKES = ['{"$date": "2024-05-17"}', "$date", "$dateTime",
+                  "2024-05-17", "{}", "[]", "null", "true"]
+
+scalars = st.one_of(
+    st.text(max_size=12), st.sampled_from(TAG_LOOKALIKES),
+    st.integers(), st.floats(allow_nan=False), st.booleans(),
+    st.dates(),
+    st.datetimes(timezones=st.sampled_from([None, datetime.timezone.utc])))
+values = st.one_of(scalars, st.lists(scalars, max_size=3))
+names = st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def entities(draw):
+    count = 1 + draw(st.integers(0, 3))
+    individuals = [
+        Individual(draw(names), draw(names),
+                   draw(st.dictionaries(names, values, max_size=5)))
+        for _ in range(count)]
+    for individual in individuals:
+        # any individual may link any other (or itself), either way round
+        links = draw(st.dictionaries(
+            names, st.lists(st.integers(0, count - 1), max_size=3),
+            max_size=2))
+        for name, targets in links.items():
+            individual.links[name] = [individuals[n] for n in targets]
+    return AssembledEntity(individuals[0], individuals[1:], draw(names),
+                           draw(st.integers(0, 10_000)),
+                           draw(st.lists(st.text(max_size=20), max_size=2)))
+
+
+optional_text = st.one_of(st.none(), st.text(max_size=12))
+error_entries = st.builds(ErrorEntry, st.text(max_size=12),
+                          st.text(max_size=40), optional_text, optional_text)
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(entities())
+    def test_entity_survives_json(self, entity):
+        assert_same_entity(entity_from_json(through_json(
+            entity_to_json(entity))), entity)
+
+    @settings(max_examples=100, deadline=None)
+    @given(error_entries)
+    def test_error_entry_survives_json(self, entry):
+        decoded = error_from_json(through_json(error_to_json(entry)))
+        assert type(decoded) is ErrorEntry
+        assert decoded == entry
+
+    def test_a_link_out_of_the_entity_is_not_encoded(self):
+        outsider = Individual("p9", "provider", {"name": "Elsewhere"})
+        watch = Individual("w1", "watch", {"brand": "Seiko"})
+        watch.link("hasProvider", outsider)
+        decoded = entity_from_json(through_json(
+            entity_to_json(AssembledEntity(watch, [], "DB_1", 0))))
+        assert decoded.primary.links == {"hasProvider": []}
+
+    def test_plain_values_are_plain_json(self):
+        """What travelled before this codec existed is spelled as before:
+        no hook runs, no tag appears."""
+        watch = Individual("w1", "watch", {"brand": "Seiko", "price": 199.0,
+                                           "water_resistance": 200,
+                                           "in_stock": True,
+                                           "model": ["A1", "B2"]})
+        data = entity_to_json(AssembledEntity(watch, [], "DB_1", 3))
+        assert json.loads(json.dumps(data)) == data
+        assert data["individuals"][0]["values"] == watch.values
+
+    def test_dates_travel_tagged(self):
+        shipment = Individual("s1", "shipment", {
+            "ship_date": datetime.date(2006, 7, 1),
+            "scanned": [datetime.datetime(2006, 7, 1, 8, 30)]})
+        data = through_json(entity_to_json(
+            AssembledEntity(shipment, [], "TMS_DB", 0)))
+        assert data["individuals"][0]["values"] == {
+            "ship_date": {"$date": "2006-07-01"},
+            "scanned": [{"$dateTime": "2006-07-01T08:30:00"}]}
+
+    def test_a_value_json_cannot_spell_is_a_typed_error(self):
+        entity = AssembledEntity(Individual("w1", "watch", {"tags": {1, 2}}),
+                                 [], "DB_1", 0)
+        with pytest.raises(CodecError):
+            json.dumps(entity_to_json(entity), default=json_default)
+        with pytest.raises(CodecError):
+            encode_frame({"kind": "RESULT",
+                          "result": {"entities": [entity_to_json(entity)]}})
+
+
+# -- malformed input ------------------------------------------------------
+
+def good_entity() -> dict:
+    watch = Individual("w1", "watch", {"brand": "Seiko"})
+    provider = Individual("p1", "provider", {"name": "Acme"})
+    watch.link("hasProvider", provider)
+    return through_json(entity_to_json(
+        AssembledEntity(watch, [provider], "DB_1", 0, ["bad price"])))
+
+
+def broken(mutate) -> dict:
+    data = good_entity()
+    mutate(data)
+    return data
+
+
+def _set(path, value):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        del data[last]
+    return mutate
+
+
+FIRST = ("individuals", 0)
+MALFORMED_ENTITIES = {
+    "not an object": [],
+    "a string": "entity",
+    "null": None,
+    "no individuals": broken(_drop(["individuals"])),
+    "empty individuals": broken(_set(["individuals"], [])),
+    "individuals not a list": broken(_set(["individuals"], 7)),
+    "individual not an object": broken(_set(FIRST, "w1")),
+    "individual without values": broken(_drop([*FIRST, "values"])),
+    "individual without links": broken(_drop([*FIRST, "links"])),
+    "identifier not text": broken(_set([*FIRST, "identifier"], 7)),
+    "class not text": broken(_set([*FIRST, "class"], None)),
+    "values a list": broken(_set([*FIRST, "values"], [["brand", "x"]])),
+    "links a list": broken(_set([*FIRST, "links"], [1])),
+    "link targets not a list": broken(
+        _set([*FIRST, "links", "hasProvider"], 1)),
+    "link index out of range": broken(
+        _set([*FIRST, "links", "hasProvider"], [2])),
+    "link index negative": broken(
+        _set([*FIRST, "links", "hasProvider"], [-1])),
+    "link index a bool": broken(
+        _set([*FIRST, "links", "hasProvider"], [True])),
+    "link index text": broken(
+        _set([*FIRST, "links", "hasProvider"], ["1"])),
+    "unknown tag": broken(
+        _set([*FIRST, "values", "brand"], {"$time": "08:30"})),
+    "two-key object": broken(_set(
+        [*FIRST, "values", "brand"],
+        {"$date": "2024-05-17", "$dateTime": "2024-05-17T00:00:00"})),
+    "empty object": broken(_set([*FIRST, "values", "brand"], {})),
+    "non-ISO date": broken(
+        _set([*FIRST, "values", "brand"], {"$date": "yesterday"})),
+    "date with a time": broken(
+        _set([*FIRST, "values", "brand"], {"$date": "2024-05-17T08:30:00"})),
+    "non-ISO dateTime": broken(
+        _set([*FIRST, "values", "brand"], {"$dateTime": "17/05/2024"})),
+    "tag payload not text": broken(
+        _set([*FIRST, "values", "brand"], {"$date": 20240517})),
+    "list in a list": broken(_set([*FIRST, "values", "brand"], [["x"]])),
+    "bad tag in a list": broken(
+        _set([*FIRST, "values", "brand"], ["x", {"$date": "soon"}])),
+    "no source_id": broken(_drop(["source_id"])),
+    "source_id a number": broken(_set(["source_id"], 7)),
+    "record_index text": broken(_set(["record_index"], "0")),
+    "no coercion_errors": broken(_drop(["coercion_errors"])),
+    "coercion_errors text": broken(_set(["coercion_errors"], "bad price")),
+}
+
+MALFORMED_ERRORS = {
+    "not an object": ["generation", "boom"],
+    "no phase": {"message": "m", "source_id": None, "attribute_id": None},
+    "no attribute_id": {"phase": "p", "message": "m", "source_id": None},
+    "phase a number": {"phase": 1, "message": "m", "source_id": None,
+                       "attribute_id": None},
+    "source_id a number": {"phase": "p", "message": "m", "source_id": 7,
+                           "attribute_id": None},
+}
+
+#: name -> what to do to a valid manifest
+MALFORMED_MANIFESTS = {
+    "no materializations": _drop(["materializations"]),
+    "materializations a number": _set(["materializations"], 7),
+    "materialization text": _set(["materializations", 0], "product"),
+    "no class": _drop(["materializations", 0, "class"]),
+    "attributes null": _set(["materializations", 0, "attributes"], None),
+    "attribute not a path": _set(["materializations", 0, "attributes"],
+                                 ["not a path"]),
+    "no slices": _drop(["materializations", 0, "slices"]),
+    "slice without source": _drop(["materializations", 0, "slices", 0,
+                                   "source"]),
+    "generation text": _set(["generation"], "seven"),
+}
+
+
+def by_name(table):
+    return pytest.mark.parametrize("data", list(table.values()),
+                                   ids=list(table))
+
+
+@pytest.fixture(scope="module")
+def saved_manifest(tmp_path_factory):
+    """A valid version-2 manifest (parsed) of a one-entity store."""
+    s2s = watch_world([("Seiko", "199.0")])
+    s2s.query("SELECT product")
+    directory = tmp_path_factory.mktemp("saved")
+    with open(s2s.store.save(str(directory)), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def load_manifest(manifest, tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest),
+                                            encoding="utf-8")
+    s2s = watch_world([("Casio", "15.5")])
+    s2s.query("SELECT product")
+    before = s2s.store.export()
+    try:
+        return s2s.store.load(str(tmp_path))
+    except S2SError:
+        # a refused manifest leaves the store as it was
+        assert s2s.store.export() == before
+        raise
+
+
+class TestMalformedInput:
+    def test_the_table_starts_from_a_good_entity(self):
+        assert entity_from_json(good_entity()).value("name") == "Acme"
+
+    @by_name(MALFORMED_ENTITIES)
+    def test_entity_decoder_raises_typed(self, data):
+        with pytest.raises(CodecError):
+            entity_from_json(data)
+
+    @by_name(MALFORMED_ERRORS)
+    def test_error_decoder_raises_typed(self, data):
+        with pytest.raises(CodecError):
+            error_from_json(data)
+
+    @by_name(MALFORMED_ENTITIES)
+    def test_wire_consumer_raises_typed(self, data):
+        with pytest.raises(S2SError):
+            result_from_wire({"entities": [data]})
+
+    @by_name(MALFORMED_ERRORS)
+    def test_wire_consumer_raises_typed_on_errors(self, data):
+        with pytest.raises(S2SError):
+            result_from_wire({"errors": [data]})
+
+    @pytest.mark.parametrize("wire", [None, [], {"entities": 7},
+                                      {"errors": 7},
+                                      {"elapsed_seconds": "soon"}],
+                             ids=repr)
+    def test_wire_consumer_raises_typed_on_the_envelope(self, wire):
+        with pytest.raises(S2SError):
+            result_from_wire(wire)
+
+    @by_name(MALFORMED_ENTITIES)
+    def test_store_consumer_raises_typed(self, data, saved_manifest,
+                                         tmp_path):
+        manifest = copy.deepcopy(saved_manifest)
+        manifest["materializations"][0]["slices"][0]["entities"] = [data]
+        with pytest.raises(S2SError):
+            load_manifest(manifest, tmp_path)
+
+    @by_name(MALFORMED_ERRORS)
+    def test_store_consumer_raises_typed_on_errors(self, data,
+                                                   saved_manifest, tmp_path):
+        manifest = copy.deepcopy(saved_manifest)
+        manifest["materializations"][0]["errors"] = [data]
+        with pytest.raises(S2SError):
+            load_manifest(manifest, tmp_path)
+
+    @by_name(MALFORMED_MANIFESTS)
+    def test_store_consumer_raises_typed_on_the_manifest(
+            self, data, saved_manifest, tmp_path):
+        manifest = copy.deepcopy(saved_manifest)
+        data(manifest)
+        with pytest.raises(S2SError):
+            load_manifest(manifest, tmp_path)
+
+    @pytest.mark.parametrize("manifest", [
+        [], "manifest", {"materializations": []},
+        {"version": 1, "format": "turtle", "materializations": []}],
+        ids=["a list", "a string", "no version", "version 1"])
+    def test_other_manifest_versions_are_refused(self, manifest, tmp_path):
+        with pytest.raises(S2SError, match="unsupported store manifest "
+                                           "version"):
+            load_manifest(manifest, tmp_path)
+
+    def test_the_good_manifest_loads(self, saved_manifest, tmp_path):
+        assert load_manifest(saved_manifest, tmp_path) == 1
+
+
+# -- regressions: values the three old encoders lost ----------------------
+
+def watch_world(rows) -> S2SMiddleware:
+    """brand + price of the watch ontology over one table (the other six
+    attributes stay unmapped: six ``mapping:`` error entries)."""
+    database = Database("w")
+    database.execute("CREATE TABLE watches (brand TEXT, price TEXT)")
+    for brand, price in rows:
+        database.execute(f"INSERT INTO watches (brand, price) "
+                         f"VALUES ('{brand}', '{price}')")
+    s2s = S2SMiddleware(watch_domain_ontology(), store=True)
+    s2s.register_source(RelationalDataSource("DB_1", database))
+    for attribute in ("brand", "price"):
+        s2s.register_attribute(
+            ("product", attribute),
+            ExtractionRule.sql(f"SELECT {attribute} FROM watches"), "DB_1")
+    return s2s
+
+
+@pytest.fixture(scope="module")
+def logistics_server():
+    """A live server over a logistics tenant whose ``ship_date`` (range
+    ``date``) is mapped."""
+    database = Database("tms")
+    database.executescript("""
+    CREATE TABLE shipments (tracking TEXT, kg REAL, state TEXT,
+                            shipped TEXT, carrier TEXT, fleet INTEGER);
+    INSERT INTO shipments (tracking, kg, state, shipped, carrier, fleet)
+    VALUES
+      ('TRK-001', 12.5, 'in-transit', '2006-07-01', 'FastFreight', 120),
+      ('TRK-002', 3.0, 'delivered', '2006-06-20', 'CargoLine', 45);
+    """)
+    s2s = S2SMiddleware(logistics_ontology())
+    s2s.register_source(RelationalDataSource("TMS_DB", database))
+    for attribute, column in ((("shipment", "tracking_id"), "tracking"),
+                              (("shipment", "weight_kg"), "kg"),
+                              (("shipment", "status"), "state"),
+                              (("shipment", "ship_date"), "shipped"),
+                              (("carrier", "name"), "carrier"),
+                              (("carrier", "fleet_size"), "fleet")):
+        s2s.register_attribute(
+            attribute, ExtractionRule.sql(f"SELECT {column} FROM shipments"),
+            "TMS_DB")
+    with ServerThread(S2SServer({"tms": s2s})) as (host, port):
+        yield host, port, s2s
+    s2s.close()
+
+
+class TestDatesOverTheWire:
+    """Bug 1: ``encode_frame`` raised ``TypeError: Object of type date is
+    not JSON serializable`` and the server answered ``[INTERNAL]``."""
+
+    EXPECTED = [datetime.date(2006, 7, 1), datetime.date(2006, 6, 20)]
+
+    def test_sync_client_reads_dates(self, logistics_server):
+        host, port, s2s = logistics_server
+        with S2SClient(host, port, tenant="tms") as client:
+            remote = client.query("SELECT shipment")
+        assert [e.value("ship_date") for e in remote.entities] == \
+            self.EXPECTED
+        for mine, local in zip(remote.entities,
+                               s2s.query("SELECT shipment").entities):
+            assert_same_entity(mine, local)
+
+    def test_async_client_reads_dates(self, logistics_server):
+        host, port, _s2s = logistics_server
+
+        async def ask():
+            async with AsyncS2SClient(host, port, tenant="tms") as client:
+                return await client.query(
+                    'SELECT shipment WHERE ship_date = "2006-07-01"')
+
+        remote = asyncio.run(ask())
+        assert [e.value("ship_date") for e in remote.entities] == \
+            self.EXPECTED[:1]
+        assert type(remote.entities[0]) is AssembledEntity
+
+    def test_the_frame_layer_spells_them(self):
+        body = encode_frame({"kind": "X", "when": datetime.date(2006, 7, 1)})
+        assert decode_body(body[4:])["when"] == {"$date": "2006-07-01"}
+
+
+class TestStoreRestart:
+    """Bug 3: values came back from the parsed Turtle file one triple at
+    a time — last one won, order and coercion errors were lost."""
+
+    KEY_PATHS = [AttributePath.parse("thing.product.model"),
+                 AttributePath.parse("thing.product.brand")]
+
+    def committed(self, entity, errors=()):
+        s2s = S2SMiddleware(watch_domain_ontology(), store=True)
+        mat = s2s.store.ensure("product", self.KEY_PATHS)
+        s2s.store.commit(mat.key, [SliceWrite("DB_1", [entity], "f1")],
+                         list(errors))
+        return s2s.store, mat.key
+
+    def reloaded(self, store, tmp_path):
+        store.save(str(tmp_path))
+        fresh = S2SMiddleware(watch_domain_ontology(), store=True).store
+        assert fresh.load(str(tmp_path)) == 1
+        return fresh
+
+    def test_multi_valued_attribute_survives(self, tmp_path):
+        watch = Individual("w1", "watch", {"model": ["A1", "B2"],
+                                           "brand": "Seiko"})
+        store, key = self.committed(AssembledEntity(watch, [], "DB_1", 0))
+        fresh = self.reloaded(store, tmp_path)
+        entity, = fresh.materialization(key).slices["DB_1"].entities
+        assert entity.value("model") == ["A1", "B2"]
+        assert list(entity.primary.values) == ["model", "brand"]
+        assert fresh.export() == store.export()
+
+    def test_coercion_errors_and_error_entries_survive(self, tmp_path):
+        watch = Individual("w1", "watch", {"brand": "Seiko"})
+        entry = ErrorEntry("generation", "value 'x' is not a valid double "
+                           "for 'price'", "DB_1", "thing.product.price")
+        store, key = self.committed(
+            AssembledEntity(watch, [], "DB_1", 4, ["price: 'x'"]), [entry])
+        mat = self.reloaded(store, tmp_path).materialization(key)
+        entity, = mat.slices["DB_1"].entities
+        assert entity.coercion_errors == ["price: 'x'"]
+        assert entity.record_index == 4
+        assert mat.errors == [entry]
+        assert mat.slices["DB_1"].fingerprint == "f1"
+
+    def test_typed_values_survive_without_the_graph(self, tmp_path):
+        shipment = Individual("s1", "watch", {
+            "brand": "1", "price": 1.0, "water_resistance": 1,
+            "released": datetime.date(2006, 7, 1)})
+        store, key = self.committed(AssembledEntity(shipment, [], "DB_1", 0))
+        fresh = self.reloaded(store, tmp_path)
+        entity, = fresh.materialization(key).slices["DB_1"].entities
+        assert_same_entity(entity, AssembledEntity(shipment, [], "DB_1", 0))

@@ -1,11 +1,16 @@
 """Tests for the Instance Generator's output adapters."""
 
+import datetime
 import json
 
 import pytest
 
+from repro.core.instances.assembly import AssembledEntity
 from repro.core.instances.outputs import render_entities
 from repro.errors import InstanceGenerationError, S2SError
+from repro.ontology import OntologySchema
+from repro.ontology.builders import logistics_ontology
+from repro.ontology.model import Individual
 from repro.rdf.rdfxml import parse_rdfxml
 from repro.rdf.turtle import parse_turtle
 from repro.workloads import B2BScenario
@@ -95,6 +100,24 @@ class TestOtherFormats:
         schema, items = entities
         with pytest.raises(InstanceGenerationError):
             render_entities(schema, items, "yaml")
+
+    def test_json_renders_dates_as_the_other_formats_do(self):
+        """``ship_date`` has range ``date``: ``json`` used to let a bare
+        ``TypeError`` escape where ``xml`` and ``text`` print ISO text."""
+        schema = OntologySchema(logistics_ontology())
+        shipment = Individual("s1", "shipment", {
+            "tracking_id": "TRK-001",
+            "ship_date": datetime.date(2006, 7, 1),
+            "scans": [datetime.datetime(2006, 7, 1, 8, 30)]})
+        items = [AssembledEntity(shipment, [], "TMS_DB", 0)]
+        record, = json.loads(render_entities(schema, items, "json"))
+        assert record["ship_date"] == "2006-07-01"
+        assert record["scans"] == ["2006-07-01 08:30:00"]
+        assert "ship_date = 2006-07-01" in render_entities(schema, items,
+                                                           "text")
+        xml = parse_xml(render_entities(schema, items, "xml"))
+        assert xml.root.element_children()[0].find("scans").text == \
+            record["scans"][0]
 
 
 class TestQueryResultSerialize:

@@ -96,26 +96,28 @@ class TestDiskRoundTrip:
         scenario = B2BScenario(n_sources=2, n_products=4, seed=7)
         s2s = scenario.build_middleware(store=True)
         s2s.query("SELECT product")
-        manifest = s2s.store.save(str(tmp_path), format="ntriples")
+        manifest = s2s.store.save(str(tmp_path))
         with open(manifest, encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["version"] == 1
-        assert payload["format"] == "ntriples"
+        assert payload["version"] == 2
+        assert "format" not in payload
         assert payload["materializations"]
-        assert os.path.exists(os.path.join(str(tmp_path), "snapshot.nt"))
+        assert not os.path.exists(os.path.join(str(tmp_path), "snapshot.nt"))
 
-    def test_roundtrip_survives_both_formats(self, tmp_path):
+    def test_roundtrip_writes_one_file(self, tmp_path):
+        """There is one snapshot format: the manifest alone."""
         scenario = B2BScenario(n_sources=2, n_products=6, seed=11)
         s2s = scenario.build_middleware(store=True)
         live = s2s.query("SELECT product")
-        for format in ("turtle", "ntriples"):
-            directory = tmp_path / format
-            s2s.store.save(str(directory), format=format)
-            reborn = scenario.build_middleware(store=True)
-            reborn.store.load(str(directory))
-            served = reborn.query("SELECT product")
-            assert served.store_hit
-            assert canon(served.entities) == canon(live.entities)
+        with pytest.raises(TypeError):
+            s2s.store.save(str(tmp_path), format="turtle")
+        s2s.store.save(str(tmp_path))
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        reborn = scenario.build_middleware(store=True)
+        reborn.store.load(str(tmp_path))
+        served = reborn.query("SELECT product")
+        assert served.store_hit
+        assert canon(served.entities) == canon(live.entities)
 
     def test_reloaded_store_still_delta_refreshes(self, tmp_path):
         """Fingerprints survive the round-trip: a reloaded store only
