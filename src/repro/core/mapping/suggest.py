@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 
 from ...errors import S2SError
+from ...htmlkit import parse_html
 from ...ids import AttributePath
 from ...sources.base import DataSource
 from .attributes import MappingEntry
@@ -145,7 +146,6 @@ def _discover_xml(source) -> list[FieldDescriptor]:
 
 
 def _discover_web(source) -> list[FieldDescriptor]:
-    from ...sources.web.html import parse_html
     markup = source.web.fetch(source.url)
     document = parse_html(markup)
     descriptors = []

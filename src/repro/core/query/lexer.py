@@ -1,16 +1,22 @@
-"""S2SQL tokenizer."""
+"""S2SQL lexical grammar."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 from ...errors import S2sqlSyntaxError
+from ...lexing import Lexer, Token, unquote
 
 KEYWORDS = frozenset({"SELECT", "WHERE", "AND", "LIKE", "CONTAINS", "TRUE",
                       "FALSE", "FROM"})
 
-_TOKEN_RE = re.compile(
+
+def _syntax_error(message: str, query: str,
+                  token: Token | None) -> S2sqlSyntaxError:
+    if token is None:
+        return S2sqlSyntaxError(f"{message} in {query!r}")
+    return S2sqlSyntaxError(message, position=token.position)
+
+
+S2SQL = Lexer(
     r"""
     (?P<ws>\s+)
   | (?P<number>-?\d+\.\d+|-?\d+)
@@ -20,35 +26,5 @@ _TOKEN_RE = re.compile(
   | (?P<path>[A-Za-z_][A-Za-z0-9_\-]*(?:\.[A-Za-z_][A-Za-z0-9_\-]*)+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
     """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token (kind, text, offset)."""
-    kind: str
-    value: str
-    position: int
-
-
-def tokenize(query: str) -> list[Token]:
-    """Tokenize an S2SQL query string."""
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(query):
-        match = _TOKEN_RE.match(query, pos)
-        if match is None:
-            raise S2sqlSyntaxError(
-                f"unexpected character {query[pos]!r}", position=pos)
-        kind = match.lastgroup or ""
-        if kind != "ws":
-            value = match.group()
-            if kind == "string":
-                tokens.append(Token("string", value[1:-1], pos))
-            elif kind == "name" and value.upper() in KEYWORDS:
-                tokens.append(Token("keyword", value.upper(), pos))
-            else:
-                tokens.append(Token(kind, value, pos))
-        pos = match.end()
-    return tokens
+    _syntax_error, unit="query", keywords=KEYWORDS,
+    decode={"string": unquote})

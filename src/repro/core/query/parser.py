@@ -14,85 +14,61 @@ operators have no use in S2SQL and are thus not supported".
 from __future__ import annotations
 
 from ...errors import S2sqlSyntaxError
+from ...lexing import TokenCursor
 from .ast import Condition, S2sqlQuery
-from .lexer import Token, tokenize
+from .lexer import S2SQL
+
+_OPERATORS = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">", "le": "<=",
+              "ge": ">="}
 
 
-class _Parser:
-    def __init__(self, query: str) -> None:
-        self.query = query
-        self.tokens = tokenize(query)
-        self.index = 0
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise S2sqlSyntaxError(
-                f"unexpected end of query in {self.query!r}")
-        self.index += 1
-        return token
-
-    def expect_keyword(self, word: str) -> None:
-        token = self.next()
-        if token.kind != "keyword" or token.value != word:
-            raise S2sqlSyntaxError(
-                f"expected {word}, got {token.value!r}",
-                position=token.position)
+class _Parser(TokenCursor):
+    lexer = S2SQL
 
     def parse(self) -> S2sqlQuery:
-        self.expect_keyword("SELECT")
+        self.expect("keyword", "SELECT")
         class_token = self.next()
         if class_token.kind not in ("name", "path"):
-            raise S2sqlSyntaxError(
+            raise self.error(
                 f"expected ontology class name, got {class_token.value!r}",
-                position=class_token.position)
-        class_name = class_token.value
+                class_token)
         conditions: list[Condition] = []
-        token = self.peek()
-        if token is not None and token.kind == "keyword" and token.value == "FROM":
-            raise S2sqlSyntaxError(
+        from_token = self.accept("keyword", "FROM")
+        if from_token is not None:
+            raise self.error(
                 "FROM is not supported: S2SQL queries are location-"
                 "transparent (data location is resolved by the mapping "
-                "module)", position=token.position)
-        if token is not None:
-            self.expect_keyword("WHERE")
+                "module)", from_token)
+        if self.peek() is not None:
+            self.expect("keyword", "WHERE")
             conditions.append(self.condition())
-            while True:
-                token = self.peek()
-                if token is None:
-                    break
-                self.expect_keyword("AND")
+            while self.peek() is not None:
+                self.expect("keyword", "AND")
                 conditions.append(self.condition())
-        return S2sqlQuery(class_name, tuple(conditions))
+        return S2sqlQuery(class_token.value, tuple(conditions))
 
     def condition(self) -> Condition:
         attr_token = self.next()
         if attr_token.kind not in ("name", "path"):
-            raise S2sqlSyntaxError(
-                f"expected attribute, got {attr_token.value!r}",
-                position=attr_token.position)
+            raise self.error(
+                f"expected attribute, got {attr_token.value!r}", attr_token)
         op_token = self.next()
-        operators = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">",
-                     "le": "<=", "ge": ">="}
-        if op_token.kind in operators:
-            operator = operators[op_token.kind]
+        if op_token.kind in _OPERATORS:
+            operator = _OPERATORS[op_token.kind]
         elif op_token.kind == "keyword" and op_token.value in ("LIKE",
                                                                "CONTAINS"):
             operator = op_token.value
         else:
-            raise S2sqlSyntaxError(
+            raise self.error(
                 f"expected comparison operator, got {op_token.value!r}",
-                position=op_token.position)
+                op_token)
         value_token = self.next()
         value: object
         if value_token.kind == "string":
             value = value_token.value
         elif value_token.kind == "number":
             text = value_token.value
-            value = float(text) if "." in text else int(text)
+            value = float(text) if "." in text else self.integer(value_token)
         elif value_token.kind == "keyword" and value_token.value in ("TRUE",
                                                                      "FALSE"):
             value = value_token.value == "TRUE"
@@ -100,9 +76,9 @@ class _Parser:
             # Unquoted bare word — accept as string for author convenience.
             value = value_token.value
         else:
-            raise S2sqlSyntaxError(
+            raise self.error(
                 f"expected constraint value, got {value_token.value!r}",
-                position=value_token.position)
+                value_token)
         return Condition(attr_token.value, operator, value)
 
 

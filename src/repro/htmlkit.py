@@ -1,4 +1,6 @@
-"""Tag-soup tolerant HTML parsing.
+"""Tag-soup tolerant HTML parsing (the web substrate's counterpart of
+:mod:`repro.xmlkit`; it sits beside the WebL interpreter and the web
+source, which both use it, rather than under either).
 
 Real-world B2B supplier pages are rarely well-formed, so unlike the strict
 XML parser this one never fails: unknown entities pass through, unclosed
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+
+from .lexing import char_from_code
 
 _VOID_TAGS = frozenset({
     "area", "base", "br", "col", "embed", "hr", "img", "input", "link",
@@ -40,17 +44,11 @@ def decode_html_entities(text: str) -> str:
     Unknown entities are left as-is (tag-soup tolerance)."""
     def replace(match: re.Match) -> str:
         body = match.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            try:
-                return chr(int(body[2:], 16))
-            except ValueError:
-                return match.group(0)
-        if body.startswith("#"):
-            try:
-                return chr(int(body[1:]))
-            except ValueError:
-                return match.group(0)
-        return _ENTITIES.get(body, match.group(0))
+        if not body.startswith("#"):
+            return _ENTITIES.get(body, match.group(0))
+        char = (char_from_code(body[2:], 16) if body[1] in "xX"
+                else char_from_code(body[1:], 10))
+        return match.group(0) if char is None else char
 
     return re.sub(r"&([A-Za-z]+|#[0-9]+|#[xX][0-9A-Fa-f]+);", replace, text)
 

@@ -14,6 +14,7 @@ from ..errors import RdfSyntaxError
 from .graph import Graph
 from .namespace import NamespaceManager
 from .terms import IRI, BlankNode, Literal
+from .turtle import unescape
 
 _LINE_RE = re.compile(
     r"""\s*
@@ -25,34 +26,13 @@ _LINE_RE = re.compile(
     re.VERBOSE,
 )
 
-_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-
 
 def serialize_ntriples(graph: Graph) -> str:
     """One ``subject predicate object .`` line per triple, sorted."""
     return "".join(sorted(triple.n3() + "\n" for triple in graph))
 
 
-def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt in _ESCAPES:
-                out.append(_ESCAPES[nxt])
-                i += 2
-                continue
-            if nxt == "u" and i + 6 <= len(text):
-                out.append(chr(int(text[i + 2:i + 6], 16)))
-                i += 6
-                continue
-        out.append(text[i])
-        i += 1
-    return "".join(out)
-
-
-def _parse_term(token: str, bnodes: dict[str, BlankNode]):
+def _parse_term(token: str, bnodes: dict[str, BlankNode], line: int):
     if token.startswith("<"):
         return IRI(token[1:-1])
     if token.startswith("_:"):
@@ -65,7 +45,7 @@ def _parse_term(token: str, bnodes: dict[str, BlankNode]):
                      token)
     if match is None:
         raise RdfSyntaxError(f"malformed N-Triples term: {token!r}")
-    lexical = _unescape(match.group(1))
+    lexical = unescape(match.group(1), line)
     datatype, language = match.group(2), match.group(3)
     if datatype:
         return Literal(lexical, IRI(datatype))
@@ -86,9 +66,9 @@ def parse_ntriples(text: str) -> Graph:
         if match is None:
             raise RdfSyntaxError(f"malformed N-Triples line: {line!r}",
                                  line=line_number)
-        subject = _parse_term(match.group("subject"), bnodes)
-        predicate = _parse_term(match.group("predicate"), bnodes)
-        obj = _parse_term(match.group("object"), bnodes)
+        subject = _parse_term(match.group("subject"), bnodes, line_number)
+        predicate = _parse_term(match.group("predicate"), bnodes, line_number)
+        obj = _parse_term(match.group("object"), bnodes, line_number)
         if isinstance(subject, Literal) or not isinstance(predicate, IRI):
             raise RdfSyntaxError("invalid term positions",
                                  line=line_number)

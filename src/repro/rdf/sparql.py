@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from ..errors import RdfError
+from ..lexing import MISMATCH, Lexer, Token, TokenCursor
 from .graph import Graph
 from .namespace import NamespaceManager
 from .terms import IRI, BlankNode, Literal
@@ -96,8 +97,7 @@ class BoundCall:
 @dataclass(frozen=True, slots=True)
 class RegexCall:
     operand: "FilterExpr"
-    pattern: str
-    flags: str = ""
+    pattern: re.Pattern[str]  # compiled once, by the parser
 
 
 FilterExpr = Union[Variable, Literal, IRI, Comparison, BoolOp, NotOp,
@@ -128,7 +128,13 @@ class SparqlQuery:
 # Lexer / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+def _syntax_error(message: str, query: str, token: Token | None) -> RdfError:
+    if token is not None and token.kind == MISMATCH:
+        message = f"{message} at offset {token.position}"
+    return RdfError(f"SPARQL: {message}")
+
+
+SPARQL = Lexer(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<iri><[^<>\s]*>)
@@ -142,72 +148,24 @@ _TOKEN_RE = re.compile(
   | (?P<punct>[{}().,;])
   | (?P<qname>[A-Za-z_][A-Za-z0-9_\-]*:[A-Za-z_][A-Za-z0-9_\-.]*
               |[A-Za-z_][A-Za-z0-9_\-]*:)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*|\*)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*|\*)
     """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"PREFIX", "SELECT", "ASK", "WHERE", "FILTER", "OPTIONAL",
-             "DISTINCT", "ORDER", "BY", "ASC", "DESC", "LIMIT", "OFFSET",
-             "BOUND", "REGEX", "A", "TRUE", "FALSE"}
+    _syntax_error, unit="query",
+    keywords=frozenset({"PREFIX", "SELECT", "ASK", "WHERE", "FILTER",
+                        "OPTIONAL", "DISTINCT", "ORDER", "BY", "ASC", "DESC",
+                        "LIMIT", "OFFSET", "BOUND", "REGEX", "A", "TRUE",
+                        "FALSE"}))
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 _RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    value: str
+class _Parser(TokenCursor):
+    lexer = SPARQL
 
-
-class _Parser:
     def __init__(self, text: str) -> None:
-        self.tokens: list[_Token] = []
-        pos = 0
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:
-                raise RdfError(
-                    f"SPARQL: unexpected character {text[pos]!r} at "
-                    f"offset {pos}")
-            kind = match.lastgroup or ""
-            if kind != "ws":
-                value = match.group()
-                if kind == "word" and value.upper() in _KEYWORDS:
-                    self.tokens.append(_Token("keyword", value.upper()))
-                else:
-                    self.tokens.append(_Token(kind, value))
-            pos = match.end()
-        self.index = 0
+        super().__init__(text)
         self.manager = NamespaceManager()
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) \
-            else None
-
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise RdfError("SPARQL: unexpected end of query")
-        self.index += 1
-        return token
-
-    def accept(self, kind: str, value: str | None = None) -> _Token | None:
-        token = self.peek()
-        if token and token.kind == kind and (value is None
-                                             or token.value == value):
-            self.index += 1
-            return token
-        return None
-
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        token = self.next()
-        if token.kind != kind or (value is not None
-                                  and token.value != value):
-            raise RdfError(f"SPARQL: expected {value or kind}, got "
-                           f"{token.value!r}")
-        return token
 
     # -- query ----------------------------------------------------------
 
@@ -220,101 +178,75 @@ class _Parser:
                               replace=True)
         token = self.next()
         if token.kind != "keyword" or token.value not in ("SELECT", "ASK"):
-            raise RdfError(f"SPARQL: expected SELECT or ASK, got "
-                           f"{token.value!r}")
+            raise self.error(f"expected SELECT or ASK, got {token.value!r}")
         form = token.value
         variables: list[Variable] = []
         distinct = False
         if form == "SELECT":
             distinct = self.accept("keyword", "DISTINCT") is not None
-            star = self.peek()
-            if star is not None and star.kind == "punct" and \
-                    star.value == "*":
-                self.next()
-            elif star is not None and star.kind == "word" and \
-                    star.value == "*":
-                self.next()
-            else:
-                while True:
-                    var = self.accept("var")
-                    if var is None:
-                        break
+            if not self.accept("name", "*"):
+                while var := self.accept("var"):
                     variables.append(Variable(var.value[1:]))
                 if not variables:
-                    # maybe it was "*" tokenized oddly; require vars
                     token = self.peek()
                     if token is None or token.value != "{":
-                        raise RdfError(
-                            "SPARQL: SELECT needs variables or *")
+                        raise self.error("SELECT needs variables or *")
         self.accept("keyword", "WHERE")
         pattern = self.group()
         order_by: list[tuple[Variable, bool]] = []
         if self.accept("keyword", "ORDER"):
             self.expect("keyword", "BY")
             while True:
-                descending = False
-                if self.accept("keyword", "DESC"):
+                direction = self.accept("keyword", "ASC", "DESC")
+                if direction is not None:
                     self.expect("punct", "(")
-                    variable = Variable(self.expect("var").value[1:])
-                    self.expect("punct", ")")
-                    descending = True
-                elif self.accept("keyword", "ASC"):
-                    self.expect("punct", "(")
-                    variable = Variable(self.expect("var").value[1:])
+                    var = self.expect("var")
                     self.expect("punct", ")")
                 else:
                     var = self.accept("var")
                     if var is None:
                         break
-                    variable = Variable(var.value[1:])
-                order_by.append((variable, descending))
-                if self.peek() is None or self.peek().kind != "var" and \
-                        not (self.peek().kind == "keyword"
-                             and self.peek().value in ("ASC", "DESC")):
-                    break
+                order_by.append((Variable(var.value[1:]),
+                                 direction is not None
+                                 and direction.value == "DESC"))
         limit = None
         offset = 0
         while True:
             if self.accept("keyword", "LIMIT"):
-                limit = int(self.expect("number").value)
+                limit = self.integer(self.expect("number"))
             elif self.accept("keyword", "OFFSET"):
-                offset = int(self.expect("number").value)
+                offset = self.integer(self.expect("number"))
             else:
                 break
         if self.peek() is not None:
-            raise RdfError(f"SPARQL: trailing tokens at "
-                           f"{self.peek().value!r}")
+            raise self.error(f"trailing tokens at {self.peek().value!r}")
         return SparqlQuery(form, variables, distinct, pattern, order_by,
                            limit, offset)
 
     def group(self) -> GroupPattern:
         self.expect("punct", "{")
+        self.descend()
         group = GroupPattern()
-        while True:
-            token = self.peek()
-            if token is None:
-                raise RdfError("SPARQL: unterminated group pattern")
-            if token.kind == "punct" and token.value == "}":
-                self.next()
-                return group
-            if token.kind == "keyword" and token.value == "FILTER":
-                self.next()
+        while not self.accept("punct", "}"):
+            if self.peek() is None:
+                raise self.error("unterminated group pattern")
+            if self.accept("keyword", "FILTER"):
                 self.expect("punct", "(")
                 group.filters.append(self.filter_or())
                 self.expect("punct", ")")
                 self.accept("punct", ".")
-                continue
-            if token.kind == "keyword" and token.value == "OPTIONAL":
-                self.next()
+            elif self.accept("keyword", "OPTIONAL"):
                 group.optionals.append(self.group())
                 self.accept("punct", ".")
-                continue
-            group.triples.append(self.triple())
-            if not self.accept("punct", "."):
-                closing = self.peek()
-                if closing is None or closing.value != "}":
-                    raise RdfError("SPARQL: expected '.' or '}' after "
-                                   "triple pattern")
+            else:
+                group.triples.append(self.triple())
+                if not self.accept("punct", "."):
+                    closing = self.peek()
+                    if closing is None or closing.value != "}":
+                        raise self.error(
+                            "expected '.' or '}' after triple pattern")
+        self.ascend()
+        return group
 
     def triple(self) -> TriplePattern:
         subject = self.term(position="subject")
@@ -332,7 +264,7 @@ class _Parser:
             return self.manager.expand(token.value)
         if token.kind == "keyword" and token.value == "A":
             if position != "predicate":
-                raise RdfError("SPARQL: 'a' is only valid as predicate")
+                raise self.error("'a' is only valid as predicate")
             return _RDF_TYPE
         if position == "object":
             if token.kind == "string":
@@ -344,21 +276,23 @@ class _Parser:
                     if dtype_token.kind == "qname":
                         return Literal(lexical,
                                        self.manager.expand(dtype_token.value))
-                    raise RdfError("SPARQL: expected datatype IRI")
+                    raise self.error("expected datatype IRI")
                 return Literal(lexical)
             if token.kind == "number":
                 return _number_literal(token.value)
             if token.kind == "keyword" and token.value in ("TRUE", "FALSE"):
                 return Literal(token.value.lower(), IRI(_XSD + "boolean"))
-        raise RdfError(f"SPARQL: unexpected term {token.value!r} in "
-                       f"{position} position")
+        raise self.error(
+            f"unexpected term {token.value!r} in {position} position")
 
     # -- filters -----------------------------------------------------------
 
     def filter_or(self) -> FilterExpr:
+        self.descend()
         left = self.filter_and()
         while self.accept("or"):
             left = BoolOp("||", left, self.filter_and())
+        self.ascend()
         return left
 
     def filter_and(self) -> FilterExpr:
@@ -368,19 +302,19 @@ class _Parser:
         return left
 
     def filter_not(self) -> FilterExpr:
-        if self.accept("not"):
-            return NotOp(self.filter_not())
-        return self.filter_comparison()
+        if not self.accept("not"):
+            return self.filter_comparison()
+        self.descend()
+        operand = self.filter_not()
+        self.ascend()
+        return NotOp(operand)
 
     def filter_comparison(self) -> FilterExpr:
         left = self.filter_primary()
         token = self.peek()
-        operators = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">",
-                     "le": "<=", "ge": ">="}
-        if token is not None and token.kind in operators:
-            self.next()
-            return Comparison(operators[token.kind], left,
-                              self.filter_primary())
+        if token is not None and token.kind in ("eq", "ne", "lt", "gt", "le",
+                                                "ge"):
+            return Comparison(self.next().value, left, self.filter_primary())
         return left
 
     def filter_primary(self) -> FilterExpr:
@@ -409,12 +343,17 @@ class _Parser:
             if self.accept("punct", ","):
                 flags = _unescape(self.expect("string").value[1:-1])
             self.expect("punct", ")")
-            return RegexCall(operand, pattern, flags)
+            try:
+                return RegexCall(operand, re.compile(
+                    pattern, re.IGNORECASE if "i" in flags else 0))
+            except (re.error, RecursionError, OverflowError) as exc:
+                raise self.error(
+                    f"bad REGEX pattern {pattern!r}: {exc}") from None
         if token.kind == "punct" and token.value == "(":
             inner = self.filter_or()
             self.expect("punct", ")")
             return inner
-        raise RdfError(f"SPARQL: unexpected filter token {token.value!r}")
+        raise self.error(f"unexpected filter token {token.value!r}")
 
 
 def _unescape(text: str) -> str:
@@ -516,8 +455,7 @@ def _filter_value(expr: FilterExpr, bindings: Binding):
             return False
         text = operand.lexical if isinstance(operand, Literal) \
             else str(operand)
-        flags = re.IGNORECASE if "i" in expr.flags else 0
-        return re.search(expr.pattern, text, flags) is not None
+        return expr.pattern.search(text) is not None
     if isinstance(expr, NotOp):
         return not _filter_bool(expr.operand, bindings)
     if isinstance(expr, BoolOp):

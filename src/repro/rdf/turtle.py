@@ -13,9 +13,13 @@ from __future__ import annotations
 import re
 
 from ..errors import RdfSyntaxError
+from ..lexing import Lexer, Token, TokenCursor, char_from_code
 from .graph import Graph
 from .namespace import NamespaceManager
 from .terms import IRI, BlankNode, Literal, Object, Subject
+
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+_RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 # ---------------------------------------------------------------------------
 # Serializer
@@ -50,13 +54,12 @@ def serialize_turtle(graph: Graph) -> str:
     def subject_key(subject: Subject) -> tuple[int, str]:
         return (0 if isinstance(subject, IRI) else 1, str(subject))
 
-    rdf_type = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
     for subject in sorted(by_subject, key=subject_key):
         predicates = by_subject[subject]
         chunks: list[str] = []
-        ordered = sorted(predicates, key=lambda p: (p != rdf_type, p.value))
+        ordered = sorted(predicates, key=lambda p: (p != _RDF_TYPE, p.value))
         for predicate in ordered:
-            pred_text = "a" if predicate == rdf_type else term_text(predicate)
+            pred_text = "a" if predicate == _RDF_TYPE else term_text(predicate)
             objects = sorted(predicates[predicate], key=lambda o: o.n3())
             obj_text = ", ".join(term_text(o) for o in objects)
             chunks.append(f"    {pred_text} {obj_text}")
@@ -70,7 +73,12 @@ def serialize_turtle(graph: Graph) -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+def _syntax_error(message: str, document: str,
+                  token: Token | None) -> RdfSyntaxError:
+    return RdfSyntaxError(message, line=token.line if token else None)
+
+
+TURTLE = Lexer(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<longstr>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\")
@@ -86,119 +94,64 @@ _TOKEN_RE = re.compile(
   | (?P<qname>[A-Za-z_][A-Za-z0-9_\-.]*?:[A-Za-z0-9_][A-Za-z0-9_\-.]*|[A-Za-z_][A-Za-z0-9_\-.]*?:|:[A-Za-z0-9_][A-Za-z0-9_\-.]*)
   | (?P<keyword>[A-Za-z]+)
     """,
-    re.VERBOSE,
-)
+    _syntax_error, unit="Turtle document", quote=repr)
 
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(?:u(.{0,4})|U(.{0,8})|(.))", re.DOTALL)
 
 
-def _unescape(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt in _ESCAPES:
-                out.append(_ESCAPES[nxt])
-                i += 2
-                continue
-            if nxt == "u" and i + 6 <= len(text):
-                out.append(chr(int(text[i + 2:i + 6], 16)))
-                i += 6
-                continue
-            if nxt == "U" and i + 10 <= len(text):
-                out.append(chr(int(text[i + 2:i + 10], 16)))
-                i += 10
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+def unescape(text: str, line: int | None = None) -> str:
+    """Decode the string escapes Turtle and N-Triples share; a ``\\u`` /
+    ``\\U`` that names no character is a syntax error at ``line``."""
+    def replace(match: re.Match) -> str:
+        if match[3] is not None:
+            return _ESCAPES.get(match[3], match[0])
+        digits, width = (match[1], 4) if match[1] is not None else (match[2], 8)
+        char = char_from_code(digits, 16) if len(digits) == width else None
+        if char is None:
+            raise RdfSyntaxError(f"bad character escape {match[0]!r}",
+                                 line=line)
+        return char
+
+    return _ESCAPE_RE.sub(replace, text)
 
 
-class _Tokens:
-    def __init__(self, text: str) -> None:
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        line = 1
-        while pos < len(text):
-            match = _TOKEN_RE.match(text, pos)
-            if match is None:
-                raise RdfSyntaxError(
-                    f"unexpected character {text[pos]!r}", line=line)
-            kind = match.lastgroup or ""
-            value = match.group()
-            line += value.count("\n")
-            if kind != "ws":
-                self.items.append((kind, value, line))
-            pos = match.end()
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.items):
-            return self.items[self.index]
-        return None
-
-    def next(self) -> tuple[str, str, int]:
-        item = self.peek()
-        if item is None:
-            raise RdfSyntaxError("unexpected end of Turtle document")
-        self.index += 1
-        return item
-
-    def expect_punct(self, value: str) -> None:
-        kind, text, line = self.next()
-        if kind != "punct" or text != value:
-            raise RdfSyntaxError(f"expected {value!r}, got {text!r}", line=line)
-
-
-_XSD = "http://www.w3.org/2001/XMLSchema#"
-
-
-class TurtleParser:
+class _Parser(TokenCursor):
     """Recursive-descent Turtle parser emitting into a :class:`Graph`."""
 
-    def __init__(self, *, base_iri: str = "") -> None:
-        self._base = base_iri
+    lexer = TURTLE
 
-    def parse(self, text: str, graph: Graph | None = None) -> Graph:
-        """Parse Turtle text into ``graph`` (or a fresh one)."""
-        graph = graph if graph is not None else Graph(
-            namespace_manager=NamespaceManager())
-        self._graph = graph
-        self._manager = graph.namespace_manager
-        self._tokens = _Tokens(text)
+    def __init__(self, text: str, base_iri: str) -> None:
+        super().__init__(text)
+        self._base = base_iri
+        self._graph = Graph(namespace_manager=NamespaceManager())
+        self._manager = self._graph.namespace_manager
         self._bnodes: dict[str, BlankNode] = {}
-        while self._tokens.peek() is not None:
+
+    def parse(self) -> Graph:
+        while self.peek() is not None:
             self._statement()
-        return graph
+        return self._graph
+
+    def _iri(self) -> str:
+        token = self.next()
+        if token.kind != "iri":
+            raise self.error(f"expected IRI, got {token.value!r}", token)
+        return token.value[1:-1]
 
     def _statement(self) -> None:
-        kind, value, line = self._tokens.items[self._tokens.index]
-        if kind == "prefix_directive":
-            self._tokens.next()
-            pkind, ptext, pline = self._tokens.next()
-            if pkind != "qname" or not ptext.endswith(":"):
-                raise RdfSyntaxError(f"expected prefix name, got {ptext!r}",
-                                     line=pline)
-            ikind, itext, iline = self._tokens.next()
-            if ikind != "iri":
-                raise RdfSyntaxError(f"expected IRI, got {itext!r}", line=iline)
-            self._manager.bind(ptext[:-1] or "_default", self._resolve(itext[1:-1]),
-                               replace=True)
-            self._tokens.expect_punct(".")
-            return
-        if kind == "base_directive":
-            self._tokens.next()
-            ikind, itext, iline = self._tokens.next()
-            if ikind != "iri":
-                raise RdfSyntaxError(f"expected IRI, got {itext!r}", line=iline)
-            self._base = itext[1:-1]
-            self._tokens.expect_punct(".")
-            return
-        subject = self._subject()
-        self._predicate_object_list(subject)
-        self._tokens.expect_punct(".")
+        if self.accept("prefix_directive"):
+            prefix = self.next()
+            if prefix.kind != "qname" or not prefix.value.endswith(":"):
+                raise self.error(
+                    f"expected prefix name, got {prefix.value!r}", prefix)
+            self._manager.bind(prefix.value[:-1] or "_default",
+                               self._resolve(self._iri()), replace=True)
+        elif self.accept("base_directive"):
+            self._base = self._iri()
+        else:
+            self._predicate_object_list(self._subject())
+        self.expect("punct", ".")
 
     def _resolve(self, iri_text: str) -> str:
         if self._base and "://" not in iri_text and not iri_text.startswith(
@@ -206,100 +159,84 @@ class TurtleParser:
             return self._base + iri_text
         return iri_text
 
-    def _subject(self) -> Subject:
-        kind, value, line = self._tokens.next()
-        if kind == "iri":
-            return IRI(self._resolve(value[1:-1]))
-        if kind == "qname":
-            return self._expand_qname(value, line)
-        if kind == "bnode":
-            return self._bnode(value)
-        if kind == "punct" and value == "[":
+    def _node(self, token: Token) -> Subject | None:
+        """The IRI or blank node ``token`` opens, if it opens one."""
+        if token.kind == "iri":
+            return IRI(self._resolve(token.value[1:-1]))
+        if token.kind == "qname":
+            return self._expand_qname(token)
+        if token.kind == "bnode":
+            if token.value not in self._bnodes:
+                self._bnodes[token.value] = BlankNode()
+            return self._bnodes[token.value]
+        if token.kind == "punct" and token.value == "[":
             node = BlankNode()
-            peek = self._tokens.peek()
-            if peek is not None and peek[0] == "punct" and peek[1] == "]":
-                self._tokens.next()
-                return node
-            self._predicate_object_list(node)
-            self._tokens.expect_punct("]")
+            if not self.accept("punct", "]"):
+                self.descend()
+                self._predicate_object_list(node)
+                self.expect("punct", "]")
+                self.ascend()
             return node
-        raise RdfSyntaxError(f"expected subject, got {value!r}", line=line)
+        return None
 
-    def _expand_qname(self, text: str, line: int) -> IRI:
-        prefix, _, local = text.partition(":")
+    def _subject(self) -> Subject:
+        token = self.next()
+        node = self._node(token)
+        if node is None:
+            raise self.error(f"expected subject, got {token.value!r}", token)
+        return node
+
+    def _expand_qname(self, token: Token) -> IRI:
+        prefix, _, local = token.value.partition(":")
         try:
             return self._manager.expand(f"{prefix or '_default'}:{local}")
         except Exception as exc:
-            raise RdfSyntaxError(str(exc), line=line) from exc
-
-    def _bnode(self, text: str) -> BlankNode:
-        label = text[2:]
-        if label not in self._bnodes:
-            self._bnodes[label] = BlankNode()
-        return self._bnodes[label]
+            raise self.error(str(exc), token) from exc
 
     def _predicate_object_list(self, subject: Subject) -> None:
         while True:
             predicate = self._predicate()
-            while True:
-                obj = self._object()
-                self._graph.add(subject, predicate, obj)
-                peek = self._tokens.peek()
-                if peek is not None and peek[0] == "punct" and peek[1] == ",":
-                    self._tokens.next()
-                    continue
-                break
-            peek = self._tokens.peek()
-            if peek is not None and peek[0] == "punct" and peek[1] == ";":
-                self._tokens.next()
-                nxt = self._tokens.peek()
-                if nxt is not None and nxt[0] == "punct" and nxt[1] in ".]":
-                    return
-                continue
-            return
+            self._graph.add(subject, predicate, self._object())
+            while self.accept("punct", ","):
+                self._graph.add(subject, predicate, self._object())
+            if not self.accept("punct", ";"):
+                return
+            following = self.peek()
+            if (following is not None and following.kind == "punct"
+                    and following.value in ".]"):
+                return
 
     def _predicate(self) -> IRI:
-        kind, value, line = self._tokens.next()
-        if kind == "keyword" and value == "a":
-            return IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-        if kind == "iri":
-            return IRI(self._resolve(value[1:-1]))
-        if kind == "qname":
-            return self._expand_qname(value, line)
-        raise RdfSyntaxError(f"expected predicate, got {value!r}", line=line)
+        token = self.next()
+        if token.kind == "keyword" and token.value == "a":
+            return _RDF_TYPE
+        if token.kind == "iri":
+            return IRI(self._resolve(token.value[1:-1]))
+        if token.kind == "qname":
+            return self._expand_qname(token)
+        raise self.error(f"expected predicate, got {token.value!r}", token)
 
     def _object(self) -> Object:
-        kind, value, line = self._tokens.next()
-        if kind == "iri":
-            return IRI(self._resolve(value[1:-1]))
-        if kind == "qname":
-            return self._expand_qname(value, line)
-        if kind == "bnode":
-            return self._bnode(value)
-        if kind == "punct" and value == "[":
-            node = BlankNode()
-            peek = self._tokens.peek()
-            if peek is not None and peek[0] == "punct" and peek[1] == "]":
-                self._tokens.next()
-                return node
-            self._predicate_object_list(node)
-            self._tokens.expect_punct("]")
+        token = self.next()
+        kind, value = token.kind, token.value
+        node = self._node(token)
+        if node is not None:
             return node
         if kind in ("string", "longstr"):
-            lexical = _unescape(value[3:-3] if kind == "longstr" else value[1:-1])
-            peek = self._tokens.peek()
-            if peek is not None and peek[0] == "langtag":
-                self._tokens.next()
-                return Literal(lexical, language=peek[1][1:])
-            if peek is not None and peek[0] == "dtype":
-                self._tokens.next()
-                dkind, dtext, dline = self._tokens.next()
-                if dkind == "iri":
-                    return Literal(lexical, IRI(self._resolve(dtext[1:-1])))
-                if dkind == "qname":
-                    return Literal(lexical, self._expand_qname(dtext, dline))
-                raise RdfSyntaxError(
-                    f"expected datatype IRI, got {dtext!r}", line=dline)
+            lexical = unescape(value[3:-3] if kind == "longstr"
+                               else value[1:-1], token.line)
+            langtag = self.accept("langtag")
+            if langtag is not None:
+                return Literal(lexical, language=langtag.value[1:])
+            if self.accept("dtype"):
+                datatype = self.next()
+                if datatype.kind == "iri":
+                    return Literal(lexical,
+                                   IRI(self._resolve(datatype.value[1:-1])))
+                if datatype.kind == "qname":
+                    return Literal(lexical, self._expand_qname(datatype))
+                raise self.error(
+                    f"expected datatype IRI, got {datatype.value!r}", datatype)
             return Literal(lexical)
         if kind == "number":
             if re.fullmatch(r"[+-]?\d+", value):
@@ -309,9 +246,9 @@ class TurtleParser:
             return Literal(value, IRI(_XSD + "decimal"))
         if kind == "keyword" and value in ("true", "false"):
             return Literal(value, IRI(_XSD + "boolean"))
-        raise RdfSyntaxError(f"expected object, got {value!r}", line=line)
+        raise self.error(f"expected object, got {value!r}", token)
 
 
 def parse_turtle(text: str, *, base_iri: str = "") -> Graph:
     """Parse a Turtle document into a fresh :class:`Graph`."""
-    return TurtleParser(base_iri=base_iri).parse(text)
+    return _Parser(text, base_iri).parse()

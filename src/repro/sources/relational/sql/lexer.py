@@ -1,11 +1,9 @@
-"""SQL tokenizer."""
+"""SQL lexical grammar; keywords are case-insensitive."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 from ....errors import SqlSyntaxError
+from ....lexing import MISMATCH, Lexer, Token
 
 KEYWORDS = frozenset({
     "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "INSERT", "INTO",
@@ -16,7 +14,15 @@ KEYWORDS = frozenset({
     "PRIMARY", "KEY", "TO",
 })
 
-_TOKEN_RE = re.compile(
+
+def _syntax_error(message: str, statement: str,
+                  token: Token | None) -> SqlSyntaxError:
+    if token is not None and token.kind == MISMATCH:
+        return SqlSyntaxError(f"{message} at offset {token.position}")
+    return SqlSyntaxError(f"{message} in SQL {statement!r}")
+
+
+SQL = Lexer(
     r"""
     (?P<ws>\s+|--[^\n]*)
   | (?P<number>\d+\.\d+|\.\d+|\d+)
@@ -28,40 +34,8 @@ _TOKEN_RE = re.compile(
   | (?P<comma>,) | (?P<dot>\.) | (?P<star>\*) | (?P<semi>;)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*|"[^"]+")
     """,
-    re.VERBOSE,
-)
+    _syntax_error, unit="statement", keywords=KEYWORDS,
+    decode={"string": lambda raw: raw[1:-1].replace("''", "'"),
+            "name": lambda raw: raw.strip('"')})  # a quoted name never folds
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token (kind, text, offset)."""
-    kind: str  # keyword | name | number | string | operator kinds
-    value: str
-    position: int
-
-
-def tokenize(statement: str) -> list[Token]:
-    """Tokenize one SQL statement; keywords are case-insensitive."""
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(statement):
-        match = _TOKEN_RE.match(statement, pos)
-        if match is None:
-            raise SqlSyntaxError(
-                f"unexpected character {statement[pos]!r} at offset {pos}")
-        kind = match.lastgroup or ""
-        if kind != "ws":
-            value = match.group()
-            if kind == "name":
-                if value.startswith('"'):
-                    tokens.append(Token("name", value[1:-1], pos))
-                elif value.upper() in KEYWORDS:
-                    tokens.append(Token("keyword", value.upper(), pos))
-                else:
-                    tokens.append(Token("name", value, pos))
-            elif kind == "string":
-                tokens.append(Token("string", value[1:-1].replace("''", "'"), pos))
-            else:
-                tokens.append(Token(kind, value, pos))
-        pos = match.end()
-    return tokens
+tokenize = SQL.scan

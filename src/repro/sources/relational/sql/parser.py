@@ -3,63 +3,23 @@
 from __future__ import annotations
 
 from ....errors import SqlSyntaxError
+from ....lexing import TokenCursor
 from .ast import (AddColumn, Aggregate, BooleanOp, ColumnDef, ColumnRef,
                   Comparison, Condition, CreateIndex, CreateTable, Delete,
                   DropTable, InList, Insert, IsNull, LiteralValue, Join, Not,
                   OrderItem, RenameColumn, Scalar, Select, SelectItem, Star,
                   Statement, TableRef, Update)
-from .lexer import Token, tokenize
+from .lexer import SQL
 
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+_OPERATORS = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">", "le": "<=",
+              "ge": ">="}
 
 
-class _Parser:
-    def __init__(self, statement: str) -> None:
-        self.statement = statement
-        self.tokens = tokenize(statement)
-        self.index = 0
+class _Parser(TokenCursor):
+    lexer = SQL
 
-    # -- plumbing ---------------------------------------------------------
-
-    def error(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(f"{message} in SQL {self.statement!r}")
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise self.error("unexpected end of statement")
-        self.index += 1
-        return token
-
-    def accept_keyword(self, *words: str) -> str | None:
-        token = self.peek()
-        if token is not None and token.kind == "keyword" and token.value in words:
-            self.index += 1
-            return token.value
-        return None
-
-    def expect_keyword(self, word: str) -> None:
-        token = self.next()
-        if token.kind != "keyword" or token.value != word:
-            raise self.error(f"expected {word}, got {token.value!r}")
-
-    def accept(self, kind: str) -> Token | None:
-        token = self.peek()
-        if token is not None and token.kind == kind:
-            self.index += 1
-            return token
-        return None
-
-    def expect(self, kind: str) -> Token:
-        token = self.next()
-        if token.kind != kind:
-            raise self.error(f"expected {kind}, got {token.value!r}")
-        return token
-
-    def expect_name(self) -> str:
+    def name(self) -> str:
         return self.expect("name").value
 
     # -- entry point --------------------------------------------------------
@@ -90,59 +50,57 @@ class _Parser:
     # -- SELECT ---------------------------------------------------------
 
     def select(self) -> Select:
-        self.expect_keyword("SELECT")
-        distinct = self.accept_keyword("DISTINCT") is not None
+        self.expect("keyword", "SELECT")
+        distinct = self.accept("keyword", "DISTINCT") is not None
         items = [self.select_item()]
         while self.accept("comma"):
             items.append(self.select_item())
-        self.expect_keyword("FROM")
+        self.expect("keyword", "FROM")
         table = self.table_ref()
         joins: list[Join] = []
         while True:
-            kind = self.accept_keyword("JOIN", "INNER", "LEFT")
+            kind = self.accept("keyword", "JOIN", "INNER", "LEFT")
             if kind is None:
                 break
-            if kind in ("INNER", "LEFT"):
-                self.expect_keyword("JOIN")
-            join_kind = "LEFT" if kind == "LEFT" else "INNER"
+            if kind.value != "JOIN":
+                self.expect("keyword", "JOIN")
+            join_kind = "LEFT" if kind.value == "LEFT" else "INNER"
             join_table = self.table_ref()
-            self.expect_keyword("ON")
+            self.expect("keyword", "ON")
             condition = self.condition()
             joins.append(Join(join_table, join_kind, condition))
         where = None
-        if self.accept_keyword("WHERE"):
+        if self.accept("keyword", "WHERE"):
             where = self.condition()
         group_by: list[ColumnRef] = []
-        if self.accept_keyword("GROUP"):
-            self.expect_keyword("BY")
+        if self.accept("keyword", "GROUP"):
+            self.expect("keyword", "BY")
             group_by.append(self.column_ref())
             while self.accept("comma"):
                 group_by.append(self.column_ref())
         having = None
-        if self.accept_keyword("HAVING"):
+        if self.accept("keyword", "HAVING"):
             having = self.condition()
         order_by: list[OrderItem] = []
-        if self.accept_keyword("ORDER"):
-            self.expect_keyword("BY")
+        if self.accept("keyword", "ORDER"):
+            self.expect("keyword", "BY")
             order_by.append(self.order_item())
             while self.accept("comma"):
                 order_by.append(self.order_item())
         limit = None
-        if self.accept_keyword("LIMIT"):
-            limit_token = self.expect("number")
-            limit = int(limit_token.value)
+        if self.accept("keyword", "LIMIT"):
+            limit = self.integer(self.expect("number"))
         return Select(tuple(items), table, tuple(joins), where,
                       tuple(group_by), having, tuple(order_by), limit,
                       distinct)
 
     def select_item(self) -> SelectItem:
-        token = self.peek()
-        if token is not None and token.kind == "star":
-            self.index += 1
+        if self.accept("star"):
             return SelectItem(Star())
+        token, following = self.peek(), self.peek(1)
         if (token is not None and token.kind == "name"
                 and token.value.upper() in _AGGREGATES
-                and self._lookahead("lparen")):
+                and following is not None and following.kind == "lparen"):
             function = self.next().value.upper()
             self.expect("lparen")
             if self.accept("star"):
@@ -152,80 +110,57 @@ class _Parser:
             self.expect("rparen")
             alias = self._alias()
             return SelectItem(Aggregate(function, argument, alias), alias)
-        column = self.column_ref()
-        star = self.peek()
-        if (column.table is None and star is not None and star.kind == "star"
-                and self.tokens[self.index - 1].kind == "dot"):
-            # (unreachable with current column_ref; kept for clarity)
-            pass
-        alias = self._alias()
-        return SelectItem(column, alias)
+        return SelectItem(self.column_ref(), self._alias())
 
     def _alias(self) -> str | None:
-        if self.accept_keyword("AS"):
-            return self.expect_name()
-        token = self.peek()
-        if token is not None and token.kind == "name":
-            self.index += 1
-            return token.value
-        return None
-
-    def _lookahead(self, kind: str) -> bool:
-        if self.index + 1 < len(self.tokens):
-            return self.tokens[self.index + 1].kind == kind
-        return False
+        if self.accept("keyword", "AS"):
+            return self.name()
+        token = self.accept("name")
+        return token.value if token is not None else None
 
     def table_ref(self) -> TableRef:
-        name = self.expect_name()
-        alias = None
-        if self.accept_keyword("AS"):
-            alias = self.expect_name()
-        else:
-            token = self.peek()
-            if token is not None and token.kind == "name":
-                self.index += 1
-                alias = token.value
-        return TableRef(name, alias)
+        return TableRef(self.name(), self._alias())
 
     def order_item(self) -> OrderItem:
         column = self.column_ref()
-        if self.accept_keyword("DESC"):
+        if self.accept("keyword", "DESC"):
             return OrderItem(column, True)
-        self.accept_keyword("ASC")
+        self.accept("keyword", "ASC")
         return OrderItem(column, False)
 
     def column_ref(self) -> ColumnRef:
-        first = self.expect_name()
+        first = self.name()
         if self.accept("dot"):
-            token = self.peek()
-            if token is not None and token.kind == "star":
+            if self.accept("star"):
                 raise self.error("qualified star is only valid as t.* in "
                                  "select list (unsupported)")
-            second = self.expect_name()
+            second = self.name()
             return ColumnRef(second, first)
         return ColumnRef(first)
 
     # -- conditions --------------------------------------------------------
 
     def condition(self) -> Condition:
-        return self.or_condition()
-
-    def or_condition(self) -> Condition:
+        self.descend()
         left = self.and_condition()
-        while self.accept_keyword("OR"):
+        while self.accept("keyword", "OR"):
             left = BooleanOp("OR", left, self.and_condition())
+        self.ascend()
         return left
 
     def and_condition(self) -> Condition:
         left = self.not_condition()
-        while self.accept_keyword("AND"):
+        while self.accept("keyword", "AND"):
             left = BooleanOp("AND", left, self.not_condition())
         return left
 
     def not_condition(self) -> Condition:
-        if self.accept_keyword("NOT"):
-            return Not(self.not_condition())
-        return self.predicate()
+        if not self.accept("keyword", "NOT"):
+            return self.predicate()
+        self.descend()
+        operand = self.not_condition()
+        self.ascend()
+        return Not(operand)
 
     def predicate(self) -> Condition:
         if self.accept("lparen"):
@@ -233,61 +168,58 @@ class _Parser:
             self.expect("rparen")
             return inner
         operand = self.scalar()
-        if self.accept_keyword("IS"):
-            negated = self.accept_keyword("NOT") is not None
-            self.expect_keyword("NULL")
+        if self.accept("keyword", "IS"):
+            negated = self.accept("keyword", "NOT") is not None
+            self.expect("keyword", "NULL")
             return IsNull(operand, negated)
-        negated = self.accept_keyword("NOT") is not None
-        if self.accept_keyword("IN"):
+        negated = self.accept("keyword", "NOT") is not None
+        if self.accept("keyword", "IN"):
             self.expect("lparen")
             options = [self.scalar()]
             while self.accept("comma"):
                 options.append(self.scalar())
             self.expect("rparen")
             return InList(operand, tuple(options), negated)
-        if self.accept_keyword("LIKE"):
+        if self.accept("keyword", "LIKE"):
             right = self.scalar()
             comparison: Condition = Comparison("LIKE", operand, right)
             return Not(comparison) if negated else comparison
         if negated:
             raise self.error("expected IN or LIKE after NOT")
         token = self.next()
-        operators = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">",
-                     "le": "<=", "ge": ">="}
-        operator = operators.get(token.kind)
+        operator = _OPERATORS.get(token.kind)
         if operator is None:
             raise self.error(f"expected comparison operator, got {token.value!r}")
         return Comparison(operator, operand, self.scalar())
 
     def scalar(self) -> Scalar:
-        token = self.peek()
-        if token is None:
+        if self.peek() is None:
             raise self.error("expected value")
+        token = (self.accept("number") or self.accept("string")
+                 or self.accept("keyword", "TRUE", "FALSE", "NULL"))
+        if token is None:
+            return self.column_ref()
         if token.kind == "number":
-            self.index += 1
             text = token.value
-            return LiteralValue(float(text) if "." in text else int(text))
+            return LiteralValue(float(text) if "." in text
+                                else self.integer(token))
         if token.kind == "string":
-            self.index += 1
             return LiteralValue(token.value)
-        if token.kind == "keyword" and token.value in ("TRUE", "FALSE", "NULL"):
-            self.index += 1
-            return LiteralValue({"TRUE": True, "FALSE": False,
-                                 "NULL": None}[token.value])
-        return self.column_ref()
+        return LiteralValue({"TRUE": True, "FALSE": False,
+                             "NULL": None}[token.value])
 
     # -- DML ----------------------------------------------------------------
 
     def insert(self) -> Insert:
-        self.expect_keyword("INSERT")
-        self.expect_keyword("INTO")
-        table = self.expect_name()
+        self.expect("keyword", "INSERT")
+        self.expect("keyword", "INTO")
+        table = self.name()
         self.expect("lparen")
-        columns = [self.expect_name()]
+        columns = [self.name()]
         while self.accept("comma"):
-            columns.append(self.expect_name())
+            columns.append(self.name())
         self.expect("rparen")
-        self.expect_keyword("VALUES")
+        self.expect("keyword", "VALUES")
         rows: list[tuple[object, ...]] = []
         while True:
             self.expect("lparen")
@@ -310,41 +242,41 @@ class _Parser:
         return scalar.value
 
     def update(self) -> Update:
-        self.expect_keyword("UPDATE")
-        table = self.expect_name()
-        self.expect_keyword("SET")
+        self.expect("keyword", "UPDATE")
+        table = self.name()
+        self.expect("keyword", "SET")
         assignments: list[tuple[str, object]] = []
         while True:
-            column = self.expect_name()
+            column = self.name()
             token = self.next()
             if token.kind != "eq":
                 raise self.error(f"expected '=', got {token.value!r}")
             assignments.append((column, self.literal_value()))
             if not self.accept("comma"):
                 break
-        where = self.condition() if self.accept_keyword("WHERE") else None
+        where = self.condition() if self.accept("keyword", "WHERE") else None
         return Update(table, tuple(assignments), where)
 
     def delete(self) -> Delete:
-        self.expect_keyword("DELETE")
-        self.expect_keyword("FROM")
-        table = self.expect_name()
-        where = self.condition() if self.accept_keyword("WHERE") else None
+        self.expect("keyword", "DELETE")
+        self.expect("keyword", "FROM")
+        table = self.name()
+        where = self.condition() if self.accept("keyword", "WHERE") else None
         return Delete(table, where)
 
     # -- DDL ----------------------------------------------------------------
 
     def create(self) -> Statement:
-        self.expect_keyword("CREATE")
-        if self.accept_keyword("INDEX"):
-            self.expect_keyword("ON")
-            table = self.expect_name()
+        self.expect("keyword", "CREATE")
+        if self.accept("keyword", "INDEX"):
+            self.expect("keyword", "ON")
+            table = self.name()
             self.expect("lparen")
-            column = self.expect_name()
+            column = self.name()
             self.expect("rparen")
             return CreateIndex(table, column)
-        self.expect_keyword("TABLE")
-        table = self.expect_name()
+        self.expect("keyword", "TABLE")
+        table = self.name()
         self.expect("lparen")
         columns = [self.column_def()]
         while self.accept("comma"):
@@ -353,7 +285,7 @@ class _Parser:
         return CreateTable(table, tuple(columns))
 
     def column_def(self) -> ColumnDef:
-        name = self.expect_name()
+        name = self.name()
         type_token = self.next()
         if type_token.kind not in ("name", "keyword"):
             raise self.error(f"expected column type, got {type_token.value!r}")
@@ -362,31 +294,31 @@ class _Parser:
             self.expect("number")
             self.expect("rparen")
         not_null = False
-        if self.accept_keyword("NOT"):
-            self.expect_keyword("NULL")
+        if self.accept("keyword", "NOT"):
+            self.expect("keyword", "NULL")
             not_null = True
-        if self.accept_keyword("PRIMARY"):
-            self.expect_keyword("KEY")
+        if self.accept("keyword", "PRIMARY"):
+            self.expect("keyword", "KEY")
             not_null = True
         return ColumnDef(name, declared, not_null)
 
     def drop(self) -> DropTable:
-        self.expect_keyword("DROP")
-        self.expect_keyword("TABLE")
-        return DropTable(self.expect_name())
+        self.expect("keyword", "DROP")
+        self.expect("keyword", "TABLE")
+        return DropTable(self.name())
 
     def alter(self) -> Statement:
-        self.expect_keyword("ALTER")
-        self.expect_keyword("TABLE")
-        table = self.expect_name()
-        if self.accept_keyword("RENAME"):
-            self.expect_keyword("COLUMN")
-            old = self.expect_name()
-            self.expect_keyword("TO")
-            new = self.expect_name()
+        self.expect("keyword", "ALTER")
+        self.expect("keyword", "TABLE")
+        table = self.name()
+        if self.accept("keyword", "RENAME"):
+            self.expect("keyword", "COLUMN")
+            old = self.name()
+            self.expect("keyword", "TO")
+            new = self.name()
             return RenameColumn(table, old, new)
-        if self.accept_keyword("ADD"):
-            self.accept_keyword("COLUMN")
+        if self.accept("keyword", "ADD"):
+            self.accept("keyword", "COLUMN")
             return AddColumn(table, self.column_def())
         raise self.error("expected RENAME COLUMN or ADD COLUMN")
 

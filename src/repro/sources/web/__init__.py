@@ -7,7 +7,7 @@ model — so the wrapper code path (fetch, text rendering, regex extraction)
 is identical while staying deterministic (see DESIGN.md section 3).
 """
 
-from .html import HtmlDocument, parse_html
+from ...htmlkit import HtmlDocument, parse_html
 from .site import SimulatedWeb, WebPage
 from .source import WebDataSource
 

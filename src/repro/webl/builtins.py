@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import WeblRuntimeError
-from ..sources.web.html import HtmlDocument, parse_html
+from ..htmlkit import HtmlDocument, parse_html
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""WebL tokenizer.
+"""WebL lexical grammar.
 
 Three literal forms: double-quoted strings (with escapes), backquoted
 regex literals (verbatim, no escape processing — exactly how the paper's
@@ -8,16 +8,28 @@ rule writes ``[0-9a-zA-Z']+``), and numbers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..errors import WeblSyntaxError
+from ..lexing import Lexer, Token, unquote
 
 KEYWORDS = frozenset({
     "var", "if", "else", "while", "each", "in", "return", "true", "false",
     "nil", "and", "or", "not",
 })
 
-_TOKEN_RE = re.compile(
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}  # any other \x is x itself
+
+
+def _string(raw: str) -> str:
+    return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[1]), raw[1:-1])
+
+
+def _syntax_error(message: str, program: str,
+                  token: Token | None) -> WeblSyntaxError:
+    return WeblSyntaxError(message, line=token.line if token else None)
+
+
+WEBL = Lexer(
     r"""
     (?P<ws>\s+|//[^\n]*|\#[^\n]*)
   | (?P<number>\d+\.\d+|\d+)
@@ -32,51 +44,7 @@ _TOKEN_RE = re.compile(
   | (?P<comma>,) | (?P<semi>;) | (?P<dot>\.)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     """,
-    re.VERBOSE,
-)
+    _syntax_error, unit="program", keywords=KEYWORDS, fold=str, quote=repr,
+    decode={"string": _string, "regex": unquote})
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\", "`": "`"}
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token (kind, text, line)."""
-    kind: str
-    value: str
-    line: int
-
-
-def tokenize(program: str) -> list[Token]:
-    """Tokenize a WebL program, dropping whitespace and comments."""
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    while pos < len(program):
-        match = _TOKEN_RE.match(program, pos)
-        if match is None:
-            raise WeblSyntaxError(
-                f"unexpected character {program[pos]!r}", line=line)
-        kind = match.lastgroup or ""
-        text = match.group()
-        if kind != "ws":
-            if kind == "string":
-                body = text[1:-1]
-                decoded: list[str] = []
-                i = 0
-                while i < len(body):
-                    if body[i] == "\\" and i + 1 < len(body):
-                        decoded.append(_ESCAPES.get(body[i + 1], body[i + 1]))
-                        i += 2
-                    else:
-                        decoded.append(body[i])
-                        i += 1
-                tokens.append(Token("string", "".join(decoded), line))
-            elif kind == "regex":
-                tokens.append(Token("regex", text[1:-1], line))
-            elif kind == "name" and text in KEYWORDS:
-                tokens.append(Token("keyword", text, line))
-            else:
-                tokens.append(Token(kind, text, line))
-        line += text.count("\n")
-        pos = match.end()
-    return tokens
+tokenize = WEBL.scan

@@ -3,46 +3,15 @@
 from __future__ import annotations
 
 from ..errors import WeblSyntaxError
+from ..lexing import TokenCursor
 from .ast import (Assign, BinaryOp, BoolLit, Call, Each, Expr, ExprStmt, If,
                   Index, ListLit, Name, NilLit, NumberLit, Program, RegexLit,
                   Return, Stmt, StringLit, UnaryOp, VarDecl, While)
-from .lexer import Token, tokenize
+from .lexer import WEBL
 
 
-class _Parser:
-    def __init__(self, program: str) -> None:
-        self.tokens = tokenize(program)
-        self.index = 0
-
-    def error(self, message: str) -> WeblSyntaxError:
-        token = self.peek()
-        return WeblSyntaxError(message, line=token.line if token else None)
-
-    def peek(self) -> Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise WeblSyntaxError("unexpected end of program")
-        self.index += 1
-        return token
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        token = self.peek()
-        if token is not None and token.kind == kind and (
-                value is None or token.value == value):
-            self.index += 1
-            return token
-        return None
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        token = self.next()
-        if token.kind != kind or (value is not None and token.value != value):
-            expected = value or kind
-            raise WeblSyntaxError(
-                f"expected {expected!r}, got {token.value!r}", line=token.line)
-        return token
+class _Parser(TokenCursor):
+    lexer = WEBL
 
     # -- program ----------------------------------------------------------
 
@@ -54,67 +23,63 @@ class _Parser:
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("lbrace")
+        self.descend()
         body: list[Stmt] = []
         while not self.accept("rbrace"):
             if self.peek() is None:
-                raise WeblSyntaxError("unterminated block")
+                raise self.error("unterminated block")
             body.append(self.statement())
+        self.ascend()
         return tuple(body)
 
     def statement(self) -> Stmt:
-        token = self.peek()
-        if token is None:
-            raise WeblSyntaxError("expected statement")
-        if token.kind == "keyword":
-            if token.value == "var":
-                self.next()
-                name = self.expect("name").value
-                self.expect("assign")
-                value = self.expression()
-                self.expect("semi")
-                return VarDecl(name, value)
-            if token.value == "if":
-                self.next()
-                self.expect("lparen")
-                condition = self.expression()
-                self.expect("rparen")
-                then_body = self.block()
-                else_body: tuple[Stmt, ...] = ()
-                if self.accept("keyword", "else"):
-                    if self.peek() is not None and self.peek().kind == "keyword" \
-                            and self.peek().value == "if":
-                        else_body = (self.statement(),)
-                    else:
-                        else_body = self.block()
-                return If(condition, then_body, else_body)
-            if token.value == "while":
-                self.next()
-                self.expect("lparen")
-                condition = self.expression()
-                self.expect("rparen")
-                return While(condition, self.block())
-            if token.value == "each":
-                self.next()
-                variable = self.expect("name").value
-                self.expect("keyword", "in")
-                iterable = self.expression()
-                return Each(variable, iterable, self.block())
-            if token.value == "return":
-                self.next()
-                if self.accept("semi"):
-                    return Return(None)
-                value = self.expression()
-                self.expect("semi")
-                return Return(value)
-        if token.kind == "name":
-            # Distinguish `x = expr;` assignment from expression statements.
-            if (self.index + 1 < len(self.tokens)
-                    and self.tokens[self.index + 1].kind == "assign"):
-                name = self.next().value
-                self.next()  # '='
-                value = self.expression()
-                self.expect("semi")
-                return Assign(name, value)
+        if self.accept("keyword", "var"):
+            name = self.expect("name").value
+            self.expect("assign")
+            value = self.expression()
+            self.expect("semi")
+            return VarDecl(name, value)
+        if self.accept("keyword", "if"):
+            self.expect("lparen")
+            condition = self.expression()
+            self.expect("rparen")
+            then_body = self.block()
+            else_body: tuple[Stmt, ...] = ()
+            if self.accept("keyword", "else"):
+                following = self.peek()
+                if following is not None and following.kind == "keyword" \
+                        and following.value == "if":
+                    self.descend()
+                    else_body = (self.statement(),)
+                    self.ascend()
+                else:
+                    else_body = self.block()
+            return If(condition, then_body, else_body)
+        if self.accept("keyword", "while"):
+            self.expect("lparen")
+            condition = self.expression()
+            self.expect("rparen")
+            return While(condition, self.block())
+        if self.accept("keyword", "each"):
+            variable = self.expect("name").value
+            self.expect("keyword", "in")
+            iterable = self.expression()
+            return Each(variable, iterable, self.block())
+        if self.accept("keyword", "return"):
+            if self.accept("semi"):
+                return Return(None)
+            value = self.expression()
+            self.expect("semi")
+            return Return(value)
+        target, following = self.peek(), self.peek(1)
+        if (target is not None and target.kind == "name"
+                and following is not None and following.kind == "assign"):
+            # `x = expr;` is an assignment, not an expression statement.
+            name = self.next().value
+            self.next()  # '='
+            value = self.expression()
+            self.expect("semi")
+            return Assign(name, value)
         expression = self.expression()
         self.expect("semi")
         return ExprStmt(expression)
@@ -122,12 +87,11 @@ class _Parser:
     # -- expressions (precedence climbing) ---------------------------------
 
     def expression(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
+        self.descend()
         left = self.and_expr()
         while self.accept("keyword", "or"):
             left = BinaryOp("or", left, self.and_expr())
+        self.ascend()
         return left
 
     def and_expr(self) -> Expr:
@@ -140,56 +104,44 @@ class _Parser:
         left = self.additive()
         token = self.peek()
         if token is not None and token.kind in ("eq", "ne", "lt", "gt", "le", "ge"):
-            self.index += 1
-            operator = {"eq": "==", "ne": "!=", "lt": "<", "gt": ">",
-                        "le": "<=", "ge": ">="}[token.kind]
-            return BinaryOp(operator, left, self.additive())
+            return BinaryOp(self.next().value, left, self.additive())
         return left
 
     def additive(self) -> Expr:
         left = self.multiplicative()
-        while True:
-            if self.accept("plus"):
-                left = BinaryOp("+", left, self.multiplicative())
-            elif self.accept("minus"):
-                left = BinaryOp("-", left, self.multiplicative())
-            else:
-                return left
+        while operator := self.accept("plus") or self.accept("minus"):
+            left = BinaryOp(operator.value, left, self.multiplicative())
+        return left
 
     def multiplicative(self) -> Expr:
         left = self.unary()
-        while True:
-            if self.accept("star"):
-                left = BinaryOp("*", left, self.unary())
-            elif self.accept("slash"):
-                left = BinaryOp("/", left, self.unary())
-            elif self.accept("percent"):
-                left = BinaryOp("%", left, self.unary())
-            else:
-                return left
+        while operator := (self.accept("star") or self.accept("slash")
+                           or self.accept("percent")):
+            left = BinaryOp(operator.value, left, self.unary())
+        return left
 
     def unary(self) -> Expr:
-        if self.accept("minus"):
-            return UnaryOp("-", self.unary())
-        if self.accept("keyword", "not"):
-            return UnaryOp("not", self.unary())
-        return self.postfix()
+        operator = self.accept("minus") or self.accept("keyword", "not")
+        if operator is None:
+            return self.postfix()
+        self.descend()
+        operand = self.unary()
+        self.ascend()
+        return UnaryOp(operator.value, operand)
 
     def postfix(self) -> Expr:
         expr = self.primary()
-        while True:
-            if self.accept("lbracket"):
-                index = self.expression()
-                self.expect("rbracket")
-                expr = Index(expr, index)
-            else:
-                return expr
+        while self.accept("lbracket"):
+            expr = Index(expr, self.expression())
+            self.expect("rbracket")
+        return expr
 
     def primary(self) -> Expr:
         token = self.next()
         if token.kind == "number":
             text = token.value
-            return NumberLit(float(text) if "." in text else int(text))
+            return NumberLit(float(text) if "." in text
+                             else self.integer(token))
         if token.kind == "string":
             return StringLit(token.value)
         if token.kind == "regex":
@@ -201,9 +153,8 @@ class _Parser:
                 return BoolLit(False)
             if token.value == "nil":
                 return NilLit()
-            raise WeblSyntaxError(
-                f"unexpected keyword {token.value!r} in expression",
-                line=token.line)
+            raise self.error(
+                f"unexpected keyword {token.value!r} in expression", token)
         if token.kind == "lparen":
             inner = self.expression()
             self.expect("rparen")
@@ -226,8 +177,7 @@ class _Parser:
                     self.expect("rparen")
                 return Call(token.value, tuple(arguments))
             return Name(token.value)
-        raise WeblSyntaxError(
-            f"unexpected token {token.value!r}", line=token.line)
+        raise self.error(f"unexpected token {token.value!r}", token)
 
 
 def parse_webl(program: str) -> Program:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 
 from ..errors import XmlSyntaxError
+from ..lexing import MAX_NESTING, char_from_code
 from .dom import Document, Element
 
 _NAME = r"[A-Za-z_:][A-Za-z0-9_\-.:]*"
@@ -37,10 +38,13 @@ def _decode_entities(text: str, line: int) -> str:
         if end == -1:
             raise XmlSyntaxError(f"unterminated entity reference (line {line})")
         entity = text[i + 1:end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            out.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            out.append(chr(int(entity[1:])))
+        if entity.startswith("#"):
+            char = (char_from_code(entity[2:], 16) if entity[1:2] in ("x", "X")
+                    else char_from_code(entity[1:], 10))
+            if char is None:
+                raise XmlSyntaxError(
+                    f"bad character reference &{entity}; (line {line})")
+            out.append(char)
         elif entity in _ENTITIES:
             out.append(_ENTITIES[entity])
         else:
@@ -54,6 +58,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.line = 1
+        self.depth = 0
 
     def error(self, message: str) -> XmlSyntaxError:
         return XmlSyntaxError(f"{message} (line {self.line})")
@@ -168,7 +173,12 @@ class _Parser:
             raise self.error(f"malformed start tag <{raw_name}>")
         self.advance(1)
 
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(
+                f"elements nested deeper than {MAX_NESTING} levels")
         self._parse_content(element, local_namespaces)
+        self.depth -= 1
 
         close = f"</{raw_name}"
         if not self.text.startswith(close, self.pos):

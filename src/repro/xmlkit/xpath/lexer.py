@@ -1,13 +1,19 @@
-"""Tokenizer for the XPath subset."""
+"""Lexical grammar of the XPath subset."""
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
 from ...errors import XPathError
+from ...lexing import MISMATCH, Lexer, Token, unquote
 
-_TOKEN_RE = re.compile(
+
+def _syntax_error(message: str, expression: str,
+                  token: Token | None) -> XPathError:
+    if token is not None and token.kind == MISMATCH:
+        message = f"{message} at offset {token.position}"
+    return XPathError(f"{message} in XPath {expression!r}")
+
+
+XPATH = Lexer(
     r"""
     (?P<ws>\s+)
   | (?P<number>\d+(?:\.\d+)?)
@@ -26,33 +32,4 @@ _TOKEN_RE = re.compile(
   | (?P<star>\*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_\-.]*)
     """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token (kind, text, offset)."""
-    kind: str
-    value: str
-    position: int
-
-
-def tokenize(expression: str) -> list[Token]:
-    """Tokenize an XPath expression, dropping whitespace."""
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(expression):
-        match = _TOKEN_RE.match(expression, pos)
-        if match is None:
-            raise XPathError(
-                f"unexpected character {expression[pos]!r} at offset {pos} "
-                f"in XPath {expression!r}")
-        kind = match.lastgroup or ""
-        if kind != "ws":
-            value = match.group()
-            if kind == "string":
-                value = value[1:-1]
-            tokens.append(Token(kind, value, pos))
-        pos = match.end()
-    return tokens
+    _syntax_error, unit="expression", decode={"string": unquote})

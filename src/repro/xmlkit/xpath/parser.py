@@ -17,10 +17,11 @@ Grammar (precedence low to high)::
 from __future__ import annotations
 
 from ...errors import XPathError
+from ...lexing import TokenCursor
 from .ast import (AttributeTest, BooleanOp, Comparison, Expr, FunctionCall,
                   LocationPath, NameTest, NumberLiteral, ParentTest, SelfTest,
                   Step, StringLiteral, TextTest, Union_)
-from .lexer import Token, tokenize
+from .lexer import XPATH
 
 _FUNCTIONS = {
     "contains", "starts-with", "count", "position", "last",
@@ -29,39 +30,8 @@ _FUNCTIONS = {
 }
 
 
-class _Parser:
-    def __init__(self, expression: str) -> None:
-        self.expression = expression
-        self.tokens = tokenize(expression)
-        self.index = 0
-
-    def error(self, message: str) -> XPathError:
-        return XPathError(f"{message} in XPath {self.expression!r}")
-
-    def peek(self) -> Token | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise self.error("unexpected end of expression")
-        self.index += 1
-        return token
-
-    def accept(self, kind: str) -> Token | None:
-        token = self.peek()
-        if token is not None and token.kind == kind:
-            self.index += 1
-            return token
-        return None
-
-    def expect(self, kind: str) -> Token:
-        token = self.next()
-        if token.kind != kind:
-            raise self.error(f"expected {kind}, got {token.value!r}")
-        return token
+class _Parser(TokenCursor):
+    lexer = XPATH
 
     # -- expression levels ----------------------------------------------
 
@@ -72,23 +42,18 @@ class _Parser:
         return expr
 
     def or_expr(self) -> Expr:
+        self.descend()
         left = self.and_expr()
-        while self._keyword("or"):
+        while self.accept("name", "or"):
             left = BooleanOp("or", left, self.and_expr())
+        self.ascend()
         return left
 
     def and_expr(self) -> Expr:
         left = self.union_expr()
-        while self._keyword("and"):
+        while self.accept("name", "and"):
             left = BooleanOp("and", left, self.union_expr())
         return left
-
-    def _keyword(self, word: str) -> bool:
-        token = self.peek()
-        if token is not None and token.kind == "name" and token.value == word:
-            self.index += 1
-            return True
-        return False
 
     def union_expr(self) -> Expr:
         left = self.cmp_expr()
@@ -100,10 +65,7 @@ class _Parser:
         left = self.primary()
         token = self.peek()
         if token is not None and token.kind in ("eq", "ne", "lt", "gt", "le", "ge"):
-            self.index += 1
-            operator = {"eq": "=", "ne": "!=", "lt": "<", "gt": ">",
-                        "le": "<=", "ge": ">="}[token.kind]
-            return Comparison(operator, left, self.primary())
+            return Comparison(self.next().value, left, self.primary())
         return left
 
     def primary(self) -> Expr:
@@ -111,35 +73,28 @@ class _Parser:
         if token is None:
             raise self.error("unexpected end of expression")
         if token.kind == "number":
-            self.index += 1
-            return NumberLiteral(float(token.value))
+            return NumberLiteral(float(self.next().value))
         if token.kind == "string":
-            self.index += 1
-            return StringLiteral(token.value)
-        if token.kind == "lparen":
-            self.index += 1
+            return StringLiteral(self.next().value)
+        if self.accept("lparen"):
             inner = self.or_expr()
             self.expect("rparen")
             return inner
+        following = self.peek(1)
         if (token.kind == "name" and token.value in _FUNCTIONS
-                and self._lookahead_is("lparen") and token.value != "text"):
+                and following is not None and following.kind == "lparen"):
             return self.function_call()
         return self.location_path()
-
-    def _lookahead_is(self, kind: str) -> bool:
-        if self.index + 1 < len(self.tokens):
-            return self.tokens[self.index + 1].kind == kind
-        return False
 
     def function_call(self) -> Expr:
         name = self.expect("name").value
         self.expect("lparen")
         arguments: list[Expr] = []
-        if self.peek() is not None and self.peek().kind != "rparen":
+        if not self.accept("rparen"):
             arguments.append(self.or_expr())
             while self.accept("comma"):
                 arguments.append(self.or_expr())
-        self.expect("rparen")
+            self.expect("rparen")
         return FunctionCall(name, tuple(arguments))
 
     # -- location paths ---------------------------------------------------
@@ -163,32 +118,25 @@ class _Parser:
         return LocationPath(absolute, tuple(steps))
 
     def step(self, descendant: bool) -> Step:
-        token = self.peek()
-        if token is None:
+        if self.peek() is None:
             raise self.error("expected location step")
+        token = self.next()
         if token.kind == "ddot":
-            self.index += 1
             test: object = ParentTest()
         elif token.kind == "dot":
-            self.index += 1
             test = SelfTest()
         elif token.kind == "at":
-            self.index += 1
             name_token = self.next()
             if name_token.kind not in ("name", "star"):
                 raise self.error(f"expected attribute name, got {name_token.value!r}")
             test = AttributeTest(name_token.value)
         elif token.kind == "star":
-            self.index += 1
             test = NameTest("*")
         elif token.kind == "name":
-            if token.value == "text" and self._lookahead_is("lparen"):
-                self.index += 1
-                self.expect("lparen")
+            if token.value == "text" and self.accept("lparen"):
                 self.expect("rparen")
                 test = TextTest()
             else:
-                self.index += 1
                 test = NameTest(token.value)
         else:
             raise self.error(f"expected location step, got {token.value!r}")

@@ -231,6 +231,16 @@ class TestRejections:
                                 "RESULT")
         assert excinfo.value.code == CODE_BAD_REQUEST
 
+    @pytest.mark.parametrize("tail", ["LIMIT 1.5", "OFFSET -1.0"])
+    def test_sparql_with_a_fractional_limit_is_a_bad_request(self, world,
+                                                             tail):
+        world["acme"].materialize("SELECT Provider")
+        with client_for(world, "acme") as client:
+            with pytest.raises(RemoteServerError) as excinfo:
+                client.sparql("SELECT ?s WHERE { ?s ?p ?o } " + tail)
+        assert excinfo.value.code == CODE_BAD_REQUEST
+        assert "expected an integer" in str(excinfo.value)
+
     def test_sparql_without_store(self, world):
         with client_for(world, "globex") as client:  # globex has no store
             with pytest.raises(RemoteServerError) as excinfo:

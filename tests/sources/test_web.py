@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExtractionError, PageNotFoundError, WebError
 from repro.sources.web import (SimulatedWeb, WebDataSource, parse_html)
-from repro.sources.web.html import decode_html_entities
+from repro.htmlkit import decode_html_entities
 
 
 class TestHtmlParser:
