@@ -14,8 +14,7 @@ from __future__ import annotations
 import asyncio
 
 from ...errors import ExtractionError, WeblError
-from ...webl.interpreter import WeblInterpreter
-from ...webl.parser import parse_webl
+from ...webl.interpreter import WeblInterpreter, compile_webl
 from ..base import ConnectionInfo, DataSource, RuleCache, stable_digest
 from .site import SimulatedWeb
 
@@ -31,7 +30,7 @@ class WebDataSource(DataSource):
         self.url = url
         self._interpreter = WeblInterpreter(
             web.fetch, extra_builtins={"SourceURL": lambda: self.url})
-        self._compiled = RuleCache()  # programs are immutable ASTs
+        self._compiled = RuleCache()  # closures: a function of the text
 
     def __reduce__(self):
         """Rebuild from constructor args when pickled (subprocess
@@ -51,7 +50,7 @@ class WebDataSource(DataSource):
         if not self.connected:
             self.connect()
         try:
-            result = interpreter.run(self._compiled.get(rule, parse_webl))
+            result = interpreter.run(self._compiled.get(rule, compile_webl))
         except WeblError as exc:
             raise ExtractionError(
                 f"WebL rule failed: {exc}", source_id=self.source_id) from exc

@@ -10,9 +10,9 @@ The paper writes web extraction rules in WebL (Kistler & Marais, reference
     var spliter = Str_Split(St[0][0], "<>");
     var brand = Select(spliter[2], 0, 6);
 
-This package implements an interpreter for the WebL subset such rules
-need: ``var`` declarations and assignment, string/regex/number/boolean
-literals, arithmetic and comparison operators, indexing, ``if``/``else``,
+This package implements the WebL subset such rules need: ``var``
+declarations and assignment, string/regex/number/boolean literals,
+arithmetic and comparison operators, indexing, ``if``/``else``,
 ``while``, ``each … in … { }`` iteration, ``return``, and the web/string
 builtins (``GetURL``, ``Text``, ``Elem``, ``Str_Search``, ``Str_Split``,
 ``Select``, …).  ``GetURL`` resolves against a
@@ -20,10 +20,12 @@ builtins (``GetURL``, ``Text``, ``Elem``, ``Str_Search``, ``Str_Split``,
 
 A program's value is its explicit ``return``, or — matching how the
 paper's rule "ends with the extracted value in a variable" — the value of
-the last assignment executed.
+the last assignment executed.  Programs are compiled to closures once
+(:func:`compile_webl`) and run by a :class:`WeblInterpreter`, which holds
+the builtin table and the step budget and may be shared between threads.
 """
 
-from .interpreter import WeblInterpreter, run_webl
+from .interpreter import WeblInterpreter, compile_webl, run_webl
 from .parser import parse_webl
 
-__all__ = ["WeblInterpreter", "run_webl", "parse_webl"]
+__all__ = ["WeblInterpreter", "compile_webl", "run_webl", "parse_webl"]

@@ -59,6 +59,16 @@ def _require_page(value, function: str) -> PageValue:
     return value
 
 
+def _slice_bound(value, which: str) -> int:
+    if not isinstance(value, (int, float)):
+        raise WeblRuntimeError(f"Select {which} must be a number")
+    try:
+        return int(value)
+    except (OverflowError, ValueError):  # infinity, NaN
+        raise WeblRuntimeError(
+            f"Select {which} must be finite, got {value}") from None
+
+
 def make_builtins(fetch) -> dict:
     """Build the builtin table; ``fetch(url) -> str`` supplies page bodies."""
 
@@ -115,15 +125,11 @@ def make_builtins(fetch) -> dict:
         return [field for field in re.split(pattern, text_value) if field]
 
     def select(value, start, end=None):
-        if not isinstance(start, (int, float)):
-            raise WeblRuntimeError("Select start must be a number")
-        begin = int(start)
+        begin = _slice_bound(start, "start")
         if isinstance(value, str) or isinstance(value, list):
             if end is None:
                 return value[begin:]
-            if not isinstance(end, (int, float)):
-                raise WeblRuntimeError("Select end must be a number")
-            return value[begin:int(end)]
+            return value[begin:_slice_bound(end, "end")]
         raise WeblRuntimeError(
             f"Select expects a string or list, got {type(value).__name__}")
 

@@ -1,15 +1,31 @@
-"""Tree-walking interpreter for the WebL subset.
+"""Compiler and runner for the WebL subset.
 
-The interpreter is handed a ``fetch`` callable (usually
-``SimulatedWeb.fetch``) for ``GetURL`` and runs a parsed program with a
-bounded step budget — extraction rules are supposed to be tiny, so a rule
-caught in an infinite loop is an authoring error reported as
-:class:`~repro.errors.WeblRuntimeError` rather than a hang.
+A program is compiled once into nested Python closures — one per AST
+node, chosen at compile time from the node's class and operator — and
+every run calls them with a fresh :class:`_Run`, the only place a run's
+step count and "value of the last assignment" live.  The compiled form
+depends on the program text alone: builtins (``GetURL`` bound to a
+``fetch`` callable, usually ``SimulatedWeb.fetch``) are looked up in the
+run's table when a call executes.
+
+Runs are bounded by a step budget — extraction rules are supposed to be
+tiny, so a rule caught in an infinite loop is an authoring error
+reported as :class:`~repro.errors.WeblRuntimeError` rather than a hang.
+A step is one statement, one expression node or one loop iteration;
+each statement charges its nodes in one sum before it runs (the right
+operand of ``and`` / ``or`` when it is reached), so a program that
+finishes is charged node for node what evaluating it spends.
 """
 
 from __future__ import annotations
 
-from ..errors import WeblRuntimeError
+import inspect
+import math
+import operator
+from types import FunctionType
+from typing import Callable
+
+from ..errors import WeblRuntimeError, WeblSyntaxError
 from .ast import (Assign, BinaryOp, BoolLit, Call, Each, Expr, ExprStmt, If,
                   Index, ListLit, Name, NilLit, NumberLit, Program, RegexLit,
                   Return, Stmt, StringLit, UnaryOp, VarDecl, While)
@@ -18,227 +34,456 @@ from .parser import parse_webl
 
 _DEFAULT_STEP_BUDGET = 1_000_000
 
+#: Deepest expression tree (operators, calls, indexing, list literals
+#: under one statement) that compiles.  A constant, not an option: like
+#: ``lexing.MAX_NESTING`` it is sized against the Python stack.  The
+#: parser bounds what it recurses into — parentheses, arguments, blocks —
+#: not the left-deep chain ``1 + 1 + ... + 1`` it loops over, and a level
+#: costs two to three frames to compile and one or two to run: the
+#: deepest program both bounds admit compiles in about 340 frames and
+#: runs in about 170 of the default 1000.
+MAX_EXPRESSION_DEPTH = 100
+
 
 class _ReturnSignal(Exception):
     def __init__(self, value) -> None:
         self.value = value
 
 
+class _Run:
+    """What one execution of a program mutates besides its variables."""
+
+    __slots__ = ("builtins", "budget", "steps", "last_assigned")
+
+    def __init__(self, builtins: dict, budget: int) -> None:
+        self.builtins = builtins  # name -> (function, fewest, most)
+        self.budget = budget
+        self.steps = 0
+        self.last_assigned = None
+
+
+#: A compiled expression (returns its value) or statement (returns None).
+_Code = Callable[[_Run, dict], object]
+
+
+class CompiledProgram:
+    """A program as closures; immutable, shareable, a function of its text."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, body: _Code) -> None:
+        self.body = body
+
+
+def _exhausted(run: _Run) -> WeblRuntimeError:
+    return WeblRuntimeError(
+        f"step budget exceeded ({run.budget}); extraction "
+        "rule is probably looping")
+
+
+def _truthy(value) -> bool:
+    if value is None:
+        return False
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return value != 0
+    if isinstance(value, (str, list)):
+        return len(value) > 0
+    return True
+
+
+def _stringify(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# -- expressions ---------------------------------------------------------
+#
+# Each ``_compile_<node>`` returns ``(code, cost)``: the closure, and the
+# steps evaluating it spends — one per node, right operands of ``and`` /
+# ``or`` excluded (they charge themselves when reached).
+
+
+def _compile_expression(expr: Expr, depth: int) -> tuple[_Code, int]:
+    if depth > MAX_EXPRESSION_DEPTH:
+        raise WeblSyntaxError(
+            f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels "
+            "(MAX_EXPRESSION_DEPTH)")
+    return _EXPRESSIONS[type(expr)](expr, depth + 1)
+
+
+def _compile_literal(expr, depth: int) -> tuple[_Code, int]:
+    value = None if isinstance(expr, NilLit) else expr.value
+    return lambda run, scope: value, 1
+
+
+def _compile_name(expr: Name, depth: int) -> tuple[_Code, int]:
+    identifier = expr.identifier
+
+    def name(run: _Run, scope: dict):
+        try:
+            return scope[identifier]
+        except KeyError:
+            raise WeblRuntimeError(
+                f"undefined variable {identifier!r}") from None
+    return name, 1
+
+
+def _compile_list(expr: ListLit, depth: int) -> tuple[_Code, int]:
+    compiled = [_compile_expression(item, depth) for item in expr.items]
+    items = tuple(code for code, _ in compiled)
+    return (lambda run, scope: [item(run, scope) for item in items],
+            1 + sum(cost for _, cost in compiled))
+
+
+def _compile_unary(expr: UnaryOp, depth: int) -> tuple[_Code, int]:
+    operand, cost = _compile_expression(expr.operand, depth)
+    if expr.operator == "-":
+        def negate(run: _Run, scope: dict):
+            value = operand(run, scope)
+            if not _is_number(value):
+                raise WeblRuntimeError("unary '-' expects a number")
+            return -value
+        return negate, 1 + cost
+    return lambda run, scope: not _truthy(operand(run, scope)), 1 + cost
+
+
+def _numeric(symbol: str, operation) -> Callable[[object, object], object]:
+    """``a <symbol> b`` over numbers, with the language's errors."""
+    zero = "division by zero" if symbol == "/" else "modulo by zero"
+
+    def apply(a, b):
+        if not _is_number(a) or not _is_number(b):
+            raise WeblRuntimeError(
+                f"operator {symbol!r} expects numbers, got "
+                f"{type(a).__name__} and {type(b).__name__}")
+        try:
+            return operation(a, b)
+        except ZeroDivisionError:
+            raise WeblRuntimeError(zero) from None
+        except OverflowError:  # an int too large to meet a float
+            raise WeblRuntimeError(
+                f"operator {symbol!r} overflowed") from None
+    return apply
+
+
+_ARITHMETIC = {symbol: _numeric(symbol, operation) for symbol, operation in (
+    ("+", operator.add), ("-", operator.sub), ("*", operator.mul),
+    ("/", operator.truediv), ("%", operator.mod))}
+_COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+def _compile_binary(expr: BinaryOp, depth: int) -> tuple[_Code, int]:
+    symbol = expr.operator
+    left, left_cost = _compile_expression(expr.left, depth)
+    right, right_cost = _compile_expression(expr.right, depth)
+    if symbol in ("and", "or"):
+        stop_on = symbol == "or"  # the truth of a left operand that decides
+
+        def short_circuit(run: _Run, scope: dict):
+            value = left(run, scope)
+            if _truthy(value) is stop_on:
+                return value
+            run.steps += right_cost
+            if run.steps > run.budget:
+                raise _exhausted(run)
+            return right(run, scope)
+        return short_circuit, 1 + left_cost
+    cost = 1 + left_cost + right_cost
+    if symbol in _COMPARISONS:
+        compare = _COMPARISONS[symbol]
+
+        def comparison(run: _Run, scope: dict):
+            a, b = left(run, scope), right(run, scope)
+            try:
+                return compare(a, b)
+            except TypeError:
+                raise WeblRuntimeError(
+                    f"cannot compare {type(a).__name__} with "
+                    f"{type(b).__name__}") from None
+            except RecursionError:  # Append(l, l) made a list hold itself
+                raise WeblRuntimeError(
+                    "cannot compare lists that contain themselves") from None
+        return comparison, cost
+    apply = _ARITHMETIC[symbol]
+    if symbol == "+":
+        def add(run: _Run, scope: dict):
+            a, b = left(run, scope), right(run, scope)
+            if isinstance(a, str) or isinstance(b, str):
+                return _stringify(a) + _stringify(b)
+            if isinstance(a, list) and isinstance(b, list):
+                return a + b
+            return apply(a, b)
+        return add, cost
+    return lambda run, scope: apply(left(run, scope), right(run, scope)), cost
+
+
+def _compile_index(expr: Index, depth: int) -> tuple[_Code, int]:
+    base, base_cost = _compile_expression(expr.base, depth)
+    index, index_cost = _compile_expression(expr.index, depth)
+
+    def subscript(run: _Run, scope: dict):
+        container, position = base(run, scope), index(run, scope)
+        if not isinstance(container, (list, str)):
+            raise WeblRuntimeError(
+                f"cannot index {type(container).__name__}")
+        if (not isinstance(position, (int, float))
+                or isinstance(position, bool)):
+            raise WeblRuntimeError("index must be a number")
+        try:
+            position = int(position)
+        except (OverflowError, ValueError):
+            pass  # infinity, NaN: out of range, reported as written
+        else:
+            if 0 <= position < len(container):
+                return container[position]
+        raise WeblRuntimeError(
+            f"index {position} out of range (length {len(container)})")
+    return subscript, 1 + base_cost + index_cost
+
+
+def _bad_call(name: str, count: int, entry) -> WeblRuntimeError:
+    if entry is None:
+        return WeblRuntimeError(f"unknown function {name!r}")
+    _, fewest, most = entry
+    expected = (f"{fewest}" if fewest == most else
+                f"at least {fewest}" if most == math.inf else
+                f"{fewest} to {most}")
+    return WeblRuntimeError(
+        f"{name} expects {expected} argument(s), got {count}")
+
+
+def _compile_call(expr: Call, depth: int) -> tuple[_Code, int]:
+    name = expr.function
+    compiled = [_compile_expression(a, depth) for a in expr.arguments]
+    arguments = tuple(code for code, _ in compiled)
+    count = len(arguments)
+    cost = 1 + sum(cost for _, cost in compiled)
+    # The table is the run's, so resolution waits for the call; the
+    # argument count is this call site's, so the arity check is static.
+    if count == 0:
+        def call(run: _Run, scope: dict):
+            entry = run.builtins.get(name)
+            if entry is None or not entry[1] <= count <= entry[2]:
+                raise _bad_call(name, count, entry)
+            return entry[0]()
+    elif count == 1:
+        first, = arguments
+
+        def call(run: _Run, scope: dict):
+            entry = run.builtins.get(name)
+            if entry is None or not entry[1] <= count <= entry[2]:
+                raise _bad_call(name, count, entry)
+            return entry[0](first(run, scope))
+    elif count == 2:
+        first, second = arguments
+
+        def call(run: _Run, scope: dict):
+            entry = run.builtins.get(name)
+            if entry is None or not entry[1] <= count <= entry[2]:
+                raise _bad_call(name, count, entry)
+            return entry[0](first(run, scope), second(run, scope))
+    else:
+        def call(run: _Run, scope: dict):
+            entry = run.builtins.get(name)
+            if entry is None or not entry[1] <= count <= entry[2]:
+                raise _bad_call(name, count, entry)
+            return entry[0](*[a(run, scope) for a in arguments])
+    return call, cost
+
+
+_EXPRESSIONS = {
+    NumberLit: _compile_literal, StringLit: _compile_literal,
+    RegexLit: _compile_literal, BoolLit: _compile_literal,
+    NilLit: _compile_literal, Name: _compile_name, ListLit: _compile_list,
+    UnaryOp: _compile_unary, BinaryOp: _compile_binary,
+    Index: _compile_index, Call: _compile_call,
+}
+
+
+# -- statements ----------------------------------------------------------
+#
+# Each ``_compile_<statement>`` returns ``(code, cost)`` too: the closure,
+# which charges nothing itself, and the steps its block charges before
+# running it — the statement plus the nodes of its expression.
+
+
+def _compile_block(body: tuple[Stmt, ...], entry: int = 0) -> _Code:
+    """``body`` as one closure that charges ``entry`` steps for being
+    entered (a loop's iteration) and each statement before running it."""
+    steps = tuple(_STATEMENTS[type(statement)](statement)
+                  for statement in body)
+
+    def block(run: _Run, scope: dict) -> None:
+        run.steps += entry
+        if run.steps > run.budget:
+            raise _exhausted(run)
+        for step, cost in steps:
+            run.steps += cost
+            if run.steps > run.budget:
+                raise _exhausted(run)
+            step(run, scope)
+    return block
+
+
+def _compile_var(statement: VarDecl) -> tuple[_Code, int]:
+    name = statement.name
+    value, cost = _compile_expression(statement.value, 1)
+
+    def declare(run: _Run, scope: dict) -> None:
+        if name in run.builtins:
+            raise WeblRuntimeError(f"cannot shadow builtin {name!r}")
+        scope[name] = run.last_assigned = value(run, scope)
+    return declare, 1 + cost
+
+
+def _compile_assign(statement: Assign) -> tuple[_Code, int]:
+    name = statement.name
+    value, cost = _compile_expression(statement.value, 1)
+
+    def assign(run: _Run, scope: dict) -> None:
+        if name not in scope:
+            raise WeblRuntimeError(
+                f"assignment to undeclared variable {name!r} "
+                "(use 'var' first)")
+        scope[name] = run.last_assigned = value(run, scope)
+    return assign, 1 + cost
+
+
+def _compile_expression_statement(statement: ExprStmt) -> tuple[_Code, int]:
+    expression, cost = _compile_expression(statement.expression, 1)
+    return expression, 1 + cost
+
+
+def _compile_if(statement: If) -> tuple[_Code, int]:
+    condition, cost = _compile_expression(statement.condition, 1)
+    then_body = _compile_block(statement.then_body)
+    else_body = _compile_block(statement.else_body)
+
+    def branch(run: _Run, scope: dict) -> None:
+        taken = then_body if _truthy(condition(run, scope)) else else_body
+        taken(run, scope)
+    return branch, 1 + cost
+
+
+def _compile_while(statement: While) -> tuple[_Code, int]:
+    condition, cost = _compile_expression(statement.condition, 1)
+    body = _compile_block(statement.body, entry=1)
+
+    def loop(run: _Run, scope: dict) -> None:
+        while True:
+            run.steps += cost  # every evaluation of the condition
+            if run.steps > run.budget:
+                raise _exhausted(run)
+            if not _truthy(condition(run, scope)):
+                return
+            body(run, scope)
+    return loop, 1
+
+
+def _compile_each(statement: Each) -> tuple[_Code, int]:
+    variable = statement.variable
+    iterable, cost = _compile_expression(statement.iterable, 1)
+    body = _compile_block(statement.body, entry=1)
+
+    def each(run: _Run, scope: dict) -> None:
+        items = iterable(run, scope)
+        if not isinstance(items, list):
+            raise WeblRuntimeError(
+                f"each expects a list, got {type(items).__name__}")
+        for item in items:
+            scope[variable] = item
+            body(run, scope)
+    return each, 1 + cost
+
+
+def _compile_return(statement: Return) -> tuple[_Code, int]:
+    if statement.value is None:
+        value, cost = (lambda run, scope: None), 0
+    else:
+        value, cost = _compile_expression(statement.value, 1)
+
+    def leave(run: _Run, scope: dict) -> None:
+        raise _ReturnSignal(value(run, scope))
+    return leave, 1 + cost
+
+
+_STATEMENTS = {
+    VarDecl: _compile_var, Assign: _compile_assign,
+    ExprStmt: _compile_expression_statement, If: _compile_if,
+    While: _compile_while, Each: _compile_each, Return: _compile_return,
+}
+
+
+def compile_webl(program: str | Program) -> CompiledProgram:
+    """Compile a program (parsing it first if given as text)."""
+    if isinstance(program, str):
+        program = parse_webl(program)
+    return CompiledProgram(_compile_block(program.body))
+
+
+# -- running -------------------------------------------------------------
+
+
+def _arity(function) -> tuple[int, float]:
+    """The fewest and the most positional arguments ``function`` takes."""
+    if type(function) is FunctionType:  # every stock builtin: no inspect
+        code = function.__code__
+        most = (math.inf if code.co_flags & inspect.CO_VARARGS
+                else code.co_argcount)
+        return code.co_argcount - len(function.__defaults__ or ()), most
+    try:
+        parameters = inspect.signature(function).parameters.values()
+    except (TypeError, ValueError):  # a C callable that will not say
+        return 0, math.inf
+    positional = [p for p in parameters if p.kind in (
+        p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    most = (math.inf if any(p.kind is p.VAR_POSITIONAL for p in parameters)
+            else len(positional))
+    return sum(p.default is p.empty for p in positional), most
+
+
 class WeblInterpreter:
-    """Executes WebL programs against a fetch function."""
+    """Runs WebL programs against a fetch function.
+
+    Holds the builtin table and the step budget, nothing a run writes:
+    one interpreter may serve any number of threads, and a builtin may
+    re-enter :meth:`run`."""
 
     def __init__(self, fetch, *, step_budget: int = _DEFAULT_STEP_BUDGET,
                  extra_builtins: dict | None = None) -> None:
-        self._builtins = make_builtins(fetch)
+        builtins = make_builtins(fetch)
         if extra_builtins:
-            self._builtins.update(extra_builtins)
+            builtins.update(extra_builtins)
+        self._builtins = {name: (function, *_arity(function))
+                          for name, function in builtins.items()}
         self._step_budget = step_budget
 
-    def run(self, program: str | Program):
+    def run(self, program: str | Program | CompiledProgram):
         """Run a program; returns its result value.
 
         The result is the explicit ``return`` value if one executes, else
         the value of the last ``var``/assignment statement."""
-        if isinstance(program, str):
-            program = parse_webl(program)
+        if not isinstance(program, CompiledProgram):
+            program = compile_webl(program)
+        run = _Run(self._builtins, self._step_budget)
         scope: dict[str, object] = {}
-        self._steps = 0
-        self._last_assigned = None
         try:
-            self._exec_block(program.body, scope)
+            program.body(run, scope)
         except _ReturnSignal as signal:
             return signal.value
-        return self._last_assigned
-
-    # -- statements --------------------------------------------------------
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self._step_budget:
-            raise WeblRuntimeError(
-                f"step budget exceeded ({self._step_budget}); extraction "
-                "rule is probably looping")
-
-    def _exec_block(self, body: tuple[Stmt, ...], scope: dict) -> None:
-        for statement in body:
-            self._exec(statement, scope)
-
-    def _exec(self, statement: Stmt, scope: dict) -> None:
-        self._tick()
-        if isinstance(statement, VarDecl):
-            if statement.name in self._builtins:
-                raise WeblRuntimeError(
-                    f"cannot shadow builtin {statement.name!r}")
-            value = self._eval(statement.value, scope)
-            scope[statement.name] = value
-            self._last_assigned = value
-        elif isinstance(statement, Assign):
-            if statement.name not in scope:
-                raise WeblRuntimeError(
-                    f"assignment to undeclared variable {statement.name!r} "
-                    "(use 'var' first)")
-            value = self._eval(statement.value, scope)
-            scope[statement.name] = value
-            self._last_assigned = value
-        elif isinstance(statement, ExprStmt):
-            self._eval(statement.expression, scope)
-        elif isinstance(statement, If):
-            if self._truthy(self._eval(statement.condition, scope)):
-                self._exec_block(statement.then_body, scope)
-            else:
-                self._exec_block(statement.else_body, scope)
-        elif isinstance(statement, While):
-            while self._truthy(self._eval(statement.condition, scope)):
-                self._tick()
-                self._exec_block(statement.body, scope)
-        elif isinstance(statement, Each):
-            iterable = self._eval(statement.iterable, scope)
-            if not isinstance(iterable, list):
-                raise WeblRuntimeError(
-                    f"each expects a list, got {type(iterable).__name__}")
-            for item in iterable:
-                self._tick()
-                scope[statement.variable] = item
-                self._exec_block(statement.body, scope)
-        elif isinstance(statement, Return):
-            value = None if statement.value is None else self._eval(
-                statement.value, scope)
-            raise _ReturnSignal(value)
-        else:
-            raise WeblRuntimeError(f"unsupported statement {statement!r}")
-
-    # -- expressions ---------------------------------------------------------
-
-    @staticmethod
-    def _truthy(value) -> bool:
-        if value is None:
-            return False
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, (int, float)):
-            return value != 0
-        if isinstance(value, (str, list)):
-            return len(value) > 0
-        return True
-
-    def _eval(self, expr: Expr, scope: dict):
-        self._tick()
-        if isinstance(expr, NumberLit):
-            return expr.value
-        if isinstance(expr, (StringLit, RegexLit)):
-            return expr.value
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, NilLit):
-            return None
-        if isinstance(expr, Name):
-            if expr.identifier in scope:
-                return scope[expr.identifier]
-            raise WeblRuntimeError(
-                f"undefined variable {expr.identifier!r}")
-        if isinstance(expr, ListLit):
-            return [self._eval(item, scope) for item in expr.items]
-        if isinstance(expr, UnaryOp):
-            operand = self._eval(expr.operand, scope)
-            if expr.operator == "-":
-                if not isinstance(operand, (int, float)) or isinstance(operand, bool):
-                    raise WeblRuntimeError("unary '-' expects a number")
-                return -operand
-            return not self._truthy(operand)
-        if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, scope)
-        if isinstance(expr, Index):
-            base = self._eval(expr.base, scope)
-            index = self._eval(expr.index, scope)
-            if not isinstance(base, (list, str)):
-                raise WeblRuntimeError(
-                    f"cannot index {type(base).__name__}")
-            if not isinstance(index, (int, float)) or isinstance(index, bool):
-                raise WeblRuntimeError("index must be a number")
-            position = int(index)
-            if position < 0 or position >= len(base):
-                raise WeblRuntimeError(
-                    f"index {position} out of range (length {len(base)})")
-            return base[position]
-        if isinstance(expr, Call):
-            function = self._builtins.get(expr.function)
-            if function is None:
-                raise WeblRuntimeError(
-                    f"unknown function {expr.function!r}")
-            arguments = [self._eval(a, scope) for a in expr.arguments]
-            return function(*arguments)
-        raise WeblRuntimeError(f"unsupported expression {expr!r}")
-
-    def _eval_binary(self, expr: BinaryOp, scope: dict):
-        if expr.operator == "and":
-            left = self._eval(expr.left, scope)
-            if not self._truthy(left):
-                return left
-            return self._eval(expr.right, scope)
-        if expr.operator == "or":
-            left = self._eval(expr.left, scope)
-            if self._truthy(left):
-                return left
-            return self._eval(expr.right, scope)
-        left = self._eval(expr.left, scope)
-        right = self._eval(expr.right, scope)
-        operator = expr.operator
-        if operator == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                return self._stringify(left) + self._stringify(right)
-            if isinstance(left, list) and isinstance(right, list):
-                return left + right
-            return self._arith(left, right, operator)
-        if operator in ("-", "*", "/", "%"):
-            return self._arith(left, right, operator)
-        if operator == "==":
-            return left == right
-        if operator == "!=":
-            return left != right
-        try:
-            if operator == "<":
-                return left < right
-            if operator == ">":
-                return left > right
-            if operator == "<=":
-                return left <= right
-            return left >= right
-        except TypeError as exc:
-            raise WeblRuntimeError(
-                f"cannot compare {type(left).__name__} with "
-                f"{type(right).__name__}") from exc
-
-    @staticmethod
-    def _stringify(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if value is None:
-            return ""
-        if isinstance(value, float) and value.is_integer():
-            return str(int(value))
-        return str(value)
-
-    @staticmethod
-    def _arith(left, right, operator: str):
-        if (not isinstance(left, (int, float)) or isinstance(left, bool)
-                or not isinstance(right, (int, float))
-                or isinstance(right, bool)):
-            raise WeblRuntimeError(
-                f"operator {operator!r} expects numbers, got "
-                f"{type(left).__name__} and {type(right).__name__}")
-        if operator == "+":
-            return left + right
-        if operator == "-":
-            return left - right
-        if operator == "*":
-            return left * right
-        if operator == "/":
-            if right == 0:
-                raise WeblRuntimeError("division by zero")
-            return left / right
-        if right == 0:
-            raise WeblRuntimeError("modulo by zero")
-        return left % right
+        return run.last_assigned
 
 
 def run_webl(program: str, fetch, **kwargs):

@@ -165,3 +165,72 @@ return out;
                                "http://shop.example/watch81")
         info = source.connection_info()
         assert info.parameters == {"url": "http://shop.example/watch81"}
+
+
+class TestCompiledRules:
+    """A rule is compiled once per text; runs share nothing (PR 23)."""
+
+    @pytest.mark.parametrize("rule", [
+        'var x = "abc"[ToNumber("1e999")];',
+        'var x = Select("abc", 0, ToNumber("1e999"));',
+        "var x = Length();",
+        'var x = Append([1]);',
+        "var x = " + "+".join(["1"] * 900) + ";",
+    ], ids=["infinite-index", "infinite-slice", "no-arguments",
+            "too-few-arguments", "900-term-sum"])
+    def test_evaluator_failures_reach_the_manager_typed(
+            self, watch_page_web, rule):
+        source = WebDataSource("wpage_81", watch_page_web,
+                               "http://shop.example/watch81")
+        with pytest.raises(ExtractionError, match="WebL rule failed"):
+            source.execute_rule(rule)
+
+    def test_rule_text_is_compiled_once(self, watch_page_web, monkeypatch):
+        from repro.sources.web import source as module
+        compiled = []
+
+        def counting(text):
+            compiled.append(text)
+            return real(text)
+        real = module.compile_webl
+        monkeypatch.setattr(module, "compile_webl", counting)
+        source = WebDataSource("wpage_81", watch_page_web,
+                               "http://shop.example/watch81")
+        for _ in range(3):
+            assert source.execute_rule("var x = Title(GetURL(SourceURL()));"
+                                       ) == ["Watch 81"]
+        assert len(compiled) == 1
+
+    def test_threads_sharing_a_source_keep_their_own_results(self):
+        """Rules without ``return`` answer with the run's last assignment;
+        at 2.6 that value lived on the one shared interpreter, and a
+        thread could be answered with the other thread's."""
+        import sys
+        import threading
+        from repro.sources.web.pagegen import span_rule
+        web = SimulatedWeb()
+        web.publish("http://shop.example/w", "".join(
+            f'<span id="{field}">{field.upper()}</span>'
+            for field in ("brand", "model")))
+        source = WebDataSource("W", web, "http://shop.example/w")
+        wrong: list[tuple[str, list[str]]] = []
+
+        def worker(field: str) -> None:
+            rule = span_rule(field) + "Length(Text(P));\n"
+            for _ in range(1500):
+                values = source.execute_rule(rule)
+                if values != [field.upper()]:
+                    wrong.append((field, values))
+        threads = [threading.Thread(target=worker, args=(field,))
+                   for field in ("brand", "model", "brand", "model")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
