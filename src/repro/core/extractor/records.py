@@ -46,7 +46,6 @@ class SourceRecordSet:
 
     source_id: str
     fragments: list[RawFragment] = field(default_factory=list)
-    ragged: bool = False
 
     def add(self, fragment: RawFragment) -> None:
         """Attach a fragment; must belong to this source."""
@@ -64,6 +63,11 @@ class SourceRecordSet:
         return max(len(fragment) for fragment in self.fragments)
 
     @property
+    def ragged(self) -> bool:
+        """True when the attribute columns differ in length."""
+        return len({len(fragment) for fragment in self.fragments}) > 1
+
+    @property
     def attributes(self) -> list[AttributePath]:
         """Attribute paths of the collected fragments."""
         return [fragment.attribute for fragment in self.fragments]
@@ -71,10 +75,7 @@ class SourceRecordSet:
     def align(self) -> list[dict[str, str | None]]:
         """Correlate columns into records: attribute ID → value maps.
 
-        Detects ragged columns and pads them with ``None``."""
-        lengths = {len(fragment) for fragment in self.fragments}
-        if len(lengths) > 1:
-            self.ragged = True
+        Ragged columns are padded with ``None``."""
         keys = [str(fragment.attribute) for fragment in self.fragments]
         return [dict(zip(keys, row)) for row in zip_longest(
             *[fragment.values for fragment in self.fragments])]

@@ -19,13 +19,16 @@ The cluster containing the query class (or a subclass of it) is the
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ...errors import InstanceGenerationError, ValidationError
 from ...ids import AttributePath
 from ...ontology.model import Individual
-from ...ontology.reasoner import Coercer, Reasoner
+from ...ontology.reasoner import Coercer, Reasoner, coerce_column
 from ...ontology.schema import OntologySchema
+from ...ontology.validation import link_problems
 
 
 @dataclass
@@ -77,6 +80,10 @@ class AssembledEntity:
             list(self.coercion_errors))
 
 
+#: a cell of a typed column whose raw value did not coerce
+_FAILED = object()
+
+
 @dataclass(frozen=True, slots=True)
 class _ShapePlan:
     """Everything the schema decides about records of one shape."""
@@ -93,6 +100,15 @@ class _ShapePlan:
     #: (from cluster, object property name, to cluster)
     links: list[tuple[int, str, int]]
     link_error: str | None  # the InstanceGenerationError to raise instead
+    #: what ``validate_individual`` would say about *every* entity of the
+    #: shape, as (cluster, problem without the identifier) in its report
+    #: order.  Only links can be wrong: a slot's coercer comes from the
+    #: attribute table validation reads, and a coerced value coerces again.
+    residual: list[tuple[int, str]]
+
+    def member_order(self) -> list[int]:
+        """Cluster indexes in ``all_individuals()`` order."""
+        return _member_order(self.primary, len(self.clusters))
 
 
 class RecordAssembler:
@@ -101,13 +117,15 @@ class RecordAssembler:
     What a record becomes is fixed by the schema and by *which* attributes
     the record carries, not by their values, so the schema is consulted
     once per **record shape** — the ordered tuple of attribute ids whose
-    value is not ``None`` — and compiled into a :class:`_ShapePlan`;
-    ``assemble`` is then a plan lookup plus one coercion loop.  Plans are
-    compiled lazily, on the first record of a shape, so an error only
-    such a record can raise is raised exactly when one exists.  Plans,
-    resolved attribute ids and the reasoner's tables live as long as the
-    assembler (one ``generate`` call): nothing to invalidate when the
-    schema changes."""
+    value is not ``None`` — and compiled into a :class:`_ShapePlan`.  The
+    rows of one shape are then handled a column at a time: ``coerce``
+    types each of the plan's columns with its one coercer, ``build``
+    zips the typed columns into individuals and links them
+    (``assemble`` is the one-row case).  Plans are compiled lazily, on
+    the first record of a shape, so an error only such a record can
+    raise is raised exactly when one exists.  Plans, resolved attribute
+    ids and the reasoner's tables live as long as the assembler (one
+    ``generate`` call): nothing to invalidate when the schema changes."""
 
     def __init__(self, schema: OntologySchema, query_class: str) -> None:
         self.schema = schema
@@ -115,7 +133,9 @@ class RecordAssembler:
         self.reasoner = Reasoner(schema.ontology)
         #: shape -> plan, or None when the shape has no primary cluster
         self.plans: dict[tuple[str, ...], _ShapePlan | None] = {}
-        self._safe_sources: dict[str, str] = {}
+        self._prefixes: dict[tuple[str, str], str] = {}
+        #: (primary, cluster classes) -> (links, link_error, residual)
+        self._linked: dict[tuple, tuple] = {}
         #: attribute id -> (owning class, (attribute id, attribute name))
         self._resolved: dict[str, tuple[str, tuple[str, str]]] = {}
 
@@ -125,35 +145,94 @@ class RecordAssembler:
         no attribute belonging to the query class's subtree."""
         shape = tuple([attribute_id for attribute_id, raw in record.items()
                        if raw is not None])
-        try:
-            plan = self.plans[shape]
-        except KeyError:
-            plan = self.plans[shape] = self._compile(shape)
+        plan = self.plan_for(shape)
         if plan is None:
             return None
-        safe_source = self._safe_sources.get(source_id)
-        if safe_source is None:
-            safe_source = self._safe_sources[source_id] = re.sub(
-                r"[^A-Za-z0-9_]", "_", source_id)
-        suffix = f"_{safe_source}_{record_index}"
-
-        individuals: list[Individual] = []
-        errors: list[str] = []
-        for specific, ids, names, coercers in plan.clusters:
-            values: dict[str, object] = {}
-            for attribute_id, attribute, coerce in zip(ids, names, coercers):
-                try:
-                    values[attribute] = coerce(record[attribute_id], attribute)
-                except ValidationError as exc:
-                    errors.append(str(exc))
-            individuals.append(Individual(specific + suffix, specific, values))
+        typed, failures = self.coerce(
+            plan, {attribute_id: [record[attribute_id]]
+                   for attribute_id in shape}, (0,))
         if plan.link_error is not None:
             raise InstanceGenerationError(plan.link_error)
+        return self.build(plan, source_id, typed, (record_index,), None,
+                          failures)[0]
+
+    def plan_for(self, shape: tuple[str, ...]) -> _ShapePlan | None:
+        """The plan of a record shape, compiled on first sight; None when
+        such records hold nothing of the query class."""
+        try:
+            return self.plans[shape]
+        except KeyError:
+            plan = self.plans[shape] = self._compile(shape)
+            return plan
+
+    def coerce(self, plan: _ShapePlan, columns: dict[str, list],
+               rows: Sequence[int]
+               ) -> tuple[list[list[list]], dict[int, list[str]]]:
+        """Type the plan's columns for the records ``rows`` (ascending
+        indexes into ``columns``, every one carrying the whole shape).
+
+        Returns the typed cells as ``[cluster][slot][position]``,
+        ``position`` running over ``rows``, a cell that did not coerce
+        being ``_FAILED``; and position -> the messages of its failed
+        cells, in cluster then slot order."""
+        typed: list[list[list]] = []
+        failures: dict[int, list[str]] = {}
+        for _specific, ids, names, coercers in plan.clusters:
+            cells = []
+            for attribute_id, name, coerce in zip(ids, names, coercers):
+                raw = columns[attribute_id]
+                try:
+                    # every record: the column as it is; some: only theirs
+                    cells.append(
+                        coerce_column(coerce, raw, name)
+                        if len(rows) == len(raw) else
+                        [coerce(raw[row], name) for row in rows])
+                except ValidationError:
+                    cells.append(_coerce_dirty(raw, rows, name, coerce,
+                                               failures))
+            typed.append(cells)
+        return typed, failures
+
+    def identifier_prefix(self, class_name: str, source_id: str) -> str:
+        """An individual's identifier up to its record index."""
+        prefix = self._prefixes.get((class_name, source_id))
+        if prefix is None:
+            safe_source = re.sub(r"[^A-Za-z0-9_]", "_", source_id)
+            prefix = self._prefixes[class_name, source_id] = (
+                f"{class_name}_{safe_source}_")
+        return prefix
+
+    def build(self, plan: _ShapePlan, source_id: str,
+              typed: list[list[list]], rows: Sequence[int],
+              keep: Sequence[int] | None,
+              failures: dict[int, list[str]]) -> list[AssembledEntity]:
+        """Entities of the positions ``keep`` (None: all) of ``typed``,
+        ``rows[position]`` being the record index; individuals are made
+        and linked a cluster at a time."""
+        if keep is not None:
+            rows = [rows[position] for position in keep]
+        values = _coerced if failures else dict
+        members: list[list[Individual]] = []
+        for (specific, _ids, names, _coercers), cells in zip(plan.clusters,
+                                                             typed):
+            if keep is not None:
+                cells = [[column[position] for position in keep]
+                         for column in cells]
+            prefix = self.identifier_prefix(specific, source_id)
+            members.append([
+                Individual(prefix + str(row), specific,
+                           values(zip(names, record)))
+                for row, record in zip(rows, zip(*cells))])
         for origin, name, target in plan.links:
-            individuals[origin].link(name, individuals[target])
-        primary = individuals.pop(plan.primary)
-        return AssembledEntity(primary, individuals, source_id, record_index,
-                               errors)
+            for individual, other in zip(members[origin], members[target]):
+                individual.links.setdefault(name, []).append(other)
+        primaries = members.pop(plan.primary)
+        satellites = zip(*members) if members else repeat(())
+        positions = range(len(rows)) if keep is None else keep
+        return [AssembledEntity(primary, list(others), source_id, row,
+                                failures.get(position, []))
+                for primary, others, row, position
+                in zip(primaries, satellites, rows, positions)]
 
     # ------------------------------------------------------------------
 
@@ -183,11 +262,23 @@ class RecordAssembler:
                                for field in by_class[class_name]])
             clusters.append((chain[-1], ids, names, tuple(
                 self.reasoner.coercer(chain[-1], name) for name in names)))
+        classes = tuple([chain[-1] for chain in chains])
+        linked = self._linked.get((primary, classes))
+        if linked is None:
+            linked = self._linked[primary, classes] = self._link(primary,
+                                                                 classes)
+        return _ShapePlan(clusters, primary, *linked)
+
+    def _link(self, primary: int, classes: tuple[str, ...]
+              ) -> tuple[list[tuple[int, str, int]], str | None,
+                         list[tuple[int, str]]]:
+        """A plan's ``links``, ``link_error`` and ``residual``: decided
+        by the clusters' classes alone, so shapes that differ only in
+        which attributes they carry share them."""
         between = self.schema.object_properties_between
-        primary_class = chains[primary][-1]
+        primary_class = classes[primary]
         links: list[tuple[int, str, int]] = []
-        link_error = None
-        for index, (satellite_class, *_) in enumerate(clusters):
+        for index, satellite_class in enumerate(classes):
             if index == primary:
                 continue
             forward = between(primary_class, satellite_class)
@@ -199,11 +290,19 @@ class RecordAssembler:
             if reverse:
                 links.append((index, reverse[0].name, primary))
                 continue
-            link_error = (
+            return links, (
                 f"no object property connects {primary_class!r} "
-                f"and {satellite_class!r}; cannot assemble record")
-            break
-        return _ShapePlan(clusters, primary, links, link_error)
+                f"and {satellite_class!r}; cannot assemble record"), []
+        outgoing: dict[int, dict[str, list[str]]] = {}
+        for origin, name, target in links:
+            outgoing.setdefault(origin, {}).setdefault(name, []).append(
+                classes[target])
+        return links, None, [
+            (index, problem)
+            for index in _member_order(primary, len(classes))
+            if index in outgoing
+            for problem in link_problems(self.reasoner, classes[index],
+                                         outgoing[index])]
 
     # ------------------------------------------------------------------
 
@@ -225,3 +324,31 @@ class RecordAssembler:
                     remaining.discard(ancestor)
             clusters.append(chain)
         return clusters
+
+
+def _member_order(primary: int, count: int) -> list[int]:
+    """Cluster indexes in the order ``all_individuals()`` (and so
+    ``validate_individual``'s report) has them: primary first."""
+    return [primary, *(index for index in range(count) if index != primary)]
+
+
+def _coerced(pairs) -> dict[str, object]:
+    """``dict(pairs)`` without the failed cells: of two ids on one
+    attribute name the last that coerced is kept, at the position of the
+    first that did."""
+    return {name: cell for name, cell in pairs if cell is not _FAILED}
+
+
+def _coerce_dirty(raw: list, rows: Sequence[int], name: str, coerce: Coercer,
+                  failures: dict[int, list[str]]) -> list:
+    """The cells ``rows`` of one column one by one, for a column holding
+    a value that does not coerce: the cell becomes ``_FAILED``, the
+    message is kept under its position in ``rows``."""
+    cells = []
+    for position, row in enumerate(rows):
+        try:
+            cells.append(coerce(raw[row], name))
+        except ValidationError as exc:
+            cells.append(_FAILED)
+            failures.setdefault(position, []).append(str(exc))
+    return cells

@@ -19,13 +19,15 @@ the capability the semantic-heterogeneity experiment E6 measures.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from ...errors import InstanceGenerationError
+from ...errors import QueryError
 from ...ontology.schema import OntologySchema
-from ...ontology.validation import validate_individual
 from ..extractor.manager import ExtractionOutcome
-from .assembly import AssembledEntity, RecordAssembler
+from ..extractor.records import SourceRecordSet
+from .assembly import _FAILED, AssembledEntity, RecordAssembler, _ShapePlan
 from .errors import ErrorReport
 
 
@@ -38,6 +40,11 @@ class GenerationResult:
     #: distinct record shapes compiled; one per clean homogeneous source
     #: set, more exactly when a source is sparse or dirty
     shapes: int = 0
+    #: records seen, over all sources
+    records: int = 0
+    #: records that make an entity when no ``conditions`` are given — what
+    #: the conditions chose ``entities`` from when they are
+    candidates: int = 0
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -52,8 +59,20 @@ class InstanceGenerator:
         self.validate = validate
 
     def generate(self, outcome: ExtractionOutcome, query_class: str,
-                 *, merge_key: list[str] | None = None) -> GenerationResult:
-        """Turn an extraction outcome into assembled entities."""
+                 *, merge_key: list[str] | None = None,
+                 conditions: Sequence | None = None) -> GenerationResult:
+        """Turn an extraction outcome into assembled entities.
+
+        ``conditions`` (a plan's
+        :class:`~repro.core.query.planner.ResolvedCondition` list) are
+        applied to the typed columns before anything is built: only the
+        records satisfying all of them become entities, in the order and
+        with the identifiers they would have had, and the error report
+        is what it is without them — a rejected record's problems
+        included.  Not to be combined with ``merge_key``: a merge can
+        hand a non-matching record its twin's value."""
+        if conditions and merge_key:
+            raise ValueError("conditions cannot be applied before a merge")
         result = GenerationResult()
         assembler = RecordAssembler(self.schema, query_class)
 
@@ -66,47 +85,90 @@ class InstanceGenerator:
                               f"attribute {path} has no mapping entry",
                               attribute_id=str(path))
 
+        incomparable = None
         for source_id in sorted(outcome.record_sets):
-            record_set = outcome.record_sets[source_id]
-            records = record_set.align()
-            if record_set.ragged:
-                result.errors.add(
-                    "extraction",
-                    f"ragged record set: attribute columns have unequal "
-                    f"lengths ({[len(f) for f in record_set.fragments]})",
-                    source_id=source_id)
-            for index, record in enumerate(records):
-                try:
-                    entity = assembler.assemble(record, source_id=source_id,
-                                                record_index=index)
-                except InstanceGenerationError as exc:
-                    result.errors.add("generation", str(exc),
-                                      source_id=source_id)
-                    continue
-                if entity is None:
-                    result.errors.add(
-                        "generation",
-                        f"record {index} holds no attribute of class "
-                        f"{query_class!r}", source_id=source_id)
-                    continue
-                for message in entity.coercion_errors:
-                    result.errors.add("generation", message,
-                                      source_id=source_id)
-                if self.validate:
-                    for individual in entity.all_individuals():
-                        report = validate_individual(
-                            self.schema.ontology, individual,
-                            reasoner=assembler.reasoner)
-                        for problem_text in report.problems:
-                            result.errors.add("generation", problem_text,
-                                              source_id=source_id)
-                result.entities.append(entity)
+            error = self._generate_source(
+                assembler, source_id, outcome.record_sets[source_id],
+                conditions, result)
+            incomparable = incomparable or error
 
         result.shapes = len(assembler.plans)
+        if incomparable is not None:
+            # what the filter would have raised at its first such entity,
+            # after generation had run (and not failed) for every source
+            raise incomparable
         if merge_key:
             result.entities = self._merge(result.entities, merge_key,
                                           result.errors)
         return result
+
+    def _generate_source(self, assembler: RecordAssembler, source_id: str,
+                         record_set: SourceRecordSet,
+                         conditions: Sequence | None,
+                         result: GenerationResult) -> QueryError | None:
+        """One source's records: group the rows by shape, then per group
+        coerce by column, mask, build.  Returns the comparison error of
+        the first record that has one."""
+        count = record_set.record_count
+        result.records += count
+        # attribute id -> column; like ``align()``, a repeated id keeps
+        # its first position and its last column
+        columns = {str(fragment.attribute): fragment.values
+                   for fragment in record_set.fragments}
+        if record_set.ragged:
+            result.errors.add(
+                "extraction",
+                f"ragged record set: attribute columns have unequal "
+                f"lengths ({[len(f) for f in record_set.fragments]})",
+                source_id=source_id)
+            columns = {key: column + [None] * (count - len(column))
+                       for key, column in columns.items()}
+        groups = _shape_groups(columns, count)
+        #: record index -> its "generation" errors, in report order
+        notes: dict[int, list[str]] = {}
+        built: list[AssembledEntity] = []
+        incomparable: list[tuple[int, QueryError]] = []
+        for shape, rows in groups:
+            plan = assembler.plan_for(shape)
+            if plan is None:
+                for row in rows:
+                    notes[row] = [f"record {row} holds no attribute of "
+                                  f"class {assembler.query_class!r}"]
+                continue
+            # before the link error, as a record at a time had it: a range
+            # no coercer supports escapes from here
+            typed, failures = assembler.coerce(plan, columns, rows)
+            if plan.link_error is not None:
+                for row in rows:
+                    notes[row] = [plan.link_error]
+                continue
+            result.candidates += len(rows)
+            for position, messages in failures.items():
+                notes[rows[position]] = messages[:]
+            if self.validate and plan.residual:
+                problems = [(assembler.identifier_prefix(
+                    plan.clusters[index][0], source_id), problem)
+                    for index, problem in plan.residual]
+                for row in rows:
+                    notes.setdefault(row, []).extend(
+                        f"{prefix}{row}: {problem}"
+                        for prefix, problem in problems)
+            keep = None
+            if conditions:
+                keep = _mask(plan, typed, rows, conditions,
+                             assembler.reasoner.is_subclass, incomparable)
+            if keep is None or keep:
+                built.extend(assembler.build(plan, source_id, typed, rows,
+                                             keep, failures))
+        if len(groups) > 1:
+            built.sort(key=attrgetter("record_index"))
+        result.entities.extend(built)
+        for row in sorted(notes):
+            for message in notes[row]:
+                result.errors.add("generation", message, source_id=source_id)
+        if not incomparable:
+            return None
+        return min(incomparable, key=lambda found: found[0])[1]
 
     @staticmethod
     def _merge(entities: list[AssembledEntity], merge_key: list[str],
@@ -142,3 +204,59 @@ class InstanceGenerator:
                 if satellite.class_name not in known:
                     existing.satellites.append(satellite)
         return [merged[key] for key in order]
+
+
+def _shape_groups(columns: dict[str, list], count: int
+                  ) -> list[tuple[tuple[str, ...], Sequence[int]]]:
+    """The ``count`` records of ``columns`` (all that long) grouped by
+    record shape — the ids whose cell is not ``None`` — as (shape,
+    ascending record indexes), in the order of each shape's first record.
+    A dense source is one group, found without looking at a record."""
+    keys = tuple(columns)
+    if not count:
+        return []
+    if not any(None in column for column in columns.values()):
+        return [(keys, range(count))]
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for row, record in enumerate(zip(*columns.values())):
+        shape = tuple([key for key, cell in zip(keys, record)
+                       if cell is not None])
+        groups.setdefault(shape, []).append(row)
+    return list(groups.items())
+
+
+def _mask(plan: _ShapePlan, typed: list[list[list]], rows: Sequence[int],
+          conditions: Sequence, is_subclass,
+          incomparable: list[tuple[int, QueryError]]) -> Sequence[int]:
+    """Positions of ``typed`` satisfying every condition: each condition
+    a pass over its column, only over what the ones before it kept.  A
+    NULL — no such attribute in the shape, or a cell that did not coerce
+    — satisfies nothing."""
+    order = plan.member_order()
+    classes = [plan.clusters[index][0] for index in order]
+    keep: Sequence[int] = range(len(rows))
+    for condition in conditions:
+        picked = condition.pick(classes, is_subclass)
+        if picked is None:
+            return ()
+        _specific, _ids, names, _coercers = plan.clusters[order[picked]]
+        slots = [cells for name, cells in zip(names, typed[order[picked]])
+                 if name == condition.path.attribute]
+        if not slots:
+            return ()
+        # two ids on one attribute name: the last that coerced is the value
+        column = slots[0] if len(slots) == 1 else [
+            next((cell for cell in reversed(cells) if cell is not _FAILED),
+                 _FAILED) for cells in zip(*slots)]
+        survivors = []
+        for position in keep:
+            if column[position] is not _FAILED:
+                try:
+                    if condition.holds(column[position]):
+                        survivors.append(position)
+                except QueryError as exc:
+                    # left out; raised once generation is through
+                    incomparable.append((rows[position], exc))
+        keep = survivors
+    return keep
+

@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from ...errors import QueryError
 from ...obs import NULL_SPAN, MetricsRegistry, Trace, Tracer
+from ...ontology.reasoner import Reasoner
 from ...ontology.schema import OntologySchema
 from ..extractor.manager import ExtractionOutcome, ExtractorManager
 from ..resilience import SourceHealth
@@ -55,6 +55,10 @@ class QueryResult:
     #: True when a store-served answer contained stale data (past TTL
     #: while a refresh was in flight, or last-known-good slices).
     store_stale: bool = False
+    #: Entities built to answer the query: ``len(entities)`` when the
+    #: WHERE conditions were applied before building, every candidate
+    #: otherwise, 0 when the store (or a batch sibling) answered.
+    generated: int = 0
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -107,8 +111,8 @@ class QueryHandler:
     ``tracer`` (optional) produces a per-query span tree attached to
     ``QueryResult.trace``; ``metrics`` (optional) receives the
     ``queries_total`` / ``query_seconds`` / ``entities_returned_total`` /
-    ``degraded_queries_total`` families.  Both default to off, keeping
-    the untraced hot path allocation-free."""
+    ``entities_generated_total`` / ``degraded_queries_total`` families.
+    Both default to off, keeping the untraced hot path allocation-free."""
 
     def __init__(self, schema: OntologySchema, manager: ExtractorManager,
                  *, validate_instances: bool = True,
@@ -333,7 +337,8 @@ class QueryHandler:
             first = answered.get(text)
             if first is not None:
                 results.append(replace(first, query=query, plan=plan,
-                                       entities=list(first.entities)))
+                                       entities=list(first.entities),
+                                       generated=0))
                 continue
             with parent.child("query", index=index, text=text) as span:
                 first = answer(query, plan, span)
@@ -352,17 +357,31 @@ class QueryHandler:
                      outcome: ExtractionOutcome,
                      fingerprints: dict[str, str | None],
                      merge_key: list[str] | None, parent) -> QueryResult:
-        """Generate → fold → merge → filter one live extraction outcome."""
+        """Generate → fold → merge → filter one live extraction outcome.
+
+        The WHERE conditions go into the generator, which applies them to
+        the typed columns before building anything, unless something
+        downstream needs every entity: the store's fold, or a merge (it
+        can hand a non-matching record its twin's value)."""
         folding = self.store is not None
+        unmasked = ("store" if folding else "merge_key" if merge_key
+                    else None if plan.conditions else "no_conditions")
         with parent.child("generate") as span:
             # With a store, generate unmerged so the fold keeps pristine
             # per-source entities; the query's merge applies afterwards.
             generation = self.generator.generate(
                 outcome, plan.class_name,
-                merge_key=None if folding else merge_key)
+                merge_key=None if folding else merge_key,
+                conditions=None if unmasked else plan.conditions)
+            built = (generation.candidates if unmasked
+                     else len(generation.entities))
             span.annotate(entities=len(generation.entities),
                           errors=len(generation.errors.entries),
-                          shapes=generation.shapes)
+                          shapes=generation.shapes,
+                          records=generation.records, built=built,
+                          pushdown="none" if unmasked else "mask")
+            if unmasked:
+                span.annotate(reason=unmasked)
         if folding:
             with parent.child("store") as span:
                 self.store.fold(plan, outcome, generation, fingerprints,
@@ -370,7 +389,9 @@ class QueryHandler:
         return self._filter(
             query, plan, generation.entities, generation.errors,
             merge_key if folding else None, parent,
-            extraction_seconds=outcome.elapsed_seconds, extraction=outcome)
+            masked_from=None if unmasked else generation.candidates,
+            extraction_seconds=outcome.elapsed_seconds, extraction=outcome,
+            generated=built)
 
     def _answer_served(self, query: S2sqlQuery, plan: QueryPlan, serving,
                        merge_key: list[str] | None, parent) -> QueryResult:
@@ -383,15 +404,22 @@ class QueryHandler:
     def _filter(self, query: S2sqlQuery, plan: QueryPlan,
                 entities: list[AssembledEntity], errors: ErrorReport,
                 merge_key: list[str] | None, parent,
+                *, masked_from: int | None = None,
                 **fields) -> QueryResult:
         """Apply the (not yet applied) merge key and the WHERE
-        conditions; owns the ``filter`` span."""
+        conditions; owns the ``filter`` span.  ``masked_from``: the
+        generator already applied the conditions, choosing ``entities``
+        from that many candidates."""
         if merge_key:
             entities = self.generator._merge(entities, merge_key, errors)
         with parent.child("filter") as span:
-            matched = [entity for entity in entities
-                       if self._matches(entity, plan.conditions)]
-            span.annotate(candidates=len(entities), matched=len(matched))
+            if masked_from is not None or not plan.conditions:
+                matched = entities
+            else:
+                matched = self._matching(entities, plan.conditions)
+            span.annotate(candidates=(len(entities) if masked_from is None
+                                      else masked_from),
+                          matched=len(matched))
         return QueryResult(query, plan, self.schema, matched, errors,
                            **fields)
 
@@ -437,6 +465,9 @@ class QueryHandler:
         metrics.counter("entities_returned_total",
                         "assembled entities returned to callers").inc(
                             sum(len(result.entities) for result in results))
+        metrics.counter("entities_generated_total",
+                        "entities built from extracted records").inc(
+                            sum(result.generated for result in results))
         degraded = sum(1 for result in results if result.degraded)
         if degraded:
             metrics.counter("degraded_queries_total",
@@ -444,37 +475,31 @@ class QueryHandler:
 
     # ------------------------------------------------------------------
 
-    def _matches(self, entity: AssembledEntity,
-                 conditions: list[ResolvedCondition]) -> bool:
-        for condition in conditions:
-            value = entity.value(condition.path.attribute)
-            if value is None:
-                return False
-            if not self._check(value, condition):
-                return False
-        return True
-
-    @staticmethod
-    def _check(value, condition: ResolvedCondition) -> bool:
-        operator = condition.operator
-        expected = condition.value
-        if operator == "CONTAINS":
-            return str(expected).lower() in str(value).lower()
-        if operator == "LIKE":
-            return condition.like.match(str(value)) is not None
-        try:
-            if operator == "=":
-                return value == expected
-            if operator == "!=":
-                return value != expected
-            if operator == "<":
-                return value < expected
-            if operator == ">":
-                return value > expected
-            if operator == "<=":
-                return value <= expected
-            return value >= expected
-        except TypeError as exc:
-            raise QueryError(
-                f"cannot compare extracted value {value!r} with constraint "
-                f"{expected!r}") from exc
+    def _matching(self, entities: list[AssembledEntity],
+                  conditions: list[ResolvedCondition]
+                  ) -> list[AssembledEntity]:
+        """The entities satisfying every condition.  A condition reads
+        the individual its resolved path names
+        (:meth:`ResolvedCondition.pick`); an absent value is NULL and
+        satisfies nothing."""
+        is_subclass = Reasoner(self.schema.ontology).is_subclass
+        #: an entity's classes -> per condition, which individual it reads
+        picks: dict[tuple[str, ...], list[int | None]] = {}
+        matched = []
+        for entity in entities:
+            individuals = entity.all_individuals()
+            classes = tuple([member.class_name for member in individuals])
+            picked = picks.get(classes)
+            if picked is None:
+                picked = picks[classes] = [
+                    condition.pick(classes, is_subclass)
+                    for condition in conditions]
+            for condition, index in zip(conditions, picked):
+                value = (None if index is None else
+                         individuals[index].values.get(
+                             condition.path.attribute))
+                if value is None or not condition.holds(value):
+                    break
+            else:
+                matched.append(entity)
+        return matched

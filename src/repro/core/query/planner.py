@@ -10,7 +10,9 @@ constraint value.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +23,9 @@ from ...ontology.model import DatatypeProperty
 from ...ontology.reasoner import range_coercer
 from ...ontology.schema import OntologySchema
 from .ast import Condition, S2sqlQuery
+
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+                ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,34 @@ class ResolvedCondition:
     def like(self) -> re.Pattern:
         """The compiled ``LIKE`` pattern, built once per condition."""
         return like_to_regex(str(self.value))
+
+    def pick(self, class_names: Sequence[str],
+             is_subclass: Callable[[str, str], bool]) -> int | None:
+        """Which individual of a record the condition reads: the first of
+        ``class_names`` (an entity's classes, primary first) that is the
+        attribute's declaring class or a subclass of it.  Two classes may
+        declare one attribute name (``product.name`` / ``provider.name``);
+        the resolved path says which one the query meant."""
+        owner = self.path.leaf_class
+        for index, class_name in enumerate(class_names):
+            if class_name == owner or is_subclass(class_name, owner):
+                return index
+        return None
+
+    def holds(self, value: object) -> bool:
+        """Whether a typed, non-NULL extracted ``value`` satisfies the
+        condition.  The one evaluator: the generator's row mask and the
+        handler's entity filter both end here."""
+        if self.operator == "CONTAINS":
+            return str(self.value).lower() in str(value).lower()
+        if self.operator == "LIKE":
+            return self.like.match(str(value)) is not None
+        try:
+            return _COMPARISONS[self.operator](value, self.value)
+        except TypeError as exc:
+            raise QueryError(
+                f"cannot compare extracted value {value!r} with constraint "
+                f"{self.value!r}") from exc
 
 
 @dataclass

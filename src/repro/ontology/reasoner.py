@@ -65,6 +65,7 @@ def _plain(convert: type, range_name: str) -> Coercer:
             raise ValidationError(
                 f"value {raw!r} is not a valid {range_name} for "
                 f"{attribute!r}") from exc
+    coerce.from_text = convert
     return coerce
 
 
@@ -90,6 +91,28 @@ def range_coercer(range_name: str) -> Coercer:
         def coercer(raw: object, attribute: str):
             raise OntologyError(f"unsupported range {range_name!r}")
     return coercer
+
+
+#: what a temporal coercer does to text once it is stripped
+_to_date.from_text = date.fromisoformat
+_to_datetime.from_text = datetime.fromisoformat
+
+
+def coerce_column(coerce: Coercer, raw: list, attribute: str) -> list:
+    """``[coerce(value, attribute) for value in raw]``: one attribute's
+    column through its one coercer, raising at the first value that does
+    not fit.  A column of ``str`` skips the per-value call where the
+    coercer is a constructor applied to the stripped text
+    (``from_text``); ``str(text)`` is the text itself."""
+    from_text = getattr(coerce, "from_text", None)
+    if from_text is not None and set(map(type, raw)) <= {str}:
+        if from_text is str:
+            return raw
+        try:
+            return list(map(from_text, map(str.strip, raw)))
+        except ValueError:
+            pass  # the per-value pass words the error
+    return [coerce(value, attribute) for value in raw]
 
 
 class Reasoner:

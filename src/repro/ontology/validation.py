@@ -72,24 +72,41 @@ def validate_individual(ontology: Ontology, individual: Individual,
             except ValidationError as exc:
                 report.add(f"{individual.identifier}: {exc}")
 
-    object_props = reasoner.object_properties(individual.class_name)
-    for name, targets in individual.links.items():
+    for problem in link_problems(
+            reasoner, individual.class_name,
+            {name: [target.class_name for target in targets]
+             for name, targets in individual.links.items()}):
+        report.add(f"{individual.identifier}: {problem}")
+    return report
+
+
+def link_problems(reasoner: Reasoner, class_name: str,
+                  links: dict[str, list[str]]) -> list[str]:
+    """What is wrong with the links (object property name -> target class
+    names) of an individual of ``class_name``, each problem without the
+    ``"<identifier>: "`` it is reported under.  The classes decide it, not
+    the individuals, so the instance generator asks once per record shape
+    rather than once per individual."""
+    ontology = reasoner.ontology
+    problems: list[str] = []
+    object_props = reasoner.object_properties(class_name)
+    for name, targets in links.items():
         prop = object_props.get(name)
         if prop is None:
-            report.add(f"{individual.identifier}: undeclared object property "
-                       f"{name!r} for class {individual.class_name!r}")
+            problems.append(f"undeclared object property {name!r} for "
+                            f"class {class_name!r}")
             continue
         if prop.functional and len(targets) > 1:
-            report.add(f"{individual.identifier}: functional object property "
-                       f"{name!r} has {len(targets)} targets")
+            problems.append(f"functional object property {name!r} has "
+                            f"{len(targets)} targets")
         for target in targets:
-            if not ontology.has_class(target.class_name):
-                report.add(f"{individual.identifier}: link {name!r} targets "
-                           f"unknown class {target.class_name!r}")
-            elif not reasoner.is_subclass(target.class_name, prop.range):
-                report.add(f"{individual.identifier}: link {name!r} targets "
-                           f"{target.class_name!r}, expected {prop.range!r}")
-    return report
+            if not ontology.has_class(target):
+                problems.append(f"link {name!r} targets unknown class "
+                                f"{target!r}")
+            elif not reasoner.is_subclass(target, prop.range):
+                problems.append(f"link {name!r} targets {target!r}, "
+                                f"expected {prop.range!r}")
+    return problems
 
 
 def validate_ontology(ontology: Ontology) -> ValidationReport:

@@ -108,3 +108,96 @@ class TestLike:
             'SELECT offer WHERE title LIKE "%o%" AND title LIKE "%s%"')
         assert len(result.entities) > 1
         assert compiled == ["%o%", "%s%"]
+
+
+# ----------------------------------------------------------------------
+# A condition reads the individual its resolved path names
+# ----------------------------------------------------------------------
+
+#: (product name, provider name): the first is *provided by* Acme, the
+#: second is *named* Acme
+NAMED = [("Diver", "Acme"), ("Acme", "Zenith")]
+
+
+def named_s2s(**options) -> S2SMiddleware:
+    """``product.name`` and ``provider.name`` both declared."""
+    from repro.ontology.builders import watch_domain_ontology
+    from repro.sources.relational import RelationalDataSource
+    ontology = watch_domain_ontology()
+    ontology.add_attribute("product", "name", "string")
+    database = Database("shop")
+    database.execute("CREATE TABLE offers (product TEXT, provider TEXT)")
+    for product, provider in NAMED:
+        database.require_table("offers").insert(
+            {"product": product, "provider": provider})
+    s2s = S2SMiddleware(ontology, **options)
+    s2s.register_source(RelationalDataSource("SHOP", database))
+    s2s.register_attribute(
+        ("product", "name"),
+        ExtractionRule.sql("SELECT product FROM offers"), "SHOP")
+    s2s.register_attribute(
+        ("provider", "name"),
+        ExtractionRule.sql("SELECT provider FROM offers"), "SHOP")
+    return s2s
+
+
+def names(result) -> list[tuple[str, str]]:
+    return [(entity.primary.values["name"],
+             entity.satellites[0].values["name"])
+            for entity in result.entities]
+
+
+class TestConditionReadsItsOwnClass:
+    """``WHERE thing.provider.name = "Acme"`` used to look ``name`` up by bare
+    name, primary first: it returned the product *named* Acme and dropped
+    the one whose provider is Acme."""
+
+    BY_PROVIDER = 'SELECT product WHERE thing.provider.name = "Acme"'
+    BY_PRODUCT = 'SELECT product WHERE thing.product.name = "Acme"'
+
+    def test_live(self):
+        s2s = named_s2s()
+        assert names(s2s.query(self.BY_PROVIDER)) == [("Diver", "Acme")]
+        assert names(s2s.query(self.BY_PRODUCT)) == [("Acme", "Zenith")]
+        # a bare name resolves to the query class's own attribute first
+        assert names(s2s.query('SELECT product WHERE name = "Acme"')) == [
+            ("Acme", "Zenith")]
+        # and, from the provider's side, to the provider's
+        assert [entity.primary.values["name"] for entity in s2s.query(
+            'SELECT provider WHERE name = "Acme"').entities] == ["Acme"]
+
+    def test_store_served(self):
+        s2s = named_s2s(store=True)
+        s2s.query("SELECT product")
+        for query, expected in ((self.BY_PROVIDER, [("Diver", "Acme")]),
+                                (self.BY_PRODUCT, [("Acme", "Zenith")])):
+            result = s2s.query(query)
+            assert result.store_hit
+            assert names(result) == expected
+
+    def test_merged(self):
+        s2s = named_s2s()
+        for query, expected in ((self.BY_PROVIDER, [("Diver", "Acme")]),
+                                (self.BY_PRODUCT, [("Acme", "Zenith")])):
+            result = s2s.query(query, merge_key=["name"])
+            assert names(result) == expected
+
+    def test_every_entry_point_agrees(self):
+        import asyncio
+        s2s = named_s2s()
+        expected = [("Diver", "Acme")]
+        assert names(asyncio.run(s2s.aquery(self.BY_PROVIDER))) == expected
+        first, second = s2s.query_many([self.BY_PROVIDER, self.BY_PRODUCT])
+        assert names(first) == expected
+        assert names(second) == [("Acme", "Zenith")]
+
+    def test_subclass_individual_answers_for_its_superclass(self):
+        """A ``watch`` individual is what ``product.name`` reads, and a
+        record with nothing of ``watch`` is NULL to a ``watch`` condition."""
+        s2s = named_s2s()
+        s2s.register_attribute(
+            ("watch", "case"),
+            ExtractionRule.sql("SELECT product FROM offers"), "SHOP")
+        result = s2s.query(self.BY_PRODUCT)
+        assert result.entities[0].primary.class_name == "watch"
+        assert names(result) == [("Acme", "Zenith")]

@@ -86,6 +86,21 @@ class TestRecords:
         assert record_set.ragged
         assert records[2] == {"t.a": "3", "t.b": None}
 
+    def test_ragged_does_not_wait_for_align(self):
+        """``ragged`` used to be set by ``align()`` as a side effect: a
+        reader that checked it first saw a ragged set as clean."""
+        record_set = SourceRecordSet("S")
+        assert not record_set.ragged  # no fragments yet
+        record_set.add(RawFragment(AttributePath.parse("t.a"), "S",
+                                   ["1", "2", "3"]))
+        assert not record_set.ragged
+        record_set.add(RawFragment(AttributePath.parse("t.b"), "S", ["x"]))
+        assert record_set.ragged  # before any align()
+        assert len(record_set.align()) == 3
+        assert record_set.ragged  # and after
+        record_set.fragments[1].values.extend(["y", "z"])
+        assert not record_set.ragged  # derived, so it follows the data
+
     def test_wrong_source_rejected(self):
         record_set = SourceRecordSet("S")
         with pytest.raises(ValueError):

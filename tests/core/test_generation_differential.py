@@ -406,3 +406,124 @@ def test_validator_reports_what_the_oracle_reports():
                     "expected 'maker'") for problem in expected
                 if needle in problem)
     assert len(tripped) == 9
+
+
+# ----------------------------------------------------------------------
+# Shapes that must fail validation — the plan's residual checks
+# ----------------------------------------------------------------------
+#
+# With the stock ``OntologySchema`` a plan-built entity cannot fail
+# validation: ``object_properties_between`` matches a link's range
+# exactly, and a slot's coercer comes from the attribute table the
+# validator reads.  A schema that links more generously can, and then
+# what ``validate_individual`` said per individual must still be said —
+# per record, in the same words and order — by the shape's residual.
+
+class LenientSchema(OntologySchema):
+    """Links a class to any *subclass* of a property's range."""
+
+    def object_properties_between(self, source, target):
+        lineage = self.ontology.lineage(target)
+        return [prop for prop in self.ontology.all_object_properties(source)
+                if prop.range in lineage]
+
+
+class AnyLinkSchema(OntologySchema):
+    """Links through the first property the source has, whatever its
+    range."""
+
+    def object_properties_between(self, source, target):
+        return self.ontology.all_object_properties(source)
+
+
+class StaleLinkSchema(OntologySchema):
+    """Remembers the object properties it saw when it was built."""
+
+    def __init__(self, ontology):
+        super().__init__(ontology)
+        self._between = {
+            (source, target): OntologySchema.object_properties_between(
+                self, source, target)
+            for source in ontology.class_names()
+            for target in ontology.class_names()}
+
+    def object_properties_between(self, source, target):
+        return self._between[source, target]
+
+
+def _validation_case(schema, columns: dict, needle: str, per_record: int):
+    """Both sides on ``columns`` (three records), not validating and
+    validating; returns the validating side's ``needle`` messages."""
+    case = {"query_class": "item", "merge_key": None, "problems": [],
+            "missing": [], "sources": {"S": columns}}
+    for validate in (False, True):
+        actual = InstanceGenerator(schema, validate=validate).generate(
+            build_outcome(case), "item")
+        expected = oracle_generate(schema, build_outcome(case), "item",
+                                   validate=validate)
+        assert snapshot(actual) == snapshot(expected)
+        assert len(actual.entities) == 3
+        found = [entry.message for entry in actual.errors.entries
+                 if needle in entry.message]
+        assert len(found) == (3 * per_record if validate else 0)
+    return found
+
+
+def test_functional_object_property_reaching_two_satellites():
+    ontology = build_ontology()
+    ontology.add_class("factory", parent="maker")
+    ontology.add_attribute("factory", "lines", "integer")
+    ontology.add_class("workshop", parent="maker")
+    ontology.add_attribute("workshop", "benches", "integer")
+    ontology.require_class("item").object_properties[
+        "madeBy"].functional = True
+    found = _validation_case(
+        LenientSchema(ontology),
+        {"thing.item.code": ["1", "x", "3"],
+         "thing.maker.factory.lines": ["4", "5", "6"],
+         "thing.maker.workshop.benches": ["7", "8", "9"]},
+        "functional object property 'madeBy' has 2 targets", 1)
+    assert found[1].startswith("item_S_1: ")
+
+
+def test_link_to_a_wrong_range_class():
+    found = _validation_case(
+        AnyLinkSchema(build_ontology()),
+        {"thing.item.code": ["1", "2", "3"],
+         "island.population": ["10", "many", "30"]},
+        "link 'madeBy' targets 'island', expected 'maker'", 1)
+    assert found[2].startswith("item_S_2: ")
+
+
+def test_object_property_undeclared_through_a_stale_schema():
+    """The attribute flavour of staleness — the class lost an attribute
+    the schema still maps — never reaches validation: the plan cannot be
+    compiled (``test_attribute_the_specific_class_lost_escapes_
+    identically``).  A *link* the schema remembers and the ontology
+    dropped does."""
+    ontology = build_ontology()
+    schema = StaleLinkSchema(ontology)
+    del ontology.require_class("item").object_properties["madeBy"]
+    _validation_case(
+        schema,
+        {"thing.item.code": ["1", "2", "3"],
+         "thing.maker.name": ["Acme", "Zenith", "Acme"]},
+        "undeclared object property 'madeBy' for class 'item'", 1)
+
+
+def test_residual_problems_interleave_with_coercion_errors_per_record():
+    """Per record: its coercion errors, then what validation says about
+    its primary, then about its satellites — not grouped by kind."""
+    case = {"query_class": "item", "merge_key": None, "problems": [],
+            "missing": [], "sources": {"S": {
+                "thing.item.code": ["x", "2"],
+                "island.population": ["10", "many"]}}}
+    schema = AnyLinkSchema(build_ontology())
+    actual = InstanceGenerator(schema).generate(build_outcome(case), "item")
+    assert snapshot(actual) == snapshot(
+        oracle_generate(schema, build_outcome(case), "item"))
+    assert [entry.message for entry in actual.errors.entries] == [
+        "value 'x' is not a valid integer for 'code'",
+        "item_S_0: link 'madeBy' targets 'island', expected 'maker'",
+        "value 'many' is not a valid integer for 'population'",
+        "item_S_1: link 'madeBy' targets 'island', expected 'maker'"]

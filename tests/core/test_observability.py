@@ -283,6 +283,84 @@ class TestGoldenBatchTrace:
         assert registry.value("degraded_queries_total") == 2
 
 
+# Golden snapshots: why was everything generated?  The answer step of a
+# selective, an unselective and a merged query over the 2-source / 6-
+# product world, with the attributes that say what the generator was
+# handed, what it built and what the filter was left to do.
+def answer_step_shape(trace) -> str:
+    lines = []
+    for name, keys in (("generate", ("records", "built", "entities",
+                                     "pushdown", "reason")),
+                       ("filter", ("candidates", "matched"))):
+        attributes = trace.find(name).attributes
+        lines.append(name + "".join(
+            f" {key}={attributes[key]}" for key in keys if key in attributes))
+    return "\n".join(lines)
+
+
+GOLDEN_SELECTIVE = """\
+generate records=6 built=1 entities=1 pushdown=mask
+filter candidates=6 matched=1"""
+
+GOLDEN_UNSELECTIVE = """\
+generate records=6 built=6 entities=6 pushdown=none reason=no_conditions
+filter candidates=6 matched=6"""
+
+GOLDEN_MERGED = """\
+generate records=6 built=6 entities=6 pushdown=none reason=merge_key
+filter candidates=6 matched=1"""
+
+GOLDEN_FOLDED = """\
+generate records=6 built=6 entities=6 pushdown=none reason=store
+filter candidates=6 matched=1"""
+
+
+class TestGoldenPushdownTrace:
+    def selective(self, s2s) -> str:
+        brand = s2s.query("SELECT product").entities[0].value("brand")
+        model = s2s.query("SELECT product").entities[0].value("model")
+        return (f'SELECT product WHERE brand = "{brand}" '
+                f'AND model = "{model}"')
+
+    def test_selective_query_masks(self, traced_world):
+        _scenario, s2s, _tracer, registry = traced_world
+        query = self.selective(s2s)
+        before = registry.value("entities_generated_total")
+        result = s2s.query(query)
+        assert answer_step_shape(result.trace) == GOLDEN_SELECTIVE
+        assert result.generated == len(result) == 1
+        assert registry.value("entities_generated_total") - before == 1
+        assert "pushdown='mask'" in s2s.explain(query)
+
+    def test_unselective_query_generates_everything(self, traced_world):
+        _scenario, s2s, _tracer, registry = traced_world
+        result = s2s.query("SELECT product")
+        assert answer_step_shape(result.trace) == GOLDEN_UNSELECTIVE
+        assert registry.value("entities_generated_total") == 6
+        assert registry.value("entities_returned_total") == 6
+        assert "reason='no_conditions'" in s2s.explain("SELECT product")
+
+    def test_merge_key_and_store_say_why_the_mask_is_off(self, traced_world):
+        scenario, s2s, _tracer, _registry = traced_world
+        query = self.selective(s2s)
+        merged = s2s.query(query, merge_key=["brand", "model"])
+        assert answer_step_shape(merged.trace) == GOLDEN_MERGED
+        assert merged.generated == 6
+        stored = scenario.build_middleware(tracer=Tracer(), store=True)
+        folded = stored.query(query)
+        assert answer_step_shape(folded.trace) == GOLDEN_FOLDED
+        served = stored.query(query)
+        assert served.store_hit and served.generated == 0
+        assert served.trace.find("generate") is None
+
+    def test_batch_siblings_are_generated_once(self, traced_world):
+        _scenario, s2s, _tracer, registry = traced_world
+        results = s2s.query_many(["SELECT product", "SELECT product"])
+        assert [result.generated for result in results] == [6, 0]
+        assert registry.value("entities_generated_total") == 6
+        assert registry.value("entities_returned_total") == 12
+
+
 class TestMetricsCounters:
     def test_query_counters(self, traced_world):
         _scenario, s2s, _tracer, registry = traced_world

@@ -3,9 +3,13 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OntologyError, ValidationError
 from repro.ontology import Ontology, Reasoner
+from repro.ontology.reasoner import (_RANGE_COERCERS, coerce_column,
+                                     range_coercer)
 
 
 @pytest.fixture
@@ -113,3 +117,73 @@ class TestBooleanAndTemporalCoercion:
     def test_datetime(self, onto):
         value = Reasoner(onto).coerce("event", "at", "2006-07-04T10:30:00")
         assert value == datetime.datetime(2006, 7, 4, 10, 30)
+
+
+# ----------------------------------------------------------------------
+# Properties the instance generator leans on
+# ----------------------------------------------------------------------
+
+RAW_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["12", " 7 ", "-3", "1.5", "1e3", "1_0", "\t2\n", "٣",
+                     "nan", "inf", "yes", "No", " TRUE ", "0",
+                     "2006-07-04", " 2024-02-29 ", "2006-07-04T10:30:00",
+                     "2006-07-04T10:30:00+02:00", "http://example.org/x"]),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=False, width=32),
+    st.booleans(), st.none(), st.dates(), st.datetimes(),
+    st.lists(st.integers(), max_size=2))
+
+
+def _same(first, second) -> bool:
+    return type(first) is type(second) and repr(first) == repr(second)
+
+
+class TestCoercersAreIdempotent:
+    """What licenses the generator to validate a shape, not every
+    individual: coercing an already coerced value returns it and never
+    raises, so ``validate_individual``'s re-coercion of a plan-built
+    entity's values could only ever agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(range_name=st.sampled_from(sorted(_RANGE_COERCERS)),
+           raw=RAW_VALUES)
+    def test_coercing_twice_is_coercing_once(self, range_name, raw):
+        coerce = range_coercer(range_name)
+        try:
+            once = coerce(raw, "a")
+        except ValidationError:
+            return
+        assert _same(coerce(once, "a"), once)
+
+
+class TestCoerceColumn:
+    """A column through its one coercer is the values through it one by
+    one — also on the path that skips the per-value call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(range_name=st.sampled_from(sorted(_RANGE_COERCERS)),
+           column=st.one_of(st.lists(RAW_VALUES, max_size=6),
+                            st.lists(st.text(max_size=6), max_size=6),
+                            st.lists(st.sampled_from(
+                                ["12", " 7 ", "1.5", "\t2\n", "1_0", "٣",
+                                 "x", "", "nan"]), max_size=6)))
+    def test_agrees_with_value_by_value(self, range_name, column):
+        coerce = range_coercer(range_name)
+        try:
+            expected = [coerce(value, "a") for value in column]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as raised:
+                coerce_column(coerce, column, "a")
+            assert str(raised.value) == str(exc)
+            return
+        actual = coerce_column(coerce, column, "a")
+        assert len(actual) == len(expected)
+        assert all(map(_same, actual, expected))
+
+    def test_a_string_column_of_strings_is_returned_as_it_is(self):
+        column = ["Seiko", " padded ", ""]
+        assert coerce_column(range_coercer("string"), column, "a") is column
+        mixed = ["Seiko", 7]
+        assert coerce_column(range_coercer("string"), mixed, "a") == [
+            "Seiko", "7"]
