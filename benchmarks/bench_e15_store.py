@@ -11,6 +11,11 @@ whole extract/generate pipeline.  Two questions:
   of the world (0%..100%), not with world size.  The 1-changed-source
   case is asserted structurally (span tree + source access counters),
   never by timing.
+* **Write cost vs changed records** — inside a re-extracted source the
+  commit writes triples only for the records that changed: a source
+  whose fingerprint changed but whose entities did not writes none, and
+  one changed record rewrites that record's triples only (asserted on
+  the commit's ``store`` span and on the graph).
 
 ``E15_ITERATIONS=1`` puts the benchmark in CI smoke mode; the default
 takes the best of 3 runs per cell.
@@ -22,7 +27,8 @@ import os
 import time
 
 from repro.bench import ResultTable
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
+from repro.ontology.owlxml import individual_triples
 from repro.workloads import B2BScenario
 
 ITERATIONS = int(os.environ.get("E15_ITERATIONS", "3"))
@@ -85,18 +91,24 @@ def test_e15_store_report():
 
     refresh_table = ResultTable(
         "E15: incremental refresh cost vs changed fraction",
-        ["changed_fraction", "sources_extracted", "refresh_seconds"])
+        ["changed_fraction", "sources_extracted", "triples_written",
+         "refresh_seconds"])
     for fraction, n_changed in CHURN_STEPS:
-        scenario, s2s = build_world(store=True)
+        registry = MetricsRegistry()
+        scenario, s2s = build_world(store=True, metrics=registry)
         s2s.materialize("SELECT product")
+        written = registry.get("store_triples_written_total").total()
         for org in scenario.organizations[:n_changed]:
             mutate(scenario, org)
         started = time.perf_counter()
         result, = s2s.refresh_store()
         elapsed = time.perf_counter() - started
         assert len(result.extracted_sources) == n_changed
-        refresh_table.add_row(fraction, len(result.extracted_sources),
-                              elapsed)
+        refresh_table.add_row(
+            fraction, len(result.extracted_sources),
+            int(registry.get("store_triples_written_total").total()
+                - written),
+            elapsed)
     refresh_table.print()
 
 
@@ -152,3 +164,50 @@ def test_e15_refresh_touches_only_the_changed_source():
     countries = {entity.value("country") for entity in served.entities
                  if entity.source_id == "database_0"}
     assert countries == {"Atlantis"}
+
+
+def test_e15_refresh_writes_only_the_changed_records():
+    """Acceptance criterion: a re-extracted source writes triples only
+    for the records that changed — none when its fingerprint changed
+    but its entities did not, one record's worth when one record did."""
+    scenario = B2BScenario(n_sources=4, n_products=N_PRODUCTS, seed=7)
+    s2s = scenario.build_middleware(tracer=Tracer(), store=True)
+    s2s.materialize("SELECT product")
+    org = next(o for o in scenario.organizations
+               if o.source_id == "database_0")
+    mat, = s2s.store.materializations()
+    before = {entity.record_index: entity
+              for entity in mat.slices["database_0"].entities}
+
+    # A table no rule reads: a new fingerprint, the same entities.
+    org.database.execute("CREATE TABLE touched (n INTEGER)")
+    result, = s2s.refresh_store()
+    assert result.extracted_sources == ["database_0"]
+    commit = result.trace.find("store").attributes
+    assert (commit["unchanged"], commit["triples_added"],
+            commit["triples_removed"]) == (len(before), 0, 0)
+
+    # One record's price changes.
+    graph = set(s2s.store.graph)
+    fields = org.native_fields
+    org.database.execute(
+        f"UPDATE products SET {fields['price']} = '1.00' "
+        f"WHERE {fields['model']} = '{org.products[0].model}'")
+    result, = s2s.refresh_store()
+    after = {entity.record_index: entity
+             for entity in mat.slices["database_0"].entities}
+    moved = [index for index in after
+             if after[index].value("price") != before[index].value("price")]
+    assert len(moved) == 1
+    record = after[moved[0]]
+    # its individuals' triples plus three of provenance
+    size = 3 + sum(len(list(individual_triples(s2s.store.namespace,
+                                               individual)))
+                   for individual in record.all_individuals())
+    commit = result.trace.find("store").attributes
+    assert (commit["unchanged"], commit["triples_added"],
+            commit["triples_removed"]) == (len(before) - 1, size, size)
+    changed = graph ^ set(s2s.store.graph)
+    assert {triple.subject for triple in changed} == {
+        s2s.store.namespace[record.primary.identifier]}
+    assert len(changed) == 2  # the old price out, the new one in

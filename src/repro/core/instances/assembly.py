@@ -57,11 +57,11 @@ class AssembledEntity:
     def clone(self) -> "AssembledEntity":
         """An independent deep copy.
 
-        The merge step and condition filtering mutate entities in place
-        (value back-fill, satellite adoption), so anything stored for
-        reuse — the semantic store — must hand out copies.  Links are
-        remapped so a clone's individuals reference each other, never
-        the originals."""
+        The merge step mutates entities in place (value back-fill,
+        satellite adoption), and so may whoever receives an answer, so
+        anything stored for reuse — the semantic store — must hand out
+        copies.  Links are remapped so a clone's individuals reference
+        each other, never the originals."""
         copies: dict[int, Individual] = {}
         for individual in self.all_individuals():
             copies[id(individual)] = Individual(

@@ -14,13 +14,16 @@ every source — exactly the cost the store exists to avoid.  The
 3. compares each remaining source's current content fingerprint
    (:func:`~repro.core.store.snapshot.fingerprint_source`) against the
    one stored at materialization time — matching fingerprints mean the
-   source is *unchanged* and is not touched at all;
+   source is *unchanged* and is not touched at all.  A pass over every
+   materialization (:meth:`DeltaRefresher.refresh`) probes each source
+   once, before it reads any;
 4. extracts only the changed sources, through a restricted
    :class:`~repro.core.extractor.schema.ExtractionSchema` handed to the
    Extractor Manager (so retries, breakers, deadlines and failover all
    still apply), regenerates their instances, and hands the delta to
    :meth:`SemanticStore.commit` — untouched sources' slices are left
-   exactly as they were.
+   exactly as they were, and in a re-extracted slice only the entities
+   that differ write triples.
 
 Per-source failures during the delta extraction degrade instead of
 destroy; the verdict (keep the last-known-good slice marked stale, or
@@ -92,6 +95,8 @@ class DeltaPlan:
     fingerprints: dict[str, str | None] = field(default_factory=dict)
     #: the extraction schema the diff was taken against
     schema: ExtractionSchema | None = None
+    #: wall-clock time taking the diff cost (the probes, mostly)
+    seconds: float = 0.0
 
 
 class DeltaRefresher:
@@ -112,10 +117,16 @@ class DeltaRefresher:
     def refresh(self, *, force: bool = False) -> list[RefreshResult]:
         """Refresh every materialization; returns one result each.
 
-        ``force=True`` ignores fingerprints and re-extracts every
-        reachable source (breaker-open sources are still skipped)."""
-        return [self.refresh_one(mat, force=force)
-                for mat in self.store.materializations()]
+        Every materialization's diff is taken before any is applied, so
+        each source is fingerprinted once per pass, before the pass
+        reads anything.  ``force=True`` ignores fingerprints and
+        re-extracts every reachable source (breaker-open sources are
+        still skipped)."""
+        probed: dict[str, str | None] = {}
+        plans = [(mat, self.plan_changes(mat, force=force, probed=probed))
+                 for mat in self.store.materializations()]
+        return [self.refresh_one(mat, force=force, plan=plan)
+                for mat, plan in plans]
 
     def materialize(self, plan) -> RefreshResult:
         """Materialize one query plan (or force-refresh it if present).
@@ -134,15 +145,18 @@ class DeltaRefresher:
                 f"was degraded ({'; '.join(result.problems[:3])})")
         return result
 
-    def plan_changes(self, mat: Materialization, *,
-                     force: bool = False) -> DeltaPlan:
+    def plan_changes(self, mat: Materialization, *, force: bool = False,
+                     probed: dict[str, str | None] | None = None
+                     ) -> DeltaPlan:
         """Cheap-probe diff of one materialization, with no side effects.
 
         The one place the per-source verdict is decided — read-only:
         nothing is tombstoned, marked stale or extracted.
         :meth:`refresh_one` applies it, and the ingest pipeline plans its
         EXTRACT jobs from it, so an unchanged web source never even
-        enqueues work."""
+        enqueues work.  ``probed``: fingerprints already taken in this
+        pass, reused, and where the ones this diff takes are added."""
+        started = time.perf_counter()
         schema = self.manager.obtain_extraction_schema(mat.required)
         plan = DeltaPlan(schema=schema)
         current_sources = set(schema.by_source)
@@ -153,9 +167,14 @@ class DeltaRefresher:
         # serving the last-known-good slice, marked stale.
         plan.kept_stale = sorted(current_sources & open_sources
                                  & set(mat.slices))
-        plan.fingerprints = fingerprint_sources(
+        probing = sorted(current_sources.difference(plan.kept_stale))
+        if probed is None:
+            probed = {}
+        probed.update(fingerprint_sources(
             self.manager.sources,
-            sorted(current_sources.difference(plan.kept_stale)))
+            [source_id for source_id in probing if source_id not in probed]))
+        plan.fingerprints = {source_id: probed[source_id]
+                             for source_id in probing}
         for source_id, fingerprint in plan.fingerprints.items():
             slice_ = mat.slices.get(source_id)
             if (not force and slice_ is not None and not slice_.stale
@@ -164,15 +183,19 @@ class DeltaRefresher:
                 plan.unchanged.append(source_id)
                 continue
             plan.changed.append(source_id)
+        plan.seconds = time.perf_counter() - started
         return plan
 
     # -- the delta algorithm -------------------------------------------
 
-    def refresh_one(self, mat: Materialization, *,
-                    force: bool = False) -> RefreshResult:
+    def refresh_one(self, mat: Materialization, *, force: bool = False,
+                    plan: DeltaPlan | None = None) -> RefreshResult:
         """Refresh one materialization, re-extracting only its changed
-        sources (all reachable ones when ``force``)."""
-        started = time.perf_counter()
+        sources (all reachable ones when ``force``).  ``plan``: its diff,
+        when the caller took it already; the time that took counts
+        toward ``elapsed_seconds``."""
+        started = time.perf_counter() - (plan.seconds if plan is not None
+                                         else 0.0)
         result = RefreshResult(mat.class_name, mat.attribute_ids)
         root = (self.tracer.start("refresh", query_class=mat.class_name,
                                   force=force)
@@ -180,7 +203,7 @@ class DeltaRefresher:
         key = mat.key
         self.store.begin_refresh(key)
         try:
-            self._refresh_under(mat, key, force, result, root)
+            self._refresh_under(mat, key, force, plan, result, root)
         finally:
             self.store.end_refresh(key)
             root.finish()
@@ -191,11 +214,13 @@ class DeltaRefresher:
         return result
 
     def _refresh_under(self, mat: Materialization, key, force: bool,
-                       result: RefreshResult, root) -> None:
+                       plan: DeltaPlan | None, result: RefreshResult,
+                       root) -> None:
         """Apply :meth:`plan_changes`' verdict: tombstone, mark stale,
         trace every source's verdict, extract the changed ones."""
         with root.child("diff") as diff_span:
-            plan = self.plan_changes(mat, force=force)
+            if plan is None:
+                plan = self.plan_changes(mat, force=force)
             verdicts = {**dict.fromkeys(plan.kept_stale, "breaker-open"),
                         **dict.fromkeys(plan.unchanged, "unchanged"),
                         **dict.fromkeys(plan.changed, "changed")}
@@ -236,7 +261,7 @@ class DeltaRefresher:
             verdicts = self.store.commit(
                 mat.key, slice_writes(plan.changed, generation, outcome,
                                       plan.fingerprints),
-                generation.errors.entries)
+                generation.errors.entries, span=span)
             for source_id, verdict in verdicts.items():
                 getattr(result, verdict).append(source_id)
             span.annotate(store="upsert", refreshed=len(result.refreshed))

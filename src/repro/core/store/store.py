@@ -16,16 +16,24 @@ Design points:
   merge at serve time reproduces a live query's answer exactly — for
   any merge key, not just the one used when the store was filled.
 
-* **Pristine copies.**  Entities are cloned on the way in (``upsert``)
-  and on the way out (``serve``), because downstream merge and
-  condition filtering mutate entities in place.
+* **No shared objects.**  A stored entity is never handed to anyone.
+  ``upsert`` stores clones, because the writer keeps what it wrote (the
+  live fold merges its generated entities afterwards, and a merge
+  mutates in place).  ``serve`` hands out clones of only the entities
+  the reader keeps: a ``select`` callback (the query's WHERE
+  conditions) reads the stored entities without mutating them and picks
+  the ones to clone.  Without a selection every entity is cloned.  The
+  selection and the cloning run outside the store lock.
 
-* **One writer.**  Live write-through (``fold``), the delta refresher
-  and the ingest coordinator all fill the store through
-  :meth:`SemanticStore.commit`, which owns the per-source verdict and
-  the error channel; every slice swap, whoever asks for it, happens in
-  ``_put_slice`` — the only code that touches ``mat.slices``, the
-  triple reference counts and the graph.
+* **One writer, paying per change.**  Live write-through (``fold``),
+  the delta refresher and the ingest coordinator all fill the store
+  through :meth:`SemanticStore.commit`, which owns the per-source
+  verdict and the error channel.  Every slice swap, whoever asks for
+  it, happens in ``_put_slice`` — the only code that touches
+  ``mat.slices``, the triple reference counts and the graph.  It
+  matches the old and new entities by content and writes triples only
+  for the entities that differ, so a re-extraction that changed nothing
+  writes no triple.
 
 * **A queryable RDF graph.**  Every stored entity's triples live in
   ``self.graph`` (plus per-entity provenance: source, record index,
@@ -44,7 +52,9 @@ Design points:
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
+from datetime import date, datetime
 
 from ...clock import Clock, SystemClock
 from ...errors import S2SError
@@ -113,12 +123,17 @@ class Materialization:
 
 @dataclass
 class StoreServing:
-    """What :meth:`SemanticStore.serve` hands the query executor."""
+    """What :meth:`SemanticStore.serve` hands the query executor.
+
+    ``entities`` are clones.  ``candidates`` is the number of stored
+    entities a selection picked them from (None: no selection ran, so
+    ``entities`` holds every stored entity)."""
 
     entities: list[AssembledEntity]
     errors: ErrorReport
     stale: bool = False
     stale_sources: list[str] = field(default_factory=list)
+    candidates: int | None = None
 
 
 #: The per-source verdicts of :meth:`SemanticStore.commit` (also the
@@ -156,6 +171,57 @@ def slice_writes(source_ids, generation, outcome,
             for source_id in source_ids]
 
 
+# -- content keys ------------------------------------------------------
+#
+# What ``_put_slice`` matches old and new entities by.  An entity's
+# triples depend only on the store namespace, the materialization's
+# class and the entity's content, so the key holds everything
+# ``_entity_triples`` reads, and two entities with equal keys have equal
+# triples.  A value is keyed as its literal tells it apart: ``1``,
+# ``1.0``, ``True`` and ``"1"`` differ by type, ``0.0`` and ``-0.0`` by
+# ``repr``, one instant written in two zones by ``isoformat``.  A NaN
+# keys as its literal does, equal to itself.  Unequal keys for equal
+# triples (``[1]`` and ``1``; values in another order) only cost a
+# rewrite.
+
+#: value types that are equal exactly when their literals are
+_PLAIN = frozenset({str, int, bool, date, Literal})
+
+
+def _literal_key(value) -> tuple:
+    kind = type(value)
+    if kind in _PLAIN:
+        return kind, value
+    if kind is float:
+        return kind, repr(value)
+    if kind is datetime:
+        return kind, value.isoformat()
+    # no literal form: never matches, so its triples are built (and
+    # refused) again
+    return kind, id(value)
+
+
+def _value_key(value) -> tuple:
+    if type(value) is list:
+        return list, tuple(map(_literal_key, value))
+    return _literal_key(value)
+
+
+def _content_key(entity: AssembledEntity) -> tuple:
+    """Equal only when the two entities' triples are (see above)."""
+    return (entity.source_id, _literal_key(entity.record_index), tuple([
+        (individual.identifier, individual.class_name,
+         tuple([(name, _value_key(value))
+                for name, value in individual.values.items()]),
+         tuple([(name, tuple([target.identifier for target in targets]))
+                for name, targets in individual.links.items()]))
+        for individual in entity.all_individuals()]))
+
+
+def _entities(slice_: SourceSlice | None) -> list[AssembledEntity]:
+    return slice_.entities if slice_ is not None else []
+
+
 class SemanticStore:
     """Materialized, incrementally-refreshed instance store.
 
@@ -176,6 +242,10 @@ class SemanticStore:
         self.generation = 0
         self._materializations: dict[StoreKey, Materialization] = {}
         self._triple_refs: dict[Triple, int] = {}
+        #: running totals of ``_put_slice``'s work: entities kept
+        #: (``unchanged``), triple references taken (``add``) and dropped
+        #: (``remove``); ``commit`` reports the share it caused
+        self._written: Counter[str] = Counter()
         self._refreshing: set[StoreKey] = set()
         self._lock = threading.RLock()
 
@@ -256,24 +326,28 @@ class SemanticStore:
         age = self.clock.monotonic() - mat.materialized_at
         return mat.expired or self.policy.is_stale(age)
 
-    def serve(self, plan, *, span=NULL_SPAN) -> StoreServing | None:
+    def serve(self, plan, *, span=NULL_SPAN,
+              select=None) -> StoreServing | None:
         """Answer ``plan`` from the store, or None to fall through live.
 
         A fresh materialization is always served.  A stale one is served
         only while a refresh is in flight (and the policy allows it) —
         otherwise the caller runs live extraction, whose fold replaces
-        the stale snapshot."""
-        servings = self.serve_many([plan], span=span)
+        the stale snapshot.  ``select``: see :meth:`serve_many`."""
+        servings = self.serve_many([plan], span=span, select=select)
         return servings[0] if servings else None
 
-    def serve_many(self, plans, *,
-                   span=NULL_SPAN) -> list[StoreServing] | None:
+    def serve_many(self, plans, *, span=NULL_SPAN,
+                   select=None) -> list[StoreServing] | None:
         """Answer every plan from the store, or none of them.
 
-        Every plan's freshness is decided under one lock acquisition
-        before anything is cloned, so a batch is never half served: one
-        unservable plan sends the whole batch to the live shared scan
-        (which visits the union of sources anyway)."""
+        Every plan's freshness is decided under one lock acquisition, so
+        a batch is never half served: one unservable plan sends the whole
+        batch to the live shared scan (which visits the union of sources
+        anyway).  ``select(plan, entities)``, when given, returns the
+        stored entities to hand out, in order; it must only read them.
+        It runs after the lock is released, and only what it returns is
+        cloned.  Without it every stored entity is cloned."""
         with self._lock:
             mats = [self._materializations.get(self.key_for(plan))
                     for plan in plans]
@@ -290,7 +364,17 @@ class SemanticStore:
                 store="hit",
                 entities=sum(len(serving.entities) for serving in servings),
                 stale=any(serving.stale for serving in servings))
-            return servings
+        # Stored entities are never mutated (a write swaps whole slices),
+        # so these references stay valid after the lock is released.
+        for plan, serving in zip(plans, servings):
+            if select is not None:
+                serving.candidates = len(serving.entities)
+                serving.entities = select(plan, serving.entities)
+            serving.entities = [entity.clone()
+                                for entity in serving.entities]
+        span.annotate(cloned=sum(len(serving.entities)
+                                 for serving in servings))
+        return servings
 
     def _refusal(self, mat: Materialization | None) -> str | None:
         """Why ``mat`` cannot answer right now (None = it can).  A stale
@@ -305,10 +389,11 @@ class SemanticStore:
         return None
 
     def _serving(self, mat: Materialization) -> StoreServing:
+        """A serving holding the *stored* entities; ``serve_many``
+        replaces them with clones before anyone else sees it."""
         entities: list[AssembledEntity] = []
         for source_id in sorted(mat.slices):
-            entities.extend(entity.clone()
-                            for entity in mat.slices[source_id].entities)
+            entities.extend(mat.slices[source_id].entities)
         stale_sources = mat.stale_sources()
         stale = self._stale(mat) or bool(stale_sources)
         self._count("store_hits_total",
@@ -322,9 +407,12 @@ class SemanticStore:
     # -- filling -------------------------------------------------------
 
     def commit(self, key: StoreKey, writes: list[SliceWrite],
-               error_entries: list[ErrorEntry]) -> dict[str, str]:
+               error_entries: list[ErrorEntry], *,
+               span=NULL_SPAN) -> dict[str, str]:
         """The one write step every filler ends in; returns each written
-        source's verdict (``REFRESHED`` / ``KEPT_STALE`` / ``REMOVED``).
+        source's verdict (``REFRESHED`` / ``KEPT_STALE`` / ``REMOVED``)
+        and annotates ``span`` with what the slice swaps cost
+        (``unchanged`` entities, ``triples_added``, ``triples_removed``).
 
         * clean extraction → the slice is replaced and stamped with the
           pre-read fingerprint;
@@ -339,6 +427,7 @@ class SemanticStore:
         the same whichever filler wrote it and in whatever order."""
         with self._lock:
             mat = self._require(key)
+            before = self._written.copy()
             verdicts: dict[str, str] = {}
             written: list[str] = []
             for write in writes:
@@ -361,6 +450,10 @@ class SemanticStore:
             self.replace_errors(key, error_entries, for_sources=written)
             mat.errors.sort(key=lambda entry: (entry.source_id is not None,
                                                entry.source_id or ""))
+            cost = self._written - before
+            span.annotate(unchanged=cost["unchanged"],
+                          triples_added=cost["add"],
+                          triples_removed=cost["remove"])
             return verdicts
 
     def fold(self, plan, outcome, generation,
@@ -388,7 +481,7 @@ class SemanticStore:
                 self.tombstone(mat.key, source_id)
             self.commit(mat.key, slice_writes(attempted, generation, outcome,
                                               fingerprints),
-                        generation.errors.entries)
+                        generation.errors.entries, span=span)
             self.touch(mat.key)
             span.annotate(store="fold", sources=len(mat.slices),
                           entities=mat.entity_count())
@@ -579,30 +672,64 @@ class SemanticStore:
         return the slice it replaced.
 
         The only code that writes ``mat.slices``, the triple reference
-        counts and the graph: identifiers are shared between
-        materializations, so a triple leaves the graph only when its
-        last owning slice releases it."""
+        counts and the graph.  It pays per changed entity: the old and
+        new entities are matched as a multiset by :func:`_content_key`,
+        and only the unmatched ones take or drop triple references — the
+        new ones first, so a triple both sides hold never leaves the
+        graph.  Identifiers are shared between materializations, so a
+        triple leaves the graph only when its last owning entity drops
+        it."""
         old = mat.slices.get(source_id)
+        unmatched: dict[tuple, list[AssembledEntity]] = {}
+        for entity in _entities(old):
+            unmatched.setdefault(_content_key(entity), []).append(entity)
+        added: list[AssembledEntity] = []
+        for entity in _entities(slice_):
+            twins = (unmatched.get(_content_key(entity)) if unmatched
+                     else None)
+            if twins:
+                twins.pop()
+            else:
+                added.append(entity)
+        # built before the swap: a value with no literal form is refused
+        # with the store as it was
+        acquired = list(self._entity_triples(mat.class_name, added))
         if slice_ is None:
             mat.slices.pop(source_id, None)
         else:
             mat.slices[source_id] = slice_
-        for triple in self._slice_triples(mat.class_name, old):
-            count = self._triple_refs.get(triple, 0) - 1
-            if count <= 0:
-                self._triple_refs.pop(triple, None)
+        refs = self._triple_refs
+        for triple in acquired:
+            count = refs.get(triple, 0)
+            refs[triple] = count + 1
+            if not count:
+                self.graph.add_triple(triple)
+        released = 0
+        for triple in self._entity_triples(
+                mat.class_name,
+                [entity for twins in unmatched.values() for entity in twins]):
+            released += 1
+            count = refs.get(triple, 0) - 1
+            if count > 0:
+                refs[triple] = count
+            else:
+                refs.pop(triple, None)
                 self.graph.remove(triple.subject, triple.predicate,
                                   triple.object)
-            else:
-                self._triple_refs[triple] = count
-        for triple in self._slice_triples(mat.class_name, slice_):
-            self._triple_refs[triple] = self._triple_refs.get(triple, 0) + 1
-            self.graph.add_triple(triple)
+        self._written.update(unchanged=len(_entities(slice_)) - len(added),
+                             add=len(acquired), remove=released)
+        if self.metrics is not None and (acquired or released):
+            written = self.metrics.counter(
+                "store_triples_written_total",
+                "triple references the store graph took or dropped")
+            written.inc(len(acquired), op="add")
+            written.inc(released, op="remove")
         return old
 
-    def _slice_triples(self, class_name: str, slice_: SourceSlice | None):
-        """Every stored entity's triples plus its provenance."""
-        for entity in slice_.entities if slice_ is not None else ():
+    def _entity_triples(self, class_name: str,
+                        entities: list[AssembledEntity]):
+        """Every entity's triples plus its provenance."""
+        for entity in entities:
             for individual in entity.all_individuals():
                 yield from individual_triples(self.namespace, individual)
             primary = self.namespace[entity.primary.identifier]

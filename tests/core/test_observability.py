@@ -361,6 +361,73 @@ class TestGoldenPushdownTrace:
         assert registry.value("entities_returned_total") == 12
 
 
+# Golden snapshots: what a store write and a store read cost.  A first
+# materialize writes every triple; a refresh of a source whose content
+# moved but whose records did not writes none; a selective store-served
+# query clones only what it returns, a merged one clones every entity.
+def store_cost_shape(trace) -> str:
+    lines = []
+    for span in trace.walk():
+        keys = {"store": ("store", "entities", "cloned", "unchanged",
+                          "triples_added", "triples_removed"),
+                "filter": ("candidates", "matched")}.get(span.name)
+        if keys:
+            lines.append(span.name + "".join(
+                f" {key}={span.attributes[key]}" for key in keys
+                if key in span.attributes))
+    return "\n".join(lines)
+
+
+GOLDEN_MATERIALIZED = """\
+store store=upsert unchanged=0 triples_added=84 triples_removed=0"""
+GOLDEN_TOUCHED = """\
+store store=upsert unchanged=3 triples_added=0 triples_removed=0"""
+GOLDEN_SERVED = """\
+store store=hit entities=6 cloned=1
+filter candidates=6 matched=1"""
+GOLDEN_SERVED_MERGED = """\
+store store=hit entities=6 cloned=6
+filter candidates=6 matched=1"""
+GOLDEN_SERVED_BATCH = """\
+store store=hit entities=12 cloned=7
+filter candidates=6 matched=1
+filter candidates=6 matched=6"""
+
+
+class TestGoldenStoreTrace:
+    def test_store_spans_say_what_was_written_and_cloned(self):
+        scenario = B2BScenario(n_sources=2, n_products=6, seed=7)
+        registry = MetricsRegistry()
+        s2s = scenario.build_middleware(tracer=Tracer(), metrics=registry,
+                                        store=True)
+        first = s2s.materialize("SELECT product")
+        assert store_cost_shape(first.trace) == GOLDEN_MATERIALIZED
+        # the xml source's document moves, its records do not
+        org = next(o for o in scenario.organizations
+                   if o.source_type == "xml")
+        org.xml_store.put("catalog.xml", org.xml_store.export(
+            "catalog.xml").replace("</catalog>",
+                                   "<touched>1</touched></catalog>"))
+        touched, = s2s.refresh_store()
+        assert touched.extracted_sources == [org.source_id]
+        assert store_cost_shape(touched.trace) == GOLDEN_TOUCHED
+        written = registry.get("store_triples_written_total")
+        assert (written.value(op="add"), written.value(op="remove")) == (
+            84, 0)
+
+        entity = s2s.query("SELECT product").entities[0]
+        query = (f'SELECT product WHERE brand = "{entity.value("brand")}" '
+                 f'AND model = "{entity.value("model")}"')
+        served = s2s.query(query)
+        assert served.store_hit
+        assert store_cost_shape(served.trace) == GOLDEN_SERVED
+        merged = s2s.query(query, merge_key=["brand", "model"])
+        assert store_cost_shape(merged.trace) == GOLDEN_SERVED_MERGED
+        batch = s2s.query_many([query, "SELECT product"])
+        assert all(result.store_hit for result in batch)
+        assert store_cost_shape(batch[0].trace) == GOLDEN_SERVED_BATCH
+
+
 class TestMetricsCounters:
     def test_query_counters(self, traced_world):
         _scenario, s2s, _tracer, registry = traced_world

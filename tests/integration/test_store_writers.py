@@ -14,29 +14,56 @@ Also pinned here, because each was a place the four copies had drifted:
   extraction is re-extracted by the next refresh instead of being
   served as fresh forever;
 * a healed source loses its old error entries on the next write.
+
+And the two halves of a store that costs what changed and what was
+asked: a commit writes triples only for the entities that differ (a
+seeded commit schedule against a from-scratch rebuild), and a served
+query clones only the entities it returns (a differential against
+clone-every-entity-then-filter, plus isolation of what is handed out).
+The seeded tests take ``S2S_DIFF_SEED`` (CI runs a second value).
 """
 
 from __future__ import annotations
 
+import asyncio
+import math
+import os
 import random
+import sys
+import threading
+from collections import Counter
+from datetime import date, datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import pytest
 
 from repro import ExtractionRule, S2SMiddleware
 from repro.clock import FakeClock
 from repro.config import RefreshPolicy, ResilienceConfig
-from repro.core.instances.errors import ErrorEntry
+from repro.core.instances import InstanceGenerator
+from repro.core.instances.assembly import AssembledEntity
+from repro.core.instances.errors import ErrorEntry, ErrorReport
+from repro.core.mapping.rules import RULE_LANGUAGES
 from repro.core.query.parser import parse_s2sql
 from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.core.store import SemanticStore, SliceWrite
 from repro.core.store.store import Materialization, SourceSlice
 from repro.errors import S2SError
 from repro.ids import AttributePath
+from repro.obs import MetricsRegistry, Tracer
 from repro.ontology.builders import watch_domain_ontology
+from repro.ontology.model import Individual
 from repro.sources.flaky import FlakySource
 from repro.sources.relational import Database, RelationalDataSource
 from repro.workloads import B2BScenario
+from tests.core.answer_oracle import oracle_matches
+from tests.core.generation_oracle import snapshot
+from tests.core.test_answer_differential import (MERGE_KEYS,
+                                                 build_middleware, capture,
+                                                 worlds)
 from tests.core.test_store import canon, make_entity
+
+SEED = int(os.environ.get("S2S_DIFF_SEED", "25"))
 
 QUERY = "SELECT product"
 FILLERS = ["write-through", "materialize", "materialize+refresh", "ingest"]
@@ -425,3 +452,419 @@ def test_graph_equals_a_store_rebuilt_from_the_surviving_slices(seed):
         assert len(store.graph) == len(rebuilt.graph)
         assert set(store.graph) == set(rebuilt.graph)
         assert store._triple_refs == rebuilt._triple_refs
+
+
+# ----------------------------------------------------------------------
+# Diffed commits: a seeded schedule against a from-scratch rebuild
+# ----------------------------------------------------------------------
+
+#: a ring of values, each next to one Python may call equal but whose
+#: literal differs — 1 / 1.0 / True / "1", list and scalar, 0.0 / -0.0,
+#: two NaNs (not even equal to themselves), date / datetime, one instant
+#: in two zones; a flip moves a value one step along it
+FLIPS = [1, 1.0, True, "1", [1], [1, 1.0], ["1"], 0.0, -0.0, float("nan"),
+         float("nan"), date(2006, 7, 4), datetime(2006, 7, 4),
+         datetime(2006, 7, 4, 12, tzinfo=timezone.utc),
+         datetime(2006, 7, 4, 14, tzinfo=timezone(timedelta(hours=2))),
+         "Seiko"]
+
+
+def drawn_entity(rng, source_id, record_index):
+    primary = Individual(f"w{rng.randrange(5)}", "product",
+                         {"brand": rng.choice(FLIPS)})
+    if rng.random() < 0.5:
+        primary.values["price"] = rng.choice(FLIPS)
+    provider = Individual(f"p{rng.randrange(3)}", "provider",
+                          {"country": rng.choice(["PL", "CH"])})
+    primary.link("hasProvider", provider)
+    return AssembledEntity(primary, [provider], source_id, record_index, [])
+
+
+def value_kind(value) -> str:
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    if isinstance(value, datetime) and value.tzinfo is not None:
+        return f"datetime{value.utcoffset()}"
+    return type(value).__name__
+
+
+def changed(rng, entity, drawn):
+    """A clone of ``entity`` with one thing about it changed."""
+    entity = entity.clone()
+    primary, provider = entity.primary, entity.satellites[0]
+    change = rng.choice(["flip", "flip", "flip", "list", "record", "relink",
+                         "link", "satellite", "attribute"])
+    drawn.add(f"change:{change}")
+    if change == "flip":
+        old = primary.values["brand"]
+        at = next((index for index, value in enumerate(FLIPS)
+                   if type(value) is type(old) and repr(value) == repr(old)),
+                  0)
+        new = FLIPS[(at + rng.choice([-1, 1])) % len(FLIPS)]
+        primary.values["brand"] = new
+        drawn.add(f"flip:{value_kind(old)}->{value_kind(new)}")
+    elif change == "list":
+        old = primary.values["brand"]
+        primary.values["brand"] = (old[0] if isinstance(old, list) and old
+                                   else [old])
+    elif change == "record":
+        entity.record_index += rng.randrange(1, 3)
+    elif change == "relink":
+        provider.identifier = f"p{(int(provider.identifier[1:]) + 1) % 3}"
+    elif change == "link":  # the link stated once more, or once less
+        targets = primary.links["hasProvider"]
+        targets[1:] = [] if len(targets) > 1 else [provider]
+    elif change == "satellite":
+        provider.values["country"] = ("DE" if provider.values["country"]
+                                      != "DE" else "PL")
+    elif "price" in primary.values:
+        del primary.values["price"]
+    else:
+        primary.values["price"] = rng.choice(FLIPS)
+    return entity
+
+
+def next_extraction(rng, previous, source_id, drawn):
+    """What the next extraction of a source returns: each stored record
+    unchanged, changed, removed or duplicated, new ones added, the order
+    sometimes shuffled."""
+    entities = []
+    for entity in previous:
+        roll = rng.random()
+        if roll < 0.15:
+            drawn.add("removed")
+            continue
+        if roll < 0.5:
+            drawn.add("changed")
+            entity = changed(rng, entity, drawn)
+        else:
+            drawn.add("unchanged")
+            entity = entity.clone()
+        entities.append(entity)
+        if rng.random() < 0.1:
+            drawn.add("duplicated")
+            entities.append(entity.clone())
+    for _ in range(rng.randrange(3)):
+        drawn.add("added")
+        entities.append(drawn_entity(rng, source_id, rng.randrange(8)))
+    if len(entities) > 1 and rng.random() < 0.4:
+        drawn.add("reordered")
+        rng.shuffle(entities)
+    return entities
+
+
+def rebuilt(store):
+    """The store a from-scratch build of the surviving slices makes."""
+    fresh = SemanticStore()
+    for mat in store.materializations():
+        fresh.adopt(_materialization(mat.key, {
+            source_id: SourceSlice(source_id,
+                                   [e.clone() for e in slice_.entities])
+            for source_id, slice_ in mat.slices.items()}))
+    return fresh
+
+
+def commit_cost(store, key, source_id, entities):
+    span = Tracer().start("store")
+    store.commit(key, [SliceWrite(source_id, entities, "fp")], [], span=span)
+    return (span.attributes["unchanged"], span.attributes["triples_added"],
+            span.attributes["triples_removed"])
+
+
+def test_a_diffed_commit_leaves_what_a_rebuild_would():
+    drawn: set[str] = set()
+    for index in range(8):
+        rng = random.Random(f"store-commits:{SEED}:{index}")
+        store = SemanticStore()
+        for _step in range(80):
+            key = rng.choice(KEYS)
+            source_id = rng.choice(SOURCES)
+            mat = store.ensure(key[0], [AttributePath.parse(a)
+                                        for a in sorted(key[1])])
+            if rng.random() < 0.1:
+                drawn.add("tombstoned")
+                store.tombstone(key, source_id)
+            else:
+                stored = mat.slices.get(source_id)
+                entities = next_extraction(
+                    rng, stored.entities if stored is not None else [],
+                    source_id, drawn)
+                refs = sum(store._triple_refs.values())
+                _unchanged, added, removed = commit_cost(store, key,
+                                                         source_id, entities)
+                assert (sum(store._triple_refs.values()) - refs
+                        == added - removed)
+                # the same extraction again, in another order, writes
+                # nothing
+                again = [entity.clone() for entity in entities]
+                rng.shuffle(again)
+                assert commit_cost(store, key, source_id, again) == (
+                    len(entities), 0, 0)
+            fresh = rebuilt(store)
+            assert len(store.graph) == len(fresh.graph)
+            assert set(store.graph) == set(fresh.graph)
+            assert store._triple_refs == fresh._triple_refs
+    assert drawn >= {
+        "unchanged", "changed", "added", "removed", "duplicated",
+        "reordered", "tombstoned", "change:list", "change:record",
+        "change:relink", "change:link", "change:satellite",
+        "change:attribute",
+        # every pair of values the content key must tell apart
+        "flip:int->float", "flip:float->bool", "flip:bool->str",
+        "flip:date->datetime", "flip:datetime->date", "flip:float->float",
+        "flip:nan->nan", "flip:datetime0:00:00->datetime2:00:00"}
+
+
+def test_a_commit_of_what_is_stored_writes_no_triple():
+    registry = MetricsRegistry()
+    store = SemanticStore(metrics=registry)
+    key = KEYS[0]
+    store.ensure(key[0], [AttributePath.parse(a) for a in sorted(key[1])])
+    entities = [make_entity(f"w{n}", "Seiko", record_index=n)
+                for n in range(3)]
+    # eight triples an entity: two types, brand, country, the link and
+    # three of provenance
+    assert commit_cost(store, key, "db", entities) == (0, 24, 0)
+    assert commit_cost(store, key, "db", entities) == (3, 0, 0)
+    entities[1].primary.values["brand"] = "Casio"  # one record changes
+    assert commit_cost(store, key, "db", entities) == (2, 8, 8)
+    counter = registry.get("store_triples_written_total")
+    assert counter.value(op="add") == 32 and counter.value(op="remove") == 8
+
+
+# ----------------------------------------------------------------------
+# Filter before clone: the served path against clone-then-filter
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def scripted_rules():
+    RULE_LANGUAGES["scripted"] = "scripted"
+    yield
+    del RULE_LANGUAGES["scripted"]
+
+
+def clone_then_filter(s2s, query, merge_key=None):
+    """A served answer as the store made it before it filtered first:
+    clone every stored entity, merge, then filter (frozen filter)."""
+    plan = s2s.query_handler.planner.plan(parse_s2sql(query))
+    mat = s2s.store.lookup(plan)
+    errors = ErrorReport(list(mat.errors))
+    entities = [entity.clone() for source_id in sorted(mat.slices)
+                for entity in mat.slices[source_id].entities]
+    if merge_key:
+        entities = InstanceGenerator._merge(entities, merge_key, errors)
+    return SimpleNamespace(entities=[
+        entity for entity in entities
+        if oracle_matches(s2s.schema.ontology, entity, plan.conditions)],
+        errors=errors)
+
+
+def from_store(answer):
+    """``answer``, checked to have come from the store."""
+    def served():
+        results = answer()
+        for result in (results if isinstance(results, list) else [results]):
+            assert result.store_hit
+        return results
+    return served
+
+
+def test_a_served_query_answers_what_clone_then_filter_did(scripted_rules):
+    seen: set[str] = set()
+    for index, rng, world, queries, _drawn in worlds():
+        s2s = build_middleware(world, validate=True, store=True)
+        handler = s2s.query_handler
+        merge_key = rng.choice(MERGE_KEYS)
+        for query in queries:
+            unconditioned = query.split(" WHERE ")[0]
+            for text in (query, unconditioned):  # live, folded
+                capture(lambda: s2s.query(text))
+            for key in (None, merge_key):
+                where = f"world {index} merge_key {key}: {query}"
+                expected = capture(lambda: clone_then_filter(s2s, query, key))
+                everything = capture(
+                    lambda: clone_then_filter(s2s, unconditioned, key))
+                if expected[0] == "raised":
+                    seen.add("raised")
+                elif len(expected[1][0]) < len(everything[1][0]):
+                    seen.add("merged" if key else "selected")
+                assert capture(from_store(lambda: handler.execute(
+                    query, merge_key=key))) == expected, where
+                assert capture(from_store(lambda: asyncio.run(
+                    handler.aexecute(query, merge_key=key)))) == expected, \
+                    where
+                batch = [query, unconditioned, query]
+                if expected[0] == "raised":
+                    assert capture(lambda: SimpleNamespace(
+                        entities=handler.execute_many(batch, merge_key=key),
+                        errors=None)) == expected, where
+                    continue
+                first, sibling, duplicate = from_store(
+                    lambda: handler.execute_many(batch, merge_key=key))()
+                assert ("ok", snapshot(first)) == expected, where
+                assert ("ok", snapshot(duplicate)) == expected, where
+                assert ("ok", snapshot(sibling)) == everything, where
+    assert seen >= {"raised", "selected", "merged"}
+
+
+def vandalize(entities):
+    for entity in entities:
+        for individual in entity.all_individuals():
+            individual.identifier += "_x"
+            for name, value in individual.values.items():
+                if isinstance(value, list):
+                    value.append("x")
+                else:
+                    individual.values[name] = "x"
+            for targets in individual.links.values():
+                targets.clear()
+        entity.satellites.append(Individual("stray", "provider"))
+        entity.coercion_errors.append("x")
+        entity.record_index = -1
+
+
+def test_a_served_entity_is_the_callers_own():
+    s2s = clean_world(SEED)
+    s2s.query(QUERY)
+    mat, = s2s.store.materializations()
+    brand = mat.slices["database_0"].entities[0].value("brand")
+    selective = f'SELECT product WHERE brand = "{brand}"'
+
+    def state():
+        return (snapshot(s2s.query(QUERY)), snapshot(s2s.query(selective)),
+                set(s2s.store.graph), dict(s2s.store._triple_refs),
+                {source_id: snapshot(SimpleNamespace(
+                    entities=slice_.entities, errors=ErrorReport()))
+                 for source_id, slice_ in mat.slices.items()})
+
+    before = state()
+    for query in (QUERY, selective):
+        for merge_key in (None, ["brand", "model"]):
+            served = s2s.query(query, merge_key=merge_key)
+            assert served.store_hit and served.entities
+            vandalize(served.entities)
+        for served in s2s.query_many([query, query, QUERY]):
+            assert served.store_hit
+            vandalize(served.entities)
+    plan = s2s.query_handler.planner.plan(parse_s2sql(QUERY))
+    vandalize(s2s.store.serve(plan).entities)
+    vandalize(s2s.store.entities_for_source("database_0"))
+    assert state() == before
+    s2s.close()
+
+
+# ----------------------------------------------------------------------
+# One fingerprint per source per refresh pass
+# ----------------------------------------------------------------------
+
+
+class CountingSource(RelationalDataSource):
+    """Logs every fingerprint probe and every rule read, in order."""
+
+    log: list
+
+    def content_fingerprint(self):
+        self.log.append(("probe", self.source_id))
+        return super().content_fingerprint()
+
+    def execute_rule(self, rule):
+        self.log.append(("read", self.source_id))
+        return super().execute_rule(rule)
+
+
+def test_a_refresh_pass_probes_each_source_once_before_reading():
+    log: list = []
+    s2s = S2SMiddleware(watch_domain_ontology(), store=True)
+    databases = []
+    for source_id in ("DB_1", "DB_2"):
+        db = Database(source_id.lower())
+        db.executescript("""
+        CREATE TABLE watches (brand TEXT, price TEXT);
+        INSERT INTO watches (brand, price) VALUES
+          ('Seiko', '199.00'), ('Casio', '15.50');
+        """)
+        source = CountingSource(source_id, db)
+        source.log = log
+        s2s.register_source(source)
+        for attribute, column in (("brand", "brand"), ("price", "price")):
+            s2s.register_attribute(
+                ("product", attribute),
+                ExtractionRule.sql(f"SELECT {column} FROM watches"),
+                source_id)
+        databases.append(db)
+    s2s.materialize("SELECT product")
+    s2s.materialize("SELECT watch")
+    for force in (True, False):
+        for db in databases:
+            db.execute("UPDATE watches SET price = '20.00' "
+                       "WHERE brand = 'Casio'" if force else
+                       "UPDATE watches SET price = '21.00' "
+                       "WHERE brand = 'Casio'")
+        del log[:]
+        results = s2s.refresh_store(force=force)
+        assert [result.refreshed for result in results] == [
+            ["DB_1", "DB_2"]] * 2
+        probes = [entry for entry in log if entry[0] == "probe"]
+        assert sorted(probes) == [("probe", "DB_1"), ("probe", "DB_2")]
+        assert log[:2] == probes, "a source was read before the probes"
+        assert len(log) == 2 + 2 * 2 * 2  # two reads per source and pass
+    s2s.close()
+
+
+# ----------------------------------------------------------------------
+# Readers outside the lock, writers inside it
+# ----------------------------------------------------------------------
+
+
+def test_serving_outside_the_lock_beside_writers():
+    """Readers select and clone stored entities after the store lock is
+    released while writers swap the slice they read: every reader must
+    still see one whole version of it, and what readers do to their
+    clones must reach neither the store nor the other readers."""
+    store = SemanticStore()
+    key = KEYS[0]
+    store.ensure(key[0], [AttributePath.parse(a) for a in sorted(key[1])])
+    versions = [[make_entity(f"w{n}", brand, record_index=n)
+                 for n in range(20)] for brand in ("Seiko", "Casio")]
+    store.commit(key, [SliceWrite("db", versions[0], "fp")], [])
+    store.touch(key)
+    plan = SimpleNamespace(class_name=key[0], required_attributes=[
+        AttributePath.parse(a) for a in sorted(key[1])])
+    seiko = (lambda _plan, entities:
+             [e for e in entities if e.value("brand") == "Seiko"])
+    failures: list[str] = []
+
+    def write():
+        for round_ in range(150):
+            store.commit(key, [SliceWrite("db", versions[round_ % 2],
+                                          "fp")], [])
+
+    def read():
+        for round_ in range(150):
+            serving = store.serve(plan, select=seiko if round_ % 2 else None)
+            brands = Counter(e.value("brand") for e in serving.entities)
+            if sorted(brands.values()) not in ([], [20]):
+                failures.append(f"a torn read: {dict(brands)}")
+            vandalize(serving.entities)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target)
+                   for target in (write, write, read, read, read)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    stored = store.materialization(key).slices["db"].entities
+    assert snapshot(SimpleNamespace(entities=stored, errors=ErrorReport())) \
+        == snapshot(SimpleNamespace(entities=versions[1],
+                                    errors=ErrorReport()))
+    fresh = rebuilt(store)
+    assert set(store.graph) == set(fresh.graph)
+    assert store._triple_refs == fresh._triple_refs
