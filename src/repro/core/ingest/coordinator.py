@@ -353,7 +353,7 @@ class ShardCoordinator:
         shard = event.get("shard")
         if kind == "done":
             payload: UpsertPayload = event["payload"]
-            self._commit(job, payload, span)
+            self._commit(job, payload)
             self.queue.advance(job, MATERIALIZE)
             self.queue.complete(job)
             self.staging.discard(job_id)
@@ -381,10 +381,8 @@ class ShardCoordinator:
             if shard in assigned and assigned[shard] == job_id:
                 del assigned[shard]
 
-    def _commit(self, job: IngestJob, payload: UpsertPayload,
-                span) -> None:
-        """The only store write path: one idempotent per-source commit
-        (its cost annotated on the job's span).
+    def _commit(self, job: IngestJob, payload: UpsertPayload) -> None:
+        """The only store write path: one idempotent per-source commit.
 
         Re-delivery of the same payload (at-least-once redelivery after
         a worker or coordinator death) replaces the slice with identical
@@ -392,7 +390,7 @@ class ShardCoordinator:
         key = self._keys.get(job.job_id, (job.class_name, job.attribute_ids))
         self.store.commit(key, [SliceWrite(job.source_id, payload.entities,
                                            payload.fingerprint)],
-                          payload.error_entries, span=span)
+                          payload.error_entries)
         breaker = (self.manager.breakers.get(job.source_id)
                    if self.manager.breakers is not None else None)
         if breaker is not None:

@@ -288,10 +288,12 @@ class S2SMiddleware:
                               tracer=self.tracer, metrics=self._metrics)
 
     def sparql(self, query_text: str):
-        """Run a SPARQL query against the materialized store graph.
+        """Run a SPARQL query against a snapshot of the semantic store.
 
-        The store's graph holds every materialized entity's triples plus
-        per-entity provenance (``store:source`` / ``store:recordIndex``).
+        The snapshot (``store.graph``) holds every materialized entity's
+        triples plus per-entity provenance (``store:source`` /
+        ``store:recordIndex`` / ``store:entityClass``), each once.  It is
+        read outside the store lock and sees one version of every slice.
         Returns a :class:`~repro.rdf.sparql.SparqlResult` for SELECT, a
         bool for ASK.  Raises when no store is configured."""
         from ..rdf.sparql import execute_sparql

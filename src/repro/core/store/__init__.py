@@ -10,8 +10,9 @@ from .delta import DeltaPlan, DeltaRefresher, RefreshResult
 from .refresh import StoreRefresher
 from .snapshot import (fingerprint_source, fingerprint_sources, load_store,
                        save_store)
-from .store import (STORE, Materialization, SemanticStore, SliceWrite,
-                    SourceSlice, StoreServing)
+from .store import (Materialization, SemanticStore, SliceWrite, SourceSlice,
+                    StoreServing)
+from .view import STORE, StoreGraph
 
 __all__ = [
     "STORE",
@@ -22,6 +23,7 @@ __all__ = [
     "SemanticStore",
     "SliceWrite",
     "SourceSlice",
+    "StoreGraph",
     "StoreRefresher",
     "StoreServing",
     "fingerprint_source",

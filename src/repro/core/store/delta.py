@@ -261,7 +261,7 @@ class DeltaRefresher:
             verdicts = self.store.commit(
                 mat.key, slice_writes(plan.changed, generation, outcome,
                                       plan.fingerprints),
-                generation.errors.entries, span=span)
+                generation.errors.entries)
             for source_id, verdict in verdicts.items():
                 getattr(result, verdict).append(source_id)
             span.annotate(store="upsert", refreshed=len(result.refreshed))

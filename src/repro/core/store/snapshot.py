@@ -15,8 +15,8 @@ store state:
   materialization's error entries, each in the JSON form of
   :mod:`repro.core.instances.codec` (the form the wire carries), so
   value types, multi-valued attributes, value order and coercion errors
-  survive the restart.  The RDF graph is not saved: ``adopt()`` rebuilds
-  it from the entities, and ``store.export()`` is the RDF export path.
+  survive the restart.  No triple is saved: the store derives them from
+  the entities when asked, and ``store.export()`` is the RDF export path.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def load_store(store, directory: str) -> int:
     """Warm-restart ``store`` from ``directory``.
 
     Replaces the store's current contents; returns the number of
-    materializations loaded.  Reads the manifest only; ``adopt()``
-    rebuilds the graph from the decoded entities.  A manifest of another
+    materializations loaded.  Reads the manifest only and ``adopt()``s
+    the decoded materializations.  A manifest of another
     version, or one that is JSON but not a manifest, raises
     :class:`S2SError` and leaves the store as it was.
 

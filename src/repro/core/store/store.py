@@ -25,23 +25,18 @@ Design points:
   the ones to clone.  Without a selection every entity is cloned.  The
   selection and the cloning run outside the store lock.
 
-* **One writer, paying per change.**  Live write-through (``fold``),
+* **One writer, keeping entities.**  Live write-through (``fold``),
   the delta refresher and the ingest coordinator all fill the store
   through :meth:`SemanticStore.commit`, which owns the per-source
   verdict and the error channel.  Every slice swap, whoever asks for
   it, happens in ``_put_slice`` — the only code that touches
-  ``mat.slices``, the triple reference counts and the graph.  It
-  matches the old and new entities by content and writes triples only
-  for the entities that differ, so a re-extraction that changed nothing
-  writes no triple.
+  ``mat.slices``.  A swap is all a write costs: the store keeps
+  entities, not triples.
 
-* **A queryable RDF graph.**  Every stored entity's triples live in
-  ``self.graph`` (plus per-entity provenance: source, record index,
-  entity class under the ``store:`` vocabulary), kept coherent through
-  per-triple reference counts — identifiers are shared between
-  materializations, so a subject's triples are only removed when its
-  last owner releases them.  ``S2SMiddleware.sparql`` runs against this
-  graph.
+* **A queryable RDF view.**  ``store.graph`` is a read-only snapshot of
+  the stored slices' triples and provenance (:mod:`.view`), which
+  ``S2SMiddleware.sparql`` and :meth:`SemanticStore.export` read
+  outside the store lock.
 
 * **Generation coherence.**  ``bump_generation()`` mirrors
   :meth:`~repro.core.extractor.cache.FragmentCache.bump_generation`:
@@ -52,26 +47,20 @@ Design points:
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
-from datetime import date, datetime
 
 from ...clock import Clock, SystemClock
 from ...errors import S2SError
 from ...ids import AttributePath
 from ...obs import NULL_SPAN, MetricsRegistry
 from ...rdf.graph import Graph
-from ...ontology.owlxml import individual_triples
 from ...rdf.namespace import Namespace
 from ...rdf.ntriples import serialize_ntriples
-from ...rdf.terms import Literal, Triple, python_to_literal
 from ...rdf.turtle import serialize_turtle
 from ..instances.assembly import AssembledEntity
 from ..instances.errors import ErrorEntry, ErrorReport
 from .refresh import RefreshPolicy
-
-#: Provenance vocabulary for stored entities.
-STORE = Namespace("http://example.org/s2s/store#")
+from .view import STORE, SliceIndex, StoreGraph, entity_triples
 
 #: Default namespace entity triples are minted in (the demo ontology's).
 DEFAULT_ENTITY_NAMESPACE = "http://example.org/s2s/ontology#"
@@ -92,6 +81,18 @@ class SourceSlice:
     entities: list[AssembledEntity] = field(default_factory=list)
     fingerprint: str | None = None
     stale: bool = False
+    _index: SliceIndex | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    def index(self, namespace: Namespace, class_name: str) -> SliceIndex:
+        """The slice's triples, indexed on first use and kept: a stored
+        slice's entities are never edited (a write swaps whole slices),
+        so the index is valid for as long as the slice lives.  Two
+        readers racing to build it build equal ones."""
+        if self._index is None:
+            self._index = SliceIndex(
+                entity_triples(namespace, class_name, self.entities))
+        return self._index
 
 
 @dataclass
@@ -171,55 +172,8 @@ def slice_writes(source_ids, generation, outcome,
             for source_id in source_ids]
 
 
-# -- content keys ------------------------------------------------------
-#
-# What ``_put_slice`` matches old and new entities by.  An entity's
-# triples depend only on the store namespace, the materialization's
-# class and the entity's content, so the key holds everything
-# ``_entity_triples`` reads, and two entities with equal keys have equal
-# triples.  A value is keyed as its literal tells it apart: ``1``,
-# ``1.0``, ``True`` and ``"1"`` differ by type, ``0.0`` and ``-0.0`` by
-# ``repr``, one instant written in two zones by ``isoformat``.  A NaN
-# keys as its literal does, equal to itself.  Unequal keys for equal
-# triples (``[1]`` and ``1``; values in another order) only cost a
-# rewrite.
-
-#: value types that are equal exactly when their literals are
-_PLAIN = frozenset({str, int, bool, date, Literal})
-
-
-def _literal_key(value) -> tuple:
-    kind = type(value)
-    if kind in _PLAIN:
-        return kind, value
-    if kind is float:
-        return kind, repr(value)
-    if kind is datetime:
-        return kind, value.isoformat()
-    # no literal form: never matches, so its triples are built (and
-    # refused) again
-    return kind, id(value)
-
-
-def _value_key(value) -> tuple:
-    if type(value) is list:
-        return list, tuple(map(_literal_key, value))
-    return _literal_key(value)
-
-
-def _content_key(entity: AssembledEntity) -> tuple:
-    """Equal only when the two entities' triples are (see above)."""
-    return (entity.source_id, _literal_key(entity.record_index), tuple([
-        (individual.identifier, individual.class_name,
-         tuple([(name, _value_key(value))
-                for name, value in individual.values.items()]),
-         tuple([(name, tuple([target.identifier for target in targets]))
-                for name, targets in individual.links.items()]))
-        for individual in entity.all_individuals()]))
-
-
-def _entities(slice_: SourceSlice | None) -> list[AssembledEntity]:
-    return slice_.entities if slice_ is not None else []
+#: the formats :meth:`SemanticStore.export` writes
+_EXPORTERS = {"turtle": serialize_turtle, "ntriples": serialize_ntriples}
 
 
 class SemanticStore:
@@ -236,16 +190,8 @@ class SemanticStore:
         self.clock = clock or SystemClock()
         self.metrics = metrics
         self.namespace = Namespace(namespace)
-        self.graph = Graph()
-        self.graph.namespace_manager.bind("s2s", self.namespace)
-        self.graph.namespace_manager.bind("store", STORE)
         self.generation = 0
         self._materializations: dict[StoreKey, Materialization] = {}
-        self._triple_refs: dict[Triple, int] = {}
-        #: running totals of ``_put_slice``'s work: entities kept
-        #: (``unchanged``), triple references taken (``add``) and dropped
-        #: (``remove``); ``commit`` reports the share it caused
-        self._written: Counter[str] = Counter()
         self._refreshing: set[StoreKey] = set()
         self._lock = threading.RLock()
 
@@ -407,12 +353,9 @@ class SemanticStore:
     # -- filling -------------------------------------------------------
 
     def commit(self, key: StoreKey, writes: list[SliceWrite],
-               error_entries: list[ErrorEntry], *,
-               span=NULL_SPAN) -> dict[str, str]:
+               error_entries: list[ErrorEntry]) -> dict[str, str]:
         """The one write step every filler ends in; returns each written
-        source's verdict (``REFRESHED`` / ``KEPT_STALE`` / ``REMOVED``)
-        and annotates ``span`` with what the slice swaps cost
-        (``unchanged`` entities, ``triples_added``, ``triples_removed``).
+        source's verdict (``REFRESHED`` / ``KEPT_STALE`` / ``REMOVED``).
 
         * clean extraction → the slice is replaced and stamped with the
           pre-read fingerprint;
@@ -427,7 +370,6 @@ class SemanticStore:
         the same whichever filler wrote it and in whatever order."""
         with self._lock:
             mat = self._require(key)
-            before = self._written.copy()
             verdicts: dict[str, str] = {}
             written: list[str] = []
             for write in writes:
@@ -450,10 +392,6 @@ class SemanticStore:
             self.replace_errors(key, error_entries, for_sources=written)
             mat.errors.sort(key=lambda entry: (entry.source_id is not None,
                                                entry.source_id or ""))
-            cost = self._written - before
-            span.annotate(unchanged=cost["unchanged"],
-                          triples_added=cost["add"],
-                          triples_removed=cost["remove"])
             return verdicts
 
     def fold(self, plan, outcome, generation,
@@ -481,7 +419,7 @@ class SemanticStore:
                 self.tombstone(mat.key, source_id)
             self.commit(mat.key, slice_writes(attempted, generation, outcome,
                                               fingerprints),
-                        generation.errors.entries, span=span)
+                        generation.errors.entries)
             self.touch(mat.key)
             span.annotate(store="fold", sources=len(mat.slices),
                           entities=mat.entity_count())
@@ -513,7 +451,7 @@ class SemanticStore:
             return len(clones)
 
     def tombstone(self, key: StoreKey, source_id: str) -> int:
-        """Delete one source's slice (entities, triples, error entries);
+        """Delete one source's slice and its error entries;
         returns the number of entities removed."""
         with self._lock:
             mat = self._require(key)
@@ -525,12 +463,9 @@ class SemanticStore:
             return len(slice_.entities)
 
     def drop(self, key: StoreKey) -> None:
-        """Forget one materialization, releasing its triples."""
+        """Forget one materialization."""
         with self._lock:
-            mat = self._materializations.pop(key, None)
-            if mat is not None:
-                for source_id in list(mat.slices):
-                    self._put_slice(mat, source_id, None)
+            self._materializations.pop(key, None)
 
     def mark_slice_stale(self, key: StoreKey, source_id: str,
                          stale: bool = True) -> None:
@@ -587,8 +522,6 @@ class SemanticStore:
         with self._lock:
             self._materializations.clear()
             self._refreshing.clear()
-            self.graph.clear()
-            self._triple_refs.clear()
             self.generation += 1
             return self.generation
 
@@ -599,15 +532,11 @@ class SemanticStore:
             self.generation = generation
 
     def adopt(self, mat: Materialization) -> None:
-        """Install a fully-built materialization (the warm-load path),
-        indexing its entities into the graph."""
+        """Install a fully-built materialization (the warm-load path) in
+        place of whatever was stored under its key."""
         with self._lock:
-            self.drop(mat.key)
             mat.generation = self.generation
             self._materializations[mat.key] = mat
-            slices, mat.slices = mat.slices, {}
-            for source_id, slice_ in slices.items():
-                self._put_slice(mat, source_id, slice_)
 
     # -- provenance / introspection ------------------------------------
 
@@ -642,15 +571,30 @@ class SemanticStore:
                 })
             return rows
 
-    def export(self, format: str = "turtle") -> str:
-        """Serialize the store graph (``turtle`` or ``ntriples``)."""
+    @property
+    def graph(self) -> StoreGraph:
+        """A read-only snapshot of every stored triple.  The slices are
+        taken under the lock; their indexes are built (the first time
+        each slice is asked) and read outside it."""
         with self._lock:
-            if format == "turtle":
-                return serialize_turtle(self.graph)
-            if format == "ntriples":
-                return serialize_ntriples(self.graph)
+            stored = [(mat.class_name, mat.slices[source_id])
+                      for mat in self.materializations()
+                      for source_id in sorted(mat.slices)]
+        return StoreGraph([slice_.index(self.namespace, class_name)
+                           for class_name, slice_ in stored])
+
+    def export(self, format: str = "turtle") -> str:
+        """Serialize a snapshot of the store's triples (``turtle`` or
+        ``ntriples``), outside the store lock."""
+        serialize = _EXPORTERS.get(format)
+        if serialize is None:
             raise S2SError(f"unknown store export format {format!r}; "
                            f"expected 'turtle' or 'ntriples'")
+        graph = Graph()
+        graph.namespace_manager.bind("s2s", self.namespace)
+        graph.namespace_manager.bind("store", STORE)
+        graph.update(self.graph)
+        return serialize(graph)
 
     def save(self, directory: str) -> str:
         """Persist to ``directory``; see :func:`snapshot.save_store`."""
@@ -664,79 +608,17 @@ class SemanticStore:
         with self._lock:
             return load_store(self, directory)
 
-    # -- graph maintenance ---------------------------------------------
-
     def _put_slice(self, mat: Materialization, source_id: str,
                    slice_: SourceSlice | None) -> SourceSlice | None:
         """Swap one source's slice for ``slice_`` (None deletes it) and
-        return the slice it replaced.
-
-        The only code that writes ``mat.slices``, the triple reference
-        counts and the graph.  It pays per changed entity: the old and
-        new entities are matched as a multiset by :func:`_content_key`,
-        and only the unmatched ones take or drop triple references — the
-        new ones first, so a triple both sides hold never leaves the
-        graph.  Identifiers are shared between materializations, so a
-        triple leaves the graph only when its last owning entity drops
-        it."""
-        old = mat.slices.get(source_id)
-        unmatched: dict[tuple, list[AssembledEntity]] = {}
-        for entity in _entities(old):
-            unmatched.setdefault(_content_key(entity), []).append(entity)
-        added: list[AssembledEntity] = []
-        for entity in _entities(slice_):
-            twins = (unmatched.get(_content_key(entity)) if unmatched
-                     else None)
-            if twins:
-                twins.pop()
-            else:
-                added.append(entity)
-        # built before the swap: a value with no literal form is refused
-        # with the store as it was
-        acquired = list(self._entity_triples(mat.class_name, added))
+        return the slice it replaced — the only code that writes
+        ``mat.slices``.  Nothing else is kept in step: the new slice
+        indexes its triples when a snapshot first asks for them."""
         if slice_ is None:
-            mat.slices.pop(source_id, None)
-        else:
-            mat.slices[source_id] = slice_
-        refs = self._triple_refs
-        for triple in acquired:
-            count = refs.get(triple, 0)
-            refs[triple] = count + 1
-            if not count:
-                self.graph.add_triple(triple)
-        released = 0
-        for triple in self._entity_triples(
-                mat.class_name,
-                [entity for twins in unmatched.values() for entity in twins]):
-            released += 1
-            count = refs.get(triple, 0) - 1
-            if count > 0:
-                refs[triple] = count
-            else:
-                refs.pop(triple, None)
-                self.graph.remove(triple.subject, triple.predicate,
-                                  triple.object)
-        self._written.update(unchanged=len(_entities(slice_)) - len(added),
-                             add=len(acquired), remove=released)
-        if self.metrics is not None and (acquired or released):
-            written = self.metrics.counter(
-                "store_triples_written_total",
-                "triple references the store graph took or dropped")
-            written.inc(len(acquired), op="add")
-            written.inc(released, op="remove")
+            return mat.slices.pop(source_id, None)
+        old = mat.slices.get(source_id)
+        mat.slices[source_id] = slice_
         return old
-
-    def _entity_triples(self, class_name: str,
-                        entities: list[AssembledEntity]):
-        """Every entity's triples plus its provenance."""
-        for entity in entities:
-            for individual in entity.all_individuals():
-                yield from individual_triples(self.namespace, individual)
-            primary = self.namespace[entity.primary.identifier]
-            yield Triple(primary, STORE.source, Literal(entity.source_id))
-            yield Triple(primary, STORE.recordIndex,
-                         python_to_literal(entity.record_index))
-            yield Triple(primary, STORE.entityClass, Literal(class_name))
 
     # -- metrics -------------------------------------------------------
 
@@ -746,7 +628,9 @@ class SemanticStore:
 
     def __repr__(self) -> str:
         with self._lock:
+            entities = sum(mat.entity_count()
+                           for mat in self._materializations.values())
             return (f"SemanticStore(materializations="
                     f"{len(self._materializations)}, "
-                    f"triples={len(self.graph)}, "
+                    f"entities={entities}, "
                     f"generation={self.generation})")

@@ -536,7 +536,8 @@ class SparqlResult:
 
 
 def execute_sparql(graph: Graph, query_text: str):
-    """Parse and run a SPARQL query.
+    """Parse and run a SPARQL query over anything with a :class:`Graph`'s
+    ``triples(s, p, o)``, each match yielded once.
 
     Returns a :class:`SparqlResult` for SELECT, a ``bool`` for ASK."""
     query = _Parser(query_text).parse()

@@ -15,17 +15,22 @@ Also pinned here, because each was a place the four copies had drifted:
   served as fresh forever;
 * a healed source loses its old error entries on the next write.
 
-And the two halves of a store that costs what changed and what was
-asked: a commit writes triples only for the entities that differ (a
-seeded commit schedule against a from-scratch rebuild), and a served
-query clones only the entities it returns (a differential against
+And the store's two faces.  Its RDF view (``store.graph``, built from
+the slices on demand) is checked after every commit of two seeded
+schedules against a frozen copy of the reference-counted graph the
+store used to keep (``_frozen_store_graph.py``): triple sets, every
+pattern shape, a SPARQL corpus and both export formats.  A served query
+clones only the entities it returns (a differential against
 clone-every-entity-then-filter, plus isolation of what is handed out).
-The seeded tests take ``S2S_DIFF_SEED`` (CI runs a second value).
+Readers outside the store lock — served queries and SPARQL — see one
+whole version of what writers swap.  The seeded tests take
+``S2S_DIFF_SEED`` (CI runs a second value).
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import math
 import os
 import random
@@ -50,9 +55,12 @@ from repro.core.store import SemanticStore, SliceWrite
 from repro.core.store.store import Materialization, SourceSlice
 from repro.errors import S2SError
 from repro.ids import AttributePath
-from repro.obs import MetricsRegistry, Tracer
 from repro.ontology.builders import watch_domain_ontology
 from repro.ontology.model import Individual
+from repro.rdf.ntriples import parse_ntriples
+from repro.rdf.sparql import execute_sparql
+from repro.rdf.terms import IRI, Literal
+from repro.rdf.turtle import parse_turtle
 from repro.sources.flaky import FlakySource
 from repro.sources.relational import Database, RelationalDataSource
 from repro.workloads import B2BScenario
@@ -62,6 +70,7 @@ from tests.core.test_answer_differential import (MERGE_KEYS,
                                                  build_middleware, capture,
                                                  worlds)
 from tests.core.test_store import canon, make_entity
+from tests.integration._frozen_store_graph import ModelGraph
 
 SEED = int(os.environ.get("S2S_DIFF_SEED", "25"))
 
@@ -390,13 +399,86 @@ class TestFailingSourceContracts:
 
 
 # ----------------------------------------------------------------------
-# The reference-count invariant
+# The RDF view against the frozen model graph
 # ----------------------------------------------------------------------
 
 
 KEYS = [("product", frozenset({"product.brand"})),
         ("product", frozenset({"product.brand", "product.price"}))]
 SOURCES = ["db", "xml", "web"]
+
+#: SPARQL the view must answer as the model graph does: the ledger's
+#: provenance query, the store tests' queries and those of
+#: ``tests/rdf/test_sparql.py`` (``ex:`` bound to the store's namespace,
+#: ``watch`` / ``name`` read as the schedules' ``product`` / ``country``).
+#: Left out: LIMIT / OFFSET and an OPTIONAL that binds a value, which
+#: depend on an iteration order neither side promises.
+SPARQL_CORPUS = [
+    "PREFIX store: <http://example.org/s2s/store#>\n"
+    "PREFIX ex: <http://example.org/s2s/ontology#>\n" + text for text in (
+        "SELECT ?s ?src WHERE { ?s store:source ?src }",
+        "ASK { ?s store:entityClass ?c }",
+        "SELECT ?s ?i ?c WHERE { ?s store:recordIndex ?i . "
+        "?s store:entityClass ?c }",
+        "SELECT ?w WHERE { ?w a ex:product . }",
+        "SELECT ?brand ?name WHERE { ?w a ex:product . ?w ex:brand ?brand ."
+        " ?w ex:hasProvider ?p . ?p ex:country ?name . } ORDER BY ?brand",
+        'SELECT ?w WHERE { ?w ex:brand "Seiko" . }',
+        "SELECT ?w WHERE { ?w ex:price ?p . FILTER (?p > 100) }",
+        "SELECT ?w WHERE { ?w ex:brand ?b . ?w ex:price ?p . "
+        'FILTER (?b = "Seiko" && ?p < 100) }',
+        "SELECT ?w WHERE { ?w ex:price ?p . "
+        "FILTER (?p < 20 || !(?p < 150)) } ORDER BY ?w",
+        'SELECT ?w WHERE { ?w ex:brand ?b . FILTER (REGEX(?b, "^se", "i")) }',
+        "SELECT DISTINCT ?brand WHERE { ?w ex:brand ?brand . } "
+        "ORDER BY ?brand",
+        "SELECT ?w ?p WHERE { ?w ex:price ?p . } ORDER BY DESC(?p)",
+        "SELECT ?w WHERE { ?w a ex:product . "
+        "OPTIONAL { ?w ex:hasProvider ?p . } FILTER (!BOUND(?p)) }",
+        "SELECT * WHERE { ?w ex:country ?n . }",
+        'ASK { ?w ex:brand "Seiko" . }',
+    )]
+
+#: terms no stored triple holds, one per position
+ABSENT = (IRI("http://example.org/s2s/ontology#absent"),
+          IRI("http://example.org/s2s/ontology#absent"), Literal("absent"))
+
+
+def sparql_answer(graph, query):
+    answer = execute_sparql(graph, query)
+    return answer if isinstance(answer, bool) else Counter(answer.rows)
+
+
+def check_view(store, model, rng):
+    """The store's view against the model graph after the same swaps:
+    one triple set, each triple once; the same matches for every
+    bound/unbound pattern shape over sampled terms; the same SPARQL
+    answers; exports that parse back to the set."""
+    model.sync(store)
+    expected = set(model.graph)
+    view = store.graph
+    listed = list(view)
+    assert len(listed) == len(view) == len(expected)
+    assert set(listed) == expected
+    stored = sorted(expected, key=lambda triple: triple.n3())
+    for bound in itertools.product((False, True), repeat=3):
+        for _draw in range(3):
+            drawn = [tuple(rng.choice(stored))
+                     if stored and rng.random() < 0.9 else ABSENT
+                     for _ in range(3)]
+            # mostly one triple's terms, sometimes a mix of several
+            pattern = [(drawn[0] if rng.random() < 0.7
+                        else rng.choice(drawn))[position]
+                       if bound[position] else None
+                       for position in range(3)]
+            found = list(view.triples(*pattern))
+            assert len(found) == len(set(found)), pattern
+            assert set(found) == set(model.graph.triples(*pattern)), pattern
+    for query in SPARQL_CORPUS:
+        assert sparql_answer(view, query) == sparql_answer(model.graph,
+                                                           query), query
+    assert set(parse_turtle(store.export("turtle"))) == expected
+    assert set(parse_ntriples(store.export("ntriples"))) == expected
 
 
 def _materialization(key, slices):
@@ -417,8 +499,10 @@ def _entities(rng, source_id):
 @pytest.mark.parametrize("seed", range(12))
 def test_graph_equals_a_store_rebuilt_from_the_surviving_slices(seed):
     rng = random.Random(seed)
+    probe = random.Random(f"store-view:{SEED}:{seed}")
     store = SemanticStore(
         policy=RefreshPolicy(keep_last_known_good=bool(seed % 2)))
+    model = ModelGraph()
     for _step in range(60):
         key = rng.choice(KEYS)
         action = rng.choice(["commit"] * 5 + ["tombstone", "tombstone",
@@ -443,15 +527,8 @@ def test_graph_equals_a_store_rebuilt_from_the_surviving_slices(seed):
         else:
             store.bump_generation()
 
-        rebuilt = SemanticStore()
-        for mat in store.materializations():
-            rebuilt.adopt(_materialization(mat.key, {
-                source_id: SourceSlice(source_id,
-                                       [e.clone() for e in slice_.entities])
-                for source_id, slice_ in mat.slices.items()}))
-        assert len(store.graph) == len(rebuilt.graph)
-        assert set(store.graph) == set(rebuilt.graph)
-        assert store._triple_refs == rebuilt._triple_refs
+        check_view(store, model, probe)
+        assert set(store.graph) == set(rebuilt(store).graph)
 
 
 # ----------------------------------------------------------------------
@@ -564,18 +641,15 @@ def rebuilt(store):
     return fresh
 
 
-def commit_cost(store, key, source_id, entities):
-    span = Tracer().start("store")
-    store.commit(key, [SliceWrite(source_id, entities, "fp")], [], span=span)
-    return (span.attributes["unchanged"], span.attributes["triples_added"],
-            span.attributes["triples_removed"])
-
-
 def test_a_diffed_commit_leaves_what_a_rebuild_would():
+    """The commit schedule the store's content-key diff was written
+    against, now checked against the frozen diffing writer itself."""
     drawn: set[str] = set()
     for index in range(8):
         rng = random.Random(f"store-commits:{SEED}:{index}")
+        probe = random.Random(f"store-view:{SEED}:{index}")
         store = SemanticStore()
+        model = ModelGraph()
         for _step in range(80):
             key = rng.choice(KEYS)
             source_id = rng.choice(SOURCES)
@@ -584,52 +658,33 @@ def test_a_diffed_commit_leaves_what_a_rebuild_would():
             if rng.random() < 0.1:
                 drawn.add("tombstoned")
                 store.tombstone(key, source_id)
+                check_view(store, model, probe)
             else:
                 stored = mat.slices.get(source_id)
                 entities = next_extraction(
                     rng, stored.entities if stored is not None else [],
                     source_id, drawn)
-                refs = sum(store._triple_refs.values())
-                _unchanged, added, removed = commit_cost(store, key,
-                                                         source_id, entities)
-                assert (sum(store._triple_refs.values()) - refs
-                        == added - removed)
-                # the same extraction again, in another order, writes
-                # nothing
+                store.commit(key, [SliceWrite(source_id, entities, "fp")],
+                             [])
+                check_view(store, model, probe)
+                # the same extraction again, in another order, leaves
+                # the triple set as it was, in the model graph too
+                triples = set(store.graph)
                 again = [entity.clone() for entity in entities]
                 rng.shuffle(again)
-                assert commit_cost(store, key, source_id, again) == (
-                    len(entities), 0, 0)
-            fresh = rebuilt(store)
-            assert len(store.graph) == len(fresh.graph)
-            assert set(store.graph) == set(fresh.graph)
-            assert store._triple_refs == fresh._triple_refs
+                store.commit(key, [SliceWrite(source_id, again, "fp")], [])
+                model.sync(store)
+                assert set(store.graph) == set(model.graph) == triples
+            assert set(store.graph) == set(rebuilt(store).graph)
     assert drawn >= {
         "unchanged", "changed", "added", "removed", "duplicated",
         "reordered", "tombstoned", "change:list", "change:record",
         "change:relink", "change:link", "change:satellite",
         "change:attribute",
-        # every pair of values the content key must tell apart
+        # every pair of values the model's content key must tell apart
         "flip:int->float", "flip:float->bool", "flip:bool->str",
         "flip:date->datetime", "flip:datetime->date", "flip:float->float",
         "flip:nan->nan", "flip:datetime0:00:00->datetime2:00:00"}
-
-
-def test_a_commit_of_what_is_stored_writes_no_triple():
-    registry = MetricsRegistry()
-    store = SemanticStore(metrics=registry)
-    key = KEYS[0]
-    store.ensure(key[0], [AttributePath.parse(a) for a in sorted(key[1])])
-    entities = [make_entity(f"w{n}", "Seiko", record_index=n)
-                for n in range(3)]
-    # eight triples an entity: two types, brand, country, the link and
-    # three of provenance
-    assert commit_cost(store, key, "db", entities) == (0, 24, 0)
-    assert commit_cost(store, key, "db", entities) == (3, 0, 0)
-    entities[1].primary.values["brand"] = "Casio"  # one record changes
-    assert commit_cost(store, key, "db", entities) == (2, 8, 8)
-    counter = registry.get("store_triples_written_total")
-    assert counter.value(op="add") == 32 and counter.value(op="remove") == 8
 
 
 # ----------------------------------------------------------------------
@@ -733,7 +788,7 @@ def test_a_served_entity_is_the_callers_own():
 
     def state():
         return (snapshot(s2s.query(QUERY)), snapshot(s2s.query(selective)),
-                set(s2s.store.graph), dict(s2s.store._triple_refs),
+                set(s2s.store.graph),
                 {source_id: snapshot(SimpleNamespace(
                     entities=slice_.entities, errors=ErrorReport()))
                  for source_id, slice_ in mat.slices.items()})
@@ -821,7 +876,9 @@ def test_serving_outside_the_lock_beside_writers():
     """Readers select and clone stored entities after the store lock is
     released while writers swap the slice they read: every reader must
     still see one whole version of it, and what readers do to their
-    clones must reach neither the store nor the other readers."""
+    clones must reach neither the store nor the other readers.  SPARQL
+    readers run beside them on ``store.graph``: each answer is one whole
+    version too, and none raises."""
     store = SemanticStore()
     key = KEYS[0]
     store.ensure(key[0], [AttributePath.parse(a) for a in sorted(key[1])])
@@ -848,11 +905,26 @@ def test_serving_outside_the_lock_beside_writers():
                 failures.append(f"a torn read: {dict(brands)}")
             vandalize(serving.entities)
 
+    brands = ("PREFIX s2s: <http://example.org/s2s/ontology#> "
+              "SELECT ?w ?brand WHERE { ?w s2s:brand ?brand }")
+
+    def ask():
+        for _round in range(150):
+            try:
+                rows = execute_sparql(store.graph, brands).rows
+            except Exception as exc:  # a torn read may raise, not answer
+                failures.append(f"SPARQL raised {exc!r}")
+                continue
+            counts = Counter(brand.lexical for _w, brand in rows)
+            if sorted(counts.values()) != [20]:
+                failures.append(f"a torn SPARQL answer: {dict(counts)}")
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=target)
-                   for target in (write, write, read, read, read)]
+                   for target in (write, write, read, read, read,
+                                  ask, ask, ask)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -865,6 +937,4 @@ def test_serving_outside_the_lock_beside_writers():
     assert snapshot(SimpleNamespace(entities=stored, errors=ErrorReport())) \
         == snapshot(SimpleNamespace(entities=versions[1],
                                     errors=ErrorReport()))
-    fresh = rebuilt(store)
-    assert set(store.graph) == set(fresh.graph)
-    assert store._triple_refs == fresh._triple_refs
+    assert set(store.graph) == set(rebuilt(store).graph)
