@@ -16,7 +16,7 @@ mapping and can match journaled history against a fresh plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ...sources.base import stable_digest
 from ..cluster.sharding import shard_of  # noqa: F401  (re-export: the
@@ -101,10 +101,6 @@ class IngestJob:
     def eligible(self, now: float) -> bool:
         """Whether the job may be dispatched at clock time ``now``."""
         return self.status == PENDING and now >= self.next_eligible_at
-
-    def clone(self) -> "IngestJob":
-        return replace(self, attribute_ids=self.attribute_ids,
-                       completed_stages=list(self.completed_stages))
 
     # -- journal (de)serialization -------------------------------------
 

@@ -23,6 +23,7 @@ import io
 import json
 import logging
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -205,16 +206,12 @@ class JournalState:
         A job journaled as ``running`` was in flight when the process
         died — replay returns it as pending so it is re-run (at-least-
         once; the store upsert makes re-application idempotent)."""
-        out = []
-        for job in self.jobs.values():
-            if job.status == RUNNING:
-                resumed = job.clone()
-                resumed.status = PENDING
-                resumed.worker = None
-                out.append(resumed)
-            elif job.status == PENDING:
-                out.append(job.clone())
-        return sorted(out, key=lambda j: j.job_id)
+        return sorted(
+            (replace(job, status=PENDING,
+                     worker=job.worker if job.status == PENDING else None,
+                     completed_stages=list(job.completed_stages))
+             for job in self.jobs.values()
+             if job.status in (RUNNING, PENDING)), key=lambda j: j.job_id)
 
     def finished(self) -> dict[str, IngestJob]:
         return {job_id: job for job_id, job in self.jobs.items()

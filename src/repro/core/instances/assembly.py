@@ -22,6 +22,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 
 from ...errors import InstanceGenerationError, ValidationError
 from ...ids import AttributePath
@@ -33,13 +34,14 @@ from ...ontology.validation import link_problems
 
 @dataclass
 class AssembledEntity:
-    """A primary individual plus the linked satellites built from one record."""
+    """A primary individual plus the linked satellites built from one
+    record; read-only once :meth:`freeze` has run."""
 
     primary: Individual
-    satellites: list[Individual] = field(default_factory=list)
+    satellites: Sequence[Individual] = field(default_factory=list)
     source_id: str = ""
     record_index: int = 0
-    coercion_errors: list[str] = field(default_factory=list)
+    coercion_errors: Sequence[str] = field(default_factory=list)
 
     def all_individuals(self) -> list[Individual]:
         """Primary + satellites in one list."""
@@ -54,30 +56,20 @@ class AssembledEntity:
                 return satellite.values[attribute]
         return default
 
-    def clone(self) -> "AssembledEntity":
-        """An independent deep copy.
-
-        The merge step mutates entities in place (value back-fill,
-        satellite adoption), and so may whoever receives an answer, so
-        anything stored for reuse — the semantic store — must hand out
-        copies.  Links are remapped so a clone's individuals reference
-        each other, never the originals."""
-        copies: dict[int, Individual] = {}
+    def freeze(self) -> "AssembledEntity":
+        """Make this entity read-only in place (idempotent) and return it:
+        satellites, coercion errors and link lists become tuples, each
+        individual's ``values`` / ``links`` a read-only mapping.  The
+        store shares what it froze with every reader (docs/store.md)."""
         for individual in self.all_individuals():
-            copies[id(individual)] = Individual(
-                individual.identifier, individual.class_name,
-                {name: (list(value) if isinstance(value, list) else value)
-                 for name, value in individual.values.items()})
-        for individual in self.all_individuals():
-            copy = copies[id(individual)]
-            for name, targets in individual.links.items():
-                copy.links[name] = [
-                    copies.get(id(target), target) for target in targets]
-        return AssembledEntity(
-            copies[id(self.primary)],
-            [copies[id(satellite)] for satellite in self.satellites],
-            self.source_id, self.record_index,
-            list(self.coercion_errors))
+            if type(individual.values) is not MappingProxyType:
+                individual.values = MappingProxyType(individual.values)
+                individual.links = MappingProxyType({
+                    name: tuple(targets)
+                    for name, targets in individual.links.items()})
+        self.satellites = tuple(self.satellites)
+        self.coercion_errors = tuple(self.coercion_errors)
+        return self
 
 
 #: a cell of a typed column whose raw value did not coerce

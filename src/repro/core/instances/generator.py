@@ -28,6 +28,7 @@ from ...ontology.schema import OntologySchema
 from ..extractor.manager import ExtractionOutcome
 from ..extractor.records import SourceRecordSet
 from .assembly import _FAILED, AssembledEntity, RecordAssembler, _ShapePlan
+from .codec import entity_from_json, entity_to_json
 from .errors import ErrorReport
 
 
@@ -176,9 +177,13 @@ class InstanceGenerator:
         """Merge entities agreeing on every merge-key attribute.
 
         The first-seen entity wins conflicts; differing non-key values are
-        reported (they usually reveal an unresolved semantic conflict)."""
+        reported (they usually reveal an unresolved semantic conflict).
+        No input is edited (a stored one is read-only): an entity that
+        gains a value or a satellite is replaced by its codec copy, whose
+        links point at its own individuals, and the copy takes them."""
         merged: dict[tuple, AssembledEntity] = {}
         order: list[tuple] = []
+        copies: set[int] = set()
         for entity in entities:
             key = tuple(entity.value(attribute) for attribute in merge_key)
             if any(part is None for part in key):
@@ -189,20 +194,31 @@ class InstanceGenerator:
                 merged[key] = entity
                 order.append(key)
                 continue
+            filled: dict[str, object] = {}
             for attribute, value in entity.primary.values.items():
                 current = existing.primary.values.get(attribute)
                 if current is None:
-                    existing.primary.values[attribute] = value
+                    filled[attribute] = value
                 elif current != value:
                     errors.add(
                         "generation",
                         f"merge conflict on {attribute!r}: kept {current!r}, "
                         f"dropped {value!r} (from {entity.source_id})",
                         source_id=entity.source_id)
+            known = {satellite.class_name for satellite in existing.satellites}
+            adopted = []
             for satellite in entity.satellites:
-                known = {s.class_name for s in existing.satellites}
                 if satellite.class_name not in known:
-                    existing.satellites.append(satellite)
+                    known.add(satellite.class_name)
+                    adopted.append(satellite)
+            if not (filled or adopted):
+                continue
+            if id(existing) not in copies:
+                existing = merged[key] = entity_from_json(
+                    entity_to_json(existing))
+                copies.add(id(existing))
+            existing.primary.values.update(filled)
+            existing.satellites.extend(adopted)
         return [merged[key] for key in order]
 
 

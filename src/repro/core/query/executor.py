@@ -235,8 +235,7 @@ class QueryHandler:
         serving = None
         if self.store is not None:
             with root.child("store") as span:
-                serving = self.store.serve(
-                    plan, span=span, select=self._served_selection(merge_key))
+                serving = self.store.serve(plan, span=span)
         if serving is not None:
             result = self._answer_served(query, plan, serving, merge_key,
                                          root)
@@ -312,9 +311,8 @@ class QueryHandler:
         the extraction)."""
         distinct = {str(query): plan for query, plan in zip(parsed, plans)}
         with root.child("store", queries=len(plans)) as store_span:
-            servings = self.store.serve_many(
-                list(distinct.values()), span=store_span,
-                select=self._served_selection(merge_key))
+            servings = self.store.serve_many(list(distinct.values()),
+                                             span=store_span)
             if servings is None:
                 return None
             served = dict(zip(distinct, servings))
@@ -395,24 +393,12 @@ class QueryHandler:
             extraction_seconds=outcome.elapsed_seconds, extraction=outcome,
             generated=built)
 
-    def _served_selection(self, merge_key: list[str] | None):
-        """What the store runs on its own entities before cloning any:
-        the WHERE conditions (:meth:`_matching` only reads).  None under
-        a merge, which must see every entity before the filter does."""
-        if merge_key:
-            return None
-        return lambda plan, entities: (
-            self._matching(entities, plan.conditions) if plan.conditions
-            else entities)
-
     def _answer_served(self, query: S2sqlQuery, plan: QueryPlan, serving,
                        merge_key: list[str] | None, parent) -> QueryResult:
-        """Merge → filter a store serving's clones, exactly as the live
-        path treats generated entities.  Without a merge the store has
-        applied the conditions already (:meth:`_served_selection`)."""
+        """Merge → filter a store serving's shared, read-only entities,
+        exactly as the live path treats generated entities."""
         return self._filter(query, plan, serving.entities, serving.errors,
                             merge_key, parent,
-                            masked_from=serving.candidates,
                             store_hit=True, store_stale=serving.stale)
 
     def _filter(self, query: S2sqlQuery, plan: QueryPlan,

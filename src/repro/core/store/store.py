@@ -16,14 +16,12 @@ Design points:
   merge at serve time reproduces a live query's answer exactly — for
   any merge key, not just the one used when the store was filled.
 
-* **No shared objects.**  A stored entity is never handed to anyone.
-  ``upsert`` stores clones, because the writer keeps what it wrote (the
-  live fold merges its generated entities afterwards, and a merge
-  mutates in place).  ``serve`` hands out clones of only the entities
-  the reader keeps: a ``select`` callback (the query's WHERE
-  conditions) reads the stored entities without mutating them and picks
-  the ones to clone.  Without a selection every entity is cloned.  The
-  selection and the cloning run outside the store lock.
+* **Shared, read-only entities.**  A :class:`SourceSlice` freezes its
+  entities when it is made (:meth:`AssembledEntity.freeze`), and from
+  then on the store, every reader and every RDF snapshot share them:
+  ``serve`` hands out the stored entities themselves, and an edit
+  raises instead of reaching the store (docs/store.md, "What is shared,
+  and why it cannot change").
 
 * **One writer, keeping entities.**  Live write-through (``fold``),
   the delta refresher and the ingest coordinator all fill the store
@@ -47,6 +45,7 @@ Design points:
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ...clock import Clock, SystemClock
@@ -73,22 +72,27 @@ StoreKey = tuple[str, frozenset[str]]
 class SourceSlice:
     """One source's stored (unmerged) entities for one materialization.
 
+    The entities are frozen here, where sharing begins: both ways into
+    the store (``upsert`` and the warm load's ``adopt``) make a slice.
     ``fingerprint`` is the source's content hash at extraction time
     (None = unfingerprintable, treated as changed on refresh); ``stale``
     marks last-known-good data kept after the source started failing."""
 
     source_id: str
-    entities: list[AssembledEntity] = field(default_factory=list)
+    entities: Sequence[AssembledEntity] = ()
     fingerprint: str | None = None
     stale: bool = False
     _index: SliceIndex | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
+    def __post_init__(self) -> None:
+        self.entities = tuple([entity.freeze() for entity in self.entities])
+
     def index(self, namespace: Namespace, class_name: str) -> SliceIndex:
         """The slice's triples, indexed on first use and kept: a stored
-        slice's entities are never edited (a write swaps whole slices),
-        so the index is valid for as long as the slice lives.  Two
-        readers racing to build it build equal ones."""
+        slice's entities are frozen (a write swaps whole slices), so the
+        index is valid for as long as the slice lives.  Two readers
+        racing to build it build equal ones."""
         if self._index is None:
             self._index = SliceIndex(
                 entity_triples(namespace, class_name, self.entities))
@@ -124,17 +128,11 @@ class Materialization:
 
 @dataclass
 class StoreServing:
-    """What :meth:`SemanticStore.serve` hands the query executor.
-
-    ``entities`` are clones.  ``candidates`` is the number of stored
-    entities a selection picked them from (None: no selection ran, so
-    ``entities`` holds every stored entity)."""
+    """What :meth:`SemanticStore.serve` hands out: the stored entities."""
 
     entities: list[AssembledEntity]
     errors: ErrorReport
     stale: bool = False
-    stale_sources: list[str] = field(default_factory=list)
-    candidates: int | None = None
 
 
 #: The per-source verdicts of :meth:`SemanticStore.commit` (also the
@@ -272,28 +270,24 @@ class SemanticStore:
         age = self.clock.monotonic() - mat.materialized_at
         return mat.expired or self.policy.is_stale(age)
 
-    def serve(self, plan, *, span=NULL_SPAN,
-              select=None) -> StoreServing | None:
+    def serve(self, plan, *, span=NULL_SPAN) -> StoreServing | None:
         """Answer ``plan`` from the store, or None to fall through live.
 
         A fresh materialization is always served.  A stale one is served
         only while a refresh is in flight (and the policy allows it) —
         otherwise the caller runs live extraction, whose fold replaces
-        the stale snapshot.  ``select``: see :meth:`serve_many`."""
-        servings = self.serve_many([plan], span=span, select=select)
+        the stale snapshot."""
+        servings = self.serve_many([plan], span=span)
         return servings[0] if servings else None
 
-    def serve_many(self, plans, *, span=NULL_SPAN,
-                   select=None) -> list[StoreServing] | None:
+    def serve_many(self, plans, *,
+                   span=NULL_SPAN) -> list[StoreServing] | None:
         """Answer every plan from the store, or none of them.
 
         Every plan's freshness is decided under one lock acquisition, so
         a batch is never half served: one unservable plan sends the whole
         batch to the live shared scan (which visits the union of sources
-        anyway).  ``select(plan, entities)``, when given, returns the
-        stored entities to hand out, in order; it must only read them.
-        It runs after the lock is released, and only what it returns is
-        cloned.  Without it every stored entity is cloned."""
+        anyway)."""
         with self._lock:
             mats = [self._materializations.get(self.key_for(plan))
                     for plan in plans]
@@ -310,17 +304,7 @@ class SemanticStore:
                 store="hit",
                 entities=sum(len(serving.entities) for serving in servings),
                 stale=any(serving.stale for serving in servings))
-        # Stored entities are never mutated (a write swaps whole slices),
-        # so these references stay valid after the lock is released.
-        for plan, serving in zip(plans, servings):
-            if select is not None:
-                serving.candidates = len(serving.entities)
-                serving.entities = select(plan, serving.entities)
-            serving.entities = [entity.clone()
-                                for entity in serving.entities]
-        span.annotate(cloned=sum(len(serving.entities)
-                                 for serving in servings))
-        return servings
+            return servings
 
     def _refusal(self, mat: Materialization | None) -> str | None:
         """Why ``mat`` cannot answer right now (None = it can).  A stale
@@ -335,20 +319,16 @@ class SemanticStore:
         return None
 
     def _serving(self, mat: Materialization) -> StoreServing:
-        """A serving holding the *stored* entities; ``serve_many``
-        replaces them with clones before anyone else sees it."""
-        entities: list[AssembledEntity] = []
-        for source_id in sorted(mat.slices):
-            entities.extend(mat.slices[source_id].entities)
-        stale_sources = mat.stale_sources()
-        stale = self._stale(mat) or bool(stale_sources)
+        """A serving of ``mat``'s stored entities, in source order."""
+        entities = [entity for source_id in sorted(mat.slices)
+                    for entity in mat.slices[source_id].entities]
+        stale = self._stale(mat) or bool(mat.stale_sources())
         self._count("store_hits_total",
                     "queries answered from the semantic store")
         if stale:
             self._count("stale_served_total",
                         "queries answered with stale store data")
-        return StoreServing(entities, ErrorReport(list(mat.errors)),
-                            stale, stale_sources)
+        return StoreServing(entities, ErrorReport(list(mat.errors)), stale)
 
     # -- filling -------------------------------------------------------
 
@@ -440,15 +420,13 @@ class SemanticStore:
                entities: list[AssembledEntity], *,
                fingerprint: str | None = None,
                stale: bool = False) -> int:
-        """Replace one source's slice with clones of ``entities``
+        """Replace one source's slice with ``entities``, frozen in place
         (records that disappeared from the source go with the old
         slice); returns the number of entities stored."""
         with self._lock:
-            clones = [entity.clone() for entity in entities]
-            self._put_slice(self._require(key), source_id,
-                            SourceSlice(source_id, clones, fingerprint,
-                                        stale))
-            return len(clones)
+            slice_ = SourceSlice(source_id, entities, fingerprint, stale)
+            self._put_slice(self._require(key), source_id, slice_)
+            return len(slice_.entities)
 
     def tombstone(self, key: StoreKey, source_id: str) -> int:
         """Delete one source's slice and its error entries;
@@ -539,17 +517,6 @@ class SemanticStore:
             self._materializations[mat.key] = mat
 
     # -- provenance / introspection ------------------------------------
-
-    def entities_for_source(self, source_id: str) -> list[AssembledEntity]:
-        """Clones of every stored entity extracted from one source."""
-        with self._lock:
-            found: list[AssembledEntity] = []
-            for mat in self._materializations.values():
-                slice_ = mat.slices.get(source_id)
-                if slice_ is not None:
-                    found.extend(entity.clone()
-                                 for entity in slice_.entities)
-            return found
 
     def status(self) -> list[dict]:
         """One summary dict per materialization (for CLI / monitoring)."""

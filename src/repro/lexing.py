@@ -24,6 +24,12 @@ from typing import Callable, Mapping
 #: limit documents (docs/api.md, "Moved in 2.6").
 MAX_NESTING = 64
 
+#: Most binary operators (``or``, ``AND``, ``|``, ``&&`` ...) one text may
+#: chain, sized against the stack like :data:`MAX_NESTING`: a parser loops
+#: over a chain, but compiling and evaluating recurse a frame per operator,
+#: and a chain in parentheses hangs below the one around it.
+MAX_CHAIN = 256
+
 #: Kind of the token an error factory receives for a character that no
 #: rule of the table matches.
 MISMATCH = "mismatch"
@@ -124,6 +130,7 @@ class TokenCursor:
         self.tokens = self.lexer.scan(text)
         self.index = 0
         self.depth = 0
+        self.operators = 0
 
     def error(self, message: str, token: Token | None = None) -> Exception:
         """The language's syntax error for ``message`` at ``token``."""
@@ -179,3 +186,14 @@ class TokenCursor:
     def ascend(self) -> None:
         """Leave the production :meth:`descend` entered."""
         self.depth -= 1
+
+    def chained(self, kind: str, *values: str) -> bool:
+        """:meth:`accept` a binary operator, counted against
+        :data:`MAX_CHAIN` over the whole text."""
+        if self.accept(kind, *values) is None:
+            return False
+        self.operators += 1
+        if self.operators > MAX_CHAIN:
+            raise self.error(f"more than {MAX_CHAIN} chained operators "
+                             f"(MAX_CHAIN)", self.peek())
+        return True

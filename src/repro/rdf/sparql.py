@@ -290,14 +290,14 @@ class _Parser(TokenCursor):
     def filter_or(self) -> FilterExpr:
         self.descend()
         left = self.filter_and()
-        while self.accept("or"):
+        while self.chained("or"):
             left = BoolOp("||", left, self.filter_and())
         self.ascend()
         return left
 
     def filter_and(self) -> FilterExpr:
         left = self.filter_not()
-        while self.accept("and"):
+        while self.chained("and"):
             left = BoolOp("&&", left, self.filter_not())
         return left
 

@@ -170,12 +170,13 @@ def encode_frame(payload: dict, *,
 
 
 def decode_body(body: bytes) -> dict:
-    """The frame payload, validated to be a JSON object with a kind."""
+    """The frame payload, validated to be a JSON object with a kind; any
+    bytes that are not raise :class:`GarbledFrameError`, and nothing else."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise GarbledFrameError(f"frame body is not valid JSON: {exc}") \
-            from exc
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8, int limit
+        raise GarbledFrameError(f"frame body is not valid JSON: "
+                                f"{type(exc).__name__}: {exc}") from exc
     if not isinstance(payload, dict):
         raise GarbledFrameError(
             f"frame body must be a JSON object, not {type(payload).__name__}")
@@ -188,7 +189,8 @@ def decode_body(body: bytes) -> dict:
 
 async def read_frame(reader: asyncio.StreamReader, *,
                      max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
-    """One frame from the stream; ``None`` on clean EOF at a boundary."""
+    """One frame from the stream; ``None`` on clean EOF at a boundary.
+    The only frame reader: :func:`read_frame_sync` runs it too."""
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
@@ -220,39 +222,35 @@ async def write_frame(writer: asyncio.StreamWriter, payload: dict, *,
 
 # -- blocking socket I/O (the sync client) --------------------------------
 
+class _SocketReader:
+    """``readexactly`` over a blocking socket.  It never suspends, so
+    :func:`read_frame` over it runs to its end in one step."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+
+    async def readexactly(self, length: int) -> bytes:
+        data = bytearray()
+        while len(data) < length:
+            chunk = self.sock.recv(length - len(data))
+            if not chunk:
+                raise asyncio.IncompleteReadError(bytes(data), length)
+            data += chunk
+        return bytes(data)
+
+
 def read_frame_sync(sock: socket.socket, *,
                     max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
-    """Blocking twin of :func:`read_frame` over a plain socket."""
-    header = _recv_exactly(sock, _HEADER.size, allow_eof=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > max_bytes:
-        raise OversizedFrameError(
-            f"declared frame length {length} exceeds the {max_bytes}-byte "
-            f"limit")
-    body = _recv_exactly(sock, length)
-    return decode_body(body)
+    """Blocking twin of :func:`read_frame`: the same reader, run to its
+    end without an event loop."""
+    try:
+        read_frame(_SocketReader(sock), max_bytes=max_bytes).send(None)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("a blocking frame read suspended")
 
 
 def write_frame_sync(sock: socket.socket, payload: dict, *,
                      max_bytes: int = MAX_FRAME_BYTES) -> None:
     """Blocking twin of :func:`write_frame`."""
     sock.sendall(encode_frame(payload, max_bytes=max_bytes))
-
-
-def _recv_exactly(sock: socket.socket, length: int, *,
-                  allow_eof: bool = False) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = length
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == length:
-                return None  # orderly close between frames
-            received = length - remaining
-            raise TornFrameError(
-                f"connection closed {received}/{length} bytes into a frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks) if chunks else b""

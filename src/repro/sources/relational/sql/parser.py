@@ -143,14 +143,14 @@ class _Parser(TokenCursor):
     def condition(self) -> Condition:
         self.descend()
         left = self.and_condition()
-        while self.accept("keyword", "OR"):
+        while self.chained("keyword", "OR"):
             left = BooleanOp("OR", left, self.and_condition())
         self.ascend()
         return left
 
     def and_condition(self) -> Condition:
         left = self.not_condition()
-        while self.accept("keyword", "AND"):
+        while self.chained("keyword", "AND"):
             left = BooleanOp("AND", left, self.not_condition())
         return left
 

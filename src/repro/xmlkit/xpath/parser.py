@@ -44,20 +44,20 @@ class _Parser(TokenCursor):
     def or_expr(self) -> Expr:
         self.descend()
         left = self.and_expr()
-        while self.accept("name", "or"):
+        while self.chained("name", "or"):
             left = BooleanOp("or", left, self.and_expr())
         self.ascend()
         return left
 
     def and_expr(self) -> Expr:
         left = self.union_expr()
-        while self.accept("name", "and"):
+        while self.chained("name", "and"):
             left = BooleanOp("and", left, self.union_expr())
         return left
 
     def union_expr(self) -> Expr:
         left = self.cmp_expr()
-        while self.accept("union"):
+        while self.chained("union"):
             left = Union_(left, self.cmp_expr())
         return left
 

@@ -48,7 +48,8 @@ def through_json(data):
 def assert_same_entity(decoded: AssembledEntity, entity: AssembledEntity):
     assert decoded.source_id == entity.source_id
     assert decoded.record_index == entity.record_index
-    assert decoded.coercion_errors == entity.coercion_errors
+    # a stored entity is frozen: its containers are tuples
+    assert list(decoded.coercion_errors) == list(entity.coercion_errors)
     ours, theirs = decoded.all_individuals(), entity.all_individuals()
     assert len(ours) == len(theirs)
     for mine, other in zip(ours, theirs):
@@ -494,7 +495,7 @@ class TestStoreRestart:
             AssembledEntity(watch, [], "DB_1", 4, ["price: 'x'"]), [entry])
         mat = self.reloaded(store, tmp_path).materialization(key)
         entity, = mat.slices["DB_1"].entities
-        assert entity.coercion_errors == ["price: 'x'"]
+        assert entity.coercion_errors == ("price: 'x'",)
         assert entity.record_index == 4
         assert mat.errors == [entry]
         assert mat.slices["DB_1"].fingerprint == "f1"

@@ -5,9 +5,12 @@ import pytest
 from repro.core.extractor.manager import ExtractionOutcome, ExtractionProblem
 from repro.core.extractor.records import RawFragment, SourceRecordSet
 from repro.core.instances import InstanceGenerator, RecordAssembler
+from repro.core.instances.assembly import AssembledEntity
+from repro.core.instances.codec import entity_to_json
 from repro.core.instances.errors import ErrorReport
 from repro.errors import InstanceGenerationError
 from repro.ids import AttributePath
+from repro.ontology.model import Individual
 
 
 def record_set(source_id, columns):
@@ -195,6 +198,43 @@ class TestMergeKey:
         merged = [e for e in result.entities
                   if e.value("model") == "SKX007"][0]
         assert merged.value("price") == 199.0  # first wins
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_merge_copies_what_it_changes_and_edits_nothing(self, stored):
+        def entity(source_id, values, provider=None):
+            primary = Individual(f"w_{source_id}", "watch", values)
+            satellites = []
+            if provider is not None:
+                satellites.append(Individual(f"p_{source_id}", "provider",
+                                             {"name": provider}))
+                primary.link("hasProvider", satellites[0])
+            built = AssembledEntity(primary, satellites, source_id, 0, [])
+            return built.freeze() if stored else built
+
+        key = {"brand": "Seiko", "model": "SKX007"}
+        first = entity("A", dict(key), provider="Acme")
+        filler = entity("B", {**key, "price": 199.0})
+        adopter = entity("C", dict(key), provider="Zenith")
+        bare = entity("D", dict(key))
+        inputs = [first, filler, adopter, bare]
+        before = [entity_to_json(each) for each in inputs]
+        errors = ErrorReport()
+
+        merged, = InstanceGenerator._merge([first, filler], ["brand", "model"],
+                                           errors)
+        assert merged is not first
+        assert merged.value("price") == 199.0
+        provider, = merged.satellites
+        assert merged.primary.links["hasProvider"] == [provider]
+        assert entity_to_json(merged)["individuals"][0]["links"] == {
+            "hasProvider": [1]}
+        adopted, = InstanceGenerator._merge([bare, adopter],
+                                            ["brand", "model"], errors)
+        assert [s.identifier for s in adopted.satellites] == ["p_C"]
+        kept, = InstanceGenerator._merge([first, adopter],
+                                         ["brand", "model"], errors)
+        assert kept is first  # nothing gained: no copy
+        assert [entity_to_json(each) for each in inputs] == before
 
     def test_entities_missing_key_not_merged(self, schema):
         outcome = ExtractionOutcome(record_sets={

@@ -362,8 +362,9 @@ class TestGoldenPushdownTrace:
 
 
 # Golden snapshots: what a store write and a store read cost.  A write
-# is a slice swap and says no more than that; a selective store-served
-# query clones only what it returns, a merged one clones every entity.
+# is a slice swap and says no more than that; a read hands out the stored
+# entities, which the one filter step then selects from (``cloned`` is
+# still looked for: a read that copies again would show here).
 def store_cost_shape(trace) -> str:
     lines = []
     for span in trace.walk():
@@ -378,20 +379,17 @@ def store_cost_shape(trace) -> str:
 
 GOLDEN_MATERIALIZED = GOLDEN_TOUCHED = """\
 store store=upsert"""
-GOLDEN_SERVED = """\
-store store=hit entities=6 cloned=1
-filter candidates=6 matched=1"""
-GOLDEN_SERVED_MERGED = """\
-store store=hit entities=6 cloned=6
+GOLDEN_SERVED = GOLDEN_SERVED_MERGED = """\
+store store=hit entities=6
 filter candidates=6 matched=1"""
 GOLDEN_SERVED_BATCH = """\
-store store=hit entities=12 cloned=7
+store store=hit entities=12
 filter candidates=6 matched=1
 filter candidates=6 matched=6"""
 
 
 class TestGoldenStoreTrace:
-    def test_store_spans_say_what_was_written_and_cloned(self):
+    def test_store_spans_say_what_was_written_and_served(self):
         scenario = B2BScenario(n_sources=2, n_products=6, seed=7)
         registry = MetricsRegistry()
         s2s = scenario.build_middleware(tracer=Tracer(), metrics=registry,

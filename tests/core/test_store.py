@@ -16,6 +16,7 @@ from repro.core.query.parser import parse_s2sql
 from repro.config import RefreshPolicy, ResilienceConfig
 from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.core.instances.assembly import AssembledEntity
+from repro.core.instances.codec import entity_from_json, entity_to_json
 from repro.core.instances.errors import ErrorEntry
 from repro.core.store import SemanticStore, StoreRefresher
 from repro.core.store.snapshot import fingerprint_sources
@@ -105,6 +106,11 @@ def make_entity(identifier, brand, *, source_id="db", record_index=0):
                           {"country": "PL"})
     primary.link("hasProvider", provider)
     return AssembledEntity(primary, [provider], source_id, record_index, [])
+
+
+def copied(entity):
+    """A mutable deep copy of a (possibly frozen) entity."""
+    return entity_from_json(entity_to_json(entity))
 
 
 class TestStoreServing:
@@ -443,27 +449,37 @@ class TestStoreUnit:
     def _store_with(self, entities, *, key=("product",
                                            frozenset({"product.brand"}))):
         store = SemanticStore()
-        slices = {}
+        by_source = {}
         for entity in entities:
-            slices.setdefault(entity.source_id,
-                              SourceSlice(entity.source_id)
-                              ).entities.append(entity)
+            by_source.setdefault(entity.source_id, []).append(entity)
         store.adopt(Materialization(
             key[0], key[1], [AttributePath.parse(a) for a in sorted(key[1])],
-            slices=slices))
+            slices={source_id: SourceSlice(source_id, stored)
+                    for source_id, stored in by_source.items()}))
         return store, key
 
-    def test_clone_is_deeply_independent(self):
+    def test_a_stored_entity_is_read_only(self):
         entity = make_entity("w1", "Seiko")
-        clone = entity.clone()
-        clone.primary.values["brand"] = "Mutated"
-        clone.satellites[0].values["country"] = "XX"
-        assert entity.primary.values["brand"] == "Seiko"
-        assert entity.satellites[0].values["country"] == "PL"
-        # Links are remapped onto the cloned satellites, not shared.
-        assert clone.primary.links["hasProvider"][0] is clone.satellites[0]
-        assert clone.primary.links["hasProvider"][0] is not \
-            entity.satellites[0]
+        store, key = self._store_with([entity])
+        stored, = store.materializations()[0].slices["db"].entities
+        assert stored is entity  # shared, not copied
+        provider = entity.satellites[0]
+        for mutate in (lambda: entity.primary.set("brand", "Mutated"),
+                       lambda: entity.primary.link("hasProvider", provider),
+                       lambda: entity.primary.links["hasProvider"].append(
+                           provider),
+                       lambda: provider.values.update(country="XX"),
+                       lambda: entity.satellites.append(provider),
+                       lambda: entity.coercion_errors.append("x")):
+            with pytest.raises((TypeError, AttributeError)):
+                mutate()
+        assert entity.primary.links["hasProvider"] == (provider,)
+        assert entity.freeze() is entity  # again: nothing changes
+        mutable = copied(entity)
+        mutable.primary.set("brand", "Mutated")
+        assert mutable.primary.links["hasProvider"] == [mutable.satellites[0]]
+        assert entity.value("brand") == "Seiko"
+        assert store.upsert(key, "db", [entity, copied(entity)]) == 2
 
     def test_upsert_without_merge_key_replaces_the_slice(self):
         store, key = self._store_with([make_entity("w1", "Seiko"),
@@ -523,14 +539,6 @@ class TestStoreUnit:
         assert store.mark_stale("nope") == 0
         assert store.mark_stale("db") == 1
         assert store.mark_stale() == 1
-
-    def test_entities_for_source_returns_clones(self):
-        store, _key = self._store_with([make_entity("w1", "Seiko")])
-        found = store.entities_for_source("db")
-        assert len(found) == 1
-        found[0].primary.values["brand"] = "Mutated"
-        assert store.entities_for_source("db")[0].primary.values[
-            "brand"] == "Seiko"
 
     def test_export_rejects_unknown_format(self):
         store = SemanticStore()

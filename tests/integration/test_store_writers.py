@@ -20,8 +20,9 @@ the slices on demand) is checked after every commit of two seeded
 schedules against a frozen copy of the reference-counted graph the
 store used to keep (``_frozen_store_graph.py``): triple sets, every
 pattern shape, a SPARQL corpus and both export formats.  A served query
-clones only the entities it returns (a differential against
-clone-every-entity-then-filter, plus isolation of what is handed out).
+shares the stored entities, read-only: it answers what copying every
+stored entity and then filtering answered, and no edit of a stored
+entity — served, warm-loaded or committed by ingest — gets through.
 Readers outside the store lock — served queries and SPARQL — see one
 whole version of what writers swap.  The seeded tests take
 ``S2S_DIFF_SEED`` (CI runs a second value).
@@ -69,7 +70,7 @@ from tests.core.generation_oracle import snapshot
 from tests.core.test_answer_differential import (MERGE_KEYS,
                                                  build_middleware, capture,
                                                  worlds)
-from tests.core.test_store import canon, make_entity
+from tests.core.test_store import canon, copied, make_entity
 from tests.integration._frozen_store_graph import ModelGraph
 
 SEED = int(os.environ.get("S2S_DIFF_SEED", "25"))
@@ -566,8 +567,8 @@ def value_kind(value) -> str:
 
 
 def changed(rng, entity, drawn):
-    """A clone of ``entity`` with one thing about it changed."""
-    entity = entity.clone()
+    """A copy of ``entity`` with one thing about it changed."""
+    entity = copied(entity)
     primary, provider = entity.primary, entity.satellites[0]
     change = rng.choice(["flip", "flip", "flip", "list", "record", "relink",
                          "link", "satellite", "attribute"])
@@ -616,11 +617,11 @@ def next_extraction(rng, previous, source_id, drawn):
             entity = changed(rng, entity, drawn)
         else:
             drawn.add("unchanged")
-            entity = entity.clone()
+            entity = copied(entity)
         entities.append(entity)
         if rng.random() < 0.1:
             drawn.add("duplicated")
-            entities.append(entity.clone())
+            entities.append(copied(entity))
     for _ in range(rng.randrange(3)):
         drawn.add("added")
         entities.append(drawn_entity(rng, source_id, rng.randrange(8)))
@@ -636,7 +637,7 @@ def rebuilt(store):
     for mat in store.materializations():
         fresh.adopt(_materialization(mat.key, {
             source_id: SourceSlice(source_id,
-                                   [e.clone() for e in slice_.entities])
+                                   [copied(e) for e in slice_.entities])
             for source_id, slice_ in mat.slices.items()}))
     return fresh
 
@@ -670,7 +671,7 @@ def test_a_diffed_commit_leaves_what_a_rebuild_would():
                 # the same extraction again, in another order, leaves
                 # the triple set as it was, in the model graph too
                 triples = set(store.graph)
-                again = [entity.clone() for entity in entities]
+                again = [copied(entity) for entity in entities]
                 rng.shuffle(again)
                 store.commit(key, [SliceWrite(source_id, again, "fp")], [])
                 model.sync(store)
@@ -688,7 +689,7 @@ def test_a_diffed_commit_leaves_what_a_rebuild_would():
 
 
 # ----------------------------------------------------------------------
-# Filter before clone: the served path against clone-then-filter
+# Shared entities: the served path against copy-then-filter
 # ----------------------------------------------------------------------
 
 
@@ -700,12 +701,13 @@ def scripted_rules():
 
 
 def clone_then_filter(s2s, query, merge_key=None):
-    """A served answer as the store made it before it filtered first:
-    clone every stored entity, merge, then filter (frozen filter)."""
+    """A served answer as the store made it before it shared its
+    entities: copy every stored entity, merge, then filter (frozen
+    filter)."""
     plan = s2s.query_handler.planner.plan(parse_s2sql(query))
     mat = s2s.store.lookup(plan)
     errors = ErrorReport(list(mat.errors))
-    entities = [entity.clone() for source_id in sorted(mat.slices)
+    entities = [copied(entity) for source_id in sorted(mat.slices)
                 for entity in mat.slices[source_id].entities]
     if merge_key:
         entities = InstanceGenerator._merge(entities, merge_key, errors)
@@ -763,25 +765,46 @@ def test_a_served_query_answers_what_clone_then_filter_did(scripted_rules):
     assert seen >= {"raised", "selected", "merged"}
 
 
-def vandalize(entities):
+def vandalize(entities) -> list:
+    """Try every edit of every container of each entity; returns the
+    entities that let one through."""
+    let_through = []
     for entity in entities:
+        edits = [lambda: entity.satellites.append(Individual("x", "provider")),
+                 lambda: entity.coercion_errors.append("x")]
         for individual in entity.all_individuals():
-            individual.identifier += "_x"
-            for name, value in individual.values.items():
-                if isinstance(value, list):
-                    value.append("x")
-                else:
-                    individual.values[name] = "x"
-            for targets in individual.links.values():
-                targets.clear()
-        entity.satellites.append(Individual("stray", "provider"))
-        entity.coercion_errors.append("x")
-        entity.record_index = -1
+            edits += [lambda i=individual: i.set("brand", "x"),
+                      lambda i=individual: i.values.clear(),
+                      lambda i=individual: i.link("hasProvider", i),
+                      lambda i=individual: i.links.clear()]
+            edits += [lambda targets=targets: targets.clear()
+                      for targets in individual.links.values()]
+        for edit in edits:
+            try:
+                edit()
+            except (TypeError, AttributeError):
+                continue
+            let_through.append(entity)
+            break
+    return let_through
 
 
-def test_a_served_entity_is_the_callers_own():
+@pytest.mark.parametrize("filler", ["write-through", "warm load", "ingest"])
+def test_a_stored_entity_refuses_every_edit(filler, tmp_path):
+    """Served, warm-loaded and ingest-committed entities are shared with
+    the store, so every edit raises and the store stays as it was.  Only
+    a merge's copy (an entity that gained a value or a satellite) is the
+    caller's own."""
     s2s = clean_world(SEED)
-    s2s.query(QUERY)
+    if filler == "ingest":
+        fill(s2s, filler, tmp_path)
+    else:
+        s2s.query(QUERY)
+    if filler == "warm load":
+        s2s.store.save(str(tmp_path / "store"))
+        s2s.close()
+        s2s = clean_world(SEED)
+        s2s.store.load(str(tmp_path / "store"))
     mat, = s2s.store.materializations()
     brand = mat.slices["database_0"].entities[0].value("brand")
     selective = f'SELECT product WHERE brand = "{brand}"'
@@ -793,18 +816,24 @@ def test_a_served_entity_is_the_callers_own():
                     entities=slice_.entities, errors=ErrorReport()))
                  for source_id, slice_ in mat.slices.items()})
 
+    stored = {id(entity) for slice_ in mat.slices.values()
+              for entity in slice_.entities}
     before = state()
+    for slice_ in mat.slices.values():
+        assert vandalize(slice_.entities) == []
     for query in (QUERY, selective):
         for merge_key in (None, ["brand", "model"]):
             served = s2s.query(query, merge_key=merge_key)
             assert served.store_hit and served.entities
-            vandalize(served.entities)
+            let_through = vandalize(served.entities)
+            assert not stored.intersection(map(id, let_through))
+            if merge_key is None:
+                assert let_through == []
         for served in s2s.query_many([query, query, QUERY]):
             assert served.store_hit
-            vandalize(served.entities)
+            assert vandalize(served.entities) == []
     plan = s2s.query_handler.planner.plan(parse_s2sql(QUERY))
-    vandalize(s2s.store.serve(plan).entities)
-    vandalize(s2s.store.entities_for_source("database_0"))
+    assert vandalize(s2s.store.serve(plan).entities) == []
     assert state() == before
     s2s.close()
 
@@ -873,12 +902,11 @@ def test_a_refresh_pass_probes_each_source_once_before_reading():
 
 
 def test_serving_outside_the_lock_beside_writers():
-    """Readers select and clone stored entities after the store lock is
-    released while writers swap the slice they read: every reader must
-    still see one whole version of it, and what readers do to their
-    clones must reach neither the store nor the other readers.  SPARQL
-    readers run beside them on ``store.graph``: each answer is one whole
-    version too, and none raises."""
+    """Readers take stored entities after the store lock is released
+    while writers swap the slice they read: every reader must still see
+    one whole version of it, and every edit a reader tries must raise.
+    SPARQL readers run beside them on ``store.graph``: each answer is one
+    whole version too, and none raises."""
     store = SemanticStore()
     key = KEYS[0]
     store.ensure(key[0], [AttributePath.parse(a) for a in sorted(key[1])])
@@ -888,8 +916,6 @@ def test_serving_outside_the_lock_beside_writers():
     store.touch(key)
     plan = SimpleNamespace(class_name=key[0], required_attributes=[
         AttributePath.parse(a) for a in sorted(key[1])])
-    seiko = (lambda _plan, entities:
-             [e for e in entities if e.value("brand") == "Seiko"])
     failures: list[str] = []
 
     def write():
@@ -898,12 +924,13 @@ def test_serving_outside_the_lock_beside_writers():
                                           "fp")], [])
 
     def read():
-        for round_ in range(150):
-            serving = store.serve(plan, select=seiko if round_ % 2 else None)
+        for _round in range(150):
+            serving = store.serve(plan)
             brands = Counter(e.value("brand") for e in serving.entities)
-            if sorted(brands.values()) not in ([], [20]):
+            if sorted(brands.values()) != [20]:
                 failures.append(f"a torn read: {dict(brands)}")
-            vandalize(serving.entities)
+            if vandalize(serving.entities):
+                failures.append("an edit of a served entity got through")
 
     brands = ("PREFIX s2s: <http://example.org/s2s/ontology#> "
               "SELECT ?w ?brand WHERE { ?w s2s:brand ?brand }")

@@ -9,8 +9,9 @@ returns or raises a typed :class:`~repro.errors.S2SError` subclass
 seed corpus starts with the inputs that broke that contract before the
 shared scanner existed — bare ``RecursionError`` / ``ValueError`` /
 ``OverflowError`` — so the named regressions below and the mutation fuzz
-both stand on them.  CI runs this file once more with
-``--hypothesis-seed=4711``.
+both stand on them.  Nesting and operator chains are bounded at parse
+time (``MAX_NESTING``, ``MAX_CHAIN``), so what parses also runs.  CI runs
+this file once more with ``--hypothesis-seed=4711``.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from repro.errors import (RdfError, RdfSyntaxError, S2SError,
                           S2sqlSyntaxError, SqlSyntaxError, WeblSyntaxError,
                           XmlSyntaxError, XPathError)
 from repro.htmlkit import decode_html_entities, parse_html
-from repro.lexing import MAX_NESTING
+from repro.lexing import MAX_CHAIN, MAX_NESTING
 from repro.rdf import Graph, execute_sparql
 from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.turtle import parse_turtle
+from repro.sources.relational import Database
 from repro.sources.relational.sql.parser import parse_sql
 from repro.webl import parse_webl
-from repro.xmlkit import parse_xml
+from repro.xmlkit import XPath, parse_xml
 from repro.xmlkit.xpath.parser import parse_xpath
 
 DEEP = 5000
@@ -65,6 +67,10 @@ CORPUS: dict[str, list[tuple[str, type[S2SError] | None]]] = {
         ("SELECT a FROM t WHERE " + "NOT " * DEEP + "a = 1", SqlSyntaxError),
         ("SELECT a FROM t LIMIT 1.5", SqlSyntaxError),
         ("SELECT a FROM t WHERE x = " + "9" * 5000, SqlSyntaxError),
+        ("SELECT a FROM t WHERE " + " OR ".join(["a = 1"] * 1000),
+         SqlSyntaxError),
+        ("SELECT a FROM t WHERE " + " AND ".join(["a = 1"] * 1000),
+         SqlSyntaxError),
         ("SELECT DISTINCT t.a, COUNT(*) AS n FROM t LEFT JOIN u ON t.k = u.k "
          "WHERE (a = 1 OR NOT b IN ('x', 'it''s')) AND c IS NOT NULL "
          "GROUP BY t.a HAVING n > 1 ORDER BY a DESC LIMIT 3;", None),
@@ -75,6 +81,9 @@ CORPUS: dict[str, list[tuple[str, type[S2SError] | None]]] = {
     "xpath": [
         ("(" * DEEP, XPathError),
         ("a" + "[a" * DEEP, XPathError),
+        ("//b[" + " or ".join(["1=1"] * 1000) + "]", XPathError),
+        ("//b[" + " and ".join(["1=1"] * 1000) + "]", XPathError),
+        (" | ".join(["//b"] * 1000), XPathError),
         ("//item[@k = '1' and position() <= last()]/n | /c/i[2]/text()",
          None),
         ("count(//a[contains(., \"x\") or not(b)]) >= 1.5", None),
@@ -97,6 +106,8 @@ CORPUS: dict[str, list[tuple[str, type[S2SError] | None]]] = {
         (SPARQL_HEAD + "} OFFSET -1.0", RdfError),
         (SPARQL_HEAD + ". FILTER (" + "(" * DEEP, RdfError),
         (SPARQL_HEAD + ". FILTER (" + "!" * DEEP + "?s) }", RdfError),
+        (SPARQL_HEAD + ". FILTER (" + " || ".join(["?s"] * 1000) + ") }",
+         RdfError),
         ("SELECT ?s WHERE " + "{ OPTIONAL " * DEEP, RdfError),
         ("SELECT * WHERE { FILTER (REGEX(\"a\", \"(\")) }", RdfError),
         ("PREFIX ex: <http://e/> SELECT DISTINCT ?s ?n WHERE { ?s a ex:W . "
@@ -205,6 +216,52 @@ def test_nesting_is_accepted_at_the_bound_and_refused_one_past_it(family):
     FRONT_ENDS[name](build(MAX_NESTING - outer))
     with pytest.raises(S2SError, match=f"deeper than {MAX_NESTING} levels"):
         FRONT_ENDS[name](build(MAX_NESTING - outer + 1))
+
+
+# -- the chain bound ---------------------------------------------------------
+#
+# MAX_CHAIN counts binary operators over the whole text.  At the bound,
+# under the deepest nesting that still parses, what parses must also run:
+# compiling and evaluating recurse once per operator.
+
+XPATH_DOC = parse_xml("<a><b>1</b><b>2</b></a>")
+SQL_DB = Database("chains")
+SQL_DB.executescript("CREATE TABLE t (a TEXT); INSERT INTO t (a) VALUES ('1');")
+SPARQL_GRAPH = parse_turtle("<http://a> <http://b> <http://c> .")
+
+#: family -> (terms -> text, run the text end to end)
+CHAINS = {
+    "xpath-or": (lambda n: "//b[" + "not(" * 62 + " or ".join(["1=0"] * n)
+                 + ")" * 62 + "]",
+                 lambda text: XPath(text).select(XPATH_DOC)),
+    "xpath-union": (lambda n: "(" * 63 + " | ".join(["//b"] * n) + ")" * 63,
+                    lambda text: XPath(text).select(XPATH_DOC)),
+    "sql-or": (lambda n: "SELECT a FROM t WHERE " + "NOT (" * 31
+               + " OR ".join(["a = 'x'"] * n) + ")" * 31,
+               lambda text: (SQL_DB.execute(text),
+                             SQL_DB.execute(text, engine="row"),
+                             SQL_DB.explain(text))),
+    "sql-and": (lambda n: "UPDATE t SET a = '1' WHERE "
+                + " AND ".join(["a = '1'"] * n),
+                lambda text: (SQL_DB.execute(text),
+                              SQL_DB.execute(text, engine="row"))),
+    "sparql-or": (lambda n: SPARQL_HEAD + ". FILTER (" + "!(" * 31
+                  + " || ".join(["?s = 1"] * n) + ")" * 31 + ") }",
+                  lambda text: execute_sparql(SPARQL_GRAPH, text)),
+}
+
+
+def deep_caller(frames: int, call):
+    return deep_caller(frames - 1, call) if frames else call()
+
+
+@pytest.mark.parametrize("family", sorted(CHAINS))
+def test_a_chain_runs_at_the_bound_and_is_refused_one_past_it(family):
+    build, run_ = CHAINS[family]
+    deep_caller(300, lambda: run_(build(MAX_CHAIN + 1)))  # the bound
+    with pytest.raises(S2SError, match=rf"more than {MAX_CHAIN} chained "
+                       r"operators \(MAX_CHAIN\)"):
+        run_(build(MAX_CHAIN + 2))
 
 
 # -- fuzz --------------------------------------------------------------------
