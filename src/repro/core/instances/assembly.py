@@ -42,6 +42,9 @@ class AssembledEntity:
     source_id: str = ""
     record_index: int = 0
     coercion_errors: Sequence[str] = field(default_factory=list)
+    #: set by :meth:`freeze`; only then ``codec.entity_text`` keeps _text
+    _frozen: bool = field(default=False, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def all_individuals(self) -> list[Individual]:
         """Primary + satellites in one list."""
@@ -69,6 +72,7 @@ class AssembledEntity:
                     for name, targets in individual.links.items()})
         self.satellites = tuple(self.satellites)
         self.coercion_errors = tuple(self.coercion_errors)
+        self._frozen = True
         return self
 
 

@@ -23,6 +23,7 @@ payload").
 
 from __future__ import annotations
 
+import json
 from datetime import date, datetime
 
 from ...errors import CodecError
@@ -34,6 +35,7 @@ _DATE_TAG = "$date"
 _DATETIME_TAG = "$dateTime"
 #: the only JSON value types the decoder has to look inside
 _CONTAINERS = frozenset((dict, list))
+_MISSING = object()
 #: what Python raises when well-formed JSON is not the expected shape
 _SHAPE_ERRORS = (KeyError, TypeError, IndexError, ValueError, AttributeError)
 
@@ -46,6 +48,40 @@ def json_default(value):
         return {_DATE_TAG: value.isoformat()}
     raise CodecError(
         f"a value of type {type(value).__name__} has no JSON form")
+
+
+def json_field(data: dict, name: str, *types: type):
+    """``data[name]`` if ``data`` is an object holding one of the JSON
+    ``types`` there (a bool is not an int), else :class:`CodecError`."""
+    value = data.get(name, _MISSING) if type(data) is dict else _MISSING
+    if type(value) not in types:
+        raise CodecError(f"field {name!r} is missing or not {[t.__name__ for t in types]}")
+    return value
+
+
+def compact_json(value) -> str:
+    """``value`` as JSON text: no spaces, non-ASCII kept, dates tagged."""
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=False, default=json_default)
+
+
+def entity_text(entity: AssembledEntity) -> str:
+    """``compact_json(entity_to_json(entity))``, kept on a frozen entity
+    (docs/store.md, "What is shared"; two threads racing to write it keep
+    equal texts); written afresh on any other."""
+    text = entity._text
+    if text is None:
+        text = compact_json(entity_to_json(entity))
+        if entity._frozen:
+            entity._text = text
+    return text
+
+
+def entities_text(entities) -> str:
+    """The JSON array of :func:`entity_text` of each entity; in one pass,
+    cheaper for fresh entities, when none is frozen (a live answer)."""
+    if any(entity._frozen for entity in entities):
+        return "[" + ",".join(map(entity_text, entities)) + "]"
+    return compact_json([entity_to_json(entity) for entity in entities])
 
 
 def entity_to_json(entity: AssembledEntity) -> dict:
@@ -95,10 +131,12 @@ def entity_from_json(data: dict) -> AssembledEntity:
                             f"link {name!r} of {individual.identifier!r} "
                             f"points at individual {index!r} of {count}")
                     linked.append(individuals[index])
+        # inline, not json_field: a client decodes every entity it is sent
         source_id, record_index = data["source_id"], data["record_index"]
         coercion_errors = data["coercion_errors"]
         if type(source_id) is not str or type(record_index) is not int \
-                or type(coercion_errors) is not list:
+                or type(coercion_errors) is not list or (coercion_errors and not all(
+                    type(error) is str for error in coercion_errors)):
             raise CodecError("entity header fields have the wrong types")
         return AssembledEntity(individuals[0], individuals[1:], source_id,
                                record_index, list(coercion_errors))
@@ -129,13 +167,8 @@ def error_to_json(entry: ErrorEntry) -> dict:
 
 def error_from_json(data: dict) -> ErrorEntry:
     """The entry :func:`error_to_json` wrote, from parsed JSON."""
-    try:
-        entry = ErrorEntry(data["phase"], data["message"],
-                           data["source_id"], data["attribute_id"])
-    except _SHAPE_ERRORS as exc:
-        raise CodecError(f"malformed error entry: {exc!r}") from exc
-    if type(entry.phase) is not str or type(entry.message) is not str \
-            or type(entry.source_id) not in (str, type(None)) \
-            or type(entry.attribute_id) not in (str, type(None)):
-        raise CodecError(f"error entry fields have the wrong types: {data!r}")
-    return entry
+    scope = (str, type(None))
+    return ErrorEntry(json_field(data, "phase", str),
+                      json_field(data, "message", str),
+                      json_field(data, "source_id", *scope),
+                      json_field(data, "attribute_id", *scope))

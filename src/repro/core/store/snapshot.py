@@ -29,7 +29,8 @@ from ...errors import S2SError
 from ...ids import AttributePath
 from ...sources.base import DataSource
 from ..instances.codec import (entity_from_json, entity_to_json,
-                               error_from_json, error_to_json, json_default)
+                               error_from_json, error_to_json, json_default,
+                               json_field)
 
 logger = logging.getLogger("repro.core.store")
 
@@ -137,7 +138,7 @@ def load_store(store, directory: str) -> int:
     except OSError as exc:
         raise S2SError(f"cannot load store manifest {manifest_path}: "
                        f"{exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON, UTF-8, int limit
         corrupt_path = manifest_path + ".corrupt"
         os.replace(manifest_path, corrupt_path)
         logger.warning(
@@ -158,24 +159,25 @@ def load_store(store, directory: str) -> int:
     from .store import Materialization, SourceSlice
 
     try:
-        generation = int(manifest.get("generation", 0))
+        generation = json_field(manifest, "generation", int)
         materializations = [
             Materialization(
-                class_name=mat_dict["class"],
-                attribute_ids=frozenset(mat_dict["attributes"]),
+                class_name=json_field(mat_dict, "class", str),
+                attribute_ids=frozenset(json_field(mat_dict, "attributes", list)),
                 required=[AttributePath.parse(attribute)
                           for attribute in mat_dict["attributes"]],
                 slices={
-                    slice_dict["source"]: SourceSlice(
+                    json_field(slice_dict, "source", str): SourceSlice(
                         slice_dict["source"],
                         [entity_from_json(entity)
-                         for entity in slice_dict["entities"]],
-                        slice_dict["fingerprint"], bool(slice_dict["stale"]))
-                    for slice_dict in mat_dict["slices"]},
+                         for entity in json_field(slice_dict, "entities", list)],
+                        json_field(slice_dict, "fingerprint", str, type(None)),
+                        json_field(slice_dict, "stale", bool))
+                    for slice_dict in json_field(mat_dict, "slices", list)},
                 errors=[error_from_json(entry)
-                        for entry in mat_dict["errors"]],
+                        for entry in json_field(mat_dict, "errors", list)],
                 materialized_at=store.clock.monotonic())
-            for mat_dict in manifest["materializations"]]
+            for mat_dict in json_field(manifest, "materializations", list)]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise S2SError(f"malformed store manifest {manifest_path}: "
                        f"{exc!r}") from exc

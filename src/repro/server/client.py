@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..errors import S2SError
 from . import protocol
-from .codec import RemoteQueryResult, result_from_wire
+from .codec import RemoteQueryResult, result_from_wire, results_from_wire
 from .protocol import (MAX_FRAME_BYTES, ProtocolError, RemoteServerError,
                        ServerBusyError, TornFrameError, TransportError,
                        read_frame, read_frame_sync, write_frame,
@@ -142,7 +142,7 @@ class _RequestBrain:
 
     @staticmethod
     def _decode_result(reply: dict, started: float) -> RemoteQueryResult:
-        result = result_from_wire(reply.get("result", {}))
+        result = result_from_wire(reply.get("result"))
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -172,8 +172,7 @@ class _RequestBrain:
         reply = yield self._query_frame(
             protocol.QUERY_MANY, queries=list(queries), merge_key=merge_key,
             timeout=timeout), protocol.RESULTS
-        results = [result_from_wire(wire)
-                   for wire in reply.get("results", [])]
+        results = results_from_wire(reply)
         elapsed = time.perf_counter() - started
         for result in results:
             result.elapsed_seconds = elapsed

@@ -11,31 +11,50 @@ The client rebuilds that as a :class:`RemoteQueryResult` over the same
 Entities and error entries are written and read by
 :mod:`repro.core.instances.codec`: plain values travel as plain JSON, the
 two date ranges as tagged objects that ``encode_frame`` writes through
-that module's ``json_default``.
+that module's ``json_default``; :func:`encode_result_frame` splices in
+each stored entity's kept text, writing ``encode_frame``'s very bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.instances.codec import (entity_from_json, entity_to_json,
-                                    error_from_json, error_to_json)
+from ..core.instances.codec import (compact_json, entities_text,
+                                    entity_from_json, entity_to_json,
+                                    error_from_json, error_to_json,
+                                    json_field)
 from ..errors import CodecError
+from .protocol import MAX_FRAME_BYTES, RESULT, RESULTS, pack_frame
+
+
+def _envelope(result) -> tuple[dict, dict]:
+    """A RESULT payload's fields before and after its ``entities``."""
+    return ({"query": str(result.query), "query_class": result.plan.class_name},
+            {"errors": [error_to_json(entry) for entry in result.errors.entries],
+             "degraded": result.degraded, "degraded_sources": list(result.degraded_sources),
+             "store_hit": result.store_hit, "store_stale": result.store_stale,
+             "elapsed_seconds": result.elapsed_seconds})
 
 
 def result_to_wire(result) -> dict:
     """The RESULT payload of one in-process ``QueryResult``."""
-    return {
-        "query": str(result.query),
-        "query_class": result.plan.class_name,
-        "entities": [entity_to_json(entity) for entity in result.entities],
-        "errors": [error_to_json(entry) for entry in result.errors.entries],
-        "degraded": result.degraded,
-        "degraded_sources": list(result.degraded_sources),
-        "store_hit": result.store_hit,
-        "store_stale": result.store_stale,
-        "elapsed_seconds": result.elapsed_seconds,
-    }
+    head, tail = _envelope(result)
+    return {**head, "entities": list(map(entity_to_json, result.entities)), **tail}
+
+
+def _result_text(result) -> str:
+    head, tail = map(compact_json, _envelope(result))
+    return f'{head[:-1]},"entities":{entities_text(result.entities)},{tail[1:]}'
+
+
+def encode_result_frame(request_id, answer, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """``encode_frame({"kind": RESULT, "id", "result": result_to_wire(
+    answer)})``, byte for byte; a list of answers makes a RESULTS frame."""
+    many = isinstance(answer, list)
+    text = ",".join(map(_result_text, answer if many else [answer]))
+    head = compact_json({"kind": RESULTS if many else RESULT, "id": request_id})
+    body = f',"results":[{text}]}}' if many else f',"result":{text}}}'
+    return pack_frame((head[:-1] + body).encode("utf-8"), max_bytes=max_bytes)
 
 
 def sparql_to_wire(result) -> dict:
@@ -101,20 +120,21 @@ class RemoteQueryResult:
 
 
 def result_from_wire(wire: dict) -> RemoteQueryResult:
-    """A :class:`RemoteQueryResult` from one RESULT frame payload."""
-    try:
-        return RemoteQueryResult(
-            query=wire.get("query", ""),
-            query_class=wire.get("query_class", ""),
-            entities=[entity_from_json(entity)
-                      for entity in wire.get("entities", [])],
-            errors=[error_from_json(entry)
-                    for entry in wire.get("errors", [])],
-            degraded=bool(wire.get("degraded", False)),
-            degraded_sources=list(wire.get("degraded_sources", [])),
-            store_hit=bool(wire.get("store_hit", False)),
-            store_stale=bool(wire.get("store_stale", False)),
-            server_seconds=float(wire.get("elapsed_seconds", 0.0)),
-        )
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CodecError(f"malformed result payload: {exc!r}") from exc
+    """A :class:`RemoteQueryResult` from one RESULT frame payload; a field
+    missing or not of its JSON type raises :class:`CodecError`."""
+    sources = json_field(wire, "degraded_sources", list)
+    if not all(type(source) is str for source in sources):
+        raise CodecError("field 'degraded_sources' holds a non-string")
+    return RemoteQueryResult(
+        json_field(wire, "query", str), json_field(wire, "query_class", str),
+        [entity_from_json(entity) for entity in json_field(wire, "entities", list)],
+        [error_from_json(entry) for entry in json_field(wire, "errors", list)],
+        json_field(wire, "degraded", bool), sources,
+        json_field(wire, "store_hit", bool),
+        json_field(wire, "store_stale", bool),
+        json_field(wire, "elapsed_seconds", float))
+
+
+def results_from_wire(frame: dict) -> list[RemoteQueryResult]:
+    """The results one RESULTS frame carries, each a RESULT payload."""
+    return [result_from_wire(wire) for wire in json_field(frame, "results", list)]

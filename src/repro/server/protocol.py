@@ -54,7 +54,7 @@ import json
 import socket
 import struct
 
-from ..core.instances.codec import json_default
+from ..core.instances.codec import compact_json
 from ..errors import S2SError
 
 #: Protocol revision; HELLO carries it and the server refuses mismatches.
@@ -161,8 +161,11 @@ class ServerBusyError(S2SError):
 def encode_frame(payload: dict, *,
                  max_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Header + JSON body for one frame; raises when over the ceiling."""
-    body = json.dumps(payload, separators=(",", ":"), ensure_ascii=False,
-                      default=json_default).encode("utf-8")
+    return pack_frame(compact_json(payload).encode("utf-8"), max_bytes=max_bytes)
+
+
+def pack_frame(body: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """Header + an encoded body; raises when over the ceiling."""
     if len(body) > max_bytes:
         raise OversizedFrameError(
             f"frame of {len(body)} bytes exceeds the {max_bytes}-byte limit")

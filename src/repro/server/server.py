@@ -39,7 +39,7 @@ from ..core.query.parser import parse_s2sql
 from ..errors import FleetQuotaExceeded, QueryError, S2SError
 from ..obs import DEFAULT_REGISTRY, MetricsRegistry, Tracer
 from . import protocol
-from .codec import result_to_wire, sparql_to_wire
+from .codec import encode_result_frame, sparql_to_wire
 from .config import ServerConfig
 from .protocol import (GarbledFrameError, OversizedFrameError, ProtocolError,
                        TornFrameError, read_frame, write_frame)
@@ -462,6 +462,11 @@ class S2SServer:
         await write_frame(connection.writer, payload,
                           max_bytes=self.config.max_frame_bytes)
 
+    async def _respond_result(self, connection: _Connection, frame: dict, answer) -> None:
+        connection.writer.write(encode_result_frame(
+            frame.get("id"), answer, max_bytes=self.config.max_frame_bytes))
+        await connection.writer.drain()
+
     async def _respond_error(self, connection: _Connection, frame: dict,
                              code: str, message: str) -> None:
         await self._try_send(connection, {
@@ -502,9 +507,7 @@ class S2SServer:
         s2sql = self._require(frame, "s2sql")
         result = await session.tenant.middleware.aquery(
             s2sql, merge_key=self._merge_key(frame))
-        await self._respond(connection, {
-            "kind": protocol.RESULT, "id": frame.get("id"),
-            "result": result_to_wire(result)})
+        await self._respond_result(connection, frame, result)
 
     async def _handle_query_many(self, connection: _Connection,
                                  session: _Session, frame: dict) -> None:
@@ -513,9 +516,7 @@ class S2SServer:
             raise S2SError("queries must be a list of S2SQL strings")
         results = await session.tenant.middleware.aquery_many(
             queries, merge_key=self._merge_key(frame))
-        await self._respond(connection, {
-            "kind": protocol.RESULTS, "id": frame.get("id"),
-            "results": [result_to_wire(result) for result in results]})
+        await self._respond_result(connection, frame, results)
 
     async def _handle_parse(self, connection: _Connection,
                             session: _Session, frame: dict) -> None:
@@ -554,9 +555,7 @@ class S2SServer:
         parsed, merge_key = bound
         result = await session.tenant.middleware.query_handler.aexecute(
             parsed, merge_key=merge_key)
-        await self._respond(connection, {
-            "kind": protocol.RESULT, "id": frame.get("id"),
-            "result": result_to_wire(result)})
+        await self._respond_result(connection, frame, result)
 
     async def _handle_sparql(self, connection: _Connection,
                              session: _Session, frame: dict) -> None:

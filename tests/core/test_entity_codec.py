@@ -249,6 +249,8 @@ MALFORMED_ENTITIES = {
     "record_index text": broken(_set(["record_index"], "0")),
     "no coercion_errors": broken(_drop(["coercion_errors"])),
     "coercion_errors text": broken(_set(["coercion_errors"], "bad price")),
+    "coercion error a number": broken(_set(["coercion_errors"], [1])),
+    "coercion error null": broken(_set(["coercion_errors"], [None])),
 }
 
 MALFORMED_ERRORS = {
@@ -274,7 +276,25 @@ MALFORMED_MANIFESTS = {
     "slice without source": _drop(["materializations", 0, "slices", 0,
                                    "source"]),
     "generation text": _set(["generation"], "seven"),
+    "no generation": _drop(["generation"]),
+    "stale text": _set(["materializations", 0, "slices", 0, "stale"],
+                       "false"),
+    "fingerprint a number": _set(
+        ["materializations", 0, "slices", 0, "fingerprint"], 5),
+    "source a number": _set(["materializations", 0, "slices", 0, "source"],
+                            5),
+    "class a number": _set(["materializations", 0, "class"], 5),
+    "attributes text": _set(["materializations", 0, "attributes"],
+                            "thing.product.brand"),
 }
+
+
+def envelope(**fields) -> dict:
+    """A valid RESULT payload with ``fields`` in place."""
+    return {"query": "SELECT product", "query_class": "product",
+            "entities": [], "errors": [], "degraded": False,
+            "degraded_sources": [], "store_hit": False,
+            "store_stale": False, "elapsed_seconds": 0.0, **fields}
 
 
 def by_name(table):
@@ -323,20 +343,24 @@ class TestMalformedInput:
     @by_name(MALFORMED_ENTITIES)
     def test_wire_consumer_raises_typed(self, data):
         with pytest.raises(S2SError):
-            result_from_wire({"entities": [data]})
+            result_from_wire(envelope(entities=[good_entity(), data]))
 
     @by_name(MALFORMED_ERRORS)
     def test_wire_consumer_raises_typed_on_errors(self, data):
         with pytest.raises(S2SError):
-            result_from_wire({"errors": [data]})
+            result_from_wire(envelope(errors=[data]))
 
     @pytest.mark.parametrize("wire", [None, [], {"entities": 7},
                                       {"errors": 7},
                                       {"elapsed_seconds": "soon"}],
                              ids=repr)
     def test_wire_consumer_raises_typed_on_the_envelope(self, wire):
-        with pytest.raises(S2SError):
+        with pytest.raises(CodecError):
             result_from_wire(wire)
+
+    def test_the_good_envelope_decodes(self):
+        remote = result_from_wire(envelope(entities=[good_entity()]))
+        assert remote.entities[0].value("name") == "Acme"
 
     @by_name(MALFORMED_ENTITIES)
     def test_store_consumer_raises_typed(self, data, saved_manifest,
