@@ -5,10 +5,11 @@ and 4 workers):
 
 * **latency-bound** — every rule execution sleeps ~10 ms of injected
   wire latency (:func:`~repro.workloads.scaling.slow_source_world`).
-  A thread fleet overlaps whole shards, so the scan collapses by
-  roughly the worker count on any machine — this is the asserted
-  acceptance floor (sharded 4-worker thread fleet >= 2x over a single
-  serial process).
+  A thread fleet overlaps the shards, and each worker overlaps the
+  sources of its shard, so the scan collapses toward one source's rules
+  on any machine — this is the asserted acceptance floor (sharded
+  4-worker thread fleet >= 5x over a single serial process; workers
+  running their sources one at a time could reach 4x at best).
 * **CPU-bound** — every rule execution burns sha256 rounds under the
   GIL (:func:`~repro.workloads.scaling.cpu_bound_world`).  Thread
   workers cannot help here; only the spawn fleet's real processes can.
@@ -102,7 +103,7 @@ def test_e20_cpu_bound_report():
 
 def test_e20_thread_fleet_speedup_floor():
     """Acceptance criterion: the 4-worker fleet finishes a slow-source
-    scan at least 2x faster than a single serial process."""
+    scan at least 5x faster than a single serial process."""
     serial = slow_source_world("serial", n_sources=N_SOURCES,
                                latency_seconds=LATENCY_SECONDS)
     fleet = slow_source_world(ConcurrencyConfig.sharded(4),
@@ -114,8 +115,8 @@ def test_e20_thread_fleet_speedup_floor():
     fleet_seconds = best_of(ITERATIONS, fleet.extract_all)
     fleet.close()
     speedup = serial_seconds / fleet_seconds
-    assert speedup >= 2.0, (
-        f"sharded speedup {speedup:.2f}x below the 2x floor "
+    assert speedup >= 5.0, (
+        f"sharded speedup {speedup:.2f}x below the 5x floor "
         f"(serial {serial_seconds:.3f}s, fleet {fleet_seconds:.3f}s)")
 
 

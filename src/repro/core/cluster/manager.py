@@ -144,10 +144,12 @@ class ShardedExtractorManager(ExtractorManager):
         """The per-fleet worker context (shared live for thread pools,
         pickled per child for spawn pools).
 
-        Workers extract their shard slice with the plain in-process
-        engine — the fan-out *across* shards is the parallelism."""
+        Workers extract their shard item with the in-process thread
+        engine, so the waits of an item's sources overlap: one fan-out
+        thread per source of the item (at most 16), named after the
+        worker and living for that one item."""
         worker_resilience = replace(self.config,
-                                    concurrency=ConcurrencyConfig())
+                                    concurrency=ConcurrencyConfig("thread"))
         return QueryWorkerContext(
             attributes=self.attributes,
             sources=self.sources,

@@ -421,7 +421,8 @@ class ExtractorManager:
         (``fanout_capped_total``) and annotated on the span, so a
         many-slow-sources workload silently queueing behind 16 threads
         is visible (and steerable to ``asyncio`` mode, which has no
-        cap)."""
+        cap).  The threads are named after the calling thread (a fleet
+        worker's read ``query-worker-2_0``, ...) and live for one run."""
         concurrency = self.config.concurrency
         workers = concurrency.workers_for(len(source_ids))
         if concurrency.caps_fanout(len(source_ids)):
@@ -437,7 +438,10 @@ class ExtractorManager:
                     "extractions whose fan-out was truncated by the "
                     "adaptive worker cap").inc(
                         sources=str(len(source_ids)))
-        pool = ThreadPoolExecutor(max_workers=workers)
+        pool = ThreadPoolExecutor(
+            max_workers=workers,
+            thread_name_prefix=threading.current_thread().name)
+        abandoned = True
         try:
             futures = {
                 pool.submit(self._drive, self._extract_source(
@@ -447,6 +451,7 @@ class ExtractorManager:
                        else max(ctx.deadline.remaining(), 0.05))
             done, not_done = wait(futures, timeout=timeout,
                                   return_when=FIRST_EXCEPTION)
+            abandoned = bool(not_done)
             results = []
             for future in done:
                 results.append(future.result())  # re-raises in strict mode
@@ -454,9 +459,10 @@ class ExtractorManager:
                 future.cancel()
                 self._report_timed_out(futures[future], ctx, outcome)
         finally:
-            # Never join abandoned workers: they police the deadline
-            # themselves and exit on their next check.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Join idle workers, so the fan-out lives for one run; never
+            # join abandoned ones: they police the deadline themselves
+            # and exit on their next check.
+            pool.shutdown(wait=not abandoned, cancel_futures=True)
         return results
 
     @staticmethod

@@ -122,8 +122,11 @@ class IngestJob:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IngestJob":
+        """The job :meth:`to_dict` wrote; ``KeyError`` / ``TypeError`` /
+        ``ValueError`` / ``OverflowError`` on anything else (the journal
+        skips such records)."""
         merge_key = data.get("merge_key")
-        return cls(
+        job = cls(
             job_id=data["job_id"],
             source_id=data["source_id"],
             class_name=data["class"],
@@ -137,6 +140,12 @@ class IngestJob:
             fingerprint=data.get("fingerprint"),
             enqueued_at=float(data.get("enqueued_at", 0.0)),
         )
+        if not all(type(text) is str for text in (
+                job.job_id, job.source_id, job.class_name, job.stage,
+                job.status, *job.attribute_ids, *(job.merge_key or ()))):
+            raise TypeError("a job's ids, stage, status and attributes "
+                            "are strings")
+        return job
 
     def describe(self) -> str:
         state = self.status

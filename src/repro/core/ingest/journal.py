@@ -68,20 +68,23 @@ def read_jsonl(path: Path, *, metrics: MetricsRegistry | None = None,
     """Read a JSONL file, quarantining it at the first garbled record.
 
     Returns the records of the longest valid prefix.  A record must be a
-    JSON *object*; a decodable scalar on a line is still corruption.
+    JSON *object*; a decodable scalar on a line is still corruption, and
+    so is a line that is not UTF-8, nests too deep or holds an integer
+    too long to convert (each line is decoded on its own, so a bad byte
+    costs only its line and what follows).
     """
     if not path.exists():
         return []
     records: list[dict] = []
     damaged = False
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            text = line.strip()
-            if not text:
-                continue
             try:
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
                 record = json.loads(text)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # JSON, UTF-8, int limit
                 damaged = True
                 break
             if not isinstance(record, dict):
@@ -91,6 +94,18 @@ def read_jsonl(path: Path, *, metrics: MetricsRegistry | None = None,
     if damaged:
         _quarantine(path, records, metrics, kind)
     return records
+
+
+def _job_of(record: dict) -> IngestJob | None:
+    """The job a journal or dead-letter record carries, or None when it
+    carries none that decodes."""
+    payload = record.get("job")
+    if not isinstance(payload, dict):
+        return None
+    try:
+        return IngestJob.from_dict(payload)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None  # OverflowError: int(Infinity), float(10**400)
 
 
 class IngestJournal:
@@ -182,12 +197,8 @@ class JournalState:
             return
         if rtype != "job":
             return
-        payload = record.get("job")
-        if not isinstance(payload, dict):
-            return
-        try:
-            job = IngestJob.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
+        job = _job_of(record)
+        if job is None:
             return
         event = str(record.get("event", ""))
         previous = self.jobs.get(job.job_id)
@@ -195,7 +206,8 @@ class JournalState:
             job.completed_stages = list(previous.completed_stages)
         if event == "stage":
             stage = record.get("stage")
-            if stage and stage not in job.completed_stages:
+            if (stage and isinstance(stage, str)
+                    and stage not in job.completed_stages):
                 job.completed_stages.append(stage)
         self.jobs[job.job_id] = job
         self.events.setdefault(job.job_id, []).append(event)
@@ -254,24 +266,18 @@ class DeadLetterLedger:
 
     def jobs(self) -> Iterator[IngestJob]:
         for entry in self.entries():
-            payload = entry.get("job")
-            if isinstance(payload, dict):
-                try:
-                    yield IngestJob.from_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    continue
+            job = _job_of(entry)
+            if job is not None:
+                yield job
 
     def remove(self, job_ids: set[str]) -> list[IngestJob]:
         """Drop entries for ``job_ids``; returns the removed jobs."""
         kept: list[dict] = []
         removed: list[IngestJob] = []
         for entry in self.entries():
-            payload = entry.get("job", {})
-            if payload.get("job_id") in job_ids:
-                try:
-                    removed.append(IngestJob.from_dict(payload))
-                except (KeyError, TypeError, ValueError):
-                    continue
+            job = _job_of(entry)
+            if job is not None and job.job_id in job_ids:
+                removed.append(job)
             else:
                 kept.append(entry)
         with open(self.path, "w", encoding="utf-8") as handle:

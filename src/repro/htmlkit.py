@@ -69,11 +69,14 @@ class HtmlNode:
         self.children.append(child)
 
     def iter(self):
-        """Depth-first iterator over this node and descendants."""
-        yield self
-        for child in self.children:
-            if isinstance(child, HtmlNode):
-                yield from child.iter()
+        """Depth-first iterator over this node and descendants, in
+        document order (iterative: a page may nest thousands deep)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(child for child in reversed(node.children)
+                         if isinstance(child, HtmlNode))
 
     def find_all(self, tag: str) -> list["HtmlNode"]:
         """All descendant elements with the given tag."""
@@ -92,11 +95,13 @@ class HtmlNode:
     def text(self) -> str:
         """Concatenated descendant text, entity-decoded."""
         parts: list[str] = []
-        for child in self.children:
+        stack = self.children[::-1]
+        while stack:
+            child = stack.pop()
             if isinstance(child, str):
                 parts.append(decode_html_entities(child))
             else:
-                parts.append(child.text())
+                stack.extend(reversed(child.children))
         return "".join(parts)
 
 
@@ -124,26 +129,25 @@ class HtmlDocument:
         block_tags = {"p", "div", "br", "tr", "li", "h1", "h2", "h3", "h4",
                       "table", "ul", "ol", "title"}
 
-        def walk(node: HtmlNode) -> None:
-            if node.tag in ("script", "style"):
-                return
-            if node.tag in block_tags and buffer:
-                flush()
-            for child in node.children:
-                if isinstance(child, str):
-                    buffer.append(decode_html_entities(child))
-                else:
-                    walk(child)
-            if node.tag in block_tags and buffer:
-                flush()
-
         def flush() -> None:
             line = " ".join("".join(buffer).split())
             if line:
                 lines.append(line)
             buffer.clear()
 
-        walk(self.root)
+        # Depth-first in document order; None marks a block's end.
+        stack: list = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                buffer.append(decode_html_entities(item))
+            elif item is None:
+                flush()
+            elif item.tag not in ("script", "style"):
+                if item.tag in block_tags:
+                    flush()
+                    stack.append(None)
+                stack.extend(reversed(item.children))
         flush()
         return "\n".join(lines)
 

@@ -64,6 +64,15 @@ class TestHtmlParser:
         assert "var x" not in text
         assert "p{}" not in text
 
+    def test_walks_keep_document_order_and_block_breaks(self):
+        doc = parse_html("<div>a<p>b<b>c</b>d</p>e<script>s</script>"
+                         "<ul><li>f<li>g</ul>h<span>i<br>j</span></div>k")
+        assert doc.text() == "a\nbcd\ne\nf\ng\nhi\nj\nk"
+        assert doc.find("div").text() == "abcdesfghij"
+        assert [node.tag for node in doc.root.iter()] == [
+            "#document", "div", "p", "b", "script", "ul", "li", "li", "span",
+            "br"]
+
     def test_title(self):
         assert parse_html("<title> My Shop </title>").title() == "My Shop"
 

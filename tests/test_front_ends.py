@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.query.parser import parse_s2sql
-from repro.errors import (RdfError, RdfSyntaxError, S2SError,
-                          S2sqlSyntaxError, SqlSyntaxError, WeblSyntaxError,
-                          XmlSyntaxError, XPathError)
+from repro.errors import (ExtractionError, RdfError, RdfSyntaxError,
+                          S2SError, S2sqlSyntaxError, SqlSyntaxError,
+                          WeblSyntaxError, XmlSyntaxError, XPathError)
 from repro.htmlkit import decode_html_entities, parse_html
 from repro.lexing import MAX_CHAIN, MAX_NESTING
 from repro.rdf import Graph, execute_sparql
@@ -31,12 +31,16 @@ from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.turtle import parse_turtle
 from repro.sources.relational import Database
 from repro.sources.relational.sql.parser import parse_sql
+from repro.sources.web import SimulatedWeb, WebDataSource
 from repro.webl import parse_webl
 from repro.xmlkit import XPath, parse_xml
 from repro.xmlkit.xpath.parser import parse_xpath
 
 DEEP = 5000
 SPARQL_HEAD = "SELECT ?s WHERE { ?s ?p ?o "
+#: Deeper than the interpreter's recursion limit: the parser always coped,
+#: the tree walks behind WebL's operators did not.
+DEEP_PAGE = "<div>" * 3000 + "<span>deep</span>" + "</div>" * 3000
 
 
 def sparql(text: str):
@@ -45,7 +49,10 @@ def sparql(text: str):
 
 def html(text: str):
     decode_html_entities(text)
-    return parse_html(text)
+    document = parse_html(text)
+    document.text()  # and the walks WebL's operators run over the tree
+    document.root.text()
+    return document.find_all("span")
 
 
 FRONT_ENDS = {"s2sql": parse_s2sql, "sql": parse_sql, "xpath": parse_xpath,
@@ -143,6 +150,7 @@ CORPUS: dict[str, list[tuple[str, type[S2SError] | None]]] = {
         ("&#xZZ; &#; &#1114112; &#xD800;", None),
         ("<html><body><p class=x>A &amp; B&#33;<br><td a='&#x41;' b>c"
          "</table></p><!-- c --><!DOCTYPE x></bogus>tail", None),
+        (DEEP_PAGE, None),
     ],
 }
 
@@ -165,6 +173,21 @@ def test_corpus_entry_returns_or_raises_its_typed_error(name, text, error):
 def test_html_leaves_a_reference_to_no_character_as_written():
     text = "&#99999999999999999999; &#xZZ; &#1114112; &#xD800; &#x41;&#66;"
     assert decode_html_entities(text) == text[:-11] + "AB"
+
+
+@pytest.mark.parametrize("rule, values", [
+    ("PlainText(P)", ["deep"]), ('Elem(P, "span")', ["deep"]),
+    ("Title(P)", [""]), ("Elem(P, 5)", ExtractionError)])
+def test_a_webl_rule_over_a_deep_page_raises_only_typed_errors(rule, values):
+    web = SimulatedWeb()
+    web.publish("http://deep.example/p", DEEP_PAGE)
+    source = WebDataSource("DEEP", web, "http://deep.example/p")
+    text = f"var P = GetURL(SourceURL()); return {rule};"
+    if values is ExtractionError:
+        with pytest.raises(ExtractionError, match="WebL rule failed"):
+            source.execute_rule(text)
+    else:
+        assert source.execute_rule(text) == values
 
 
 def test_ntriples_shares_the_turtle_escapes():
