@@ -45,11 +45,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7,
                         help="world seed (default 7)")
     parser.add_argument("--concurrency",
-                        choices=("serial", "thread", "asyncio", "sharded"),
+                        choices=("serial", "thread", "sharded"),
                         default=None,
                         help="extraction engine: serial (default), a "
-                             "thread pool, the asyncio engine, or the "
-                             "sharded worker fleet")
+                             "thread pool, or the sharded worker fleet")
     parser.add_argument("--sql-engine", choices=("row", "columnar"),
                         default="columnar",
                         help="SELECT executor for database sources: "

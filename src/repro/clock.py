@@ -12,7 +12,6 @@ and the resilience test suite fast and reproducible.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from typing import Callable
@@ -33,16 +32,6 @@ class Clock:
     def sleep(self, seconds: float) -> None:
         """Block for ``seconds`` (no-op for non-positive values)."""
         raise NotImplementedError
-
-    async def sleep_async(self, seconds: float) -> None:
-        """Wait ``seconds`` without blocking the event loop.
-
-        The asyncio extraction engine awaits this for backoff delays and
-        injected source latency.  The default runs the synchronous
-        :meth:`sleep` in a worker thread, which is correct for any
-        subclass; :class:`SystemClock` and :class:`FakeClock` override it
-        with cheaper native behaviour."""
-        await asyncio.to_thread(self.sleep, seconds)
 
     def wait(self, poll: Callable[[float | None], list],
              timeout: float | None) -> list:
@@ -67,10 +56,6 @@ class SystemClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds)
-
-    async def sleep_async(self, seconds: float) -> None:
-        if seconds > 0:
-            await asyncio.sleep(seconds)
 
 
 class FakeClock(Clock):
@@ -103,15 +88,6 @@ class FakeClock(Clock):
 
     def sleep(self, seconds: float) -> None:
         self.advance(seconds)
-
-    async def sleep_async(self, seconds: float) -> None:
-        """Advance fake time instantly, yielding once to the event loop.
-
-        The yield keeps concurrently gathered extraction tasks
-        interleaving the way a real sleep would, while the suite stays
-        sleep-free."""
-        self.advance(seconds)
-        await asyncio.sleep(0)
 
     def wait(self, poll: Callable[[float | None], list],
              timeout: float | None) -> list:

@@ -9,7 +9,7 @@ place::
 * :class:`ResilienceConfig` — retries, breakers, deadlines, failover
   and the injectable clock (``S2SMiddleware(resilience=...)``).
 * :class:`ConcurrencyConfig` — the extraction fan-out engine
-  (``serial`` | ``thread`` | ``asyncio`` | ``sharded``) and its worker
+  (``serial`` | ``thread`` | ``sharded``) and its worker
   bound; carried on :class:`ResilienceConfig`, or passed as
   ``S2SMiddleware(concurrency=...)``.
 * :class:`FleetConfig` — every knob of a sharded query fleet (worker

@@ -1,13 +1,13 @@
 """The sharded extraction engine: ``ConcurrencyConfig(mode="sharded")``.
 
 :class:`ShardedExtractorManager` is the fleet-backed sibling of the
-serial/thread/asyncio engines: it keeps the whole
+serial/thread engines: it keeps the whole
 :class:`~repro.core.extractor.manager.ExtractorManager` contract —
 same schema handling, same outcome shape, same health/problem
 semantics — but runs step 4 by handing per-shard sub-plans to a
 :class:`~repro.core.cluster.coordinator.QueryShardCoordinator` and
 merging the partial outcomes back into one.  The middleware selects it
-from the concurrency mode exactly like the asyncio engine, so
+from the concurrency mode, so
 ``query``/``query_many`` and their async twins route through the fleet
 with no caller changes, and the server gets one fleet per tenant for
 free (each tenant middleware owns its manager owns its coordinator).

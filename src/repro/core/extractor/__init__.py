@@ -13,7 +13,6 @@ here:
   the raw output modelled in :mod:`repro.core.extractor.records`.
 """
 
-from .async_manager import AsyncExtractorManager
 from .extractors import (DatabaseExtractor, Extractor, ExtractorRegistry,
                          TextExtractor, WebExtractor, XmlExtractor)
 from .manager import ExtractionOutcome, ExtractorManager
@@ -29,7 +28,6 @@ __all__ = [
     "TextExtractor",
     "ExtractionSchema",
     "ExtractorManager",
-    "AsyncExtractorManager",
     "ExtractionOutcome",
     "RawFragment",
     "SourceRecordSet",

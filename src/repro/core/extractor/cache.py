@@ -28,7 +28,6 @@ substrate of the batched executor (E14).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -144,49 +143,6 @@ class FragmentCache:
             return None
         return RawFragment(entry.attribute, entry.source_id, values)
 
-    def _acquire_step(self, entry: MappingEntry, key: tuple,
-                      waited: bool) -> tuple[list[str] | None, _Flight | None]:
-        """One locked evaluation of the single-flight protocol.
-
-        Returns ``(values, None)`` on a hit, ``(None, None)`` when the
-        caller was elected leader, ``(None, flight)`` when it must wait
-        on an existing flight.  Stats and metrics are recorded here so
-        the sync and async acquire paths count identically."""
-        flight = None
-        with self._lock:
-            values = self._entries.get(key)
-            if values is not None:
-                self.stats.hits += 1
-                if waited:
-                    self.stats.dedup_hits += 1
-                values = list(values)
-            else:
-                flight = self._flights.get(key)
-                if flight is None:
-                    self._flights[key] = _Flight()
-                    self.stats.misses += 1
-                    self.stats.flights += 1
-                else:
-                    self.stats.waits += 1
-        if self.metrics is None:
-            return values, flight
-        single_flight = self.metrics.counter(
-            "cache_single_flight_total", "single-flight protocol events")
-        if values is not None:
-            self.metrics.counter(
-                "cache_hits_total", "fragment cache lookups").inc(
-                    source=entry.source_id)
-            if waited:
-                single_flight.inc(role="dedup-hit")
-        elif flight is None:
-            self.metrics.counter(
-                "cache_misses_total", "fragment cache lookups").inc(
-                    source=entry.source_id)
-            single_flight.inc(role="leader")
-        else:
-            single_flight.inc(role="wait")
-        return values, flight
-
     def acquire(self, entry: MappingEntry) -> tuple[RawFragment | None, bool]:
         """Single-flight lookup: ``(fragment, False)`` on a hit, or
         ``(None, True)`` when the caller is elected leader and must
@@ -200,33 +156,45 @@ class FragmentCache:
         key = _key(entry)
         waited = False
         while True:
-            values, flight = self._acquire_step(entry, key, waited)
+            flight = None
+            with self._lock:
+                values = self._entries.get(key)
+                if values is not None:
+                    self.stats.hits += 1
+                    if waited:
+                        self.stats.dedup_hits += 1
+                    values = list(values)
+                else:
+                    flight = self._flights.get(key)
+                    if flight is None:
+                        self._flights[key] = _Flight()
+                        self.stats.misses += 1
+                        self.stats.flights += 1
+                    else:
+                        self.stats.waits += 1
+            if self.metrics is not None:
+                single_flight = self.metrics.counter(
+                    "cache_single_flight_total",
+                    "single-flight protocol events")
+                if values is not None:
+                    self.metrics.counter(
+                        "cache_hits_total", "fragment cache lookups").inc(
+                            source=entry.source_id)
+                    if waited:
+                        single_flight.inc(role="dedup-hit")
+                elif flight is None:
+                    self.metrics.counter(
+                        "cache_misses_total", "fragment cache lookups").inc(
+                            source=entry.source_id)
+                    single_flight.inc(role="leader")
+                else:
+                    single_flight.inc(role="wait")
             if values is not None:
                 return (RawFragment(entry.attribute, entry.source_id,
                                     values), False)
             if flight is None:  # elected leader
                 return None, True
             flight.event.wait()
-            waited = True
-
-    async def acquire_async(self, entry: MappingEntry
-                            ) -> tuple[RawFragment | None, bool]:
-        """:meth:`acquire` for callers running on an event loop.
-
-        Identical protocol and bookkeeping, but waiting on a flight
-        parks in a worker thread instead of blocking the loop — when the
-        leader is another *task* on the same loop (concurrent
-        ``aquery()`` calls), a blocking wait would deadlock it."""
-        key = _key(entry)
-        waited = False
-        while True:
-            values, flight = self._acquire_step(entry, key, waited)
-            if values is not None:
-                return (RawFragment(entry.attribute, entry.source_id,
-                                    values), False)
-            if flight is None:  # elected leader
-                return None, True
-            await asyncio.to_thread(flight.event.wait)
             waited = True
 
     def release(self, entry: MappingEntry) -> None:

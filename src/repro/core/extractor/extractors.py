@@ -17,7 +17,6 @@ in the middleware core changes (claim C4 in DESIGN.md).
 from __future__ import annotations
 
 import abc
-import asyncio
 import contextlib
 
 from ...errors import ExtractionError, S2SError, TransientSourceError
@@ -29,9 +28,8 @@ from .records import RawFragment
 
 def _execution_detail(source: DataSource) -> dict | None:
     """The source's next one-shot digest of the rule(s) it just ran
-    (e.g. the relational source's SQL plan), one per rule in rule order.
-    Read here, on the thread that ran them: under the asyncio engine the
-    manager resumes on another."""
+    (e.g. the relational source's SQL plan), one per rule in rule order,
+    read on the thread that ran them."""
     hook = getattr(source, "consume_execution_detail", None)
     return hook() if hook is not None else None
 
@@ -40,11 +38,11 @@ def runs_batches(source: DataSource) -> bool:
     """Whether ``source`` advertises the optional ``execute_rules``
     capability.
 
-    Structural, like ``aexecute_rule``: a wrapper that does not define
-    it is run one rule at a time.  So is a subclass (or an instance)
-    that overrides ``execute_rule`` beneath the class that defines
-    ``execute_rules`` — whatever the override adds would otherwise be
-    bypassed by the inherited batch."""
+    Structural: a wrapper that does not define it is run one rule at a
+    time.  So is a subclass (or an instance) that overrides
+    ``execute_rule`` beneath the class that defines ``execute_rules`` —
+    whatever the override adds would otherwise be bypassed by the
+    inherited batch."""
     def definer(name: str) -> int | None:
         if name in vars(source):
             return -1
@@ -86,25 +84,6 @@ class Extractor(abc.ABC):
             values = source.execute_rule(entry.rule.code)
         return self._fragment(source, entry, values)
 
-    async def aextract(self, source: DataSource,
-                       entry: MappingEntry) -> RawFragment:
-        """:meth:`extract` for the asyncio engine.
-
-        Sources exposing an ``aexecute_rule`` coroutine (the
-        :class:`~repro.sources.base.AsyncDataSource` protocol) are
-        awaited natively, keeping the event loop free while they wait on
-        their transport — the awaited call is the only line that differs
-        from :meth:`extract`.  Legacy sync connectors run the *whole*
-        synchronous :meth:`extract` in a worker thread, so the execution
-        detail is read back on the thread that ran the rule."""
-        run_rule = getattr(source, "aexecute_rule", None)
-        if run_rule is None:
-            return await asyncio.to_thread(self.extract, source, entry)
-        self._check_type(source, entry.attribute_id)
-        with _classified(source, entry.attribute_id):
-            values = await run_rule(entry.rule.code)
-        return self._fragment(source, entry, values)
-
     def extract_many(self, source: DataSource,
                      entries: list[MappingEntry]) -> list[RawFragment]:
         """Run all of one source's ``entries``; the fragments a loop
@@ -122,24 +101,6 @@ class Extractor(abc.ABC):
         with _classified(source, None):
             columns = source.execute_rules(
                 [entry.rule.code for entry in entries])
-        return self._fragments(source, entries, columns)
-
-    async def aextract_many(self, source: DataSource,
-                            entries: list[MappingEntry]
-                            ) -> list[RawFragment]:
-        """:meth:`extract_many` for the asyncio engine: an
-        ``aexecute_rules`` coroutine is awaited natively, an async-native
-        source without one is awaited per rule, and a sync connector
-        runs the whole :meth:`extract_many` in a worker thread."""
-        run_rules = getattr(source, "aexecute_rules", None)
-        if run_rules is None:
-            if getattr(source, "aexecute_rule", None) is None:
-                return await asyncio.to_thread(self.extract_many, source,
-                                               entries)
-            return [await self.aextract(source, entry) for entry in entries]
-        self._check_type(source, None)
-        with _classified(source, None):
-            columns = await run_rules([entry.rule.code for entry in entries])
         return self._fragments(source, entries, columns)
 
     def _check_type(self, source: DataSource,

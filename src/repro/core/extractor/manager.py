@@ -34,21 +34,19 @@ configured through one :class:`~repro.core.resilience.ResilienceConfig`):
 
 Two opt-in performance features (both ablated in experiment E1): a
 ``thread``-mode :class:`~repro.core.resilience.ConcurrencyConfig`
-extracts sources concurrently with a thread pool (``asyncio`` mode
-selects the :class:`~repro.core.extractor.AsyncExtractorManager`
-subclass instead — see ``docs/async.md``), and ``cache=FragmentCache()``
-reuses fragments across queries until explicitly invalidated.
+extracts sources concurrently with a thread pool, and
+``cache=FragmentCache()`` reuses fragments across queries until
+explicitly invalidated.
 """
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Generator, NamedTuple
+from typing import Any
 
 from ...errors import (CircuitOpenError, DeadlineExceededError, S2SError,
                        TransientSourceError)
@@ -62,7 +60,7 @@ from ..resilience import (CircuitBreakerRegistry, Deadline, RetryBudget,
                           SourceHealth, SourceHealthRegistry)
 from ..resilience.config import ResilienceConfig
 from .cache import FragmentCache
-from .extractors import Extractor, ExtractorRegistry, runs_batches
+from .extractors import ExtractorRegistry, runs_batches
 from .records import RawFragment, SourceRecordSet
 from .schema import ExtractionSchema
 
@@ -169,45 +167,6 @@ class _RunContext:
     started: float = 0.0  # perf_counter() at the top of the run
 
 
-class RunRule(NamedTuple):
-    """Effect: run one entry's rule; resumed with its :class:`RawFragment`."""
-
-    extractor: Extractor
-    source: Any
-    entry: MappingEntry
-
-
-class RunRules(NamedTuple):
-    """Effect: run several entries' rules on their source as one batch;
-    resumed with their :class:`RawFragment` s, in order."""
-
-    extractor: Extractor
-    source: Any
-    entries: list[MappingEntry]
-
-
-class Sleep(NamedTuple):
-    """Effect: wait out a backoff delay on the injectable clock."""
-
-    seconds: float
-
-
-class AcquireFlight(NamedTuple):
-    """Effect: single-flight cache lookup; resumed with ``(fragment |
-    None, leading)``."""
-
-    entry: MappingEntry
-
-
-#: Every effect the per-source policy can yield — the only points where
-#: extraction blocks.  Each driver must perform every one of them.
-EFFECTS = (RunRule, RunRules, Sleep, AcquireFlight)
-
-#: A policy generator: yields effects, is resumed with each effect's
-#: result (or has its error thrown in) and returns its own result.
-Policy = Generator[Any, Any, Any]
-
-
 class ExtractorManager:
     """Mediator between the mapping repositories and the extractors."""
 
@@ -267,8 +226,8 @@ class ExtractorManager:
         if self.config.concurrency.parallel and len(source_ids) > 1:
             results = self._extract_parallel(source_ids, ctx, outcome, span)
         else:
-            results = [self._drive(self._extract_source(
-                sid, ctx.schema.by_source[sid], ctx, span))
+            results = [self._extract_source(
+                sid, ctx.schema.by_source[sid], ctx, span)
                 for sid in source_ids]
         self._fold_results(ctx, outcome, results)
         return self._finish_run(ctx, outcome)
@@ -325,56 +284,6 @@ class ExtractorManager:
             self._record_outcome_metrics(outcome)
         return outcome
 
-    def _drive(self, policy: Policy) -> Any:
-        """The blocking driver: run a policy generator to completion on
-        the calling thread, performing each effect it yields.
-
-        Serial extraction, thread-pool workers and fleet workers all run
-        the policy through here; the asyncio engine awaits the same
-        effects in ``AsyncExtractorManager._drive_async``."""
-        try:
-            effect = next(policy)
-            while True:
-                try:
-                    if type(effect) is RunRule:
-                        result = effect.extractor.extract(effect.source,
-                                                          effect.entry)
-                    elif type(effect) is RunRules:
-                        result = effect.extractor.extract_many(
-                            effect.source, effect.entries)
-                    elif type(effect) is Sleep:
-                        result = self.config.clock.sleep(effect.seconds)
-                    elif type(effect) is AcquireFlight:
-                        result = self.cache.acquire(effect.entry)
-                    else:
-                        raise TypeError(f"unhandled effect {effect!r}")
-                except BaseException as exc:
-                    # The policy decides: retry, fail over, record a
-                    # problem, or let it propagate (through its finally
-                    # blocks) back out of throw().
-                    effect = policy.throw(exc)
-                else:
-                    effect = policy.send(result)
-        except StopIteration as stop:
-            return stop.value
-
-    async def extract_async(self, required: list[AttributePath],
-                            *, deadline: Deadline | float | None = None,
-                            span: AnySpan = NULL_SPAN,
-                            schema: ExtractionSchema | None = None
-                            ) -> ExtractionOutcome:
-        """Awaitable :meth:`extract` — the hook ``aquery()`` rides on.
-
-        The base (serial / thread-pool) engine has no native async
-        implementation, so the whole synchronous extraction runs in a
-        worker thread, keeping the caller's event loop responsive while
-        producing byte-identical outcomes and span trees.  The
-        :class:`~repro.core.extractor.AsyncExtractorManager` subclass
-        overrides this with a true asyncio fan-out."""
-        return await asyncio.to_thread(
-            self.extract, required, deadline=deadline, span=span,
-            schema=schema)
-
     def close(self) -> None:
         """Release engine resources; a no-op for the thread engine.
 
@@ -420,8 +329,7 @@ class ExtractorManager:
         fan-out, the truncation is logged, counted
         (``fanout_capped_total``) and annotated on the span, so a
         many-slow-sources workload silently queueing behind 16 threads
-        is visible (and steerable to ``asyncio`` mode, which has no
-        cap).  The threads are named after the calling thread (a fleet
+        is visible (``max_workers=0`` lifts the cap).  The threads are named after the calling thread (a fleet
         worker's read ``query-worker-2_0``, ...) and live for one run."""
         concurrency = self.config.concurrency
         workers = concurrency.workers_for(len(source_ids))
@@ -430,8 +338,7 @@ class ExtractorManager:
             logger.warning(
                 "extraction fan-out truncated: %d sources queue behind "
                 "%d workers (set ConcurrencyConfig(max_workers=0) for "
-                "unbounded threads, or mode='asyncio' for uncapped "
-                "non-blocking fan-out)", len(source_ids), workers)
+                "unbounded threads)", len(source_ids), workers)
             if self.metrics is not None:
                 self.metrics.counter(
                     "fanout_capped_total",
@@ -444,8 +351,8 @@ class ExtractorManager:
         abandoned = True
         try:
             futures = {
-                pool.submit(self._drive, self._extract_source(
-                    sid, ctx.schema.by_source[sid], ctx, span)): sid
+                pool.submit(self._extract_source, sid,
+                            ctx.schema.by_source[sid], ctx, span): sid
                 for sid in source_ids}
             timeout = (None if ctx.deadline.unbounded
                        else max(ctx.deadline.remaining(), 0.05))
@@ -485,18 +392,14 @@ class ExtractorManager:
 
     def _extract_source(self, source_id: str, entries: list[MappingEntry],
                         ctx: _RunContext,
-                        parent_span: AnySpan = NULL_SPAN) -> Policy:
-        """Steps 3 and 4 for one source, as a policy generator.
+                        parent_span: AnySpan = NULL_SPAN) -> _SourceResult:
+        """Steps 3 and 4 for one source.
 
-        This and the two generators it delegates to are the *only*
+        This and the methods it delegates to are the *only*
         implementation of the per-source policy (deadline check, breaker
         gate, attempt, retry budget, backoff, replica failover, cache
-        single-flight, span and health bookkeeping).  They never block:
-        wherever the work would wait they ``yield`` an effect from
-        :data:`EFFECTS` and a driver performs it — blocking in
-        :meth:`_drive`, awaiting in the asyncio engine — resuming the
-        generator with the result or throwing the error in.  Returns the
-        source's :class:`_SourceResult`."""
+        single-flight, span and health bookkeeping); serial extraction,
+        thread-pool workers and fleet workers all run it."""
         started = time.perf_counter()
         problems: list[ExtractionProblem] = []
         span = parent_span.child("source", source=source_id,
@@ -534,14 +437,14 @@ class ExtractorManager:
                     if self.cache is not None:
                         # Single-flight: a concurrent identical scan either
                         # serves us its result or elects us leader.
-                        cached, leading = yield AcquireFlight(entry)
+                        cached, leading = self.cache.acquire(entry)
                         if cached is not None:
                             entry_span.annotate(cache="hit")
                             record_set.add(cached)
                             continue
                         entry_span.annotate(cache="miss")
                     try:
-                        fragment = yield from self._extract_entry(
+                        fragment = self._extract_entry(
                             source_id, source, extractor, entry, ctx,
                             entry_span, batch)  # step 4
                     except DeadlineExceededError as exc:
@@ -580,7 +483,7 @@ class ExtractorManager:
     def _extract_entry(self, source_id: str, source, extractor,
                        entry: MappingEntry, ctx: _RunContext,
                        span: AnySpan = NULL_SPAN,
-                       batch: _Batch | None = None) -> Policy:
+                       batch: _Batch | None = None) -> RawFragment:
         """One mapping entry: primary attempt chain, then replicas;
         returns the entry's :class:`RawFragment`.
 
@@ -589,8 +492,8 @@ class ExtractorManager:
         a mapping bug the replica's own rule would not fix) and not once
         the deadline has expired."""
         try:
-            return (yield from self._call_with_policy(
-                source_id, source, extractor, entry, ctx, span, batch))
+            return self._call_with_policy(
+                source_id, source, extractor, entry, ctx, span, batch)
         except DeadlineExceededError:
             raise
         except (TransientSourceError, CircuitOpenError) as primary_error:
@@ -605,7 +508,7 @@ class ExtractorManager:
                     replica_source = self.sources.get(replica.source_id)
                     replica_extractor = self.extractors.for_source(
                         replica_source)
-                    fragment = yield from self._call_with_policy(
+                    fragment = self._call_with_policy(
                         replica.source_id, replica_source, replica_extractor,
                         replica, ctx, failover_span)
                 except S2SError as exc:
@@ -624,7 +527,7 @@ class ExtractorManager:
     def _call_with_policy(self, source_id: str, source, extractor,
                           entry: MappingEntry, ctx: _RunContext,
                           span: AnySpan = NULL_SPAN,
-                          batch: _Batch | None = None) -> Policy:
+                          batch: _Batch | None = None) -> RawFragment:
         """One rule execution under retry policy, breaker and deadline;
         returns the rule's :class:`RawFragment`.
 
@@ -662,10 +565,10 @@ class ExtractorManager:
                                       source=source_id)
             try:
                 if batch is not None and attempt == 0:
-                    fragment = yield from self._prefetched(
+                    fragment = self._prefetched(
                         batch, extractor, source, entry, attempt_span)
                 else:
-                    fragment = yield RunRule(extractor, source, entry)
+                    fragment = extractor.extract(source, entry)
             except TransientSourceError as exc:
                 attempt_span.fail(str(exc))
                 attempt_span.annotate(outcome="transient-error")
@@ -692,7 +595,7 @@ class ExtractorManager:
                             source=source_id)
                 if delay > 0:
                     with span.child("backoff", seconds=round(delay, 6)):
-                        yield Sleep(ctx.deadline.clamp(delay))
+                        self.config.clock.sleep(ctx.deadline.clamp(delay))
                 continue
             except S2SError as exc:
                 attempt_span.fail(str(exc))
@@ -713,7 +616,8 @@ class ExtractorManager:
             return fragment
 
     def _prefetched(self, batch: _Batch, extractor, source,
-                    entry: MappingEntry, attempt_span: AnySpan) -> Policy:
+                    entry: MappingEntry,
+                    attempt_span: AnySpan) -> RawFragment:
         """The entry's fragment out of its source's batch.
 
         The batch is taken once, here, at the first attempt any of the
@@ -721,7 +625,7 @@ class ExtractorManager:
         so a source whose entries are all cache hits, or whose breaker
         is open, never runs one.  **Any** exception from it is dropped,
         uncounted, and the source runs per rule from then on (an entry
-        the batch holds nothing for yields its own ``RunRule``): which
+        the batch holds nothing for runs its own rule): which
         attribute fails, what is retried, what the breaker and the
         health ledger see are the per-rule path's, because they *are*
         that path."""
@@ -729,7 +633,7 @@ class ExtractorManager:
             batch.fragments = {}
             if len(batch.later) > 1:
                 try:
-                    fragments = yield RunRules(extractor, source, batch.later)
+                    fragments = extractor.extract_many(source, batch.later)
                 except Exception:
                     logger.debug("batch of %d rules on %r dropped; running "
                                  "per rule", len(batch.later),
@@ -744,7 +648,7 @@ class ExtractorManager:
                             shared_scan=f"{len(fragments)}/{len(scans)}")
         fragment = batch.fragments.pop(id(entry), None)
         if fragment is None:
-            return (yield RunRule(extractor, source, entry))
+            return extractor.extract(source, entry)
         attempt_span.annotate(batched=True)
         return fragment
 

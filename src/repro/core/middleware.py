@@ -39,7 +39,6 @@ from ..ontology.model import Ontology
 from ..ontology.schema import OntologySchema
 from ..sources.base import DataSource
 from .cluster.manager import ShardedExtractorManager
-from .extractor.async_manager import AsyncExtractorManager
 from .extractor.cache import FragmentCache
 from .extractor.extractors import Extractor, ExtractorRegistry
 from .extractor.manager import ExtractionOutcome, ExtractorManager
@@ -138,8 +137,7 @@ class S2SMiddleware:
             # generated against the old mapping).
             self.store.bump_generation()
         mode = self.resilience.concurrency.mode
-        manager_cls = (AsyncExtractorManager if mode == "asyncio"
-                       else ShardedExtractorManager if mode == "sharded"
+        manager_cls = (ShardedExtractorManager if mode == "sharded"
                        else ExtractorManager)
         self.manager = manager_cls(
             self.attribute_repository, self.source_repository,
@@ -217,23 +215,17 @@ class S2SMiddleware:
 
     def query(self, query: str, *,
               merge_key: list[str] | None = None) -> QueryResult:
-        """Execute an S2SQL query; the single point of entry.
-
-        Blocking under every engine: with ``concurrency="asyncio"`` the
-        extraction fan-out runs as tasks on a loop this call opens and
-        closes with ``asyncio.run`` (inside a running loop, use
-        :meth:`aquery`) — traces, metrics, store behaviour and results
-        are identical to the thread engine's."""
+        """Execute an S2SQL query; the single point of entry.  Blocking
+        under every engine (inside a running loop, use :meth:`aquery`)."""
         return self.query_handler.execute(query, merge_key=merge_key)
 
     async def aquery(self, query: str, *,
                      merge_key: list[str] | None = None) -> QueryResult:
         """Awaitable :meth:`query` for callers on an event loop.
 
-        Same pipeline, same observability, same answers — extraction is
-        awaited natively under ``concurrency="asyncio"`` and runs in a
-        worker thread under the serial/thread engines, so the caller's
-        loop never blocks either way (see docs/async.md)."""
+        Same pipeline, same observability, same answers under every
+        engine — extraction runs in ``asyncio.to_thread``, so the
+        caller's loop never blocks (see docs/api.md)."""
         return await self.query_handler.aexecute(query, merge_key=merge_key)
 
     def query_many(self, queries: list[str], *,
@@ -491,8 +483,8 @@ class S2SMiddleware:
         One idempotent call stops any :meth:`store_refresher` worker
         threads still alive, closes any :meth:`ingest_coordinator`
         journals still open and shuts down the sharded engine's worker
-        fleet (a shared fleet is its owner's to stop); the serial, thread
-        and asyncio engines own no thread or loop.  ``close()`` is for
+        fleet (a shared fleet is its owner's to stop); the serial and
+        thread engines own no thread.  ``close()`` is for
         teardown, not a pause.  Also usable as a context manager::
 
             with B2BScenario().build_middleware() as s2s:

@@ -9,6 +9,7 @@ prove.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from dataclasses import dataclass, field, replace
 
@@ -145,9 +146,8 @@ class QueryHandler:
                        tracer: Tracer | None = None) -> QueryResult:
         """Awaitable :meth:`execute` for callers on an event loop.
 
-        The same pipeline (:meth:`_answer_one`) under the awaiting
-        driver: only the extraction outcome is awaited — natively under
-        the asyncio engine, in a worker thread otherwise."""
+        The same pipeline (:meth:`_answer_one`); only the extraction
+        outcome is awaited, in a worker thread (:meth:`_adrive`)."""
         return await self._adrive(self._answer_one(query, merge_key, tracer))
 
     def execute_many(self, queries: list[str | S2sqlQuery],
@@ -203,8 +203,9 @@ class QueryHandler:
         try:
             required, span, schema = next(pipeline)
             try:
-                outcome = await self.manager.extract_async(
-                    required, span=span, schema=schema)
+                outcome = await asyncio.to_thread(
+                    self.manager.extract, required, span=span,
+                    schema=schema)
             except BaseException as exc:
                 pipeline.throw(exc)
             else:

@@ -17,7 +17,7 @@ degrade gracefully instead of amplifying downstream flakiness:
   and its fan-out engine selector, exported by :mod:`repro.config`.
 
 See ``docs/resilience.md`` for the lifecycle diagrams and failover
-semantics, and ``docs/async.md`` for the asyncio engine.
+semantics.
 """
 
 from ...clock import Clock, FakeClock, SystemClock

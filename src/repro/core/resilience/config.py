@@ -5,10 +5,9 @@ behaviour (``retries``, ``retry_delay``, ``parallel``, ``max_workers``);
 :class:`ResilienceConfig` replaces them with a single frozen dataclass
 the caller can build once and share.
 
-Fan-out shape is its own sub-config since the asyncio engine landed:
-:class:`ConcurrencyConfig` names the engine (``serial`` | ``thread`` |
-``asyncio`` | ``sharded``) and the thread pool bound in one frozen
-value.
+Fan-out shape is its own sub-config: :class:`ConcurrencyConfig` names
+the engine (``serial`` | ``thread`` | ``sharded``) and the thread pool
+bound in one frozen value.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .breaker import BreakerPolicy
 from .retry import RetryPolicy
 
 #: Fan-out engines ConcurrencyConfig.mode accepts.
-CONCURRENCY_MODES = ("serial", "thread", "asyncio", "sharded")
+CONCURRENCY_MODES = ("serial", "thread", "sharded")
 
 #: Worker pool kinds the sharded engine accepts.
 SHARDED_POOL_KINDS = ("thread", "spawn")
@@ -101,9 +100,6 @@ class ConcurrencyConfig:
     * ``"serial"`` — one source after another (the seed's default);
     * ``"thread"`` — a thread pool, one worker per source up to the
       worker bound;
-    * ``"asyncio"`` — the async engine: every source is a task on one
-      event loop, with no worker cap at all (sync connectors are run in
-      worker threads via the auto-adapter);
     * ``"sharded"`` — the fleet engine: sources are partitioned by
       stable shard key across the fleet's supervised workers and the
       partial outcomes are merged back into one (see docs/cluster.md).
@@ -112,7 +108,7 @@ class ConcurrencyConfig:
     ``None`` means the adaptive default ``min(n_sources, 16)`` (which
     logs and counts a metric when it truncates the fan-out), ``0`` means
     explicitly unbounded (one worker per source, however many), and any
-    positive value is an exact cap.  The asyncio engine ignores it.
+    positive value is an exact cap.
 
     ``fleet`` carries the :class:`FleetConfig` for the sharded engine
     — width, pool kind, supervision timings and admission quotas.  The
@@ -135,13 +131,8 @@ class ConcurrencyConfig:
 
     @classmethod
     def threads(cls, max_workers: int | None = None) -> "ConcurrencyConfig":
-        """Thread-pool fan-out (the pre-asyncio ``parallel=True``)."""
+        """Thread-pool fan-out (the seed's ``parallel=True``)."""
         return cls(mode="thread", max_workers=max_workers)
-
-    @classmethod
-    def asyncio(cls) -> "ConcurrencyConfig":
-        """Event-loop fan-out: unbounded, non-blocking per-source tasks."""
-        return cls(mode="asyncio")
 
     @classmethod
     def sharded(cls, workers: int | None = None, *,
@@ -192,7 +183,7 @@ def coerce_concurrency(value: "ConcurrencyConfig | str | None",
                        ) -> ConcurrencyConfig | None:
     """A :class:`ConcurrencyConfig` from a config or mode string.
 
-    Accepts ``"serial"``/``"thread"``/``"asyncio"`` as shorthand (the
+    Accepts ``"serial"``/``"thread"``/``"sharded"`` as shorthand (the
     middleware's ``concurrency=`` kwarg), passes configs through, and
     maps ``None`` to ``None`` (meaning "no override")."""
     if value is None or isinstance(value, ConcurrencyConfig):

@@ -343,9 +343,12 @@ class _Parser(TokenCursor):
             if self.accept("punct", ","):
                 flags = _unescape(self.expect("string").value[1:-1])
             self.expect("punct", ")")
+            if not set(flags) <= set(_REGEX_FLAGS):
+                raise self.error(f"bad REGEX flags {flags!r}: each must be "
+                                 f"one of {''.join(_REGEX_FLAGS)!r}")
             try:
-                return RegexCall(operand, re.compile(
-                    pattern, re.IGNORECASE if "i" in flags else 0))
+                return RegexCall(operand, re.compile(pattern, sum(
+                    {_REGEX_FLAGS[flag] for flag in flags})))
             except (re.error, RecursionError, OverflowError) as exc:
                 raise self.error(
                     f"bad REGEX pattern {pattern!r}: {exc}") from None
@@ -354,6 +357,12 @@ class _Parser(TokenCursor):
             self.expect("punct", ")")
             return inner
         raise self.error(f"unexpected filter token {token.value!r}")
+
+
+#: REGEX flag letters (XPath and XQuery Functions section 7.6.1.1) as
+#: Python's.
+_REGEX_FLAGS = {"i": re.IGNORECASE, "s": re.DOTALL, "m": re.MULTILINE,
+                "x": re.VERBOSE}
 
 
 def _unescape(text: str) -> str:

@@ -5,17 +5,11 @@ A :class:`DataSource` is the unit the Data Source Repository registers
 extractor), and *connection information* that "varies by data source type
 — Web pages require URLs, files require paths, and databases require
 location, login, password, and driver type".
-
-:class:`AsyncDataSource` extends the protocol with a non-blocking
-``aexecute_rule`` for the asyncio extraction engine; legacy synchronous
-connectors keep working unchanged because the engine runs their whole
-extraction in a worker thread (``Extractor.aextract``).
 """
 
 from __future__ import annotations
 
 import abc
-import asyncio
 import hashlib
 import threading
 from dataclasses import dataclass, field
@@ -135,11 +129,10 @@ class DataSource(abc.ABC):
 
     A source whose rules overlap (one document walked by every XPath
     rule, one filtered table behind every SELECT) may *also* define
-    ``execute_rules(rules: list[str]) -> list[list[str]]`` — and its
-    awaitable twin ``aexecute_rules`` — returning exactly
-    ``[execute_rule(r) for r in rules]`` while sharing work between the
-    rules.  The capability is optional and detected structurally, like
-    ``aexecute_rule``: there is deliberately no default here, so a
+    ``execute_rules(rules: list[str]) -> list[list[str]]``, returning
+    exactly ``[execute_rule(r) for r in rules]`` while sharing work
+    between the rules.  The capability is optional and detected
+    structurally: there is deliberately no default here, so a
     wrapper that does not define it is run one rule at a time.  It may
     raise anything (the Extractor Manager then runs the source per
     rule) and must keep nothing that depends on the source's content
@@ -207,31 +200,3 @@ class DataSource(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.source_id!r})"
 
-
-class AsyncDataSource(DataSource):
-    """A data source that can execute rules without blocking a loop.
-
-    Connectors whose transport is naturally asynchronous (an HTTP client,
-    an async database driver) implement :meth:`aexecute_rule`; the
-    asyncio extraction engine awaits it directly, so one event loop can
-    hold hundreds of slow sources in flight at once.  The protocol is
-    structural — the engine looks for an ``aexecute_rule`` attribute — so
-    a wrapper need not subclass, and a connector without one needs no
-    adapter.
-
-    The synchronous :meth:`execute_rule` is bridged automatically (the
-    coroutine runs on a private, short-lived loop), so an async-native
-    connector still works under the serial and thread-pool engines —
-    both protocols, one implementation.
-    """
-
-    @abc.abstractmethod
-    async def aexecute_rule(self, rule: str) -> list[str]:
-        """Run one extraction rule without blocking the event loop."""
-
-    def execute_rule(self, rule: str) -> list[str]:
-        """Synchronous bridge: run :meth:`aexecute_rule` to completion.
-
-        Only valid from code that is not already inside a running event
-        loop (the thread-pool engine's workers, direct scripting use)."""
-        return asyncio.run(self.aexecute_rule(rule))

@@ -25,19 +25,10 @@ All mutable state is guarded by one lock: under the thread-pool engine
 the Extractor Manager calls ``execute_rule`` from a thread pool, and an
 unguarded shared ``random.Random`` would break the documented
 determinism.
-
-The wrapper is async-aware: :meth:`FlakySource.aexecute_rule` satisfies
-the :class:`~repro.sources.base.AsyncDataSource` protocol, awaiting the
-injected latency on the clock (``asyncio.sleep`` under a real clock, an
-instant advance under :class:`~repro.clock.FakeClock`) so degraded
-worlds are testable under the asyncio engine without real sleeps.  The
-fault decision itself is shared between both paths, so a given call
-sequence fails identically whichever engine drives it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 import threading
@@ -263,9 +254,11 @@ class FlakySource(DataSource):
 
     # -- the wrapped call ---------------------------------------------------
 
-    def _inject(self) -> None:
-        """Count the attempt and decide failure, under the lock; raise
-        the configured fault when it fails."""
+    def execute_rule(self, rule: str) -> list[str]:
+        """Forward to the wrapped source, injecting configured faults:
+        the attempt is counted and the failure decided under the lock."""
+        if self.latency > 0:
+            self.clock.sleep(self.latency)
         with self._lock:
             self.attempts += 1
             reason = self._should_fail(self.elapsed())
@@ -273,28 +266,7 @@ class FlakySource(DataSource):
                 self.failures += 1
         if reason is not None:
             raise self.error_factory(reason)
-
-    def execute_rule(self, rule: str) -> list[str]:
-        """Forward to the wrapped source, injecting configured faults."""
-        if self.latency > 0:
-            self.clock.sleep(self.latency)
-        self._inject()
         return self.inner.execute_rule(rule)
-
-    async def aexecute_rule(self, rule: str) -> list[str]:
-        """Async twin of :meth:`execute_rule`: same faults, same order.
-
-        Latency is awaited instead of slept, so hundreds of flaky
-        sources can be in flight on one event loop; the wrapped
-        connector is awaited natively when it is async-capable and run
-        in a worker thread otherwise."""
-        if self.latency > 0:
-            await self.clock.sleep_async(self.latency)
-        self._inject()
-        inner_async = getattr(self.inner, "aexecute_rule", None)
-        if inner_async is not None:
-            return await inner_async(rule)
-        return await asyncio.to_thread(self.inner.execute_rule, rule)
 
     def content_fingerprint(self) -> str | None:
         """Forwarded from the wrapped source.

@@ -90,26 +90,16 @@ class SimulatedWeb:
 
     def fetch(self, url: str) -> str:
         """GET the page body; the WebL ``GetURL`` builtin lands here."""
-        html = self.fetch_nowait(url)
-        if self.latency_seconds > 0:
-            time.sleep(self.latency_seconds)
-        return html
-
-    def fetch_nowait(self, url: str) -> str:
-        """GET the page body, deferring the simulated latency.
-
-        Counts as a real fetch (counters move exactly like
-        :meth:`fetch`) but does not sleep: callers that must not block —
-        the web wrapper's ``aexecute_rule`` running WebL on an event
-        loop — fetch through this and *owe* ``latency_seconds`` per
-        call, awaiting the total afterwards."""
         with self._lock:
             page = self._pages.get(self._normalize(url))
             if page is None:
                 raise PageNotFoundError(url)
             page.fetch_count += 1
             self.total_fetches += 1
-            return page.html
+            html = page.html
+        if self.latency_seconds > 0:
+            time.sleep(self.latency_seconds)
+        return html
 
     def peek(self, url: str) -> str | None:
         """The page body without counting a fetch or simulating latency.

@@ -11,8 +11,6 @@ file can serve many registered pages (the paper's ``watch.webl`` +
 
 from __future__ import annotations
 
-import asyncio
-
 from ...errors import ExtractionError, WeblError
 from ...webl.interpreter import WeblInterpreter, compile_webl
 from ..base import ConnectionInfo, DataSource, RuleCache, stable_digest
@@ -45,44 +43,18 @@ class WebDataSource(DataSource):
                 f"page not reachable at {self.url}", source_id=self.source_id)
         super().connect()
 
-    def _run(self, rule: str, interpreter: WeblInterpreter) -> list[str]:
-        """Run a WebL program; a list result is n records, a scalar is 1."""
+    def execute_rule(self, rule: str) -> list[str]:
+        """Run a WebL rule against the live (sleeping) simulated web; a
+        list result is n records, a scalar is 1."""
         if not self.connected:
             self.connect()
         try:
-            result = interpreter.run(self._compiled.get(rule, compile_webl))
+            result = self._interpreter.run(
+                self._compiled.get(rule, compile_webl))
         except WeblError as exc:
             raise ExtractionError(
                 f"WebL rule failed: {exc}", source_id=self.source_id) from exc
         return self._records(result)
-
-    def execute_rule(self, rule: str) -> list[str]:
-        """Run a WebL rule against the live (sleeping) simulated web."""
-        return self._run(rule, self._interpreter)
-
-    async def aexecute_rule(self, rule: str) -> list[str]:
-        """Awaitable twin of :meth:`execute_rule` for the asyncio engine.
-
-        WebL programs are synchronous — ``GetURL`` calls happen mid-run,
-        so the fetches cannot be awaited individually.  Instead the
-        program runs on the loop against :meth:`SimulatedWeb.fetch_nowait`
-        (counters move, no sleeping) and the simulated latency owed for
-        the fetches is awaited *once* afterwards: same fetch accounting,
-        same total elapsed time, but the event loop interleaves other
-        sources during the wait instead of blocking a borrowed thread."""
-        fetches = 0
-
-        def fetch(url: str) -> str:
-            nonlocal fetches
-            fetches += 1
-            return self.web.fetch_nowait(url)
-
-        records = self._run(rule, WeblInterpreter(
-            fetch, extra_builtins={"SourceURL": lambda: self.url}))
-        owed = fetches * self.web.latency_seconds
-        if owed > 0:
-            await asyncio.sleep(owed)
-        return records
 
     def _records(self, result) -> list[str]:
         if result is None:

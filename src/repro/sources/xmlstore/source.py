@@ -151,20 +151,6 @@ class XmlDataSource(DataSource):
         """Run an XPath or XQuery rule; one string per selected node."""
         return self.execute_rules([rule])[0]
 
-    async def aexecute_rules(self, rules: list[str]) -> list[list[str]]:
-        """Awaitable twin of :meth:`execute_rules` for the asyncio engine.
-
-        XPath/XQuery over the in-memory document store is pure compute
-        with no transport to wait on, so it runs synchronously on the
-        loop — cheaper than borrowing a worker thread for microseconds
-        of tree walking."""
-        return self.execute_rules(rules)
-
-    async def aexecute_rule(self, rule: str) -> list[str]:
-        """Awaitable twin of :meth:`execute_rule` (see
-        :meth:`aexecute_rules`)."""
-        return self.execute_rule(rule)
-
     def consume_execution_detail(self) -> dict | None:
         """Next one-shot digest of the calling thread's most recent
         batch, in rule order: ``{"scan": n}`` numbers the tree walk the

@@ -196,8 +196,8 @@ class XPath:
         if name == "last":
             return float(context.size)
         if name == "count":
-            if len(args) != 1 or not isinstance(args[0], list):
-                raise XPathError("count() requires one node-set argument")
+            if not isinstance(args[0], list):
+                raise XPathError("count() requires a node-set argument")
             return float(len(args[0]))
         if name == "contains":
             return _to_string(args[0]).find(_to_string(args[1])) >= 0

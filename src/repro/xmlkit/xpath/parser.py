@@ -23,10 +23,13 @@ from .ast import (AttributeTest, BooleanOp, Comparison, Expr, FunctionCall,
                   Step, StringLiteral, TextTest, Union_)
 from .lexer import XPATH
 
+#: name -> (fewest, most) arguments, as XPath 1.0 section 4 declares
+#: them (``None``: any number).
 _FUNCTIONS = {
-    "contains", "starts-with", "count", "position", "last",
-    "normalize-space", "string", "number", "name", "not", "concat",
-    "string-length", "substring",
+    "last": (0, 0), "position": (0, 0), "count": (1, 1), "name": (0, 1),
+    "string": (0, 1), "concat": (2, None), "starts-with": (2, 2),
+    "contains": (2, 2), "substring": (2, 3), "string-length": (0, 1),
+    "normalize-space": (0, 1), "not": (1, 1), "number": (0, 1),
 }
 
 
@@ -87,7 +90,7 @@ class _Parser(TokenCursor):
         return self.location_path()
 
     def function_call(self) -> Expr:
-        name = self.expect("name").value
+        token = self.expect("name")
         self.expect("lparen")
         arguments: list[Expr] = []
         if not self.accept("rparen"):
@@ -95,7 +98,14 @@ class _Parser(TokenCursor):
             while self.accept("comma"):
                 arguments.append(self.or_expr())
             self.expect("rparen")
-        return FunctionCall(name, tuple(arguments))
+        fewest, most = _FUNCTIONS[token.value]
+        if len(arguments) < fewest or (most is not None
+                                       and len(arguments) > most):
+            takes = (f"{fewest}" if fewest == most else f"{fewest} to {most}"
+                     if most is not None else f"at least {fewest}")
+            raise self.error(f"{token.value}() takes {takes} arguments, "
+                             f"not {len(arguments)}", token)
+        return FunctionCall(token.value, tuple(arguments))
 
     # -- location paths ---------------------------------------------------
 

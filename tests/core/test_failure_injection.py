@@ -5,9 +5,13 @@ error that has occurred during the extraction process or in the query"
 (section 2.6) — a federated query must degrade, not die.
 """
 
+import json
+
 import pytest
 
-from repro.errors import S2SError
+from repro import ExtractionRule
+from repro.errors import S2SError, XPathError
+from repro.workloads import B2BScenario
 
 
 class TestDeadSources:
@@ -54,6 +58,37 @@ class TestDeadSources:
         assert len(result) == 15
         assert any(e.source_id == xml_org.source_id
                    for e in result.errors.entries)
+
+
+class TestBrokenRules:
+    def test_wrong_arity_xpath_rule_is_one_problem_not_a_crash(self):
+        scenario = B2BScenario(n_sources=4, n_products=10)
+        s2s = scenario.build_middleware()
+        xml_id = next(org.source_id for org in scenario.organizations
+                      if org.source_type == "xml")
+        bad = "//item[contains(brand)]/model"
+        with pytest.raises(XPathError, match="takes 2 arguments"):
+            s2s.register_attribute(("product", "model"),
+                                   ExtractionRule.xpath(bad), xml_id,
+                                   replace=True)
+        # A persisted mapping is not re-validated on load: the bad rule
+        # reaches extraction and fails there, for its source alone.
+        document = json.loads(s2s.dump_mapping())
+        for record in document["attributes"]:
+            if (record["source"], record["attribute"]) == (
+                    xml_id, "thing.product.model"):
+                record["rule"]["code"] = bad
+        organizations = {org.source_id: org
+                         for org in scenario.organizations}
+        s2s.load_mapping(json.dumps(document), lambda source_id, info:
+                         scenario.connector(organizations[source_id]))
+        result = s2s.query("SELECT product")
+        assert len(result) == 10
+        assert [(e.phase, e.source_id, e.attribute_id)
+                for e in result.errors.entries] == [
+            ("extraction", xml_id, "thing.product.model")]
+        assert "contains() takes 2 arguments" in \
+            result.errors.entries[0].message
 
 
 class TestSchemaDrift:

@@ -1,5 +1,7 @@
 """Tests for parallel extraction and the fragment cache (E1 ablations)."""
 
+import logging
+
 import pytest
 
 from repro.core.extractor.cache import FragmentCache
@@ -7,6 +9,7 @@ from repro.config import ConcurrencyConfig
 from repro.core.mapping.attributes import MappingEntry
 from repro.core.mapping.rules import ExtractionRule
 from repro.ids import AttributePath
+from repro.obs import MetricsRegistry
 from repro.workloads import B2BScenario
 
 
@@ -285,3 +288,28 @@ class TestParallelExtraction:
         s2s = scenario.build_middleware(
             concurrency=ConcurrencyConfig.threads(max_workers=1))
         assert len(s2s.query("SELECT product")) == 20
+
+
+class TestFanoutCapReporting:
+    def many_source_world(self, concurrency):
+        scenario = B2BScenario(n_sources=18, n_products=18, seed=7)
+        metrics = MetricsRegistry()
+        return scenario.build_middleware(concurrency=concurrency,
+                                         metrics=metrics), metrics
+
+    def test_adaptive_cap_logs_and_counts(self, caplog):
+        s2s, metrics = self.many_source_world("thread")
+        with caplog.at_level(logging.WARNING, logger="repro.core.extractor"):
+            outcome = s2s.extract_all()
+        assert outcome.total_records() > 0
+        assert metrics.value("fanout_capped_total", sources="18") == 1
+        assert "fan-out truncated" in caplog.text
+
+    def test_unbounded_workers_never_cap(self, caplog):
+        s2s, metrics = self.many_source_world(
+            ConcurrencyConfig(mode="thread", max_workers=0))
+        with caplog.at_level(logging.WARNING, logger="repro.core.extractor"):
+            outcome = s2s.extract_all()
+        assert outcome.total_records() > 0
+        assert metrics.get("fanout_capped_total") is None
+        assert "fan-out truncated" not in caplog.text

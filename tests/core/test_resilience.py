@@ -393,8 +393,8 @@ class TestResilienceConfigShim:
         with pytest.raises(dataclasses.FrozenInstanceError):
             s2s.resilience.deadline_seconds = 1.0
         switched = dataclasses.replace(
-            config, concurrency=ConcurrencyConfig.asyncio())
-        assert switched.concurrency == ConcurrencyConfig.asyncio()
+            config, concurrency=ConcurrencyConfig.threads(4))
+        assert switched.concurrency == ConcurrencyConfig.threads(4)
         assert dataclasses.replace(switched,
                                    concurrency=config.concurrency) == config
 

@@ -55,6 +55,30 @@ class TestFlakySource:
         assert flaky_db_source.source_type == "database"
         assert flaky_db_source.connection_info().source_type == "database"
 
+    def test_fault_stream_is_the_seeds(self, watch_db):
+        def outcomes(source):
+            results = []
+            for _ in range(12):
+                try:
+                    source.execute_rule("SELECT brand FROM watches")
+                    results.append("ok")
+                except TransientSourceError:
+                    results.append("fail")
+            return results
+
+        first, second = (FlakySource(RelationalDataSource("DB_1", watch_db),
+                                     failure_rate=0.5, seed=123)
+                         for _ in range(2))
+        assert outcomes(first) == outcomes(second)
+        assert second.attempts == 12
+
+    def test_outage_window_fails_every_call(self, watch_db):
+        source = FlakySource(RelationalDataSource("DB_1", watch_db),
+                             failure_rate=0.0)
+        source.schedule_outage(0.0, 60.0)
+        with pytest.raises(TransientSourceError, match="scheduled outage"):
+            source.execute_rule("SELECT brand FROM watches")
+
     def test_counts_attempts(self, flaky_db_source):
         for _ in range(10):
             try:

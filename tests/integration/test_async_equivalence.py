@@ -1,6 +1,6 @@
 """Property-based sync/async equivalence across extraction engines.
 
-For every engine (``serial`` / ``thread`` / ``asyncio``) and every seed,
+For every in-process engine (``serial`` / ``thread``) and every seed,
 ``aquery()`` must be answer-identical to ``query()`` — byte-identical
 serialization, same degraded flags, same per-source health visibility —
 in four worlds:
@@ -14,8 +14,7 @@ in four worlds:
   extraction on both paths (``store_hit`` on every result).
 
 All fault worlds run on a :class:`~repro.clock.FakeClock`: retry backoff
-advances fake time only (``FakeClock.sleep_async`` yields to the loop
-without sleeping), so the whole suite performs no real sleeps.  Fault
+advances fake time only, so the whole suite performs no real sleeps.  Fault
 worlds are built fresh per execution shape because the two shapes
 consume a fault script at different call offsets.
 """
@@ -28,7 +27,6 @@ import random
 import pytest
 
 from repro.clock import FakeClock
-from repro.core.extractor import AsyncExtractorManager
 from repro.config import ResilienceConfig
 from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.obs import MetricsRegistry
@@ -39,7 +37,7 @@ from tests.core.test_batch_equivalence import (assert_equivalent,
                                                random_queries,
                                                recoverable_plan, result_key)
 
-ENGINES = ("serial", "thread", "asyncio")
+ENGINES = ("serial", "thread")
 
 
 def run_sequentially(s2s, queries):
@@ -143,9 +141,9 @@ class TestHealthyEquivalence:
         assert_equivalent(sync_results, async_results)
 
     def test_concurrent_aqueries_on_one_loop(self):
-        """Tasks gathered on one loop (the asyncio engine's natural
-        traffic shape) all agree with the sync answer."""
-        s2s = healthy_world("asyncio")
+        """Tasks gathered on one loop (the asyncio server's traffic
+        shape) all agree with the sync answer."""
+        s2s = healthy_world("thread")
         expected = result_key(s2s.query("SELECT product"))
 
         async def drive():
@@ -209,19 +207,9 @@ class TestStoreServedEquivalence:
 
 
 class TestAsyncEngineMechanics:
-    def test_sync_facade_runs_on_private_loop(self):
-        s2s = healthy_world("asyncio")
-        assert isinstance(s2s.manager, AsyncExtractorManager)
-        expected = result_key(s2s.query("SELECT product"))
-        assert result_key(s2s.query("SELECT product")) == expected
-        s2s.manager.close()
-        # close() is idempotent and the engine restarts on demand
-        s2s.manager.close()
-        assert result_key(s2s.query("SELECT product")) == expected
-
     def test_mapping_reload_closes_previous_engine(self):
         scenario = B2BScenario(n_sources=4, n_products=16, seed=7)
-        s2s = scenario.build_middleware(concurrency="asyncio",
+        s2s = scenario.build_middleware(concurrency="thread",
                                         metrics=MetricsRegistry())
         expected = result_key(s2s.query("SELECT product"))
         previous = s2s.manager

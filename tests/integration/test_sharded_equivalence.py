@@ -4,7 +4,7 @@ query.
 The sharded engine must be answer-identical to in-process execution —
 byte-identical serialization, same degraded flags, same per-source
 health visibility — against every in-process engine (``serial`` /
-``thread`` / ``asyncio``) in healthy, degraded, recoverable-burst and
+``thread``) in healthy, degraded, recoverable-burst and
 failover worlds.  Fault worlds run on a :class:`~repro.clock.FakeClock`
 shared between the coordinator, the workers and the fault injectors, so
 the whole suite performs no real sleeps; fault worlds are built fresh
@@ -41,7 +41,7 @@ from tests.core.test_batch_equivalence import (assert_equivalent,
                                                recoverable_plan, result_key)
 
 #: The in-process engines the fleet must agree with.
-BASELINES = ("serial", "thread", "asyncio")
+BASELINES = ("serial", "thread")
 
 #: Fleet shapes under test: uneven worker counts split shards unevenly.
 FLEETS = (ConcurrencyConfig.sharded(2), ConcurrencyConfig.sharded(3))

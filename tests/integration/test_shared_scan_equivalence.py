@@ -26,7 +26,7 @@ from repro.sources.base import DataSource
 from repro.sources.xmlstore import XmlDataSource, XmlDocumentStore
 from repro.workloads import B2BScenario
 
-ENGINES = {"serial": "serial", "thread": "thread", "asyncio": "asyncio",
+ENGINES = {"serial": "serial", "thread": "thread",
            "sharded": ConcurrencyConfig.sharded(2)}
 
 
@@ -164,11 +164,8 @@ class BatchAlwaysFlaps(XmlDataSource):
             raise TransientSourceError("batch transport flapped")
         return super().execute_rules(rules)
 
-    async def aexecute_rules(self, rules):
-        return self.execute_rules(rules)
 
-
-@pytest.mark.parametrize("engine", ["serial", "asyncio"])
+@pytest.mark.parametrize("engine", ["serial"])
 def test_a_failed_batch_touches_no_health_breaker_or_retry_budget(engine):
     scenario = B2BScenario(n_sources=4, n_products=24, seed=7)
     # one counted transient failure would open the breaker and, with no

@@ -79,6 +79,20 @@ SELECT ?w WHERE {
 SELECT ?w WHERE { ?w ex:brand ?b . FILTER (REGEX(?b, "^se", "i")) }""")
         assert len(result) == 2
 
+    @pytest.mark.parametrize("pattern, flags, rows", [
+        ("^beta", "m", 1), ("^beta", "", 0), ("1.beta", "s", 1),
+        ("line 1", "x", 1), ("line", "zz", RdfError)])
+    def test_filter_regex_flags(self, pattern, flags, rows):
+        graph = Graph()
+        graph.add(EX.w1, EX.note, Literal("line1\nbeta"))
+        query = (f'SELECT ?o WHERE {{ ?s ?p ?o . '
+                 f'FILTER (REGEX(?o, "{pattern}", "{flags}")) }}')
+        if rows is RdfError:
+            with pytest.raises(RdfError, match="bad REGEX flags"):
+                execute_sparql(graph, query)
+        else:
+            assert len(execute_sparql(graph, query)) == rows
+
     def test_distinct(self, graph):
         result = execute_sparql(graph, PREFIXES + """
 SELECT DISTINCT ?brand WHERE { ?w ex:brand ?brand . } ORDER BY ?brand""")

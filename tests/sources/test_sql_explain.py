@@ -216,24 +216,6 @@ class TestExplainSurfacesInSpans:
         assert registry.value("sql_rows_scanned_total", source="db_t") == 8.0
         assert registry.value("sql_batches_total", source="db_t") == 2.0
 
-    def test_asyncio_engine_keeps_the_plan_on_its_attempt_spans(self):
-        """Under the asyncio engine the rule runs on a worker thread and
-        the policy resumes on the loop's: the digest travels with the
-        fragment, not through the thread that ran it."""
-        from repro.workloads import B2BScenario
-        s2s = B2BScenario(n_sources=2, n_products=4, seed=7,
-                          source_mix=("database",)).build_middleware(
-                              concurrency="asyncio")
-        try:
-            rendered = s2s.explain("SELECT product")
-        finally:
-            s2s.close()
-        # per source: one rule scans, the seven that share its frame say so
-        assert rendered.count("sql_plan='scan>project'") == 2
-        assert rendered.count("sql_plan='scan(shared)>project'") == 14
-        assert rendered.count("batched=True") == 16
-        assert rendered.count("shared_scan='8/1'") == 2
-
     def test_row_engine_rule_leaves_no_detail(self):
         database = seeded_database()
         source = RelationalDataSource("db_r", database, engine="row")

@@ -21,8 +21,7 @@ class TestDemo:
         assert "products integrated" in out
         assert "no errors" in out
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "asyncio",
-                                      "sharded"])
+    @pytest.mark.parametrize("mode", ["serial", "thread", "sharded"])
     def test_demo_concurrency_modes(self, capsys, mode):
         code, out, _err = run_cli(capsys, "demo", "--sources", "2",
                                   "--products", "8", "--concurrency", mode)

@@ -34,7 +34,6 @@ from repro.sources.relational.sql.parser import parse_sql
 from repro.sources.web import SimulatedWeb, WebDataSource
 from repro.webl import parse_webl
 from repro.xmlkit import XPath, parse_xml
-from repro.xmlkit.xpath.parser import parse_xpath
 
 DEEP = 5000
 SPARQL_HEAD = "SELECT ?s WHERE { ?s ?p ?o "
@@ -47,6 +46,14 @@ def sparql(text: str):
     return execute_sparql(Graph(), text)
 
 
+#: The small document every XPath that parses is also evaluated on.
+XPATH_DOC = parse_xml("<a><b>1</b><b>2</b></a>")
+
+
+def xpath(text: str):
+    return XPath(text).evaluate(XPATH_DOC)
+
+
 def html(text: str):
     decode_html_entities(text)
     document = parse_html(text)
@@ -55,7 +62,7 @@ def html(text: str):
     return document.find_all("span")
 
 
-FRONT_ENDS = {"s2sql": parse_s2sql, "sql": parse_sql, "xpath": parse_xpath,
+FRONT_ENDS = {"s2sql": parse_s2sql, "sql": parse_sql, "xpath": xpath,
               "webl": parse_webl, "sparql": sparql, "turtle": parse_turtle,
               "xml": parse_xml, "html": html}
 
@@ -94,6 +101,18 @@ CORPUS: dict[str, list[tuple[str, type[S2SError] | None]]] = {
         ("//item[@k = '1' and position() <= last()]/n | /c/i[2]/text()",
          None),
         ("count(//a[contains(., \"x\") or not(b)]) >= 1.5", None),
+        # calls of the wrong arity (XPath 1.0 section 4) or argument type
+        ('contains("a")', XPathError),
+        ('starts-with("a")', XPathError),
+        ('substring("abc")', XPathError),
+        ("not()", XPathError),
+        ("string-length(1, 2, 3)", XPathError),
+        ("normalize-space(1, 2)", XPathError),
+        ("//b[position(1)]", XPathError),
+        ('concat("a")', XPathError),
+        ("count(1)", XPathError),
+        ('concat(substring("abc", 2), string-length(), name(), "x") != '
+         'normalize-space(" a ")', None),
     ],
     "webl": [
         ("var x = " + "(" * DEEP + ";", WeblSyntaxError),
@@ -247,7 +266,6 @@ def test_nesting_is_accepted_at_the_bound_and_refused_one_past_it(family):
 # under the deepest nesting that still parses, what parses must also run:
 # compiling and evaluating recurse once per operator.
 
-XPATH_DOC = parse_xml("<a><b>1</b><b>2</b></a>")
 SQL_DB = Database("chains")
 SQL_DB.executescript("CREATE TABLE t (a TEXT); INSERT INTO t (a) VALUES ('1');")
 SPARQL_GRAPH = parse_turtle("<http://a> <http://b> <http://c> .")
