@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from ...errors import QueryError
 from ...ontology.schema import OntologySchema
@@ -162,7 +161,7 @@ class InstanceGenerator:
                 built.extend(assembler.build(plan, source_id, typed, rows,
                                              keep, failures))
         if len(groups) > 1:
-            built.sort(key=attrgetter("record_index"))
+            built.sort(key=lambda entity: entity.record_index)
         result.entities.extend(built)
         for row in sorted(notes):
             for message in notes[row]:

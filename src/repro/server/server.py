@@ -10,10 +10,9 @@ of :mod:`repro.server.protocol`.  The design goals, in order:
   frame.  Overload degrades to fast, explicit pushback — never to an
   unbounded backlog.
 * **One loop, many tenants.**  Requests execute through the middleware's
-  ``aquery()``/``aquery_many()``: under the asyncio engine the
-  extraction fan-out runs natively on the server loop; under the
-  serial/thread engines it runs in a worker thread — either way the
-  loop keeps accepting frames.
+  ``aquery()``/``aquery_many()``, which run the extraction in a worker
+  thread (``asyncio.to_thread``) under every engine, so the loop keeps
+  accepting frames.
 * **Deterministic time.**  Queue deadlines and idle-connection reaping
   read the injectable :class:`~repro.clock.Clock`, so backpressure and
   timeout behaviour are tested with a FakeClock and zero real sleeps

@@ -19,6 +19,14 @@ the base table only run *before* the joins (valid for INNER and LEFT,
 which both preserve the base side), so the probe sees the filtered
 selection vector instead of the whole table.
 
+Index seed: when WHERE's *leading* top-level AND conjunct is ``col =
+literal`` over the base binding (a non-NULL literal) and runs first —
+no joins, or pushed below them — the scan yields only the positions the
+column's hash index files under the literal, building the index on
+first use.  Only the leading conjunct may seed: the row engine
+short-circuits left to right, so a row that fails it never reaches a
+later conjunct that could raise, and skipping it is unobservable.
+
 The row executor in :mod:`.executor` is the semantics oracle: for every
 query the columnar result must be row-for-row identical, errors
 included (the differential suite in
@@ -52,8 +60,7 @@ from ....like import like_to_regex
 from .ast import (Aggregate, BooleanOp, ColumnRef, Comparison, InList,
                   IsNull, LiteralValue, Not, Select, Star, Update)
 from .executor import (ResultSet, _Env, _eval_condition, _has_aggregates,
-                       _join_equality, _sort_key, find_equality,
-                       fold_aggregate)
+                       _join_equality, _sort_key, fold_aggregate)
 
 #: Rows per scan batch; one mask evaluation covers one batch.
 BATCH_SIZE = 4096
@@ -355,12 +362,32 @@ def _mask(condition, frame: _Frame, *, rowwise: bool = True) -> list[bool]:
 # Scan, pushdown, join
 # ---------------------------------------------------------------------------
 
+def _seed(table, binding: str, where) -> tuple[str, object] | None:
+    """``(column, value)`` when ``where``'s leading top-level AND
+    conjunct is ``col = literal`` over ``binding``'s ``table`` with a
+    non-NULL literal, else None."""
+    while isinstance(where, BooleanOp) and where.operator == "AND":
+        where = where.left
+    if not isinstance(where, Comparison) or where.operator != "=":
+        return None
+    ref, literal = where.left, where.right
+    if isinstance(ref, LiteralValue):
+        ref, literal = literal, ref
+    if (not isinstance(ref, ColumnRef) or not isinstance(literal, LiteralValue)
+            or literal.value is None
+            or (ref.table is not None and ref.table.lower() != binding)
+            or not table.has_column(ref.name)):
+        return None
+    return ref.name, literal.value
+
+
 def _scan(table, binding: str, where) -> tuple[_Frame, PlanReport]:
-    """The base table's frame: every position, or the hash-index seed of
-    a top-level ``col = literal`` conjunct."""
-    hit = find_equality(table, binding, where)
+    """The base table's frame: every position, or, when ``where`` may
+    seed (:func:`_seed`), the positions the column's hash index files
+    under the literal — the index is built on first use."""
+    hit = _seed(table, binding, where)
     candidates = (range(len(table)) if hit is None
-                  else table.indexed_positions(*hit))
+                  else list(table.create_index(hit[0]).get(hit[1], ())))
     scanned = len(candidates)
     batches = (scanned + BATCH_SIZE - 1) // BATCH_SIZE
     report = PlanReport(engine="columnar", table=table.name,
@@ -418,13 +445,13 @@ def _owner(scope: _Frame, ref: ColumnRef) -> str | None:
         return None
 
 
-def _split_pushdown(database, select: Select, scope: _Frame):
+def _split_pushdown(database, select: Select, table, base: str):
     """``(pushed, rest)``: the leading WHERE conjuncts that read the base
-    table (``scope``'s one binding) only, and the remainder; ``pushed``
-    is None unless every join is an equi-join over distinct bindings
-    whose keys resolve — then no join can raise, and skipping base rows
-    early is unobservable."""
-    (base,) = scope.tables
+    ``table`` (bound as ``base``) only, and the remainder; ``pushed`` is
+    None unless every join is an equi-join over distinct bindings whose
+    keys resolve — then no join can raise, and skipping base rows early
+    is unobservable."""
+    scope = _Frame({base: table}, {base: ()}, frozenset(), 0)
     for join in select.joins:
         binding = join.table.binding.lower()
         if binding in scope.tables or not database.has_table(join.table.name):
@@ -540,16 +567,19 @@ def scan_frame(database, select: Select) -> tuple[_Frame, PlanReport]:
     reads the frame and never changes it."""
     table = database.require_table(select.table.name)
     binding = select.table.binding.lower()
-    frame, report = _scan(table, binding, select.where)
-    where = select.where
+    where, pushed = select.where, None
     if select.joins and where is not None:
-        pushed, rest = _split_pushdown(database, select, frame)
-        if pushed is not None:
-            try:
-                frame = _filtered(frame, pushed, report, rowwise=False)
-                where = rest
-            except TypeError:
-                pass  # oracle order: join first, then the whole WHERE
+        pushed, rest = _split_pushdown(database, select, table, binding)
+    # a seed skips base rows before any join: only a pushed conjunct may
+    frame, report = _scan(table, binding,
+                          where if pushed is not None or not select.joins
+                          else None)
+    if pushed is not None:
+        try:
+            frame = _filtered(frame, pushed, report, rowwise=False)
+            where = rest
+        except TypeError:
+            pass  # oracle order: join first, then the whole WHERE
     for join in select.joins:
         frame = _join(frame, join,
                       database.require_table(join.table.name), report)

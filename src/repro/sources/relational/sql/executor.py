@@ -3,8 +3,9 @@
 The executor evaluates parsed statements against a
 :class:`~repro.sources.relational.database.Database`.  SELECT produces a
 :class:`ResultSet` (column names + row tuples).  Joins are hash joins on
-equality conditions when possible, falling back to nested loops; WHERE
-equality against an indexed column uses the index.
+equality conditions when possible, falling back to nested loops.  WHERE
+runs on every row, whatever indexes exist: this is the semantics oracle
+of the columnar engine, which may seed its scan from one.
 """
 
 from __future__ import annotations
@@ -197,11 +198,9 @@ def _execute_select(database, select: Select) -> ResultSet:
     base_table = database.require_table(select.table.name)
     base_binding = select.table.binding.lower()
 
-    # Seed rows, using an index for simple `col = literal` WHERE when possible.
-    rows: list[dict[str, tuple[Table, list]]] = []
-    seed_rows = _indexed_seed(base_table, base_binding, select.where)
-    for row in (seed_rows if seed_rows is not None else base_table.rows):
-        rows.append({base_binding: (base_table, row)})
+    # Every row: the oracle never seeds from an index.
+    rows: list[dict[str, tuple[Table, list]]] = [
+        {base_binding: (base_table, row)} for row in base_table.rows]
 
     for join in select.joins:
         join_table = database.require_table(join.table.name)
@@ -244,35 +243,6 @@ def _execute_select(database, select: Select) -> ResultSet:
     if select.limit is not None:
         projected = projected[: select.limit]
     return ResultSet(columns, projected)
-
-
-def find_equality(table: Table, binding: str,
-                  condition) -> tuple[str, object] | None:
-    """``(column, value)`` of a top-level ``col = literal`` conjunct over
-    a hash-indexed column of ``table`` — the seed both engines scan from."""
-    if isinstance(condition, Comparison) and condition.operator == "=":
-        left, right = condition.left, condition.right
-        if isinstance(left, ColumnRef) and isinstance(right, LiteralValue):
-            ref, literal = left, right
-        elif isinstance(right, ColumnRef) and isinstance(left, LiteralValue):
-            ref, literal = right, left
-        else:
-            return None
-        if ref.table is not None and ref.table.lower() != binding:
-            return None
-        if table.has_column(ref.name) and table.has_index(ref.name):
-            return ref.name, literal.value
-        return None
-    if isinstance(condition, BooleanOp) and condition.operator == "AND":
-        return (find_equality(table, binding, condition.left)
-                or find_equality(table, binding, condition.right))
-    return None
-
-
-def _indexed_seed(table: Table, binding: str, where) -> list[list] | None:
-    """Use a hash index for a top-level `col = literal` conjunct."""
-    hit = find_equality(table, binding, where)
-    return None if hit is None else table.indexed_lookup(*hit)
 
 
 def _execute_join(rows, join, join_table: Table, join_binding: str):

@@ -8,11 +8,19 @@ directly and mutates by position (:meth:`Table.update_positions` /
 :meth:`Table.delete_positions`); the row-at-a-time executor (and content
 fingerprinting) read the :attr:`Table.rows` property, a lazily
 materialized row-major view cached until the next mutation.
+
+A hash index maps a column's values to their ascending row positions.
+The columnar scan builds one the first time it seeds from the column
+(``CREATE INDEX`` only builds it early); every write keeps it current.
+Writers and index builds share one per-table lock, so an index built
+beside a writer never misses a write; a read of an existing index
+takes no lock.
 """
 
 from __future__ import annotations
 
 import array
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -152,6 +160,31 @@ class ColumnData:
                         for v, ok in zip(self._buffer, self._valid)]
 
 
+def _move(index_map: dict, positions, old_values: list, new) -> bool:
+    """Re-file ``positions`` from their old values' buckets into
+    ``new``'s, keeping every bucket ascending and dropping emptied ones.
+    False when an old value has no bucket to leave (a NaN equals no key,
+    not even its own): the caller then rehashes the column."""
+    leaving: dict[object, set[int]] = {}
+    for position, old in zip(positions, old_values):
+        if old != new:
+            leaving.setdefault(old, set()).add(position)
+    if not leaving:
+        return True
+    for old, gone in leaving.items():
+        bucket = index_map.get(old)
+        if bucket is None:
+            return False
+        kept = [position for position in bucket if position not in gone]
+        if kept:
+            index_map[old] = kept
+        else:
+            del index_map[old]
+    arrived = set().union(*leaving.values())
+    index_map[new] = sorted(index_map.get(new, []) + list(arrived))
+    return True
+
+
 class Table:
     """An in-memory columnar table with optional single-column hash indexes."""
 
@@ -170,6 +203,16 @@ class Table:
         self._version = 0
         self._rows_cache: list[list] | None = None
         self._rows_version = -1
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # -- schema ----------------------------------------------------------
 
@@ -201,21 +244,24 @@ class Table:
         if self.has_column(new):
             raise SqlError(f"column {new!r} already exists in {self.name!r}")
         column = self.columns[index]
-        self.columns[index] = Column(new, column.type, column.not_null)
-        self._index_of = {c.name.lower(): i for i, c in enumerate(self.columns)}
-        key = old.lower()
-        if key in self._indexes:
-            self._indexes[new.lower()] = self._indexes.pop(key)
+        with self._lock:
+            self.columns[index] = Column(new, column.type, column.not_null)
+            self._index_of = {c.name.lower(): i
+                              for i, c in enumerate(self.columns)}
+            key = old.lower()
+            if key in self._indexes:
+                self._indexes[new.lower()] = self._indexes.pop(key)
 
     def add_column(self, column: Column) -> None:
         """Append a column; existing rows backfill with NULL."""
         if self.has_column(column.name):
             raise SqlError(
                 f"column {column.name!r} already exists in {self.name!r}")
-        self.columns.append(column)
-        self._index_of[column.name.lower()] = len(self.columns) - 1
-        self._data.append(ColumnData(column.type, [None] * self._length))
-        self._version += 1
+        with self._lock:
+            self.columns.append(column)
+            self._index_of[column.name.lower()] = len(self.columns) - 1
+            self._data.append(ColumnData(column.type, [None] * self._length))
+            self._version += 1
 
     # -- data ------------------------------------------------------------
 
@@ -251,13 +297,14 @@ class Table:
                 raise SqlExecutionError(
                     f"NULL in NOT NULL column {column.name!r} of "
                     f"{self.name!r}")
-        position = self._length
-        for index, value in enumerate(row):
-            self._data[index].append(value)
-        self._length += 1
-        self._version += 1
-        for column_key, index_map in self._indexes.items():
-            index_map[row[self._index_of[column_key]]].append(position)
+        with self._lock:
+            position = self._length
+            for index, value in enumerate(row):
+                self._data[index].append(value)
+            self._length += 1
+            self._version += 1
+            for column_key, index_map in self._indexes.items():
+                index_map[row[self._index_of[column_key]]].append(position)
 
     def delete_where(self, predicate) -> int:
         """Delete rows matching ``predicate(row) -> bool``."""
@@ -270,13 +317,16 @@ class Table:
         if not positions:
             return 0
         doomed = set(positions)
-        keep = [position for position in range(self._length)
-                if position not in doomed]
-        self._data = [ColumnData(column.type, data.gather(keep))
-                      for column, data in zip(self.columns, self._data)]
-        self._length = len(keep)
-        self._version += 1
-        self._rebuild_indexes()
+        with self._lock:
+            keep = [position for position in range(self._length)
+                    if position not in doomed]
+            self._data = [ColumnData(column.type, data.gather(keep))
+                          for column, data in zip(self.columns, self._data)]
+            self._length = len(keep)
+            self._version += 1
+            for column_key in self._indexes:
+                self._indexes[column_key] = self._hash_column(
+                    self._index_of[column_key])
         return len(doomed)
 
     def update_where(self, predicate, assignments: dict[int, object]) -> int:
@@ -287,28 +337,41 @@ class Table:
 
     def update_positions(self, positions: list[int],
                          assignments: dict[int, object]) -> int:
-        """Set column-index -> value on the rows at ``positions``;
-        rebuilds only the indexes over assigned columns."""
+        """Set column-index -> value on the rows at ``positions``; an
+        index over an assigned column moves only those positions."""
         if not positions:
             return 0
         coerced = {index: coerce_value(value, self.columns[index].type)
                    for index, value in assignments.items()}
-        for index, value in coerced.items():
-            data = self._data[index]
-            for position in positions:
-                data.set(position, value)
-        self._version += 1
-        self._rebuild_indexes(assignments)
+        with self._lock:
+            for index, value in coerced.items():
+                data = self._data[index]
+                key = self.columns[index].name.lower()
+                index_map = self._indexes.get(key)
+                old_values = (None if index_map is None
+                              else data.gather(positions))
+                for position in positions:
+                    data.set(position, value)
+                if index_map is not None and not _move(
+                        index_map, positions, old_values, value):
+                    self._indexes[key] = self._hash_column(index)
+            self._version += 1
         return len(positions)
 
     # -- indexes -----------------------------------------------------------
 
-    def create_index(self, column: str) -> None:
-        """Build a hash index over one column (idempotent)."""
+    def create_index(self, column: str) -> dict[object, list[int]]:
+        """The hash index over one column (value -> ascending row
+        positions), built on the first call."""
         key = column.lower()
-        position = self.column_index(column)
-        if key not in self._indexes:
-            self._indexes[key] = self._hash_column(position)
+        index_map = self._indexes.get(key)
+        if index_map is None:
+            with self._lock:
+                index_map = self._indexes.get(key)
+                if index_map is None:
+                    index_map = self._hash_column(self.column_index(column))
+                    self._indexes[key] = index_map
+        return index_map
 
     def key_positions(self, column: str) -> dict[object, list[int]]:
         """value -> ascending row positions of one column (a join's build
@@ -318,22 +381,6 @@ class Table:
         if index_map is None:
             index_map = self._hash_column(self.column_index(column))
         return index_map
-
-    def indexed_positions(self, column: str, value) -> list[int] | None:
-        """Ascending row positions where column == value, or None if
-        unindexed."""
-        index_map = self._indexes.get(column.lower())
-        if index_map is None:
-            return None
-        return index_map.get(value, [])
-
-    def indexed_lookup(self, column: str, value) -> list[list] | None:
-        """Rows where column == value via index, or None if unindexed."""
-        positions = self.indexed_positions(column, value)
-        if positions is None:
-            return None
-        rows = self.rows
-        return [rows[i] for i in positions]
 
     def has_index(self, column: str) -> bool:
         """Whether ``column`` is hash-indexed."""
@@ -345,14 +392,6 @@ class Table:
                 self._data[position].gather(range(self._length))):
             index_map[value].append(row_number)
         return index_map
-
-    def _rebuild_indexes(self, assigned=None) -> None:
-        """Rebuild every index, or only those over the column positions
-        in ``assigned``."""
-        for column_key in self._indexes:
-            position = self._index_of[column_key]
-            if assigned is None or position in assigned:
-                self._indexes[column_key] = self._hash_column(position)
 
     def __len__(self) -> int:
         return self._length

@@ -65,10 +65,6 @@ class TestTable:
         with pytest.raises(SqlError):
             table.rename_column("a", "b")
 
-    def test_indexed_lookup_none_when_unindexed(self):
-        table = Table("t", [Column("a", "TEXT")])
-        assert table.indexed_lookup("a", "x") is None
-
     def test_create_index_twice_is_noop(self):
         table = Table("t", [Column("a", "TEXT")])
         table.create_index("a")

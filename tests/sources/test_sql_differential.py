@@ -13,7 +13,10 @@ ambiguous or incomparable reference, whose error must match by type
 and message).
 
 The row executor is the oracle: whatever it answers (or raises) defines
-correct behaviour for the vectorized engine.
+correct behaviour for the vectorized engine.  Indexes must never show:
+every statement of the corpus answers (or raises) the same on a twin
+database with every column indexed up front and on one with no index
+at all, under both engines.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ import random
 
 import pytest
 
+from repro.errors import SqlExecutionError
 from repro.sources.relational import Database
+from repro.sources.relational.table import Table
+
+from .test_table_indexes import assert_indexes_current
 
 CASES_PER_SEED = 12
 SEEDS = range(20)  # 20 seeds x 12 queries = 240 generated cases
@@ -282,6 +289,22 @@ def join_case(rng: random.Random, database: Database) -> str:
     return random_join_select(rng, random_join_world(rng, database))
 
 
+def seeded_case(rng: random.Random, database: Database) -> str:
+    """A single-table SELECT whose WHERE leads with ``col = literal``,
+    the literal drawn from any type's pool or NULL, and now and then
+    followed by a conjunct that cannot compare."""
+    _name, schema = random_table(rng, database)
+    column = rng.choice(schema)[0]
+    value = ("NULL" if rng.random() < 0.1 else render_literal(
+        rng.choice(TYPE_POOLS[rng.choice(list(TYPE_POOLS))])))
+    rest = random_condition(rng, schema)
+    if rng.random() < 0.3:
+        other, type_name = rng.choice(schema)
+        rest = f"{other} < {3 if type_name == 'TEXT' else repr('zz')} AND {rest}"
+    return random_select(rng, schema,
+                         where=f" WHERE {column} = {value} AND {rest}")
+
+
 def generated_cases(seeds, cases_per_seed: int, build):
     """``(label, database, sql)`` for every case one generator draws."""
     for seed in seeds:
@@ -289,6 +312,19 @@ def generated_cases(seeds, cases_per_seed: int, build):
         for case in range(cases_per_seed):
             database = Database(f"diff_{seed}_{case}")
             yield f"seed={seed} case={case}", database, build(rng, database)
+
+
+def twin(database: Database, indexed: bool) -> Database:
+    """``database`` with every column of every table indexed, or with
+    none (dropping what the generator declared)."""
+    for name in database.table_names():
+        table = database.require_table(name)
+        if indexed:
+            for column in table.column_names():
+                table.create_index(column)
+        else:
+            table._indexes.clear()
+    return database
 
 
 def assert_engines_agree(cases) -> None:
@@ -335,6 +371,45 @@ class TestJoinDifferential:
         assert two_joins >= 30
         assert answers >= 100
         assert {"unknown", "ambiguous", "cannot"} <= errors
+
+
+class TestIndexTwins:
+    """Which indexes exist never changes an answer or an error: the
+    corpus runs on an all-indexed twin and an unindexed one (which the
+    columnar engine indexes on first use), under both engines."""
+
+    @pytest.mark.parametrize("seeds, count, build", [
+        (SEEDS, CASES_PER_SEED, single_table_case),
+        (JOIN_SEEDS, JOIN_CASES_PER_SEED, join_case)],
+        ids=["single_table", "join"])
+    def test_twins_agree_on_generated_cases(self, seeds, count, build):
+        self.check_twins(generated_cases(seeds, count, build),
+                         generated_cases(seeds, count, build))
+
+    def test_twins_agree_on_leading_equalities(self):
+        seeded = self.check_twins(
+            generated_cases(SEEDS, CASES_PER_SEED, seeded_case),
+            generated_cases(SEEDS, CASES_PER_SEED, seeded_case))
+        assert seeded >= 300  # columnar runs that answered from a seed
+
+    def check_twins(self, cases, same_cases) -> int:
+        """Run every case on both twins under both engines; the number
+        of columnar answers that came from a seed."""
+        seeded = 0
+        for (label, indexed, sql), (_label, plain, _sql) in zip(
+                cases, same_cases):
+            twin(indexed, True)
+            twin(plain, False)
+            outcomes = []
+            for database in (plain, indexed):
+                for engine in ("row", "columnar"):
+                    outcomes.append(run_engine(database, sql, engine))
+                    plan = database.last_plan
+                    seeded += bool(plan and "index seed" in plan.render())
+            assert all(o == outcomes[0] for o in outcomes), (
+                f"{label}\nsql: {sql}\n" + "\n".join(map(str, outcomes)))
+            assert_indexes_current(plain)
+        return seeded
 
 
 class TestRowExecutorOffTheQueryPath:
@@ -398,12 +473,18 @@ class TestDmlDifferential:
 
     @pytest.mark.parametrize("seed", range(200, 210))
     def test_engines_leave_identical_tables(self, seed):
+        """... on the database as drawn, and on its indexed and
+        unindexed twins."""
         for case in range(6):
             outcomes = []
-            for engine in ("row", "columnar"):
-                rng = random.Random(seed * 100 + case)  # same draw twice
+            for engine, indexed in [(engine, indexed)
+                                    for engine in ("row", "columnar")
+                                    for indexed in (None, True, False)]:
+                rng = random.Random(seed * 100 + case)  # same draw again
                 database = Database(f"dml_{engine}", engine=engine)
                 _name, schema = random_table(rng, database)
+                if indexed is not None:
+                    twin(database, indexed)
                 name, type_name = rng.choice(schema)
                 value = render_literal(rng.choice(TYPE_POOLS[type_name]))
                 where = (f" WHERE {random_condition(rng, schema)}"
@@ -418,7 +499,9 @@ class TestDmlDifferential:
                 outcomes.append([run_engine(database, sql, engine)
                                  for sql in statements[:1] + probes
                                  + statements[1:] + probes])
-            assert outcomes[0] == outcomes[1], (seed, case, statements)
+                assert_indexes_current(database)
+            assert all(o == outcomes[0] for o in outcomes), (
+                seed, case, statements)
 
 
 class TestDifferentialCornerShapes:
@@ -487,3 +570,136 @@ class TestDifferentialCornerShapes:
                 == run_engine(database, sql, "row"))
         plan = database.explain(sql)
         assert "index seed" in plan
+
+
+class TestIndexSeed:
+    """Statements on the edge of the seed rule.  Each answers (or raises)
+    alike on both engines and both twins, and the columnar scan seeds
+    exactly when the leading top-level AND conjunct is ``col = literal``
+    over the base table with a non-NULL literal, and runs first."""
+
+    SEEDED = [
+        "SELECT s FROM t WHERE i = '7'",      # TEXT literal, INTEGER column
+        "SELECT i FROM t WHERE s = 7",        # INTEGER literal, TEXT column
+        "SELECT i FROM t WHERE b = 1",
+        "SELECT i FROM t WHERE b = TRUE",
+        "SELECT i FROM t WHERE b = 0",
+        "SELECT i FROM t WHERE r = 3",        # against a REAL 3.0
+        "SELECT s FROM t WHERE i = 7.0",
+        "SELECT s FROM t WHERE 7 = i",
+        "SELECT s FROM t WHERE t.i = 7 AND r > 2.0",
+        "SELECT s FROM t x WHERE x.i = 7",
+        # a leading =, then a conjunct that raises on what it keeps ...
+        "SELECT i FROM t WHERE i = 7 AND s < 3",
+        # ... or that no row reaches
+        "SELECT i FROM t WHERE i = 99 AND s < 3",
+        "SELECT u.label FROM t JOIN u ON t.i = u.i WHERE t.b = TRUE",
+        "SELECT u.label FROM t JOIN u ON t.i = u.i "
+        "WHERE t.b = TRUE AND s < 3",
+        "SELECT u.label FROM t LEFT JOIN u ON t.i = u.i "
+        "WHERE s = 'beta' AND label IS NULL",
+    ]
+    UNSEEDED = [
+        "SELECT i FROM t WHERE i = NULL",
+        "SELECT i FROM t WHERE NULL = i",
+        "SELECT i FROM t WHERE i = 7 OR s < 3",
+        "SELECT i FROM t WHERE NOT (i = 7)",
+        "SELECT i FROM t WHERE NOT (i = 7) AND i = 1",
+        "SELECT i FROM t WHERE s < 3 AND i = 99",  # = not leading: raises
+        "SELECT i FROM t WHERE r > 2.0 AND i = 7",
+        "SELECT s FROM t WHERE i = r",
+        "SELECT s FROM t x WHERE t.i = 7",         # unknown alias
+        # an ambiguous column, a non-equi join: nothing is pushed
+        "SELECT label FROM t JOIN u ON t.i = u.i WHERE i = 7",
+        "SELECT label FROM t JOIN u ON t.s < u.label WHERE t.i = 7",
+        "SELECT label FROM t JOIN u ON t.s < u.label "
+        "WHERE t.i = 7 AND t.s < 3",
+    ]
+    SEEDED += [
+        "UPDATE t SET r = 0.5 WHERE s = 'beta' AND i < 'x'",
+        "UPDATE t SET i = NULL WHERE b = TRUE",
+        "DELETE FROM t WHERE i = 7 AND s < 3",
+        "DELETE FROM t WHERE i = 99 AND s < 3",
+    ]
+    UNSEEDED += [
+        "UPDATE t SET r = 0.5 WHERE i < 'x' AND s = 'beta'",
+        "DELETE FROM t WHERE i = NULL",
+    ]
+
+    def world(self, indexed: bool) -> Database:
+        database = Database("seed")
+        database.executescript("""
+        CREATE TABLE t (i INTEGER, r REAL, s TEXT, b BOOLEAN);
+        INSERT INTO t (i, r, s, b) VALUES (7, 3.0, '7', TRUE);
+        INSERT INTO t (i, r, s, b) VALUES (1, 1.5, 'alpha', FALSE);
+        INSERT INTO t (i, r, s, b) VALUES (NULL, NULL, NULL, NULL);
+        INSERT INTO t (i, r, s, b) VALUES (7, 2.5, 'beta', TRUE);
+        CREATE TABLE u (i INTEGER, label TEXT);
+        INSERT INTO u (i, label) VALUES (7, 'seven'), (1, 'one');
+        """)
+        return twin(database, indexed)
+
+    def outcomes(self, sql: str, monkeypatch) -> list:
+        """Per (twin, engine): the outcome, the table left behind, and
+        whether the statement looked up an index (the seed does, built
+        or not; nothing else on these paths does)."""
+        found = []
+        for indexed in (False, True):
+            for engine in ("row", "columnar"):
+                database = self.world(indexed)
+                lookups = []
+                original = Table.create_index
+                monkeypatch.setattr(
+                    Table, "create_index",
+                    lambda table, column: lookups.append(column)
+                    or original(table, column))
+                outcome = run_engine(database, sql, engine)
+                monkeypatch.setattr(Table, "create_index", original)
+                found.append((outcome, run_engine(database, "SELECT * FROM t",
+                                                  "row"), bool(lookups)))
+                assert_indexes_current(database)
+        assert all(f[:2] == found[0][:2] for f in found), (sql, found)
+        return found
+
+    @pytest.mark.parametrize("sql", SEEDED)
+    def test_seeded(self, sql, monkeypatch):
+        assert [f[2] for f in self.outcomes(sql, monkeypatch)] == [
+            False, True] * 2
+
+    @pytest.mark.parametrize("sql", UNSEEDED)
+    def test_not_seeded(self, sql, monkeypatch):
+        assert not any(f[2] for f in self.outcomes(sql, monkeypatch))
+
+    def test_the_corpus_answers_and_raises(self, monkeypatch):
+        """The statements above are not all empty answers."""
+        results = [self.outcomes(sql, monkeypatch)[0][0]
+                   for sql in self.SEEDED + self.UNSEEDED]
+        assert sum(r[0] == "error" for r in results) >= 5
+        assert sum(r[0] != "error" and bool(r[1]) for r in results) >= 10
+
+
+class TestIndexNeverChangesAnOutcome:
+    """An index over ``a`` used to seed from the *second* conjunct and
+    skip the rows on which the first raises: the SELECT then answered
+    ``[]`` on both engines, and the columnar UPDATE / DELETE reported 0
+    rows instead of raising."""
+
+    STATEMENTS = ["SELECT x FROM t WHERE b < 'x' AND a = 99",
+                  "UPDATE t SET x = 1 WHERE b < 'x' AND a = 99",
+                  "DELETE FROM t WHERE b < 'x' AND a = 99"]
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    @pytest.mark.parametrize("engine", ["row", "columnar"])
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_raises_whatever_the_indexes(self, sql, engine, indexed):
+        database = Database("bug")
+        database.executescript(
+            "CREATE TABLE t (a INTEGER, b INTEGER, x INTEGER);"
+            "INSERT INTO t (a, b, x) VALUES (1, 0, 0), (2, 1, 0), (3, 2, 0),"
+            " (4, 3, 0), (5, 4, 0)")
+        if indexed:
+            database.execute("CREATE INDEX ON t (a)")
+        before = database.execute("SELECT * FROM t").rows
+        with pytest.raises(SqlExecutionError, match="cannot compare 0 with 'x'"):
+            database.execute(sql, engine=engine)
+        assert database.execute("SELECT * FROM t").rows == before

@@ -49,8 +49,8 @@ order_by n DESC [out=3]"""
 
 GOLDEN_ORDER_BY = """\
 engine=columnar table=products rows=4 batch_size=4096 batches=1
-scan products batches=1 [out=4]
-filter (active = TRUE) [in=4, out=3, selectivity=0.750]
+scan products (index seed) batches=1 [out=3]
+filter (active = TRUE) [in=3, out=3, selectivity=1.000]
 order_by price DESC, brand ASC [out=3]
 limit 2 [out=2]
 project [brand, price] [out=2]"""
