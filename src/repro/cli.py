@@ -450,7 +450,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    """``client`` — query a running server with the symmetric client."""
+    """``client`` — query a running server with :class:`S2SClient`."""
     import json as _json
 
     from .server import S2SClient

@@ -12,8 +12,8 @@ package turns it into a multi-tenant query *service*:
   tenant through ``aquery()``/``aquery_many()``, with bounded admission
   control, per-request deadlines, idle-connection reaping and graceful
   drain;
-* :mod:`repro.server.client` — :class:`S2SClient` (sync) and
-  :class:`AsyncS2SClient`, whose surface mirrors
+* :mod:`repro.server.client` — :class:`S2SClient`, the blocking
+  client, whose surface mirrors
   ``S2SMiddleware.query/query_many/sparql/explain`` so swapping
   in-process for over-the-wire is one constructor change;
 * :mod:`repro.server.config` — :class:`ServerConfig`, re-exported
@@ -28,7 +28,6 @@ from importlib import import_module
 #: ``repro.config`` can re-export :class:`ServerConfig` without pulling
 #: the server/client machinery into every ``import repro``.
 _EXPORTS = {
-    "AsyncS2SClient": ".client",
     "PreparedStatement": ".client",
     "S2SClient": ".client",
     "RemoteQueryResult": ".codec",
@@ -63,7 +62,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "AsyncS2SClient",
     "GarbledFrameError",
     "MAX_FRAME_BYTES",
     "OversizedFrameError",

@@ -118,14 +118,17 @@ class GarbledFrameError(ProtocolError):
 
 
 class TransportError(ProtocolError):
-    """The connection failed or timed out mid-request and was closed.
+    """The connection failed or timed out mid-request and was closed, or
+    (with ``address``) could not be opened at all.
 
     Whether the server executed the request is unknown; the next request
     reconnects."""
 
-    def __init__(self, cause: Exception) -> None:
-        super().__init__(f"connection lost mid-request and closed: "
-                         f"{type(cause).__name__}: {cause}")
+    def __init__(self, cause: Exception, *,
+                 address: tuple[str, int] | None = None) -> None:
+        what = ("connection lost mid-request and closed" if address is None
+                else f"cannot connect to {address[0]}:{address[1]}")
+        super().__init__(f"{what}: {type(cause).__name__}: {cause}")
 
 
 class RemoteServerError(S2SError):
@@ -223,7 +226,7 @@ async def write_frame(writer: asyncio.StreamWriter, payload: dict, *,
     await writer.drain()
 
 
-# -- blocking socket I/O (the sync client) --------------------------------
+# -- blocking socket I/O (the client) -------------------------------------
 
 class _SocketReader:
     """``readexactly`` over a blocking socket.  It never suspends, so

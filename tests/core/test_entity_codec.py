@@ -13,7 +13,6 @@ CI runs this file once more with ``--hypothesis-seed=4711``.
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import datetime
 import json
@@ -34,7 +33,7 @@ from repro.ids import AttributePath
 from repro.ontology.builders import (logistics_ontology,
                                      watch_domain_ontology)
 from repro.ontology.model import Individual
-from repro.server import AsyncS2SClient, S2SClient, S2SServer, ServerThread
+from repro.server import S2SClient, S2SServer, ServerThread
 from repro.server.codec import result_from_wire
 from repro.server.protocol import decode_body, encode_frame
 from repro.sources.relational import Database, RelationalDataSource
@@ -463,15 +462,11 @@ class TestDatesOverTheWire:
                                s2s.query("SELECT shipment").entities):
             assert_same_entity(mine, local)
 
-    def test_async_client_reads_dates(self, logistics_server):
+    def test_client_reads_a_date_condition(self, logistics_server):
         host, port, _s2s = logistics_server
-
-        async def ask():
-            async with AsyncS2SClient(host, port, tenant="tms") as client:
-                return await client.query(
-                    'SELECT shipment WHERE ship_date = "2006-07-01"')
-
-        remote = asyncio.run(ask())
+        with S2SClient(host, port, tenant="tms") as client:
+            remote = client.query(
+                'SELECT shipment WHERE ship_date = "2006-07-01"')
         assert [e.value("ship_date") for e in remote.entities] == \
             self.EXPECTED[:1]
         assert type(remote.entities[0]) is AssembledEntity

@@ -4,17 +4,15 @@ served to the next request.
 Driven against a scripted fake server (no ``S2SServer``): it answers the
 n-th request after ``delays[n]`` seconds and stamps each reply with the
 request's serial number, so a test can tell *which* request a reply
-belongs to.  Both clients run the same scenarios."""
+belongs to."""
 
-import asyncio
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.server import (AsyncS2SClient, ProtocolError, S2SClient,
-                          TransportError)
+from repro.server import ProtocolError, S2SClient, TransportError
 from repro.server.protocol import read_frame_sync, write_frame_sync
 
 
@@ -65,63 +63,19 @@ class ScriptedServer:
         self._listener.close()
 
 
-class SyncDriver:
-    """Scenario steps against the blocking client."""
-
-    gives_up_with = ProtocolError  # the typed TransportError
-
-    def __init__(self, port: int) -> None:
-        self.client = S2SClient("127.0.0.1", port, timeout=0.2)
-
-    def status(self, *, patience: float | None = None) -> dict:
-        return self.client.status()  # patience is the socket timeout
-
-    def connected(self) -> bool:
-        return self.client._sock is not None
-
-    def close(self) -> None:
-        self.client.close()
-
-
-class AsyncDriver:
-    """The same steps against the asyncio client (one private loop)."""
-
-    gives_up_with = asyncio.TimeoutError  # wait_for's own error
-
-    def __init__(self, port: int) -> None:
-        self.loop = asyncio.new_event_loop()
-        self.client = AsyncS2SClient("127.0.0.1", port)
-
-    def status(self, *, patience: float | None = None) -> dict:
-        return self.loop.run_until_complete(
-            asyncio.wait_for(self.client.status(), patience))
-
-    def connected(self) -> bool:
-        return self.client._writer is not None
-
-    def close(self) -> None:
-        self.loop.run_until_complete(self.client.aclose())
-        self.loop.close()
-
-
-@pytest.fixture(params=[SyncDriver, AsyncDriver], ids=["sync", "async"])
-def driver_cls(request):
-    return request.param
-
-
-def test_late_reply_is_not_served_to_the_next_request(driver_cls):
+def test_late_reply_is_not_served_to_the_next_request():
     server = ScriptedServer(delays=[0.6, 0.0])
-    driver = driver_cls(server.port)
+    client = S2SClient("127.0.0.1", server.port, timeout=0.2)
     try:
-        with pytest.raises(driver.gives_up_with):
-            driver.status(patience=0.2)
+        with pytest.raises(TransportError):
+            client.status()  # gives up after the 0.2 s socket timeout
         # Giving up mid-request closes the connection ...
-        assert not driver.connected()
+        assert client._sock is None
         # ... so the next request reconnects and gets *its own* answer,
         # not request 0's frame arriving 0.4 s later.
-        assert driver.status(patience=2.0) == {"serial": 1}
+        assert client.status() == {"serial": 1}
     finally:
-        driver.close()
+        client.close()
         server.close()
 
 
@@ -136,13 +90,13 @@ def test_sync_timeout_is_a_typed_error():
         server.close()
 
 
-def test_reply_with_another_requests_id_is_refused(driver_cls):
+def test_reply_with_another_requests_id_is_refused():
     server = ScriptedServer(delays=[], wrong_id=True)
-    driver = driver_cls(server.port)
+    client = S2SClient("127.0.0.1", server.port, timeout=2.0)
     try:
         with pytest.raises(ProtocolError, match="carries id -1"):
-            driver.status(patience=2.0)
-        assert not driver.connected()
+            client.status()
+        assert client._sock is None
     finally:
-        driver.close()
+        client.close()
         server.close()

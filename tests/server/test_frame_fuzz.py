@@ -1,4 +1,5 @@
-"""Frame fuzzing: only :class:`ProtocolError` escapes the frame readers.
+"""Frame fuzzing: only :class:`ProtocolError` escapes the frame readers,
+and only :class:`S2SError` escapes the client.
 
 The frame boundary is the first thing a hostile or broken peer reaches.
 Whatever bytes arrive, :func:`decode_body`, the asyncio reader
@@ -9,6 +10,11 @@ two readers return the same frames and end the same way.  Streams are
 drawn from a seed (``S2S_DIFF_SEED``; CI runs a second value): valid
 frames, garbage bodies, hostile bodies, random and mutated headers, and
 each stream torn at every offset.
+
+One frame further in, a scripted server answers every client operation
+with a well-framed reply of the right ``id`` and ``kind`` whose fields
+hold random JSON values, drawn from the same seed: the client raises an
+``S2SError`` or returns, and never waits on a reply that is not coming.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ import threading
 
 import pytest
 
+from repro.errors import CodecError, S2SError
 from repro.obs import MetricsRegistry
-from repro.server import S2SServer, ServerThread
+from repro.server import S2SClient, S2SServer, ServerThread
 from repro.server.protocol import (GarbledFrameError, ProtocolError,
                                    decode_body, encode_frame, read_frame,
-                                   read_frame_sync)
+                                   read_frame_sync, write_frame_sync)
 from repro.workloads import B2BScenario
 
 SEED = int(os.environ.get("S2S_DIFF_SEED", "27"))
@@ -218,3 +225,169 @@ def test_server_answers_a_decoder_limit_with_bad_frame(body):
     assert metrics.value("server_frame_errors_total",
                          kind="GarbledFrameError") == 1
     s2s.close()
+
+
+# -- the client on malformed replies -----------------------------------------
+
+#: request kind -> the reply kind that answers it
+ANSWERS = {"HELLO": "WELCOME", "QUERY": "RESULT", "QUERY_MANY": "RESULTS",
+           "PARSE": "PARSED", "BIND": "BOUND", "EXECUTE": "RESULT",
+           "SPARQL": "SPARQL_RESULT", "EXPLAIN": "EXPLAINED",
+           "STATUS": "STATUS_OK", "METRICS": "METRICS_OK"}
+
+#: reply kind -> the fields the server sends in it
+REPLY_FIELDS = {"WELCOME": ["protocol", "server", "tenant"],
+                "RESULT": ["result"], "RESULTS": ["results"],
+                "PARSED": ["name", "query_class", "attributes"],
+                "BOUND": ["portal"],
+                "SPARQL_RESULT": ["ask", "variables", "rows"],
+                "EXPLAINED": ["rendered"],
+                "STATUS_OK": ["tenant", "server"],
+                "METRICS_OK": ["metrics", "text"],
+                "RETRY_AFTER": ["retry_after", "queue_depth"],
+                "ERROR": ["code", "error"]}
+
+def sparql_rows(client: S2SClient):
+    answer = client.sparql("ASK {}")
+    return answer if isinstance(answer, bool) else answer.simple_rows()
+
+
+#: every client operation, each consuming what it returns (the first
+#: reconnects, so the handshake is fuzzed too)
+OPERATIONS = [
+    lambda client: (client.close(), client.connect()),
+    lambda client: len(client.query("SELECT Product")),
+    lambda client: [len(result)
+                    for result in client.query_many(["SELECT Product"])],
+    lambda client: client.prepare("p", "SELECT Product").execute(
+        merge_key=["brand"]),
+    sparql_rows,
+    lambda client: client.explain("SELECT Product"),
+    lambda client: client.status(),
+    lambda client: client.metrics(),
+]
+
+
+class ReplyServer:
+    """Answers every request on every connection with ``answer(frame)``,
+    stamped with the request's ``id``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # listener closed
+            threading.Thread(target=self._serve, args=(conn,),
+                             daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            with conn:
+                while True:
+                    request = read_frame_sync(conn)
+                    if request is None or request["kind"] == "GOODBYE":
+                        return
+                    reply = self.answer(request)
+                    if "id" in request:
+                        reply["id"] = request["id"]
+                    write_frame_sync(conn, reply)
+        except OSError:
+            pass  # the client hung up
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+def json_value(rng: random.Random, depth: int = 0):
+    """A random JSON value, nested at most three deep."""
+    pick = rng.randrange(7 if depth < 3 else 5)
+    if pick == 0:
+        return rng.choice([None, True, False])
+    if pick == 1:
+        return rng.choice([0, 1, -3, 2**40])
+    if pick == 2:
+        return rng.choice([0.0, 0.25, -1.5, 1e300])
+    if pick == 3:
+        return rng.choice(["", "soon", "RESULT", "Čašió"])
+    if pick == 4:
+        return {}
+    if pick == 5:
+        return [json_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    return {rng.choice(["text", "type", "result"]): json_value(rng, depth + 1)
+            for _ in range(rng.randrange(1, 3))}
+
+
+def fuzzed_reply(rng: random.Random, request: dict) -> dict:
+    """The right reply kind (sometimes RETRY_AFTER or ERROR instead),
+    each of its fields random or absent."""
+    kind = ANSWERS[request["kind"]]
+    if rng.random() < 0.2:
+        kind = rng.choice(["RETRY_AFTER", "ERROR"])
+    return {"kind": kind,
+            **{name: json_value(rng) for name in REPLY_FIELDS[kind]
+               if rng.random() < 0.85}}
+
+
+def test_client_lets_only_s2s_errors_out_of_random_replies():
+    rng = random.Random(f"replies:{SEED}")
+    server = ReplyServer(lambda request: fuzzed_reply(rng, request))
+    client = S2SClient("127.0.0.1", server.port, timeout=5.0)
+    drawn: set = set()
+    try:
+        for index in range(1500):
+            try:
+                OPERATIONS[index % len(OPERATIONS)](client)
+                drawn.add("ok")
+            except ProtocolError as exc:  # a timeout, i.e. a hang
+                pytest.fail(f"operation {index}: {exc!r}")
+            except S2SError as exc:
+                drawn.add(type(exc).__name__)
+    finally:
+        client.close()
+        server.close()
+    assert {"ok", "CodecError", "ServerBusyError",
+            "RemoteServerError"} <= drawn
+
+
+def welcome_then(kind: str, **fields):
+    """An answer: WELCOME to HELLO, then ``kind`` with ``fields``."""
+    def answer(request: dict) -> dict:
+        if request["kind"] == "HELLO":
+            return {"kind": "WELCOME", "protocol": 1}
+        return {"kind": kind, **fields}
+    return answer
+
+
+@pytest.mark.parametrize("operation, answer", [
+    (lambda c: c.status(), welcome_then("RETRY_AFTER", retry_after="soon")),
+    (lambda c: c.status(), welcome_then("RETRY_AFTER", retry_after=None)),
+    (lambda c: c.status(), welcome_then("RETRY_AFTER", retry_after=1,
+                                        queue_depth="deep")),
+    (lambda c: c.sparql("SELECT ?s {}"),
+     welcome_then("SPARQL_RESULT", variables=3, rows=[])),
+    (lambda c: c.sparql("SELECT ?s {}"),
+     welcome_then("SPARQL_RESULT", variables=["s"], rows=[1])),
+    (lambda c: c.sparql("ASK {}"), welcome_then("SPARQL_RESULT", ask=1)),
+    (lambda c: c.explain("SELECT Product"),
+     welcome_then("EXPLAINED", rendered=5)),
+    (lambda c: c.prepare("p", "SELECT Product"),
+     welcome_then("PARSED", query_class="Product", attributes=None)),
+], ids=["retry-after-text", "retry-after-null", "queue-depth-text",
+        "variables-int", "rows-of-ints", "ask-int", "rendered-int",
+        "attributes-null"])
+def test_a_malformed_reply_field_is_a_codec_error(operation, answer):
+    server = ReplyServer(answer)
+    try:
+        with S2SClient("127.0.0.1", server.port, timeout=5.0) as client:
+            with pytest.raises(CodecError):
+                operation(client)
+    finally:
+        server.close()
+

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -335,3 +336,13 @@ class TestClient:
                                   "--token", "wrong", "SELECT Product")
         assert code == 1
         assert "error:" in err
+
+    def test_closed_port_reports_one_error_line(self, capsys):
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = str(probe.getsockname()[1])
+        code, out, err = run_cli(capsys, "client", "--host", "127.0.0.1",
+                                 "--port", port, "--status")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot connect to 127.0.0.1:{port}: ")
+        assert err.count("\n") == 1

@@ -54,6 +54,9 @@ VIOLATIONS = {
         ("src/repro/core/query/executor.py", "# aextract"),
         ("src/repro/core/extractor/manager.py", "# RunRule"),
     ],
+    "One client": [
+        ("src/repro/server/client.py", "# AsyncS2SClient"),
+    ],
 }
 
 
