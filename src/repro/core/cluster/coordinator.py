@@ -31,7 +31,7 @@ raises :class:`~repro.errors.FleetQuotaExceeded`, which the server
 maps onto its RETRY_AFTER pushback frame.
 
 Thread-pool workers share the coordinator manager's live collaborators
-(breakers, fragment cache, source repositories, clock), so sharded
+(breakers, source repositories, clock), so sharded
 answers are entity-for-entity identical to in-process execution.
 Spawn-subprocess workers hold *pickled replicas* of the repositories,
 taken when the fleet starts; the coordinator watches every registered
@@ -71,7 +71,7 @@ class QueryWorkerContext:
     """Everything a query worker needs, picklable as a unit.
 
     Thread workers share the coordinator manager's live collaborators
-    (``extractors``, ``cache``, ``breakers``); those do not cross the
+    (``extractors``, ``breakers``); those do not cross the
     spawn boundary — subprocess children rebuild a default extractor
     registry and their own (per-child) breakers from the resilience
     config, which is the same trade a distributed deployment makes.
@@ -82,7 +82,6 @@ class QueryWorkerContext:
     resilience: ResilienceConfig
     strict: bool = False
     extractors: ExtractorRegistry | None = None
-    cache: Any = None  # FragmentCache | None, thread-shared only
     breakers: Any = None  # CircuitBreakerRegistry | None, thread-shared only
     killable: Any = None  # KillableWorker | None
     manager: ExtractorManager | None = field(default=None, repr=False)
@@ -90,7 +89,6 @@ class QueryWorkerContext:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["extractors"] = None  # transform lambdas don't pickle
-        state["cache"] = None
         state["breakers"] = None
         state["manager"] = None
         return state
@@ -102,15 +100,15 @@ class QueryWorkerContext:
         """The (lazily built) in-process manager a worker extracts with.
 
         Thread workers adopt the coordinator manager's breaker registry
-        and fragment cache so breaker state and cached fragments behave
-        exactly as in-process execution; a spawned child builds its own.
+        so breaker state behaves exactly as in-process execution; a
+        spawned child builds its own.
         Metrics stay off — the coordinator records per-query metrics
         once, on the merged outcome."""
         if self.manager is None:
             manager = ExtractorManager(
                 self.attributes, self.sources,
                 self.extractors or ExtractorRegistry(TransformRegistry()),
-                strict=self.strict, cache=self.cache,
+                strict=self.strict,
                 resilience=self.resilience, metrics=None)
             if self.breakers is not None:
                 manager.breakers = self.breakers
@@ -123,8 +121,8 @@ class FleetWorkerContext:
     """A shared fleet's worker context: one per-tenant context each.
 
     Work items carry their tenant name; the worker resolves the right
-    :class:`QueryWorkerContext` (and therefore the right repositories,
-    breakers and cache) per item.  Picklable as a unit — each tenant
+    :class:`QueryWorkerContext` (and therefore the right repositories
+    and breakers) per item.  Picklable as a unit — each tenant
     context applies its own ``__getstate__`` discipline — so the spawn
     pool ships a whole multi-tenant world to each child."""
 

@@ -156,7 +156,6 @@ class ShardedExtractorManager(ExtractorManager):
             resilience=worker_resilience,
             strict=self.strict,
             extractors=self.extractors,
-            cache=self.cache,
             breakers=self.breakers)
 
     def extract(self, required, *, deadline=None, span: AnySpan = NULL_SPAN,

@@ -32,11 +32,11 @@ configured through one :class:`~repro.core.resilience.ResilienceConfig`):
   attached to every outcome so callers can distinguish a complete answer
   from a best-effort one.
 
-Two opt-in performance features (both ablated in experiment E1): a
-``thread``-mode :class:`~repro.core.resilience.ConcurrencyConfig`
-extracts sources concurrently with a thread pool, and
-``cache=FragmentCache()`` reuses fragments across queries until
-explicitly invalidated.
+A ``thread``-mode :class:`~repro.core.resilience.ConcurrencyConfig`
+extracts sources concurrently with a thread pool (ablated in experiment
+E1).  Nothing here caches: every run reads its sources, and repeat
+queries are answered by the semantic store (:mod:`repro.core.store`),
+which is coherent by source fingerprint.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from ..mapping.repository import AttributeRepository
 from ..resilience import (CircuitBreakerRegistry, Deadline, RetryBudget,
                           SourceHealth, SourceHealthRegistry)
 from ..resilience.config import ResilienceConfig
-from .cache import FragmentCache
 from .extractors import ExtractorRegistry, runs_batches
 from .records import RawFragment, SourceRecordSet
 from .schema import ExtractionSchema
@@ -161,9 +160,6 @@ class _RunContext:
     deadline: Deadline
     budget: RetryBudget
     health: SourceHealthRegistry
-    #: Cache generation observed when this run started; write-backs carry
-    #: it so a mapping reload mid-run discards them (coherence).
-    cache_generation: int = 0
     started: float = 0.0  # perf_counter() at the top of the run
 
 
@@ -174,7 +170,6 @@ class ExtractorManager:
                  sources: DataSourceRepository,
                  extractors: ExtractorRegistry | None = None,
                  *, strict: bool = False,
-                 cache: FragmentCache | None = None,
                  resilience: ResilienceConfig | None = None,
                  metrics: MetricsRegistry | None = None) -> None:
         self.config = resilience or ResilienceConfig.conservative()
@@ -182,7 +177,6 @@ class ExtractorManager:
         self.sources = sources
         self.extractors = extractors or ExtractorRegistry()
         self.strict = strict
-        self.cache = cache
         self.metrics = metrics
         self.breakers = (CircuitBreakerRegistry(
             self.config.breaker, self.config.clock,
@@ -249,10 +243,7 @@ class ExtractorManager:
             deadline = Deadline(float(deadline), self.config.clock)
         ctx = _RunContext(schema, deadline,
                           RetryBudget(self.config.retry.budget),
-                          SourceHealthRegistry(),
-                          cache_generation=(self.cache.generation
-                                            if self.cache is not None else 0),
-                          started=started)
+                          SourceHealthRegistry(), started=started)
         outcome = ExtractionOutcome(missing_attributes=list(schema.missing),
                                     deadline_seconds=deadline.seconds)
         span.annotate(sources=len(schema.by_source),
@@ -397,9 +388,9 @@ class ExtractorManager:
 
         This and the methods it delegates to are the *only*
         implementation of the per-source policy (deadline check, breaker
-        gate, attempt, retry budget, backoff, replica failover, cache
-        single-flight, span and health bookkeeping); serial extraction,
-        thread-pool workers and fleet workers all run it."""
+        gate, attempt, retry budget, backoff, replica failover, span and
+        health bookkeeping); serial extraction, thread-pool workers and
+        fleet workers all run it."""
         started = time.perf_counter()
         problems: list[ExtractionProblem] = []
         span = parent_span.child("source", source=source_id,
@@ -432,46 +423,28 @@ class ExtractorManager:
                     break
                 entry_span = span.child("entry",
                                         attribute=entry.attribute_id)
-                leading = False
                 try:
-                    if self.cache is not None:
-                        # Single-flight: a concurrent identical scan either
-                        # serves us its result or elects us leader.
-                        cached, leading = self.cache.acquire(entry)
-                        if cached is not None:
-                            entry_span.annotate(cache="hit")
-                            record_set.add(cached)
-                            continue
-                        entry_span.annotate(cache="miss")
-                    try:
-                        fragment = self._extract_entry(
-                            source_id, source, extractor, entry, ctx,
-                            entry_span, batch)  # step 4
-                    except DeadlineExceededError as exc:
-                        entry_span.fail(str(exc))
-                        if self.strict:
-                            raise
-                        ctx.health.for_source(source_id).deadline_hits += 1
-                        problems.append(ExtractionProblem(
-                            source_id, entry.attribute_id, str(exc)))
-                        break
-                    except S2SError as exc:
-                        entry_span.fail(str(exc))
-                        if self.strict:
-                            raise
-                        problems.append(ExtractionProblem(
-                            source_id, entry.attribute_id, str(exc)))
-                        continue
-                    if self.cache is not None:
-                        self.cache.put(entry, fragment,
-                                       generation=ctx.cache_generation)
+                    fragment = self._extract_entry(
+                        source_id, source, extractor, entry, ctx,
+                        entry_span, batch)  # step 4
+                except DeadlineExceededError as exc:
+                    entry_span.fail(str(exc))
+                    if self.strict:
+                        raise
+                    ctx.health.for_source(source_id).deadline_hits += 1
+                    problems.append(ExtractionProblem(
+                        source_id, entry.attribute_id, str(exc)))
+                    break
+                except S2SError as exc:
+                    entry_span.fail(str(exc))
+                    if self.strict:
+                        raise
+                    problems.append(ExtractionProblem(
+                        source_id, entry.attribute_id, str(exc)))
+                else:
                     entry_span.annotate(values=len(fragment.values))
                     record_set.add(fragment)
                 finally:
-                    if leading:
-                        # Wakes waiters whether we stored a fragment or
-                        # failed — a failed flight must not poison them.
-                        self.cache.release(entry)
                     entry_span.finish()
             return _SourceResult(source_id, record_set, problems,
                                  time.perf_counter() - started)
@@ -622,8 +595,9 @@ class ExtractorManager:
 
         The batch is taken once, here, at the first attempt any of the
         source's entries makes — over that entry and the later ones —
-        so a source whose entries are all cache hits, or whose breaker
-        is open, never runs one.  **Any** exception from it is dropped,
+        so a source whose breaker is open never runs one, and one whose
+        breaker lets only a later entry through batches from that entry
+        on.  **Any** exception from it is dropped,
         uncounted, and the source runs per rule from then on (an entry
         the batch holds nothing for runs its own rule): which
         attribute fails, what is retried, what the breaker and the

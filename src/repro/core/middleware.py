@@ -39,7 +39,6 @@ from ..ontology.model import Ontology
 from ..ontology.schema import OntologySchema
 from ..sources.base import DataSource
 from .cluster.manager import ShardedExtractorManager
-from .extractor.cache import FragmentCache
 from .extractor.extractors import Extractor, ExtractorRegistry
 from .extractor.manager import ExtractionOutcome, ExtractorManager
 from .ingest import IngestJob, IngestReport, IngestTarget, ShardCoordinator
@@ -66,7 +65,6 @@ class S2SMiddleware:
 
     def __init__(self, ontology: Ontology, *, strict_extraction: bool = False,
                  validate_instances: bool = True,
-                 cache_extractions: bool = False,
                  resilience: ResilienceConfig | None = None,
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
@@ -83,8 +81,6 @@ class S2SMiddleware:
         self.validate_instances = validate_instances
         self.tracer = tracer
         self._metrics = metrics if metrics is not None else DEFAULT_REGISTRY
-        self.cache = (FragmentCache(metrics=self._metrics)
-                      if cache_extractions else None)
         self.resilience = resilience or ResilienceConfig.conservative()
         concurrency_config = coerce_concurrency(concurrency)
         if concurrency_config is not None:
@@ -125,23 +121,16 @@ class S2SMiddleware:
         previous = getattr(self, "manager", None)
         self.registrar = AttributeRegistrar(
             self.schema, self.attribute_repository, self.source_repository)
-        if self.cache is not None:
-            # Generation bump, not a plain invalidate: extractions still
-            # running against the old mapping carry the old generation,
-            # so their late write-backs are discarded instead of
-            # resurrecting stale fragments after the reload.
-            self.cache.bump_generation()
         if self.store is not None:
-            # Same coherence rule for materialized instances: a stale
-            # post-reload store must never be served (every slice was
-            # generated against the old mapping).
+            # A stale post-reload store must never be served (every
+            # slice was generated against the old mapping).
             self.store.bump_generation()
         mode = self.resilience.concurrency.mode
         manager_cls = (ShardedExtractorManager if mode == "sharded"
                        else ExtractorManager)
         self.manager = manager_cls(
             self.attribute_repository, self.source_repository,
-            self.extractors, strict=self.strict_extraction, cache=self.cache,
+            self.extractors, strict=self.strict_extraction,
             resilience=self.resilience, metrics=self._metrics)
         binding = getattr(self, "_fleet_binding", None)
         if binding is not None and mode == "sharded":
@@ -163,8 +152,14 @@ class S2SMiddleware:
 
     def register_source(self, source: DataSource, *,
                         replace: bool = False) -> str:
-        """Register a data source (paper section 2.3.2)."""
-        return self.source_repository.register(source, replace=replace)
+        """Register a data source (paper section 2.3.2).
+
+        Replacing a source expires the store materializations that hold
+        it, so the next query reads the new one."""
+        source_id = self.source_repository.register(source, replace=replace)
+        if replace and self.store is not None:
+            self.store.mark_stale(source_id)
+        return source_id
 
     def register_attribute(self,
                            attribute: AttributePath | str | tuple[str, str],
@@ -179,8 +174,6 @@ class S2SMiddleware:
         entry = self.registrar.register(attribute, rule, source_id,
                                         replace=replace,
                                         replica_of=replica_of)
-        if replace and self.cache is not None:
-            self.cache.invalidate(source_id)
         if self.store is not None:
             # Any mapping change can alter what a materialization would
             # contain (a new source for an already-materialized
@@ -190,17 +183,14 @@ class S2SMiddleware:
         return entry
 
     def invalidate_cache(self, source_id: str | None = None) -> int:
-        """Drop cached fragments after a source's data changed.
+        """Force-expire the store materializations that hold the source
+        (every materialization when ``source_id`` is None), so the next
+        query goes live.
 
-        Returns the number of cache entries removed; a no-op (0) when the
-        middleware was built without ``cache_extractions``.  When a
-        semantic store is configured, materializations holding the
-        source are force-expired too, so the next query goes live."""
-        if self.store is not None:
-            self.store.mark_stale(source_id)
-        if self.cache is None:
+        Returns how many were expired; 0 without a semantic store."""
+        if self.store is None:
             return 0
-        return self.cache.invalidate(source_id)
+        return self.store.mark_stale(source_id)
 
     def register_extractor(self, extractor: Extractor, *,
                            replace: bool = False) -> None:
@@ -395,7 +385,7 @@ class S2SMiddleware:
         """The metrics registry this middleware reports into.
 
         Carries the cumulative counters fed by the pipeline hooks —
-        cache hits/misses, retries, breaker transitions, query and
+        store hits/misses, retries, breaker transitions, query and
         extraction latencies.  Render with ``metrics().render_text()``
         or export via :func:`repro.obs.metrics_to_json`."""
         return self._metrics
@@ -406,7 +396,7 @@ class S2SMiddleware:
 
         The executable analogue of the paper's Figure 5: one indented
         line per pipeline stage — parse, plan, the per-source / per-entry
-        extraction fan-out (with retry, breaker, cache and failover
+        extraction fan-out (with retry, breaker and failover
         decisions), instance generation and condition filtering — each
         with its wall-clock share.  Uses a one-shot tracer on the
         resilience clock, so the permanently installed tracer (if any)

@@ -36,10 +36,9 @@ Design points:
   ``S2SMiddleware.sparql`` and :meth:`SemanticStore.export` read
   outside the store lock.
 
-* **Generation coherence.**  ``bump_generation()`` mirrors
-  :meth:`~repro.core.extractor.cache.FragmentCache.bump_generation`:
-  a mapping reload drops every materialization, so a stale post-reload
-  store is never served.
+* **Generation coherence.**  ``bump_generation()``: a mapping reload
+  drops every materialization, so a stale post-reload store is never
+  served.
 """
 
 from __future__ import annotations
@@ -482,9 +481,10 @@ class SemanticStore:
         """Force-expire materializations so the next query goes live.
 
         ``source_id`` limits the expiry to materializations holding that
-        source (the ``invalidate_cache`` integration: the caller knows
-        that source's data changed); None expires everything.  Returns
-        the number of materializations expired."""
+        source (``S2SMiddleware.invalidate_cache`` and a replacing
+        ``register_source``: the caller knows that source changed); None
+        expires everything.  Returns the number of materializations
+        expired."""
         with self._lock:
             expired = 0
             for mat in self._materializations.values():
@@ -494,9 +494,9 @@ class SemanticStore:
             return expired
 
     def bump_generation(self) -> int:
-        """Mapping-reload coherence, mirroring FragmentCache: drop every
-        materialization and start a new generation, so instances built
-        against the old mapping are never served after a reload."""
+        """Mapping-reload coherence: drop every materialization and
+        start a new generation, so instances built against the old
+        mapping are never served after a reload."""
         with self._lock:
             self._materializations.clear()
             self._refreshing.clear()

@@ -7,11 +7,11 @@ is the measuring kit, with zero external dependencies:
 * :class:`Tracer` / :class:`Trace` / :class:`Span` — a per-query tree of
   nested, wall-clock-timed spans over the pipeline stages of Figures 1
   and 5 (parse → plan → per-source extract → per-entry rule eval →
-  retry/breaker/cache decisions → instance generation → condition
+  retry/breaker decisions → instance generation → condition
   filtering), timed on the injectable :mod:`repro.clock`;
 * :class:`MetricsRegistry` with :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` — cumulative process-wide counts fed by hooks in
-  the Query Handler, Extractor Manager, fragment cache, retry loop and
+  the Query Handler, Extractor Manager, semantic store, retry loop and
   circuit breakers (:data:`DEFAULT_REGISTRY` is the shared default);
 * exporters — traces and metrics rendered as indented text or JSON
   (``S2SMiddleware.explain()``, the CLI ``--trace``/``--metrics`` flags

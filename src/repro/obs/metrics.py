@@ -3,7 +3,7 @@
 No external dependencies: the registry is a thread-safe dict of metric
 families, each holding one value per label combination, rendered in a
 Prometheus-like text exposition or as JSON.  The middleware feeds it from
-hooks in the Query Handler, Extractor Manager, fragment cache, retry loop
+hooks in the Query Handler, Extractor Manager, semantic store, retry loop
 and circuit breakers; share one registry across middleware instances to
 aggregate, or inject a fresh one per test for isolation.
 """

@@ -2,7 +2,7 @@
 
 A :class:`Trace` is the executable analogue of the paper's Figure 5 —
 one span per pipeline stage (parse, plan, per-source extract, per-entry
-rule evaluation, retry attempts, breaker decisions, cache lookups,
+rule evaluation, retry attempts, breaker decisions, store lookups,
 instance generation, condition filtering), nested to mirror the call
 structure and timed on the injectable :class:`~repro.clock.Clock`.
 Pairing the tracer with a :class:`~repro.clock.FakeClock` makes traces

@@ -293,6 +293,10 @@ class S2SClient:
                                      protocol.STATUS_OK))
 
     def metrics(self) -> dict:
-        """Server + tenant metrics export."""
-        return _fields(self._request({"kind": protocol.METRICS},
-                                     protocol.METRICS_OK))
+        """Server + tenant metrics export: ``metrics`` (an object) and
+        ``text`` (the rendered exposition), else :class:`CodecError`."""
+        reply = self._request({"kind": protocol.METRICS},
+                              protocol.METRICS_OK)
+        json_field(reply, "metrics", dict)
+        json_field(reply, "text", str)
+        return _fields(reply)

@@ -2,8 +2,8 @@
 
 A *tenant* is an isolation boundary, not a label: every tenant owns a
 complete :class:`~repro.core.middleware.S2SMiddleware` — its own
-ontology mapping, data-source registry, circuit breakers, fragment
-cache, semantic store and metrics wiring.  One tenant's open breakers,
+ontology mapping, data-source registry, circuit breakers, semantic
+store and metrics wiring.  One tenant's open breakers,
 stale materializations or runaway queries are invisible to every other
 tenant; the only shared resources are the server's event loop and its
 admission-control slots.

@@ -412,10 +412,10 @@ class TestQueryWorkerContext:
                                  sources=DataSourceRepository(),
                                  resilience=None,
                                  extractors=object(),  # not picklable
-                                 cache=object(), breakers=object())
+                                 breakers=object())
         state = ctx.__getstate__()
         assert state["extractors"] is None
-        assert state["cache"] is None and state["breakers"] is None
+        assert state["breakers"] is None
         clone = pickle.loads(pickle.dumps(
             QueryWorkerContext(attributes=None,
                                sources=DataSourceRepository(),

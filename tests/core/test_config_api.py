@@ -1,8 +1,9 @@
-"""The consolidated config surface, and the spellings 2.0, 2.1 and 2.2
-removed."""
+"""The consolidated config surface, and the spellings 2.0, 2.1, 2.2 and
+2.17 removed."""
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import pkgutil
 import re
@@ -50,7 +51,6 @@ class TestCanonicalSurface:
         assert repro.__version__ == declared
 
     def test_importing_repro_emits_no_deprecation_warnings(self):
-        import importlib
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             importlib.reload(repro.config)
@@ -58,8 +58,8 @@ class TestCanonicalSurface:
 
 def _removed_spellings():
     """(id, trigger, expected exception) for every spelling 2.0 deleted,
-    plus the four poll knobs 2.1 made event-driven and the refresher
-    poll knob 2.2 found no caller for."""
+    plus the four poll knobs 2.1 made event-driven, the refresher poll
+    knob 2.2 found no caller for and the fragment cache 2.17 deleted."""
     from repro.cli import main
     from repro.clock import SystemClock
     from repro.config import (ConcurrencyConfig, FleetConfig,
@@ -100,6 +100,16 @@ def _removed_spellings():
                       ShardCoordinator(None, None, None, "journal",
                                        **{k: 0.05}),
                       TypeError))
+    cases.append(("S2SMiddleware(cache_extractions=)", lambda:
+                  repro.S2SMiddleware(watch_domain_ontology(),
+                                      cache_extractions=True), TypeError))
+    cases.append(("ExtractorManager(cache=)", lambda:
+                  ExtractorManager(AttributeRepository(),
+                                   DataSourceRepository(), cache=None),
+                  TypeError))
+    cases.append(("repro.core.extractor.cache", lambda:
+                  importlib.import_module("repro.core.extractor.cache"),
+                  ImportError))
     cases.append(("StoreRefresher(poll_seconds=)", lambda:
                   StoreRefresher(list, poll_seconds=0.05), TypeError))
     cases.append(("S2SMiddleware.store_refresher(poll_seconds=)", lambda:

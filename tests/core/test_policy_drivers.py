@@ -1,14 +1,11 @@
 """The one extraction policy, run by hand.
 
-The per-source policy calls three collaborators: the extractor
-(``extract`` / ``extract_many``), the clock (``sleep``) and the fragment
-cache (``acquire``).  This suite scripts all three — a recording
-extractor answers every rule from the test's script, a recording
-:class:`~repro.clock.FakeClock` never really sleeps, the real cache
-records its lookups — and checks what the policy decides from the call
-sequence it produced: no source is read, no thread is started."""
-
-import threading
+The per-source policy calls two collaborators: the extractor
+(``extract`` / ``extract_many``) and the clock (``sleep``).  This suite
+scripts both — a recording extractor answers every rule from the test's
+script, a recording :class:`~repro.clock.FakeClock` never really sleeps
+— and checks what the policy decides from the call sequence it
+produced: no source is read, no thread is started."""
 
 import pytest
 
@@ -16,9 +13,8 @@ from repro import ExtractionRule, S2SMiddleware
 from repro.clock import FakeClock
 from repro.config import ResilienceConfig
 from repro.core.extractor import DatabaseExtractor, RawFragment
-from repro.core.extractor.cache import FragmentCache
 from repro.core.resilience import BreakerPolicy, RetryPolicy
-from repro.errors import ExtractionError, TransientSourceError
+from repro.errors import TransientSourceError
 from repro.ids import AttributePath
 from repro.obs import NULL_SPAN
 from repro.ontology.builders import watch_domain_ontology
@@ -63,25 +59,11 @@ class RecordingClock(FakeClock):
         super().sleep(seconds)
 
 
-class RecordingCache(FragmentCache):
-    """The real cache, logging each single-flight lookup as
-    ``acquire(<attribute id>)``."""
-
-    def __init__(self, calls: list) -> None:
-        super().__init__()
-        self.calls = calls
-
-    def acquire(self, entry):
-        self.calls.append(f"acquire({entry.attribute_id})")
-        return super().acquire(entry)
-
-
 class World:
     """DB_1 with one mirror replica DB_R1; the sources are never
     called — every rule execution is answered by the test's script."""
 
-    def __init__(self, watch_db, script, *, cache: bool = False,
-                 **config) -> None:
+    def __init__(self, watch_db, script, **config) -> None:
         self.calls: list[str] = []
         self.clock = RecordingClock(self.calls)
         s2s = S2SMiddleware(watch_domain_ontology(),
@@ -97,9 +79,6 @@ class World:
         self.extractor = RecordingExtractor(self.calls, script)
         s2s.register_extractor(self.extractor, replace=True)
         self.manager = s2s.manager
-        if cache:
-            self.manager.cache = RecordingCache(self.calls)
-        self.cache = self.manager.cache
 
     def run(self, *, deadline=None):
         """Run DB_1's policy once; returns (result, run context)."""
@@ -109,18 +88,6 @@ class World:
                                          span=NULL_SPAN)
         self.entries = ctx.schema.by_source["DB_1"]
         return self.manager._extract_source("DB_1", self.entries, ctx), ctx
-
-
-def _acquired(cache, entry):
-    """``cache.acquire(entry)``, failing instead of blocking forever on a
-    flight nobody will end."""
-    answer: list = []
-    thread = threading.Thread(
-        target=lambda: answer.append(cache.acquire(entry)), daemon=True)
-    thread.start()
-    thread.join(timeout=5.0)
-    assert answer, f"acquire() blocked on {entry.attribute_id}'s flight"
-    return answer[0]
 
 
 def _fragments(kind, source, entries):
@@ -198,35 +165,14 @@ class TestPolicyByHand:
         assert "deadline" in result.problems[0].message
         assert ctx.health.for_source("DB_1").deadline_hits == 1
 
-    def test_leader_released_after_failed_flight(self, watch_db):
-        def script(kind, source, entries):
-            raise ExtractionError("no such column")
-
-        world = World(watch_db, script, cache=True, failover=False,
-                      breaker=None)
-        result, _ = world.run()  # each acquire elects us leader
-        assert world.calls == [
-            "acquire(thing.product.brand)", "extract_many(DB_1)",
-            "extract(DB_1)", "acquire(thing.product.price)",
-            "extract(DB_1)"]
-        assert len(result.problems) == 2
-        # Both flights ended: the next caller is elected leader at once
-        # instead of waiting on a flight nobody will finish.
-        for entry in world.entries:
-            assert _acquired(world.cache, entry) == (None, True)
-            world.cache.release(entry)
-
     def test_error_thrown_in_unwinds_through_finally(self, watch_db):
         def script(kind, source, entries):
             raise KeyboardInterrupt()  # not the policy's to handle
 
-        world = World(watch_db, script, cache=True)
-        with pytest.raises(KeyboardInterrupt):
+        world = World(watch_db, script)
+        with pytest.raises(KeyboardInterrupt):  # not dropped with the batch
             world.run()
-        assert world.calls == ["acquire(thing.product.brand)",
-                               "extract_many(DB_1)"]
-        entry = world.entries[0]
-        assert _acquired(world.cache, entry) == (None, True)  # released
+        assert world.calls == ["extract_many(DB_1)"]
 
     def test_policy_calls_every_collaborator(self, watch_db):
         failed_once: set = set()
@@ -239,23 +185,20 @@ class TestPolicyByHand:
                 raise TransientSourceError("first try")
             return _fragments(kind, source, entries)
 
-        world = World(watch_db, script, cache=True, breaker=None,
+        world = World(watch_db, script, breaker=None,
                       retry=RetryPolicy(max_attempts=2, base_delay=0.1,
                                         jitter="none"))
         result, _ = world.run()
         assert not result.problems
         assert {call.partition("(")[0] for call in world.calls} == {
-            "acquire", "extract_many", "extract", "sleep"}
+            "extract_many", "extract", "sleep"}
 
     def test_batch_serves_every_entry_under_its_own_bookkeeping(self,
                                                                 watch_db):
-        world = World(watch_db, _fragments, cache=True)
+        world = World(watch_db, _fragments)
         result, ctx = world.run()
-        # Taken once, at the first entry's attempt, over both entries;
-        # the second entry still asks the cache first.
-        assert world.calls == ["acquire(thing.product.brand)",
-                               "extract_many(DB_1)",
-                               "acquire(thing.product.price)"]
+        # Taken once, at the first entry's attempt, over both entries.
+        assert world.calls == ["extract_many(DB_1)"]
         assert [e.attribute_id for e in world.extractor.entries[0]] == [
             "thing.product.brand", "thing.product.price"]
         assert not result.problems
@@ -264,22 +207,25 @@ class TestPolicyByHand:
         health = ctx.health.for_source("DB_1")
         assert (health.attempts, health.successes, health.failures) == (
             2, 2, 0)
-        for entry in world.entries:  # both written through
-            assert world.cache.acquire(entry)[0].values == ["v1", "v2"]
 
     def test_batch_covers_only_the_entries_still_to_run(self, watch_db):
-        world = World(watch_db, _fragments, cache=True)
-        first = world.manager.obtain_extraction_schema(
-            [AttributePath.parse("thing.product.brand")]).by_source["DB_1"][0]
-        world.cache.put(first, RawFragment(first.attribute, "DB_1", ["hit"]))
+        def script(kind, source, entries):
+            if source.source_id == "DB_R1":
+                world.clock.advance(60.0)  # DB_1's cooldown ends meanwhile
+            return _fragments(kind, source, entries)
+
+        world = World(watch_db, script, retry=RetryPolicy(max_attempts=1),
+                      breaker=BreakerPolicy(failure_threshold=1,
+                                            cooldown_seconds=60.0))
+        world.manager.breakers.get("DB_1").record_failure()  # open
         result, _ = world.run()
-        # One entry left after the hit: nothing to share, so no batch is
-        # asked for.
-        assert world.calls == ["acquire(thing.product.brand)",
-                               "acquire(thing.product.price)",
-                               "extract(DB_1)"]
+        # The open breaker refuses the first entry, which fails over; the
+        # half-open probe is the second: one entry left, nothing to
+        # share, so no batch is asked for.
+        assert world.calls == ["extract(DB_R1)", "extract(DB_1)"]
         assert [f.values for f in result.record_set.fragments] == [
-            ["hit"], ["v1", "v2"]]
+            ["v1", "v2"]] * 2
+        assert world.manager.breakers.get("DB_1").state == "closed"
 
     def test_a_batch_error_of_any_type_is_dropped(self, watch_db):
         def script(kind, source, entries):

@@ -301,6 +301,21 @@ class TestGenerationCoherence:
         assert {e.value("brand")
                 for e in refreshed.entities} != {"Seiko", "Casio"}
 
+    def test_replacing_a_source_expires_its_materializations(self):
+        _scenario, s2s, _registry = store_world()
+        s2s.query("SELECT product")
+        assert s2s.query("SELECT product").store_hit
+        other = B2BScenario(n_sources=4, n_products=12, seed=8)
+        org = next(o for o in other.organizations
+                   if o.source_id == "database_0")
+        s2s.register_source(other.connector(org), replace=True)
+        replaced = s2s.query("SELECT product")
+        assert not replaced.store_hit
+        _scenario, live, _registry = store_world(store=None)
+        live.register_source(other.connector(org), replace=True)
+        assert canon(replaced.entities) == canon(
+            live.query("SELECT product").entities)
+
     def test_invalidate_cache_expires_source_materializations(self):
         _scenario, s2s, registry = store_world()
         s2s.query("SELECT product")
@@ -308,6 +323,14 @@ class TestGenerationCoherence:
         s2s.invalidate_cache("database_0")
         assert not s2s.query("SELECT product").store_hit
         assert registry.value("store_misses_total", reason="stale") == 1
+
+    def test_invalidate_cache_counts_what_it_expired(self):
+        _scenario, s2s, _registry = store_world()
+        s2s.query("SELECT product")
+        assert s2s.invalidate_cache("database_0") == 1
+        assert s2s.invalidate_cache("no_such_source") == 0
+        _scenario, live, _registry = store_world(store=None)
+        assert live.invalidate_cache() == 0
 
 
 class TestDeltaRefresh:
@@ -378,6 +401,10 @@ class TestDeltaRefresh:
         assert served.store_hit
         live = scenario.build_middleware().query("SELECT product")
         assert canon(served.entities) == canon(live.entities)
+        again, = s2s.refresh_store()  # nothing changed since
+        assert again.noop
+        assert canon(s2s.query("SELECT product").entities) == canon(
+            live.entities)
 
     def test_force_refresh_reextracts_every_source(self):
         _scenario, s2s, _registry = store_world()

@@ -56,14 +56,14 @@ class TestConcurrentQueries:
 
     def test_concurrent_queries_with_shared_cache(self):
         scenario = B2BScenario(n_sources=4, n_products=16)
-        s2s = scenario.build_middleware(cache_extractions=True)
+        s2s = scenario.build_middleware(store=True)
         expected = result_key(s2s.query("SELECT product"))  # warm
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(
                 lambda _i: s2s.query("SELECT product"), range(12)))
         for result in results:
             assert result_key(result) == expected
-        assert s2s.cache.stats.hits > 0
+            assert result.store_hit
 
     def test_error_reports_do_not_leak_across_queries(self, shared_world):
         scenario, _s2s = shared_world

@@ -60,10 +60,9 @@ BROKEN = {"xml": ExtractionRule.xpath("doc:ghost.xml //item/model"),
           "database": ExtractionRule.sql("SELECT ghost FROM products")}
 
 
-def world(engine: str, *, hidden: bool, cache: bool, broken: bool):
+def world(engine: str, *, hidden: bool, broken: bool):
     scenario = B2BScenario(n_sources=4, n_products=24, seed=7)
-    s2s = scenario.build_middleware(concurrency=ENGINES[engine],
-                                    cache_extractions=cache)
+    s2s = scenario.build_middleware(concurrency=ENGINES[engine])
     broke = []
     for org in scenario.organizations:
         if broken and org.source_type in BROKEN:
@@ -116,16 +115,12 @@ def observe(s2s) -> dict:
 
 
 @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
-@pytest.mark.parametrize("cache", [False, True], ids=["nocache", "cache"])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_manager_reports_the_same_with_and_without_batches(engine, cache,
-                                                           broken):
+def test_manager_reports_the_same_with_and_without_batches(engine, broken):
     observed = {}
     for hidden in (False, True):
-        s2s, broke = world(engine, hidden=hidden, cache=cache, broken=broken)
+        s2s, broke = world(engine, hidden=hidden, broken=broken)
         try:
-            # twice: the second run is served by the fragment cache
-            # where there is one
             observed[hidden] = [observe(s2s), observe(s2s)]
         finally:
             s2s.close()

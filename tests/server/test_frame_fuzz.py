@@ -379,9 +379,11 @@ def welcome_then(kind: str, **fields):
      welcome_then("EXPLAINED", rendered=5)),
     (lambda c: c.prepare("p", "SELECT Product"),
      welcome_then("PARSED", query_class="Product", attributes=None)),
+    (lambda c: c.metrics(), welcome_then("METRICS_OK", metrics={})),
+    (lambda c: c.metrics(), welcome_then("METRICS_OK", metrics={}, text=5)),
 ], ids=["retry-after-text", "retry-after-null", "queue-depth-text",
         "variables-int", "rows-of-ints", "ask-int", "rendered-int",
-        "attributes-null"])
+        "attributes-null", "metrics-text-missing", "metrics-text-int"])
 def test_a_malformed_reply_field_is_a_codec_error(operation, answer):
     server = ReplyServer(answer)
     try:

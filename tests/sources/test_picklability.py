@@ -142,11 +142,10 @@ class TestFleetPayloadRoundTrips:
         ctx = QueryWorkerContext(attributes=s2s.attribute_repository,
                                  sources=s2s.source_repository,
                                  resilience=s2s.resilience,
-                                 extractors=object(), cache=object(),
-                                 breakers=object())
+                                 extractors=object(), breakers=object())
         clone = roundtrip(ctx)
         assert clone.extractors is None
-        assert clone.cache is None and clone.breakers is None
+        assert clone.breakers is None
         assert clone.sources.ids() == s2s.source_repository.ids()
         # The clone lazily rebuilds a default registry and extracts.
         manager = clone.manager_for_worker()

@@ -346,3 +346,15 @@ class TestClient:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot connect to 127.0.0.1:{port}: ")
         assert err.count("\n") == 1
+
+    def test_malformed_metrics_reply_reports_one_error_line(self, capsys):
+        from tests.server.test_frame_fuzz import ReplyServer, welcome_then
+        server = ReplyServer(welcome_then("METRICS_OK", metrics={}))
+        try:
+            code, out, err = run_cli(capsys, "client", "--host", "127.0.0.1",
+                                     "--port", str(server.port), "--metrics")
+        finally:
+            server.close()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'text'" in err
+        assert err.count("\n") == 1

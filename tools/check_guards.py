@@ -57,6 +57,9 @@ VIOLATIONS = {
     "One client": [
         ("src/repro/server/client.py", "# AsyncS2SClient"),
     ],
+    "One cache": [
+        ("src/repro/core/extractor/manager.py", "# FragmentCache"),
+    ],
 }
 
 
