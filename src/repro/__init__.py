@@ -23,7 +23,7 @@ from .config import (ConcurrencyConfig, RefreshPolicy, ResilienceConfig,
                      ServerConfig)
 from .obs import MetricsRegistry, Trace, Tracer
 
-__version__ = "2.17.0"
+__version__ = "2.18.0"
 
 __all__ = [
     "S2SMiddleware",

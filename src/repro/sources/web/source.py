@@ -12,6 +12,7 @@ file can serve many registered pages (the paper's ``watch.webl`` +
 from __future__ import annotations
 
 from ...errors import ExtractionError, WeblError
+from ...webl.builtins import stringify
 from ...webl.interpreter import WeblInterpreter, compile_webl
 from ..base import ConnectionInfo, DataSource, RuleCache, stable_digest
 from .site import SimulatedWeb
@@ -57,19 +58,20 @@ class WebDataSource(DataSource):
         return self._records(result)
 
     def _records(self, result) -> list[str]:
+        """One record per list item, rendered as ``ToString`` would; a
+        string, what a rule usually collects, is already its record."""
         if result is None:
             return []
-        if isinstance(result, list):
-            return [self._render(item) for item in result]
-        return [self._render(result)]
-
-    @staticmethod
-    def _render(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float) and value.is_integer():
-            return str(int(value))
-        return str(value)
+        if not isinstance(result, list):
+            return [stringify(result)]
+        kinds = set(map(type, result))
+        if list in kinds:
+            raise ExtractionError(
+                "WebL rule returned a list of lists; index a group of each "
+                "match (g[1], not g)", source_id=self.source_id)
+        if kinds <= {str}:
+            return result
+        return [stringify(item) for item in result]
 
     def content_fingerprint(self) -> str | None:
         """Hash of the page body, read without counting a fetch."""

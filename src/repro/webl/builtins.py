@@ -69,6 +69,27 @@ def _slice_bound(value, which: str) -> int:
             f"Select {which} must be finite, got {value}") from None
 
 
+def stringify(value) -> str:
+    """How WebL renders a value: ``ToString``, ``+`` with a string, and a
+    web source's records all go through here."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return str(value)
+
+
+def append(target, item) -> list:
+    """``Append``, at module level so the compiler can tell the stock
+    builtin from a host's override by identity."""
+    if not isinstance(target, list):
+        raise WeblRuntimeError("Append expects a list")
+    target.append(item)
+    return target
+
+
 def make_builtins(fetch) -> dict:
     """Build the builtin table; ``fetch(url) -> str`` supplies page bodies."""
 
@@ -109,12 +130,8 @@ def make_builtins(fetch) -> dict:
         except re.error as exc:
             raise WeblRuntimeError(
                 f"invalid regular expression {pattern!r}: {exc}") from exc
-        matches: list[list[str]] = []
-        for match in compiled.finditer(text_value):
-            groups = [match.group(0)]
-            groups.extend(g if g is not None else "" for g in match.groups())
-            matches.append(groups)
-        return matches
+        return [[match[0], *match.groups("")]
+                for match in compiled.finditer(text_value)]
 
     def str_split(value, delimiters) -> list[str]:
         text_value = _require_text(value, "Str_Split")
@@ -171,19 +188,6 @@ def make_builtins(fetch) -> dict:
             raise WeblRuntimeError(
                 f"ToNumber cannot convert {value!r}") from exc
 
-    def to_string(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if value is None:
-            return ""
-        return str(value)
-
-    def append(target, item) -> list:
-        if not isinstance(target, list):
-            raise WeblRuntimeError("Append expects a list")
-        target.append(item)
-        return target
-
     return {
         "GetURL": get_url,
         "Text": text,
@@ -202,6 +206,6 @@ def make_builtins(fetch) -> dict:
         "Select": select,
         "Length": length,
         "ToNumber": to_number,
-        "ToString": to_string,
+        "ToString": stringify,
         "Append": append,
     }

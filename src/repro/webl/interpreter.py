@@ -29,7 +29,7 @@ from ..errors import WeblRuntimeError, WeblSyntaxError
 from .ast import (Assign, BinaryOp, BoolLit, Call, Each, Expr, ExprStmt, If,
                   Index, ListLit, Name, NilLit, NumberLit, Program, RegexLit,
                   Return, Stmt, StringLit, UnaryOp, VarDecl, While)
-from .builtins import make_builtins
+from .builtins import append, make_builtins, stringify
 from .parser import parse_webl
 
 _DEFAULT_STEP_BUDGET = 1_000_000
@@ -91,16 +91,6 @@ def _truthy(value) -> bool:
     if isinstance(value, (str, list)):
         return len(value) > 0
     return True
-
-
-def _stringify(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
 
 
 def _is_number(value) -> bool:
@@ -221,7 +211,7 @@ def _compile_binary(expr: BinaryOp, depth: int) -> tuple[_Code, int]:
         def add(run: _Run, scope: dict):
             a, b = left(run, scope), right(run, scope)
             if isinstance(a, str) or isinstance(b, str):
-                return _stringify(a) + _stringify(b)
+                return stringify(a) + stringify(b)
             if isinstance(a, list) and isinstance(b, list):
                 return a + b
             return apply(a, b)
@@ -396,16 +386,72 @@ def _compile_each(statement: Each) -> tuple[_Code, int]:
     variable = statement.variable
     iterable, cost = _compile_expression(statement.iterable, 1)
     body = _compile_block(statement.body, entry=1)
+    collect = _compile_collection(statement)
 
     def each(run: _Run, scope: dict) -> None:
         items = iterable(run, scope)
         if not isinstance(items, list):
             raise WeblRuntimeError(
                 f"each expects a list, got {type(items).__name__}")
+        if items and collect is not None and collect(run, scope, items):
+            return
         for item in items:
             scope[variable] = item
             body(run, scope)
     return each, 1 + cost
+
+
+def _compile_collection(statement: Each):
+    """The collection idiom ``each V in L { X = Append(X, V[k]); }`` as one
+    comprehension, or ``None`` for any other loop.
+
+    The returned ``collect(run, scope, items)`` takes the fast path only
+    when the interpreted loop could not raise: ``Append`` is the stock
+    builtin, ``X`` holds a list that is neither ``items`` nor one of them,
+    every item is a list or string longer than ``k``, and every step fits
+    the budget.  It then charges, binds and returns what the loop would,
+    and answers ``True``; otherwise it changes nothing and answers
+    ``False``, and the loop runs as written."""
+    variable, body = statement.variable, statement.body
+    if len(body) != 1 or not isinstance(body[0], Assign):
+        return None
+    target_name, call = body[0].name, body[0].value
+    if not (isinstance(call, Call) and call.function == "Append"
+            and len(call.arguments) == 2):
+        return None
+    first, second = call.arguments
+    if not (isinstance(first, Name) and first.identifier == target_name
+            and target_name != variable and isinstance(second, Index)
+            and isinstance(second.base, Name)
+            and second.base.identifier == variable
+            and isinstance(second.index, NumberLit)
+            and type(second.index.value) is int and second.index.value >= 0):
+        return None
+    k = second.index.value
+    charge = 1 + _compile_assign(body[0])[1]  # the iteration + the statement
+
+    def collect(run: _Run, scope: dict, items: list) -> bool:
+        target = scope.get(target_name)
+        entry = run.builtins.get("Append")
+        steps = len(items) * charge
+        if (entry is None or entry[0] is not append
+                or type(target) is not list or target is items
+                or run.steps + steps > run.budget):
+            return False
+        for item in items:
+            kind = type(item)
+            if (kind is not list and kind is not str) or item is target:
+                return False
+        try:
+            collected = [item[k] for item in items]
+        except IndexError:  # an item no longer than k
+            return False
+        target.extend(collected)
+        run.steps += steps
+        scope[variable] = items[-1]
+        run.last_assigned = target
+        return True
+    return collect
 
 
 def _compile_return(statement: Return) -> tuple[_Code, int]:

@@ -1,10 +1,13 @@
 """Tests for the HTML parser, simulated web and web connector."""
 
+import sys
+
 import pytest
 
 from repro.errors import ExtractionError, PageNotFoundError, WebError
 from repro.sources.web import (SimulatedWeb, WebDataSource, parse_html)
 from repro.htmlkit import decode_html_entities
+from repro.workloads import B2BScenario
 
 
 class TestHtmlParser:
@@ -169,6 +172,26 @@ return out;
                                "http://shop.example/watch81")
         assert source.execute_rule("return nil;") == []
 
+    def test_list_items_render_as_to_string_does(self, watch_page_web):
+        source = WebDataSource("wpage_81", watch_page_web,
+                               "http://shop.example/watch81")
+        rendered = source.execute_rule(
+            'var x = [nil, "x", 2.0, true, 2.5];\n'
+            "return [ToString(x[0]), ToString(x[1]), ToString(x[2]), "
+            "ToString(x[3]), ToString(x[4])];")
+        assert rendered == ["", "x", "2", "true", "2.5"]
+        assert source.execute_rule('return [nil, "x", 2.0, true, 2.5];'
+                                   ) == rendered
+
+    def test_a_list_of_match_lists_is_an_error(self, watch_page_web):
+        source = WebDataSource("wpage_81", watch_page_web,
+                               "http://shop.example/watch81")
+        with pytest.raises(ExtractionError,
+                           match="list of lists.*source=wpage_81"):
+            source.execute_rule(
+                "var m = Str_Search(Text(GetURL(SourceURL())), "
+                '`<span id="model">([^<]+)</span>`);\nreturn m;')
+
     def test_connection_info_is_url(self, watch_page_web):
         source = WebDataSource("wpage_81", watch_page_web,
                                "http://shop.example/watch81")
@@ -243,3 +266,38 @@ class TestCompiledRules:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+class TestCollectionIdiom:
+    """The scenario's web rules end in ``each g in m { out = Append(out,
+    g[1]); }``, which the WebL compiler runs as one comprehension.  The
+    differential cannot tell a fast path from its (correct) fallback;
+    the cost per record can."""
+
+    @staticmethod
+    def calls_and_records(n_products: int) -> tuple[int, int]:
+        scenario = B2BScenario(n_sources=8, n_products=n_products, seed=11)
+        org = next(o for o in scenario.organizations
+                   if o.source_type == "webpage")
+        source = scenario.connector(org)
+        rule = scenario._native_rule_code(org, "brand")
+        records = source.execute_rule(rule)  # connects, compiles
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+        sys.setprofile(profile)
+        try:
+            again = source.execute_rule(rule)
+        finally:
+            sys.setprofile(None)
+        assert again == records
+        return calls, len(records)
+
+    def test_the_brand_rule_costs_a_few_calls_per_record(self):
+        small_calls, small = self.calls_and_records(40)
+        large_calls, large = self.calls_and_records(400)
+        assert large - small >= 40
+        assert (large_calls - small_calls) / (large - small) <= 6, (
+            small_calls, large_calls)

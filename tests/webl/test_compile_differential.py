@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 
 import pytest
 
 from repro.errors import WeblError, WeblRuntimeError
 from repro.webl import WeblInterpreter, parse_webl
 from repro.webl.ast import Each, If, While
-from repro.webl.builtins import make_builtins
+from repro.webl.builtins import append, make_builtins
 from repro.workloads import B2BScenario
 
 from ._frozen_interpreter import WeblInterpreter as FrozenInterpreter
@@ -476,3 +477,180 @@ def test_only_webl_errors_escape_hostile_programs():
         except WeblError:
             escaped += 1
     assert escaped > PROGRAMS // 10  # the hostile inputs are being reached
+
+
+# ---------------------------------------------------------------------------
+# the collection idiom
+#
+# ``each g in m { out = Append(out, g[k]); }`` compiles to one
+# comprehension that runs only when the interpreted loop could not raise
+# (docs/webl.md, "How rules run").  The programs above never generate
+# that body alone; these do, beside the near-misses that must keep the
+# interpreted loop, and each must agree with the frozen tree walk under
+# every budget up to its total.
+
+IDIOMS = 60
+FAST = "fast"
+NEAR_MISSES = ["two statements", "out of range on the third item",
+               "nil item", "number item", "undeclared target",
+               "target not a list", "target is the iterable",
+               "target is an item", "target is the loop variable",
+               "index 1.0", "index 1.5", "index -1", "pattern without groups",
+               "empty match list"]
+
+
+class Idioms:
+    """Seeded generator of ``(kind, program)``: ``kind`` is ``FAST`` for a
+    loop the compiler lowers and runs on its fast path, else the
+    near-miss of ``NEAR_MISSES`` the program plants.  Kinds are the
+    caller's, so every one is reached on every seed."""
+
+    ITERABLES = [  # (expression, shortest item length)
+        (f"Str_Search(Text(GetURL(SourceURL())), {BRAND_CELLS})", 2),
+        ("Str_Search(\"ab1 cd2 ef3\", `([a-z]+)([0-9])`)", 3),
+        ("Str_Search(\"ab1 cd\", `([a-z]+)([0-9])?`)", 3),
+        ("[[\"a\", \"b\"], [\"c\", \"d\", \"e\"], [1, nil]]", 2),
+        ("Str_Split(\"ab,cd;efg\", \",;\")", 2),
+        ("Elem(GetURL(SourceURL()), \"td\")", 0),
+    ]
+    TARGETS = ["[]", '["z"]', "[1, nil]"]
+    NOT_LISTS = ["nil", "3", '"s"']
+    TAILS = ["", "return out;", "return g;", "return [out, g, Length(out)];",
+             "var n = Length(out);", "var n = g;"]
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+
+    def program(self, kind: str) -> tuple[str, str]:
+        rng = self.rng
+        iterable, shortest = rng.choice(self.ITERABLES)
+        if kind == FAST and shortest == 0:
+            iterable, shortest = self.ITERABLES[0]
+        k = str(rng.randrange(max(shortest, 1)))
+        setup = [f"var m = {iterable};",
+                 f"var out = {rng.choice(self.TARGETS)};"]
+        variable, body = "g", "out = Append(out, g[K]);"
+        if kind == "two statements":
+            setup.append("var c = 0;")
+            body += rng.choice([" c = c + 1;", " c = Length(out);"])
+        elif kind == "out of range on the third item":
+            setup[0] = "var m = [[\"a\", \"b\"], [\"c\", \"d\"], [\"e\"]];"
+            k = "1"
+        elif kind in ("nil item", "number item"):
+            odd = "nil" if kind == "nil item" else rng.choice(["7", "2.5"])
+            setup[0] = f"var m = [[\"a\", \"b\"], {odd}, [\"c\", \"d\"]];"
+            k = "0"
+        elif kind == "undeclared target":
+            del setup[1]
+        elif kind == "target not a list":
+            setup[1] = f"var out = {rng.choice(self.NOT_LISTS)};"
+        elif kind == "target is the iterable":  # ends on "b"[1]
+            setup[:2] = ["var m = [[\"a\", \"b\"], [\"c\", \"d\"]];",
+                         "var out = m;"]
+            k = "1"
+        elif kind == "target is an item":
+            setup[0] = "var m = [[\"a\", \"b\"], [\"c\", \"d\"]];"
+            setup[1] = f"var out = m[{rng.randrange(2)}];"
+        elif kind == "target is the loop variable":
+            variable, body = "out", "out = Append(out, out[K]);"
+        elif kind.startswith("index "):
+            k = kind.split()[1]
+        elif kind == "pattern without groups":
+            setup[0] = "var m = Str_Search(\"ab cd\", `[a-z]+`);"
+            k = rng.choice(["0", "1"])
+        elif kind == "empty match list":
+            setup[0] = "var m = Str_Search(\"abc\", `[0-9]+`);"
+        loop = f"each {variable} in m {{ {body.replace('K', k)} }}"
+        lines = [*setup, loop]
+        if rng.random() < 0.5:  # the loop's assignment is the last one
+            lines.insert(len(setup), "var seen = Length(m);")
+        if rng.random() < 0.3:  # the same loop again, on a grown target
+            lines.append(loop)
+        lines.append(rng.choice(self.TAILS))
+        return kind, "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def idioms() -> list[tuple[str, str]]:
+    generator = Idioms(random.Random(SEED + 3))
+    kinds = [FAST] * 10 + NEAR_MISSES
+    return [generator.program(kinds[n % len(kinds)]) for n in range(IDIOMS)]
+
+
+def frozen_steps(program: str, extra=EXTRA) -> int:
+    """The steps the frozen tree walk spends on ``program``, to its end or
+    to its error."""
+    frozen = FrozenInterpreter(fetch, step_budget=BUDGET, extra_builtins=extra)
+    outcome(frozen, program)
+    return frozen._steps
+
+
+def stock_append_calls(interpreter, program: str) -> int:
+    """How often one run of ``program`` calls the stock ``Append``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is append.__code__:
+            calls += 1
+    sys.setprofile(profile)
+    try:
+        outcome(interpreter, program)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_idiom_generator_reaches_every_near_miss(idioms):
+    kinds = {kind for kind, _ in idioms}
+    assert kinds == {FAST, *NEAR_MISSES}, set(NEAR_MISSES) - kinds
+    interpreter = WeblInterpreter(fetch, step_budget=BUDGET,
+                                  extra_builtins=EXTRA)
+    results = [outcome(interpreter, program) for _, program in idioms]
+    assert sum(r[0] == "value" for r in results) > IDIOMS // 3
+    assert sum(r[0] == "error" for r in results) > IDIOMS // 10
+
+
+def test_idioms_agree_under_every_budget(idioms):
+    for _, program in idioms:
+        total = frozen_steps(program)
+        for budget in range(total + 2):
+            agree(program, budget)
+
+
+def test_fast_idioms_never_call_append(idioms):
+    """The differential cannot see a fast path that always falls back:
+    its fallback is correct.  A lowered loop over a non-empty list calls
+    no ``Append`` at all."""
+    interpreter = WeblInterpreter(fetch, step_budget=BUDGET,
+                                  extra_builtins=EXTRA)
+    fast = [program for kind, program in idioms if kind == FAST]
+    assert len(fast) > IDIOMS // 4
+    for program in fast:
+        assert stock_append_calls(interpreter, program) == 0, program
+    loop = ("var m = [[\"a\", \"b\"], [\"c\", \"d\"], [\"e\"]];\n"
+            "var out = [];\neach g in m { out = Append(out, g[1]); }")
+    assert stock_append_calls(interpreter, loop) == 2  # out of range on 3
+
+
+def test_an_append_supplied_by_the_host_is_called_per_item(idioms):
+    calls = []
+
+    def counting(target, item):
+        calls.append(item)
+        return append(target, item)
+    extra = {**EXTRA, "Append": counting}
+    for kind, program in idioms:
+        if kind != FAST:
+            continue
+        total = frozen_steps(program, extra)
+        for budget in (total - 1, total):
+            agree(program, budget, extra=extra)
+        calls.clear()
+        outcome(WeblInterpreter(fetch, step_budget=BUDGET,
+                                extra_builtins=extra), program)
+        expected = len(calls)
+        calls.clear()
+        outcome(FrozenInterpreter(fetch, step_budget=BUDGET,
+                                  extra_builtins=extra), program)
+        assert expected == len(calls) > 0, program
