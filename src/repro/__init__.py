@@ -17,13 +17,12 @@ Public entry points:
 * :mod:`repro.baselines` — syntactic comparison systems.
 """
 
+from ._version import __version__
 from .core.mapping.rules import ExtractionRule
 from .core.middleware import S2SMiddleware
 from .config import (ConcurrencyConfig, RefreshPolicy, ResilienceConfig,
                      ServerConfig)
 from .obs import MetricsRegistry, Trace, Tracer
-
-__version__ = "2.18.0"
 
 __all__ = [
     "S2SMiddleware",

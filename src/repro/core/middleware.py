@@ -206,17 +206,8 @@ class S2SMiddleware:
     def query(self, query: str, *,
               merge_key: list[str] | None = None) -> QueryResult:
         """Execute an S2SQL query; the single point of entry.  Blocking
-        under every engine (inside a running loop, use :meth:`aquery`)."""
+        under every engine; a coroutine hands it to a worker thread."""
         return self.query_handler.execute(query, merge_key=merge_key)
-
-    async def aquery(self, query: str, *,
-                     merge_key: list[str] | None = None) -> QueryResult:
-        """Awaitable :meth:`query` for callers on an event loop.
-
-        Same pipeline, same observability, same answers under every
-        engine — extraction runs in ``asyncio.to_thread``, so the
-        caller's loop never blocks (see docs/api.md)."""
-        return await self.query_handler.aexecute(query, merge_key=merge_key)
 
     def query_many(self, queries: list[str], *,
                    merge_key: list[str] | None = None) -> list[QueryResult]:
@@ -227,14 +218,6 @@ class S2SMiddleware:
         visiting each data source once per batch instead of once per
         query (experiment E14; see docs/batching.md)."""
         return self.query_handler.execute_many(queries, merge_key=merge_key)
-
-    async def aquery_many(self, queries: list[str], *,
-                          merge_key: list[str] | None = None
-                          ) -> list[QueryResult]:
-        """Awaitable :meth:`query_many`: one shared scan per batch,
-        extraction awaited instead of blocking the caller's loop."""
-        return await self.query_handler.aexecute_many(queries,
-                                                      merge_key=merge_key)
 
     def scheduler(self, *, max_batch_size: int = 16,
                   max_workers: int = 2) -> QueryScheduler:

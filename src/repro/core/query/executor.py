@@ -9,7 +9,6 @@ prove.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, field, replace
 
@@ -139,85 +138,6 @@ class QueryHandler:
 
         ``tracer`` overrides the handler's installed tracer for this one
         call (``S2SMiddleware.explain`` uses this)."""
-        return self._drive(self._answer_one(query, merge_key, tracer))
-
-    async def aexecute(self, query: str | S2sqlQuery,
-                       *, merge_key: list[str] | None = None,
-                       tracer: Tracer | None = None) -> QueryResult:
-        """Awaitable :meth:`execute` for callers on an event loop.
-
-        The same pipeline (:meth:`_answer_one`); only the extraction
-        outcome is awaited, in a worker thread (:meth:`_adrive`)."""
-        return await self._adrive(self._answer_one(query, merge_key, tracer))
-
-    def execute_many(self, queries: list[str | S2sqlQuery],
-                     *, merge_key: list[str] | None = None,
-                     tracer: Tracer | None = None) -> list[QueryResult]:
-        """Execute a batch of queries through **one shared scan** per
-        source, returning one :class:`QueryResult` per query, in order.
-
-        All queries are parsed and planned first (a malformed query fails
-        the batch before any extraction runs), their required attributes
-        are unioned into a single extraction run — so retries, breakers,
-        deadlines, failover and tracing apply once per scan instead of
-        once per query — and the shared outcome is projected back onto
-        each query for its own instance generation and condition
-        filtering.  Results are instance-identical to running every query
-        alone; ``elapsed_seconds`` on each result is the *batch*
-        wall-clock (the queries ran together), and all results share the
-        batch's trace when a tracer is installed."""
-        return self._drive(self._answer_many(queries, merge_key, tracer))
-
-    async def aexecute_many(self, queries: list[str | S2sqlQuery],
-                            *, merge_key: list[str] | None = None,
-                            tracer: Tracer | None = None
-                            ) -> list[QueryResult]:
-        """Awaitable :meth:`execute_many`: the same pipeline
-        (:meth:`_answer_many`), the one shared scan awaited."""
-        return await self._adrive(
-            self._answer_many(queries, merge_key, tracer))
-
-    # -- the two drivers ---------------------------------------------------
-    #
-    # A pipeline is a generator that yields ``(attributes, span, schema)``
-    # at the one point it needs an extraction outcome (never, when the
-    # store answers) and returns the finished result(s).  The drivers are
-    # the only code that knows whether the caller blocks or awaits; an
-    # extraction error (or cancellation) is thrown back into the pipeline
-    # so its span records it.
-
-    def _drive(self, pipeline):
-        try:
-            required, span, schema = next(pipeline)
-            try:
-                outcome = self.manager.extract(required, span=span,
-                                               schema=schema)
-            except BaseException as exc:
-                pipeline.throw(exc)
-            else:
-                pipeline.send(outcome)
-        except StopIteration as stop:
-            return stop.value
-
-    async def _adrive(self, pipeline):
-        try:
-            required, span, schema = next(pipeline)
-            try:
-                outcome = await asyncio.to_thread(
-                    self.manager.extract, required, span=span,
-                    schema=schema)
-            except BaseException as exc:
-                pipeline.throw(exc)
-            else:
-                pipeline.send(outcome)
-        except StopIteration as stop:
-            return stop.value
-
-    # -- the two pipelines -------------------------------------------------
-
-    def _answer_one(self, query: str | S2sqlQuery,
-                    merge_key: list[str] | None, tracer: Tracer | None):
-        """Parse, plan, try the store, else extract and answer live."""
         started = time.perf_counter()
         tracer = tracer or self.tracer
         text = query if isinstance(query, str) else str(query)
@@ -245,15 +165,28 @@ class QueryHandler:
                 plan.required_attributes)
             fingerprints = self._probe(schema)
             with root.child("extract") as span:
-                outcome = yield plan.required_attributes, span, schema
+                outcome = self.manager.extract(plan.required_attributes,
+                                               span=span, schema=schema)
             result = self._answer_live(query, plan, outcome, fingerprints,
                                        merge_key, root)
         return self._seal([result], root, tracer, started, batch=False)[0]
 
-    def _answer_many(self, queries: list[str | S2sqlQuery],
-                     merge_key: list[str] | None, tracer: Tracer | None):
-        """Parse + plan the batch, try the store, else run the one
-        shared scan and answer every distinct query from its projection."""
+    def execute_many(self, queries: list[str | S2sqlQuery],
+                     *, merge_key: list[str] | None = None,
+                     tracer: Tracer | None = None) -> list[QueryResult]:
+        """Execute a batch of queries through **one shared scan** per
+        source, returning one :class:`QueryResult` per query, in order.
+
+        All queries are parsed and planned first (a malformed query fails
+        the batch before any extraction runs), their required attributes
+        are unioned into a single extraction run — so retries, breakers,
+        deadlines, failover and tracing apply once per scan instead of
+        once per query — and the shared outcome is projected back onto
+        each query for its own instance generation and condition
+        filtering.  Results are instance-identical to running every query
+        alone; ``elapsed_seconds`` on each result is the *batch*
+        wall-clock (the queries ran together), and all results share the
+        batch's trace when a tracer is installed."""
         if not queries:
             return []
         started = time.perf_counter()
@@ -282,7 +215,8 @@ class QueryHandler:
             with root.child("scan") as span:
                 span.annotate(attributes=len(batch.shared_attributes),
                               sources=len(schema.source_ids()))
-                shared = yield batch.shared_attributes, span, schema
+                shared = self.manager.extract(batch.shared_attributes,
+                                              span=span, schema=schema)
             results = self._each_distinct(
                 parsed, batch.plans, root,
                 lambda query, plan, span: self._answer_live(
@@ -351,7 +285,7 @@ class QueryHandler:
     #
     # Written once: a change to the pipeline after extraction (what is
     # generated, folded, merged or filtered, and in which order) is made
-    # here and reaches single, batch, sync, async, live and store-served
+    # here and reaches single, batch, live and store-served
     # queries alike.
 
     def _answer_live(self, query: S2sqlQuery, plan: QueryPlan,

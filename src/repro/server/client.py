@@ -33,7 +33,7 @@ from . import protocol
 from .codec import RemoteQueryResult, result_from_wire, results_from_wire
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
                        RemoteServerError, ServerBusyError, TornFrameError,
-                       TransportError, read_frame_sync, write_frame_sync)
+                       TransportError, read_frame, write_frame)
 
 
 @dataclass
@@ -190,8 +190,8 @@ class S2SClient:
         """Say GOODBYE (best effort) and close the socket."""
         if self._sock is not None:
             try:
-                write_frame_sync(self._sock, {"kind": protocol.GOODBYE},
-                                 max_bytes=self.max_frame_bytes)
+                write_frame(self._sock, {"kind": protocol.GOODBYE},
+                            max_bytes=self.max_frame_bytes)
             except OSError:
                 pass
             self._drop()
@@ -208,10 +208,9 @@ class S2SClient:
         owed on it must never be read as the answer to the next
         request."""
         try:
-            write_frame_sync(self._sock, frame,
-                             max_bytes=self.max_frame_bytes)
+            write_frame(self._sock, frame, max_bytes=self.max_frame_bytes)
             return _interpret(
-                read_frame_sync(self._sock, max_bytes=self.max_frame_bytes),
+                read_frame(self._sock, max_bytes=self.max_frame_bytes),
                 frame, expected)
         except ProtocolError:
             self._drop()

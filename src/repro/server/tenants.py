@@ -5,8 +5,8 @@ complete :class:`~repro.core.middleware.S2SMiddleware` — its own
 ontology mapping, data-source registry, circuit breakers, semantic
 store and metrics wiring.  One tenant's open breakers,
 stale materializations or runaway queries are invisible to every other
-tenant; the only shared resources are the server's event loop and its
-admission-control slots.
+tenant; the only shared resources are the server's accept thread and
+its admission-control slots.
 
 Authentication is deliberately minimal (a per-tenant bearer token
 checked at HELLO); the interesting property is the namespace isolation

@@ -8,7 +8,7 @@ scripted sources (dense, sparse, ragged and dirty columns, raw values
 that are not strings, a satellite that shares an attribute name with
 the primary, an unlinkable class) are queried with every operator, one
 to three conditions, qualified and bare attribute names, through
-``execute``, ``aexecute`` and ``execute_many``, with and without
+``execute`` and ``execute_many``, with and without
 ``validate_instances``, with and without a merge key, and against a
 middleware with a semantic store (where the mask must stay off).  The
 two sides must agree on the entities, their order, identifiers, value
@@ -21,7 +21,6 @@ The seed comes from ``S2S_DIFF_SEED`` (CI runs a second value).
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 from datetime import date, datetime
@@ -296,8 +295,6 @@ def test_every_entry_point_matches_generate_then_filter(validate):
                                          validate=validate)
             seen |= outcome_branches(expected, everything)
             assert capture(lambda: handler.execute(query)) == expected, where
-            assert capture(lambda: asyncio.run(
-                handler.aexecute(query))) == expected, where
             # a batch: a sibling with no condition, and a duplicate
             batch = [query, unconditioned, query]
             if expected[0] == "raised":

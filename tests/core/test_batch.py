@@ -9,7 +9,6 @@ query.
 
 from __future__ import annotations
 
-import asyncio
 
 import pytest
 
@@ -371,8 +370,8 @@ def answer_facts(result):
                          ids=["unmerged", "merged"])
 @pytest.mark.parametrize("mode", ["live", "write-through", "store-served"])
 class TestAnswerStepMatrix:
-    """{single, batch} x {sync, async} are bridges around one answer
-    step: they agree on everything a caller can observe."""
+    """Single and batch are bridges around one answer step: they
+    agree on everything a caller can observe."""
 
     def test_every_entry_point_agrees(self, mode, merge_key):
         def world():
@@ -380,24 +379,17 @@ class TestAnswerStepMatrix:
 
         singles = [world().query(query, merge_key=merge_key)
                    for query in MATRIX_BATCH]
-        async_singles = [asyncio.run(world().aquery(query,
-                                                    merge_key=merge_key))
-                         for query in MATRIX_BATCH]
         batch = world().query_many(MATRIX_BATCH, merge_key=merge_key)
-        async_batch = asyncio.run(
-            world().aquery_many(MATRIX_BATCH, merge_key=merge_key))
 
         expected = [answer_facts(result) for result in singles]
         assert expected[0][0] and expected[0][1]  # entities and errors
         assert expected[0][2] == (mode != "write-through")
         assert expected[0][3] == (mode == "store-served")
-        for shape in (async_singles, batch, async_batch):
-            assert [answer_facts(result) for result in shape] == expected
-        for results in (batch, async_batch):
-            first, _, duplicate = results
-            assert duplicate.entities is not first.entities
-            assert all(left is right for left, right
-                       in zip(first.entities, duplicate.entities))
+        assert [answer_facts(result) for result in batch] == expected
+        first, _, duplicate = batch
+        assert duplicate.entities is not first.entities
+        assert all(left is right for left, right
+                   in zip(first.entities, duplicate.entities))
 
     def test_singles_and_a_batch_move_the_shared_families_alike(
             self, mode, merge_key):

@@ -183,10 +183,9 @@ class TestConditionReadsItsOwnClass:
             assert names(result) == expected
 
     def test_every_entry_point_agrees(self):
-        import asyncio
         s2s = named_s2s()
         expected = [("Diver", "Acme")]
-        assert names(asyncio.run(s2s.aquery(self.BY_PROVIDER))) == expected
+        assert names(s2s.query(self.BY_PROVIDER)) == expected
         first, second = s2s.query_many([self.BY_PROVIDER, self.BY_PRODUCT])
         assert names(first) == expected
         assert names(second) == [("Acme", "Zenith")]

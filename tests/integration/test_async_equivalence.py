@@ -1,9 +1,13 @@
-"""Property-based sync/async equivalence across extraction engines.
+"""Property-based equivalence of event-loop callers across engines.
 
-For every in-process engine (``serial`` / ``thread``) and every seed,
-``aquery()`` must be answer-identical to ``query()`` — byte-identical
-serialization, same degraded flags, same per-source health visibility —
-in four worlds:
+The middleware has one blocking entry point; a caller on an event loop
+hands it to a worker thread (``await asyncio.to_thread(s2s.query, q)``,
+docs/api.md), exactly as the server's connection threads call it.  For
+every in-process engine (``serial`` / ``thread``) and every seed, that
+hand-off must be answer-identical to calling ``query()`` on the caller's
+thread — byte-identical serialization, same degraded flags, same
+per-source health visibility — in four worlds (the test names keep the
+``aquery`` spelling these checks were written against, before 2.19):
 
 * **healthy** — random selective queries over the demo catalog;
 * **degraded** — one primary hard-down with no replica, so every answer
@@ -41,11 +45,12 @@ ENGINES = ("serial", "thread")
 
 
 def run_sequentially(s2s, queries):
-    """``[await aquery(q) for q]`` on a fresh event loop — the await
-    order matches the sync shape's call order, so fault scripts are
-    consumed identically."""
+    """``[await asyncio.to_thread(s2s.query, q) for q]`` on a fresh event
+    loop — the await order matches the sync shape's call order, so fault
+    scripts are consumed identically."""
     async def drive():
-        return [await s2s.aquery(query) for query in queries]
+        return [await asyncio.to_thread(s2s.query, query)
+                for query in queries]
     return asyncio.run(drive())
 
 
@@ -137,18 +142,21 @@ class TestHealthyEquivalence:
         s2s = healthy_world(mode)
         queries = random_queries(rng, harvest_values(s2s), 5)
         sync_results = s2s.query_many(queries)
-        async_results = asyncio.run(s2s.aquery_many(queries))
+        async_results = asyncio.run(asyncio.to_thread(s2s.query_many,
+                                                      queries))
         assert_equivalent(sync_results, async_results)
 
     def test_concurrent_aqueries_on_one_loop(self):
-        """Tasks gathered on one loop (the asyncio server's traffic
-        shape) all agree with the sync answer."""
+        """Hand-offs gathered on one loop — concurrent queries on one
+        middleware from several threads, the server's traffic shape —
+        all agree with the sync answer."""
         s2s = healthy_world("thread")
         expected = result_key(s2s.query("SELECT product"))
 
         async def drive():
             return await asyncio.gather(
-                *(s2s.aquery("SELECT product") for _ in range(8)))
+                *(asyncio.to_thread(s2s.query, "SELECT product")
+                  for _ in range(8)))
 
         for result in asyncio.run(drive()):
             assert result_key(result) == expected
@@ -200,7 +208,7 @@ class TestStoreServedEquivalence:
         s2s = store_world(mode)
         query = 'SELECT product WHERE case = "stainless-steel"'
         sync_result = s2s.query(query)
-        async_result = asyncio.run(s2s.aquery(query))
+        async_result = asyncio.run(asyncio.to_thread(s2s.query, query))
         assert sync_result.store_hit and async_result.store_hit
         assert result_key(sync_result) == result_key(async_result)
         assert sync_result.serialize("json") == async_result.serialize("json")
@@ -226,5 +234,5 @@ class TestAsyncEngineMechanics:
 
     def test_thread_engine_aquery_does_not_need_asyncio_engine(self):
         s2s = healthy_world("thread")
-        result = asyncio.run(s2s.aquery("SELECT product"))
+        result = asyncio.run(asyncio.to_thread(s2s.query, "SELECT product"))
         assert len(result.entities) == 16

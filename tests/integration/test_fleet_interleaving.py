@@ -167,13 +167,13 @@ class TestFleetOverTheWire:
     def test_quota_rejection_becomes_retry_after(self, fleet_server):
         tenant = fleet_server["registry"].tenants["acme"]
 
-        async def refuse(*_args, **_kwargs):
+        def refuse(*_args, **_kwargs):
             raise FleetQuotaExceeded("tenant 'acme' is at its in-flight "
                                      "shard quota (4)", tenant="acme",
                                      scope="tenant", retry_after=0.25)
 
-        original = tenant.middleware.aquery
-        tenant.middleware.aquery = refuse
+        original = tenant.middleware.query
+        tenant.middleware.query = refuse
         try:
             with S2SClient(fleet_server["host"], fleet_server["port"],
                            tenant="acme") as client:
@@ -181,4 +181,4 @@ class TestFleetOverTheWire:
                     client.query("SELECT product")
             assert info.value.retry_after == pytest.approx(0.25)
         finally:
-            tenant.middleware.aquery = original
+            tenant.middleware.query = original

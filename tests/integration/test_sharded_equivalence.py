@@ -139,14 +139,6 @@ class TestHealthyEquivalence:
                               sharded.query_many(queries))
             assert sharded.manager.fleet.started
 
-    def test_async_facade_matches_sync(self):
-        import asyncio
-
-        with healthy_world(FLEETS[0]) as sharded:
-            expected = result_key(sharded.query("SELECT product"))
-            result = asyncio.run(sharded.aquery("SELECT product"))
-            assert result_key(result) == expected
-
     def test_more_workers_than_sources_still_answers(self):
         with healthy_world("serial") as reference, \
                 healthy_world(ConcurrencyConfig.sharded(9)) as wide:

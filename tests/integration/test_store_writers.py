@@ -30,7 +30,6 @@ whole version of what writers swap.  The seeded tests take
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import math
 import os
@@ -748,9 +747,6 @@ def test_a_served_query_answers_what_clone_then_filter_did(scripted_rules):
                     seen.add("merged" if key else "selected")
                 assert capture(from_store(lambda: handler.execute(
                     query, merge_key=key))) == expected, where
-                assert capture(from_store(lambda: asyncio.run(
-                    handler.aexecute(query, merge_key=key)))) == expected, \
-                    where
                 batch = [query, unconditioned, query]
                 if expected[0] == "raised":
                     assert capture(lambda: SimpleNamespace(

@@ -3,11 +3,15 @@
 The server's clock is a FakeClock: queue deadlines and idle timeouts
 move only when the test advances time, and the execution slot is held
 by a gate the test releases — overload, pushback and expiry are
-reproduced exactly, with no real sleeps steering the assertions.
+reproduced exactly, with no real sleeps steering the assertions.  The
+last two tests run on the real clock: what ``stop()`` leaves behind,
+and the admission bounds under a crowd of clients.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 
@@ -25,9 +29,9 @@ from repro.workloads import B2BScenario
 class GatedMiddleware:
     """Wraps a real middleware; queries block until the gate opens.
 
-    The gate is a *threading* event waited on in a worker thread, so the
-    test controls exactly how long the execution slot stays occupied
-    without touching the server's event loop."""
+    The gate is a *threading* event waited on by the connection's
+    thread, so the test controls exactly how long the execution slot
+    stays occupied."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -36,10 +40,9 @@ class GatedMiddleware:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    async def aquery(self, query, *, merge_key=None):
-        import asyncio
-        await asyncio.to_thread(self.gate.wait)
-        return await self.inner.aquery(query, merge_key=merge_key)
+    def query(self, query, *, merge_key=None):
+        self.gate.wait()
+        return self.inner.query(query, merge_key=merge_key)
 
 
 def wait_until(predicate, *, timeout=5.0, message="condition"):
@@ -66,12 +69,9 @@ def overloaded():
                             idle_timeout_seconds=60.0),
         clock=clock, metrics=metrics)
     # idle reaping is driven manually through the reap_idle() seam in
-    # these tests: park the background poller so it cannot race them
-    async def dormant():
-        import asyncio
-        await asyncio.Event().wait()
-
-    server._reap_loop = dormant
+    # these tests: park the reaper thread until the server closes so it
+    # cannot race them
+    server._reap_loop = server._closed.wait
     thread = ServerThread(server)
     host, port = thread.start()
     world = {"host": host, "port": port, "server": server, "gate": gated.gate,
@@ -202,3 +202,115 @@ class TestIdleReaping:
         assert overloaded["thread"].reap_idle() == 0
         assert len(client.query("SELECT Product")) == 4
         client.close()
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class SlowToWindDown(S2SServer):
+    """A connection thread that lingers after its session: ``stop()``
+    must join it, not merely shut its socket down."""
+
+    def serve(self, sock):
+        super().serve(sock)
+        time.sleep(0.2)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through /proc")
+def test_stop_leaves_no_thread_or_descriptor_behind():
+    """An idle client, a client mid-query behind the gate and a client
+    that already left: ``stop()`` answers the one in flight, then closes
+    every socket and joins every thread the server started."""
+    inner = B2BScenario(n_sources=2, n_products=4, seed=5).build_middleware()
+    inner.query("SELECT Product")  # whatever the middleware keeps, warm
+    gated = GatedMiddleware(inner)
+    server = SlowToWindDown({"default": gated},
+                            config=ServerConfig(idle_timeout_seconds=60.0),
+                            metrics=MetricsRegistry())
+    threads, descriptors = threading.active_count(), open_descriptors()
+    thread = ServerThread(server)
+    host, port = thread.start()
+    world = {"host": host, "port": port}
+    idle = S2SClient(host, port, tenant="default").connect()
+    gone = S2SClient(host, port, tenant="default").connect()
+    gone.close()
+    results: dict = {}
+    worker = background_query(world, results, "mid")
+    wait_until(lambda: server.inflight == 1, message="query in flight")
+    stopper = threading.Thread(target=thread.stop)
+    stopper.start()
+    wait_until(lambda: server.draining, message="drain begun")
+    gated.gate.set()
+    stopper.join(timeout=10.0)
+    worker.join(timeout=10.0)
+    idle.close()
+    answer = results["mid"]
+    assert (len(answer) == 4 if not isinstance(answer, Exception)
+            else answer.code == "SHUTTING_DOWN")
+    assert threading.active_count() == threads
+    assert open_descriptors() == descriptors
+    inner.close()
+
+
+class CountingMiddleware(GatedMiddleware):
+    """Records the most queries it ever ran at once."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.gate.set()
+        self.lock = threading.Lock()
+        self.running = self.peak = 0
+
+    def query(self, query, *, merge_key=None):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        try:
+            time.sleep(0.001)
+            return super().query(query, merge_key=merge_key)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def test_admission_holds_its_bounds_under_a_crowd_of_clients():
+    """Eight clients on a two-core box, thread switches every 10 us: a
+    lost update of the admission counters would let a third query run,
+    or leave a slot or a seat taken after the crowd has gone."""
+    inner = B2BScenario(n_sources=2, n_products=4, seed=5).build_middleware()
+    counting = CountingMiddleware(inner)
+    server = S2SServer({"default": counting},
+                       config=ServerConfig(max_inflight=2, max_queue=2,
+                                           retry_after_seconds=0.0),
+                       metrics=MetricsRegistry())
+    outcomes: list = []
+
+    def crowd_member(host, port):
+        with S2SClient(host, port, tenant="default") as client:
+            for _ in range(15):
+                try:
+                    outcomes.append(len(client.query("SELECT Product")))
+                except ServerBusyError:
+                    outcomes.append("busy")
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ServerThread(server) as (host, port):
+            crowd = [threading.Thread(target=crowd_member, args=(host, port))
+                     for _ in range(8)]
+            for member in crowd:
+                member.start()
+            for member in crowd:
+                member.join(timeout=60.0)
+            assert not any(member.is_alive() for member in crowd)
+            wait_until(lambda: server.inflight == 0
+                       and server.queue_depth == 0, message="slots freed")
+    finally:
+        sys.setswitchinterval(previous)
+    assert counting.peak <= 2
+    assert len(outcomes) == 8 * 15
+    assert set(outcomes) <= {4, "busy"} and 4 in outcomes
+    inner.close()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 import threading
@@ -12,18 +11,26 @@ import pytest
 from repro.server.protocol import (MAX_FRAME_BYTES, GarbledFrameError,
                                    OversizedFrameError, TornFrameError,
                                    decode_body, encode_frame, read_frame,
-                                   read_frame_sync, write_frame_sync)
+                                   write_frame)
+
+
+def fed(data: bytes) -> socket.socket:
+    """One end of a socketpair whose peer sends ``data``, then closes."""
+    ours, theirs = socket.socketpair()
+    ours.settimeout(5.0)
+
+    def send():
+        theirs.sendall(data)
+        theirs.close()
+
+    threading.Thread(target=send, daemon=True).start()
+    return ours
 
 
 def read_from(data: bytes, **kwargs):
-    """Run read_frame against a pre-fed StreamReader (built on-loop)."""
-    async def go():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_frame(reader, **kwargs)
-
-    return asyncio.run(go())
+    """Run read_frame against a socket pre-fed with ``data``."""
+    with fed(data) as sock:
+        return read_frame(sock, **kwargs)
 
 
 class TestEncodeDecode:
@@ -56,6 +63,8 @@ class TestEncodeDecode:
 
 
 class TestAsyncRead:
+    """The reads once made over a fed asyncio stream, over a socket."""
+
     def test_reads_one_frame(self):
         frame = {"kind": "STATUS", "id": 1}
         assert read_from(encode_frame(frame)) == frame
@@ -91,58 +100,45 @@ class TestAsyncRead:
     def test_two_frames_back_to_back(self):
         data = encode_frame({"kind": "A"}) + encode_frame({"kind": "B"})
 
-        async def both():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return await read_frame(reader), await read_frame(reader)
-
-        first, second = asyncio.run(both())
+        with fed(data) as sock:
+            first, second = read_frame(sock), read_frame(sock)
         assert first == {"kind": "A"}
         assert second == {"kind": "B"}
 
 
 class TestSyncRead:
-    """The blocking twins, over a real socketpair."""
+    """The reader and the writer, over a real socketpair."""
 
     def exchange(self, payload: bytes) -> socket.socket:
-        ours, theirs = socket.socketpair()
-        ours.settimeout(5.0)
-
-        def send():
-            theirs.sendall(payload)
-            theirs.close()
-
-        threading.Thread(target=send, daemon=True).start()
-        return ours
+        return fed(payload)
 
     def test_round_trip(self):
         ours, theirs = socket.socketpair()
-        write_frame_sync(ours, {"kind": "HELLO", "tenant": "t"})
+        write_frame(ours, {"kind": "HELLO", "tenant": "t"})
         theirs.settimeout(5.0)
-        assert read_frame_sync(theirs) == {"kind": "HELLO", "tenant": "t"}
+        assert read_frame(theirs) == {"kind": "HELLO", "tenant": "t"}
         ours.close()
         theirs.close()
 
     def test_clean_eof_returns_none(self):
         sock = self.exchange(b"")
-        assert read_frame_sync(sock) is None
+        assert read_frame(sock) is None
         sock.close()
 
     def test_torn_header(self):
         sock = self.exchange(b"\x00\x00\x01")
         with pytest.raises(TornFrameError):
-            read_frame_sync(sock)
+            read_frame(sock)
         sock.close()
 
     def test_torn_body(self):
         sock = self.exchange(encode_frame({"kind": "STATUS"})[:-2])
         with pytest.raises(TornFrameError):
-            read_frame_sync(sock)
+            read_frame(sock)
         sock.close()
 
     def test_oversized_declared_length(self):
         sock = self.exchange(struct.pack(">I", MAX_FRAME_BYTES + 1))
         with pytest.raises(OversizedFrameError):
-            read_frame_sync(sock)
+            read_frame(sock)
         sock.close()

@@ -241,6 +241,19 @@ class TestRejections:
         assert excinfo.value.code == CODE_BAD_REQUEST
         assert "expected an integer" in str(excinfo.value)
 
+    @pytest.mark.parametrize("timeout", ["soon", [1], {"a": 1}, True, 0,
+                                         -2.5, 1e999],
+                             ids=["text", "list", "object", "bool", "zero",
+                                  "negative", "infinite"])
+    def test_a_malformed_timeout_is_a_bad_request(self, world, timeout):
+        with client_for(world, "globex") as client:
+            with pytest.raises(RemoteServerError) as excinfo:
+                client._request({"kind": "QUERY", "s2sql": "SELECT Product",
+                                 "timeout": timeout}, "RESULT")
+            assert excinfo.value.code == CODE_BAD_REQUEST
+            assert client.status()["server"]["inflight"] == 0
+            assert len(client.query("SELECT Product")) == 5
+
     def test_sparql_without_store(self, world):
         with client_for(world, "globex") as client:  # globex has no store
             with pytest.raises(RemoteServerError) as excinfo:
