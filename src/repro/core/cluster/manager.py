@@ -8,7 +8,7 @@ semantics — but runs step 4 by handing per-shard sub-plans to a
 :class:`~repro.core.cluster.coordinator.QueryShardCoordinator` and
 merging the partial outcomes back into one.  The middleware selects it
 from the concurrency mode, so
-``query``/``query_many`` and their async twins route through the fleet
+``query``/``query_many`` route through the fleet
 with no caller changes, and the server gets one fleet per tenant for
 free (each tenant middleware owns its manager owns its coordinator).
 

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.server import ProtocolError, S2SClient, TransportError
-from repro.server.protocol import read_frame_sync, write_frame_sync
+from repro.server.protocol import read_frame, write_frame
 
 
 class ScriptedServer:
@@ -41,10 +41,10 @@ class ScriptedServer:
     def _serve(self, conn: socket.socket) -> None:
         try:
             with conn:
-                read_frame_sync(conn)  # HELLO
-                write_frame_sync(conn, {"kind": "WELCOME", "protocol": 1})
+                read_frame(conn)  # HELLO
+                write_frame(conn, {"kind": "WELCOME", "protocol": 1})
                 while True:
-                    frame = read_frame_sync(conn)
+                    frame = read_frame(conn)
                     if frame is None or frame["kind"] == "GOODBYE":
                         return
                     with self._lock:
@@ -53,7 +53,7 @@ class ScriptedServer:
                     time.sleep(self.delays[serial]
                                if serial < len(self.delays) else 0.0)
                     reply_id = -1 if self.wrong_id else frame["id"]
-                    write_frame_sync(conn, {"kind": "STATUS_OK",
+                    write_frame(conn, {"kind": "STATUS_OK",
                                             "id": reply_id,
                                             "serial": serial})
         except OSError:
