@@ -42,9 +42,10 @@ class AssembledEntity:
     source_id: str = ""
     record_index: int = 0
     coercion_errors: Sequence[str] = field(default_factory=list)
-    #: set by :meth:`freeze`; only then ``codec.entity_text`` keeps _text
+    #: set by :meth:`freeze`; only then ``codec.wire_texts`` keeps _wire
     _frozen: bool = field(default=False, init=False, repr=False, compare=False)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _wire: tuple[str, str] | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def all_individuals(self) -> list[Individual]:
         """Primary + satellites in one list."""

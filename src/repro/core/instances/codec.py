@@ -1,24 +1,33 @@
-"""The JSON form of an assembled entity and of an error entry.
+"""The JSON forms of assembled entities and of an error entry.
 
 The Instance Generator owns the instances and "any error that has
 occurred" (paper section 2.6); this module is the one place that writes
-either down as JSON and reads it back — the wire (``repro.server.codec``)
-and the store manifest (``repro.core.store.snapshot``) carry this shape::
+either down as JSON and reads it back.  An entity has two forms.
+
+The store manifest (``repro.core.store.snapshot``) keeps one object per
+entity::
 
     {"source_id": str, "record_index": int, "coercion_errors": [str],
      "individuals": [{"identifier": str, "class": str, "values": {...},
                       "links": {property: [index, ...]}}, ...]}
 
-Primary first; a link is an index into the entity's own ``individuals``
-(a link to anything else is not encoded).  Values are JSON scalars or a
-list of them, untouched; ``datetime.date`` / ``datetime.datetime`` have
-no JSON spelling, so :func:`json_default` — handed to
-``json.dumps(default=)``, which calls it only for what JSON refuses —
-writes ``{"$date": "2006-07-01"}`` / ``{"$dateTime": ...}`` and the
-decoder reads the tag back to the same type.  No legal value is a JSON
-object, so a tag is never ambiguous.  The decoders are strict: anything
-else raises :class:`~repro.errors.CodecError` (docs/server.md, "Result
-payload").
+The wire (``repro.server.codec``) states each record shape once: a
+``shapes`` array holds one template per distinct shape, each individual
+(primary first) as ``[class, [attribute, ...], {property: [index,
+...]}]``, and an ``entities`` array one row per entity, ``[shape index,
+source_id, record_index, [coercion error, ...], [identifier, value,
+...], ...]`` with one cell list per individual, its values in the order
+of the template's attributes.
+
+In both, a link is an index into the entity's own individuals (a link
+to anything else is not encoded).  Values are JSON scalars or a list of
+them, untouched; ``datetime.date`` / ``datetime.datetime`` have no JSON
+spelling, so :func:`json_default` — handed to ``json.dumps(default=)``,
+which calls it only for what JSON refuses — writes ``{"$date":
+"2006-07-01"}`` / ``{"$dateTime": ...}`` and the decoders read the tag
+back to the same type.  No legal value is a JSON object, so a tag is
+never ambiguous.  The decoders are strict: anything else raises
+:class:`~repro.errors.CodecError` (docs/server.md, "Result payload").
 """
 
 from __future__ import annotations
@@ -64,24 +73,141 @@ def compact_json(value) -> str:
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False, default=json_default)
 
 
-def entity_text(entity: AssembledEntity) -> str:
-    """``compact_json(entity_to_json(entity))``, kept on a frozen entity
-    (docs/store.md, "What is shared"; two threads racing to write it keep
-    equal texts); written afresh on any other."""
-    text = entity._text
-    if text is None:
-        text = compact_json(entity_to_json(entity))
+def _layout(entity: AssembledEntity) -> tuple[tuple, list]:
+    """An entity's shape key — per individual its class, attribute names
+    and links as indices — and its row past the shape index."""
+    individuals = entity.all_individuals()
+    row = [entity.source_id, entity.record_index, list(entity.coercion_errors)]
+    key = []
+    index_of = None
+    for ind in individuals:
+        values = ind.values
+        row.append([ind.identifier, *values.values()])
+        links = ()
+        if ind.links:
+            if index_of is None:
+                index_of = {id(other): n for n, other in enumerate(individuals)}
+            links = tuple([(name, tuple([index_of[id(target)]
+                                         for target in targets
+                                         if id(target) in index_of]))
+                           for name, targets in ind.links.items()])
+        key.append((ind.class_name, tuple(values), links))
+    return tuple(key), row
+
+
+def _template(key: tuple) -> list:
+    """The ``shapes`` entry of a shape key."""
+    return [[class_name, list(attributes),
+             {name: list(targets) for name, targets in links}]
+            for class_name, attributes, links in key]
+
+
+def entities_to_wire(entities) -> tuple[list, list]:
+    """The ``shapes`` and ``entities`` arrays of a RESULT body: one
+    template per distinct shape, numbered in order of first use, and
+    one row per entity."""
+    numbers: dict[tuple, int] = {}
+    shapes, rows = [], []
+    for entity in entities:
+        key, row = _layout(entity)
+        number = numbers.get(key)
+        if number is None:
+            number = numbers[key] = len(shapes)
+            shapes.append(_template(key))
+        row.insert(0, number)
+        rows.append(row)
+    return shapes, rows
+
+
+def wire_texts(entity: AssembledEntity, templates: dict) -> tuple[str, str]:
+    """The entity's template as JSON text, and its row as JSON text past
+    the opening bracket and the shape index (which is per answer).  Kept
+    on a frozen entity (docs/store.md, "What is shared"; two threads
+    racing to write it keep equal texts); written afresh on any other.
+    ``templates`` (shape key -> text), shared across one answer, writes
+    each shape once however many of its entities need writing."""
+    texts = entity._wire
+    if texts is None:
+        key, row = _layout(entity)
+        shape = templates.get(key)
+        if shape is None:
+            shape = templates[key] = compact_json(_template(key))
+        texts = shape, compact_json(row)[1:]
         if entity._frozen:
-            entity._text = text
-    return text
+            entity._wire = texts
+    return texts
 
 
-def entities_text(entities) -> str:
-    """The JSON array of :func:`entity_text` of each entity; in one pass,
-    cheaper for fresh entities, when none is frozen (a live answer)."""
-    if any(entity._frozen for entity in entities):
-        return "[" + ",".join(map(entity_text, entities)) + "]"
-    return compact_json([entity_to_json(entity) for entity in entities])
+def entities_from_wire(shapes: list, rows: list) -> list[AssembledEntity]:
+    """The entities :func:`entities_to_wire` wrote, from parsed JSON:
+    each template is checked once, each row against its template."""
+    try:
+        layouts = [_read_template(template) for template in shapes]
+        return [_entity_from_row(row, layouts) for row in rows]
+    except _SHAPE_ERRORS as exc:
+        raise CodecError(f"malformed entity row: {exc!r}") from exc
+
+
+def _read_template(template) -> tuple[list, list]:
+    """A checked template as (per individual: class, attribute names, cell
+    width; links as (individual, property, target indices))."""
+    if type(template) is not list or not template:
+        raise CodecError(f"not a shape template: {template!r}")
+    count = len(template)
+    members, links = [], []
+    for index, member in enumerate(template):
+        if type(member) is not list or len(member) != 3:
+            raise CodecError(f"not an individual template: {member!r}")
+        class_name, attributes, properties = member
+        if type(class_name) is not str or type(attributes) is not list \
+                or type(properties) is not dict \
+                or not all(type(name) is str for name in attributes) \
+                or len(set(attributes)) != len(attributes):
+            raise CodecError(f"not an individual template: {member!r}")
+        for name, targets in properties.items():
+            if type(targets) is not list or not all(
+                    type(target) is int and 0 <= target < count
+                    for target in targets):
+                raise CodecError(f"link {name!r} points outside its "
+                                 f"{count}-individual shape: {targets!r}")
+            links.append((index, name, targets))
+        members.append((class_name, attributes, len(attributes) + 1))
+    return members, links
+
+
+def _entity_from_row(row, layouts: list) -> AssembledEntity:
+    if type(row) is not list or not row:
+        raise CodecError(f"not an entity row: {row!r}")
+    number = row[0]
+    if type(number) is not int or not 0 <= number < len(layouts):
+        raise CodecError(f"shape index {number!r} of {len(layouts)} shapes")
+    members, links = layouts[number]
+    if len(row) != 4 + len(members):
+        raise CodecError(f"a row of shape {number} holds {len(row)} cells, "
+                         f"not {4 + len(members)}")
+    source_id, record_index, coercion_errors = row[1], row[2], row[3]
+    if type(source_id) is not str or type(record_index) is not int \
+            or type(coercion_errors) is not list or (coercion_errors and not all(
+                type(error) is str for error in coercion_errors)):
+        raise CodecError("entity header fields have the wrong types")
+    individuals = []
+    position = 4
+    for class_name, attributes, width in members:
+        cell = row[position]
+        position += 1
+        if type(cell) is not list or len(cell) != width \
+                or type(cell[0]) is not str:
+            raise CodecError(f"not a {width}-cell individual: {cell!r}")
+        values = dict(zip(attributes, cell[1:]))
+        if not _CONTAINERS.isdisjoint(map(type, cell)):
+            values = {name: _value_from_json(value)
+                      for name, value in values.items()}
+        individuals.append(Individual(cell[0], class_name, values))
+    for index, name, targets in links:
+        individuals[index].links[name] = [individuals[target]
+                                          for target in targets]
+    return AssembledEntity(individuals[0], individuals[1:], source_id,
+                           record_index, list(coercion_errors))
 
 
 def entity_to_json(entity: AssembledEntity) -> dict:

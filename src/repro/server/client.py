@@ -23,6 +23,7 @@ the client reads that is missing or of the wrong JSON type raises
 from __future__ import annotations
 
 import itertools
+import math
 import socket
 import time
 from dataclasses import dataclass, field
@@ -119,11 +120,18 @@ def _interpret(reply: dict | None, frame: dict, expected: str) -> dict:
         depth = reply.get("queue_depth")
         if depth is not None and type(depth) is not int:
             raise CodecError("field 'queue_depth' is not an int")
-        raise ServerBusyError(json_field(reply, "retry_after", float, int),
-                              queue_depth=depth)
+        delay = json_field(reply, "retry_after", float, int)
+        if not 0 <= delay < math.inf:  # NaN compares false
+            raise CodecError(f"field 'retry_after' is {delay!r}, not a "
+                             f"finite delay of at least 0")
+        raise ServerBusyError(delay, queue_depth=depth)
     if kind == protocol.ERROR:
-        raise RemoteServerError(reply.get("code", protocol.CODE_INTERNAL),
-                                reply.get("error", "unknown error"))
+        code = reply.get("code", protocol.CODE_INTERNAL)
+        message = reply.get("error", "unknown error")
+        if type(code) is not str or type(message) is not str:
+            raise CodecError("fields 'code' and 'error' of an ERROR frame "
+                             "must be strings")
+        raise RemoteServerError(code, message)
     if kind != expected:
         raise S2SError(f"expected {expected}, got {kind!r}")
     return reply

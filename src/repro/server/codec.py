@@ -9,26 +9,29 @@ The client rebuilds that as a :class:`RemoteQueryResult` over the same
 ``AssembledEntity`` / ``ErrorEntry`` classes the in-process result holds.
 
 Entities and error entries are written and read by
-:mod:`repro.core.instances.codec`: plain values travel as plain JSON, the
-two date ranges as tagged objects that ``encode_frame`` writes through
-that module's ``json_default``; :func:`encode_result_frame` splices in
-each stored entity's kept text, writing ``encode_frame``'s very bytes.
+:mod:`repro.core.instances.codec`: each record shape travels once as a
+template in ``shapes``, each entity as one row of values in
+``entities``; plain values are plain JSON, the two date ranges tagged
+objects that ``encode_frame`` writes through that module's
+``json_default``.  :func:`encode_result_frame` numbers the shapes of an
+answer and splices in each stored entity's kept texts, writing
+``encode_frame``'s very bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.instances.codec import (compact_json, entities_text,
-                                    entity_from_json, entity_to_json,
-                                    error_from_json, error_to_json,
-                                    json_field)
+from ..core.instances.codec import (compact_json, entities_from_wire,
+                                    entities_to_wire, error_from_json,
+                                    error_to_json, json_field, wire_texts)
 from ..errors import CodecError
 from .protocol import MAX_FRAME_BYTES, RESULT, RESULTS, pack_frame
 
 
 def _envelope(result) -> tuple[dict, dict]:
-    """A RESULT payload's fields before and after its ``entities``."""
+    """A RESULT payload's fields before its ``shapes`` and after its
+    ``entities``."""
     return ({"query": str(result.query), "query_class": result.plan.class_name},
             {"errors": [error_to_json(entry) for entry in result.errors.entries],
              "degraded": result.degraded, "degraded_sources": list(result.degraded_sources),
@@ -39,12 +42,24 @@ def _envelope(result) -> tuple[dict, dict]:
 def result_to_wire(result) -> dict:
     """The RESULT payload of one in-process ``QueryResult``."""
     head, tail = _envelope(result)
-    return {**head, "entities": list(map(entity_to_json, result.entities)), **tail}
+    shapes, rows = entities_to_wire(result.entities)
+    return {**head, "shapes": shapes, "entities": rows, **tail}
 
 
 def _result_text(result) -> str:
+    """``compact_json(result_to_wire(result))``: in that one pass when no
+    entity is frozen (a live answer), else from the kept texts."""
+    if not any(entity._frozen for entity in result.entities):
+        return compact_json(result_to_wire(result))
+    numbers: dict[str, int] = {}
+    templates: dict[tuple, str] = {}
+    rows = []
+    for entity in result.entities:
+        shape, row = wire_texts(entity, templates)
+        rows.append(f"[{numbers.setdefault(shape, len(numbers))},{row}")
     head, tail = map(compact_json, _envelope(result))
-    return f'{head[:-1]},"entities":{entities_text(result.entities)},{tail[1:]}'
+    return (f'{head[:-1]},"shapes":[{",".join(numbers)}],'
+            f'"entities":[{",".join(rows)}],{tail[1:]}')
 
 
 def encode_result_frame(request_id, answer, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
@@ -127,7 +142,8 @@ def result_from_wire(wire: dict) -> RemoteQueryResult:
         raise CodecError("field 'degraded_sources' holds a non-string")
     return RemoteQueryResult(
         json_field(wire, "query", str), json_field(wire, "query_class", str),
-        [entity_from_json(entity) for entity in json_field(wire, "entities", list)],
+        entities_from_wire(json_field(wire, "shapes", list),
+                           json_field(wire, "entities", list)),
         [error_from_json(entry) for entry in json_field(wire, "errors", list)],
         json_field(wire, "degraded", bool), sources,
         json_field(wire, "store_hit", bool),

@@ -57,7 +57,7 @@ from ..core.instances.codec import compact_json
 from ..errors import S2SError
 
 #: Protocol revision; HELLO carries it and the server refuses mismatches.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default per-frame size ceiling (header-declared length, in bytes).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -230,9 +230,3 @@ def write_frame(sock: socket.socket, payload: dict, *,
                 max_bytes: int = MAX_FRAME_BYTES) -> None:
     """Encode and send one frame."""
     sock.sendall(encode_frame(payload, max_bytes=max_bytes))
-
-
-#: Their names up to 2.18, when a stream reader and writer sat beside them;
-#: kept only for the import line of tests/server/test_server.py.
-read_frame_sync = read_frame
-write_frame_sync = write_frame

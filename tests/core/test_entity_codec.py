@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro import ExtractionRule, S2SMiddleware
 from repro.core.instances.assembly import AssembledEntity
-from repro.core.instances.codec import (entity_from_json, entity_to_json,
-                                        error_from_json, error_to_json,
-                                        json_default)
+from repro.core.instances.codec import (entities_to_wire, entity_from_json,
+                                        entity_to_json, error_from_json,
+                                        error_to_json, json_default)
 from repro.core.instances.errors import ErrorEntry
 from repro.core.store.store import SliceWrite
 from repro.errors import CodecError, S2SError
@@ -288,12 +288,82 @@ MALFORMED_MANIFESTS = {
 }
 
 
+_MISSING = object()
+
+
 def envelope(**fields) -> dict:
-    """A valid RESULT payload with ``fields`` in place."""
+    """A valid RESULT payload carrying the good entity as its one row,
+    with ``fields`` in place."""
+    shapes, rows = through_json(entities_to_wire(
+        [entity_from_json(good_entity())]))
     return {"query": "SELECT product", "query_class": "product",
-            "entities": [], "errors": [], "degraded": False,
-            "degraded_sources": [], "store_hit": False,
+            "shapes": shapes, "entities": rows, "errors": [],
+            "degraded": False, "degraded_sources": [], "store_hit": False,
             "store_stale": False, "elapsed_seconds": 0.0, **fields}
+
+
+def _each(*mutations):
+    def mutate(data):
+        for mutation in mutations:
+            mutation(data)
+    return mutate
+
+
+#: where the good entity sits in ``envelope()``: its shape, its primary's
+#: template ``["watch", ["brand"], {"hasProvider": [1]}]``, its row
+#: ``[0, "DB_1", 0, ["bad price"], ["w1", "Seiko"], ["p1", "Acme"]]``,
+#: the primary's cell and its brand
+SHAPE, MEMBER = ("shapes", 0), ("shapes", 0, 0)
+ROW, CELL, BRAND = ("entities", 0), ("entities", 0, 4), ("entities", 0, 4, 1)
+
+#: each MALFORMED_ENTITIES case spelled in a template or a row (same name),
+#: plus the checks only the row form has; name -> what to do to envelope()
+MALFORMED_ROWS = {
+    "not an object": _set(ROW, {}),
+    "a string": _set(ROW, "entity"),
+    "null": _set(ROW, None),
+    "no individuals": _set(ROW, [0, "DB_1", 0, ["bad price"]]),
+    "empty individuals": _set(SHAPE, []),
+    "individuals not a list": _set(SHAPE, 7),
+    "individual not an object": _set(MEMBER, "w1"),
+    "individual without values": _drop([*MEMBER, 1]),
+    "individual without links": _drop([*MEMBER, 2]),
+    "identifier not text": _set([*CELL, 0], 7),
+    "class not text": _set([*MEMBER, 0], None),
+    "values a list": _set([*MEMBER, 1], {"brand": 0}),
+    "links a list": _set([*MEMBER, 2], [1]),
+    "link targets not a list": _set([*MEMBER, 2, "hasProvider"], 1),
+    "link index out of range": _set([*MEMBER, 2, "hasProvider"], [2]),
+    "link index negative": _set([*MEMBER, 2, "hasProvider"], [-1]),
+    "link index a bool": _set([*MEMBER, 2, "hasProvider"], [True]),
+    "link index text": _set([*MEMBER, 2, "hasProvider"], ["1"]),
+    "unknown tag": _set(BRAND, {"$time": "08:30"}),
+    "two-key object": _set(
+        BRAND, {"$date": "2024-05-17", "$dateTime": "2024-05-17T00:00:00"}),
+    "empty object": _set(BRAND, {}),
+    "non-ISO date": _set(BRAND, {"$date": "yesterday"}),
+    "date with a time": _set(BRAND, {"$date": "2024-05-17T08:30:00"}),
+    "non-ISO dateTime": _set(BRAND, {"$dateTime": "17/05/2024"}),
+    "tag payload not text": _set(BRAND, {"$date": 20240517}),
+    "list in a list": _set(BRAND, [["x"]]),
+    "bad tag in a list": _set(BRAND, ["x", {"$date": "soon"}]),
+    "no source_id": _set([*ROW, 1], None),
+    "source_id a number": _set([*ROW, 1], 7),
+    "record_index text": _set([*ROW, 2], "0"),
+    "no coercion_errors": _set([*ROW, 3], None),
+    "coercion_errors text": _set([*ROW, 3], "bad price"),
+    "coercion error a number": _set([*ROW, 3], [1]),
+    "coercion error null": _set([*ROW, 3], [None]),
+    "record_index a bool": _set([*ROW, 2], True),
+    "identifier null": _set([*CELL, 0], None),
+    "cell not a list": _set(CELL, "w1"),
+    "cell one value short": _drop([*CELL, 1]),
+    "shape index a bool": _set([*ROW, 0], False),
+    "shape index out of range": _set([*ROW, 0], 1),
+    "attribute name not text": _set([*MEMBER, 1], [5]),
+    "attribute named twice": _each(_set([*MEMBER, 1], ["brand", "brand"]),
+                                   _set(CELL, ["w1", "Seiko", "Seiko"])),
+}
 
 
 def by_name(table):
@@ -339,10 +409,15 @@ class TestMalformedInput:
         with pytest.raises(CodecError):
             error_from_json(data)
 
-    @by_name(MALFORMED_ENTITIES)
+    def test_the_row_table_covers_the_entity_table(self):
+        assert set(MALFORMED_ENTITIES) <= set(MALFORMED_ROWS)
+
+    @by_name(MALFORMED_ROWS)
     def test_wire_consumer_raises_typed(self, data):
-        with pytest.raises(S2SError):
-            result_from_wire(envelope(entities=[good_entity(), data]))
+        wire = envelope()
+        data(wire)
+        with pytest.raises(CodecError):
+            result_from_wire(wire)
 
     @by_name(MALFORMED_ERRORS)
     def test_wire_consumer_raises_typed_on_errors(self, data):
@@ -358,8 +433,16 @@ class TestMalformedInput:
             result_from_wire(wire)
 
     def test_the_good_envelope_decodes(self):
-        remote = result_from_wire(envelope(entities=[good_entity()]))
+        remote = result_from_wire(envelope())
         assert remote.entities[0].value("name") == "Acme"
+        assert_same_entity(remote.entities[0],
+                           entity_from_json(good_entity()))
+        for shapes in (_MISSING, None, {}, "[]", [[]], [5]):
+            wire = envelope(shapes=shapes)
+            if shapes is _MISSING:
+                del wire["shapes"]
+            with pytest.raises(CodecError):
+                result_from_wire(wire)
 
     @by_name(MALFORMED_ENTITIES)
     def test_store_consumer_raises_typed(self, data, saved_manifest,

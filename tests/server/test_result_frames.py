@@ -32,7 +32,7 @@ from repro.clock import FakeClock
 from repro.config import ResilienceConfig
 from repro.core.instances import codec
 from repro.core.instances.assembly import AssembledEntity
-from repro.core.instances.codec import entity_text, json_default
+from repro.core.instances.codec import json_default, wire_texts
 from repro.core.instances.errors import ErrorEntry, ErrorReport
 from repro.core.query.parser import parse_s2sql
 from repro.core.resilience import BreakerPolicy, RetryPolicy
@@ -127,7 +127,7 @@ def random_entity(rng: random.Random) -> AssembledEntity:
     if rng.random() < 0.6:
         entity.freeze()
         if rng.random() < 0.5:
-            entity_text(entity)  # its text is already kept
+            wire_texts(entity, {})  # its texts are already kept
     return entity
 
 
@@ -369,15 +369,15 @@ def test_the_first_serve_after_a_one_source_refresh():
 
 @pytest.fixture
 def encodings(monkeypatch):
-    """Counts calls of the entity codec's ``entity_to_json``."""
+    """Counts calls of the entity codec's ``_layout``."""
     calls = []
-    original = codec.entity_to_json
+    original = codec._layout
 
     def counting(entity):
         calls.append(entity)
         return original(entity)
 
-    monkeypatch.setattr(codec, "entity_to_json", counting)
+    monkeypatch.setattr(codec, "_layout", counting)
     return calls
 
 
@@ -417,11 +417,11 @@ def test_an_answer_that_is_not_frozen_is_written_afresh(encodings):
         assert len(encodings) == 12  # one pass per write, none kept
     first = assert_same_bytes(answer)
     entity = answer.entities[0]
-    entity_text(entity)
+    wire_texts(entity, {})
     entity.primary.values["brand"] = "Edited"
-    assert '"brand":"Edited"' in entity_text(entity)
+    assert '"Edited"' in wire_texts(entity, {})[1]
     edited = assert_same_bytes(answer)
-    assert edited != first and b'"brand":"Edited"' in edited
+    assert edited != first and b'"Edited"' in edited
     # mixed with stored entities, the fresh one is still written afresh
     stored = world(store=True)
     served = stored.query("SELECT product").entities
@@ -430,7 +430,7 @@ def test_an_answer_that_is_not_frozen_is_written_afresh(encodings):
     assert frozen_flags(mixed) == {True, False}
     assert_same_bytes(mixed)
     entity.primary.values["brand"] = "Edited again"
-    assert b'"brand":"Edited again"' in assert_same_bytes(mixed)
+    assert b'"Edited again"' in assert_same_bytes(mixed)
     stored.close()
     s2s.close()
 
@@ -545,7 +545,7 @@ HOSTILE_VALUES = [None, True, False, 0, -1, 5, 1.5, 10**400, float("nan"),
                   float("inf"), "", "false", "no", "ab", [], [1], [None],
                   ["a"], {}, {"$date": "x"}, {"$date": 5},
                   {"$dateTime": "2006-07-01"}, [[[]]], {"a": {"b": []}}]
-KEYS = [*RESULT_FIELDS, "individuals", "links", "values", "x"]
+KEYS = [*RESULT_FIELDS, "shapes", "carriedBy", "x"]
 
 
 def locations(node, path=()):
@@ -600,6 +600,69 @@ def torn_text(rng: random.Random, payload):
         return None
 
 
+def _index_bug(rng, wire):
+    row = rng.choice(wire["entities"])
+    row[0] = rng.choice([len(wire["shapes"]), len(wire["shapes"]) + 7, -1,
+                         -len(wire["shapes"]), row[0] == 0, True, False,
+                         0.0, "0", None])
+
+
+def _attribute_bug(rng, wire):
+    attributes = rng.choice(rng.choice(wire["shapes"]))[1]
+    if len(attributes) > 1 and rng.random() < 0.5:
+        attributes[-1] = attributes[0]  # a duplicate, the width unchanged
+    else:
+        attributes[rng.randrange(len(attributes))] = rng.choice(
+            [5, None, True, ["name"], {"name": 1}])
+
+
+def _link_bug(rng, wire):
+    template = rng.choice(wire["shapes"])
+    links = rng.choice(template)[2]
+    links[rng.choice([*links, "x"])] = [rng.choice(
+        [len(template), len(template) + 3, -1, True, 0.0, "1", None])]
+
+
+def _cell_count_bug(rng, wire):
+    row = rng.choice(wire["entities"])
+    if rng.random() < 0.3:
+        row.append(copy.deepcopy(row[-1]) if rng.random() < 0.5 else [])
+    elif rng.random() < 0.3:
+        del row[rng.randrange(4, len(row))]
+    else:
+        cell = rng.choice(row[4:])
+        cell.append("extra") if rng.random() < 0.5 else cell.pop()
+
+
+def _header_bug(rng, wire):
+    row = rng.choice(wire["entities"])
+    where = rng.randrange(5)
+    if where == 0:
+        row[1] = rng.choice([5, None, True, ["DB_1"], {}])  # source_id
+    elif where == 1:
+        row[2] = rng.choice(["0", None, True, 1.0, [0]])  # record_index
+    elif where == 2:
+        row[3] = rng.choice(["x", None, {}, [5], ["x", None]])  # errors
+    elif where == 3:
+        rng.choice(row[4:])[0] = rng.choice([5, None, True, ["w1"], {}])
+    else:  # a class name
+        rng.choice(wire["shapes"][row[0]])[0] = rng.choice(
+            [5, None, True, ["watch"], {}])
+
+
+def _object_value_bug(rng, wire):
+    cell = rng.choice(rng.choice(wire["entities"])[4:])
+    cell[rng.randrange(1, len(cell))] = rng.choice(
+        [{}, {"a": 1}, {"$date": 5}, {"$date": "soon"}, {"$time": "08:30"},
+         {"$date": "2006-07-01", "$x": 1}, {"$dateTime": None}])
+
+
+#: mutations of a RESULT body's templates and rows, each one a body no
+#: client may decode
+SHAPE_AND_ROW_BUGS = [_index_bug, _attribute_bug, _link_bug, _cell_count_bug,
+                      _header_bug, _object_value_bug]
+
+
 def assert_typed(result: RemoteQueryResult) -> None:
     """A decoded result holds exactly the types the fields promise."""
     assert type(result.query) is str and type(result.query_class) is str
@@ -609,8 +672,13 @@ def assert_typed(result: RemoteQueryResult) -> None:
     assert type(result.server_seconds) is float
     assert all(type(entity) is AssembledEntity for entity in result.entities)
     assert all(type(entry) is ErrorEntry for entry in result.errors)
-    assert all(type(error) is str for entity in result.entities
-               for error in entity.coercion_errors)
+    for entity in result.entities:
+        assert type(entity.source_id) is str
+        assert type(entity.record_index) is int
+        assert all(type(error) is str for error in entity.coercion_errors)
+        assert all(type(individual.identifier) is str
+                   and type(individual.class_name) is str
+                   for individual in entity.all_individuals())
 
 
 def test_only_codec_errors_escape_mutated_envelopes():
@@ -620,6 +688,15 @@ def test_only_codec_errors_escape_mutated_envelopes():
         rng = random.Random(f"envelopes:{SEED}:{index}")
         batch = rng.random() < 0.3
         payload = [good] * rng.randrange(1, 3) if batch else good
+        if rng.random() < 0.3:
+            payload = copy.deepcopy(payload)
+            bug = rng.choice(SHAPE_AND_ROW_BUGS)
+            bug(rng, rng.choice(payload) if batch else payload)
+            with pytest.raises(CodecError):
+                results_from_wire({"results": payload}) if batch \
+                    else result_from_wire(payload)
+            outcomes[bug.__name__] = outcomes.get(bug.__name__, 0) + 1
+            continue
         payload = (torn_text(rng, payload) if rng.random() < 0.2
                    else mutated(rng, payload))
         try:
@@ -632,3 +709,4 @@ def test_only_codec_errors_escape_mutated_envelopes():
         for result in decoded if batch else [decoded]:
             assert_typed(result)
     assert outcomes["decoded"] and outcomes["refused"]
+    assert {bug.__name__ for bug in SHAPE_AND_ROW_BUGS} <= set(outcomes)

@@ -20,7 +20,8 @@ from repro.server import (PROTOCOL_VERSION, RemoteServerError, S2SClient,
 from repro.server.client import RemoteSparqlResult
 from repro.server.protocol import (CODE_AUTH, CODE_BAD_REQUEST, CODE_QUERY,
                                    CODE_UNKNOWN_KIND, encode_frame,
-                                   read_frame_sync, write_frame_sync)
+                                   read_frame as read_frame_sync,
+                                   write_frame as write_frame_sync)
 from repro.workloads import B2BScenario
 
 
