@@ -105,10 +105,6 @@ class CameleonWrapper:
         """Parse and install a spec file."""
         self._specs = parse_spec(text)
 
-    def attribute_names(self) -> list[str]:
-        """Attributes the loaded spec extracts."""
-        return [spec.name for spec in self._specs]
-
     # -- extraction ------------------------------------------------------
 
     def _content(self, locator: str) -> str:

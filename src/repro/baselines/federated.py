@@ -31,10 +31,6 @@ class FederatedQuerier:
             raise ValueError(f"producer for {source_id!r} already added")
         self._producers[source_id] = producer
 
-    def remove_source(self, source_id: str) -> None:
-        """Detach a producer (source decommissioned)."""
-        self._producers.pop(source_id, None)
-
     def query(self, predicate: Predicate | None = None) -> list[Record]:
         """Union all producers' records, filtered by ``predicate``."""
         results: list[Record] = []

@@ -1,4 +1,4 @@
-"""Result tables: aligned console output + CSV/Markdown export."""
+"""Result tables: aligned console output."""
 
 from __future__ import annotations
 
@@ -49,28 +49,6 @@ class ResultTable:
             out.write("  ".join(cell.ljust(widths[index])
                                 for index, cell in enumerate(row)) + "\n")
         return out.getvalue()
-
-    def to_markdown(self) -> str:
-        """GitHub-flavoured markdown rendering."""
-        out = io.StringIO()
-        out.write(f"### {self.title}\n\n")
-        out.write("| " + " | ".join(self.columns) + " |\n")
-        out.write("|" + "|".join("---" for _ in self.columns) + "|\n")
-        for row in self.rows:
-            out.write("| " + " | ".join(row) + " |\n")
-        return out.getvalue()
-
-    def to_csv(self) -> str:
-        """CSV rendering with quoting."""
-        def escape(cell: str) -> str:
-            if "," in cell or '"' in cell:
-                return '"' + cell.replace('"', '""') + '"'
-            return cell
-
-        lines = [",".join(escape(name) for name in self.columns)]
-        lines.extend(",".join(escape(cell) for cell in row)
-                     for row in self.rows)
-        return "\n".join(lines) + "\n"
 
     def print(self) -> None:
         """Print the text rendering to stdout."""

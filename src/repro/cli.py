@@ -63,6 +63,16 @@ def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
                         help="print the metrics registry to stderr")
 
 
+def _configured(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the ValueError of a refused value
+    raised as an S2SError, which :func:`main` prints as one ``error:``
+    line.  The config classes stay the only place that states a bound."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise S2SError(str(exc)) from None
+
+
 def _build(args: argparse.Namespace, *, store: bool = False):
     from .config import ConcurrencyConfig
     from .obs import MetricsRegistry, Tracer
@@ -75,8 +85,8 @@ def _build(args: argparse.Namespace, *, store: bool = False):
     query_pool = getattr(args, "query_pool", None)
     if query_workers is not None or query_pool is not None:
         # --workers / --pool imply the sharded fleet engine.
-        concurrency = ConcurrencyConfig.sharded(query_workers,
-                                                pool=query_pool)
+        concurrency = _configured(ConcurrencyConfig.sharded, query_workers,
+                                  pool=query_pool)
     else:
         concurrency = ConcurrencyConfig(mode=args.concurrency or "serial")
     tracer = Tracer() if getattr(args, "trace", False) else None
@@ -371,7 +381,7 @@ def _resolve_serve_fleet(args: argparse.Namespace):
         return None
     workers, pool, shared = _parse_fleet_spec(args.fleet)
     from .config import FleetConfig
-    return FleetConfig(n_workers=workers, pool=pool,
+    return _configured(FleetConfig, n_workers=workers, pool=pool,
                        tenant_quota=args.fleet_quota), shared
 
 
@@ -415,9 +425,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if shared_fleet is not None:
             middleware.attach_fleet(shared_fleet, tenant=name)
         registry.add(Tenant(name, middleware, token=token, owned=True))
-    config = ServerConfig(host=args.host, port=args.port,
-                          max_inflight=args.max_inflight,
-                          max_queue=args.max_queue)
+    config = _configured(ServerConfig, host=args.host, port=args.port,
+                         max_inflight=args.max_inflight,
+                         max_queue=args.max_queue)
     thread = ServerThread(S2SServer(registry, config=config))
     host, port = thread.start()
     fleet_note = ""
@@ -463,8 +473,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     merge_key = args.merge_key.split(",") if args.merge_key else None
-    with S2SClient(args.host, args.port, tenant=args.tenant,
-                   token=args.token) as client:
+    with _configured(S2SClient, args.host, args.port, tenant=args.tenant,
+                     token=args.token) as client:
         if args.status:
             print(_json.dumps(client.status(), indent=2, sort_keys=True))
             return 0

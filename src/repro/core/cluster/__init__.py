@@ -25,10 +25,9 @@ failure model.
 """
 
 from ..resilience.config import FleetConfig
-from .coordinator import (QUERY_POOL_KINDS, FleetWorkerContext,
-                          QueryShardCoordinator, QueryWorkerContext,
-                          QueryWorkItem, ShardRunResult, query_worker_loop,
-                          run_query_item)
+from .coordinator import (FleetWorkerContext, QueryShardCoordinator,
+                          QueryWorkerContext, QueryWorkItem, ShardRunResult,
+                          query_worker_loop, run_query_item)
 from .manager import ShardedExtractorManager, merge_partials
 from .pool import (KILL_EXIT_CODE, SubprocessWorkerPool, ThreadWorkerPool,
                    WorkerPool)
@@ -37,8 +36,7 @@ from .supervision import (SupervisionVerdict, WorkerSupervisor,
                           default_restart_policy)
 
 __all__ = [
-    "KILL_EXIT_CODE", "QUERY_POOL_KINDS",
-    "FleetConfig", "FleetWorkerContext",
+    "KILL_EXIT_CODE", "FleetConfig", "FleetWorkerContext",
     "QueryShardCoordinator", "QueryWorkItem", "QueryWorkerContext",
     "ShardRunResult", "ShardedExtractorManager", "SubprocessWorkerPool",
     "SupervisionVerdict", "ThreadWorkerPool", "WorkerPool",

@@ -62,10 +62,6 @@ from .pool import (SubprocessWorkerPool, ThreadWorkerPool, WorkerPool,
 from .sharding import partition_sources
 from .supervision import WorkerSupervisor
 
-#: Pool kinds the sharded engine accepts.
-QUERY_POOL_KINDS = ("thread", "spawn")
-
-
 @dataclass
 class QueryWorkerContext:
     """Everything a query worker needs, picklable as a unit.

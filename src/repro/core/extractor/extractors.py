@@ -179,7 +179,3 @@ class ExtractorRegistry:
                 f"no extractor registered for source type "
                 f"{source.source_type!r}", source_id=source.source_id)
         return extractor
-
-    def supported_types(self) -> list[str]:
-        """Source types with a registered extractor, sorted."""
-        return sorted(self._extractors)

@@ -79,7 +79,3 @@ class SourceRecordSet:
         keys = [str(fragment.attribute) for fragment in self.fragments]
         return [dict(zip(keys, row)) for row in zip_longest(
             *[fragment.values for fragment in self.fragments])]
-
-    def is_single_record(self) -> bool:
-        """The paper's scenario 1: a source describing one entity."""
-        return self.record_count == 1

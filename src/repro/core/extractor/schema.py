@@ -93,9 +93,5 @@ class ExtractionSchema:
         """Total mapping entries in the schema."""
         return sum(len(entries) for entries in self.by_source.values())
 
-    def attributes_for_source(self, source_id: str) -> list[AttributePath]:
-        """Attribute paths extracted from one source."""
-        return [entry.attribute for entry in self.by_source.get(source_id, [])]
-
     def __bool__(self) -> bool:
         return bool(self.by_source)

@@ -16,9 +16,9 @@ from .journal import (DEAD_LETTER_NAME, JOURNAL_NAME, DeadLetterLedger,
                       IngestJournal, JournalState, read_jsonl)
 from .queue import DurableJobQueue
 from .staging import StagingArea
-from .workers import (ExtractBatch, StagedBatch, SubprocessWorkerPool,
-                      ThreadWorkerPool, UpsertPayload, WorkerContext,
-                      WorkItem, execute_stage, run_item, worker_loop)
+from .workers import (ExtractBatch, StagedBatch, UpsertPayload,
+                      WorkerContext, WorkItem, execute_stage, run_item,
+                      worker_loop)
 
 __all__ = [
     "CLEAN", "DEAD", "DONE", "EXTRACT", "MATERIALIZE", "PENDING",
@@ -26,8 +26,7 @@ __all__ = [
     "DEAD_LETTER_NAME", "JOURNAL_NAME",
     "DeadLetterLedger", "DurableJobQueue", "ExtractBatch", "IngestJob",
     "IngestJournal", "IngestReport", "IngestTarget", "JournalState",
-    "ShardCoordinator", "StagedBatch", "StagingArea",
-    "SubprocessWorkerPool", "ThreadWorkerPool", "UpsertPayload",
+    "ShardCoordinator", "StagedBatch", "StagingArea", "UpsertPayload",
     "WorkItem", "WorkerContext",
     "execute_stage", "job_id_for", "next_stage", "read_jsonl", "run_item",
     "shard_of", "worker_loop",

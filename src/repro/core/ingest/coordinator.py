@@ -39,7 +39,8 @@ from typing import Any
 
 from ...clock import Clock, SystemClock
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
-from ..cluster.pool import WorkerPool, wait_for_events
+from ..cluster.pool import (SubprocessWorkerPool, ThreadWorkerPool,
+                            WorkerPool, wait_for_events)
 from ..cluster.supervision import WorkerSupervisor, default_restart_policy
 from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
@@ -50,8 +51,7 @@ from .jobs import DEAD, DONE, MATERIALIZE, IngestJob, job_id_for, shard_of
 from .journal import DeadLetterLedger, IngestJournal
 from .queue import DurableJobQueue
 from .staging import StagingArea
-from .workers import (SubprocessWorkerPool, ThreadWorkerPool, UpsertPayload,
-                      WorkerContext, WorkItem)
+from .workers import UpsertPayload, WorkerContext, WorkItem, worker_loop
 
 
 @dataclass
@@ -234,9 +234,10 @@ class ShardCoordinator:
         ctx = WorkerContext(self.manager.sources, self.generator,
                             killable=self.killable,
                             extractors=self.manager.extractors)
-        if self.pool_kind == "subprocess":
-            return SubprocessWorkerPool(ctx, self.n_workers)
-        return ThreadWorkerPool(ctx, self.n_workers)
+        pool = (SubprocessWorkerPool if self.pool_kind == "subprocess"
+                else ThreadWorkerPool)
+        return pool(ctx, self.n_workers, loop=worker_loop,
+                    name="ingest-worker")
 
     def run(self, targets: list[IngestTarget], *,
             force: bool = False) -> IngestReport:

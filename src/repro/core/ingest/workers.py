@@ -41,8 +41,6 @@ from ...errors import (CircuitOpenError, PoisonPayloadError, S2SError,
                        TransientSourceError)
 from ...sources.flaky import KillableWorker
 from ..cluster.pool import worker_loop as _generic_worker_loop
-from ..cluster.pool import SubprocessWorkerPool as _GenericSubprocessPool
-from ..cluster.pool import ThreadWorkerPool as _GenericThreadPool
 from ..extractor.extractors import ExtractorRegistry
 from ..extractor.manager import ExtractionOutcome
 from ..extractor.records import SourceRecordSet
@@ -213,23 +211,3 @@ def run_item(shard: int, item: WorkItem, ctx: WorkerContext, emit, *,
 #: :func:`run_item` on every work item.
 worker_loop = partial(_generic_worker_loop, run_item)
 
-
-class ThreadWorkerPool(_GenericThreadPool):
-    """Ingest shard workers as daemon threads (see
-    :class:`repro.core.cluster.pool.ThreadWorkerPool`): no pickling,
-    shared fault-injection state, genuinely shared clock."""
-
-    def __init__(self, ctx: WorkerContext, n_workers: int = 2) -> None:
-        super().__init__(ctx, n_workers, loop=worker_loop,
-                         name="ingest-worker")
-
-
-class SubprocessWorkerPool(_GenericSubprocessPool):
-    """Ingest shard workers as spawned subprocesses (see
-    :class:`repro.core.cluster.pool.SubprocessWorkerPool`): everything
-    crossing the boundary is pickled, a scripted kill is a genuine
-    ``os._exit``."""
-
-    def __init__(self, ctx: WorkerContext, n_workers: int = 2) -> None:
-        super().__init__(ctx, n_workers, loop=worker_loop,
-                         name="ingest-worker")

@@ -40,12 +40,6 @@ class DataSourceRepository:
         self._version += 1
         return source.source_id
 
-    def unregister(self, source_id: str) -> None:
-        """Remove a source from the registry."""
-        if self._sources.pop(source_id, None) is None:
-            raise UnknownDataSourceError(source_id)
-        self._version += 1
-
     def get(self, source_id: str) -> DataSource:
         """Look up a source by ID, raising when unknown."""
         source = self._sources.get(source_id)
@@ -64,11 +58,6 @@ class DataSourceRepository:
     def ids(self) -> list[str]:
         """All registered source IDs, sorted."""
         return sorted(self._sources)
-
-    def by_type(self, source_type: str) -> list[DataSource]:
-        """Registered sources of one source type."""
-        return [s for s in self._sources.values()
-                if s.source_type == source_type]
 
     def __iter__(self) -> Iterator[DataSource]:
         return iter(self._sources.values())

@@ -81,10 +81,6 @@ class QueryPlan:
     required_attributes: list[AttributePath] = field(default_factory=list)
     conditions: list[ResolvedCondition] = field(default_factory=list)
 
-    def condition_for(self, path: AttributePath) -> list[ResolvedCondition]:
-        """Resolved conditions anchored at ``path``."""
-        return [c for c in self.conditions if c.path == path]
-
 
 class QueryPlanner:
     """Builds :class:`QueryPlan` objects against one ontology schema."""

@@ -74,7 +74,7 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.pool not in SHARDED_POOL_KINDS:
             raise ValueError(
                 f"pool must be one of {SHARDED_POOL_KINDS}, "
@@ -88,7 +88,8 @@ class FleetConfig:
             raise ValueError(
                 "max_inflight_requests must be >= 1 or None (unbounded)")
         if self.tenant_quota is not None and self.tenant_quota < 1:
-            raise ValueError("tenant_quota must be >= 1 or None (disabled)")
+            raise ValueError(f"tenant_quota must be >= 1 or None (disabled), "
+                             f"got {self.tenant_quota}")
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,6 @@ class Deadline:
         self._expires_at = (None if seconds is None
                             else self.clock.monotonic() + seconds)
 
-    @classmethod
-    def unlimited(cls, clock: Clock | None = None) -> "Deadline":
-        """A deadline that never expires (the default)."""
-        return cls(None, clock)
-
     @property
     def unbounded(self) -> bool:
         return self._expires_at is None

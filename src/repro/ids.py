@@ -63,11 +63,6 @@ class AttributePath:
         """The class the attribute directly belongs to."""
         return self.segments[-2]
 
-    @property
-    def root_class(self) -> str:
-        """The topmost class in the path."""
-        return self.segments[0]
-
     def __str__(self) -> str:
         return ".".join(self.segments)
 
@@ -80,33 +75,3 @@ class AttributePath:
         if not _SEGMENT_RE.match(segment):
             raise MappingError(f"invalid segment {segment!r}")
         return AttributePath(self.segments + (segment,))
-
-
-def is_valid_attribute_id(text: str) -> bool:
-    """Return True if ``text`` parses as an attribute identifier."""
-    try:
-        AttributePath.parse(text)
-    except MappingError:
-        return False
-    return True
-
-
-def common_class_prefix(paths: list[AttributePath]) -> tuple[str, ...]:
-    """Return the longest common class-path prefix of ``paths``.
-
-    Used by the instance assembler to find the class under which a group of
-    extracted attributes should be nested.
-    """
-    if not paths:
-        return ()
-    prefix = list(paths[0].classes)
-    for path in paths[1:]:
-        classes = path.classes
-        limit = min(len(prefix), len(classes))
-        matched = 0
-        while matched < limit and prefix[matched] == classes[matched]:
-            matched += 1
-        del prefix[matched:]
-        if not prefix:
-            break
-    return tuple(prefix)

@@ -278,10 +278,6 @@ class Ontology:
                 matched.append(individual)
         return matched
 
-    def remove_individuals(self) -> None:
-        """Drop every individual, keeping the schema."""
-        self._individuals.clear()
-
     def __len__(self) -> int:
         return len(self._classes)
 

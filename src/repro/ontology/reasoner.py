@@ -16,7 +16,7 @@ from datetime import date, datetime
 from typing import Callable
 
 from ..errors import OntologyError, ValidationError
-from .model import DatatypeProperty, Individual, ObjectProperty, Ontology
+from .model import DatatypeProperty, ObjectProperty, Ontology
 
 #: ``coercer(raw, attribute name) -> typed value``; raises
 #: :class:`ValidationError` naming the attribute when ``raw`` does not fit.
@@ -146,19 +146,6 @@ class Reasoner:
             self.ontology.require_class(child)
             return True
         return parent in self.ancestors(child)
-
-    def common_ancestor(self, first: str, second: str) -> str | None:
-        """Most specific common superclass, or None when unrelated."""
-        first_line = [first] + list(self.ontology.lineage(first))[::-1]
-        second_set = {second, *self.ancestors(second)}
-        for candidate in [first] + list(reversed(self.ontology.lineage(first))):
-            if candidate in second_set:
-                return candidate
-        return None
-
-    def satisfies_class(self, individual: Individual, class_name: str) -> bool:
-        """True when the individual's class is ``class_name`` or a subclass."""
-        return self.is_subclass(individual.class_name, class_name)
 
     # ------------------------------------------------------------------
     # Per-class tables and datatype handling

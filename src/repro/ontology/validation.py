@@ -30,11 +30,6 @@ class ValidationReport:
         """Record one validation problem."""
         self.problems.append(message)
 
-    def raise_if_invalid(self) -> None:
-        """Raise ValidationError when problems exist."""
-        if self.problems:
-            raise ValidationError("; ".join(self.problems))
-
 
 def validate_individual(ontology: Ontology, individual: Individual,
                         *, reasoner: Reasoner | None = None) -> ValidationReport:

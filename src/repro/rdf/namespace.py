@@ -124,8 +124,3 @@ class NamespaceManager:
     def namespaces(self) -> list[tuple[str, str]]:
         """All (prefix, base) pairs, sorted by prefix."""
         return sorted(self._by_prefix.items())
-
-    def prefix_for(self, namespace: Namespace | str) -> str | None:
-        """The canonical prefix bound to a namespace, or None."""
-        base = namespace.base if isinstance(namespace, Namespace) else namespace
-        return self._by_base.get(base)

@@ -34,7 +34,8 @@ from . import protocol
 from .codec import RemoteQueryResult, result_from_wire, results_from_wire
 from .protocol import (MAX_FRAME_BYTES, PROTOCOL_VERSION, ProtocolError,
                        RemoteServerError, ServerBusyError, TornFrameError,
-                       TransportError, read_frame, write_frame)
+                       TransportError, check_port, read_frame,
+                       write_frame)
 
 
 @dataclass
@@ -154,7 +155,7 @@ class S2SClient:
                  token: str | None = None, timeout: float | None = 30.0,
                  max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.host = host
-        self.port = port
+        self.port = check_port(port)
         self.tenant = tenant
         self.token = token
         self.timeout = timeout

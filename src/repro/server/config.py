@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .protocol import MAX_FRAME_BYTES
+from .protocol import MAX_FRAME_BYTES, check_port
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class ServerConfig:
 
     * ``host``/``port`` — the listen address, IPv4 or IPv6; an empty host
       takes every interface, port 0 an ephemeral port (``start()``
-      returns the bound address).
+      returns the bound address); a port outside 0-65535 is refused.
     * ``max_inflight`` — requests executing concurrently across all
       connections; the admission counter's ceiling.
     * ``max_queue`` — requests allowed to *wait* for an execution slot.
@@ -50,10 +50,12 @@ class ServerConfig:
     max_frame_bytes: int = MAX_FRAME_BYTES
 
     def __post_init__(self) -> None:
+        check_port(self.port)
         if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+            raise ValueError(f"max_inflight must be >= 1, got "
+                             f"{self.max_inflight}")
         if self.max_queue < 0:
-            raise ValueError("max_queue must be >= 0")
+            raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
         if self.retry_after_seconds < 0:
             raise ValueError("retry_after_seconds must be >= 0")
         if (self.request_deadline_seconds is not None

@@ -64,6 +64,16 @@ MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
+
+def check_port(port: int) -> int:
+    """``port`` when it is a TCP port number, else a ValueError naming it.
+    ``getaddrinfo`` takes an out-of-range port modulo 65536 (70000 binds
+    or reaches 4464), so the server's config and the client check first."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0-65535, got {port}")
+    return port
+
+
 # -- frame kinds ----------------------------------------------------------
 
 HELLO = "HELLO"

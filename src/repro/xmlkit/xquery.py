@@ -103,8 +103,3 @@ def _bind(expression: str, variable: str) -> str:
 def is_flwor(text: str) -> bool:
     """Cheap syntactic test used by the rule dispatcher."""
     return text.lstrip().startswith("for ") or text.lstrip().startswith("for$")
-
-
-def xquery_values(root: Document | Element, text: str) -> list[str]:
-    """One-shot convenience: compile and evaluate."""
-    return XQuery.compile(text).evaluate(root)

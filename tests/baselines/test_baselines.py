@@ -83,12 +83,6 @@ class TestFederatedQuerier:
         with pytest.raises(ValueError):
             querier.add_source("a", lambda: [])
 
-    def test_remove_source(self):
-        querier = FederatedQuerier()
-        querier.add_source("a", lambda: [{"x": 1}])
-        querier.remove_source("a")
-        assert querier.query() == []
-
     def test_matches_s2s_on_scenario(self, scenario):
         federated = scenario.build_federated_baseline()
         s2s = scenario.build_middleware()

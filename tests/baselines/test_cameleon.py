@@ -109,8 +109,3 @@ class TestExtraction:
         wrapper.load_spec(SPEC)
         with pytest.raises(S2SError):
             wrapper.extract("inventory.txt")
-
-    def test_attribute_names(self, web):
-        wrapper = CameleonWrapper(web=web)
-        wrapper.load_spec(SPEC)
-        assert wrapper.attribute_names() == ["brand", "price"]

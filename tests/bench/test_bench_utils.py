@@ -62,15 +62,3 @@ class TestResultTable:
         table.add_row(3.14159)
         rows = [r[0] for r in table.rows]
         assert rows == ["0.00012", "0", "3.142"]
-
-    def test_markdown(self):
-        table = ResultTable("demo", ["a", "b"])
-        table.add_row("x", 1)
-        md = table.to_markdown()
-        assert "| a | b |" in md
-        assert "| x | 1 |" in md
-
-    def test_csv_escaping(self):
-        table = ResultTable("demo", ["a"])
-        table.add_row('va,l"ue')
-        assert table.to_csv().splitlines()[1] == '"va,l""ue"'

@@ -1,9 +1,8 @@
 """Units for the shared fleet substrate (``repro.core.cluster``).
 
 Shard routing, sub-schema slicing, the extracted worker supervisor,
-partial-outcome merging, the sharded concurrency config, fleet
-lifecycle (lazy start, rebuild on source mutation) and the ingest
-deprecation shims.  Integration-level equivalence lives in
+partial-outcome merging, the sharded concurrency config and fleet
+lifecycle (lazy start, rebuild on source mutation).  Integration-level equivalence lives in
 ``tests/integration/test_sharded_equivalence.py``.
 """
 
@@ -14,9 +13,8 @@ import pytest
 from repro.clock import FakeClock
 from repro.config import ConcurrencyConfig
 from repro.core.cluster import (FleetConfig, QueryShardCoordinator,
-                                QueryWorkerContext,
-                                ShardRunResult, SupervisionVerdict,
-                                ThreadWorkerPool, WorkerSupervisor,
+                                QueryWorkerContext, ShardRunResult,
+                                SupervisionVerdict, WorkerSupervisor,
                                 default_restart_policy, merge_partials,
                                 partition_sources, query_worker_loop,
                                 shard_of)
@@ -377,7 +375,7 @@ class TestFleetLifecycle:
 
 
 class TestRepositoryVersion:
-    def test_register_and_unregister_move_the_version(self):
+    def test_register_and_replace_move_the_version(self):
         repository = DataSourceRepository()
         assert repository.version == 0
         repository.register(_StubSource("a"))
@@ -385,23 +383,6 @@ class TestRepositoryVersion:
         repository.register(_StubSource("a"),
                             replace=True)
         assert repository.version == 2
-        repository.unregister("a")
-        assert repository.version == 3
-
-
-class TestIngestShims:
-    def test_ingest_pools_fix_their_loop(self):
-        from repro.core.cluster import pool as cluster_pool
-        from repro.core.ingest.workers import (SubprocessWorkerPool,
-                                               ThreadWorkerPool,
-                                               WorkerContext, worker_loop)
-        assert issubclass(ThreadWorkerPool, cluster_pool.ThreadWorkerPool)
-        assert issubclass(SubprocessWorkerPool,
-                          cluster_pool.SubprocessWorkerPool)
-        pool = ThreadWorkerPool(WorkerContext(sources=None, generator=None),
-                                n_workers=1)
-        assert pool._loop is worker_loop
-        assert pool.name == "ingest-worker"
 
 
 class TestQueryWorkerContext:

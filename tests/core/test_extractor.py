@@ -1,5 +1,7 @@
 """Tests for extraction schemas, records, extractors and the manager."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.extractor import (DatabaseExtractor, ExtractionSchema,
@@ -57,13 +59,6 @@ class TestExtractionSchema:
             AttributePath.parse("thing.provider.name")])
         assert not schema
 
-    def test_attributes_for_source(self, repos):
-        attributes, _sources = repos
-        schema = ExtractionSchema.build(attributes, [
-            AttributePath.parse("thing.product.brand")])
-        assert [str(p) for p in schema.attributes_for_source("DB_1")] == \
-            ["thing.product.brand"]
-
 
 class TestRecords:
     def test_alignment(self):
@@ -110,7 +105,7 @@ class TestRecords:
     def test_single_record_scenario(self):
         record_set = SourceRecordSet("S")
         record_set.add(RawFragment(AttributePath.parse("t.a"), "S", ["1"]))
-        assert record_set.is_single_record()
+        assert record_set.record_count == 1
 
     def test_empty_record_set(self):
         record_set = SourceRecordSet("S")
@@ -151,8 +146,9 @@ class TestExtractors:
 
     def test_registry_default_types(self):
         registry = ExtractorRegistry()
-        assert registry.supported_types() == \
-            ["database", "textfile", "webpage", "xml"]
+        for source_type in ("database", "textfile", "webpage", "xml"):
+            source = SimpleNamespace(source_type=source_type, source_id="S")
+            assert registry.for_source(source).source_type == source_type
 
     def test_registry_duplicate_rejected(self):
         registry = ExtractorRegistry()

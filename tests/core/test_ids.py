@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MappingError
-from repro.ids import AttributePath, is_valid_attribute_id
+from repro.ids import AttributePath
 
 
 class TestParsing:
@@ -12,7 +12,6 @@ class TestParsing:
         assert path.classes == ("thing", "product")
         assert path.attribute == "brand"
         assert path.leaf_class == "product"
-        assert path.root_class == "thing"
 
     def test_deep_path(self):
         path = AttributePath.parse("thing.product.watch.case")
@@ -57,8 +56,3 @@ class TestParsing:
         assert str(path.child("brand")) == "thing.product.brand"
         with pytest.raises(MappingError):
             path.child("1bad")
-
-    def test_is_valid_attribute_id(self):
-        assert is_valid_attribute_id("thing.product.brand")
-        assert not is_valid_attribute_id("no_dots")
-        assert not is_valid_attribute_id("")

@@ -153,24 +153,10 @@ class TestDataSourceRepository:
         with pytest.raises(UnknownDataSourceError):
             DataSourceRepository().get("ghost")
 
-    def test_unregister(self, source):
-        repo = DataSourceRepository()
-        repo.register(source)
-        repo.unregister("DB_ID_45")
-        assert not repo.has("DB_ID_45")
-        with pytest.raises(UnknownDataSourceError):
-            repo.unregister("DB_ID_45")
-
     def test_connection_info_lookup(self, source):
         repo = DataSourceRepository()
         repo.register(source)
         assert repo.connection_info("DB_ID_45").source_type == "database"
-
-    def test_by_type(self, source):
-        repo = DataSourceRepository()
-        repo.register(source)
-        assert repo.by_type("database") == [source]
-        assert repo.by_type("webpage") == []
 
     def test_iteration_and_len(self, source):
         repo = DataSourceRepository()

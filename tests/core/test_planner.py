@@ -58,12 +58,6 @@ class TestPlanning:
         with pytest.raises(QueryError):
             planner.plan(parse_s2sql('SELECT product WHERE ghost = "S"'))
 
-    def test_condition_for_lookup(self, planner):
-        plan = planner.plan(parse_s2sql(
-            'SELECT product WHERE brand = "S" AND price < 10'))
-        brand_path = plan.conditions[0].path
-        assert len(plan.condition_for(brand_path)) == 1
-
 
 class TestConstraintTyping:
     def test_numeric_constraint_coerced_to_double(self, planner):

@@ -173,7 +173,7 @@ class TestDeadline:
             deadline.check("the query")
 
     def test_unlimited_never_expires(self):
-        deadline = Deadline.unlimited(FakeClock())
+        deadline = Deadline(None, FakeClock())
         assert deadline.unbounded
         assert not deadline.expired
         deadline.check()

@@ -141,8 +141,3 @@ class TestIndividuals:
     def test_missing_individual_raises(self, onto):
         with pytest.raises(OntologyError):
             onto.individual("ghost")
-
-    def test_remove_individuals(self, onto):
-        onto.add_individual("w1", "watch")
-        onto.remove_individuals()
-        assert onto.individuals() == []

@@ -43,15 +43,6 @@ class TestSubclassing:
         assert first is second  # cached
         assert first == frozenset({"product", "thing"})
 
-    def test_common_ancestor(self, reasoner):
-        assert reasoner.common_ancestor("watch", "provider") == "thing"
-        assert reasoner.common_ancestor("watch", "product") == "product"
-
-    def test_satisfies_class(self, reasoner, ontology):
-        individual = ontology.add_individual("w", "watch")
-        assert reasoner.satisfies_class(individual, "product")
-        assert not reasoner.satisfies_class(individual, "provider")
-
 
 class TestCoercion:
     def test_string(self, reasoner):

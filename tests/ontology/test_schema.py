@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import OntologyError
-from repro.ids import AttributePath
 
 
 class TestAttributePaths:
@@ -91,21 +90,3 @@ class TestQuerySupport:
         props = schema.object_properties_between("watch", "provider")
         assert [p.name for p in props] == ["hasProvider"]
         assert schema.object_properties_between("provider", "watch") == []
-
-
-class TestCommonPrefix:
-    def test_common_class_prefix(self):
-        from repro.ids import common_class_prefix
-        paths = [AttributePath.parse("thing.product.brand"),
-                 AttributePath.parse("thing.product.watch.case")]
-        assert common_class_prefix(paths) == ("thing", "product")
-
-    def test_common_class_prefix_disjoint(self):
-        from repro.ids import common_class_prefix
-        paths = [AttributePath.parse("thing.product.brand"),
-                 AttributePath.parse("other.provider.name")]
-        assert common_class_prefix(paths) == ()
-
-    def test_common_class_prefix_empty(self):
-        from repro.ids import common_class_prefix
-        assert common_class_prefix([]) == ()

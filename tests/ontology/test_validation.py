@@ -1,8 +1,5 @@
 """Tests for individual-vs-schema validation."""
 
-import pytest
-
-from repro.errors import ValidationError
 from repro.ontology import Reasoner, validate_individual, validate_ontology
 from repro.ontology.model import Individual
 
@@ -57,17 +54,6 @@ class TestValidateIndividual:
         p = Individual("p1", "premium_provider")
         w.link("hasProvider", p)
         assert validate_individual(ontology, w).valid
-
-    def test_raise_if_invalid(self, ontology):
-        report = validate_individual(ontology,
-                                     Individual("x", "ghost"))
-        with pytest.raises(ValidationError):
-            report.raise_if_invalid()
-
-    def test_valid_report_raise_is_noop(self, ontology):
-        individual = Individual("w1", "watch", {"brand": "Seiko"})
-        validate_individual(ontology, individual).raise_if_invalid()
-
 
     def test_passed_reasoner_reports_identically(self, ontology):
         """A shared reasoner only saves rebuilding the class tables:

@@ -105,9 +105,3 @@ class TestNamespaceManager:
         manager.bind("z", "http://z/")
         manager.bind("a", "http://a/")
         assert [prefix for prefix, _ in manager.namespaces()] == ["a", "z"]
-
-    def test_prefix_for(self):
-        manager = NamespaceManager()
-        manager.bind("ex", "http://e/")
-        assert manager.prefix_for("http://e/") == "ex"
-        assert manager.prefix_for("http://missing/") is None

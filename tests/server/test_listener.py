@@ -1,5 +1,6 @@
-"""The listener and its accept thread: bind addresses, failed accepts,
-and what a stopped server does when asked to start again."""
+"""The listener and its accept thread: bind addresses, port numbers,
+failed accepts, and what a stopped server does when asked to start
+again."""
 
 from __future__ import annotations
 
@@ -109,3 +110,24 @@ def test_a_stopped_server_does_not_start_again(middleware):
         thread.start()
     with pytest.raises(S2SError, match="already stopped"):
         ServerThread(thread.server).start()
+
+
+@pytest.mark.parametrize("port", [70000, -1, 65536])
+def test_an_out_of_range_port_is_refused_before_any_socket(port,
+                                                           monkeypatch):
+    """``getaddrinfo`` takes a port modulo 65536: unchecked, 70000 would
+    bind, or reach, port 4464."""
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    with pytest.raises(ValueError, match=f"got {port}$"):
+        ServerConfig(port=port)
+    with pytest.raises(ValueError, match=f"got {port}$"):
+        S2SClient("127.0.0.1", port)
+
+
+@pytest.mark.parametrize("port", [0, 65535])
+def test_the_ends_of_the_port_range_are_accepted(port):
+    assert ServerConfig(port=port).port == port
+    assert S2SClient("127.0.0.1", port).port == port

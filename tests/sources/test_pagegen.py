@@ -5,9 +5,9 @@ import pytest
 from repro import S2SMiddleware, ExtractionRule
 from repro.ontology.builders import watch_domain_ontology
 from repro.sources.web import SimulatedWeb, WebDataSource, parse_html
-from repro.sources.web.pagegen import (render_noisy_catalog_page,
-                                       render_noisy_product_page, span_rule)
 from repro.workloads.catalog import generate_products
+from tests.sources.pagegen import (render_noisy_catalog_page,
+                                   render_noisy_product_page, span_rule)
 
 
 @pytest.fixture

@@ -239,7 +239,7 @@ class TestCompiledRules:
         thread could be answered with the other thread's."""
         import sys
         import threading
-        from repro.sources.web.pagegen import span_rule
+        from tests.sources.pagegen import span_rule
         web = SimulatedWeb()
         web.publish("http://shop.example/w", "".join(
             f'<span id="{field}">{field.upper()}</span>'

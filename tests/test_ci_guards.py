@@ -1,9 +1,10 @@
-"""The CI workflow's grep guards each fail on a planted violation.
+"""The CI workflow's guards each fail on a planted violation.
 
-``tools/check_guards.py`` copies ``src/`` to a scratch directory and runs
-every ``! grep`` guard step of ``.github/workflows/ci.yml`` there, clean
-and then with each of its violations planted; this runs it from the
-repository root, as CI does.
+``tools/check_guards.py`` copies ``src/`` and ``tools/`` to a scratch
+directory and runs every guard step of ``.github/workflows/ci.yml``
+there (each ``! grep`` and each ``tools/check_*.py`` checker, such as
+the package layers), clean and then with each of its violations planted;
+this runs it from the repository root, as CI does.
 """
 
 import pathlib

@@ -2,6 +2,8 @@
 
 import json
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -260,6 +262,31 @@ class TestServe:
                                   "--fleet", "2:fork")
         assert code == 1
         assert "unknown --fleet token" in err
+
+
+class TestRefusedConfigValues:
+    """A value a config class refuses ends the command with one
+    ``error:`` line naming it and a nonzero exit, not a traceback."""
+
+    @pytest.mark.parametrize("argv, value", [
+        (("serve", "--fleet", "0"), "0"),
+        (("query", "--workers", "0", "SELECT product"), "0"),
+        (("serve", "--max-inflight", "0"), "0"),
+        (("serve", "--fleet", "2", "--fleet-quota", "0"), "0"),
+        (("serve", "--port", "70000"), "70000"),
+        (("client", "--port", "70000", "--status"), "70000"),
+    ], ids=["fleet", "workers", "max-inflight", "fleet-quota",
+            "serve-port", "client-port"])
+    def test_one_error_line(self, argv, value):
+        if argv[0] == "serve":
+            argv += ("--duration", "0")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], capture_output=True,
+            text=True, timeout=120)
+        assert completed.returncode != 0
+        assert "Traceback" not in completed.stderr
+        [line] = completed.stderr.splitlines()
+        assert line.startswith("error: ") and line.endswith(f"got {value}")
 
 
 class TestClient:

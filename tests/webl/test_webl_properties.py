@@ -92,13 +92,3 @@ class TestAttributePathProperties:
         assert path.attribute == segments[-1]
         assert list(path.classes) == segments[:-1]
         assert path.leaf_class == segments[-2]
-        assert path.root_class == segments[0]
-
-    @given(_segments, _segments)
-    def test_common_prefix_is_prefix_of_both(self, first, second):
-        from repro.ids import AttributePath, common_class_prefix
-        a = AttributePath.parse(".".join(first))
-        b = AttributePath.parse(".".join(second))
-        prefix = common_class_prefix([a, b])
-        assert a.classes[:len(prefix)] == prefix
-        assert b.classes[:len(prefix)] == prefix

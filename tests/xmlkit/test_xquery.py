@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import XPathError
 from repro.xmlkit import parse_xml
-from repro.xmlkit.xquery import XQuery, is_flwor, xquery_values
+from repro.xmlkit.xquery import XQuery, is_flwor
 
 CATALOG = """
 <catalog>
@@ -20,6 +20,10 @@ CATALOG = """
 @pytest.fixture
 def doc():
     return parse_xml(CATALOG)
+
+
+def xquery_values(root, text: str) -> list[str]:
+    return XQuery.compile(text).evaluate(root)
 
 
 class TestFlwor:

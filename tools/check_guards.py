@@ -1,13 +1,16 @@
-"""Prove that every grep guard of the CI workflow can fail.
+"""Prove that every guard of the CI workflow can fail.
 
 A guard is a CI step whose ``run`` script starts with ``!`` (``! grep
-...``): it passes while the pattern is absent from ``src/``.  A guard
-whose grep can never fail guards nothing — ``bash -e`` does not stop on
-a failed ``! grep`` that is not the last command of its script, so two
-of them on separate lines check only the second.  This script copies
-``src/`` to a scratch directory, runs each guard there (it must pass),
-then plants each of that guard's violations in turn and runs the guard
-again (it must fail).  Every guard step must have at least one
+...``), which passes while the pattern is absent from ``src/``, or runs
+a checker under ``tools/`` (``python tools/check_layers.py``), which
+passes while ``src/`` keeps its rule.  A guard that can never fail
+guards nothing — ``bash -e`` does not stop on a failed ``! grep`` that
+is not the last command of its script, so two of them on separate lines
+check only the second.  This script copies ``src/`` and ``tools/`` to a
+scratch directory, runs each guard there (it must pass), then plants
+each of that guard's violations in turn and runs the guard again (it
+must fail).  A violation is a line appended to a file, which is created
+when it does not exist.  Every guard step must have at least one
 violation below, and every violation a guard step.
 
 Run from the repository root: ``python tools/check_guards.py``.
@@ -22,6 +25,7 @@ import tempfile
 WORKFLOW = pathlib.Path(".github/workflows/ci.yml")
 
 #: step name -> (file under the copy, line appended to it), one per grep
+#: or per rule of a checker
 VIOLATIONS = {
     "No self-deprecations in src/": [
         ("src/repro/__init__.py", "# DeprecationWarning"),
@@ -66,11 +70,24 @@ VIOLATIONS = {
     "Asyncio leaves src/": [
         ("src/repro/server/server.py", "import asyncio"),
     ],
+    "Packages form layers": [
+        ("src/repro/sources/web/pagegen.py",
+         "from ...workloads.catalog import ProductRecord"),
+        ("src/repro/sources/base.py",
+         "def _planted():\n    from ..server import protocol"),
+    ],
 }
 
 
+def is_guard(script: str) -> bool:
+    script = script.lstrip()
+    return script.startswith("!") or (
+        script.startswith("python tools/check_")
+        and not script.startswith("python tools/check_guards.py"))
+
+
 def guard_steps(workflow: str) -> dict[str, str]:
-    """name -> run script of every step whose script starts with ``!``.
+    """name -> run script of every guard step (see :func:`is_guard`).
     Reads the two ``run:`` forms the workflow uses: a double-quoted
     scalar on the key's line, and a ``|`` block."""
     steps: dict[str, str] = {}
@@ -95,7 +112,7 @@ def guard_steps(workflow: str) -> dict[str, str]:
             script = "\n".join(b[margin:] for b in body).strip() + "\n"
         else:
             script = value[1:-1] if value.startswith('"') else value
-        if script.lstrip().startswith("!"):
+        if is_guard(script):
             steps[name] = script
         name = None
     return steps
@@ -117,20 +134,26 @@ def main() -> int:
                  for name in VIOLATIONS if name not in steps]
     with tempfile.TemporaryDirectory() as scratch:
         tree = pathlib.Path(scratch)
-        shutil.copytree("src", tree / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        for directory in ("src", "tools"):
+            shutil.copytree(directory, tree / directory,
+                            ignore=shutil.ignore_patterns("__pycache__"))
         for name, script in steps.items():
             if not guard_passes(script, tree):
                 problems.append(f"{name!r} fails on the clean tree")
                 continue
             for path, line in VIOLATIONS.get(name, ()):
                 target = tree / path
-                original = target.read_text(encoding="utf-8")
-                target.write_text(original + line + "\n", encoding="utf-8")
+                original = (target.read_text(encoding="utf-8")
+                            if target.exists() else None)
+                target.write_text((original or "") + line + "\n",
+                                  encoding="utf-8")
                 if guard_passes(script, tree):
                     problems.append(f"{name!r} passes with {line!r} "
                                     f"planted in {path}")
-                target.write_text(original, encoding="utf-8")
+                if original is None:
+                    target.unlink()
+                else:
+                    target.write_text(original, encoding="utf-8")
     for problem in problems:
         print(problem)
     print(f"{len(steps)} guards, "
