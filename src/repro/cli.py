@@ -73,14 +73,18 @@ def _configured(build, *args, **kwargs):
         raise S2SError(str(exc)) from None
 
 
+def _scenario(args: argparse.Namespace, seed: int) -> B2BScenario:
+    """The demo world the scenario arguments describe, under ``seed``."""
+    return B2BScenario(n_sources=args.sources, n_products=args.products,
+                       conflicts=_CONFLICT_LEVELS[args.conflicts],
+                       seed=seed, sql_engine=args.sql_engine)
+
+
 def _build(args: argparse.Namespace, *, store: bool = False):
     from .config import ConcurrencyConfig
     from .obs import MetricsRegistry, Tracer
 
-    scenario = B2BScenario(n_sources=args.sources, n_products=args.products,
-                           conflicts=_CONFLICT_LEVELS[args.conflicts],
-                           seed=args.seed,
-                           sql_engine=getattr(args, "sql_engine", "columnar"))
+    scenario = _scenario(args, args.seed)
     query_workers = getattr(args, "query_workers", None)
     query_pool = getattr(args, "query_pool", None)
     if query_workers is not None or query_pool is not None:
@@ -198,14 +202,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_suggest(args: argparse.Namespace) -> int:
     """Show assisted-mapping suggestions for a fresh (unmapped) world."""
     from .core.mapping.suggest import MappingSuggester
-    from .ontology.builders import watch_domain_ontology
     from .core.middleware import S2SMiddleware
-    from .workloads import B2BScenario
 
-    scenario = B2BScenario(n_sources=args.sources,
-                           n_products=args.products,
-                           conflicts=_CONFLICT_LEVELS[args.conflicts],
-                           seed=args.seed)
+    scenario = _scenario(args, args.seed)
     s2s = S2SMiddleware(watch_domain_ontology())
     for org in scenario.organizations:
         s2s.register_source(scenario.connector(org))
@@ -222,22 +221,29 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_warm(args: argparse.Namespace):
+    """A store-backed middleware, warm-loaded from ``--dir`` when that
+    holds a snapshot; returns it and the directory (None without one)."""
+    import os
+
+    from .core.store.snapshot import MANIFEST_NAME
+
+    _scenario, s2s = _build(args, store=True)
+    directory = getattr(args, "dir", None)
+    if directory and os.path.exists(os.path.join(directory, MANIFEST_NAME)):
+        loaded = s2s.store.load(directory)
+        print(f"loaded {loaded} materialization(s) from {directory}",
+              file=sys.stderr)
+    return s2s, directory
+
+
 def _cmd_store(args: argparse.Namespace) -> int:
     """``store refresh|status|export`` over the demo world's store.
 
     ``--dir`` makes the store persistent across invocations: an existing
     snapshot is warm-loaded before the subcommand runs, and ``refresh``
     saves the store back afterwards."""
-    import os
-
-    _scenario, s2s = _build(args, store=True)
-    directory = getattr(args, "dir", None)
-    if directory and os.path.exists(os.path.join(directory,
-                                                 "manifest.json")):
-        loaded = s2s.store.load(directory)
-        print(f"loaded {loaded} materialization(s) from {directory}",
-              file=sys.stderr)
-
+    s2s, directory = _build_warm(args)
     if args.store_command == "status":
         rows = s2s.store_status()
         if not rows:
@@ -281,8 +287,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     run`` with the same ``--journal`` resumes exactly the jobs a crashed
     or aborted run left unfinished.  ``--dir`` persists the store
     snapshot across invocations, same as the ``store`` command."""
-    import os
-
     if args.ingest_command == "dead-letter":
         from .core.ingest import DeadLetterLedger
         entries = DeadLetterLedger(args.journal, fsync=False).entries()
@@ -295,14 +299,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             print(f"  error: {entry.get('error')}")
         return 0
 
-    _scenario, s2s = _build(args, store=True)
-    directory = getattr(args, "dir", None)
-    if directory and os.path.exists(os.path.join(directory,
-                                                 "manifest.json")):
-        loaded = s2s.store.load(directory)
-        print(f"loaded {loaded} materialization(s) from {directory}",
-              file=sys.stderr)
-
+    s2s, directory = _build_warm(args)
     if args.ingest_command == "status":
         status = s2s.ingest_status(args.journal)
         jobs = status["jobs"] or {}
@@ -397,15 +394,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     tenant's shards under per-tenant quotas."""
     import time as _time
 
-    from .config import ServerConfig
+    from .config import ConcurrencyConfig, ServerConfig
     from .server import S2SServer, ServerThread, Tenant, TenantRegistry
 
     fleet_shape = _resolve_serve_fleet(args)
-    middleware_kwargs = {}
     if fleet_shape is not None:
-        from .config import ConcurrencyConfig
-        middleware_kwargs["concurrency"] = ConcurrencyConfig.sharded(
-            fleet=fleet_shape[0])
+        # --fleet implies the sharded engine, as query --workers does.
+        concurrency = ConcurrencyConfig.sharded(fleet=fleet_shape[0])
+    else:
+        concurrency = ConcurrencyConfig(mode=args.concurrency or "serial")
     shared_fleet = None
     if fleet_shape is not None and fleet_shape[1]:
         from .clock import SystemClock
@@ -416,12 +413,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                              metrics=DEFAULT_REGISTRY)
     registry = TenantRegistry()
     for index, (name, token) in enumerate(_parse_tenant_specs(args.tenants)):
-        scenario = B2BScenario(n_sources=args.sources,
-                               n_products=args.products,
-                               conflicts=_CONFLICT_LEVELS[args.conflicts],
-                               seed=args.seed + index)
-        middleware = scenario.build_middleware(store=args.store,
-                                               **middleware_kwargs)
+        middleware = _scenario(args, args.seed + index).build_middleware(
+            store=args.store, concurrency=concurrency)
         if shared_fleet is not None:
             middleware.attach_fleet(shared_fleet, tenant=name)
         registry.add(Tenant(name, middleware, token=token, owned=True))

@@ -114,7 +114,8 @@ class QueryWorkerContext:
 
 @dataclass
 class FleetWorkerContext:
-    """A shared fleet's worker context: one per-tenant context each.
+    """A fleet's worker context: one per-tenant context each (a fleet of
+    one middleware has the one tenant ``"default"``).
 
     Work items carry their tenant name; the worker resolves the right
     :class:`QueryWorkerContext` (and therefore the right repositories
@@ -123,7 +124,6 @@ class FleetWorkerContext:
     pool ships a whole multi-tenant world to each child."""
 
     contexts: dict[str, QueryWorkerContext]
-    killable: Any = None
 
     def for_tenant(self, tenant: str) -> QueryWorkerContext:
         return self.contexts[tenant]
@@ -141,8 +141,9 @@ class QueryWorkItem:
     tenant: str = "default"
 
 
-def run_query_item(shard: int, item: QueryWorkItem, ctx, emit, *,
-                   cancel: Any = None, in_subprocess: bool = False) -> None:
+def run_query_item(shard: int, item: QueryWorkItem, ctx: FleetWorkerContext,
+                   emit, *, cancel: Any = None,
+                   in_subprocess: bool = False) -> None:
     """Run one sub-plan, emitting progress events.
 
     ``emit`` receives plain dicts.  ``shard`` is the *worker index*
@@ -153,8 +154,7 @@ def run_query_item(shard: int, item: QueryWorkItem, ctx, emit, *,
     which is the point."""
     emit({"kind": "beat", "shard": shard, "request_id": item.request_id,
           "item_shard": item.shard})
-    worker_ctx = (ctx.for_tenant(item.tenant)
-                  if hasattr(ctx, "for_tenant") else ctx)
+    worker_ctx = ctx.for_tenant(item.tenant)
     if worker_ctx.killable is not None:
         probe = item.source_ids[0] if item.source_ids else ""
         worker_ctx.killable.check(probe, "QUERY", cancel=cancel,
@@ -322,12 +322,7 @@ class QueryShardCoordinator:
             context = entry["context_factory"]()
             context.killable = self.killable
             contexts[name] = context
-        if set(contexts) == {"default"}:
-            # Single-tenant fleets keep the PR 9 wiring: the pool
-            # context *is* the worker context (same pickling surface).
-            ctx: Any = contexts["default"]
-        else:
-            ctx = FleetWorkerContext(contexts, killable=self.killable)
+        ctx = FleetWorkerContext(contexts)
         if self.pool_kind == "spawn":
             return SubprocessWorkerPool(ctx, self.n_workers,
                                         loop=query_worker_loop,

@@ -1,32 +1,25 @@
-"""The JSON forms of assembled entities and of an error entry.
+"""The JSON form of assembled entities and of an error entry.
 
 The Instance Generator owns the instances and "any error that has
 occurred" (paper section 2.6); this module is the one place that writes
-either down as JSON and reads it back.  An entity has two forms.
+either down as JSON and reads it back.  An entity has one form, which
+the wire (``repro.server.codec``) and the store manifest
+(``repro.core.store.snapshot``) both carry: each record shape is stated
+once, in a ``shapes`` array of one template per distinct shape, each
+individual (primary first) as ``[class, [attribute, ...], {property:
+[index, ...]}]``; an ``entities`` array holds one row per entity,
+``[shape index, source_id, record_index, [coercion error, ...],
+[identifier, value, ...], ...]`` with one cell list per individual, its
+values in the order of the template's attributes.
 
-The store manifest (``repro.core.store.snapshot``) keeps one object per
-entity::
-
-    {"source_id": str, "record_index": int, "coercion_errors": [str],
-     "individuals": [{"identifier": str, "class": str, "values": {...},
-                      "links": {property: [index, ...]}}, ...]}
-
-The wire (``repro.server.codec``) states each record shape once: a
-``shapes`` array holds one template per distinct shape, each individual
-(primary first) as ``[class, [attribute, ...], {property: [index,
-...]}]``, and an ``entities`` array one row per entity, ``[shape index,
-source_id, record_index, [coercion error, ...], [identifier, value,
-...], ...]`` with one cell list per individual, its values in the order
-of the template's attributes.
-
-In both, a link is an index into the entity's own individuals (a link
-to anything else is not encoded).  Values are JSON scalars or a list of
+A link is an index into the entity's own individuals (a link to
+anything else is not encoded).  Values are JSON scalars or a list of
 them, untouched; ``datetime.date`` / ``datetime.datetime`` have no JSON
 spelling, so :func:`json_default` — handed to ``json.dumps(default=)``,
 which calls it only for what JSON refuses — writes ``{"$date":
-"2006-07-01"}`` / ``{"$dateTime": ...}`` and the decoders read the tag
+"2006-07-01"}`` / ``{"$dateTime": ...}`` and the decoder reads the tag
 back to the same type.  No legal value is a JSON object, so a tag is
-never ambiguous.  The decoders are strict: anything else raises
+never ambiguous.  The decoder is strict: anything else raises
 :class:`~repro.errors.CodecError` (docs/server.md, "Result payload").
 """
 
@@ -103,9 +96,9 @@ def _template(key: tuple) -> list:
 
 
 def entities_to_wire(entities) -> tuple[list, list]:
-    """The ``shapes`` and ``entities`` arrays of a RESULT body: one
-    template per distinct shape, numbered in order of first use, and
-    one row per entity."""
+    """The ``shapes`` and ``entities`` arrays of a RESULT body or of a
+    store manifest's slice: one template per distinct shape, numbered in
+    order of first use, and one row per entity."""
     numbers: dict[tuple, int] = {}
     shapes, rows = [], []
     for entity in entities:
@@ -208,66 +201,6 @@ def _entity_from_row(row, layouts: list) -> AssembledEntity:
                                           for target in targets]
     return AssembledEntity(individuals[0], individuals[1:], source_id,
                            record_index, list(coercion_errors))
-
-
-def entity_to_json(entity: AssembledEntity) -> dict:
-    """One assembled entity: individuals by index, links as indices.
-
-    JSON-safe once serialized with ``default=json_default``."""
-    individuals = entity.all_individuals()
-    index_of = {id(ind): n for n, ind in enumerate(individuals)}
-    return {
-        "source_id": entity.source_id,
-        "record_index": entity.record_index,
-        "coercion_errors": list(entity.coercion_errors),
-        "individuals": [
-            {"identifier": ind.identifier,
-             "class": ind.class_name,
-             "values": dict(ind.values),
-             "links": {name: [index_of[id(target)]
-                              for target in targets
-                              if id(target) in index_of]
-                       for name, targets in ind.links.items()}}
-            for ind in individuals],
-    }
-
-
-def entity_from_json(data: dict) -> AssembledEntity:
-    """The entity :func:`entity_to_json` wrote, from parsed JSON."""
-    try:
-        individuals = []
-        for ind in data["individuals"]:
-            identifier, class_name = ind["identifier"], ind["class"]
-            values = ind["values"]
-            if type(identifier) is not str or type(class_name) is not str:
-                raise CodecError(f"not an individual: {ind!r}")
-            if _CONTAINERS.isdisjoint(map(type, values.values())):
-                values = dict(values)
-            else:
-                values = {name: _value_from_json(value)
-                          for name, value in values.items()}
-            individuals.append(Individual(identifier, class_name, values))
-        count = len(individuals)
-        for individual, ind in zip(individuals, data["individuals"]):
-            for name, targets in ind["links"].items():
-                linked = individual.links[name] = []
-                for index in targets:
-                    if type(index) is not int or not 0 <= index < count:
-                        raise CodecError(
-                            f"link {name!r} of {individual.identifier!r} "
-                            f"points at individual {index!r} of {count}")
-                    linked.append(individuals[index])
-        # inline, not json_field: a client decodes every entity it is sent
-        source_id, record_index = data["source_id"], data["record_index"]
-        coercion_errors = data["coercion_errors"]
-        if type(source_id) is not str or type(record_index) is not int \
-                or type(coercion_errors) is not list or (coercion_errors and not all(
-                    type(error) is str for error in coercion_errors)):
-            raise CodecError("entity header fields have the wrong types")
-        return AssembledEntity(individuals[0], individuals[1:], source_id,
-                               record_index, list(coercion_errors))
-    except _SHAPE_ERRORS as exc:
-        raise CodecError(f"malformed entity: {exc!r}") from exc
 
 
 def _value_from_json(value, *, in_list: bool = False):

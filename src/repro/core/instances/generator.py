@@ -27,7 +27,7 @@ from ...ontology.schema import OntologySchema
 from ..extractor.manager import ExtractionOutcome
 from ..extractor.records import SourceRecordSet
 from .assembly import _FAILED, AssembledEntity, RecordAssembler, _ShapePlan
-from .codec import entity_from_json, entity_to_json
+from .codec import entities_from_wire, entities_to_wire
 from .errors import ErrorReport
 
 
@@ -213,8 +213,8 @@ class InstanceGenerator:
             if not (filled or adopted):
                 continue
             if id(existing) not in copies:
-                existing = merged[key] = entity_from_json(
-                    entity_to_json(existing))
+                existing, = entities_from_wire(*entities_to_wire([existing]))
+                merged[key] = existing
                 copies.add(id(existing))
             existing.primary.values.update(filled)
             existing.satellites.extend(adopted)

@@ -11,12 +11,13 @@ store state:
 
 * :func:`save_store` / :func:`load_store` — warm-restart persistence.
   A saved store is one file, ``manifest.json``: materializations →
-  source slices → fingerprints, the slice's entities and the
-  materialization's error entries, each in the JSON form of
-  :mod:`repro.core.instances.codec` (the form the wire carries), so
-  value types, multi-valued attributes, value order and coercion errors
-  survive the restart.  No triple is saved: the store derives them from
-  the entities when asked, and ``store.export()`` is the RDF export path.
+  source slices → fingerprints, each slice's entities as shape
+  templates plus value rows and the materialization's error entries,
+  in the JSON form of :mod:`repro.core.instances.codec` (the form the
+  wire carries), so value types, multi-valued attributes, value order
+  and coercion errors survive the restart.  No triple is saved: the
+  store derives them from the entities when asked, and
+  ``store.export()`` is the RDF export path.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ import os
 from ...errors import S2SError
 from ...ids import AttributePath
 from ...sources.base import DataSource
-from ..instances.codec import (entity_from_json, entity_to_json,
-                               error_from_json, error_to_json, json_default,
-                               json_field)
+from ..instances.codec import (compact_json, entities_from_wire,
+                               entities_to_wire, error_from_json,
+                               error_to_json, json_field)
 
 logger = logging.getLogger("repro.core.store")
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 def fingerprint_source(source: DataSource) -> str | None:
@@ -78,37 +79,44 @@ def fingerprint_sources(sources, source_ids) -> dict[str, str | None]:
 def save_store(store, directory: str) -> str:
     """Persist ``store`` under ``directory``; returns the manifest path.
 
-    The directory is created if missing.  Freshness is deliberately not
-    persisted: a reloaded store is stamped fresh at load time, and the
-    first refresh re-checks every fingerprint anyway."""
+    The directory is created if missing.  The whole text is built before
+    anything is written, then written beside the manifest and renamed
+    over it: a save that fails (a value with no JSON form, a full disk)
+    leaves the previous snapshot as it was.  Freshness is deliberately
+    not persisted: a reloaded store is stamped fresh at load time, and
+    the first refresh re-checks every fingerprint anyway."""
     os.makedirs(directory, exist_ok=True)
-    manifest = {
+    data = compact_json({
         "version": MANIFEST_VERSION,
         "generation": store.generation,
         "namespace": store.namespace.base,
         "materializations": [
             _materialization_to_dict(mat)
             for mat in store.materializations()],
-    }
+    }).encode("utf-8")
     manifest_path = os.path.join(directory, MANIFEST_NAME)
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        # no sort_keys: the order of an individual's values is data
-        json.dump(manifest, handle, indent=1, default=json_default)
+    written_path = manifest_path + ".tmp"
+    with open(written_path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(written_path, manifest_path)
     return manifest_path
 
 
 def _materialization_to_dict(mat) -> dict:
+    slices = []
+    for _sid, slice_ in sorted(mat.slices.items()):
+        shapes, rows = entities_to_wire(slice_.entities)
+        slices.append({"source": slice_.source_id,
+                       "fingerprint": slice_.fingerprint,
+                       "stale": slice_.stale,
+                       "shapes": shapes, "entities": rows})
     return {
         "class": mat.class_name,
         "attributes": sorted(mat.attribute_ids),
         "errors": [error_to_json(entry) for entry in mat.errors],
-        "slices": [
-            {"source": slice_.source_id,
-             "fingerprint": slice_.fingerprint,
-             "stale": slice_.stale,
-             "entities": [entity_to_json(entity)
-                          for entity in slice_.entities]}
-            for _sid, slice_ in sorted(mat.slices.items())],
+        "slices": slices,
     }
 
 
@@ -122,9 +130,10 @@ def load_store(store, directory: str) -> int:
 
     Replaces the store's current contents; returns the number of
     materializations loaded.  Reads the manifest only and ``adopt()``s
-    the decoded materializations.  A manifest of another
-    version, or one that is JSON but not a manifest, raises
-    :class:`S2SError` and leaves the store as it was.
+    the decoded materializations.  A manifest of another version, one
+    that is JSON but not a manifest, or one holding what the store could
+    not export (:func:`_check_exportable`) raises :class:`S2SError` and
+    leaves the store as it was.
 
     A manifest that exists but does not parse (torn write from a crashed
     saver) is quarantined under ``manifest.json.corrupt`` and the load
@@ -169,8 +178,7 @@ def load_store(store, directory: str) -> int:
                 slices={
                     json_field(slice_dict, "source", str): SourceSlice(
                         slice_dict["source"],
-                        [entity_from_json(entity)
-                         for entity in json_field(slice_dict, "entities", list)],
+                        _slice_entities(store.namespace, slice_dict),
                         json_field(slice_dict, "fingerprint", str, type(None)),
                         json_field(slice_dict, "stale", bool))
                     for slice_dict in json_field(mat_dict, "slices", list)},
@@ -185,3 +193,30 @@ def load_store(store, directory: str) -> int:
     for mat in materializations:
         store.adopt(mat)
     return len(materializations)
+
+
+def _slice_entities(namespace, slice_dict: dict) -> list:
+    """A manifest slice's entities, decoded and checked exportable."""
+    shapes = json_field(slice_dict, "shapes", list)
+    rows = json_field(slice_dict, "entities", list)
+    entities = entities_from_wire(shapes, rows)
+    _check_exportable(namespace, shapes, rows)
+    return entities
+
+
+def _check_exportable(namespace, shapes: list, rows: list) -> None:
+    """Refuse a decoded slice the store could hold but not export: a
+    class, attribute, link or identifier that is no IRI in the store's
+    ``namespace`` (each name once per template, each identifier once per
+    individual), or a ``null`` value, alone or in a list.  The row
+    decoder lets both through: the wire carries ``null``."""
+    for template in shapes:
+        for class_name, attributes, links in template:
+            for name in (class_name, *attributes, *links):
+                namespace[name]
+    for row in rows:
+        for cell in row[4:]:
+            namespace[cell[0]]
+            if None in cell or list in map(type, cell) and any(
+                    type(value) is list and None in value for value in cell):
+                raise S2SError(f"individual {cell[0]!r} holds a null value")

@@ -2,11 +2,13 @@
 
 A Hypothesis property holds the encoder and decoder together (entities
 and error entries come back field for field, value *types* and value
-order included); a table of malformed inputs checks that both consumers
-— ``result_from_wire`` and ``store.load`` — let only typed ``S2SError``s
-escape; three regression tests pin the value-losing bugs the three old
-encoders had (dates over the wire, multi-valued attributes and coercion
-errors across a store restart).
+order included); a table of malformed shape templates and value rows
+checks that both consumers — ``result_from_wire`` and ``store.load`` —
+let only typed ``S2SError``s escape, and a second table that the store
+refuses at load what it could hold but not export; three regression
+tests pin the value-losing bugs the three old encoders had (dates over
+the wire, multi-valued attributes and coercion errors across a store
+restart).
 
 CI runs this file once more with ``--hypothesis-seed=4711``.
 """
@@ -23,8 +25,8 @@ from hypothesis import strategies as st
 
 from repro import ExtractionRule, S2SMiddleware
 from repro.core.instances.assembly import AssembledEntity
-from repro.core.instances.codec import (entities_to_wire, entity_from_json,
-                                        entity_to_json, error_from_json,
+from repro.core.instances.codec import (compact_json, entities_from_wire,
+                                        entities_to_wire, error_from_json,
                                         error_to_json, json_default)
 from repro.core.instances.errors import ErrorEntry
 from repro.core.store.store import SliceWrite
@@ -42,6 +44,11 @@ from repro.sources.relational import Database, RelationalDataSource
 def through_json(data):
     """What a reader on the other side of a socket or a disk sees."""
     return json.loads(json.dumps(data, default=json_default))
+
+
+def round_trip(entity: AssembledEntity) -> AssembledEntity:
+    decoded, = entities_from_wire(*through_json(entities_to_wire([entity])))
+    return decoded
 
 
 def assert_same_entity(decoded: AssembledEntity, entity: AssembledEntity):
@@ -118,8 +125,7 @@ class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(entities())
     def test_entity_survives_json(self, entity):
-        assert_same_entity(entity_from_json(through_json(
-            entity_to_json(entity))), entity)
+        assert_same_entity(round_trip(entity), entity)
 
     @settings(max_examples=100, deadline=None)
     @given(error_entries)
@@ -132,8 +138,7 @@ class TestRoundTrip:
         outsider = Individual("p9", "provider", {"name": "Elsewhere"})
         watch = Individual("w1", "watch", {"brand": "Seiko"})
         watch.link("hasProvider", outsider)
-        decoded = entity_from_json(through_json(
-            entity_to_json(AssembledEntity(watch, [], "DB_1", 0))))
+        decoded = round_trip(AssembledEntity(watch, [], "DB_1", 0))
         assert decoded.primary.links == {"hasProvider": []}
 
     def test_plain_values_are_plain_json(self):
@@ -143,44 +148,38 @@ class TestRoundTrip:
                                            "water_resistance": 200,
                                            "in_stock": True,
                                            "model": ["A1", "B2"]})
-        data = entity_to_json(AssembledEntity(watch, [], "DB_1", 3))
-        assert json.loads(json.dumps(data)) == data
-        assert data["individuals"][0]["values"] == watch.values
+        shapes, rows = entities_to_wire([AssembledEntity(watch, [], "DB_1", 3)])
+        assert json.loads(json.dumps([shapes, rows])) == [shapes, rows]
+        assert shapes[0][0][1] == list(watch.values)
+        assert rows[0][4] == ["w1", *watch.values.values()]
 
     def test_dates_travel_tagged(self):
         shipment = Individual("s1", "shipment", {
             "ship_date": datetime.date(2006, 7, 1),
             "scanned": [datetime.datetime(2006, 7, 1, 8, 30)]})
-        data = through_json(entity_to_json(
-            AssembledEntity(shipment, [], "TMS_DB", 0)))
-        assert data["individuals"][0]["values"] == {
-            "ship_date": {"$date": "2006-07-01"},
-            "scanned": [{"$dateTime": "2006-07-01T08:30:00"}]}
+        _shapes, rows = through_json(entities_to_wire(
+            [AssembledEntity(shipment, [], "TMS_DB", 0)]))
+        assert rows[0][4] == ["s1", {"$date": "2006-07-01"},
+                              [{"$dateTime": "2006-07-01T08:30:00"}]]
 
     def test_a_value_json_cannot_spell_is_a_typed_error(self):
         entity = AssembledEntity(Individual("w1", "watch", {"tags": {1, 2}}),
                                  [], "DB_1", 0)
+        shapes, rows = entities_to_wire([entity])
         with pytest.raises(CodecError):
-            json.dumps(entity_to_json(entity), default=json_default)
+            compact_json(rows)
         with pytest.raises(CodecError):
             encode_frame({"kind": "RESULT",
-                          "result": {"entities": [entity_to_json(entity)]}})
+                          "result": {"shapes": shapes, "entities": rows}})
 
 
 # -- malformed input ------------------------------------------------------
 
-def good_entity() -> dict:
+def good_entity() -> AssembledEntity:
     watch = Individual("w1", "watch", {"brand": "Seiko"})
     provider = Individual("p1", "provider", {"name": "Acme"})
     watch.link("hasProvider", provider)
-    return through_json(entity_to_json(
-        AssembledEntity(watch, [provider], "DB_1", 0, ["bad price"])))
-
-
-def broken(mutate) -> dict:
-    data = good_entity()
-    mutate(data)
-    return data
+    return AssembledEntity(watch, [provider], "DB_1", 0, ["bad price"])
 
 
 def _set(path, value):
@@ -200,57 +199,6 @@ def _drop(path):
         del data[last]
     return mutate
 
-
-FIRST = ("individuals", 0)
-MALFORMED_ENTITIES = {
-    "not an object": [],
-    "a string": "entity",
-    "null": None,
-    "no individuals": broken(_drop(["individuals"])),
-    "empty individuals": broken(_set(["individuals"], [])),
-    "individuals not a list": broken(_set(["individuals"], 7)),
-    "individual not an object": broken(_set(FIRST, "w1")),
-    "individual without values": broken(_drop([*FIRST, "values"])),
-    "individual without links": broken(_drop([*FIRST, "links"])),
-    "identifier not text": broken(_set([*FIRST, "identifier"], 7)),
-    "class not text": broken(_set([*FIRST, "class"], None)),
-    "values a list": broken(_set([*FIRST, "values"], [["brand", "x"]])),
-    "links a list": broken(_set([*FIRST, "links"], [1])),
-    "link targets not a list": broken(
-        _set([*FIRST, "links", "hasProvider"], 1)),
-    "link index out of range": broken(
-        _set([*FIRST, "links", "hasProvider"], [2])),
-    "link index negative": broken(
-        _set([*FIRST, "links", "hasProvider"], [-1])),
-    "link index a bool": broken(
-        _set([*FIRST, "links", "hasProvider"], [True])),
-    "link index text": broken(
-        _set([*FIRST, "links", "hasProvider"], ["1"])),
-    "unknown tag": broken(
-        _set([*FIRST, "values", "brand"], {"$time": "08:30"})),
-    "two-key object": broken(_set(
-        [*FIRST, "values", "brand"],
-        {"$date": "2024-05-17", "$dateTime": "2024-05-17T00:00:00"})),
-    "empty object": broken(_set([*FIRST, "values", "brand"], {})),
-    "non-ISO date": broken(
-        _set([*FIRST, "values", "brand"], {"$date": "yesterday"})),
-    "date with a time": broken(
-        _set([*FIRST, "values", "brand"], {"$date": "2024-05-17T08:30:00"})),
-    "non-ISO dateTime": broken(
-        _set([*FIRST, "values", "brand"], {"$dateTime": "17/05/2024"})),
-    "tag payload not text": broken(
-        _set([*FIRST, "values", "brand"], {"$date": 20240517})),
-    "list in a list": broken(_set([*FIRST, "values", "brand"], [["x"]])),
-    "bad tag in a list": broken(
-        _set([*FIRST, "values", "brand"], ["x", {"$date": "soon"}])),
-    "no source_id": broken(_drop(["source_id"])),
-    "source_id a number": broken(_set(["source_id"], 7)),
-    "record_index text": broken(_set(["record_index"], "0")),
-    "no coercion_errors": broken(_drop(["coercion_errors"])),
-    "coercion_errors text": broken(_set(["coercion_errors"], "bad price")),
-    "coercion error a number": broken(_set(["coercion_errors"], [1])),
-    "coercion error null": broken(_set(["coercion_errors"], [None])),
-}
 
 MALFORMED_ERRORS = {
     "not an object": ["generation", "boom"],
@@ -294,8 +242,7 @@ _MISSING = object()
 def envelope(**fields) -> dict:
     """A valid RESULT payload carrying the good entity as its one row,
     with ``fields`` in place."""
-    shapes, rows = through_json(entities_to_wire(
-        [entity_from_json(good_entity())]))
+    shapes, rows = through_json(entities_to_wire([good_entity()]))
     return {"query": "SELECT product", "query_class": "product",
             "shapes": shapes, "entities": rows, "errors": [],
             "degraded": False, "degraded_sources": [], "store_hit": False,
@@ -316,8 +263,9 @@ def _each(*mutations):
 SHAPE, MEMBER = ("shapes", 0), ("shapes", 0, 0)
 ROW, CELL, BRAND = ("entities", 0), ("entities", 0, 4), ("entities", 0, 4, 1)
 
-#: each MALFORMED_ENTITIES case spelled in a template or a row (same name),
-#: plus the checks only the row form has; name -> what to do to envelope()
+#: a template or a row the decoder refuses; name -> what to do to
+#: envelope(), to a store manifest's slice or to the bare arrays (each
+#: holds ``shapes`` and ``entities`` under those names)
 MALFORMED_ROWS = {
     "not an object": _set(ROW, {}),
     "a string": _set(ROW, "entity"),
@@ -365,6 +313,18 @@ MALFORMED_ROWS = {
                                    _set(CELL, ["w1", "Seiko", "Seiko"])),
 }
 
+#: a slice the row decoder takes (the wire carries ``null`` values) but the
+#: store could not export, so ``store.load`` refuses it; name -> what to do
+#: to a manifest slice holding the good entity
+UNEXPORTABLE = {
+    "null value": _set(BRAND, None),
+    "null in a list": _set(BRAND, ["Seiko", None]),
+    "identifier no IRI": _set([*CELL, 0], "w^atch_xml_1_0"),
+    "class no IRI": _set([*MEMBER, 0], "wa tch"),
+    "attribute no IRI": _set([*MEMBER, 1], ["br<and>"]),
+    "link no IRI": _set([*MEMBER, 2], {"has Provider": [1]}),
+}
+
 
 def by_name(table):
     return pytest.mark.parametrize("data", list(table.values()),
@@ -373,12 +333,22 @@ def by_name(table):
 
 @pytest.fixture(scope="module")
 def saved_manifest(tmp_path_factory):
-    """A valid version-2 manifest (parsed) of a one-entity store."""
+    """A valid version-3 manifest (parsed) of a one-entity store."""
     s2s = watch_world([("Seiko", "199.0")])
     s2s.query("SELECT product")
     directory = tmp_path_factory.mktemp("saved")
     with open(s2s.store.save(str(directory)), encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def with_good_slice(manifest) -> tuple[dict, dict]:
+    """A copy of ``manifest`` whose first slice holds the good entity
+    alone, and that slice."""
+    manifest = copy.deepcopy(manifest)
+    slice_ = manifest["materializations"][0]["slices"][0]
+    slice_["shapes"], slice_["entities"] = through_json(
+        entities_to_wire([good_entity()]))
+    return manifest, slice_
 
 
 def load_manifest(manifest, tmp_path):
@@ -397,20 +367,20 @@ def load_manifest(manifest, tmp_path):
 
 class TestMalformedInput:
     def test_the_table_starts_from_a_good_entity(self):
-        assert entity_from_json(good_entity()).value("name") == "Acme"
+        assert round_trip(good_entity()).value("name") == "Acme"
 
-    @by_name(MALFORMED_ENTITIES)
+    @by_name(MALFORMED_ROWS)
     def test_entity_decoder_raises_typed(self, data):
+        shapes, rows = through_json(entities_to_wire([good_entity()]))
+        arrays = {"shapes": shapes, "entities": rows}
+        data(arrays)
         with pytest.raises(CodecError):
-            entity_from_json(data)
+            entities_from_wire(arrays["shapes"], arrays["entities"])
 
     @by_name(MALFORMED_ERRORS)
     def test_error_decoder_raises_typed(self, data):
         with pytest.raises(CodecError):
             error_from_json(data)
-
-    def test_the_row_table_covers_the_entity_table(self):
-        assert set(MALFORMED_ENTITIES) <= set(MALFORMED_ROWS)
 
     @by_name(MALFORMED_ROWS)
     def test_wire_consumer_raises_typed(self, data):
@@ -435,8 +405,7 @@ class TestMalformedInput:
     def test_the_good_envelope_decodes(self):
         remote = result_from_wire(envelope())
         assert remote.entities[0].value("name") == "Acme"
-        assert_same_entity(remote.entities[0],
-                           entity_from_json(good_entity()))
+        assert_same_entity(remote.entities[0], good_entity())
         for shapes in (_MISSING, None, {}, "[]", [[]], [5]):
             wire = envelope(shapes=shapes)
             if shapes is _MISSING:
@@ -444,11 +413,30 @@ class TestMalformedInput:
             with pytest.raises(CodecError):
                 result_from_wire(wire)
 
-    @by_name(MALFORMED_ENTITIES)
+    @by_name(MALFORMED_ROWS)
     def test_store_consumer_raises_typed(self, data, saved_manifest,
                                          tmp_path):
-        manifest = copy.deepcopy(saved_manifest)
-        manifest["materializations"][0]["slices"][0]["entities"] = [data]
+        manifest, slice_ = with_good_slice(saved_manifest)
+        data(slice_)
+        with pytest.raises(S2SError):
+            load_manifest(manifest, tmp_path)
+
+    def test_a_slice_of_the_good_entity_loads_and_exports(
+            self, saved_manifest, tmp_path):
+        manifest, _slice = with_good_slice(saved_manifest)
+        assert load_manifest(manifest, tmp_path) == 1
+        store = S2SMiddleware(watch_domain_ontology(), store=True).store
+        store.load(str(tmp_path))
+        assert "Acme" in store.export()
+
+    @by_name(UNEXPORTABLE)
+    def test_what_the_store_cannot_export_is_refused_at_load(
+            self, data, saved_manifest, tmp_path):
+        wire = envelope()
+        data(wire)
+        result_from_wire(wire)  # the wire carries it
+        manifest, slice_ = with_good_slice(saved_manifest)
+        data(slice_)
         with pytest.raises(S2SError):
             load_manifest(manifest, tmp_path)
 
@@ -470,8 +458,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("manifest", [
         [], "manifest", {"materializations": []},
-        {"version": 1, "format": "turtle", "materializations": []}],
-        ids=["a list", "a string", "no version", "version 1"])
+        {"version": 1, "format": "turtle", "materializations": []},
+        {"version": 2, "generation": 0, "materializations": []}],
+        ids=["a list", "a string", "no version", "version 1", "version 2"])
     def test_other_manifest_versions_are_refused(self, manifest, tmp_path):
         with pytest.raises(S2SError, match="unsupported store manifest "
                                            "version"):

@@ -17,7 +17,8 @@ import time
 
 from repro.clock import SystemClock
 from repro.config import ConcurrencyConfig, FleetConfig
-from repro.core.cluster.coordinator import QueryWorkItem, run_query_item
+from repro.core.cluster.coordinator import (FleetWorkerContext, QueryWorkItem,
+                                            run_query_item)
 from repro.core.extractor.manager import timed_out_problem
 from repro.core.extractor.schema import ExtractionSchema
 from repro.core.resilience import Deadline
@@ -98,7 +99,9 @@ def test_a_source_abandoned_at_the_deadline_is_the_item_s_problem():
     events: list[dict] = []
     started = time.monotonic()
     try:
-        run_query_item(0, item, s2s.manager._worker_context(), events.append)
+        run_query_item(0, item,
+                       FleetWorkerContext({"default": s2s.manager._worker_context()}),
+                       events.append)
     finally:
         hanging.released.set()
         s2s.close()

@@ -6,7 +6,7 @@ from repro.core.extractor.manager import ExtractionOutcome, ExtractionProblem
 from repro.core.extractor.records import RawFragment, SourceRecordSet
 from repro.core.instances import InstanceGenerator, RecordAssembler
 from repro.core.instances.assembly import AssembledEntity
-from repro.core.instances.codec import entity_to_json
+from repro.core.instances.codec import entities_to_wire
 from repro.core.instances.errors import ErrorReport
 from repro.errors import InstanceGenerationError
 from repro.ids import AttributePath
@@ -217,7 +217,7 @@ class TestMergeKey:
         adopter = entity("C", dict(key), provider="Zenith")
         bare = entity("D", dict(key))
         inputs = [first, filler, adopter, bare]
-        before = [entity_to_json(each) for each in inputs]
+        before = entities_to_wire(inputs)
         errors = ErrorReport()
 
         merged, = InstanceGenerator._merge([first, filler], ["brand", "model"],
@@ -226,15 +226,15 @@ class TestMergeKey:
         assert merged.value("price") == 199.0
         provider, = merged.satellites
         assert merged.primary.links["hasProvider"] == [provider]
-        assert entity_to_json(merged)["individuals"][0]["links"] == {
-            "hasProvider": [1]}
+        (template,), _rows = entities_to_wire([merged])
+        assert template[0][2] == {"hasProvider": [1]}
         adopted, = InstanceGenerator._merge([bare, adopter],
                                             ["brand", "model"], errors)
         assert [s.identifier for s in adopted.satellites] == ["p_C"]
         kept, = InstanceGenerator._merge([first, adopter],
                                          ["brand", "model"], errors)
         assert kept is first  # nothing gained: no copy
-        assert [entity_to_json(each) for each in inputs] == before
+        assert entities_to_wire(inputs) == before
 
     def test_entities_missing_key_not_merged(self, schema):
         outcome = ExtractionOutcome(record_sets={

@@ -29,8 +29,8 @@ HOSTILE_VALUES = [None, True, False, 0, -1, 2, 1.5, 10**400, float("inf"),
                   [1], [None], ["x"], {}, {"$date": "x"}, [[[]]],
                   {"a": {"b": []}}]
 KEYS = ["version", "generation", "materializations", "class", "attributes",
-        "slices", "errors", "source", "fingerprint", "stale", "entities",
-        "x"]
+        "slices", "errors", "source", "fingerprint", "stale", "shapes",
+        "entities", "x"]
 
 
 @pytest.fixture(scope="module")

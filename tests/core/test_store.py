@@ -16,7 +16,7 @@ from repro.core.query.parser import parse_s2sql
 from repro.config import RefreshPolicy, ResilienceConfig
 from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.core.instances.assembly import AssembledEntity
-from repro.core.instances.codec import entity_from_json, entity_to_json
+from repro.core.instances.codec import entities_from_wire, entities_to_wire
 from repro.core.instances.errors import ErrorEntry
 from repro.core.store import SemanticStore, StoreRefresher
 from repro.core.store.snapshot import fingerprint_sources
@@ -110,7 +110,8 @@ def make_entity(identifier, brand, *, source_id="db", record_index=0):
 
 def copied(entity):
     """A mutable deep copy of a (possibly frozen) entity."""
-    return entity_from_json(entity_to_json(entity))
+    duplicate, = entities_from_wire(*entities_to_wire([entity]))
+    return duplicate
 
 
 class TestStoreServing:

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.core.instances.codec import entity_to_json, json_default
+from repro.core.instances.codec import entities_to_wire, json_default
 from repro.core.instances.outputs import OUTPUT_FORMATS
 from repro.rdf.ntriples import parse_ntriples
 from repro.server.codec import result_from_wire, result_to_wire
@@ -59,8 +59,8 @@ def answers(worlds, query):
 def over_the_wire(result) -> tuple:
     text = json.dumps(result_to_wire(result), default=json_default)
     remote = result_from_wire(json.loads(text))
-    return ([entity_to_json(entity) for entity in remote.entities],
-            remote.errors, remote.degraded)
+    return (entities_to_wire(remote.entities), remote.errors,
+            remote.degraded)
 
 
 @pytest.mark.parametrize("query", QUERIES)

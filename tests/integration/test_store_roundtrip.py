@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+from decimal import Decimal
 
 import pytest
 
+from repro.core.instances.assembly import AssembledEntity
+from repro.errors import CodecError
+from repro.ontology.model import Individual
 from repro.workloads import B2BScenario
 
 
@@ -99,7 +103,7 @@ class TestDiskRoundTrip:
         manifest = s2s.store.save(str(tmp_path))
         with open(manifest, encoding="utf-8") as handle:
             payload = json.load(handle)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert "format" not in payload
         assert payload["materializations"]
         assert not os.path.exists(os.path.join(str(tmp_path), "snapshot.nt"))
@@ -118,6 +122,30 @@ class TestDiskRoundTrip:
         served = reborn.query("SELECT product")
         assert served.store_hit
         assert canon(served.entities) == canon(live.entities)
+
+    def test_a_failed_save_keeps_the_previous_snapshot(self, tmp_path):
+        """A value with no JSON form fails the save before the manifest
+        on disk is touched: the old snapshot still loads in full."""
+        scenario = B2BScenario(n_sources=2, n_products=6, seed=11)
+        s2s = scenario.build_middleware(store=True)
+        live = s2s.query("SELECT product")
+        s2s.query("SELECT provider")
+        s2s.store.save(str(tmp_path))
+        mat = s2s.store.lookup(live.plan)
+        entity = mat.slices[live.entities[0].source_id].entities[0]
+        priced = Individual(entity.primary.identifier, "watch",
+                            {"price": Decimal("19.99")})
+        s2s.store.upsert(mat.key, entity.source_id,
+                         [AssembledEntity(priced, [], entity.source_id, 0)])
+        with pytest.raises(CodecError):
+            s2s.store.save(str(tmp_path))
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        reborn = scenario.build_middleware(store=True)
+        assert reborn.store.load(str(tmp_path)) == 2
+        served = reborn.query("SELECT product")
+        assert served.store_hit
+        assert canon(served.entities) == canon(live.entities)
+        assert reborn.query("SELECT provider").store_hit
 
     def test_reloaded_store_still_delta_refreshes(self, tmp_path):
         """Fingerprints survive the round-trip: a reloaded store only

@@ -4,6 +4,8 @@ import json
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -256,6 +258,26 @@ class TestServe:
                                   "--sources", "2", "--products", "4")
         assert code == 0
         assert "fleet per tenant: 2 thread worker(s)" in out
+
+    def test_serve_honours_concurrency(self, capsys, tmp_path):
+        port_file = tmp_path / "port"
+        server = threading.Thread(target=main, args=([
+            "serve", "--concurrency", "thread", "--duration", "2",
+            "--port-file", str(port_file), "--sources", "2",
+            "--products", "4"],))
+        server.start()
+        try:
+            deadline = time.monotonic() + 30
+            while not port_file.exists() or not port_file.read_text():
+                assert time.monotonic() < deadline and server.is_alive()
+                time.sleep(0.01)
+            code, out, _err = run_cli(capsys, "client", "--port",
+                                      port_file.read_text(), "--status")
+        finally:
+            server.join(timeout=30)
+        assert not server.is_alive()
+        assert code == 0
+        assert '"mode": "thread"' in out
 
     def test_serve_fleet_spec_validated(self, capsys):
         code, _out, err = run_cli(capsys, "serve", "--duration", "0",

@@ -41,7 +41,7 @@ VIOLATIONS = {
         ("src/repro/server/codec.py", '# "record_index"'),
     ],
     "The wire carries rows": [
-        ("src/repro/server/codec.py", "# entity_from_json(data)"),
+        ("src/repro/core/store/snapshot.py", "# entity_from_json(data)"),
     ],
     "One scanner, one token cursor": [
         ("src/repro/xmlkit/xpath/lexer.py", "# match.lastgroup"),
