@@ -22,6 +22,7 @@ import sys
 from .core.instances.outputs import OUTPUT_FORMATS
 from .core.query.parser import parse_s2sql
 from .core.query.planner import QueryPlanner
+from .core.resilience.config import SHARDED_POOL_KINDS
 from .errors import S2SError
 from .ontology.builders import watch_domain_ontology
 from .ontology.owlxml import serialize_ontology
@@ -362,7 +363,7 @@ def _parse_fleet_spec(spec: str):
                        f"got {spec!r}") from None
     pool, shared = "thread", False
     for token in filter(None, rest.split(":")):
-        if token in ("thread", "spawn"):
+        if token in SHARDED_POOL_KINDS:
             pool = token
         elif token == "shared":
             shared = True
@@ -546,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard the query across N fleet workers "
                             "(implies --concurrency sharded)")
     query.add_argument("--pool", dest="query_pool",
-                       choices=("thread", "spawn"), default=None,
+                       choices=SHARDED_POOL_KINDS, default=None,
                        help="fleet worker flavour: daemon threads "
                             "(default) or spawned subprocesses "
                             "(implies --concurrency sharded)")
@@ -619,9 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "snapshot (persistent across runs)")
     ingest_run.add_argument("--workers", type=int, default=2,
                             help="shard worker count (default 2)")
-    ingest_run.add_argument("--pool", choices=("thread", "subprocess"),
+    ingest_run.add_argument("--pool", choices=SHARDED_POOL_KINDS,
                             default="thread",
-                            help="worker isolation (default thread)")
+                            help="worker flavour: daemon threads "
+                                 "(default) or spawned subprocesses")
     ingest_run.add_argument("--force", action="store_true",
                             help="re-ingest every source, ignoring "
                                  "content fingerprints")

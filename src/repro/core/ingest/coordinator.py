@@ -45,22 +45,26 @@ from ..cluster.supervision import WorkerSupervisor, default_restart_policy
 from ..extractor.manager import ExtractorManager
 from ..instances.generator import InstanceGenerator
 from ..resilience import RetryPolicy
+from ..resilience.config import SHARDED_POOL_KINDS
 from ..store.delta import DeltaRefresher
 from ..store.store import SemanticStore, SliceWrite, StoreKey
-from .jobs import DEAD, DONE, MATERIALIZE, IngestJob, job_id_for, shard_of
+from .jobs import (DEAD, DONE, EXTRACT, GENERATE, IngestJob, job_id_for,
+                   shard_of)
 from .journal import DeadLetterLedger, IngestJournal
 from .queue import DurableJobQueue
 from .staging import StagingArea
-from .workers import UpsertPayload, WorkerContext, WorkItem, worker_loop
+from .workers import WorkerContext, WorkItem, worker_loop
 
 
 @dataclass
 class IngestTarget:
-    """One materialization to ingest: class + required attributes."""
+    """One materialization to ingest: class + required attributes.
+
+    No merge: the store holds every source's entities as generated,
+    and a query's ``merge_key`` is applied when the answer is served."""
 
     class_name: str
     required: list  # list[AttributePath]
-    merge_key: tuple[str, ...] | None = None
 
     @property
     def key(self) -> StoreKey:
@@ -117,8 +121,9 @@ class ShardCoordinator:
                  metrics: MetricsRegistry | None = None,
                  fsync: bool = True,
                  stop_after: int | None = None) -> None:
-        if pool not in ("thread", "subprocess"):
-            raise ValueError("pool must be 'thread' or 'subprocess'")
+        if pool not in SHARDED_POOL_KINDS:
+            raise ValueError(f"pool must be one of {SHARDED_POOL_KINDS}, "
+                             f"not {pool!r}")
         self.store = store
         self.manager = manager
         self.generator = generator
@@ -198,7 +203,6 @@ class ShardCoordinator:
             existing = self.queue.get(job_id)
             if existing is not None and not existing.finished:
                 # Resurrected by journal replay: resume, don't re-plan.
-                existing.merge_key = target.merge_key
                 span.child("source", source=source_id,
                            verdict="resumed").finish()
                 continue
@@ -210,7 +214,6 @@ class ShardCoordinator:
                     self.queue.record_skip(
                         IngestJob(job_id, source_id, target.class_name,
                                   mat.attribute_ids,
-                                  merge_key=target.merge_key,
                                   fingerprint=fingerprint),
                         "unchanged")
                     span.child("source", source=source_id,
@@ -222,8 +225,7 @@ class ShardCoordinator:
                            verdict="dead-letter").finish()
                 continue
             job = IngestJob(job_id, source_id, target.class_name,
-                            mat.attribute_ids, merge_key=target.merge_key,
-                            fingerprint=fingerprint)
+                            mat.attribute_ids, fingerprint=fingerprint)
             self.queue.enqueue(job)
             span.child("source", source=source_id,
                        verdict="enqueued").finish()
@@ -234,7 +236,7 @@ class ShardCoordinator:
         ctx = WorkerContext(self.manager.sources, self.generator,
                             killable=self.killable,
                             extractors=self.manager.extractors)
-        pool = (SubprocessWorkerPool if self.pool_kind == "subprocess"
+        pool = (SubprocessWorkerPool if self.pool_kind == "spawn"
                 else ThreadWorkerPool)
         return pool(ctx, self.n_workers, loop=worker_loop,
                     name="ingest-worker")
@@ -346,16 +348,14 @@ class ShardCoordinator:
             return  # late event from a worker declared dead; ignore
         span = self._job_spans.get(job_id, NULL_SPAN)
         if kind == "stage":
-            stage = event["stage"]
-            self.staging.checkpoint(job_id, stage, event.get("payload"))
-            self.queue.advance(job, stage)
-            span.child(stage.lower()).finish()
+            # EXTRACT is the one stage that reports before ``done``.
+            self.staging.checkpoint(job_id, event.get("payload"))
+            self.queue.advance(job, EXTRACT)
+            span.child(EXTRACT.lower()).finish()
             return
         shard = event.get("shard")
         if kind == "done":
-            payload: UpsertPayload = event["payload"]
-            self._commit(job, payload)
-            self.queue.advance(job, MATERIALIZE)
+            self._commit(job, event["payload"], event["errors"])
             self.queue.complete(job)
             self.staging.discard(job_id)
             report.completed += 1
@@ -382,16 +382,15 @@ class ShardCoordinator:
             if shard in assigned and assigned[shard] == job_id:
                 del assigned[shard]
 
-    def _commit(self, job: IngestJob, payload: UpsertPayload) -> None:
+    def _commit(self, job: IngestJob, write: SliceWrite,
+                errors: list) -> None:
         """The only store write path: one idempotent per-source commit.
 
-        Re-delivery of the same payload (at-least-once redelivery after
-        a worker or coordinator death) replaces the slice with identical
+        Re-delivery of the same write (at-least-once redelivery after a
+        worker or coordinator death) replaces the slice with identical
         content — effectively exactly-once."""
         key = self._keys.get(job.job_id, (job.class_name, job.attribute_ids))
-        self.store.commit(key, [SliceWrite(job.source_id, payload.entities,
-                                           payload.fingerprint)],
-                          payload.error_entries)
+        self.store.commit(key, [write], errors)
         breaker = (self.manager.breakers.get(job.source_id)
                    if self.manager.breakers is not None else None)
         if breaker is not None:
@@ -465,18 +464,20 @@ class ShardCoordinator:
                                 retryable=False)
                 report.dead += 1
                 continue
+            extracted = self.staging.latest(job.job_id, job.stage)
+            # The claim journals where the job really resumes: a stage
+            # past EXTRACT without an intact checkpoint (or one this
+            # release does not know) restarts at EXTRACT.
+            job.stage = EXTRACT if extracted is None else GENERATE
             self.queue.claim(job, shard)
             assigned[shard] = job.job_id
             if self.tracer is not None and job.job_id not in self._job_spans:
                 self._job_spans[job.job_id] = root.child(
                     "job", job_id=job.job_id, source=job.source_id,
                     shard=shard, attempt=job.attempts + 1)
-            resume_stage, resume_payload = self.staging.latest(
-                job.job_id, job.stage)
             entries, missing = planned
             pool.submit(shard, WorkItem(job.to_dict(), entries,
-                                        resume_stage=resume_stage,
-                                        resume_payload=resume_payload,
+                                        extracted=extracted,
                                         missing=missing))
 
     def _breaker_admits(self, job: IngestJob, report: IngestReport) -> bool:

@@ -1,13 +1,12 @@
 """The unit of durable ingest work: one source flowing through stages.
 
 An :class:`IngestJob` is one (materialization key, data source) pair
-travelling the EXTRACT → STAGE → CLEAN → MATERIALIZE waterfall.  Jobs
-are the granularity of everything the pipeline guarantees: journal
-records, retry state, dead-letter quarantine, worker assignment and
-crash recovery all speak in jobs.  A job is deliberately small and
-JSON-serializable — the journal persists *state transitions*, not
-payloads (stage payloads are checkpointed separately, see
-:mod:`repro.core.ingest.staging`).
+travelling the EXTRACT → GENERATE waterfall.  Jobs are the granularity
+of everything the pipeline guarantees: journal records, retry state,
+dead-letter quarantine, worker assignment and crash recovery all speak
+in jobs.  A job is deliberately small and JSON-serializable — the
+journal persists *state transitions*, not payloads (EXTRACT's output is
+checkpointed separately, see :mod:`repro.core.ingest.staging`).
 
 Job identity is deterministic (``<class>:<attribute-digest>:<source>``)
 so a restarted coordinator re-derives the same ids from the same
@@ -23,12 +22,11 @@ from ..cluster.sharding import shard_of  # noqa: F401  (re-export: the
 # canonical home moved to core/cluster when the query fleet landed, but
 # `from repro.core.ingest.jobs import shard_of` keeps working.)
 
-#: The staged waterfall, in execution order.
+#: The waterfall, in execution order: read the source, then build the
+#: instances the store commits (the paper's Instance Generator).
 EXTRACT = "EXTRACT"
-STAGE = "STAGE"
-CLEAN = "CLEAN"
-MATERIALIZE = "MATERIALIZE"
-STAGES = (EXTRACT, STAGE, CLEAN, MATERIALIZE)
+GENERATE = "GENERATE"
+STAGES = (EXTRACT, GENERATE)
 
 #: Job statuses.
 PENDING = "pending"
@@ -52,8 +50,6 @@ def job_id_for(class_name: str, attribute_ids: frozenset[str],
     return f"{class_name}:{key_digest(class_name, attribute_ids)}:{source_id}"
 
 
-
-
 def next_stage(stage: str) -> str | None:
     """The stage after ``stage``, or None after the last one."""
     index = STAGES.index(stage)
@@ -64,8 +60,8 @@ def next_stage(stage: str) -> str | None:
 class IngestJob:
     """One source's trip through the ingest waterfall.
 
-    ``stage`` is the *next* stage to execute — it only advances when a
-    stage completes (and its output is checkpointed), so a job that
+    ``stage`` is the *next* stage to execute — it only advances when
+    EXTRACT completes (and its output is checkpointed), so a job that
     failed or was abandoned mid-stage re-runs that stage.  ``attempts``
     and ``next_eligible_at`` are the per-job retry state: a failed job
     goes back to pending with a backoff computed from the shared
@@ -76,7 +72,6 @@ class IngestJob:
     source_id: str
     class_name: str
     attribute_ids: frozenset[str]
-    merge_key: tuple[str, ...] | None = None
     stage: str = EXTRACT
     status: str = PENDING
     attempts: int = 0
@@ -110,7 +105,6 @@ class IngestJob:
             "source_id": self.source_id,
             "class": self.class_name,
             "attributes": sorted(self.attribute_ids),
-            "merge_key": list(self.merge_key) if self.merge_key else None,
             "stage": self.stage,
             "status": self.status,
             "attempts": self.attempts,
@@ -124,14 +118,13 @@ class IngestJob:
     def from_dict(cls, data: dict) -> "IngestJob":
         """The job :meth:`to_dict` wrote; ``KeyError`` / ``TypeError`` /
         ``ValueError`` / ``OverflowError`` on anything else (the journal
-        skips such records)."""
-        merge_key = data.get("merge_key")
+        skips such records).  A ``merge_key`` journaled by 2.22 and
+        earlier is ignored: the store holds unmerged entities."""
         job = cls(
             job_id=data["job_id"],
             source_id=data["source_id"],
             class_name=data["class"],
             attribute_ids=frozenset(data.get("attributes", [])),
-            merge_key=tuple(merge_key) if merge_key else None,
             stage=data.get("stage", EXTRACT),
             status=data.get("status", PENDING),
             attempts=int(data.get("attempts", 0)),
@@ -142,7 +135,7 @@ class IngestJob:
         )
         if not all(type(text) is str for text in (
                 job.job_id, job.source_id, job.class_name, job.stage,
-                job.status, *job.attribute_ids, *(job.merge_key or ()))):
+                job.status, *job.attribute_ids)):
             raise TypeError("a job's ids, stage, status and attributes "
                             "are strings")
         return job

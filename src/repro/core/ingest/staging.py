@@ -1,13 +1,14 @@
-"""Stage checkpoints: the payload half of crash recovery.
+"""EXTRACT checkpoints: the payload half of crash recovery.
 
-The journal records *that* a stage completed; the staging area records
-the stage's *output*, so a resumed job continues from its last completed
-stage instead of re-running the whole waterfall.  Checkpoints are
-pickled per ``(job, stage)`` and fsync'd like journal records.  They are
-an optimization, never a correctness dependency: a missing or corrupt
-checkpoint quarantines the file (``.corrupt``) and the job simply falls
-back to re-running from EXTRACT — at-least-once execution plus the
-store's idempotent upsert make the re-run harmless.
+The journal records *that* a job got past EXTRACT; the staging area
+keeps what EXTRACT read, the one stage output that is costly to
+recompute (it costs a source read), so a resumed job runs GENERATE on
+it instead of reading its source again.  There is one checkpoint per
+job, pickled and fsync'd like a journal record.  It is an optimization,
+never a correctness dependency: a missing or corrupt checkpoint
+quarantines the file (``.corrupt``) and the job simply re-runs from
+EXTRACT — at-least-once execution plus the store's idempotent commit
+make the re-run harmless.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Any
 
 from ...obs import MetricsRegistry
-from .jobs import STAGES
+from .jobs import EXTRACT
 
 logger = logging.getLogger("repro.core.ingest")
 
@@ -27,7 +28,7 @@ STAGING_DIR = "staging"
 
 
 class StagingArea:
-    """Durable per-(job, stage) payload checkpoints."""
+    """Durable per-job EXTRACT checkpoints."""
 
     def __init__(self, directory: str | Path, *, fsync: bool = True,
                  metrics: MetricsRegistry | None = None) -> None:
@@ -36,31 +37,30 @@ class StagingArea:
         self.fsync = fsync
         self.metrics = metrics
 
-    def _path(self, job_id: str, stage: str) -> Path:
+    def _path(self, job_id: str) -> Path:
         # job ids contain ':'; keep filenames portable.
         safe = job_id.replace(":", "_").replace("/", "_")
-        return self.directory / f"{safe}.{stage}.pkl"
+        return self.directory / f"{safe}.{EXTRACT}.pkl"
 
-    def checkpoint(self, job_id: str, stage: str, payload: Any) -> None:
-        """Durably record ``stage``'s output for ``job_id``."""
-        path = self._path(job_id, stage)
-        with open(path, "wb") as handle:
+    def checkpoint(self, job_id: str, payload: Any) -> None:
+        """Durably record EXTRACT's output for ``job_id``."""
+        with open(self._path(job_id), "wb") as handle:
             pickle.dump(payload, handle)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
 
-    def load(self, job_id: str, stage: str) -> tuple[bool, Any]:
-        """(found, payload) for a stage checkpoint.
+    def load(self, job_id: str) -> Any:
+        """The job's EXTRACT checkpoint, or None when there is none.
 
         Unpicklable/corrupt checkpoints are quarantined and reported as
-        absent — the caller falls back to re-running earlier stages."""
-        path = self._path(job_id, stage)
+        absent — the caller falls back to re-running EXTRACT."""
+        path = self._path(job_id)
         if not path.exists():
-            return False, None
+            return None
         try:
             with open(path, "rb") as handle:
-                return True, pickle.load(handle)
+                return pickle.load(handle)
         except Exception:
             corrupt = path.with_name(path.name + ".corrupt")
             if corrupt.exists():
@@ -73,24 +73,15 @@ class StagingArea:
                     "ingest_journal_corrupt_total",
                     "Corrupt persistence files quarantined during recovery"
                 ).inc(kind="staging")
-            return False, None
+            return None
 
-    def latest(self, job_id: str, before_stage: str) -> tuple[str | None, Any]:
-        """The newest intact checkpoint at or before ``before_stage``.
-
-        Returns ``(stage, payload)`` for the latest stage whose output
-        survives, scanning backwards from the stage *preceding*
-        ``before_stage``; ``(None, None)`` means start from scratch."""
-        limit = STAGES.index(before_stage)
-        for stage in reversed(STAGES[:limit]):
-            found, payload = self.load(job_id, stage)
-            if found:
-                return stage, payload
-        return None, None
+    def latest(self, job_id: str, stage: str) -> Any:
+        """What a job journaled at ``stage`` resumes from: its intact
+        EXTRACT checkpoint once it is past EXTRACT, else None (run
+        EXTRACT).  Any stage other than EXTRACT counts as past it — a
+        2.22 journal's later stages, or one this release does not know."""
+        return None if stage == EXTRACT else self.load(job_id)
 
     def discard(self, job_id: str) -> None:
-        """Drop all checkpoints for a finished job."""
-        for stage in STAGES:
-            path = self._path(job_id, stage)
-            if path.exists():
-                path.unlink()
+        """Drop a finished job's checkpoint."""
+        self._path(job_id).unlink(missing_ok=True)

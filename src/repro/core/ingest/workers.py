@@ -1,17 +1,19 @@
 """Supervised ingest workers: thread and subprocess behind one protocol.
 
 A worker owns one *shard* (a stable partition of the source space, see
-:func:`~repro.core.ingest.jobs.shard_of`) and runs the per-job stage
-waterfall, reporting progress to the coordinator as plain-dict events on
-a results queue:
+:func:`~repro.core.ingest.jobs.shard_of`) and runs each job's EXTRACT →
+GENERATE waterfall, reporting progress to the coordinator as plain-dict
+events on a results queue:
 
-* ``beat`` — liveness heartbeat, emitted when a job is picked up and at
-  every stage boundary (the coordinator stamps receipt time on its own
+* ``beat`` — liveness heartbeat, emitted when a job is picked up (every
+  event counts as one; the coordinator stamps receipt time on its own
   clock, so heartbeat detection works identically for threads and
   subprocesses, and under :class:`~repro.clock.FakeClock`);
-* ``stage`` — one stage completed, carrying its output payload (the
-  coordinator checkpoints it and journals the transition);
-* ``done`` — the job's :class:`UpsertPayload` is ready to commit;
+* ``stage`` — EXTRACT completed, carrying its :class:`ExtractBatch`
+  (the coordinator checkpoints it and journals the transition);
+* ``done`` — GENERATE completed: ``payload`` is the
+  :class:`~repro.core.store.store.SliceWrite` to commit and ``errors``
+  its generation error entries;
 * ``failed`` — the job raised; ``retryable`` says whether the queue
   should back off and retry or dead-letter it.
 
@@ -47,7 +49,8 @@ from ..extractor.records import SourceRecordSet
 from ..instances.generator import InstanceGenerator
 from ..mapping.rules import TransformRegistry
 from ..store.snapshot import fingerprint_source
-from .jobs import CLEAN, EXTRACT, MATERIALIZE, STAGE, STAGES, IngestJob
+from ..store.store import SliceWrite
+from .jobs import EXTRACT, GENERATE, IngestJob
 
 
 @dataclass
@@ -78,22 +81,6 @@ class WorkerContext:
 
 
 @dataclass
-class WorkItem:
-    """One dispatched job: the job plus everything stage-running needs.
-
-    ``resume_stage`` / ``resume_payload`` carry the newest intact
-    staging checkpoint so a resumed job continues mid-waterfall;
-    ``missing`` is the plan's unmapped attributes, so the job's error
-    entries name them exactly as every other store filler's do."""
-
-    job: dict
-    entries: list  # list[MappingEntry]
-    resume_stage: str | None = None
-    resume_payload: Any = None
-    missing: list = field(default_factory=list)  # list[AttributePath]
-
-
-@dataclass
 class ExtractBatch:
     """EXTRACT output: raw record set + the source's content
     fingerprint taken just before it was read."""
@@ -103,23 +90,18 @@ class ExtractBatch:
 
 
 @dataclass
-class StagedBatch:
-    """STAGE/CLEAN output: assembled entities + their error entries."""
+class WorkItem:
+    """One dispatched job: the job plus everything stage-running needs.
 
-    entities: list = field(default_factory=list)
-    error_entries: list = field(default_factory=list)
-    fingerprint: str | None = None
+    ``extracted`` is the job's intact EXTRACT checkpoint, so a resumed
+    job runs GENERATE without reading its source again; ``missing`` is
+    the plan's unmapped attributes, so the job's error entries name them
+    exactly as every other store filler's do."""
 
-
-@dataclass
-class UpsertPayload:
-    """MATERIALIZE output: everything the coordinator commits."""
-
-    source_id: str
-    class_name: str
-    entities: list = field(default_factory=list)
-    error_entries: list = field(default_factory=list)
-    fingerprint: str | None = None
+    job: dict
+    entries: list  # list[MappingEntry]
+    extracted: ExtractBatch | None = None
+    missing: list = field(default_factory=list)  # list[AttributePath]
 
 
 def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
@@ -138,7 +120,7 @@ def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
         for fragment in extractor.extract_many(source, item.entries):
             record_set.add(fragment)
         return ExtractBatch(record_set, fingerprint)
-    if stage == STAGE:
+    if stage == GENERATE:
         batch: ExtractBatch = payload
         record_sets = ({job.source_id: batch.record_set}
                        if batch.record_set.fragments else {})
@@ -147,23 +129,9 @@ def execute_stage(stage: str, job: IngestJob, item: WorkItem, payload: Any,
             missing_attributes=list(item.missing),
             per_source_seconds={job.source_id: 0.0})
         generation = ctx.generator.generate(outcome, job.class_name)
-        return StagedBatch(generation.entities,
-                           list(generation.errors.entries),
-                           batch.fingerprint)
-    if stage == CLEAN:
-        staged: StagedBatch = payload
-        if job.merge_key:
-            from ..instances.errors import ErrorReport
-            report = ErrorReport(list(staged.error_entries))
-            staged.entities = InstanceGenerator._merge(
-                staged.entities, list(job.merge_key), report)
-            staged.error_entries = list(report.entries)
-        return staged
-    if stage == MATERIALIZE:
-        staged = payload
-        return UpsertPayload(job.source_id, job.class_name,
-                             staged.entities, staged.error_entries,
-                             staged.fingerprint)
+        return (SliceWrite(job.source_id, generation.entities,
+                           batch.fingerprint),
+                list(generation.errors.entries))
     raise S2SError(f"unknown ingest stage {stage!r}")
 
 
@@ -175,27 +143,18 @@ def run_item(shard: int, item: WorkItem, ctx: WorkerContext, emit, *,
     the caller's loop dies with it, which is the point."""
     job = IngestJob.from_dict(item.job)
     emit({"kind": "beat", "shard": shard, "job_id": job.job_id})
-    if item.resume_stage is not None:
-        start = STAGES.index(item.resume_stage) + 1
-        payload = item.resume_payload
-    else:
-        start = STAGES.index(job.stage) if job.stage in STAGES else 0
-        payload = None
-        if start > 0:
-            # The journal says earlier stages completed but no intact
-            # checkpoint survived: fall back to the top of the waterfall.
-            start = 0
     try:
-        for stage in STAGES[start:]:
-            payload = execute_stage(stage, job, item, payload, ctx,
-                                    cancel=cancel,
-                                    in_subprocess=in_subprocess)
-            if stage == MATERIALIZE:
-                emit({"kind": "done", "shard": shard, "job_id": job.job_id,
-                      "payload": payload})
-            else:
-                emit({"kind": "stage", "shard": shard, "job_id": job.job_id,
-                      "stage": stage, "payload": payload})
+        batch = item.extracted
+        if batch is None:
+            batch = execute_stage(EXTRACT, job, item, None, ctx,
+                                  cancel=cancel, in_subprocess=in_subprocess)
+            emit({"kind": "stage", "shard": shard, "job_id": job.job_id,
+                  "stage": EXTRACT, "payload": batch})
+        write, errors = execute_stage(GENERATE, job, item, batch, ctx,
+                                      cancel=cancel,
+                                      in_subprocess=in_subprocess)
+        emit({"kind": "done", "shard": shard, "job_id": job.job_id,
+              "payload": write, "errors": errors})
     except (TransientSourceError, CircuitOpenError) as exc:
         emit({"kind": "failed", "shard": shard, "job_id": job.job_id,
               "stage": job.stage, "error": str(exc), "retryable": True})

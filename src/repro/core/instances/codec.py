@@ -26,6 +26,7 @@ never ambiguous.  The decoder is strict: anything else raises
 from __future__ import annotations
 
 import json
+import re
 from datetime import date, datetime
 
 from ...errors import CodecError
@@ -38,6 +39,8 @@ _DATETIME_TAG = "$dateTime"
 #: the only JSON value types the decoder has to look inside
 _CONTAINERS = frozenset((dict, list))
 _MISSING = object()
+#: a surrogate code point: in a decoded string, always a lone one
+_SURROGATE = re.compile("[\ud800-\udfff]")
 #: what Python raises when well-formed JSON is not the expected shape
 _SHAPE_ERRORS = (KeyError, TypeError, IndexError, ValueError, AttributeError)
 
@@ -64,6 +67,37 @@ def json_field(data: dict, name: str, *types: type):
 def compact_json(value) -> str:
     """``value`` as JSON text: no spaces, non-ASCII kept, dates tagged."""
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False, default=json_default)
+
+
+def utf8(text: str) -> bytes:
+    """``text`` as UTF-8; a lone surrogate has no UTF-8 form, so a string
+    holding one raises :class:`CodecError`."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CodecError("a string holds a lone surrogate, which has no "
+                         "UTF-8 form") from None
+
+
+def has_lone_surrogate(text: str, value) -> bool:
+    """Whether ``value``, decoded from the JSON ``text``, holds a string
+    no encoder could write back.  Only a ``\\ud800``-style escape makes
+    a lone surrogate (an escaped pair decodes to one character), so text
+    without one is not walked; the walk keeps its own stack, as deep as
+    the decoder let the value nest."""
+    if "\\ud" not in text and "\\uD" not in text:
+        return False
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is dict:
+            pending += item.keys()
+            pending += item.values()
+        elif type(item) is list:
+            pending += item
+        elif type(item) is str and _SURROGATE.search(item):
+            return True
+    return False
 
 
 def _layout(entity: AssembledEntity) -> tuple[tuple, list]:

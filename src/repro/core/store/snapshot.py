@@ -31,7 +31,8 @@ from ...ids import AttributePath
 from ...sources.base import DataSource
 from ..instances.codec import (compact_json, entities_from_wire,
                                entities_to_wire, error_from_json,
-                               error_to_json, json_field)
+                               error_to_json, has_lone_surrogate, json_field,
+                               utf8)
 
 logger = logging.getLogger("repro.core.store")
 
@@ -81,19 +82,20 @@ def save_store(store, directory: str) -> str:
 
     The directory is created if missing.  The whole text is built before
     anything is written, then written beside the manifest and renamed
-    over it: a save that fails (a value with no JSON form, a full disk)
-    leaves the previous snapshot as it was.  Freshness is deliberately
+    over it: a save that fails (a value with no JSON form or a string
+    with no UTF-8 form, both :class:`~repro.errors.CodecError`; a full
+    disk) leaves the previous snapshot as it was.  Freshness is deliberately
     not persisted: a reloaded store is stamped fresh at load time, and
     the first refresh re-checks every fingerprint anyway."""
     os.makedirs(directory, exist_ok=True)
-    data = compact_json({
+    data = utf8(compact_json({
         "version": MANIFEST_VERSION,
         "generation": store.generation,
         "namespace": store.namespace.base,
         "materializations": [
             _materialization_to_dict(mat)
             for mat in store.materializations()],
-    }).encode("utf-8")
+    }))
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     written_path = manifest_path + ".tmp"
     with open(written_path, "wb") as handle:
@@ -132,8 +134,8 @@ def load_store(store, directory: str) -> int:
     materializations loaded.  Reads the manifest only and ``adopt()``s
     the decoded materializations.  A manifest of another version, one
     that is JSON but not a manifest, or one holding what the store could
-    not export (:func:`_check_exportable`) raises :class:`S2SError` and
-    leaves the store as it was.
+    not export (:func:`_check_exportable`, or a string escaping a lone
+    surrogate) raises :class:`S2SError` and leaves the store as it was.
 
     A manifest that exists but does not parse (torn write from a crashed
     saver) is quarantined under ``manifest.json.corrupt`` and the load
@@ -143,7 +145,8 @@ def load_store(store, directory: str) -> int:
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     try:
         with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
+            text = handle.read()
+        manifest = json.loads(text)
     except OSError as exc:
         raise S2SError(f"cannot load store manifest {manifest_path}: "
                        f"{exc}") from exc
@@ -164,6 +167,9 @@ def load_store(store, directory: str) -> int:
     version = manifest.get("version") if isinstance(manifest, dict) else None
     if version != MANIFEST_VERSION:
         raise S2SError(f"unsupported store manifest version {version!r}")
+    if has_lone_surrogate(text, manifest):
+        raise S2SError(f"malformed store manifest {manifest_path}: a string "
+                       f"escapes a lone surrogate, which no save could write")
 
     from .store import Materialization, SourceSlice
 

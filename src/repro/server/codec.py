@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from ..core.instances.codec import (compact_json, entities_from_wire,
                                     entities_to_wire, error_from_json,
-                                    error_to_json, json_field, wire_texts)
+                                    error_to_json, json_field, utf8,
+                                    wire_texts)
 from ..errors import CodecError
 from .protocol import MAX_FRAME_BYTES, RESULT, RESULTS, pack_frame
 
@@ -69,7 +70,7 @@ def encode_result_frame(request_id, answer, *, max_bytes: int = MAX_FRAME_BYTES)
     text = ",".join(map(_result_text, answer if many else [answer]))
     head = compact_json({"kind": RESULTS if many else RESULT, "id": request_id})
     body = f',"results":[{text}]}}' if many else f',"result":{text}}}'
-    return pack_frame((head[:-1] + body).encode("utf-8"), max_bytes=max_bytes)
+    return pack_frame(utf8(head[:-1] + body), max_bytes=max_bytes)
 
 
 def sparql_to_wire(result) -> dict:

@@ -53,7 +53,7 @@ import json
 import socket
 import struct
 
-from ..core.instances.codec import compact_json
+from ..core.instances.codec import compact_json, has_lone_surrogate, utf8
 from ..errors import S2SError
 
 #: Protocol revision; HELLO carries it and the server refuses mismatches.
@@ -172,8 +172,9 @@ class ServerBusyError(S2SError):
 
 def encode_frame(payload: dict, *,
                  max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Header + JSON body for one frame; raises when over the ceiling."""
-    return pack_frame(compact_json(payload).encode("utf-8"), max_bytes=max_bytes)
+    """Header + JSON body for one frame; raises when over the ceiling,
+    and :class:`CodecError` for a string that has no UTF-8 form."""
+    return pack_frame(utf8(compact_json(payload)), max_bytes=max_bytes)
 
 
 def pack_frame(body: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
@@ -186,12 +187,16 @@ def pack_frame(body: bytes, *, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
 
 def decode_body(body: bytes) -> dict:
     """The frame payload, validated to be a JSON object with a kind; any
-    bytes that are not raise :class:`GarbledFrameError`, and nothing else."""
+    bytes that are not — or that escape a lone surrogate, which no frame
+    could carry back — raise :class:`GarbledFrameError`, and nothing else."""
     try:
-        payload = json.loads(body.decode("utf-8"))
+        text = body.decode("utf-8")
+        payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSON, UTF-8, int limit
         raise GarbledFrameError(f"frame body is not valid JSON: "
                                 f"{type(exc).__name__}: {exc}") from exc
+    if has_lone_surrogate(text, payload):
+        raise GarbledFrameError("frame body escapes a lone surrogate")
     if not isinstance(payload, dict):
         raise GarbledFrameError(
             f"frame body must be a JSON object, not {type(payload).__name__}")

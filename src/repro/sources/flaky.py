@@ -94,11 +94,13 @@ class KillableWorker:
     """Scripted fault injection at ingest stage boundaries.
 
     The ingest workers call :meth:`check` before running each stage of
-    each job; the first scheduled :class:`WorkerFault` matching that
-    ``(source_id, stage)`` is consumed and acted on.  Faults are
-    consumed at most once, so "kill the worker the first time it
-    STAGEs source X" is one fault, and the restarted worker sails
-    through the re-run — the deterministic chaos-test shape.
+    each job — ``"EXTRACT"``, then ``"GENERATE"``; a job resumed from
+    its EXTRACT checkpoint checks ``"GENERATE"`` only.  The first
+    scheduled :class:`WorkerFault` matching that ``(source_id, stage)``
+    is consumed and acted on.  Faults are consumed at most once, so
+    "kill the worker the first time it GENERATEs source X" is one
+    fault, and the restarted worker sails through the re-run — the
+    deterministic chaos-test shape.
 
     Picklable for the subprocess worker boundary (the lock is dropped
     and re-created); note that a subprocess child gets a *copy* of the

@@ -8,13 +8,11 @@ instead of failing recovery.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.clock import FakeClock
-from repro.core.ingest import (CLEAN, DEAD, DONE, EXTRACT, MATERIALIZE,
-                               PENDING, RUNNING, STAGE, STAGES,
+from repro.core.ingest import (DEAD, DONE, EXTRACT, GENERATE, PENDING,
+                               RUNNING, STAGES,
                                DeadLetterLedger, DurableJobQueue, IngestJob,
                                IngestJournal, StagingArea, job_id_for,
                                next_stage, read_jsonl, shard_of)
@@ -55,20 +53,17 @@ class TestJobIdentity:
             shard_of("db_0", 0)
 
     def test_next_stage_walks_the_waterfall(self):
-        assert next_stage(EXTRACT) == STAGE
-        assert next_stage(STAGE) == CLEAN
-        assert next_stage(CLEAN) == MATERIALIZE
-        assert next_stage(MATERIALIZE) is None
+        assert STAGES == (EXTRACT, GENERATE)
+        assert next_stage(EXTRACT) == GENERATE
+        assert next_stage(GENERATE) is None
 
     def test_job_dict_round_trip(self):
-        job = make_job(merge_key=("brand", "model"), stage=CLEAN,
-                       status=RUNNING, attempts=2, error="boom",
-                       fingerprint="abc")
+        job = make_job(stage=GENERATE, status=RUNNING, attempts=2,
+                       error="boom", fingerprint="abc")
         clone = IngestJob.from_dict(job.to_dict())
         assert clone.job_id == job.job_id
         assert clone.attribute_ids == job.attribute_ids
-        assert clone.merge_key == ("brand", "model")
-        assert clone.stage == CLEAN
+        assert clone.stage == GENERATE
         assert clone.status == RUNNING
         assert clone.attempts == 2
         assert clone.error == "boom"
@@ -165,7 +160,7 @@ class TestDurableJobQueue:
         assert queue.eligible(2) == [job]
         queue.claim(job, 0)
         assert queue.pending == [] and queue.running == [job]
-        for stage in (EXTRACT, STAGE, CLEAN, MATERIALIZE):
+        for stage in (EXTRACT, GENERATE):
             queue.advance(job, stage)
         assert job.completed_stages == list(STAGES)
         queue.complete(job)
@@ -263,36 +258,39 @@ class TestDurableJobQueue:
 class TestStagingArea:
     def test_checkpoint_load_round_trip(self, tmp_path):
         staging = StagingArea(tmp_path)
-        staging.checkpoint("product:abc:db_0", EXTRACT, {"rows": [1, 2]})
-        found, payload = staging.load("product:abc:db_0", EXTRACT)
-        assert found and payload == {"rows": [1, 2]}
+        staging.checkpoint("product:abc:db_0", {"rows": [1, 2]})
+        assert staging.load("product:abc:db_0") == {"rows": [1, 2]}
+        assert staging.load("product:abc:db_1") is None
 
     def test_latest_scans_backwards_from_the_cursor(self, tmp_path):
+        """One checkpoint per job: a job past EXTRACT — or at a stage
+        this release does not know — resumes from it."""
         staging = StagingArea(tmp_path)
-        staging.checkpoint("j", EXTRACT, "raw")
-        staging.checkpoint("j", STAGE, "staged")
-        assert staging.latest("j", CLEAN) == (STAGE, "staged")
-        assert staging.latest("j", STAGE) == (EXTRACT, "raw")
-        assert staging.latest("j", EXTRACT) == (None, None)
+        staging.checkpoint("j", "raw")
+        assert staging.latest("j", GENERATE) == "raw"
+        assert staging.latest("j", "STAGE") == "raw"  # a 2.22 journal
+        assert staging.latest("j", "BOGUS") == "raw"
+        assert staging.latest("j", EXTRACT) is None
+        assert staging.latest("other", GENERATE) is None
 
     def test_corrupt_checkpoint_quarantined_and_reported_absent(
             self, tmp_path):
         metrics = MetricsRegistry()
         staging = StagingArea(tmp_path, metrics=metrics)
-        staging.checkpoint("j", EXTRACT, "raw")
-        path = staging._path("j", EXTRACT)
+        staging.checkpoint("j", "raw")
+        path = staging._path("j")
         path.write_bytes(b"\x80\x04 not a pickle")
-        found, payload = staging.load("j", EXTRACT)
-        assert not found and payload is None
+        assert staging.load("j") is None
         assert path.with_name(path.name + ".corrupt").exists()
         assert metrics.value("ingest_journal_corrupt_total",
                              kind="staging") == 1
-        # and latest() just skips it
-        assert staging.latest("j", STAGE) == (None, None)
+        # and latest() reports it absent: the job re-runs EXTRACT
+        assert staging.latest("j", GENERATE) is None
 
     def test_discard_drops_every_stage_file(self, tmp_path):
         staging = StagingArea(tmp_path)
-        for stage in STAGES:
-            staging.checkpoint("j", stage, stage.lower())
+        staging.checkpoint("j", "raw")
         staging.discard("j")
-        assert staging.latest("j", MATERIALIZE) == (None, None)
+        assert staging.latest("j", GENERATE) is None
+        assert list(staging.directory.iterdir()) == []
+        staging.discard("j")  # a job without a checkpoint

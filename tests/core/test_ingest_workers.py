@@ -1,4 +1,4 @@
-"""Ingest workers: the stage waterfall, the two pools, picklability.
+"""Ingest workers: EXTRACT then GENERATE, the two pools, picklability.
 
 The subprocess pool's whole contract is "everything crossing the
 boundary pickles" — the picklability tests here are what keeps that
@@ -14,11 +14,11 @@ import pytest
 
 from repro.clock import FakeClock
 from repro.core.cluster.pool import SubprocessWorkerPool, ThreadWorkerPool
-from repro.core.ingest import (CLEAN, EXTRACT, MATERIALIZE, STAGE,
-                               IngestJob, StagedBatch, UpsertPayload,
+from repro.core.ingest import (EXTRACT, GENERATE, ExtractBatch, IngestJob,
                                WorkItem, WorkerContext, execute_stage,
                                job_id_for, run_item, worker_loop)
 from repro.core.query.parser import parse_s2sql
+from repro.core.store.store import SliceWrite
 from repro.errors import TransientSourceError
 from repro.sources.flaky import (FlakySource, KillableWorker, WorkerCrashed,
                                  WorkerFault)
@@ -62,30 +62,20 @@ def drain_until(pool, kind, timeout=10.0):
 
 
 class TestStageWaterfall:
-    def test_full_waterfall_produces_an_upsert_payload(self, world):
+    def test_full_waterfall_produces_a_slice_write(self, world):
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         job, item = make_item(plan, schema, source_id)
         ctx = make_context(s2s)
-        payload = None
-        for stage in (EXTRACT, STAGE, CLEAN, MATERIALIZE):
-            payload = execute_stage(stage, job, item, payload, ctx)
-        assert isinstance(payload, UpsertPayload)
-        assert payload.source_id == source_id
-        assert payload.entities
-        assert payload.fingerprint  # every demo connector fingerprints
-
-    def test_clean_stage_merges_on_the_merge_key(self, world):
-        _scenario, s2s, plan, schema = world
-        source_id = sorted(schema.by_source)[0]
-        job, item = make_item(plan, schema, source_id)
-        job.merge_key = ("product.brand",)
-        ctx = make_context(s2s)
-        payload = execute_stage(EXTRACT, job, item, None, ctx)
-        staged = execute_stage(STAGE, job, item, payload, ctx)
-        before = len(staged.entities)
-        cleaned = execute_stage(CLEAN, job, item, staged, ctx)
-        assert len(cleaned.entities) <= before
+        extracted = execute_stage(EXTRACT, job, item, None, ctx)
+        write, errors = execute_stage(GENERATE, job, item, extracted, ctx)
+        assert isinstance(write, SliceWrite)
+        assert write.source_id == source_id
+        assert write.entities
+        assert not write.failed
+        assert write.fingerprint  # every demo connector fingerprints
+        assert write.fingerprint == extracted.fingerprint
+        assert isinstance(errors, list)
 
     def test_run_item_emits_the_event_sequence(self, world):
         _scenario, s2s, plan, schema = world
@@ -94,22 +84,21 @@ class TestStageWaterfall:
         events = []
         run_item(0, item, make_context(s2s), events.append)
         kinds = [(e["kind"], e.get("stage")) for e in events]
-        assert kinds == [("beat", None), ("stage", EXTRACT),
-                         ("stage", STAGE), ("stage", CLEAN), ("done", None)]
+        assert kinds == [("beat", None), ("stage", EXTRACT), ("done", None)]
+        assert isinstance(events[1]["payload"], ExtractBatch)
+        assert isinstance(events[-1]["payload"], SliceWrite)
+        assert isinstance(events[-1]["errors"], list)
 
     def test_run_item_resumes_after_the_checkpointed_stage(self, world):
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         job, item = make_item(plan, schema, source_id)
         ctx = make_context(s2s)
-        extracted = execute_stage(EXTRACT, job, item, None, ctx)
-        staged = execute_stage(STAGE, job, item, extracted, ctx)
-        item.resume_stage = STAGE
-        item.resume_payload = staged
+        item.extracted = execute_stage(EXTRACT, job, item, None, ctx)
         events = []
         run_item(0, item, ctx, events.append)
         kinds = [(e["kind"], e.get("stage")) for e in events]
-        assert kinds == [("beat", None), ("stage", CLEAN), ("done", None)]
+        assert kinds == [("beat", None), ("done", None)]
 
     def test_journal_claims_without_checkpoint_restart_from_extract(
             self, world):
@@ -118,12 +107,13 @@ class TestStageWaterfall:
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         job, item = make_item(plan, schema, source_id)
-        job.stage = CLEAN
+        job.stage = GENERATE
         item.job = job.to_dict()
         events = []
         run_item(0, item, make_context(s2s), events.append)
         stages = [e.get("stage") for e in events if e["kind"] == "stage"]
-        assert stages == [EXTRACT, STAGE, CLEAN]
+        assert stages == [EXTRACT]
+        assert events[-1]["kind"] == "done"
 
     def test_poison_fault_emits_a_non_retryable_failure(self, world):
         _scenario, s2s, plan, schema = world
@@ -159,7 +149,7 @@ class TestStageWaterfall:
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         killable = KillableWorker([WorkerFault("kill", source_id=source_id,
-                                               stage=STAGE)])
+                                               stage=GENERATE)])
         job, item = make_item(plan, schema, source_id)
         ctx = make_context(s2s, killable=killable)
         with pytest.raises(WorkerCrashed):
@@ -217,16 +207,20 @@ class TestPicklability:
         clock.advance(42.0)
         assert self.round_trip(clock).monotonic() == clock.monotonic()
 
-    def test_staged_batch_payload_round_trips(self, world):
+    def test_stage_payloads_round_trip(self, world):
+        """EXTRACT's checkpoint and GENERATE's commit both cross the
+        subprocess boundary."""
         _scenario, s2s, plan, schema = world
         source_id = sorted(schema.by_source)[0]
         job, item = make_item(plan, schema, source_id)
         ctx = make_context(s2s)
         extracted = execute_stage(EXTRACT, job, item, None, ctx)
-        staged = execute_stage(STAGE, job, item, extracted, ctx)
-        copy = self.round_trip(staged)
-        assert isinstance(copy, StagedBatch)
-        assert len(copy.entities) == len(staged.entities)
+        assert isinstance(self.round_trip(extracted), ExtractBatch)
+        generated = execute_stage(GENERATE, job, item, extracted, ctx)
+        write, errors = self.round_trip(generated)
+        assert isinstance(write, SliceWrite)
+        assert len(write.entities) == len(generated[0].entities)
+        assert len(errors) == len(generated[1])
 
 
 class TestThreadWorkerPool:

@@ -168,7 +168,7 @@ def test_a_line_that_does_not_parse_ends_the_valid_prefix(name, written,
 
 @pytest.mark.parametrize("field, value", [
     ("job_id", []), ("job_id", 5), ("source_id", None), ("status", []),
-    ("stage", {}), ("attributes", [1]), ("merge_key", [[]]),
+    ("stage", {}), ("attributes", [1]),
     ("attempts", float("inf")), ("next_eligible_at", 10**400)])
 def test_a_job_field_of_the_wrong_type_skips_its_record(field, value, written,
                                                         tmp_path):
@@ -187,6 +187,22 @@ def test_a_job_field_of_the_wrong_type_skips_its_record(field, value, written,
     ledger["job"][field] = value
     assert read_ledger(json.dumps(ledger).encode("utf-8") + b"\n",
                        tmp_path / "ledger") == "read"
+
+
+@pytest.mark.parametrize("value", [["brand", "model"], [[]], 5])
+def test_a_journaled_merge_key_is_ignored(value, written, tmp_path):
+    """Jobs journaled by 2.22 carry a ``merge_key``; whatever it holds,
+    they replay as if it were absent."""
+    records = [json.loads(line) for line in lines_of(written["journal.jsonl"])]
+    for record in records:
+        if "job" in record:
+            record["job"]["merge_key"] = value
+    data = b"".join(json.dumps(record).encode("utf-8") + b"\n"
+                    for record in records)
+    outcome, seen = replay(data, tmp_path / "journal")
+    assert outcome == "replayed"
+    assert seen == summary(state_of(
+        [json.loads(line) for line in lines_of(written["journal.jsonl"])]))
 
 
 def test_a_journal_torn_at_every_offset_keeps_its_whole_records(

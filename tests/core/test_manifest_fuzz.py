@@ -27,7 +27,7 @@ SEED = int(os.environ.get("S2S_DIFF_SEED", "28"))
 HOSTILE_VALUES = [None, True, False, 0, -1, 2, 1.5, 10**400, float("inf"),
                   float("nan"), "", "false", "7", "thing.product.brand", [],
                   [1], [None], ["x"], {}, {"$date": "x"}, [[[]]],
-                  {"a": {"b": []}}]
+                  {"a": {"b": []}}, "\ud800"]
 KEYS = ["version", "generation", "materializations", "class", "attributes",
         "slices", "errors", "source", "fingerprint", "stale", "shapes",
         "entities", "x"]
@@ -99,14 +99,26 @@ def test_a_manifest_that_does_not_parse_is_quarantined(data, saved,
 @pytest.mark.parametrize("name, value", [
     ("stale", "false"), ("stale", 0), ("fingerprint", 5),
     ("fingerprint", ["f"]), ("source", None), ("entities", {}),
+    ("fingerprint", "\ud800"), ("source", "x\udfffy"),
 ], ids=["stale text", "stale a number", "fingerprint a number",
-        "fingerprint a list", "source null", "entities an object"])
+        "fingerprint a list", "source null", "entities an object",
+        "fingerprint a lone surrogate", "source a lone surrogate"])
 def test_a_slice_field_of_the_wrong_type_is_refused(name, value, saved,
                                                     tmp_path):
     manifest = json.loads(saved)
     manifest["materializations"][0]["slices"][0][name] = value
     data = json.dumps(manifest).encode("utf-8")
     assert load(data, tmp_path / "case", saved) == Outcome.REFUSED
+
+
+def test_a_surrogate_pair_escape_loads(saved, tmp_path):
+    """An escaped pair is one character, which a save writes back; only
+    a lone surrogate's escape is refused (the cases above)."""
+    manifest = json.loads(saved)
+    manifest["materializations"][0]["slices"][0]["fingerprint"] = "\U0001f600"
+    data = json.dumps(manifest).encode("utf-8")
+    assert b'"\\ud83d\\ude00"' in data
+    assert load(data, tmp_path / "case", saved) == Outcome.LOADED
 
 
 def test_the_saved_manifest_loads(saved, tmp_path):

@@ -102,7 +102,7 @@ def test_spawn_pool_ingest_pickles_no_frozen_entity(tmp_path):
     folded = s2s.query("SELECT product")  # live, and shared by the fold
     assert not folded.store_hit and frozen(folded)
     report = s2s.ingest("SELECT product", journal_dir=str(tmp_path),
-                        pool="subprocess", n_workers=2, force=True,
+                        pool="spawn", n_workers=2, force=True,
                         fsync=False)
     assert report.completed == 4 and report.dead == 0
     served = s2s.query("SELECT product")

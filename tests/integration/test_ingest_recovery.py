@@ -5,9 +5,13 @@ The acceptance criteria of the ingest subsystem, asserted directly:
 * a coordinator killed mid-run resumes *exactly* the unfinished jobs
   (journal claim counts prove which jobs re-ran), and the recovered
   store is byte-equivalent to a run that never failed;
-* a worker killed mid-STAGE is detected by heartbeat, restarted, its
-  job re-enqueued, and the store still converges to the fault-free
-  answer;
+* a worker killed mid-GENERATE is detected by heartbeat, restarted, its
+  job re-enqueued and resumed from its EXTRACT checkpoint without
+  reading its source again, and the store still converges to the
+  fault-free answer;
+* a journal written by 2.22 (jobs at STAGE, CLEAN or MATERIALIZE, with
+  a ``merge_key``) or naming a stage nobody knows resumes to the same
+  store;
 * poison jobs land in the dead-letter ledger with their error and come
   back through the requeue path;
 * corrupt persistence (torn journal tail, garbled snapshot manifest)
@@ -20,14 +24,18 @@ loop, so there are no sleeps and no flakes.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.clock import FakeClock
-from repro.core.ingest import (STAGE, IngestJournal, IngestTarget,
-                               ShardCoordinator)
+from repro.core.ingest import (EXTRACT, GENERATE, IngestJob, IngestJournal,
+                               IngestTarget, ShardCoordinator, StagingArea,
+                               WorkerContext, WorkItem, execute_stage,
+                               job_id_for)
 from repro.core.query.parser import parse_s2sql
 from repro.obs import MetricsRegistry
-from repro.sources.flaky import KillableWorker, WorkerFault
+from repro.sources.flaky import FlakySource, KillableWorker, WorkerFault
 from repro.workloads import B2BScenario
 
 
@@ -60,6 +68,22 @@ class World:
 
     def export(self) -> list[str]:
         return sorted(self.s2s.store.export("ntriples").splitlines())
+
+    def counting(self, source_id: str) -> FlakySource:
+        """Wrap ``source_id`` in a fault-free FlakySource, whose
+        ``attempts`` counts the rule reads it served."""
+        repository = self.s2s.source_repository
+        wrapped = FlakySource(repository.get(source_id), failure_rate=0.0)
+        repository.register(wrapped, replace=True)
+        return wrapped
+
+    def job_events(self, job_id: str) -> list[tuple[str, str]]:
+        """(event, the job's stage) of every journal record of ``job_id``."""
+        return [(record["event"], record.get("stage") or
+                 record["job"]["stage"])
+                for record in IngestJournal(self.journal_dir).records()
+                if record.get("type") == "job"
+                and record["job"]["job_id"] == job_id]
 
     def claim_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -145,7 +169,7 @@ class TestWorkerDeathChaos:
         world = World(tmp_path / "journal")
         source_id = sorted(world.s2s.manager.sources.ids())[0]
         killable = KillableWorker([WorkerFault("kill", source_id=source_id,
-                                               stage=STAGE)])
+                                               stage=GENERATE)])
         coordinator = world.coordinator(killable=killable,
                                         heartbeat_timeout=2.0)
         report = coordinator.run([world.target])
@@ -173,8 +197,8 @@ class TestWorkerDeathChaos:
         world = World(tmp_path / "journal")
         source_id = sorted(world.s2s.manager.sources.ids())[0]
         killable = KillableWorker([
-            WorkerFault("kill", source_id=source_id, stage=STAGE),
-            WorkerFault("kill", source_id=source_id, stage=STAGE)])
+            WorkerFault("kill", source_id=source_id, stage=GENERATE),
+            WorkerFault("kill", source_id=source_id, stage=GENERATE)])
         coordinator = world.coordinator(killable=killable,
                                         heartbeat_timeout=2.0,
                                         max_worker_restarts=3)
@@ -184,6 +208,108 @@ class TestWorkerDeathChaos:
         assert report.worker_restarts == 2
         assert report.dead == 0
         assert report.completed == 6
+
+
+class TestCheckpointResume:
+    def test_kill_mid_generate_resumes_without_reading_the_source(
+            self, tmp_path, reference):
+        reads = []
+        for index, faults in enumerate((False, True)):
+            world = World(tmp_path / f"j{index}")
+            source_id = sorted(world.s2s.manager.sources.ids())[0]
+            counting = world.counting(source_id)
+            killable = KillableWorker(
+                [WorkerFault("kill", source_id=source_id, stage=GENERATE)]
+                if faults else [])
+            coordinator = world.coordinator(killable=killable,
+                                            heartbeat_timeout=2.0)
+            report = coordinator.run([world.target])
+            coordinator.close()
+            assert report.completed == 6 and report.dead == 0
+            assert report.worker_restarts == (1 if faults else 0)
+            assert world.export() == reference
+            reads.append(counting.attempts)
+        assert reads[0] > 0
+        assert reads[1] == reads[0]  # the re-delivery read nothing
+        job_id, = [job_id for job_id in world.claim_counts()
+                   if job_id.endswith(f":{source_id}")]
+        # claimed at EXTRACT, checkpointed, killed; claimed again at
+        # GENERATE, which committed
+        assert world.job_events(job_id) == [
+            ("enqueue", EXTRACT), ("claim", EXTRACT), ("stage", EXTRACT),
+            ("released", GENERATE), ("claim", GENERATE), ("done", GENERATE)]
+
+
+def legacy_journal(world: World, stages: dict[int, str], *,
+                   checkpointed: set[int], merge_key: int) -> None:
+    """Hand-write a journal as an earlier release left it after a crash:
+    the jobs of the ``stages`` sources (by index in sorted order) are
+    running, each at its stage; ``checkpointed`` ones have an intact
+    EXTRACT checkpoint, and ``merge_key`` carries a merge key."""
+    sources = sorted(world.s2s.manager.sources.ids())
+    attributes = frozenset(str(path) for path in world.target.required)
+    schema = world.s2s.manager.obtain_extraction_schema(
+        list(world.target.required))
+    staging = StagingArea(world.journal_dir, fsync=False)
+    context = WorkerContext(world.s2s.manager.sources,
+                            world.s2s.query_handler.generator)
+    records = [{"type": "run", "event": "started", "run_id": "old", "t": 0.0,
+                "jobs": len(stages)}]
+    for index, stage in stages.items():
+        job = IngestJob(job_id_for(world.target.class_name, attributes,
+                                   sources[index]),
+                        sources[index], world.target.class_name, attributes)
+        data = {**job.to_dict(), "stage": stage, "status": "running",
+                "merge_key": ["brand"] if index == merge_key else None}
+        records += [{"type": "job", "event": "claim", "t": 1.0,
+                     "job": data, "worker": 0},
+                    {"type": "job", "event": "stage", "t": 2.0,
+                     "job": data, "stage": EXTRACT}]
+        if index in checkpointed:
+            item = WorkItem(job.to_dict(),
+                            list(schema.by_source[sources[index]]))
+            staging.checkpoint(job.job_id, execute_stage(
+                EXTRACT, job, item, None, context))
+            # what a later stage left beside it is never read
+            staging.directory.joinpath(
+                job.job_id.replace(":", "_") + f".{stage}.pkl").write_bytes(
+                    b"not a pickle")
+    with open(f"{world.journal_dir}/journal.jsonl", "w",
+              encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+class TestEarlierJournals:
+    """A journal this release did not write resumes to the store an
+    uninterrupted run builds: a job at a stage 2.23 does not have
+    restarts from its EXTRACT checkpoint if intact, else from EXTRACT."""
+
+    def resume(self, world: World, checkpointed: set[int]) -> None:
+        counting = [world.counting(source_id)
+                    for source_id in sorted(world.s2s.manager.sources.ids())]
+        coordinator = world.coordinator()
+        report = coordinator.run([world.target])
+        coordinator.close()
+        assert not report.aborted
+        assert report.replayed == 3
+        assert report.completed == 6 and report.dead == 0
+        for index, source in enumerate(counting):
+            assert (source.attempts == 0) == (index in checkpointed)
+
+    def test_a_2_22_journal_resumes(self, tmp_path, reference):
+        world = World(tmp_path / "journal")
+        legacy_journal(world, {0: "STAGE", 1: "CLEAN", 2: "MATERIALIZE"},
+                       checkpointed={0, 1}, merge_key=1)
+        self.resume(world, checkpointed={0, 1})
+        assert world.export() == reference
+
+    def test_an_unknown_stage_resumes(self, tmp_path, reference):
+        world = World(tmp_path / "journal")
+        legacy_journal(world, {0: "BOGUS", 1: "BOGUS", 2: "BOGUS"},
+                       checkpointed={1}, merge_key=0)
+        self.resume(world, checkpointed={1})
+        assert world.export() == reference
 
 
 class TestDeadLetter:
@@ -308,6 +434,10 @@ class TestMiddlewareSurface:
         result = s2s.query("SELECT product")
         assert result.store_hit
         assert len(result) == 8
+        live = scenario.build_middleware()
+        assert result.serialize("json") == live.query(
+            "SELECT product").serialize("json")
+        live.close()
         # the second run's cheap probe skips everything
         report = s2s.ingest("SELECT product", journal_dir=journal_dir)
         assert report.completed == 0
@@ -317,6 +447,16 @@ class TestMiddlewareSurface:
         assert status["dead_letter"] == 0
         assert s2s.ingest_dead_letter(journal_dir) == []
         assert s2s.ingest_requeue(journal_dir) == []
+
+    def test_the_process_pool_is_spelled_spawn(self, tmp_path):
+        scenario = B2BScenario(n_sources=2, n_products=4, seed=7)
+        s2s = scenario.build_middleware(store=True)
+        with pytest.raises(ValueError, match="'spawn'"):
+            s2s.ingest("SELECT product",
+                       journal_dir=str(tmp_path / "journal"),
+                       pool="subprocess")
+        assert not (tmp_path / "journal").exists()
+        s2s.close()
 
     def test_ingest_requires_a_store(self, tmp_path):
         from repro.errors import S2SError

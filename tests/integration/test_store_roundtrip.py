@@ -147,6 +147,25 @@ class TestDiskRoundTrip:
         assert canon(served.entities) == canon(live.entities)
         assert reborn.query("SELECT provider").store_hit
 
+    def test_a_lone_surrogate_fails_the_save_typed(self, tmp_path):
+        """A string with no UTF-8 form fails the save as a CodecError,
+        with the previous snapshot left in place."""
+        s2s = B2BScenario(n_sources=2, n_products=6,
+                          seed=11).build_middleware(store=True)
+        live = s2s.query("SELECT product")
+        s2s.store.save(str(tmp_path))
+        before = (tmp_path / "manifest.json").read_bytes()
+        mat = s2s.store.lookup(live.plan)
+        entity = mat.slices[live.entities[0].source_id].entities[0]
+        named = Individual(entity.primary.identifier, "watch",
+                           {"brand": "\ud800"})
+        s2s.store.upsert(mat.key, entity.source_id,
+                         [AssembledEntity(named, [], entity.source_id, 0)])
+        with pytest.raises(CodecError, match="lone surrogate"):
+            s2s.store.save(str(tmp_path))
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        assert (tmp_path / "manifest.json").read_bytes() == before
+
     def test_reloaded_store_still_delta_refreshes(self, tmp_path):
         """Fingerprints survive the round-trip: a reloaded store only
         re-extracts sources that changed since the snapshot."""

@@ -21,10 +21,12 @@ hold random JSON values, drawn from the same seed: the client raises an
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import random
 import socket
 import struct
+import sys
 import threading
 
 import pytest
@@ -32,9 +34,9 @@ import pytest
 from repro.errors import CodecError, S2SError
 from repro.obs import MetricsRegistry
 from repro.server import S2SClient, S2SServer, ServerThread
-from repro.server.protocol import (GarbledFrameError, ProtocolError,
-                                   decode_body, encode_frame, read_frame,
-                                   write_frame)
+from repro.server.protocol import (PROTOCOL_VERSION, GarbledFrameError,
+                                   ProtocolError, decode_body, encode_frame,
+                                   read_frame, write_frame)
 from repro.workloads import B2BScenario
 from tests.server._frozen_stream_reader import read_frame as frozen_read_frame
 
@@ -46,9 +48,14 @@ LIMIT = 512
 #: bodies that broke the decoder's contract, each a bare exception once
 DEEP_ARRAY = b"[" * 100_000
 LONG_INTEGER = b'{"kind": "QUERY", "id": ' + b"7" * 5000 + b"}"
+#: a QUERY whose condition escapes a lone surrogate (an INTERNAL answer
+#: and a logged traceback at 2.22)
+SURROGATE_QUERY = (b'{"kind": "QUERY", "id": 1, '
+                   b'"s2sql": "SELECT product WHERE brand = \\"\\ud800\\""}')
 HOSTILE = [DEEP_ARRAY, LONG_INTEGER, b'{"kind": ' * 5000,
            b'{"kind": "Q", "x": 1e999999}', b'{"kind": "\\ud800"}',
-           b'{"kind": "Q"} trailing', b"\xc3\x28", b"", b"null"]
+           b'{"kind": "Q"} trailing', b"\xc3\x28", b"", b"null",
+           SURROGATE_QUERY]
 
 
 def frame(body: bytes) -> bytes:
@@ -63,11 +70,35 @@ def test_decode_body_raises_only_garbled_frame_errors(body):
         pass
 
 
-@pytest.mark.parametrize("body", [DEEP_ARRAY, LONG_INTEGER],
-                         ids=["deep-array", "long-integer"])
+@pytest.mark.parametrize("body", [
+    DEEP_ARRAY, LONG_INTEGER, b'{"kind": "\\ud800"}', SURROGATE_QUERY,
+    b'{"kind": "Q", "v": ["\\uDC00"]}', b'{"kind": "Q", "\\udbff": 1}'],
+    ids=["deep-array", "long-integer", "surrogate-kind", "surrogate-query",
+         "surrogate-in-a-list", "surrogate-key"])
 def test_decoder_limits_are_garbled_frames(body):
     with pytest.raises(GarbledFrameError):
         decode_body(body)
+
+
+def test_a_lone_surrogate_nested_to_the_decoder_limit_is_garbled():
+    """The surrogate check walks what the decoder returned without
+    recursing, so no depth the decoder accepts escapes untyped."""
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 5):
+        body = (b'{"kind": "Q", "v": ' + b"[" * depth + b'"\\ud800"'
+                + b"]" * depth + b"}")
+        with pytest.raises(GarbledFrameError):
+            decode_body(body)
+
+
+def test_a_surrogate_pair_escape_decodes_to_one_character():
+    assert decode_body(b'{"kind": "Q", "v": "\\ud83d\\ude00"}')["v"] == \
+        "\U0001f600"
+
+
+def test_a_lone_surrogate_has_no_frame():
+    with pytest.raises(CodecError, match="lone surrogate"):
+        encode_frame({"kind": "QUERY", "s2sql": "brand = \"\ud800\""})
 
 
 # -- the two readers on the same bytes ---------------------------------------
@@ -226,6 +257,34 @@ def test_server_answers_a_decoder_limit_with_bad_frame(body):
             assert read_frame(sock) is None  # and hangs up
     assert metrics.value("server_frame_errors_total",
                          kind="GarbledFrameError") == 1
+    s2s.close()
+
+
+def test_server_refuses_a_lone_surrogate_without_a_traceback(caplog):
+    s2s = B2BScenario(n_sources=1, n_products=2, seed=7).build_middleware()
+    with caplog.at_level(logging.ERROR, logger="repro.server"):
+        with ServerThread(S2SServer({"t": s2s})) as (host, port):
+            with socket.create_connection((host, port),
+                                          timeout=5.0) as sock:
+                write_frame(sock, {"kind": "HELLO", "tenant": "t",
+                                   "protocol": PROTOCOL_VERSION})
+                assert read_frame(sock)["kind"] == "WELCOME"
+                sock.sendall(frame(SURROGATE_QUERY))
+                reply = read_frame(sock)
+                assert (reply["kind"], reply["code"]) == ("ERROR",
+                                                          "BAD_FRAME")
+                assert "lone surrogate" in reply["error"]
+    assert caplog.records == []
+    s2s.close()
+
+
+def test_client_refuses_a_lone_surrogate_before_sending():
+    s2s = B2BScenario(n_sources=1, n_products=2, seed=7).build_middleware()
+    with ServerThread(S2SServer({"t": s2s})) as (host, port):
+        with S2SClient(host, port, tenant="t", timeout=5.0) as client:
+            with pytest.raises(CodecError, match="lone surrogate"):
+                client.query('SELECT product WHERE brand = "\ud800"')
+            assert len(client.query("SELECT product")) == 2  # still in step
     s2s.close()
 
 

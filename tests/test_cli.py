@@ -211,6 +211,12 @@ class TestIngest:
         assert "1 skipped" in out
         assert "loaded 1 materialization(s)" in err
 
+    def test_the_process_pool_is_spelled_spawn(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["ingest", "run", "--journal", str(tmp_path),
+                  "--pool", "subprocess"])
+        assert "'spawn'" in capsys.readouterr().err
+
     def test_dead_letter_and_requeue_empty(self, capsys, tmp_path):
         journal = str(tmp_path / "journal")
         code, out, _err = run_cli(capsys, "ingest", "dead-letter",

@@ -70,6 +70,9 @@ VIOLATIONS = {
     "Asyncio leaves src/": [
         ("src/repro/server/server.py", "import asyncio"),
     ],
+    "Ingest has two stages": [
+        ("src/repro/core/ingest/jobs.py", 'CLEAN = "CLEAN"'),
+    ],
     "Packages form layers": [
         ("src/repro/sources/web/pagegen.py",
          "from ...workloads.catalog import ProductRecord"),
