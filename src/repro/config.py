@@ -16,8 +16,8 @@ place::
   count, pool kind, supervision timings, admission quotas) in one
   frozen object: ``ConcurrencyConfig.sharded(fleet=...)`` and
   ``QueryShardCoordinator(fleet=...)``.
-* :class:`RefreshPolicy` — semantic-store freshness: TTL, stale-while-
-  refresh grace, fingerprint polling (``S2SMiddleware(store=...)``).
+* :class:`RefreshPolicy` — semantic-store freshness: the TTL
+  (``S2SMiddleware(store=...)``).
 * :class:`ServerConfig` — the query server's listen address, admission
   control bounds, deadlines and frame ceiling
   (``S2SServer(config=...)``).

@@ -5,7 +5,7 @@ queue" item: materialization and delta refresh become explicit
 per-source jobs flowing through EXTRACT → GENERATE, journaled durably at
 every transition and recoverable by replay after a crash.  See
 docs/ingest.md for the lifecycle, the journal format and the
-at-least-once + idempotent-upsert contract.
+at-least-once + idempotent-commit contract.
 """
 
 from .coordinator import IngestReport, IngestTarget, ShardCoordinator

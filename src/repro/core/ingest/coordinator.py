@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ...clock import Clock, SystemClock
+from ...errors import S2SError
 from ...obs import NULL_SPAN, MetricsRegistry, Tracer
 from ..cluster.pool import (SubprocessWorkerPool, ThreadWorkerPool,
                             WorkerPool, wait_for_events)
@@ -47,7 +48,8 @@ from ..instances.generator import InstanceGenerator
 from ..resilience import RetryPolicy
 from ..resilience.config import SHARDED_POOL_KINDS
 from ..store.delta import DeltaRefresher
-from ..store.store import SemanticStore, SliceWrite, StoreKey
+from ..store.store import (KEPT_STALE, REMOVED, SemanticStore, SliceWrite,
+                           StoreKey)
 from .jobs import (DEAD, DONE, EXTRACT, GENERATE, IngestJob, job_id_for,
                    shard_of)
 from .journal import DeadLetterLedger, IngestJournal
@@ -187,8 +189,9 @@ class ShardCoordinator:
             self.store.tombstone(mat.key, source_id)
             span.child("source", source=source_id,
                        verdict="tombstoned").finish()
+        self.store.commit(mat.key, [SliceWrite(source_id, failed=True)
+                                    for source_id in delta.kept_stale], None)
         for source_id in delta.kept_stale:
-            self.store.mark_slice_stale(mat.key, source_id)
             report.kept_stale += 1
             span.child("source", source=source_id,
                        verdict="breaker-open").finish()
@@ -447,7 +450,7 @@ class ShardCoordinator:
     def _dispatch(self, pool: WorkerPool, assigned: dict[int, str],
                   restart_at: dict[int, float], report: IngestReport,
                   root) -> None:
-        for job in self.queue.eligible(self.n_workers):
+        for job in self.queue.eligible():
             shard = shard_of(job.source_id, self.n_workers)
             if shard in assigned or shard in restart_at:
                 continue  # worker busy or awaiting restart
@@ -483,21 +486,27 @@ class ShardCoordinator:
     def _breaker_admits(self, job: IngestJob, report: IngestReport) -> bool:
         """Dispatch-time breaker gate.
 
-        Open breaker + a stored slice → keep serving last-known-good
-        data, job completes as kept-stale.  Open breaker with nothing
-        stored → the job fails retryably (backoff), eventually dying to
-        the dead-letter ledger if the source never heals."""
+        An open breaker's source is committed as a failed write with no
+        entities, and the store's verdict decides the job: a stored
+        slice is kept, stale, and the job completes as kept-stale;
+        nothing stored → the job fails retryably (backoff), eventually
+        dying to the dead-letter ledger if the source never heals."""
         if self.manager.breakers is None:
             return True
         breaker = self.manager.breakers.get(job.source_id)
         if breaker.allow():
             return True
         key = self._keys.get(job.job_id, (job.class_name, job.attribute_ids))
-        mat = self.store.materialization(key)
-        slice_exists = mat is not None and job.source_id in mat.slices
         self.queue.claim(job, -1)
-        if slice_exists:
-            self.store.mark_slice_stale(key, job.source_id)
+        try:
+            verdict = self.store.commit(
+                key, [SliceWrite(job.source_id, failed=True)],
+                None)[job.source_id]
+        except S2SError:
+            # A replayed job whose target this run did not plan may
+            # have no materialization at all: nothing is stored.
+            verdict = REMOVED
+        if verdict == KEPT_STALE:
             self.queue.complete(job)
             report.kept_stale += 1
         else:

@@ -33,7 +33,6 @@ PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
 DEAD = "dead"
-STATUSES = (PENDING, RUNNING, DONE, DEAD)
 
 #: A materialization's identity, as carried by jobs: class + attribute ids.
 JobKey = tuple[str, frozenset[str]]

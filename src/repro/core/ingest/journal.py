@@ -35,10 +35,6 @@ logger = logging.getLogger("repro.core.ingest")
 JOURNAL_NAME = "journal.jsonl"
 DEAD_LETTER_NAME = "dead_letter.jsonl"
 
-#: Journal event vocabulary (the ``event`` field of job records).
-EVENTS = ("enqueue", "claim", "stage", "retry", "released", "done", "dead",
-          "requeue", "skip")
-
 
 def _quarantine(path: Path, good_records: list[dict],
                 metrics: MetricsRegistry | None, kind: str) -> None:
@@ -217,7 +213,7 @@ class JournalState:
 
         A job journaled as ``running`` was in flight when the process
         died — replay returns it as pending so it is re-run (at-least-
-        once; the store upsert makes re-application idempotent)."""
+        once; the store commit makes re-application idempotent)."""
         return sorted(
             (replace(job, status=PENDING,
                      worker=job.worker if job.status == PENDING else None,

@@ -120,17 +120,11 @@ class DurableJobQueue:
         self._finished[job.job_id] = job
         self._count("skipped")
 
-    def eligible(self, n_shards: int) -> list[IngestJob]:
+    def eligible(self) -> list[IngestJob]:
         """Dispatchable jobs: pending, past their backoff, one per source
         (shard affinity is the caller's concern via ``shard_of``)."""
         now = self.clock.monotonic()
         return [job for job in self.pending if job.eligible(now)]
-
-    def next_wakeup(self) -> float | None:
-        """Earliest future eligibility among backed-off pending jobs."""
-        times = [job.next_eligible_at for job in self._pending.values()
-                 if job.next_eligible_at > 0]
-        return min(times) if times else None
 
     def claim(self, job: IngestJob, worker: int) -> IngestJob:
         """pending → running, assigned to ``worker``."""

@@ -13,6 +13,7 @@ make the re-run harmless.
 
 from __future__ import annotations
 
+import glob
 import logging
 import os
 import pickle
@@ -37,10 +38,13 @@ class StagingArea:
         self.fsync = fsync
         self.metrics = metrics
 
-    def _path(self, job_id: str) -> Path:
+    @staticmethod
+    def _stem(job_id: str) -> str:
         # job ids contain ':'; keep filenames portable.
-        safe = job_id.replace(":", "_").replace("/", "_")
-        return self.directory / f"{safe}.{EXTRACT}.pkl"
+        return job_id.replace(":", "_").replace("/", "_")
+
+    def _path(self, job_id: str) -> Path:
+        return self.directory / f"{self._stem(job_id)}.{EXTRACT}.pkl"
 
     def checkpoint(self, job_id: str, payload: Any) -> None:
         """Durably record EXTRACT's output for ``job_id``."""
@@ -83,5 +87,11 @@ class StagingArea:
         return None if stage == EXTRACT else self.load(job_id)
 
     def discard(self, job_id: str) -> None:
-        """Drop a finished job's checkpoint."""
-        self._path(job_id).unlink(missing_ok=True)
+        """Drop every checkpoint of a finished job: its EXTRACT one, and
+        any an earlier release wrote for a later stage (2.22's
+        ``<job>.STAGE.pkl`` and the like).  Quarantined ``.corrupt``
+        files stay."""
+        stem = self._stem(job_id)
+        for path in self.directory.glob(glob.escape(stem) + ".*.pkl"):
+            if path.stem.rsplit(".", 1)[0] == stem:  # not "<stem>.x.…"
+                path.unlink(missing_ok=True)

@@ -41,7 +41,7 @@ from ..extractor.manager import ExtractorManager
 from ..extractor.schema import ExtractionSchema
 from ..instances.generator import InstanceGenerator
 from .snapshot import fingerprint_sources
-from .store import Materialization, SemanticStore, slice_writes
+from .store import Materialization, SemanticStore, SliceWrite, slice_writes
 
 
 @dataclass
@@ -50,7 +50,7 @@ class RefreshResult:
 
     class_name: str
     attribute_ids: frozenset[str]
-    #: sources whose data was re-extracted and upserted
+    #: sources whose data was re-extracted and committed
     refreshed: list[str] = field(default_factory=list)
     #: sources whose fingerprint matched — not touched at all
     unchanged: list[str] = field(default_factory=list)
@@ -65,6 +65,12 @@ class RefreshResult:
     problems: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     trace: object | None = None
+
+    def record(self, verdicts: dict[str, str]) -> None:
+        """File each source under its :meth:`SemanticStore.commit`
+        verdict's list."""
+        for source_id, verdict in verdicts.items():
+            getattr(self, verdict).append(source_id)
 
     @property
     def noop(self) -> bool:
@@ -216,8 +222,9 @@ class DeltaRefresher:
     def _refresh_under(self, mat: Materialization, key, force: bool,
                        plan: DeltaPlan | None, result: RefreshResult,
                        root) -> None:
-        """Apply :meth:`plan_changes`' verdict: tombstone, mark stale,
-        trace every source's verdict, extract the changed ones."""
+        """Apply :meth:`plan_changes`' verdict: tombstone, commit the
+        breaker-open sources as failed, trace every source's verdict,
+        extract the changed ones."""
         with root.child("diff") as diff_span:
             if plan is None:
                 plan = self.plan_changes(mat, force=force)
@@ -235,11 +242,13 @@ class DeltaRefresher:
         # Sources that left the mapping: their data is gone for good.
         for source_id in plan.removed:
             self.store.tombstone(key, source_id)
-        for source_id in plan.kept_stale:
-            self.store.mark_slice_stale(key, source_id)
         result.removed.extend(plan.removed)
         result.unchanged.extend(plan.unchanged)
-        result.kept_stale.extend(plan.kept_stale)
+        # Breaker-open sources were not tried: each is a failed write
+        # with no entities, whose fate the store's commit decides.
+        result.record(self.store.commit(
+            key, [SliceWrite(source_id, failed=True)
+                  for source_id in plan.kept_stale], None))
         if plan.changed or force:
             # (forced with nothing reachable still commits: the
             # source-less error entries are part of the answer)
@@ -258,12 +267,10 @@ class DeltaRefresher:
         with root.child("generate"):
             generation = self.generator.generate(outcome, mat.class_name)
         with root.child("store") as span:
-            verdicts = self.store.commit(
+            result.record(self.store.commit(
                 mat.key, slice_writes(plan.changed, generation, outcome,
                                       plan.fingerprints),
-                generation.errors.entries)
-            for source_id, verdict in verdicts.items():
-                getattr(result, verdict).append(source_id)
+                generation.errors.entries))
             span.annotate(store="upsert", refreshed=len(result.refreshed))
 
     # -- helpers -------------------------------------------------------

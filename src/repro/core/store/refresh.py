@@ -1,10 +1,7 @@
 """Freshness policy and the background store refresher.
 
 A :class:`RefreshPolicy` decides when materialized instances are too old
-to serve (TTL/staleness) and how the store degrades: whether a stale
-materialization may still be served while a refresh is in flight, and
-whether a failing source's last-known-good instances are kept instead of
-dropped (graceful degradation when a circuit breaker is open).
+to serve (TTL/staleness).
 
 :class:`StoreRefresher` runs refreshes in the background, reusing the
 worker pattern of :class:`~repro.core.query.scheduler.QueryScheduler`
@@ -27,21 +24,16 @@ from ...errors import S2SError
 
 @dataclass(frozen=True)
 class RefreshPolicy:
-    """When is a materialization stale, and how does serving degrade.
+    """When is a materialization stale.
 
     ``ttl_seconds=None`` means materializations never expire by age
     (refresh happens only on demand or through the background
-    refresher); ``serve_stale_while_refreshing`` lets queries keep being
-    answered from the old snapshot while a refresh is running instead of
-    falling back to live extraction; ``keep_last_known_good`` makes the
-    store's commit step keep (and mark stale) a source's previous
-    instances when its re-extraction fails completely, rather than
-    dropping them from the answer (a breaker-open source is not even
-    tried, and always keeps them)."""
+    refresher).  How serving degrades is not a choice: a past-TTL
+    materialization with slices still answers while a refresh of it is
+    in flight, and a source whose extraction fails completely keeps its
+    stored slice, marked stale (:meth:`SemanticStore.commit`)."""
 
     ttl_seconds: float | None = None
-    serve_stale_while_refreshing: bool = True
-    keep_last_known_good: bool = True
 
     def __post_init__(self) -> None:
         if self.ttl_seconds is not None and self.ttl_seconds < 0:

@@ -72,7 +72,7 @@ class SourceSlice:
     """One source's stored (unmerged) entities for one materialization.
 
     The entities are frozen here, where sharing begins: both ways into
-    the store (``upsert`` and the warm load's ``adopt``) make a slice.
+    the store (``commit`` and the warm load's ``adopt``) make a slice.
     ``fingerprint`` is the source's content hash at extraction time
     (None = unfingerprintable, treated as changed on refresh); ``stale``
     marks last-known-good data kept after the source started failing."""
@@ -273,9 +273,8 @@ class SemanticStore:
         """Answer ``plan`` from the store, or None to fall through live.
 
         A fresh materialization is always served.  A stale one is served
-        only while a refresh is in flight (and the policy allows it) —
-        otherwise the caller runs live extraction, whose fold replaces
-        the stale snapshot."""
+        only while a refresh is in flight — otherwise the caller runs
+        live extraction, whose fold replaces the stale snapshot."""
         servings = self.serve_many([plan], span=span)
         return servings[0] if servings else None
 
@@ -311,9 +310,8 @@ class SemanticStore:
         there is last-known-good data to answer with."""
         if mat is None:
             return "unmaterialized"
-        if self._stale(mat) and not (
-                mat.slices and mat.key in self._refreshing
-                and self.policy.serve_stale_while_refreshing):
+        if self._stale(mat) and not (mat.slices
+                                     and mat.key in self._refreshing):
             return "stale"
         return None
 
@@ -332,45 +330,55 @@ class SemanticStore:
     # -- filling -------------------------------------------------------
 
     def commit(self, key: StoreKey, writes: list[SliceWrite],
-               error_entries: list[ErrorEntry]) -> dict[str, str]:
-        """The one write step every filler ends in; returns each written
-        source's verdict (``REFRESHED`` / ``KEPT_STALE`` / ``REMOVED``).
+               error_entries: list[ErrorEntry] | None) -> dict[str, str]:
+        """The store's one write step, which every filler ends in;
+        returns each written source's verdict (``REFRESHED`` /
+        ``KEPT_STALE`` / ``REMOVED``).
 
         * clean extraction → the slice is replaced and stamped with the
           pre-read fingerprint;
         * partial answer (a problem, but entities came back) → stored,
           flagged stale and unfingerprinted so the next refresh retries;
-        * total failure → the last-known-good slice stays, flagged stale
-          (``policy.keep_last_known_good``), else the slice is dropped.
+        * total failure, or a breaker-open source that was not even
+          tried (a failed write with no entities) → the last-known-good
+          slice stays, flagged stale; with none stored, nothing is.
 
         The error entries of every source whose slice was written — and
         the source-less ones — are swapped for ``error_entries``; the
         channel is kept source-less first, then by source, so it reads
-        the same whichever filler wrote it and in whatever order."""
+        the same whichever filler wrote it and in whatever order.
+        ``error_entries=None`` says no generation ran (a breaker-open
+        commit): the channel is left as it is."""
         with self._lock:
             mat = self._require(key)
             verdicts: dict[str, str] = {}
-            written: list[str] = []
+            written: set[str] = set()
             for write in writes:
                 source_id = write.source_id
                 if not write.failed or write.entities:
-                    self.upsert(key, source_id, write.entities,
-                                fingerprint=(None if write.failed
-                                             else write.fingerprint),
-                                stale=write.failed)
-                    written.append(source_id)
+                    self._put_slice(mat, source_id, SourceSlice(
+                        source_id, write.entities,
+                        None if write.failed else write.fingerprint,
+                        write.failed))
+                    written.add(source_id)
                     verdicts[source_id] = (KEPT_STALE if write.failed
                                            else REFRESHED)
-                elif (self.policy.keep_last_known_good
-                        and source_id in mat.slices):
-                    self.mark_slice_stale(key, source_id)
+                elif source_id in mat.slices:
+                    mat.slices[source_id].stale = True
                     verdicts[source_id] = KEPT_STALE
                 else:
                     self.tombstone(key, source_id)
                     verdicts[source_id] = REMOVED
-            self.replace_errors(key, error_entries, for_sources=written)
-            mat.errors.sort(key=lambda entry: (entry.source_id is not None,
-                                               entry.source_id or ""))
+            if error_entries is not None:
+                mat.errors = sorted(
+                    [entry for entry in mat.errors
+                     if entry.source_id is not None
+                     and entry.source_id not in written]
+                    + [entry for entry in error_entries
+                       if entry.source_id is None
+                       or entry.source_id in written],
+                    key=lambda entry: (entry.source_id is not None,
+                                       entry.source_id or ""))
             return verdicts
 
     def fold(self, plan, outcome, generation,
@@ -415,18 +423,6 @@ class SemanticStore:
                            f"{len(key[1])} attributes")
         return mat
 
-    def upsert(self, key: StoreKey, source_id: str,
-               entities: list[AssembledEntity], *,
-               fingerprint: str | None = None,
-               stale: bool = False) -> int:
-        """Replace one source's slice with ``entities``, frozen in place
-        (records that disappeared from the source go with the old
-        slice); returns the number of entities stored."""
-        with self._lock:
-            slice_ = SourceSlice(source_id, entities, fingerprint, stale)
-            self._put_slice(self._require(key), source_id, slice_)
-            return len(slice_.entities)
-
     def tombstone(self, key: StoreKey, source_id: str) -> int:
         """Delete one source's slice and its error entries;
         returns the number of entities removed."""
@@ -444,36 +440,12 @@ class SemanticStore:
         with self._lock:
             self._materializations.pop(key, None)
 
-    def mark_slice_stale(self, key: StoreKey, source_id: str,
-                         stale: bool = True) -> None:
-        """Flag one source's slice as last-known-good (or clear it)."""
-        with self._lock:
-            mat = self._require(key)
-            slice_ = mat.slices.get(source_id)
-            if slice_ is not None:
-                slice_.stale = stale
-
     def touch(self, key: StoreKey) -> None:
         """Re-stamp a materialization as fresh (after a refresh)."""
         with self._lock:
             mat = self._require(key)
             mat.materialized_at = self.clock.monotonic()
             mat.expired = False
-
-    def replace_errors(self, key: StoreKey, entries: list[ErrorEntry],
-                       *, for_sources: list[str]) -> None:
-        """Swap the error entries belonging to the refreshed sources
-        (and the source-less global entries) for the new generation's."""
-        with self._lock:
-            mat = self._require(key)
-            targeted = set(for_sources)
-            kept = [entry for entry in mat.errors
-                    if entry.source_id is not None
-                    and entry.source_id not in targeted]
-            fresh = [entry for entry in entries
-                     if entry.source_id is None
-                     or entry.source_id in targeted]
-            mat.errors = kept + fresh
 
     # -- invalidation --------------------------------------------------
 

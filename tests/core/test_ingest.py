@@ -157,7 +157,7 @@ class TestDurableJobQueue:
         metrics = MetricsRegistry()
         queue = self.make_queue(tmp_path, metrics=metrics)
         job = queue.enqueue(make_job())
-        assert queue.eligible(2) == [job]
+        assert queue.eligible() == [job]
         queue.claim(job, 0)
         assert queue.pending == [] and queue.running == [job]
         for stage in (EXTRACT, GENERATE):
@@ -176,9 +176,9 @@ class TestDurableJobQueue:
         queue.claim(job, 0)
         queue.fail(job, "transient", retryable=True)
         assert job.status == PENDING and job.attempts == 1
-        assert queue.eligible(2) == []  # still backing off
-        clock.advance(queue.next_wakeup())
-        assert queue.eligible(2) == [job]
+        assert queue.eligible() == []  # still backing off
+        clock.advance(job.next_eligible_at)
+        assert queue.eligible() == [job]
 
     def test_exhausted_budget_goes_to_dead_letter(self, tmp_path):
         metrics = MetricsRegistry()
@@ -209,7 +209,7 @@ class TestDurableJobQueue:
         assert job.status == PENDING
         assert job.attempts == 0
         assert job.worker is None
-        assert queue.eligible(2) == [job]  # immediately redispatchable
+        assert queue.eligible() == [job]  # immediately redispatchable
 
     def test_requeue_dead_restores_a_fresh_budget(self, tmp_path):
         queue = self.make_queue(tmp_path)

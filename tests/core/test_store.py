@@ -18,7 +18,7 @@ from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.core.instances.assembly import AssembledEntity
 from repro.core.instances.codec import entities_from_wire, entities_to_wire
 from repro.core.instances.errors import ErrorEntry
-from repro.core.store import SemanticStore, StoreRefresher
+from repro.core.store import SemanticStore, SliceWrite, StoreRefresher
 from repro.core.store.snapshot import fingerprint_sources
 from repro.core.store.store import Materialization, SourceSlice
 from repro.errors import S2SError
@@ -205,19 +205,6 @@ class TestTtlStaleness:
             served = s2s.query("SELECT product")
             assert served.store_hit and served.store_stale
             assert registry.value("stale_served_total") == 1
-        finally:
-            s2s.store.end_refresh(key)
-
-    def test_serve_stale_while_refreshing_can_be_disabled(self):
-        _scenario, s2s, _registry, clock = clocked_world(
-            RefreshPolicy(ttl_seconds=60.0,
-                          serve_stale_while_refreshing=False))
-        s2s.query("SELECT product")
-        clock.advance(61.0)
-        key = s2s.store.materializations()[0].key
-        s2s.store.begin_refresh(key)
-        try:
-            assert not s2s.query("SELECT product").store_hit
         finally:
             s2s.store.end_refresh(key)
 
@@ -419,8 +406,9 @@ class TestDeltaRefresh:
         _scenario, s2s, _registry = store_world()
         s2s.materialize("SELECT product")
         key = s2s.store.materializations()[0].key
-        s2s.store.upsert(key, "ghost_99",
-                         [make_entity("g1", "Ghost", source_id="ghost_99")])
+        s2s.store.commit(key, [SliceWrite(
+            "ghost_99", [make_entity("g1", "Ghost", source_id="ghost_99")])],
+            None)
         result, = s2s.refresh_store()
         assert result.removed == ["ghost_99"]
         assert "ghost_99" not in s2s.store.materializations()[0].slices
@@ -507,13 +495,15 @@ class TestStoreUnit:
         mutable.primary.set("brand", "Mutated")
         assert mutable.primary.links["hasProvider"] == [mutable.satellites[0]]
         assert entity.value("brand") == "Seiko"
-        assert store.upsert(key, "db", [entity, copied(entity)]) == 2
+        store.commit(key, [SliceWrite("db", [entity, copied(entity)])], None)
+        assert len(store.materializations()[0].slices["db"].entities) == 2
 
-    def test_upsert_without_merge_key_replaces_the_slice(self):
+    def test_commit_replaces_the_slice(self):
         store, key = self._store_with([make_entity("w1", "Seiko"),
                                        make_entity("w2", "Casio",
                                                    record_index=1)])
-        store.upsert(key, "db", [make_entity("w9", "Omega")])
+        assert store.commit(key, [SliceWrite(
+            "db", [make_entity("w9", "Omega")])], None) == {"db": "refreshed"}
         slice_ = store.materializations()[0].slices["db"]
         assert [e.primary.values["brand"]
                 for e in slice_.entities] == ["Omega"]
@@ -555,12 +545,25 @@ class TestStoreUnit:
         mat.errors = [ErrorEntry("extraction", "old-db", source_id="db"),
                       ErrorEntry("extraction", "old-xml", source_id="xml"),
                       ErrorEntry("generation", "old-global")]
-        store.replace_errors(
-            key, [ErrorEntry("extraction", "new-db", source_id="db"),
-                  ErrorEntry("generation", "new-global")],
-            for_sources=["db"])
+        store.commit(
+            key, [SliceWrite("db", [make_entity("w1", "Seiko")])],
+            [ErrorEntry("extraction", "new-db", source_id="db"),
+             ErrorEntry("extraction", "new-xml", source_id="xml"),
+             ErrorEntry("generation", "new-global")])
         assert [(e.source_id, e.message) for e in mat.errors] == [
-            ("xml", "old-xml"), ("db", "new-db"), (None, "new-global")]
+            (None, "new-global"), ("db", "new-db"), ("xml", "old-xml")]
+
+    def test_a_commit_with_no_generation_leaves_the_errors(self):
+        store, key = self._store_with([make_entity("w1", "Seiko")])
+        mat = store.materializations()[0]
+        mat.errors = [ErrorEntry("mapping", "unmapped"),
+                      ErrorEntry("extraction", "old-db", source_id="db")]
+        assert store.commit(key, [SliceWrite("db", failed=True),
+                                  SliceWrite("xml", failed=True)],
+                            None) == {"db": "kept_stale", "xml": "removed"}
+        assert mat.slices["db"].stale
+        assert [(e.source_id, e.message) for e in mat.errors] == [
+            (None, "unmapped"), ("db", "old-db")]
 
     def test_mark_stale_counts_and_scopes(self):
         store, _key = self._store_with([make_entity("w1", "Seiko")])

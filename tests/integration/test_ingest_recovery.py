@@ -29,11 +29,13 @@ import json
 import pytest
 
 from repro.clock import FakeClock
+from repro.config import ResilienceConfig
 from repro.core.ingest import (EXTRACT, GENERATE, IngestJob, IngestJournal,
                                IngestTarget, ShardCoordinator, StagingArea,
                                WorkerContext, WorkItem, execute_stage,
                                job_id_for)
 from repro.core.query.parser import parse_s2sql
+from repro.core.resilience import BreakerPolicy, RetryPolicy
 from repro.obs import MetricsRegistry
 from repro.sources.flaky import FlakySource, KillableWorker, WorkerFault
 from repro.workloads import B2BScenario
@@ -301,8 +303,12 @@ class TestEarlierJournals:
         world = World(tmp_path / "journal")
         legacy_journal(world, {0: "STAGE", 1: "CLEAN", 2: "MATERIALIZE"},
                        checkpointed={0, 1}, merge_key=1)
+        staging = StagingArea(world.journal_dir, fsync=False).directory
+        assert [path.name for path in staging.glob("*.STAGE.pkl")]
         self.resume(world, checkpointed={0, 1})
         assert world.export() == reference
+        # a finished job leaves no checkpoint, whichever release wrote it
+        assert list(staging.glob("*.pkl")) == []
 
     def test_an_unknown_stage_resumes(self, tmp_path, reference):
         world = World(tmp_path / "journal")
@@ -422,6 +428,82 @@ class TestBreakerIntegration:
         status = {row["class"]: row for row in world.s2s.store.status()}
         stale = status[world.target.class_name]["stale_sources"]
         assert source_id in stale
+
+    #: three attempts, and a breaker that opens on the first failure
+    GATED = ResilienceConfig(
+        retry=RetryPolicy(max_attempts=3, base_delay=0.01, jitter="none"),
+        breaker=BreakerPolicy(failure_threshold=1, cooldown_seconds=600.0))
+
+    def gated_world(self, tmp_path, *, healthy_first: bool):
+        """A world whose first source fails every read: planned while its
+        breaker is closed, the source's job meets it open at its retry's
+        dispatch.  One attribute has no mapping entry, so the error
+        channel holds a source-less ``mapping:`` entry."""
+        world = World(tmp_path / "journal", resilience=self.GATED)
+        world.s2s.attribute_repository.remove("thing.provider.country")
+        if healthy_first:
+            first = world.coordinator()
+            assert first.run([world.target]).completed == 6
+            first.close()
+        source_id = sorted(world.s2s.manager.sources.ids())[0]
+        repository = world.s2s.source_repository
+        repository.register(FlakySource(repository.get(source_id),
+                                        failure_rate=1.0), replace=True)
+        return world, source_id
+
+    def test_the_dispatch_gate_keeps_a_stored_slice(self, tmp_path):
+        world, source_id = self.gated_world(tmp_path, healthy_first=True)
+        mat, = world.s2s.store.materializations()
+        entities = mat.slices[source_id].entities
+        errors = list(mat.errors)
+        assert [entry.phase for entry in errors] == ["mapping"]
+        coordinator = world.coordinator()
+        report = coordinator.run([world.target], force=True)
+        coordinator.close()
+        assert not report.aborted
+        assert report.kept_stale == 1 and report.dead == 0
+        assert world.s2s.manager.breakers.open_sources() == [source_id]
+        kept = mat.slices[source_id]
+        assert kept.stale and kept.entities == entities
+        assert mat.errors == errors
+
+    def test_the_dispatch_gate_dead_letters_with_nothing_stored(
+            self, tmp_path):
+        world, source_id = self.gated_world(tmp_path, healthy_first=False)
+        coordinator = world.coordinator()
+        report = coordinator.run([world.target], force=True)
+        assert not report.aborted
+        assert report.kept_stale == 0 and report.dead == 1
+        letter, = coordinator.dead_letters()
+        coordinator.close()
+        assert letter["job"]["source_id"] == source_id
+        assert letter["job"]["attempts"] == 3
+        assert "circuit breaker open" in letter["error"]
+        mat, = world.s2s.store.materializations()
+        assert source_id not in mat.slices
+
+    def test_the_dispatch_gate_fails_a_replayed_job_with_no_store(
+            self, tmp_path):
+        """A job replayed from a crashed run that this run does not plan
+        has no materialization to commit to: it fails retryably, as
+        one with nothing stored, and never reaches the store."""
+        crashed = World(tmp_path / "journal")
+        coordinator = crashed.coordinator(stop_after=3)
+        assert coordinator.run([crashed.target]).aborted
+        coordinator.close()
+        source_id = min(job.source_id for job in IngestJournal(
+            crashed.journal_dir).replay().unfinished())
+        world = World(tmp_path / "journal", resilience=self.GATED)
+        world.s2s.manager.breakers.get(source_id).record_failure()
+        coordinator = world.coordinator()
+        report = coordinator.run([])
+        letters = {letter["job"]["source_id"]: letter["error"]
+                   for letter in coordinator.dead_letters()}
+        coordinator.close()
+        assert not report.aborted and report.replayed == 3
+        assert report.kept_stale == 0 and report.dead == 3
+        assert "circuit breaker open" in letters[source_id]
+        assert len(world.s2s.store) == 0
 
 
 class TestMiddlewareSurface:

@@ -20,6 +20,7 @@ from decimal import Decimal
 import pytest
 
 from repro.core.instances.assembly import AssembledEntity
+from repro.core.store import SliceWrite
 from repro.errors import CodecError
 from repro.ontology.model import Individual
 from repro.workloads import B2BScenario
@@ -135,8 +136,9 @@ class TestDiskRoundTrip:
         entity = mat.slices[live.entities[0].source_id].entities[0]
         priced = Individual(entity.primary.identifier, "watch",
                             {"price": Decimal("19.99")})
-        s2s.store.upsert(mat.key, entity.source_id,
-                         [AssembledEntity(priced, [], entity.source_id, 0)])
+        s2s.store.commit(mat.key, [SliceWrite(
+            entity.source_id,
+            [AssembledEntity(priced, [], entity.source_id, 0)])], None)
         with pytest.raises(CodecError):
             s2s.store.save(str(tmp_path))
         assert os.listdir(tmp_path) == ["manifest.json"]
@@ -159,8 +161,9 @@ class TestDiskRoundTrip:
         entity = mat.slices[live.entities[0].source_id].entities[0]
         named = Individual(entity.primary.identifier, "watch",
                            {"brand": "\ud800"})
-        s2s.store.upsert(mat.key, entity.source_id,
-                         [AssembledEntity(named, [], entity.source_id, 0)])
+        s2s.store.commit(mat.key, [SliceWrite(
+            entity.source_id,
+            [AssembledEntity(named, [], entity.source_id, 0)])], None)
         with pytest.raises(CodecError, match="lone surrogate"):
             s2s.store.save(str(tmp_path))
         assert os.listdir(tmp_path) == ["manifest.json"]

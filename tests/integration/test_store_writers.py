@@ -44,7 +44,7 @@ import pytest
 
 from repro import ExtractionRule, S2SMiddleware
 from repro.clock import FakeClock
-from repro.config import RefreshPolicy, ResilienceConfig
+from repro.config import ResilienceConfig
 from repro.core.instances import InstanceGenerator
 from repro.core.instances.assembly import AssembledEntity
 from repro.core.instances.errors import ErrorEntry, ErrorReport
@@ -139,9 +139,9 @@ def departed_world(seed):
     s2s = clean_world(seed)
     plan = s2s.query_handler.planner.plan(parse_s2sql(QUERY))
     mat = s2s.store.ensure(plan.class_name, list(plan.required_attributes))
-    s2s.store.upsert(mat.key, "ghost_99",
-                     [make_entity("g1", "Ghost", source_id="ghost_99")],
-                     fingerprint="gone")
+    s2s.store.commit(mat.key, [SliceWrite(
+        "ghost_99", [make_entity("g1", "Ghost", source_id="ghost_99")],
+        fingerprint="gone")], None)
     mat.errors.append(ErrorEntry("generation", "ghost", source_id="ghost_99"))
     return s2s
 
@@ -298,7 +298,7 @@ def test_healed_source_loses_its_error_entries(path, tmp_path):
 # ----------------------------------------------------------------------
 
 
-def failing_world(*, policy=True, healthy_first=False):
+def failing_world(*, healthy_first=False):
     """A 4-source world on a FakeClock whose ``database_0`` can be made
     to fail every call (``flaky.failure_rate = 1.0``)."""
     clock = FakeClock()
@@ -307,7 +307,7 @@ def failing_world(*, policy=True, healthy_first=False):
         breaker=BreakerPolicy(failure_threshold=50, cooldown_seconds=600.0),
         clock=clock)
     scenario = B2BScenario(n_sources=4, n_products=12, seed=7)
-    s2s = scenario.build_middleware(store=policy, resilience=config)
+    s2s = scenario.build_middleware(store=True, resilience=config)
     flaky = FlakySource(s2s.manager.sources.get("database_0"),
                         failure_rate=0.0 if healthy_first else 1.0,
                         clock=clock)
@@ -350,21 +350,6 @@ class TestFailingSourceContracts:
         assert after["triples"] == before["triples"]
         served = s2s.query(QUERY)
         assert served.store_hit and served.store_stale
-        s2s.close()
-
-    def test_refresh_tombstones_when_the_policy_says_so(self):
-        s2s, flaky = failing_world(
-            policy=RefreshPolicy(keep_last_known_good=False),
-            healthy_first=True)
-        s2s.materialize(QUERY)
-        flaky.failure_rate = 1.0
-        result, = s2s.refresh_store(force=True)
-        assert result.removed == ["database_0"]
-        assert result.kept_stale == []
-        mat, = s2s.store.materializations()
-        assert sorted(mat.slices) == ["textfile_3", "webpage_2", "xml_1"]
-        assert not any(triple.object.n3() == '"database_0"'
-                       for triple in s2s.store.graph)
         s2s.close()
 
     def test_ingest_retries_then_dead_letters(self, tmp_path):
@@ -500,8 +485,7 @@ def _entities(rng, source_id):
 def test_graph_equals_a_store_rebuilt_from_the_surviving_slices(seed):
     rng = random.Random(seed)
     probe = random.Random(f"store-view:{SEED}:{seed}")
-    store = SemanticStore(
-        policy=RefreshPolicy(keep_last_known_good=bool(seed % 2)))
+    store = SemanticStore()
     model = ModelGraph()
     for _step in range(60):
         key = rng.choice(KEYS)

@@ -39,6 +39,7 @@ from repro.core.instances.assembly import AssembledEntity
 from repro.core.instances.codec import compact_json, wire_texts
 from repro.core.instances.errors import ErrorEntry, ErrorReport
 from repro.core.query.parser import parse_s2sql
+from repro.core.store import SliceWrite
 from repro.ontology.model import Individual
 from repro.server.codec import (encode_result_frame, result_from_wire,
                                 result_to_wire, results_from_wire)
@@ -354,8 +355,8 @@ def test_dates_lists_and_coercion_errors_in_a_store():
         "ship_date": [date(2006, 7, 2), date(2006, 7, 3)],
         "scanned": [datetime(2006, 7, 2, 6, 0, tzinfo=timezone.utc)]})
     shipment.link("carriedBy", carrier)
-    s2s.store.upsert(mat.key, "HAND", [AssembledEntity(
-        shipment, [carrier], "HAND", 0, ["weight_kg: 'n/a'"])])
+    s2s.store.commit(mat.key, [SliceWrite("HAND", [AssembledEntity(
+        shipment, [carrier], "HAND", 0, ["weight_kg: 'n/a'"])])], None)
     assert_same_answer(s2s.query("SELECT shipment"))
     assert_same_answer(s2s.query("SELECT carrier"))
     assert_same_answer(s2s.query_many(["SELECT shipment", "SELECT carrier"]))

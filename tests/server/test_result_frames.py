@@ -36,6 +36,7 @@ from repro.core.instances.codec import json_default, wire_texts
 from repro.core.instances.errors import ErrorEntry, ErrorReport
 from repro.core.query.parser import parse_s2sql
 from repro.core.resilience import BreakerPolicy, RetryPolicy
+from repro.core.store import SliceWrite
 from repro.errors import CodecError
 from repro.ontology.builders import logistics_ontology
 from repro.ontology.model import Individual
@@ -321,8 +322,8 @@ def test_dates_lists_non_ascii_and_coercion_errors():
         "ship_date": [date(2006, 7, 2), date(2006, 7, 3)],
         "scanned": [datetime(2006, 7, 2, 6, 0, tzinfo=timezone.utc)]})
     shipment.link("carriedBy", carrier)
-    s2s.store.upsert(mat.key, "HAND", [AssembledEntity(
-        shipment, [carrier], "HAND", 0, ["weight_kg: 'n/a'"])])
+    s2s.store.commit(mat.key, [SliceWrite("HAND", [AssembledEntity(
+        shipment, [carrier], "HAND", 0, ["weight_kg: 'n/a'"])])], None)
     served = s2s.query("SELECT shipment")
     assert served.store_hit and len(served) == len(first) + 1
     values = [value for entity in served.entities

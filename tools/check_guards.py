@@ -32,6 +32,9 @@ VIOLATIONS = {
     ],
     "One writer for the semantic store": [
         ("src/repro/core/query/executor.py", '# store.slices["s"] = x'),
+        ("src/repro/core/store/delta.py",
+         "# self.store.mark_slice_stale(key, source_id)"),
+        ("src/repro/core/store/refresh.py", "# keep_last_known_good"),
         ("src/repro/core/store/view.py", "# add_triple"),
     ],
     "Stored entities are shared, not copied": [
