@@ -271,7 +271,7 @@ class DeltaRefresher:
                 mat.key, slice_writes(plan.changed, generation, outcome,
                                       plan.fingerprints),
                 generation.errors.entries))
-            span.annotate(store="upsert", refreshed=len(result.refreshed))
+            span.annotate(store="commit", refreshed=len(result.refreshed))
 
     # -- helpers -------------------------------------------------------
 

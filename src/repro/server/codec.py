@@ -13,19 +13,21 @@ Entities and error entries are written and read by
 template in ``shapes``, each entity as one row of values in
 ``entities``; plain values are plain JSON, the two date ranges tagged
 objects that ``encode_frame`` writes through that module's
-``json_default``.  :func:`encode_result_frame` numbers the shapes of an
-answer and splices in each stored entity's kept texts, writing
-``encode_frame``'s very bytes.
+``json_default``.  :func:`encode_result_frame` writes ``encode_frame``'s
+very bytes: a live answer nobody read from the generator's typed
+columns, without building its entities; a stored one by numbering its
+shapes and splicing in each entity's kept texts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.instances.codec import (compact_json, entities_from_wire,
-                                    entities_to_wire, error_from_json,
-                                    error_to_json, json_field, utf8,
-                                    wire_texts)
+from ..core.instances.codec import (blocks_to_wire, compact_json,
+                                    entities_from_wire, entities_to_wire,
+                                    error_from_json, error_to_json,
+                                    json_field, utf8, wire_texts)
+from ..core.instances.generator import unbuilt
 from ..errors import CodecError
 from .protocol import MAX_FRAME_BYTES, RESULT, RESULTS, pack_frame
 
@@ -48,8 +50,15 @@ def result_to_wire(result) -> dict:
 
 
 def _result_text(result) -> str:
-    """``compact_json(result_to_wire(result))``: in that one pass when no
-    entity is frozen (a live answer), else from the kept texts."""
+    """``compact_json(result_to_wire(result))``: from the generator's
+    columns when the answer's entities were never built, in that one
+    pass when no entity is frozen (a live answer someone read), else
+    from the kept texts."""
+    blocks = unbuilt(result)
+    if blocks is not None:
+        head, tail = _envelope(result)
+        shapes, rows = blocks_to_wire(blocks)
+        return compact_json({**head, "shapes": shapes, "entities": rows, **tail})
     if not any(entity._frozen for entity in result.entities):
         return compact_json(result_to_wire(result))
     numbers: dict[str, int] = {}

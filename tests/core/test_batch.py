@@ -9,11 +9,14 @@ query.
 
 from __future__ import annotations
 
+import sys
+import threading
 
 import pytest
 
 from repro import ExtractionRule, S2SMiddleware
 from repro.clock import FakeClock
+from repro.core.instances import RecordAssembler
 from repro.core.query import QueryBatch, QueryScheduler
 from repro.core.query.parser import parse_s2sql
 from repro.core.query.planner import QueryPlanner
@@ -364,6 +367,49 @@ def answer_facts(result):
     return (result_key(result),
             sorted(str(entry) for entry in result.errors.entries),
             result.degraded, result.store_hit, result.store_stale)
+
+
+def test_siblings_read_on_threads_share_one_build(monkeypatch):
+    """A live batch's duplicates share the first answer's blocks: read
+    on many threads at once, the entities are built once, every result
+    holds a list of its own, and every reader of one result gets the
+    same list."""
+    builds = []
+    build = RecordAssembler.build
+
+    def counting(self, plan, *args):
+        builds.append(plan)
+        return build(self, plan, *args)
+
+    monkeypatch.setattr(RecordAssembler, "build", counting)
+    results = B2BScenario(n_sources=4, n_products=12, seed=7) \
+        .build_middleware().query_many(["SELECT product"] * 4)
+    assert builds == [] and [len(result) for result in results] == [12] * 4
+    readers = 2 * len(results)
+    gate = threading.Barrier(readers)
+    read = [None] * readers
+
+    def reader(index):
+        gate.wait()
+        read[index] = results[index % len(results)].entities
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(index,))
+                   for index in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 4  # one block per source, built once
+    assert [left is right for left, right
+            in zip(read, read[len(results):])] == [True] * len(results)
+    assert len({id(entities) for entities in read}) == len(results)
+    assert all(entity is first for entities in read
+               for entity, first in zip(entities, read[0]))
 
 
 @pytest.mark.parametrize("merge_key", [None, ["brand", "model"]],

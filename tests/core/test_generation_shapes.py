@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.extractor.manager import ExtractionOutcome
 from repro.core.extractor.records import RawFragment, SourceRecordSet
-from repro.core.instances import InstanceGenerator, RecordAssembler
-from repro.errors import InstanceGenerationError
+from repro.core.instances import InstanceGenerator
 from repro.ids import AttributePath
 from repro.ontology import Ontology, OntologySchema, Reasoner
 
@@ -99,19 +98,29 @@ def test_shapes_counts_distinct_null_masks(schema):
 
 
 def test_plans_compile_lazily_per_shape(ontology):
-    """A shape's error is raised when a record of that shape arrives —
+    """A shape's error is reported when a record of that shape arrives —
     not earlier, not for other shapes, and again for the next such
     record."""
     ontology.add_class("island")
     ontology.add_attribute("island", "population", "integer")
-    assembler = RecordAssembler(OntologySchema(ontology), "product")
-    fine = {"thing.product.brand": "Seiko", "island.population": None}
-    stranded = {"thing.product.brand": "Seiko", "island.population": "5"}
-    assert assembler.assemble(fine, source_id="S", record_index=0)
-    assert len(assembler.plans) == 1
-    for index in (1, 2):
-        with pytest.raises(InstanceGenerationError, match="island"):
-            assembler.assemble(stranded, source_id="S", record_index=index)
-    assert len(assembler.plans) == 2
-    entity = assembler.assemble(fine, source_id="S", record_index=3)
-    assert entity.primary.identifier == "product_S_3"
+    generator = InstanceGenerator(OntologySchema(ontology))
+
+    def outcome(populations):
+        record_set = SourceRecordSet("S")
+        for attribute_id, values in (
+                ("thing.product.brand", ["Seiko"] * len(populations)),
+                ("island.population", populations)):
+            record_set.add(RawFragment(AttributePath.parse(attribute_id),
+                                       "S", values))
+        return ExtractionOutcome(record_sets={"S": record_set})
+
+    fine = generator.generate(outcome([None]), "product")
+    assert fine.entities and fine.errors.ok
+    assert fine.shapes == 1
+    result = generator.generate(outcome([None, "5", "5", None]), "product")
+    stranded = result.errors.by_phase("generation")
+    assert len(stranded) == 2
+    assert all("island" in entry.message for entry in stranded)
+    assert result.shapes == 2
+    assert [entity.record_index for entity in result.entities] == [0, 3]
+    assert result.entities[1].primary.identifier == "product_S_3"

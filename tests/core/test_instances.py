@@ -4,11 +4,10 @@ import pytest
 
 from repro.core.extractor.manager import ExtractionOutcome, ExtractionProblem
 from repro.core.extractor.records import RawFragment, SourceRecordSet
-from repro.core.instances import InstanceGenerator, RecordAssembler
+from repro.core.instances import InstanceGenerator
 from repro.core.instances.assembly import AssembledEntity
 from repro.core.instances.codec import entities_to_wire
 from repro.core.instances.errors import ErrorReport
-from repro.errors import InstanceGenerationError
 from repro.ids import AttributePath
 from repro.ontology.model import Individual
 
@@ -21,84 +20,93 @@ def record_set(source_id, columns):
     return rs
 
 
+def generate_one(schema, record, *, query_class="product", source_id="S",
+                 record_index=0):
+    """``record`` (attribute id -> raw value, ``None`` for none) as record
+    ``record_index`` of one source (any records before it empty), through
+    ``InstanceGenerator.generate``: its entity or None, and the result."""
+    columns = {attribute_id: [None] * record_index + [raw]
+               for attribute_id, raw in record.items()}
+    outcome = ExtractionOutcome(
+        record_sets={source_id: record_set(source_id, columns)})
+    result = InstanceGenerator(schema).generate(outcome, query_class)
+    entity = next((entity for entity in result.entities
+                   if entity.record_index == record_index), None)
+    return entity, result
+
+
 class TestAssembler:
     def test_single_class_record(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
-            {"thing.product.brand": "Seiko", "thing.product.price": "199"},
-            source_id="S", record_index=0)
+        entity, _ = generate_one(
+            schema,
+            {"thing.product.brand": "Seiko", "thing.product.price": "199"})
         assert entity.primary.class_name == "product"
         assert entity.primary.values == {"brand": "Seiko", "price": 199.0}
         assert entity.satellites == []
 
     def test_subclass_chain_merges_to_most_specific(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
+        entity, _ = generate_one(
+            schema,
             {"thing.product.brand": "Seiko",
-             "thing.product.watch.case": "steel"},
-            source_id="S", record_index=0)
+             "thing.product.watch.case": "steel"})
         assert entity.primary.class_name == "watch"
         assert entity.primary.values == {"brand": "Seiko", "case": "steel"}
 
     def test_satellite_linked_through_object_property(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
+        entity, _ = generate_one(
+            schema,
             {"thing.product.brand": "Seiko",
-             "thing.provider.name": "Acme"},
-            source_id="S", record_index=0)
+             "thing.provider.name": "Acme"})
         assert len(entity.satellites) == 1
         provider = entity.satellites[0]
         assert provider.class_name == "provider"
         assert entity.primary.links["hasProvider"] == [provider]
 
     def test_identifiers_deterministic_and_sanitized(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
-            {"thing.product.brand": "Seiko"},
+        entity, _ = generate_one(
+            schema, {"thing.product.brand": "Seiko"},
             source_id="db-1/x", record_index=3)
         assert entity.primary.identifier == "product_db_1_x_3"
 
     def test_record_without_query_class_returns_none(self, schema):
-        assembler = RecordAssembler(schema, "provider")
-        entity = assembler.assemble(
-            {"thing.product.brand": "Seiko"},
-            source_id="S", record_index=0)
+        entity, _ = generate_one(
+            schema, {"thing.product.brand": "Seiko"},
+            query_class="provider")
         assert entity is None
 
     def test_none_values_skipped(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
-            {"thing.product.brand": "Seiko", "thing.product.model": None},
-            source_id="S", record_index=0)
+        entity, _ = generate_one(
+            schema,
+            {"thing.product.brand": "Seiko", "thing.product.model": None})
         assert "model" not in entity.primary.values
 
     def test_coercion_errors_collected_not_fatal(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
+        entity, _ = generate_one(
+            schema,
             {"thing.product.brand": "Seiko",
-             "thing.product.price": "not-a-number"},
-            source_id="S", record_index=0)
+             "thing.product.price": "not-a-number"})
         assert entity.coercion_errors
         assert "price" not in entity.primary.values
 
-    def test_unlinkable_satellite_raises(self, ontology):
+    def test_unlinkable_satellite_is_reported(self, ontology):
         from repro.ontology import OntologySchema
         ontology.add_class("island")
         ontology.add_attribute("island", "population", "integer")
         schema = OntologySchema(ontology)
-        assembler = RecordAssembler(schema, "product")
-        with pytest.raises(InstanceGenerationError):
-            assembler.assemble(
-                {"thing.product.brand": "Seiko",
-                 "island.population": "5"},
-                source_id="S", record_index=0)
+        entity, result = generate_one(
+            schema,
+            {"thing.product.brand": "Seiko",
+             "island.population": "5"})
+        assert entity is None
+        assert [entry.message for entry in result.errors.by_phase(
+            "generation")] == ["no object property connects 'product' "
+                               "and 'island'; cannot assemble record"]
 
     def test_entity_value_lookup_spans_satellites(self, schema):
-        assembler = RecordAssembler(schema, "product")
-        entity = assembler.assemble(
+        entity, _ = generate_one(
+            schema,
             {"thing.product.brand": "Seiko",
-             "thing.provider.name": "Acme"},
-            source_id="S", record_index=0)
+             "thing.provider.name": "Acme"})
         assert entity.value("name") == "Acme"
         assert entity.value("brand") == "Seiko"
         assert entity.value("missing", "dflt") == "dflt"

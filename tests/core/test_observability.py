@@ -378,7 +378,7 @@ def store_cost_shape(trace) -> str:
 
 
 GOLDEN_MATERIALIZED = GOLDEN_TOUCHED = """\
-store store=upsert"""
+store store=commit"""
 GOLDEN_SERVED = GOLDEN_SERVED_MERGED = """\
 store store=hit entities=6
 filter candidates=6 matched=1"""
