@@ -405,6 +405,17 @@ def test_rejected_rows_keep_their_errors():
     with pytest.raises(ValueError, match="before a merge"):
         InstanceGenerator(schema).generate(
             outcome, "item", conditions=plan.conditions, merge_key=["code"])
+    # a row kept past a rejected one keeps its own coercion error
+    plan = QueryPlanner(schema).plan(
+        parse_s2sql("SELECT item WHERE code >= 3"))
+    result = InstanceGenerator(schema).generate(outcome, "item",
+                                                conditions=plan.conditions)
+    assert [(e.primary.identifier, e.coercion_errors)
+            for e in result.entities] == [
+        ("item_S_2", ["value 'cheap' is not a valid decimal for 'price'"])]
+    entities, errors = oracle_answer(schema, outcome, plan)
+    assert snapshot(result) == snapshot(
+        SimpleNamespace(entities=entities, errors=errors))
 
 
 def test_incomparable_value_raises_after_generation_like_the_filter():
