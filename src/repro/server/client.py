@@ -169,7 +169,9 @@ class S2SClient:
 
         All or nothing: a connection the server refuses (bad token,
         unsupported protocol revision) or that fails mid-handshake is
-        closed again, and the next call starts afresh."""
+        closed again, and the next call starts afresh.  One the server
+        closes before WELCOME raises :class:`TransportError` naming the
+        address, like one that cannot be opened."""
         if self._sock is not None:
             return self
         try:
@@ -184,8 +186,14 @@ class S2SClient:
             hello["token"] = self.token
         try:
             self.server_info = self._exchange(hello, protocol.WELCOME)
-        except BaseException:
+        except BaseException as exc:
             self._drop()
+            closed = exc.__cause__ if isinstance(exc, TransportError) else exc
+            if isinstance(closed, (TornFrameError, ConnectionError)):
+                # closed before WELCOME, whether or not the server read
+                # the HELLO: the connection was never opened
+                raise TransportError(closed, address=(self.host, self.port)
+                                     ) from exc
             raise
         return self
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 from ...errors import SqlError, SqlExecutionError
 from .sql.ast import Delete, Select, Update
-from .sql.columnar import (PlanReport, execute_columnar, execute_dml,
-                           render_condition)
+from .sql.columnar import (BatchRun, PlanReport, execute_columnar,
+                           execute_dml, project, render_condition,
+                           scan_frame)
 from .sql.executor import ResultSet, _has_aggregates, execute
 from .sql.parser import parse_sql
 from .table import Column, Table
@@ -89,28 +92,49 @@ class Database:
     def execute_statement(self, statement, *,
                           engine: str | None = None) -> ResultSet:
         """Run an already parsed statement (see :meth:`execute`)."""
-        return self.execute_with_plan(statement, engine=engine)[0]
-
-    def execute_with_plan(self, statement, *, engine: str | None = None,
-                          scans: dict | None = None, scan_key=None
-                          ) -> tuple[ResultSet, PlanReport | None]:
-        """Run a parsed statement and return its plan (None unless a
-        columnar SELECT) with its result.  :attr:`last_plan` is set too,
-        for interactive use; callers sharing the database across threads
-        must read the returned plan, which is their own statement's.
-
-        ``scans`` / ``scan_key`` let a caller running a batch of SELECTs
-        share their scans (see :func:`~.sql.columnar.execute_columnar`);
-        the caller must run nothing that writes while it holds ``scans``."""
         chosen = self.engine if engine is None else _check_engine(engine)
         if chosen == "columnar" and isinstance(statement, Select):
-            result, plan = execute_columnar(self, statement, scans, scan_key)
+            result, plan = execute_columnar(self, statement)
         elif chosen == "columnar" and isinstance(statement, (Update, Delete)):
             result, plan = execute_dml(self, statement), None
         else:
             result, plan = execute(self, statement), None
         self.last_plan = plan
-        return result, plan
+        return result
+
+    def execute_batch(self, plan, *, engine: str | None = None
+                      ) -> list[BatchRun]:
+        """Run ``(statement, scan number)`` pairs in order until one
+        returns other than one column.  Columnar SELECTs with equal
+        numbers (equal :func:`~.sql.columnar.scan_key`) scan once, with
+        one report, and each run only their own tail over the shared
+        frame; anything else runs alone, with no report.  Sets
+        :attr:`last_plan` to the last statement's whole plan.  The caller
+        runs nothing that writes meanwhile."""
+        chosen = self.engine if engine is None else _check_engine(engine)
+        frames: dict = {}
+        runs: list[BatchRun] = []
+        try:
+            for statement, scan in plan:
+                if chosen == "row" or not isinstance(statement, Select):
+                    result = self.execute_statement(statement, engine=chosen)
+                    runs.append(BatchRun(result.columns,
+                                         [row[0] for row in result.rows]))
+                else:
+                    shared = scan in frames
+                    if not shared:
+                        frames[scan] = scan_frame(self, statement)
+                    frame, report = frames[scan]
+                    tail: list = []
+                    names, columns = project(statement, frame, tail)
+                    runs.append(BatchRun(names, columns[0], report, tail,
+                                         shared))
+                if len(runs[-1].names) != 1:
+                    break
+        finally:
+            if runs:
+                self.last_plan = runs[-1].plan()
+        return runs
 
     def explain(self, sql: str, *, engine: str | None = None) -> str:
         """Render the operator plan for one statement without keeping
@@ -157,22 +181,7 @@ def _render_row_plan(database: Database, select: Select) -> str:
 
 
 def _split_statements(script: str) -> list[str]:
-    """Split on semicolons outside single-quoted strings."""
-    statements: list[str] = []
-    current: list[str] = []
-    in_string = False
-    for ch in script:
-        if ch == "'":
-            in_string = not in_string
-            current.append(ch)
-        elif ch == ";" and not in_string:
-            text = "".join(current).strip()
-            if text:
-                statements.append(text)
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        statements.append(tail)
-    return statements
+    """Split on semicolons outside single-quoted strings (an unclosed
+    quote runs to the end of the script)."""
+    pieces = re.findall(r"(?:[^;']|'[^']*'?)+", script)
+    return [text.strip() for text in pieces if text.strip()]

@@ -15,7 +15,7 @@ from ..base import (ConnectionInfo, DataSource, ExecutionDetails, RuleCache,
                     stable_digest)
 from .database import Database
 from .sql.ast import Select
-from .sql.columnar import PlanReport, scan_key
+from .sql.columnar import scan_key
 from .sql.parser import parse_sql
 
 
@@ -83,35 +83,40 @@ class RelationalDataSource(DataSource):
         ``execute_rule(rules[i])``.
 
         SELECTs with equal ``(table, joins, where)`` scan, join and
-        filter once and project the shared frame each on its own (eight
-        single-column rules over one filtered table evaluate the
-        predicate once, not eight times).  Each rule still leaves its own
-        plan digest; a sharing rule's says ``scan(shared)`` and counts no
-        scanned rows.  Frames live in this call only."""
+        filter once, with one plan report, and each take their column off
+        the shared frame (eight single-column rules over one filtered
+        table evaluate the predicate once, not eight times).  Each rule
+        still leaves its own plan digest; a sharing rule's says
+        ``scan(shared)`` and counts no scanned rows."""
         if not self.connected:
             self.connect()
         self._details.record([])  # a call that raises leaves no digest
         plan = self._compiled.get(tuple(rules), self._plan)
-        scans: dict = {}
+        runs = self.database.execute_batch(plan, engine=self.engine)
         columns: list[list[str]] = []
-        reports: list[PlanReport | None] = []
-        for statement, scan in plan:
-            result, report = self.database.execute_with_plan(
-                statement, engine=self.engine, scans=scans, scan_key=scan)
-            if len(result.columns) != 1:
+        for run in runs:
+            if len(run.names) != 1:
                 raise ExtractionError(
                     f"SQL extraction rule must select exactly one column, "
-                    f"got {result.columns}", source_id=self.source_id)
+                    f"got {run.names}", source_id=self.source_id)
             columns.append(["" if value is None else str(value)
-                            for value in result.scalars()])
-            reports.append(report)
+                            for value in run.values])
         # Counted and digested only once the whole set has run: a batch
         # that raises leaves nothing behind for its per-rule re-run.
-        digests = [self._record_plan(report) for report in reports]
-        if len(rules) > 1:
-            for digest, (_statement, scan) in zip(digests, plan):
-                if digest is not None:
-                    digest["scan"] = scan
+        metrics = DEFAULT_REGISTRY if self.metrics is None else self.metrics
+        digests = [run.digest() for run in runs]
+        for digest, run, (_statement, scan) in zip(digests, runs, plan):
+            if digest is not None and len(rules) > 1:
+                digest["scan"] = scan
+            if digest is not None and not run.shared:  # once per scan
+                metrics.counter(
+                    "sql_batches_total",
+                    "scan batches processed by the columnar SQL engine").inc(
+                        digest["sql_batches"], source=self.source_id)
+                metrics.counter(
+                    "sql_rows_scanned_total",
+                    "rows scanned by the columnar SQL engine").inc(
+                        digest["sql_rows_scanned"], source=self.source_id)
         self._details.record(digests)
         return columns
 
@@ -127,23 +132,6 @@ class RelationalDataSource(DataSource):
         """Operator-plan rendering for one statement under this
         source's engine (see :meth:`Database.explain`)."""
         return self.database.explain(sql, engine=self.engine)
-
-    def _record_plan(self, plan: PlanReport | None) -> dict | None:
-        """Count one executed plan and digest it for its attempt span."""
-        if plan is None:
-            return None
-        metrics = DEFAULT_REGISTRY if self.metrics is None else self.metrics
-        metrics.counter(
-            "sql_batches_total",
-            "scan batches processed by the columnar SQL engine").inc(
-                plan.batches, source=self.source_id)
-        metrics.counter(
-            "sql_rows_scanned_total",
-            "rows scanned by the columnar SQL engine").inc(
-                plan.rows_scanned, source=self.source_id)
-        return {"sql_plan": plan.summary(),
-                "sql_rows_scanned": plan.rows_scanned,
-                "sql_batches": plan.batches}
 
     def consume_execution_detail(self) -> dict[str, object] | None:
         """Next one-shot plan digest of the calling thread's most recent

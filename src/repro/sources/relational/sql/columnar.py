@@ -54,6 +54,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from itertools import compress
+from typing import NamedTuple
 
 from ....errors import SqlExecutionError
 from ....like import like_to_regex
@@ -72,21 +73,16 @@ _MIRRORED = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 @dataclass
 class OperatorStats:
-    """One operator in an executed plan."""
+    """One operator in an executed plan; a name ending ``(shared)`` ran
+    for an earlier SELECT of the same batch and is reused."""
 
     name: str
     detail: str = ""
     rows_in: int | None = None
     rows_out: int | None = None
-    #: ran once for an earlier SELECT of the same batch, reused here
-    shared: bool = False
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}(shared)" if self.shared else self.name
 
     def render(self) -> str:
-        parts = [self.label]
+        parts = [self.name]
         if self.detail:
             parts.append(self.detail)
         stats = []
@@ -120,14 +116,7 @@ class PlanReport:
 
     def summary(self) -> str:
         """Compact operator chain, e.g. ``scan>filter>project``."""
-        return ">".join(op.label for op in self.operators)
-
-    def as_shared(self) -> "PlanReport":
-        """This scan as a later SELECT of the same batch sees it when it
-        reuses the frame: the same operators, marked shared, and nothing
-        scanned — the rows were counted where they were read."""
-        return replace(self, rows_scanned=0, batches=0, operators=[
-            replace(op, shared=True) for op in self.operators])
+        return ">".join(op.name for op in self.operators)
 
     def render(self) -> str:
         """Multi-line plan: one header line, one line per operator."""
@@ -135,6 +124,43 @@ class PlanReport:
                   f"rows={self.rows_total} batch_size={self.batch_size} "
                   f"batches={self.batches}")
         return "\n".join([header] + [op.render() for op in self.operators])
+
+
+class BatchRun(NamedTuple):
+    """One statement of ``Database.execute_batch``: its result's column
+    names and first column; for a columnar SELECT also its scan's report,
+    its own operators after the scan, and whether an earlier statement
+    ran that scan (and so counted its rows)."""
+
+    names: list[str]
+    values: list
+    report: PlanReport | None = None
+    tail: list[OperatorStats] = ()
+    shared: bool = False
+
+    def digest(self) -> dict | None:
+        """The statement's operator chain, a shared scan's marked
+        ``(shared)``, and the rows and batches it scanned."""
+        if self.report is None:
+            return None
+        mark = "(shared)" if self.shared else ""
+        return {"sql_plan": ">".join(
+                    [op.name + mark for op in self.report.operators]
+                    + [op.name for op in self.tail]),
+                "sql_rows_scanned": 0 if self.shared
+                else self.report.rows_scanned,
+                "sql_batches": 0 if self.shared else self.report.batches}
+
+    def plan(self) -> PlanReport | None:
+        """The statement's whole plan, as :meth:`digest` describes it."""
+        if self.report is None:
+            return None
+        if not self.shared:
+            return replace(self.report,
+                           operators=self.report.operators + self.tail)
+        return replace(self.report, rows_scanned=0, batches=0, operators=[
+            replace(op, name=f"{op.name}(shared)")
+            for op in self.report.operators] + self.tail)
 
 
 def render_condition(condition) -> str:
@@ -538,33 +564,29 @@ def scan_key(select: Select) -> str:
     return repr((select.table, select.joins, select.where))
 
 
-def execute_columnar(database, select: Select, scans: dict | None = None,
-                     key=None) -> tuple[ResultSet, PlanReport]:
-    """Run one SELECT through the vectorized engine.
+def execute_columnar(database, select: Select
+                     ) -> tuple[ResultSet, PlanReport]:
+    """Run one SELECT through the vectorized engine; returns the result
+    plus the executed plan."""
+    frame, report = scan_frame(database, select)
+    names, columns = project(select, frame, report.operators)
+    return ResultSet(names, list(zip(*columns))), report
 
-    Returns the result plus the executed plan.  ``scans`` is a dict the
-    caller owns for the span of one batch of statements, ``key`` what it
-    files this SELECT's scan under — the same for two SELECTs only when
-    their :func:`scan_key` is: they scan once and share the frame, each
-    with its own plan."""
-    if scans is None:
-        frame, report = scan_frame(database, select)
-    elif key in scans:
-        frame, scanned = scans[key]
-        report = scanned.as_shared()
-    else:
-        frame, report = scan_frame(database, select)
-        scans[key] = frame, report.as_shared()
+
+def project(select: Select, frame: _Frame,
+            operators: list[OperatorStats]) -> tuple[list[str], list]:
+    """What follows the scan — project / distinct / order / limit, or
+    group + aggregate — as column names and value columns: it reads
+    ``frame``, never changes it, and appends its own operators."""
     if select.group_by or _has_aggregates(select):
-        return _grouped(select, frame, report), report
-    return _projected(select, frame, report), report
+        return _grouped(select, frame, operators)
+    return _projected(select, frame, operators)
 
 
 def scan_frame(database, select: Select) -> tuple[_Frame, PlanReport]:
     """Scan + pushdown + joins + WHERE: the part of a SELECT that reads
-    the tables, a function of its ``(table, joins, where)`` only.  What
-    is left — project / distinct / order / limit, or group + aggregate —
-    reads the frame and never changes it."""
+    the tables, a function of its ``(table, joins, where)`` only (what
+    is left is :func:`project`)."""
     table = database.require_table(select.table.name)
     binding = select.table.binding.lower()
     where, pushed = select.where, None
@@ -617,8 +639,8 @@ def _order_label(select: Select) -> str:
 # ---------------------------------------------------------------------------
 
 def _projected(select: Select, frame: _Frame,
-               report: PlanReport) -> ResultSet:
-    columns: list[str] = []
+               operators: list[OperatorStats]) -> tuple[list[str], list]:
+    names: list[str] = []
     specs: list[tuple] = []  # output column -> (binding, column position)
     for item in select.items:
         expr = item.expression
@@ -626,61 +648,59 @@ def _projected(select: Select, frame: _Frame,
             if frame.count:
                 for binding, table in frame.tables.items():
                     for position, name in enumerate(table.column_names()):
-                        columns.append(name)
+                        names.append(name)
                         specs.append((binding, position))
             else:
                 # Row-engine quirk preserved: star over an empty result
                 # has no rows to introspect and labels itself "*".
-                columns.append("*")
+                names.append("*")
         elif isinstance(expr, ColumnRef):
-            columns.append(item.alias or expr.name)
+            names.append(item.alias or expr.name)
             if frame.count:
                 specs.append(frame.resolve(expr))
         else:
             raise SqlExecutionError("aggregate in non-grouped projection path")
 
-    if frame.count:
-        gathered = {spec: frame.values(*spec) for spec in set(specs)}
-        projected = list(zip(*(gathered[spec] for spec in specs)))
-    else:
-        projected = []
+    gathered = {spec: frame.values(*spec) for spec in set(specs)}
+    columns = [gathered[spec] for spec in specs] or [[] for _ in names]
 
     if select.distinct:
         seen: set = set()
         kept: list[int] = []
-        for i, values in enumerate(projected):
+        for i, values in enumerate(zip(*columns)):
             if values not in seen:
                 seen.add(values)
                 kept.append(i)
-        report.operators.append(OperatorStats(
-            "distinct", rows_in=len(projected), rows_out=len(kept)))
+        operators.append(OperatorStats(
+            "distinct", rows_in=frame.count, rows_out=len(kept)))
         frame = frame.take(kept)
-        projected = [projected[i] for i in kept]
+        columns = [[column[i] for i in kept] for column in columns]
 
     if select.order_by and frame.count:
         order = list(range(frame.count))
         for item in reversed(select.order_by):
             keys = [_sort_key(value) for value in frame.column(item.column)]
             order.sort(key=keys.__getitem__, reverse=item.descending)
-        projected = [projected[i] for i in order]
+        columns = [[column[i] for i in order] for column in columns]
     if select.order_by:
-        report.operators.append(OperatorStats(
-            "order_by", _order_label(select), rows_out=len(projected)))
+        operators.append(OperatorStats(
+            "order_by", _order_label(select), rows_out=frame.count))
 
     if select.limit is not None:
-        projected = projected[: select.limit]
-        report.operators.append(OperatorStats(
-            "limit", str(select.limit), rows_out=len(projected)))
-    report.operators.append(OperatorStats(
-        "project", f"[{', '.join(columns)}]", rows_out=len(projected)))
-    return ResultSet(columns, projected)
+        columns = [column[: select.limit] for column in columns]
+        operators.append(OperatorStats(
+            "limit", str(select.limit), rows_out=len(columns[0])))
+    operators.append(OperatorStats(
+        "project", f"[{', '.join(names)}]", rows_out=len(columns[0])))
+    return names, columns
 
 
 # ---------------------------------------------------------------------------
 # Hash-group aggregation path
 # ---------------------------------------------------------------------------
 
-def _grouped(select: Select, frame: _Frame, report: PlanReport) -> ResultSet:
+def _grouped(select: Select, frame: _Frame,
+             operators: list[OperatorStats]) -> tuple[list[str], list]:
     group_refs = list(select.group_by)
     groups: dict[tuple, list[int]] = {}
     if frame.count and group_refs:
@@ -733,7 +753,7 @@ def _grouped(select: Select, frame: _Frame, report: PlanReport) -> ResultSet:
                                                   frame.env(members[0])):
                 continue
         result_rows.append(tuple(out))
-    report.operators.append(OperatorStats(
+    operators.append(OperatorStats(
         "aggregate",
         f"[{', '.join(columns)}]"
         + (f" group_by=[{', '.join(_render_scalar(ref) for ref in group_refs)}]"
@@ -750,10 +770,11 @@ def _grouped(select: Select, frame: _Frame, report: PlanReport) -> ResultSet:
                     f"not in result") from exc
             result_rows.sort(key=lambda r: _sort_key(r[position]),
                              reverse=item.descending)
-        report.operators.append(OperatorStats(
+        operators.append(OperatorStats(
             "order_by", _order_label(select), rows_out=len(result_rows)))
     if select.limit is not None:
         result_rows = result_rows[: select.limit]
-        report.operators.append(OperatorStats(
+        operators.append(OperatorStats(
             "limit", str(select.limit), rows_out=len(result_rows)))
-    return ResultSet(columns, result_rows)
+    return columns, [[row[i] for row in result_rows]
+                     for i in range(len(columns))]

@@ -143,30 +143,19 @@ def execute(database, statement: Statement) -> ResultSet:
         for row in statement.rows:
             table.insert(dict(zip(statement.columns, row)))
         return ResultSet(["inserted"], [(len(statement.rows),)])
-    if isinstance(statement, Update):
+    if isinstance(statement, (Update, Delete)):
         table = database.require_table(statement.table)
-
-        def predicate(row: list) -> bool:
-            if statement.where is None:
-                return True
-            env = _Env({statement.table.lower(): (table, row)})
-            return _eval_condition(statement.where, env)
-
-        assignments = {table.column_index(name): value
-                       for name, value in statement.assignments}
-        updated = table.update_where(predicate, assignments)
-        return ResultSet(["updated"], [(updated,)])
-    if isinstance(statement, Delete):
-        table = database.require_table(statement.table)
-
-        def predicate(row: list) -> bool:
-            if statement.where is None:
-                return True
-            env = _Env({statement.table.lower(): (table, row)})
-            return _eval_condition(statement.where, env)
-
-        deleted = table.delete_where(predicate)
-        return ResultSet(["deleted"], [(deleted,)])
+        if isinstance(statement, Update):
+            assignments = {table.column_index(name): value
+                           for name, value in statement.assignments}
+        binding = statement.table.lower()
+        positions = [position for position, row in enumerate(table.rows)
+                     if statement.where is None or _eval_condition(
+                         statement.where, _Env({binding: (table, row)}))]
+        if isinstance(statement, Update):
+            return ResultSet(["updated"], [
+                (table.update_positions(positions, assignments),)])
+        return ResultSet(["deleted"], [(table.delete_positions(positions),)])
     if isinstance(statement, CreateTable):
         columns = [Column.of(c.name, c.type, c.not_null)
                    for c in statement.columns]

@@ -4,8 +4,8 @@ Storage is column-major: each column holds a dense typed buffer
 (``array('q')`` for INTEGER, ``array('d')`` for REAL, a ``bytearray``
 for BOOLEAN, a plain list for TEXT) plus a validity bitmap marking
 NULLs.  The vectorized executor in ``sql/columnar.py`` reads columns
-directly and mutates by position (:meth:`Table.update_positions` /
-:meth:`Table.delete_positions`); the row-at-a-time executor (and content
+directly; both executors mutate by position (:meth:`Table.update_positions`
+/ :meth:`Table.delete_positions`); the row-at-a-time executor (and content
 fingerprinting) read the :attr:`Table.rows` property, a lazily
 materialized row-major view cached until the next mutation.
 
@@ -306,12 +306,6 @@ class Table:
             for column_key, index_map in self._indexes.items():
                 index_map[row[self._index_of[column_key]]].append(position)
 
-    def delete_where(self, predicate) -> int:
-        """Delete rows matching ``predicate(row) -> bool``."""
-        return self.delete_positions(
-            [position for position, row in enumerate(self.rows)
-             if predicate(row)])
-
     def delete_positions(self, positions: list[int]) -> int:
         """Delete the rows at ``positions``; rebuilds indexes."""
         if not positions:
@@ -328,12 +322,6 @@ class Table:
                 self._indexes[column_key] = self._hash_column(
                     self._index_of[column_key])
         return len(doomed)
-
-    def update_where(self, predicate, assignments: dict[int, object]) -> int:
-        """Set column-index -> value on rows matching ``predicate(row)``."""
-        return self.update_positions(
-            [position for position, row in enumerate(self.rows)
-             if predicate(row)], assignments)
 
     def update_positions(self, positions: list[int],
                          assignments: dict[int, object]) -> int:

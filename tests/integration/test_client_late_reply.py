@@ -27,16 +27,21 @@ class ScriptedServer:
         self._lock = threading.Lock()
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.port = self._listener.getsockname()[1]
-        threading.Thread(target=self._accept, daemon=True).start()
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._connections: list[socket.socket] = []
+        self._threads[0].start()
 
     def _accept(self) -> None:
         while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
-                return  # listener closed
-            threading.Thread(target=self._serve, args=(conn,),
-                             daemon=True).start()
+                return  # listener shut down
+            self._connections.append(conn)
+            thread = threading.Thread(target=self._serve, args=(conn,),
+                                      daemon=True)
+            self._threads.append(thread)
+            thread.start()
 
     def _serve(self, conn: socket.socket) -> None:
         try:
@@ -60,7 +65,25 @@ class ScriptedServer:
             pass  # the client hung up on a late reply — the point
 
     def close(self) -> None:
+        """Stop every thread this server started.  On Linux close()
+        alone does not wake a thread blocked in accept() or recv();
+        shutdown() does (a serving thread still sleeping out its delay
+        finishes it first)."""
+        _shut(self._listener)
         self._listener.close()
+        self._threads[0].join(5.0)  # no connection is accepted after this
+        for conn in self._connections:
+            _shut(conn)
+        for thread in self._threads:
+            thread.join(5.0)
+            assert not thread.is_alive(), thread.name
+
+
+def _shut(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected, or already closed by its thread
 
 
 def test_late_reply_is_not_served_to_the_next_request():

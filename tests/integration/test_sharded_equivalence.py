@@ -146,15 +146,22 @@ class TestHealthyEquivalence:
                 result_key(reference.query("SELECT product"))
 
 
+def each_on_a_fresh_world(world, concurrency, seed: int) -> list:
+    """Every query of ``seed`` on its own fresh ``world``, closed after
+    its answer (a fleet world holds a dispatcher and worker threads)."""
+    answers = []
+    for query in queries_for(seed):
+        with world(concurrency, seed) as s2s:
+            answers.append(s2s.query(query))
+    return answers
+
+
 class TestFaultWorldEquivalence:
     @pytest.mark.parametrize("seed", [11, 12])
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_degraded_world(self, baseline, seed):
-        queries = queries_for(seed)
-        reference = [degraded_world(baseline, seed).query(q)
-                     for q in queries]
-        sharded = [degraded_world(FLEETS[0], seed).query(q)
-                   for q in queries]
+        reference = each_on_a_fresh_world(degraded_world, baseline, seed)
+        sharded = each_on_a_fresh_world(degraded_world, FLEETS[0], seed)
         assert_equivalent(reference, sharded)
         for result in sharded:
             assert result.degraded
@@ -162,11 +169,8 @@ class TestFaultWorldEquivalence:
     @pytest.mark.parametrize("seed", [11, 12])
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_recoverable_world_converges(self, baseline, seed):
-        queries = queries_for(seed)
-        reference = [recoverable_world(baseline, seed).query(q)
-                     for q in queries]
-        sharded = [recoverable_world(FLEETS[0], seed).query(q)
-                   for q in queries]
+        reference = each_on_a_fresh_world(recoverable_world, baseline, seed)
+        sharded = each_on_a_fresh_world(recoverable_world, FLEETS[0], seed)
         assert_equivalent(reference, sharded)
         for result in sharded:
             assert not result.degraded  # retries absorbed every burst
@@ -174,11 +178,8 @@ class TestFaultWorldEquivalence:
     @pytest.mark.parametrize("seed", [21, 22])
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_failover_world(self, baseline, seed):
-        queries = queries_for(seed)
-        reference = [failover_world(baseline, seed).query(q)
-                     for q in queries]
-        sharded = [failover_world(FLEETS[0], seed).query(q)
-                   for q in queries]
+        reference = each_on_a_fresh_world(failover_world, baseline, seed)
+        sharded = each_on_a_fresh_world(failover_world, FLEETS[0], seed)
         assert_equivalent(reference, sharded)
         for result in sharded:
             assert result.degraded  # replica-served, visibly best-effort

@@ -9,6 +9,7 @@ afresh and fails the same way instead of writing to a dead connection.
 from __future__ import annotations
 
 import socket
+import threading
 
 import pytest
 
@@ -16,7 +17,8 @@ import repro.server.client as client_module
 from repro.server import (RemoteServerError, S2SClient, S2SServer,
                           ServerThread, Tenant, TenantRegistry,
                           TransportError)
-from repro.server.protocol import CODE_AUTH, CODE_BAD_REQUEST
+from repro.server.protocol import (CODE_AUTH, CODE_BAD_REQUEST,
+                                   TornFrameError, read_frame, write_frame)
 from repro.workloads import B2BScenario
 
 
@@ -86,3 +88,76 @@ def test_a_closed_port_is_a_typed_error_naming_the_address():
                              f"ConnectionRefusedError"):
         client.connect()
     assert client._sock is None
+
+
+def one_shot_listener(mode: str):
+    """A listener that accepts one connection and closes it: after
+    reading the HELLO (``"read"``, a clean EOF), with the HELLO arrived
+    but unread (``"unread"``, a reset), or at once (``"early"``).
+    Returns the port and the serving thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                if mode == "read":
+                    read_frame(conn)
+                elif mode == "unread":
+                    conn.recv(1, socket.MSG_PEEK)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+@pytest.mark.parametrize("mode", ["read", "unread", "early"])
+def test_a_server_closing_before_welcome_is_a_transport_error(mode,
+                                                              monkeypatch):
+    """Whether or not the server read the HELLO, a connection it closed
+    before WELCOME was never opened."""
+    port, thread = one_shot_listener(mode)
+    if mode == "early":  # the HELLO leaves only once the server has closed
+        real_connect = socket.create_connection
+
+        def connect_then_wait(*args, **kwargs):
+            sock = real_connect(*args, **kwargs)
+            thread.join(5.0)
+            return sock
+
+        monkeypatch.setattr(client_module.socket, "create_connection",
+                            connect_then_wait)
+    client = S2SClient("127.0.0.1", port, timeout=5.0)
+    try:
+        with pytest.raises(TransportError,
+                           match=f"cannot connect to 127.0.0.1:{port}"):
+            client.connect()
+        assert client._sock is None
+    finally:
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+
+def test_an_eof_after_welcome_is_a_torn_frame():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)
+                write_frame(conn, {"kind": "WELCOME", "protocol": 1})
+                read_frame(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    client = S2SClient("127.0.0.1", listener.getsockname()[1], timeout=5.0)
+    try:
+        client.connect()
+        with pytest.raises(TornFrameError):
+            client.status()
+        assert client._sock is None
+    finally:
+        client.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
