@@ -17,6 +17,7 @@ any code:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .core.instances.outputs import OUTPUT_FORMATS
@@ -99,7 +100,7 @@ def _build(args: argparse.Namespace, *, store: bool = False):
                                            tracer=tracer,
                                            metrics=MetricsRegistry(),
                                            store=store)
-    return scenario, middleware
+    return scenario, args.owned.enter_context(middleware)
 
 
 def _report_observability(args: argparse.Namespace, s2s, result) -> None:
@@ -206,7 +207,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     from .core.middleware import S2SMiddleware
 
     scenario = _scenario(args, args.seed)
-    s2s = S2SMiddleware(watch_domain_ontology())
+    s2s = args.owned.enter_context(S2SMiddleware(watch_domain_ontology()))
     for org in scenario.organizations:
         s2s.register_source(scenario.connector(org))
     suggester = MappingSuggester(s2s.registrar)
@@ -725,11 +726,12 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except S2SError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with contextlib.ExitStack() as args.owned:  # closes what a command builds
+        try:
+            return args.handler(args)
+        except S2SError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

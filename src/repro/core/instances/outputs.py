@@ -20,11 +20,12 @@ import json as _json
 
 from ...errors import InstanceGenerationError
 from ...ontology.model import Individual
-from ...ontology.owlxml import individual_triples
+from ...ontology.owlxml import Vocabulary
 from ...rdf.graph import Graph
 from ...rdf.namespace import Namespace, NamespaceManager
-from ...rdf.rdfxml import serialize_rdfxml
-from ...rdf.turtle import serialize_turtle
+from ...rdf.ntriples import write_ntriples
+from ...rdf.rdfxml import write_rdfxml
+from ...rdf.turtle import write_turtle
 from ...xmlkit import Document, Element, serialize_xml
 from ...ontology.schema import OntologySchema
 from .assembly import AssembledEntity
@@ -32,27 +33,43 @@ from .assembly import AssembledEntity
 OUTPUT_FORMATS = ("owl", "turtle", "ntriples", "xml", "json", "text")
 
 
+def _vocabulary(schema: OntologySchema) -> tuple[Vocabulary,
+                                                 NamespaceManager]:
+    """A fresh vocabulary over the ontology's namespace, bound to the
+    ``onto`` prefix an answer's RDF is written with."""
+    manager = NamespaceManager()
+    namespace = Namespace(schema.ontology.base_iri)
+    manager.bind("onto", namespace)
+    return Vocabulary(namespace), manager
+
+
+def _individuals(entities: list[AssembledEntity]) -> dict:
+    """Each identifier's first individual."""
+    individuals: dict = {}
+    for entity in entities:
+        for individual in entity.all_individuals():
+            individuals.setdefault(individual.identifier, individual)
+    return individuals
+
+
 def entities_to_graph(schema: OntologySchema,
                       entities: list[AssembledEntity],
                       *, include_schema: bool = False) -> Graph:
     """Collect all individuals of the entities into one RDF graph."""
-    ontology = schema.ontology
-    manager = NamespaceManager()
-    namespace = Namespace(ontology.base_iri)
-    manager.bind("onto", namespace)
+    vocabulary, manager = _vocabulary(schema)
     if include_schema:
         from ...ontology.owlxml import ontology_to_graph
-        graph = ontology_to_graph(ontology, include_individuals=False)
+        graph = ontology_to_graph(schema.ontology, include_individuals=False)
     else:
         graph = Graph(namespace_manager=manager)
-    seen: set[str] = set()
-    for entity in entities:
-        for individual in entity.all_individuals():
-            if individual.identifier in seen:
-                continue
-            seen.add(individual.identifier)
-            graph.update(individual_triples(namespace, individual))
+    for individual in _individuals(entities).values():
+        graph.update(vocabulary.triples(individual))
     return graph
+
+
+#: the RDF formats, written from the shape patterns with no graph
+_RDF_WRITERS = {"owl": write_rdfxml, "turtle": write_turtle,
+                "ntriples": write_ntriples}
 
 
 def _individual_element(individual: Individual,
@@ -85,13 +102,11 @@ def _scalar_text(value) -> str:
 def render_entities(schema: OntologySchema, entities: list[AssembledEntity],
                     format: str = "owl") -> str:
     """Serialize entities in one of :data:`OUTPUT_FORMATS`."""
-    if format == "owl":
-        return serialize_rdfxml(entities_to_graph(schema, entities))
-    if format == "turtle":
-        return serialize_turtle(entities_to_graph(schema, entities))
-    if format == "ntriples":
-        from ...rdf.ntriples import serialize_ntriples
-        return serialize_ntriples(entities_to_graph(schema, entities))
+    if format in _RDF_WRITERS:
+        vocabulary, manager = _vocabulary(schema)
+        return _RDF_WRITERS[format](manager, [
+            (vocabulary.iri(identifier), vocabulary.description(individual))
+            for identifier, individual in _individuals(entities).items()])
     if format == "xml":
         root = Element("results", {"count": str(len(entities))})
         rendered: set[str] = set()

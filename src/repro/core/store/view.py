@@ -12,7 +12,7 @@ from collections import defaultdict
 from itertools import chain
 from typing import Iterable, Iterator
 
-from ...ontology.owlxml import individual_triples
+from ...ontology.owlxml import Vocabulary
 from ...rdf.namespace import Namespace
 from ...rdf.terms import (IRI, Literal, Object, Subject, Triple,
                           python_to_literal)
@@ -22,19 +22,28 @@ from ..instances.assembly import AssembledEntity
 STORE = Namespace("http://example.org/s2s/store#")
 
 
+_SOURCE, _RECORD_INDEX, _ENTITY_CLASS = (
+    STORE.source, STORE.recordIndex, STORE.entityClass)
+
+
 def entity_triples(namespace: Namespace, class_name: str,
                    entities: list[AssembledEntity]) -> Iterator[Triple]:
     """Every entity's triples plus its provenance (source, record index
-    and the materialization's class).  A value with no literal form
-    raises :class:`~repro.errors.RdfError`."""
+    and the materialization's class), their IRIs and the class and
+    source literals shared through one :class:`Vocabulary`.  A value
+    with no literal form raises :class:`~repro.errors.RdfError`."""
+    vocabulary = Vocabulary(namespace)
+    entity_class = source = Literal(class_name)
     for entity in entities:
         for individual in entity.all_individuals():
-            yield from individual_triples(namespace, individual)
-        primary = namespace[entity.primary.identifier]
-        yield Triple(primary, STORE.source, Literal(entity.source_id))
-        yield Triple(primary, STORE.recordIndex,
+            yield from vocabulary.triples(individual)
+        if source.lexical != entity.source_id:
+            source = Literal(entity.source_id)
+        primary = vocabulary.iri(entity.primary.identifier)
+        yield Triple(primary, _SOURCE, source)
+        yield Triple(primary, _RECORD_INDEX,
                      python_to_literal(entity.record_index))
-        yield Triple(primary, STORE.entityClass, Literal(class_name))
+        yield Triple(primary, _ENTITY_CLASS, entity_class)
 
 
 class SliceIndex:

@@ -21,7 +21,8 @@ from collections.abc import Iterator
 
 from ..errors import OntologyError
 from ..rdf.graph import Graph
-from ..rdf.namespace import OWL, RDF, RDFS, XSD, Namespace, NamespaceManager
+from ..rdf.namespace import (OWL, RDF, RDF_TYPE, RDFS, XSD, Namespace,
+                             NamespaceManager)
 from ..rdf.rdfxml import parse_rdfxml, serialize_rdfxml
 from ..rdf.terms import IRI, Literal, Triple, python_to_literal
 from ..rdf.turtle import parse_turtle, serialize_turtle
@@ -65,25 +66,91 @@ def ontology_to_graph(ontology: Ontology, *, include_individuals: bool = True,
                 graph.add(prop_iri, RDF.type, OWL.FunctionalProperty)
 
     if include_individuals:
+        vocabulary = Vocabulary(namespace)
         for individual in ontology.individuals():
-            graph.update(individual_triples(namespace, individual))
+            graph.update(vocabulary.triples(individual))
     return graph
+
+
+class ShapePattern:
+    """One individual shape's RDF vocabulary, worked out once: the class
+    IRI and a predicate IRI per attribute and per link, in order."""
+
+    __slots__ = ("class_iri", "values", "links", "distinct")
+
+    def __init__(self, vocabulary: "Vocabulary", key: tuple) -> None:
+        class_name, values, links = key
+        self.class_iri = vocabulary.iri(class_name)
+        self.values = tuple([vocabulary.iri(name) for name in values])
+        self.links = tuple([vocabulary.iri(name) for name in links])
+        # no attribute shares its predicate with a link or rdf:type
+        self.distinct = len({RDF_TYPE, *self.values, *self.links}) \
+            == 1 + len(values) + len(links)
+
+
+class Vocabulary:
+    """The IRIs and shape patterns (keyed by class, attribute
+    names and link names) of one render, graph or slice index, minted
+    once each.  Literals are never shared; nothing outlives the scope."""
+
+    __slots__ = ("namespace", "_iris", "_patterns")
+
+    def __init__(self, namespace: Namespace) -> None:
+        self.namespace = namespace
+        self._iris: dict[str, IRI] = {}
+        self._patterns: dict[tuple, ShapePattern] = {}
+
+    def iri(self, local: str) -> IRI:
+        iri = self._iris.get(local)
+        if iri is None:
+            iri = self._iris[local] = self.namespace[local]
+        return iri
+
+    def pattern(self, individual: Individual) -> ShapePattern:
+        key = (individual.class_name, tuple(individual.values),
+               tuple(individual.links))
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            pattern = self._patterns[key] = ShapePattern(self, key)
+        return pattern
+
+    def description(self, individual: Individual) -> list[tuple[IRI, list]]:
+        """(predicate, objects) pairs for the RDF writers: the class, the
+        values (Python values; a list item by item), the links' IRIs."""
+        pattern = self.pattern(individual)
+        pairs = [(RDF_TYPE, [pattern.class_iri])]
+        pairs += [(predicate, value if isinstance(value, list) else [value])
+                  for predicate, value in zip(pattern.values,
+                                              individual.values.values())]
+        pairs += [(predicate, [self.iri(target.identifier)
+                               for target in targets])
+                  for predicate, targets in zip(pattern.links,
+                                                individual.links.values())]
+        if pattern.distinct:
+            return pairs
+        merged: dict[IRI, list] = {}
+        for predicate, objects in pairs:
+            merged.setdefault(predicate, []).extend(objects)
+        return list(merged.items())
+
+    def triples(self, individual: Individual) -> Iterator[Triple]:
+        subject = self.iri(individual.identifier)
+        pattern = self.pattern(individual)
+        yield Triple(subject, RDF_TYPE, pattern.class_iri)
+        for predicate, value in zip(pattern.values, individual.values.values()):
+            for item in value if isinstance(value, list) else (value,):
+                yield Triple(subject, predicate, python_to_literal(item))
+        for predicate, targets in zip(pattern.links,
+                                      individual.links.values()):
+            for target in targets:
+                yield Triple(subject, predicate, self.iri(target.identifier))
 
 
 def individual_triples(namespace: Namespace,
                        individual: Individual) -> Iterator[Triple]:
     """The triples describing one individual: its type, one per
     attribute value, one per object-property link."""
-    subject = namespace[individual.identifier]
-    yield Triple(subject, RDF.type, namespace[individual.class_name])
-    for name, value in individual.values.items():
-        items = value if isinstance(value, list) else [value]
-        for item in items:
-            yield Triple(subject, namespace[name], python_to_literal(item))
-    for name, targets in individual.links.items():
-        for target in targets:
-            yield Triple(subject, namespace[name],
-                         namespace[target.identifier])
+    return Vocabulary(namespace).triples(individual)
 
 
 def serialize_ontology(ontology: Ontology, format: str = "rdfxml",

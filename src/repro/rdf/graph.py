@@ -10,11 +10,29 @@ measured in benchmark E2 (see DESIGN.md section 7).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection
 from typing import Iterable, Iterator
 
 from ..errors import RdfError
 from .namespace import NamespaceManager, RDF
-from .terms import IRI, BlankNode, Object, Predicate, Subject, Triple
+from .terms import IRI, BlankNode, Object, Predicate, Subject, Triple, n3
+
+#: The RDF writers' input: each subject with its (predicate, objects)
+#: pairs; an object that is no term is a value for python_to_literal.
+Descriptions = Iterable[tuple[Subject, Iterable[tuple[Predicate, Collection]]]]
+
+
+def subject_order(description: tuple) -> tuple[bool, str]:
+    """IRI subjects by text, then blank nodes."""
+    return isinstance(description[0], BlankNode), str(description[0])
+
+
+def ordered_objects(objects: Collection) -> list:
+    """One predicate's distinct objects, in N-Triples order."""
+    if len(objects) == 1:
+        return list(objects)
+    by_text = {n3(obj): obj for obj in objects}
+    return [by_text[text] for text in sorted(by_text)]
 
 
 class Graph:
@@ -99,6 +117,10 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._triples)
+
+    def descriptions(self) -> Descriptions:
+        """The writers' input: a read-only view of the triples."""
+        return [(subject, pairs.items()) for subject, pairs in self._spo.items()]
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples)

@@ -58,6 +58,7 @@ RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 RDFS = Namespace("http://www.w3.org/2000/01/rdf-schema#")
 OWL = Namespace("http://www.w3.org/2002/07/owl#")
 XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
+RDF_TYPE = RDF.type
 
 WELL_KNOWN_PREFIXES: dict[str, Namespace] = {
     "rdf": RDF,
@@ -114,7 +115,7 @@ class NamespaceManager:
         for base, prefix in self._by_base.items():
             if iri.value.startswith(base) and len(base) > len(best_base):
                 local = iri.value[len(base):]
-                if re.match(r"[A-Za-z_][A-Za-z0-9_\-.]*\Z", local) or local == "":
+                if local == "" or _PREFIX_RE.match(local):
                     best_base = base
                     best_prefix = prefix
         if best_prefix is None:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 
 from ..errors import RdfSyntaxError
-from .graph import Graph
+from .graph import Descriptions, Graph
 from .namespace import NamespaceManager
-from .terms import IRI, BlankNode, Literal
+from .terms import IRI, BlankNode, Literal, n3
 from .turtle import unescape
 
 _LINE_RE = re.compile(
@@ -27,9 +27,20 @@ _LINE_RE = re.compile(
 )
 
 
+def write_ntriples(manager: NamespaceManager | None,
+                   descriptions: Descriptions) -> str:
+    """One sorted line per distinct triple (N-Triples has no prefixes)."""
+    lines: set[str] = set()
+    for subject, predicates in descriptions:
+        for predicate, objects in predicates:
+            head = f"{subject.n3()} {predicate.n3()} "
+            lines.update([f"{head}{n3(obj)} .\n" for obj in objects])
+    return "".join(sorted(lines))
+
+
 def serialize_ntriples(graph: Graph) -> str:
     """One ``subject predicate object .`` line per triple, sorted."""
-    return "".join(sorted(triple.n3() + "\n" for triple in graph))
+    return write_ntriples(None, graph.descriptions())
 
 
 def _parse_term(token: str, bnodes: dict[str, BlankNode], line: int):

@@ -13,111 +13,92 @@ nodes, ``rdf:ID``, ``rdf:nodeID``, nested node elements).
 from __future__ import annotations
 
 from ..errors import RdfError, RdfSyntaxError
-from ..xmlkit import Document, Element, parse_xml, serialize_xml
-from .graph import Graph
-from .namespace import NamespaceManager, RDF
-from .terms import IRI, BlankNode, Literal, Object, Subject
+from ..xmlkit import Element, parse_xml
+from ..xmlkit.serializer import escape_attr, escape_text
+from .graph import Descriptions, Graph, ordered_objects, subject_order
+from .namespace import RDF, RDF_TYPE, NamespaceManager
+from .terms import IRI, BlankNode, Literal, Subject, literal_parts
 
 _RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-_XML_NS = "http://www.w3.org/XML/1998/namespace"
 
 
 # ---------------------------------------------------------------------------
 # Serializer
 # ---------------------------------------------------------------------------
 
-class RdfXmlSerializer:
-    """Serialize a :class:`Graph` to an RDF/XML string."""
+def write_rdfxml(manager: NamespaceManager,
+                 descriptions: Descriptions) -> str:
+    """RDF/XML text of ``descriptions``: a node per subject, typed by its
+    first ``rdf:type`` with a qualified name, properties in predicate then
+    N-Triples order; only prefixes some tag uses are declared."""
+    qnames: dict[str, tuple[str | None, str]] = {}
+    used = {"rdf"}
 
-    def __init__(self, graph: Graph) -> None:
-        self._graph = graph
-        self._manager = graph.namespace_manager
+    def qname(iri: IRI) -> str | None:
+        known = qnames.get(iri.value)
+        if known is None:
+            name = manager.compact(iri)
+            known = qnames[iri.value] = (
+                (None, "rdf") if name is None or name.endswith(":")
+                else (name, name.split(":", 1)[0]))
+        used.add(known[1])
+        return known[0]
 
-    def serialize(self) -> str:
-        """Render the graph as an RDF/XML document string."""
-        root = Element("rdf:RDF", namespace=_RDF_NS)
-        used_prefixes = {"rdf"}
-        body_nodes: list[Element] = []
-
-        subjects = sorted(
-            {t.subject for t in self._graph},
-            key=lambda s: (isinstance(s, BlankNode), str(s)))
-        described_inline: set[Subject] = set()
-        for subject in subjects:
-            if subject in described_inline:
+    body: list[str] = []
+    for subject, predicates in sorted(descriptions, key=subject_order):
+        predicates = sorted(predicates, key=lambda pair: pair[0].value)
+        type_iri = next((obj for predicate, objects in predicates
+                         if predicate.value == RDF_TYPE.value
+                         for obj in ordered_objects(objects)
+                         if isinstance(obj, IRI) and qname(obj)), None)
+        tag = qname(type_iri) if type_iri else "rdf:Description"
+        node = (f'{tag} rdf:about="{escape_attr(subject.value)}"'
+                if isinstance(subject, IRI)
+                else f'{tag} rdf:nodeID="{escape_attr(subject.label)}"')
+        properties = []
+        for predicate, objects in predicates:
+            objects = ordered_objects(objects)
+            if type_iri is not None and predicate.value == RDF_TYPE.value:
+                objects.remove(type_iri)  # the node's tag says it
+            if not objects:
                 continue
-            node = self._describe(subject, used_prefixes)
-            body_nodes.append(node)
+            name = qname(predicate)
+            if name is None:
+                raise RdfError(
+                    f"cannot serialize predicate {predicate} to RDF/XML: no "
+                    "namespace prefix is bound for it")
+            properties += [_property(name, obj) for obj in objects]
+        body += ([f"  <{node}>", *properties, f"  </{tag}>"] if properties
+                 else [f"  <{node}/>"])
+    declared = [(prefix, base) for prefix, base in sorted(manager.namespaces())
+                if prefix in used]
+    if "rdf" not in dict(declared):
+        declared.append(("rdf", _RDF_NS))
+    root = "rdf:RDF" + "".join(f' xmlns:{prefix}="{escape_attr(base)}"'
+                               for prefix, base in declared)
+    lines = [f"<{root}>", *body, "</rdf:RDF>"] if body else [f"<{root}/>"]
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + "\n".join(lines) + "\n"
 
-        for prefix, base in sorted(self._manager.namespaces()):
-            if prefix in used_prefixes:
-                root.attributes[f"xmlns:{prefix}"] = base
-        root.attributes.setdefault("xmlns:rdf", _RDF_NS)
-        for node in body_nodes:
-            root.append(node)
-        return serialize_xml(Document(root))
 
-    def _qname(self, iri: IRI, used_prefixes: set[str]) -> str | None:
-        compact = self._manager.compact(iri)
-        if compact is None or compact.endswith(":"):
-            return None
-        prefix = compact.split(":", 1)[0]
-        used_prefixes.add(prefix)
-        return compact
-
-    def _describe(self, subject: Subject, used_prefixes: set[str]) -> Element:
-        triples = sorted(self._graph.triples(subject, None, None),
-                         key=lambda t: (t.predicate.value, t.object.n3()))
-        type_iri: IRI | None = None
-        for triple in triples:
-            if triple.predicate == RDF.type and isinstance(triple.object, IRI):
-                qname = self._qname(triple.object, used_prefixes)
-                if qname is not None:
-                    type_iri = triple.object
-                    break
-
-        if type_iri is not None:
-            tag = self._qname(type_iri, used_prefixes)
-            node = Element(tag or "rdf:Description")
-        else:
-            node = Element("rdf:Description")
-
-        if isinstance(subject, IRI):
-            node.attributes["rdf:about"] = subject.value
-        else:
-            node.attributes["rdf:nodeID"] = subject.label
-
-        for triple in triples:
-            if triple.predicate == RDF.type and triple.object == type_iri:
-                continue
-            node.append(self._property(triple.predicate, triple.object,
-                                       used_prefixes))
-        return node
-
-    def _property(self, predicate: IRI, obj: Object,
-                  used_prefixes: set[str]) -> Element:
-        tag = self._qname(predicate, used_prefixes)
-        if tag is None:
-            raise RdfError(
-                f"cannot serialize predicate {predicate} to RDF/XML: no "
-                "namespace prefix is bound for it")
-        element = Element(tag)
-        if isinstance(obj, IRI):
-            element.attributes["rdf:resource"] = obj.value
-        elif isinstance(obj, BlankNode):
-            element.attributes["rdf:nodeID"] = obj.label
-        else:
-            if obj.datatype is not None:
-                element.attributes["rdf:datatype"] = obj.datatype.value
-            if obj.language is not None:
-                element.attributes["xml:lang"] = obj.language
-            element.append_text(obj.lexical)
-        return element
+def _property(tag: str, obj) -> str:
+    if type(obj) is str:  # the commonest object: a plain literal
+        return f"    <{tag}>{escape_text(obj)}</{tag}>"
+    if isinstance(obj, IRI):
+        return f'    <{tag} rdf:resource="{escape_attr(obj.value)}"/>'
+    if isinstance(obj, BlankNode):
+        return f'    <{tag} rdf:nodeID="{escape_attr(obj.label)}"/>'
+    lexical, datatype, language = literal_parts(obj)
+    attributes = ""
+    if datatype is not None:
+        attributes = f' rdf:datatype="{escape_attr(datatype.value)}"'
+    if language is not None:
+        attributes += f' xml:lang="{escape_attr(language)}"'
+    return f"    <{tag}{attributes}>{escape_text(lexical)}</{tag}>"
 
 
 def serialize_rdfxml(graph: Graph) -> str:
     """Serialize ``graph`` to RDF/XML."""
-    return RdfXmlSerializer(graph).serialize()
+    return write_rdfxml(graph.namespace_manager, graph.descriptions())
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ enforced at construction time.
 
 from __future__ import annotations
 
+import datetime as _dt
 import itertools
 import re
 import threading
@@ -107,21 +108,13 @@ class Literal:
 
     def n3(self) -> str:
         """N-Triples / Turtle rendering."""
-        escaped = (self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-        base = f'"{escaped}"'
-        if self.language is not None:
-            return f"{base}@{self.language}"
-        if self.datatype is not None:
-            return f"{base}^^{self.datatype.n3()}"
-        return base
+        return n3(self)
 
     def to_python(self):
         """Convert to a native Python value based on the XSD datatype."""
         if self.datatype is None:
             return self.lexical
         name = self.datatype.local_name
-        import datetime as _dt
         try:
             if name in ("integer", "int", "long", "short", "byte",
                         "nonNegativeInteger", "positiveInteger"):
@@ -176,22 +169,62 @@ class Triple:
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
 
 
-def python_to_literal(value, xsd_namespace: str = "http://www.w3.org/2001/XMLSchema#") -> Literal:
-    """Build a typed literal from a native Python value."""
-    import datetime as _dt
+_N3_ESCAPED = re.compile(r'[\\"\n\r\t]')
 
+
+def quoted(lexical: str) -> str:
+    """A lexical form as an N-Triples / Turtle string, quotes included."""
+    if _N3_ESCAPED.search(lexical) is None:
+        return f'"{lexical}"'
+    return '"' + (lexical.replace("\\", "\\\\").replace('"', '\\"')
+                  .replace("\n", "\\n").replace("\r", "\\r")
+                  .replace("\t", "\\t")) + '"'
+
+
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+XSD_BOOLEAN, XSD_INTEGER, XSD_DOUBLE, XSD_DATE_TIME, XSD_DATE = (
+    IRI(_XSD + name)
+    for name in ("boolean", "integer", "double", "dateTime", "date"))
+
+
+def literal_parts(value) -> tuple[str, IRI | None, str | None]:
+    """(lexical form, datatype, language) of a literal, or of the one
+    :func:`python_to_literal` makes of a value: a module ``XSD_*``
+    datatype and the value's own lexical form, so ``1``, ``1.0`` and
+    ``True`` (or one instant in two zones) stay apart."""
+    if isinstance(value, str):
+        return value, None, None
+    if isinstance(value, Literal):
+        return value.lexical, value.datatype, value.language
+    if isinstance(value, bool):
+        return ("true" if value else "false"), XSD_BOOLEAN, None
+    if isinstance(value, int):
+        return str(value), XSD_INTEGER, None
+    if isinstance(value, float):
+        return repr(value), XSD_DOUBLE, None
+    if isinstance(value, _dt.datetime):
+        return value.isoformat(), XSD_DATE_TIME, None
+    if isinstance(value, _dt.date):
+        return value.isoformat(), XSD_DATE, None
+    raise RdfError(f"cannot convert {type(value).__name__} to RDF literal")
+
+
+def python_to_literal(value) -> Literal:
+    """Build a typed literal from a native Python value."""
     if isinstance(value, Literal):
         return value
-    if isinstance(value, bool):
-        return Literal("true" if value else "false", IRI(xsd_namespace + "boolean"))
-    if isinstance(value, int):
-        return Literal(str(value), IRI(xsd_namespace + "integer"))
-    if isinstance(value, float):
-        return Literal(repr(value), IRI(xsd_namespace + "double"))
-    if isinstance(value, _dt.datetime):
-        return Literal(value.isoformat(), IRI(xsd_namespace + "dateTime"))
-    if isinstance(value, _dt.date):
-        return Literal(value.isoformat(), IRI(xsd_namespace + "date"))
-    if isinstance(value, str):
-        return Literal(value)
-    raise RdfError(f"cannot convert {type(value).__name__} to RDF literal")
+    return Literal(*literal_parts(value))
+
+
+def n3(term) -> str:
+    """N-Triples text of a term, or of ``python_to_literal(term)``."""
+    if type(term) is str:  # the commonest object: a plain literal
+        return quoted(term)
+    if isinstance(term, (IRI, BlankNode)):
+        return term.n3()
+    lexical, datatype, language = literal_parts(term)
+    if language is not None:
+        return f"{quoted(lexical)}@{language}"
+    if datatype is not None:
+        return f"{quoted(lexical)}^^<{datatype.value}>"
+    return quoted(lexical)

@@ -14,59 +14,67 @@ import re
 
 from ..errors import RdfSyntaxError
 from ..lexing import Lexer, Token, TokenCursor, char_from_code
-from .graph import Graph
-from .namespace import NamespaceManager
-from .terms import IRI, BlankNode, Literal, Object, Subject
+from .graph import Descriptions, Graph, ordered_objects, subject_order
+from .namespace import RDF_TYPE, NamespaceManager
+from .terms import (IRI, BlankNode, Literal, Object, Subject, literal_parts,
+                    n3, quoted)
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
-_RDF_TYPE = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 # ---------------------------------------------------------------------------
 # Serializer
 # ---------------------------------------------------------------------------
 
 
-def serialize_turtle(graph: Graph) -> str:
-    """Render ``graph`` as a Turtle document grouped by subject."""
-    manager = graph.namespace_manager
-    lines: list[str] = []
-    for prefix, base in manager.namespaces():
-        lines.append(f"@prefix {prefix}: <{base}> .")
-    if lines:
-        lines.append("")
+def write_turtle(manager: NamespaceManager,
+                 descriptions: Descriptions) -> str:
+    """Turtle text of ``descriptions``: every bound prefix, then a block
+    per subject, ``a`` first, then predicates by IRI, objects in
+    N-Triples order."""
+    texts: dict[str, str] = {}
+
+    def iri_text(iri: IRI) -> str:
+        text = texts.get(iri.value)
+        if text is None:
+            qname = manager.compact(iri)
+            text = texts[iri.value] = qname if qname is not None else iri.n3()
+        return text
 
     def term_text(term) -> str:
+        if type(term) is str:  # the commonest object: a plain literal
+            return quoted(term)
         if isinstance(term, IRI):
-            qname = manager.compact(term)
-            return qname if qname is not None else term.n3()
-        if isinstance(term, Literal) and term.datatype is not None:
-            qname = manager.compact(term.datatype)
-            if qname is not None:
-                plain = Literal(term.lexical)
-                return f"{plain.n3()}^^{qname}"
-        return term.n3()
+            return iri_text(term)
+        if isinstance(term, BlankNode):
+            return term.n3()
+        lexical, datatype, language = literal_parts(term)
+        if datatype is not None:
+            return f"{quoted(lexical)}^^{iri_text(datatype)}"
+        return n3(term)
 
-    by_subject: dict[Subject, dict[IRI, list[Object]]] = {}
-    for triple in graph:
-        by_subject.setdefault(triple.subject, {}).setdefault(
-            triple.predicate, []).append(triple.object)
-
-    def subject_key(subject: Subject) -> tuple[int, str]:
-        return (0 if isinstance(subject, IRI) else 1, str(subject))
-
-    for subject in sorted(by_subject, key=subject_key):
-        predicates = by_subject[subject]
-        chunks: list[str] = []
-        ordered = sorted(predicates, key=lambda p: (p != _RDF_TYPE, p.value))
-        for predicate in ordered:
-            pred_text = "a" if predicate == _RDF_TYPE else term_text(predicate)
-            objects = sorted(predicates[predicate], key=lambda o: o.n3())
-            obj_text = ", ".join(term_text(o) for o in objects)
-            chunks.append(f"    {pred_text} {obj_text}")
-        body = " ;\n".join(chunks)
-        lines.append(f"{term_text(subject)}\n{body} .")
+    lines = [f"@prefix {prefix}: <{base}> ."
+             for prefix, base in manager.namespaces()]
+    if lines:
         lines.append("")
+    for subject, predicates in sorted(descriptions, key=subject_order):
+        chunks = []
+        for predicate, objects in sorted(predicates, key=_predicate_order):
+            if objects:
+                name = ("a" if predicate.value == RDF_TYPE.value
+                        else iri_text(predicate))
+                chunks.append(f"    {name} " + ", ".join(
+                    [term_text(o) for o in ordered_objects(objects)]))
+        lines += [f"{term_text(subject)}\n" + " ;\n".join(chunks) + " .", ""]
     return "\n".join(lines).rstrip() + "\n"
+
+
+def _predicate_order(pair: tuple[IRI, object]) -> tuple[bool, str]:
+    return pair[0].value != RDF_TYPE.value, pair[0].value
+
+
+def serialize_turtle(graph: Graph) -> str:
+    """Render ``graph`` as a Turtle document grouped by subject."""
+    return write_turtle(graph.namespace_manager, graph.descriptions())
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,7 @@ class _Parser(TokenCursor):
     def _predicate(self) -> IRI:
         token = self.next()
         if token.kind == "keyword" and token.value == "a":
-            return _RDF_TYPE
+            return RDF_TYPE
         if token.kind == "iri":
             return IRI(self._resolve(token.value[1:-1]))
         if token.kind == "qname":

@@ -9,27 +9,27 @@ from __future__ import annotations
 from .dom import Document, Element, Text
 
 
-def _escape_text(value: str) -> str:
+def escape_text(value: str) -> str:
     return (value.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
 
 
-def _escape_attr(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+def escape_attr(value: str) -> str:
+    return escape_text(value).replace('"', "&quot;")
 
 
 def _render_element(element: Element, indent: int, pretty: bool,
                     lines: list[str]) -> None:
     pad = "  " * indent if pretty else ""
     attrs = "".join(
-        f' {name}="{_escape_attr(value)}"'
+        f' {name}="{escape_attr(value)}"'
         for name, value in element.attributes.items())
     children = element.children
     if not children:
         lines.append(f"{pad}<{element.name}{attrs}/>")
         return
     if all(isinstance(c, Text) for c in children):
-        text = _escape_text("".join(c.value for c in children))  # type: ignore[union-attr]
+        text = escape_text("".join(c.value for c in children))  # type: ignore[union-attr]
         lines.append(f"{pad}<{element.name}{attrs}>{text}</{element.name}>")
         return
     lines.append(f"{pad}<{element.name}{attrs}>")
@@ -38,7 +38,7 @@ def _render_element(element: Element, indent: int, pretty: bool,
             stripped = child.value.strip()
             if stripped:
                 child_pad = "  " * (indent + 1) if pretty else ""
-                lines.append(f"{child_pad}{_escape_text(stripped)}")
+                lines.append(f"{child_pad}{escape_text(stripped)}")
         else:
             _render_element(child, indent + 1, pretty, lines)
     lines.append(f"{pad}</{element.name}>")

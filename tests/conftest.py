@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
+import time
+from multiprocessing import resource_tracker
+
 import pytest
 
 from repro.ontology import OntologySchema
@@ -10,6 +16,61 @@ from repro.sources.relational import Database
 from repro.sources.web import SimulatedWeb
 from repro.sources.xmlstore import XmlDocumentStore
 from repro.workloads import B2BScenario, ConflictProfile
+
+pytest_plugins = ["pytester"]
+
+#: how long a module's own threads get to finish after its last test
+LEAK_GRACE_SECONDS = 2.0
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "leaks(reason): the module may leave threads or open "
+        "descriptors behind; the reason says why (none are marked)")
+
+
+def open_descriptors() -> int | None:
+    """This process's open file descriptors, where ``/proc`` lists them,
+    less the pipe to multiprocessing's resource tracker: the first spawn
+    pool starts that tracker, and it stays for the life of the process."""
+    try:
+        names = set(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+    tracker = getattr(resource_tracker._resource_tracker, "_fd", None)
+    return len(names - {str(tracker)})
+
+
+@pytest.fixture(scope="module", autouse=True)
+def leak_check(request):
+    """Fail the module that leaves a thread running, or more file
+    descriptors open, than it found: whatever a test opens, it closes.
+    New threads get a short grace to finish, and garbage is collected
+    before an extra descriptor counts.  The only allowance is a module
+    marked ``@pytest.mark.leaks("reason")``."""
+    before = {thread.ident for thread in threading.enumerate()}
+    descriptors = open_descriptors()
+    yield
+    if request.node.get_closest_marker("leaks") is not None:
+        return
+    deadline = time.monotonic() + LEAK_GRACE_SECONDS
+    started = [thread for thread in threading.enumerate()
+               if thread.ident not in before]
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    running = sorted(thread.name for thread in started if thread.is_alive())
+    grown = 0
+    if descriptors is not None and open_descriptors() > descriptors:
+        gc.collect()  # a file in a reference cycle closes when collected
+        grown = open_descriptors() - descriptors
+    leaked = []
+    if running:
+        leaked.append(f"{len(running)} thread(s) still running: {running}")
+    if grown > 0:
+        leaked.append(f"{grown} more open file descriptor(s)")
+    if leaked:
+        pytest.fail(f"{request.node.nodeid} leaked " + "; ".join(leaked),
+                    pytrace=False)
 
 
 @pytest.fixture

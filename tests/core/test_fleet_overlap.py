@@ -23,6 +23,7 @@ from repro.core.extractor.manager import timed_out_problem
 from repro.core.extractor.schema import ExtractionSchema
 from repro.core.resilience import Deadline
 from repro.errors import ExtractionError
+from repro.obs import MetricsRegistry
 from repro.sources.flaky import FlakySource
 from repro.workloads import B2BScenario
 
@@ -57,10 +58,11 @@ class HangingClock(SystemClock):
 
 def one_worker_world(clocks):
     """Two sources on a one-worker fleet (so one shard item holds both),
-    each rule of source ``i`` sleeping on ``clocks[i]``."""
+    each rule of source ``i`` sleeping on ``clocks[i]``.  Its metrics are
+    its own, so counters read this world's dispatches only."""
     scenario = B2BScenario(n_sources=2, n_products=4, seed=7)
     s2s = scenario.build_middleware(concurrency=ConcurrencyConfig.sharded(
-        fleet=FleetConfig(n_workers=1)))
+        fleet=FleetConfig(n_workers=1)), metrics=MetricsRegistry())
     for org, clock in zip(scenario.organizations, clocks):
         if clock is not None:
             s2s.source_repository.register(

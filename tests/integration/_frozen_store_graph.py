@@ -1,7 +1,10 @@
 """Frozen reference for the store's RDF graph - the model-graph oracle.
 
 Frozen at release 2.9.0, the last store that kept a graph.  Lines edited
-since: none.
+since: the imports, once (release 2.27): ``individual_triples`` and
+``python_to_literal`` come from the frozen 2.26 per-triple path
+(``tests/oracles/rdf_triples_2_26.py``), not from ``src/``, so the
+oracle stays independent of the shape-pattern code it checks.
 
 This is the graph writer of ``repro/core/store/store.py`` as it stood
 before the store stopped keeping triples: a reference-counted
@@ -24,10 +27,11 @@ from __future__ import annotations
 
 from datetime import date, datetime
 
-from repro.ontology.owlxml import individual_triples
 from repro.rdf.graph import Graph
 from repro.rdf.namespace import Namespace
-from repro.rdf.terms import Literal, Triple, python_to_literal
+from repro.rdf.terms import Literal, Triple
+from tests.oracles.rdf_triples_2_26 import (individual_triples,
+                                            python_to_literal)
 
 #: Provenance vocabulary for stored entities.
 STORE = Namespace("http://example.org/s2s/store#")

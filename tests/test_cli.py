@@ -34,6 +34,39 @@ class TestDemo:
         assert "products integrated" in out
 
 
+def fleet_threads() -> list[str]:
+    return sorted(thread.name for thread in threading.enumerate()
+                  if thread.name.startswith(("query-worker-",
+                                             "query-fleet-dispatcher")))
+
+
+class TestEveryCommandCloses:
+    """A sharded command shuts its fleet down on every way out: an
+    answer, an empty batch file and a query that raises."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("demo", "--sources", "2", "--products", "8"), 0),
+        (("query", "SELECT product", "--sources", "2", "--products", "6",
+          "--format", "text"), 0),
+        (("query", "SELECT nothing_such", "--sources", "2",
+          "--products", "6"), 1),
+    ], ids=["demo", "query", "query-raises"])
+    def test_no_fleet_thread_outlives_the_command(self, capsys, argv,
+                                                  expected):
+        assert fleet_threads() == []
+        code, _out, _err = run_cli(capsys, *argv, "--concurrency", "sharded")
+        assert code == expected
+        assert fleet_threads() == []
+
+    def test_an_empty_batch_file_closes_too(self, capsys, tmp_path):
+        batch = tmp_path / "empty.s2sql"
+        batch.write_text("# nothing to run\n", encoding="utf-8")
+        code, _out, err = run_cli(capsys, "query", "--batch-file",
+                                  str(batch), "--concurrency", "sharded")
+        assert code == 2 and "no queries" in err
+        assert fleet_threads() == []
+
+
 class TestQuery:
     def test_text_output(self, capsys):
         code, out, _err = run_cli(
